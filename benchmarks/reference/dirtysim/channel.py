@@ -1,0 +1,556 @@
+"""Covert-channel protocol: sender, receiver, scheduler, noise, and gadgets.
+
+One sender and one receiver share a simulated L1 from distinct address
+spaces.  The sender encodes a symbol as the number of dirty lines it leaves
+in the agreed target set; the receiver recovers it from the summed latency of
+replacing that set.  A deterministic event loop with a total order
+(cycle, then sender < noise < receiver) stands in for the wall-clock
+hyper-thread interleaving of real hardware.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import heapq
+import json
+import random
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
+
+import numpy as np
+
+from .analysis import (DEFAULT_ALIGN_WINDOW, DEFAULT_FREQUENCY_HZ,
+                       PreambleLockError, align_by_preamble, bit_error_rate,
+                       rate_kbps)
+from .cache import (Cache, CacheGeometry, LatencyModel, WritePolicy,
+                    make_line)
+from .measurement import (DEFAULT_RSET_SIZE, build_replacement_set,
+                          measure_replacement_latency)
+from .seeding import derive_seed
+
+SENDER = "sender"
+RECEIVER = "receiver"
+NOISE = "noise"
+
+# Tag ranges inside the receiver's space: init lines, then the two
+# replacement sets used alternately so the active one is never resident.
+INIT_TAG_BASE = 0
+RSET_TAG_BASES = (1000, 2000)
+
+DEFAULT_PREAMBLE = "1111000011110000"  # 0xF0F0: alternating runs of both symbols
+
+
+class CalibrationError(RuntimeError):
+    """Latency distributions of adjacent levels overlap too much to threshold."""
+
+
+# -- encodings ---------------------------------------------------------------
+
+class Encoding:
+    """Maps symbol bits to a dirty-line count (level) and back."""
+
+    @property
+    def levels(self):
+        raise NotImplementedError
+
+    @property
+    def bits_per_symbol(self) -> int:
+        return (len(self.levels) - 1).bit_length()
+
+    @property
+    def d_label(self) -> str:
+        return "-".join(str(d) for d in self.levels)
+
+    def level_for_bits(self, bits: str) -> int:
+        k = self.bits_per_symbol
+        if len(bits) != k or any(c not in "01" for c in bits):
+            raise ValueError(f"symbol {bits!r} is not {k} bits")
+        return self.levels[int(bits, 2)]
+
+    def bits_for_level_index(self, index: int) -> str:
+        return format(index, f"0{self.bits_per_symbol}b")
+
+
+@dataclass(frozen=True)
+class BinaryEncoding(Encoding):
+    """Bit 0 leaves the set untouched; bit 1 installs d_one dirty lines."""
+
+    d_one: int = 1
+    name = "binary"
+
+    def __post_init__(self):
+        if not 1 <= self.d_one <= 8:
+            raise ValueError("d_one must be in 1..8")
+
+    @property
+    def levels(self):
+        return (0, self.d_one)
+
+    @property
+    def d_label(self) -> str:
+        return str(self.d_one)
+
+
+@dataclass(frozen=True)
+class MultiBitEncoding(Encoding):
+    """2**k strictly increasing dirty-line counts encode k bits per symbol."""
+
+    level_values: tuple = (0, 3, 5, 8)
+    name = "multibit"
+
+    def __post_init__(self):
+        values = tuple(self.level_values)
+        object.__setattr__(self, "level_values", values)
+        if len(values) < 2 or len(values) & (len(values) - 1):
+            raise ValueError("need a power-of-two number of levels >= 2")
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise ValueError("levels must be strictly increasing")
+        if values[0] < 0:
+            raise ValueError("levels must be non-negative")
+
+    @property
+    def levels(self):
+        return self.level_values
+
+
+# -- configuration -----------------------------------------------------------
+
+@dataclass(frozen=True)
+class NoiseConfig:
+    """Third-party interference: per-period event probability and write share."""
+
+    rate: float = 0.0
+    kind_mix: float = 0.0  # probability a noise event is a write (dirty)
+    target: Optional[int] = None  # defaults to the channel's target set
+
+    def __post_init__(self):
+        if self.rate < 0:
+            raise ValueError("rate must be >= 0")
+        if not 0.0 <= self.kind_mix <= 1.0:
+            raise ValueError("kind_mix must be in [0, 1]")
+
+
+@dataclass(frozen=True)
+class ChannelConfig:
+    """Everything defining one channel run; identical configs replay identically."""
+
+    encoding: Encoding = field(default_factory=BinaryEncoding)
+    t_s: int = 5500
+    t_r: Optional[int] = None          # defaults to t_s
+    phase_offset: Optional[int] = None  # defaults to t_s // 2
+    target_set: int = 0
+    rset_size: int = DEFAULT_RSET_SIZE
+    preamble: str = DEFAULT_PREAMBLE
+    message: str = ""
+    noise: Optional[NoiseConfig] = None
+    seed: int = 0
+    slip: int = 0                      # half-width of receiver timing slip, cycles
+    geometry: CacheGeometry = field(default_factory=CacheGeometry)
+    policy: object = "lru"
+    latency: LatencyModel = field(default_factory=LatencyModel)
+    f_hz: float = DEFAULT_FREQUENCY_HZ
+
+    def with_updates(self, **changes) -> "ChannelConfig":
+        return dataclasses.replace(self, **changes)
+
+    def resolved(self) -> "ChannelConfig":
+        """Fill derived defaults and validate."""
+        cfg = self
+        if cfg.t_r is None:
+            cfg = cfg.with_updates(t_r=cfg.t_s)
+        if cfg.phase_offset is None:
+            cfg = cfg.with_updates(phase_offset=cfg.t_s // 2)
+        cfg.validate()
+        return cfg
+
+    def validate(self):
+        if self.t_s <= 0:
+            raise ValueError("t_s must be positive")
+        if self.t_r is not None and self.t_r != self.t_s:
+            raise ValueError("the evaluated protocol requires t_r == t_s")
+        if self.phase_offset is not None and not 0 < self.phase_offset < self.t_s:
+            raise ValueError("phase_offset must fall inside the period")
+        if not 0 <= self.target_set < self.geometry.num_sets:
+            raise ValueError("target_set outside geometry")
+        if self.rset_size < 1:
+            raise ValueError("rset_size must be >= 1")
+        k = self.encoding.bits_per_symbol
+        for label, bits in (("preamble", self.preamble), ("message", self.message)):
+            if any(c not in "01" for c in bits):
+                raise ValueError(f"{label} must be a 0/1 string")
+            if len(bits) % k:
+                raise ValueError(f"{label} length must be a multiple of {k}")
+        if not self.message:
+            raise ValueError("message must be non-empty")
+        if max(self.encoding.levels) > self.geometry.associativity:
+            raise ValueError("encoding level exceeds associativity")
+        if self.slip < 0:
+            raise ValueError("slip must be >= 0")
+        if self.noise is not None and self.noise.rate > 0 and self.geometry.partition is not None:
+            raise ValueError("noise actor has no way partition; disable noise or partitioning")
+
+    def calibration_view(self) -> "ChannelConfig":
+        """The undefended equivalent used to calibrate decode thresholds.
+
+        Thresholds model the attacker's expectation of the write-back channel;
+        defenses are applied at run time, not during calibration.
+        """
+        geometry = dataclasses.replace(
+            self.geometry, write_policy=WritePolicy.WRITE_BACK_ALLOCATE,
+            partition=None)
+        return self.with_updates(geometry=geometry, noise=None)
+
+
+# -- thresholds --------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Thresholds:
+    """Cut points between adjacent encoding levels, lowest first."""
+
+    cuts: tuple
+
+    def __post_init__(self):
+        cuts = tuple(float(c) for c in self.cuts)
+        object.__setattr__(self, "cuts", cuts)
+        if any(b <= a for a, b in zip(cuts, cuts[1:])):
+            raise ValueError("cuts must be strictly increasing")
+
+    @classmethod
+    def from_level_stats(cls, means, stds) -> "Thresholds":
+        """Midpoint cuts; fails if adjacent levels are not cleanly separable."""
+        for i in range(len(means) - 1):
+            separation = means[i + 1] - means[i]
+            spread = 2.0 * max(stds[i], stds[i + 1])
+            if separation <= 0 or separation < spread:
+                raise CalibrationError(
+                    f"levels {i} and {i + 1} overlap: mean separation "
+                    f"{separation:.2f} < required {max(spread, 1e-9):.2f}")
+        return cls(tuple((means[i] + means[i + 1]) / 2.0 for i in range(len(means) - 1)))
+
+    def classify(self, total_cycles: int) -> int:
+        index = 0
+        for cut in self.cuts:
+            if total_cycles > cut:
+                index += 1
+            else:
+                break
+        return index
+
+
+def calibrate_thresholds(cfg: ChannelConfig, trials: int = 8,
+                         seed: Optional[int] = None) -> Thresholds:
+    """Run the latency pipeline per level and place cuts at adjacent midpoints."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    cfg = cfg.calibration_view()
+    base = seed if seed is not None else derive_seed(cfg.seed, "calibration")
+    geo = cfg.geometry
+    means, stds = [], []
+    for d in cfg.encoding.levels:
+        totals = []
+        for t in range(trials):
+            cache = Cache(geo, cfg.policy, cfg.latency,
+                          seed=derive_seed(base, "cache", d, t))
+            for i in range(geo.associativity):
+                cache.read(make_line(RECEIVER, cfg.target_set, INIT_TAG_BASE + i, geo))
+            for j in range(d):
+                cache.write(make_line(SENDER, cfg.target_set, j, geo))
+            rset = build_replacement_set(RECEIVER, cfg.target_set, cfg.rset_size,
+                                         derive_seed(base, "rset", d, t),
+                                         geometry=geo, tag_base=RSET_TAG_BASES[0])
+            totals.append(measure_replacement_latency(cache, rset).total_cycles)
+        means.append(float(np.mean(totals)))
+        stds.append(float(np.std(totals)))
+    return Thresholds.from_level_stats(means, stds)
+
+
+# -- protocol actors ---------------------------------------------------------
+
+def sender_encode(cache: Cache, cfg: ChannelConfig, symbol_bits: str):
+    """Dirty `level` sender lines in the target set; level 0 touches nothing.
+
+    Returns (level, summed access cost in cycles).
+    """
+    level = cfg.encoding.level_for_bits(symbol_bits)
+    cost = 0
+    for j in range(level):
+        outcome = cache.write(make_line(SENDER, cfg.target_set, j, cfg.geometry))
+        cost += outcome.latency
+    return level, cost
+
+
+def receiver_init(cache: Cache, cfg: ChannelConfig) -> None:
+    """Read W receiver lines through the target set so no dirty lines remain."""
+    geo = cfg.geometry
+    for i in range(geo.associativity):
+        cache.read(make_line(RECEIVER, cfg.target_set, INIT_TAG_BASE + i, geo))
+
+
+def receiver_decode(cache: Cache, cfg: ChannelConfig, parity: int,
+                    thresholds: Thresholds):
+    """Measure with the parity-selected replacement set and threshold to bits.
+
+    The measurement leaves the target set full of clean receiver lines, so it
+    doubles as the next period's initialization.
+    """
+    tag_base = RSET_TAG_BASES[parity % 2]
+    rset = build_replacement_set(RECEIVER, cfg.target_set, cfg.rset_size,
+                                 derive_seed(cfg.seed, "chase", parity % 2),
+                                 geometry=cfg.geometry, tag_base=tag_base)
+    sample = measure_replacement_latency(cache, rset)
+    index = thresholds.classify(sample.total_cycles)
+    return sample, cfg.encoding.bits_for_level_index(index)
+
+
+# -- the timed protocol ------------------------------------------------------
+
+class TraceEvent(NamedTuple):
+    cycle: int
+    actor: str
+    action: str
+    set_index: int
+    d: object
+    latency: int
+    decoded_bits: str
+    truth_bits: str
+
+
+@dataclass
+class ChannelReport:
+    """Decoded stream plus error metrics and per-actor counters."""
+
+    sent_bits: str
+    received_bits: str
+    raw_received_bits: str
+    edit_distance: int
+    ber: float
+    rate_kbps: float
+    alignment_offset: int
+    preamble_locked: bool
+    latency_trace: list
+    counters: dict
+    cycles: int
+    events: list = field(repr=False, default_factory=list)
+
+    def to_dict(self) -> dict:
+        return {
+            "sent_bits": self.sent_bits,
+            "received_bits": self.received_bits,
+            "raw_received_bits": self.raw_received_bits,
+            "edit_distance": self.edit_distance,
+            "ber": self.ber,
+            "rate_kbps": self.rate_kbps,
+            "alignment_offset": self.alignment_offset,
+            "preamble_locked": self.preamble_locked,
+            "latency_trace": [list(entry) for entry in self.latency_trace],
+            "counters": self.counters,
+            "cycles": self.cycles,
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> ChannelReport:
+    """Drive sender, noise, and receiver through one message transmission."""
+    cfg = cfg.resolved()
+    if thresholds is None:
+        thresholds = calibrate_thresholds(cfg)
+    enc = cfg.encoding
+    k = enc.bits_per_symbol
+    stream = cfg.preamble + cfg.message
+    n_symbols = len(stream) // k
+
+    cache = Cache(cfg.geometry, cfg.policy, cfg.latency,
+                  seed=derive_seed(cfg.seed, "cache"))
+    noise_rng = random.Random(derive_seed(cfg.seed, "noise"))
+    slip_rng = random.Random(derive_seed(cfg.seed, "slip"))
+    noise_target = cfg.target_set
+    if cfg.noise is not None and cfg.noise.target is not None:
+        noise_target = cfg.noise.target
+    noise_offset = max(1, cfg.phase_offset // 2)
+
+    events = []
+    for i in range(n_symbols):
+        heapq.heappush(events, (i * cfg.t_s, 0, i, "encode"))
+        if cfg.noise is not None and cfg.noise.rate > 0:
+            if noise_rng.random() < min(cfg.noise.rate, 1.0):
+                action = ("noise-write" if noise_rng.random() < cfg.noise.kind_mix
+                          else "noise-read")
+                heapq.heappush(events, (i * cfg.t_s + noise_offset, 1, i, action))
+        decode_at = i * cfg.t_r + cfg.phase_offset
+        if cfg.slip:
+            decode_at = max(0, decode_at + slip_rng.randint(-cfg.slip, cfg.slip))
+        heapq.heappush(events, (decode_at, 2, i, "decode"))
+
+    receiver_init(cache, cfg)
+    trace = []
+    latency_trace = []
+    received_parts = []
+    decode_count = 0
+    noise_tag = 0
+    while events:
+        cycle, _prio, index, action = heapq.heappop(events)
+        if action == "encode":
+            bits = stream[index * k:(index + 1) * k]
+            level, cost = sender_encode(cache, cfg, bits)
+            trace.append(TraceEvent(cycle, SENDER, "encode", cfg.target_set,
+                                    level, cost, "", bits))
+        elif action == "decode":
+            sample, bits = receiver_decode(cache, cfg, decode_count, thresholds)
+            decode_count += 1
+            received_parts.append(bits)
+            truth = stream[index * k:(index + 1) * k]
+            latency_trace.append((cycle, sample.total_cycles, bits))
+            trace.append(TraceEvent(cycle, RECEIVER, "decode", cfg.target_set,
+                                    enc.levels[int(bits, 2)], sample.total_cycles,
+                                    bits, truth))
+        else:
+            line = make_line(NOISE, noise_target, noise_tag, cfg.geometry)
+            noise_tag += 1
+            outcome = (cache.write(line) if action == "noise-write"
+                       else cache.read(line))
+            trace.append(TraceEvent(cycle, NOISE, action, noise_target,
+                                    "", outcome.latency, "", ""))
+
+    received = "".join(received_parts)
+    window = max(DEFAULT_ALIGN_WINDOW, len(cfg.preamble))
+    try:
+        offset = align_by_preamble(received, cfg.preamble, window)
+        locked = True
+    except PreambleLockError:
+        offset, locked = 0, False
+    payload = received[offset + len(cfg.preamble):]
+    error = bit_error_rate(cfg.message, payload, offset)
+
+    return ChannelReport(
+        sent_bits=cfg.message,
+        received_bits=payload,
+        raw_received_bits=received,
+        edit_distance=error.edit_distance,
+        ber=error.ber,
+        rate_kbps=rate_kbps(cfg.t_s, k, cfg.f_hz),
+        alignment_offset=offset,
+        preamble_locked=locked,
+        latency_trace=latency_trace,
+        counters={actor: c.as_dict() for actor, c in sorted(cache.counters.items())},
+        cycles=cache.cycles,
+        events=trace,
+    )
+
+
+# -- side-channel gadgets ----------------------------------------------------
+
+VARIANTS = ("a", "b")  # a: if secret modify line0 else access line1; b: both reads
+SCENARIOS = ("set-state-dirty", "prime-with-dirty", "victim-timing")
+_SCENARIO_ALIASES = {"1": SCENARIOS[0], "2": SCENARIOS[1], "3": SCENARIOS[2]}
+
+
+@dataclass(frozen=True)
+class GadgetResult:
+    variant: str
+    scenario: str
+    secret: int
+    inferred: int
+    latencies: dict
+
+    def to_dict(self):
+        return {
+            "variant": self.variant,
+            "scenario": self.scenario,
+            "secret": self.secret,
+            "inferred": self.inferred,
+            "latencies": self.latencies,
+        }
+
+
+def run_gadget_attack(variant: str, scenario: str, secret: int, seed: int = 0, *,
+                      line0_set: Optional[int] = None,
+                      line1_set: Optional[int] = None,
+                      geometry: Optional[CacheGeometry] = None,
+                      latency: Optional[LatencyModel] = None) -> GadgetResult:
+    """Recover a victim's secret-dependent access through replacement latency.
+
+    Scenario set-state-dirty: the attacker primes a set clean and detects the
+    dirty line the victim's store leaves behind (variant a only; the two
+    victim lines may share a set).  Scenario prime-with-dirty: the attacker
+    primes with W dirty lines and detects the one the victim's load displaces
+    (variant b; the lines must sit in different sets).  Scenario
+    victim-timing: the victim's own access time separates a dirty eviction
+    from a clean one (either variant, different sets).
+    """
+    variant = str(variant).lower().replace("listing", "").strip("-_ ")
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
+    scenario = _SCENARIO_ALIASES.get(str(scenario), str(scenario))
+    if scenario not in SCENARIOS:
+        raise ValueError(f"scenario must be one of {SCENARIOS}")
+    if secret not in (0, 1):
+        raise ValueError("secret must be 0 or 1")
+
+    if scenario == "set-state-dirty" and variant != "a":
+        raise ValueError("set-state-dirty needs the store-path gadget (variant a)")
+    if scenario == "prime-with-dirty" and variant != "b":
+        raise ValueError("prime-with-dirty needs the load-only gadget (variant b)")
+
+    geo = geometry or CacheGeometry()
+    lat = latency or LatencyModel()
+    set_i = 1 if line0_set is None else line0_set
+    if line1_set is None:
+        set_j = set_i if scenario == "set-state-dirty" else (set_i + 1) % geo.num_sets
+    else:
+        set_j = line1_set
+    for s in (set_i, set_j):
+        if not 0 <= s < geo.num_sets:
+            raise ValueError(f"set index {s} outside geometry")
+    if scenario in ("prime-with-dirty", "victim-timing") and set_i == set_j:
+        raise ValueError(f"{scenario} requires line 0 and line 1 in different cache sets")
+
+    cache = Cache(geo, "lru", lat, seed=seed)
+    ways = geo.associativity
+    rset_size = DEFAULT_RSET_SIZE
+    line0 = make_line("victim", set_i, 0, geo)
+    line1 = make_line("victim", set_j, 1, geo)
+
+    def victim_call():
+        if secret:
+            return cache.write(line0) if variant == "a" else cache.read(line0)
+        return cache.read(line1)
+
+    latencies = {}
+    if scenario == "set-state-dirty":
+        for i in range(ways):
+            cache.read(make_line("attacker", set_i, i, geo))
+        victim_call()
+        rset = build_replacement_set("attacker", set_i, rset_size,
+                                     derive_seed(seed, "gadget"), geometry=geo,
+                                     tag_base=RSET_TAG_BASES[0])
+        total = measure_replacement_latency(cache, rset).total_cycles
+        cut = rset_size * lat.miss_clean + (lat.miss_dirty - lat.miss_clean) / 2
+        inferred = int(total > cut)
+        latencies = {"probe_total_cycles": total, "threshold": cut}
+    elif scenario == "prime-with-dirty":
+        for i in range(ways):
+            cache.write(make_line("attacker", set_i, i, geo))
+        victim_call()
+        rset = build_replacement_set("attacker", set_i, rset_size,
+                                     derive_seed(seed, "gadget"), geometry=geo,
+                                     tag_base=RSET_TAG_BASES[0])
+        total = measure_replacement_latency(cache, rset).total_cycles
+        all_dirty = ways * lat.miss_dirty + (rset_size - ways) * lat.miss_clean
+        one_clean = all_dirty - (lat.miss_dirty - lat.miss_clean)
+        cut = (all_dirty + one_clean) / 2
+        inferred = int(total < cut)
+        latencies = {"probe_total_cycles": total, "threshold": cut}
+    else:  # victim-timing
+        for i in range(ways):
+            cache.write(make_line("attacker", set_i, i, geo))
+        for i in range(ways):
+            cache.read(make_line("attacker", set_j, ways + i, geo))
+        victim_time = victim_call().latency
+        cut = (lat.miss_dirty + lat.miss_clean) / 2
+        inferred = int(victim_time > cut)
+        latencies = {"victim_call_cycles": victim_time, "threshold": cut,
+                     "dirty_clean_delta": lat.miss_dirty - lat.miss_clean}
+
+    return GadgetResult(variant, scenario, secret, inferred, latencies)

@@ -1,0 +1,270 @@
+"""Victim-selection policies and the eviction-probability experiments.
+
+Three policies are modeled: true LRU (per-way recency stamps), Tree-PLRU
+(W-1 tree bits per set, the scheme common in commercial L1 caches), and
+seeded pseudo-random selection.  All are pure functions over per-set
+metadata, which keeps the experiments below independent of the full cache
+model in `dirtysim.cache`.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+
+from .seeding import derive_seed
+
+
+class ReplacementPolicy:
+    """Base interface: per-set metadata plus victim choice and touch update."""
+
+    name = "base"
+
+    def new_set_meta(self):
+        raise NotImplementedError
+
+    def reset(self, seed=None):
+        """Drop any cross-set state (access counters, RNG position)."""
+
+    def randomize_meta(self, meta, rng):
+        """Scramble metadata to a uniformly random reachable state (for experiments)."""
+
+    def on_access(self, meta, way: int) -> None:
+        raise NotImplementedError
+
+    def select_victim(self, meta, candidates) -> int:
+        """Pick a victim among `candidates` (all assumed valid)."""
+        raise NotImplementedError
+
+
+class TrueLRU(ReplacementPolicy):
+    """Exact LRU: every way carries a recency stamp from a shared counter."""
+
+    name = "lru"
+
+    def __init__(self, ways: int = 8):
+        self.ways = ways
+        self._tick = 0
+
+    def new_set_meta(self):
+        return [0] * self.ways
+
+    def reset(self, seed=None):
+        self._tick = 0
+
+    def randomize_meta(self, meta, rng):
+        # A uniformly random access order yields a uniform recency permutation.
+        for way in rng.sample(range(self.ways), self.ways):
+            self.on_access(meta, way)
+
+    def on_access(self, meta, way):
+        self._tick += 1
+        meta[way] = self._tick
+
+    def select_victim(self, meta, candidates):
+        return min(candidates, key=meta.__getitem__)
+
+
+class TreePLRU(ReplacementPolicy):
+    """Tree pseudo-LRU over a power-of-two number of ways.
+
+    Metadata is exactly ways-1 bits in heap order (node i at meta[i-1]).
+    Convention: bit 0 points to the left child and the victim walk follows
+    the pointed-to child; touching a way sets every bit on its root path to
+    point away from it.
+    """
+
+    name = "tree-plru"
+
+    def __init__(self, ways: int = 8):
+        if ways < 2 or ways & (ways - 1):
+            raise ValueError("Tree-PLRU needs a power-of-two way count >= 2")
+        self.ways = ways
+
+    def new_set_meta(self):
+        return [0] * (self.ways - 1)
+
+    def randomize_meta(self, meta, rng):
+        for i in range(len(meta)):
+            meta[i] = rng.randint(0, 1)
+
+    def on_access(self, meta, way):
+        idx = way + self.ways
+        while idx > 1:
+            parent = idx >> 1
+            meta[parent - 1] = 1 if idx & 1 == 0 else 0
+            idx = parent
+
+    def select_victim(self, meta, candidates):
+        ways = self.ways
+        if len(candidates) == ways:
+            idx = 1
+            while idx < ways:
+                idx = (idx << 1) | meta[idx - 1]
+            return idx - ways
+        # Partitioned walk: never descend into a subtree with no candidate.
+        cand = set(candidates)
+        if not cand:
+            raise ValueError("no candidate ways")
+        idx = 1
+        while idx < ways:
+            preferred = (idx << 1) | meta[idx - 1]
+            idx = preferred if self._subtree_has(preferred, cand) else preferred ^ 1
+        return idx - ways
+
+    def _subtree_has(self, node, cand):
+        lo = hi = node
+        while lo < self.ways:
+            lo <<= 1
+            hi = (hi << 1) | 1
+        return any(w in cand for w in range(lo - self.ways, hi - self.ways + 1))
+
+
+class RandomPolicy(ReplacementPolicy):
+    """Uniform victim choice from a seeded generator; no per-set metadata."""
+
+    name = "random"
+
+    def __init__(self, seed: int = 0, ways: int = 8):
+        self.ways = ways
+        self._seed = seed
+        self._rng = random.Random(seed)
+
+    def new_set_meta(self):
+        return None
+
+    def reset(self, seed=None):
+        if seed is not None:
+            self._seed = seed
+        self._rng = random.Random(self._seed)
+
+    def on_access(self, meta, way):
+        pass
+
+    def select_victim(self, meta, candidates):
+        return self._rng.choice(candidates)
+
+
+_POLICY_NAMES = {
+    "lru": TrueLRU,
+    "tree-plru": TreePLRU,
+    "random": RandomPolicy,
+}
+
+
+def make_policy(spec, ways: int = 8, seed: int = 0) -> ReplacementPolicy:
+    """Build a policy from a name ('lru', 'tree-plru', 'random') or pass one through."""
+    if isinstance(spec, ReplacementPolicy):
+        return spec
+    try:
+        cls = _POLICY_NAMES[spec]
+    except KeyError:
+        raise ValueError(f"unknown replacement policy {spec!r}") from None
+    if cls is RandomPolicy:
+        return RandomPolicy(seed=seed, ways=ways)
+    return cls(ways)
+
+
+@dataclass(frozen=True)
+class EvictionExperimentResult:
+    """Outcome of one Monte-Carlo eviction experiment."""
+
+    replacement_set_size: int
+    dirty_count: int
+    trials: int
+    evicted_fraction: float
+
+
+_ALL_WAYS_CACHE = {}
+
+
+def _all_ways(ways):
+    try:
+        return _ALL_WAYS_CACHE[ways]
+    except KeyError:
+        _ALL_WAYS_CACHE[ways] = tuple(range(ways))
+        return _ALL_WAYS_CACHE[ways]
+
+
+def eviction_distance_experiment(policy, n: int, trials: int, seed: int,
+                                 ways: int = 8) -> EvictionExperimentResult:
+    """Measure how often a freshly dirtied line survives n follow-up insertions.
+
+    Per trial: a full set of unrelated valid lines with randomized policy
+    metadata, one write installing the probe line (making it dirty), then n
+    distinct fresh lines.  Returns the fraction of trials in which the probe
+    line was evicted.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if n > 4 * ways:
+        raise ValueError(f"n={n} above practical cap {4 * ways}")
+    pol = make_policy(policy, ways)
+    candidates = _all_ways(ways)
+    successes = 0
+    for t in range(trials):
+        rng = random.Random(derive_seed(seed, "evict-dist", t))
+        pol.reset(seed=derive_seed(seed, "evict-dist-victims", t))
+        meta = pol.new_set_meta()
+        occupants = list(range(-ways, 0))  # unrelated prefill
+        pol.randomize_meta(meta, rng)
+        victim = pol.select_victim(meta, candidates)
+        occupants[victim] = 0  # probe line, dirty
+        pol.on_access(meta, victim)
+        for j in range(1, n + 1):
+            victim = pol.select_victim(meta, candidates)
+            occupants[victim] = j
+            pol.on_access(meta, victim)
+        if 0 not in occupants:
+            successes += 1
+    return EvictionExperimentResult(n, 1, trials, successes / trials)
+
+
+def dirty_eviction_experiment(d: int, l: int, trials: int, seed: int,
+                              ways: int = 8) -> EvictionExperimentResult:
+    """Probability that >= 1 of d dirty lines is evicted by l random-policy misses.
+
+    Models a full set holding d dirty lines (kept resident, as by looping over
+    them) and ways-d clean lines, then l distinct replacement lines installed
+    under uniform random victim selection.  Self-eviction of replacement lines
+    is allowed.  Victim draws depend only on (seed, trial), so fractions are
+    pathwise monotone in both d and l for a fixed seed.
+    """
+    if not 0 <= d <= ways:
+        raise ValueError(f"d={d} outside 0..{ways}")
+    if l < 1:
+        raise ValueError("l must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    pol = RandomPolicy(ways=ways)
+    candidates = _all_ways(ways)
+    successes = 0
+    for t in range(trials):
+        pol.reset(seed=derive_seed(seed, "dirty-evict", t))
+        dirty = [w < d for w in range(ways)]
+        evicted_one = False
+        for _ in range(l):
+            victim = pol.select_victim(None, candidates)
+            if dirty[victim]:
+                evicted_one = True
+                dirty[victim] = False
+        if evicted_one:
+            successes += 1
+    return EvictionExperimentResult(l, d, trials, successes / trials)
+
+
+def analytic_dirty_eviction_probability(ways: int, d: int, l: int) -> float:
+    """Closed form 1 - ((W-d)/W)**L for at least one dirty victim in L draws.
+
+    Ignores that an evicted dirty line stops being dirty, which is irrelevant
+    for the at-least-one event; Monte Carlo above agrees up to sampling noise.
+    """
+    if ways < 1:
+        raise ValueError("ways must be >= 1")
+    if not 0 <= d <= ways:
+        raise ValueError(f"d={d} outside 0..{ways}")
+    if l < 0:
+        raise ValueError("l must be >= 0")
+    return 1.0 - ((ways - d) / ways) ** l
