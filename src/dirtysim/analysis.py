@@ -1,9 +1,15 @@
 """Error metrics and rate arithmetic for decoded bit streams.
 
-Edit distance uses the classic Wagner-Fischer dynamic program with unit
-costs, which charges flips, insertions and losses alike.  Bit error rate is
-edit distance divided by the sent length, so figures stay comparable across
-message sizes.
+Edit distance is the unit-cost Levenshtein distance, which charges flips,
+insertions and losses alike.  It is computed with Myers' bit-vector
+algorithm (G. Myers, "A fast bit-vector algorithm for approximate string
+matching based on dynamic programming", JACM 46(3), 1999) in Hyyrö's form
+for global distance (H. Hyyrö, "A bit-vector algorithm for computing
+Levenshtein and Damerau edit distances", Nordic J. Computing 10(1), 2003).
+One DP column is packed into Python ints used as bit vectors of any width,
+so a pair costs O(n) big-int operations of m bits instead of n*m cell
+updates.  Bit error rate is edit distance divided by the sent length, so
+figures stay comparable across message sizes.
 """
 
 from __future__ import annotations
@@ -20,21 +26,39 @@ class PreambleLockError(ValueError):
 
 
 def edit_distance(a, b) -> int:
-    """Levenshtein distance between two strings or sequences, unit costs."""
+    """Levenshtein distance between two strings or sequences, unit costs.
+
+    Symbols must be hashable: each symbol of the shorter input maps to the
+    bitmask of its positions.
+    """
     if len(a) < len(b):
         a, b = b, a
-    if not b:
+    m = len(b)
+    if not m:
         return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(min(previous[j] + 1,        # delete from a
-                               current[j - 1] + 1,     # insert into a
-                               previous[j - 1] + cost))  # substitute
-        previous = current
-    return previous[-1]
+    peq = {}
+    for i, symbol in enumerate(b):
+        peq[symbol] = peq.get(symbol, 0) | (1 << i)
+    mask = (1 << m) - 1
+    high = 1 << (m - 1)
+    # pv/mv: rows whose vertical delta is +1/-1; ph/mh: the same, horizontally.
+    # Complements are XORs with `mask`, so no int goes negative; bits that
+    # spill above row m-1 never reach `high` and are cut off from pv.
+    pv, mv, score = mask, 0, m  # column 0: every vertical delta is +1
+    for symbol in a:
+        eq = peq.get(symbol, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ((xh | pv) ^ mask)
+        mh = pv & xh
+        if ph & high:
+            score += 1
+        elif mh & high:
+            score -= 1
+        ph = (ph << 1) | 1  # row 0 grows by one per column
+        pv = ((mh << 1) | ((xv | ph) ^ mask)) & mask
+        mv = ph & xv
+    return score
 
 
 def align_by_preamble(stream, preamble, window: int = DEFAULT_ALIGN_WINDOW) -> int:
@@ -108,6 +132,7 @@ def sweep_ber_vs_rate(cfg_template, periods=DEFAULT_PERIODS, trials: int = 3):
 
     if not periods:
         raise ValueError("periods must be non-empty")
+    cfg_template.validate()
     calibration = channel.calibrate_thresholds(cfg_template)
     rows = []
     for period in periods:

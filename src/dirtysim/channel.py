@@ -14,10 +14,9 @@ import dataclasses
 import heapq
 import json
 import random
+import statistics
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
-
-import numpy as np
 
 from .analysis import (DEFAULT_ALIGN_WINDOW, DEFAULT_FREQUENCY_HZ,
                        PreambleLockError, align_by_preamble, bit_error_rate,
@@ -172,8 +171,14 @@ class ChannelConfig:
             raise ValueError("phase_offset must fall inside the period")
         if not 0 <= self.target_set < self.geometry.num_sets:
             raise ValueError("target_set outside geometry")
-        if self.rset_size < 1:
-            raise ValueError("rset_size must be >= 1")
+        if self.rset_size < self.geometry.associativity:
+            raise ValueError(
+                f"rset_size {self.rset_size} is below the associativity "
+                f"{self.geometry.associativity}, so a measurement cannot "
+                "replace every line of the target set")
+        if (self.noise is not None and self.noise.target is not None
+                and not 0 <= self.noise.target < self.geometry.num_sets):
+            raise ValueError("noise target outside geometry")
         k = self.encoding.bits_per_symbol
         for label, bits in (("preamble", self.preamble), ("message", self.message)):
             if any(c not in "01" for c in bits):
@@ -259,8 +264,8 @@ def calibrate_thresholds(cfg: ChannelConfig, trials: int = 8,
                                          derive_seed(base, "rset", d, t),
                                          geometry=geo, tag_base=RSET_TAG_BASES[0])
             totals.append(measure_replacement_latency(cache, rset).total_cycles)
-        means.append(float(np.mean(totals)))
-        stds.append(float(np.std(totals)))
+        means.append(statistics.fmean(totals))
+        stds.append(statistics.pstdev(totals))
     return Thresholds.from_level_stats(means, stds)
 
 

@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the library.
 
 Kept deliberately different in structure from the package code: the edit
-distance is a memoized recursion instead of a DP table, and the tree-PLRU
-model walks an integer bitmask instead of a list of node bits.
+distances are a memoized recursion and a Wagner-Fischer DP table instead of
+bit vectors, and the tree-PLRU model walks an integer bitmask instead of a
+list of node bits.
 """
 
 from functools import lru_cache
@@ -24,6 +25,23 @@ def brute_levenshtein(a, b):
                    go(i, j + 1) + 1)
 
     return go(0, 0)
+
+
+def wagner_fischer(a, b):
+    """Row-by-row Wagner-Fischer table, quadratic but flat in stack depth."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return len(a)
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            current.append(min(previous[j] + 1,              # delete from a
+                               current[j - 1] + 1,           # insert into a
+                               previous[j - 1] + (ca != cb)))  # substitute
+        previous = current
+    return previous[-1]
 
 
 def plru_victim(state, ways=WAYS):

@@ -8,7 +8,7 @@ from dirtysim.analysis import (DEFAULT_PERIODS, PreambleLockError,
 from dirtysim.channel import BinaryEncoding, ChannelConfig, NoiseConfig
 from dirtysim.seeding import random_bits
 
-from oracles import brute_levenshtein
+from oracles import brute_levenshtein, wagner_fischer
 
 bits = st.text(alphabet="01", max_size=20)
 
@@ -31,6 +31,47 @@ def test_edit_distance_accepts_sequences():
 @given(a=bits, b=bits)
 def test_edit_distance_matches_recursive_oracle(a, b):
     assert edit_distance(a, b) == brute_levenshtein(a, b)
+
+
+# Lengths are drawn uniformly from 0..300, so most pairs need bit vectors
+# wider than 64 and 128 bits.  Each side draws from its own slice of the
+# alphabet, so some symbols occur in one input only.
+LONG = 300
+
+
+def sized(elements):
+    return st.integers(0, LONG).flatmap(
+        lambda n: st.lists(elements, min_size=n, max_size=n))
+
+
+def text_over(alphabet):
+    return sized(st.sampled_from(alphabet)).map("".join)
+
+
+long_inputs = st.one_of(
+    st.tuples(text_over("01"), text_over("01")),
+    st.tuples(text_over("abc"), text_over("bcd")),
+    st.tuples(sized(st.integers(0, 3)), sized(st.integers(2, 6))),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(pair=long_inputs)
+def test_edit_distance_matches_wagner_fischer_on_long_inputs(pair):
+    a, b = pair
+    assert edit_distance(a, b) == wagner_fischer(a, b)
+
+
+def test_edit_distance_identities_at_16k_bits():
+    n = 16384
+    a = random_bits(n, 11)
+    b = random_bits(1000, 12)
+    assert edit_distance("0" * n, "1" * n) == n
+    for k in (1, 63, 64, 1000):
+        assert edit_distance(a, a[k:]) == k
+    assert edit_distance(a, a + b) == len(b)
+    assert edit_distance(a, "") == n
+    assert edit_distance("", a) == n
 
 
 @settings(max_examples=100, deadline=None)

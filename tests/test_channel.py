@@ -68,6 +68,14 @@ def test_config_validation():
         NoiseConfig(rate=-1)
     with pytest.raises(ValueError):
         NoiseConfig(rate=0.1, kind_mix=1.5)
+    for target in (-1, 64, 999):
+        with pytest.raises(ValueError, match="noise target"):
+            make_cfg(noise=NoiseConfig(rate=0.5, target=target))
+    for rset_size in (0, 4, 7):
+        with pytest.raises(ValueError, match="rset_size"):
+            make_cfg(rset_size=rset_size)
+    edge = make_cfg(noise=NoiseConfig(rate=0.5, target=63), rset_size=8)
+    assert (edge.noise.target, edge.rset_size) == (63, 8)
 
 
 # -- actors ----------------------------------------------------------------------

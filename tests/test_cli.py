@@ -143,6 +143,14 @@ def test_calibration_failure_exit_3(capsys):
     assert "calibration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run-channel", "sweep"])
+def test_small_rset_is_config_error(command, capsys):
+    assert run_cli(command, "--seed", "1", "--message-bits", "16",
+                   "--rset-size", "4") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "rset_size" in err
+
+
 def test_config_file_merge_and_flag_override(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("# experiment defaults\nseed = 9\ntrials = 60\nn = 8\n")
