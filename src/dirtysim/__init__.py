@@ -19,7 +19,7 @@ from .channel import (BinaryEncoding, CalibrationError, ChannelConfig,
                       run_gadget_attack, sender_encode)
 from .measurement import (LatencySample, ReplacementSet,
                           build_replacement_set, latency_cdf,
-                          measure_replacement_latency)
+                          measure_replacement_latency, prime_dirty_probe)
 from .policy import (EvictionExperimentResult, RandomPolicy, TreePLRU,
                      TrueLRU, analytic_dirty_eviction_probability,
                      dirty_eviction_experiment, eviction_distance_experiment,
@@ -39,7 +39,7 @@ __all__ = [
     "bit_error_rate", "build_replacement_set", "calibrate_thresholds",
     "derive_seed", "dirty_eviction_experiment", "edit_distance",
     "eviction_distance_experiment", "latency_cdf", "make_line", "make_policy",
-    "measure_replacement_latency", "random_bits", "rate_kbps",
+    "measure_replacement_latency", "prime_dirty_probe", "random_bits", "rate_kbps",
     "receiver_decode", "receiver_init", "run_channel", "run_gadget_attack",
     "sender_encode", "sweep_ber_vs_rate",
 ]

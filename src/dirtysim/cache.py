@@ -5,12 +5,18 @@ transition alone: hit, fill of an invalid way, clean eviction, or dirty
 eviction with its write-back.  Two defense knobs live in the geometry: a
 write-through/no-allocate mode (dirty bits never set) and static way
 partitioning per actor.
+
+A set is allocated on its first access, as one [tags, dirty, meta] record; a
+way is valid when its tag is not None.  Most experiments build a fresh cache
+and touch one set, so a set that is never accessed costs nothing and reads as
+all-invalid.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -50,12 +56,21 @@ class CacheGeometry:
     line_size: int = 64
     write_policy: WritePolicy = WritePolicy.WRITE_BACK_ALLOCATE
     partition: Optional[dict] = None  # actor id -> iterable of permitted ways
+    # Address split, derived from the sizes above.
+    offset_bits: int = field(init=False, compare=False, repr=False)
+    set_bits: int = field(init=False, compare=False, repr=False)
+    tag_shift: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("num_sets", "associativity", "line_size"):
             value = getattr(self, name)
             if not _is_pow2(value):
                 raise ValueError(f"{name}={value} must be a power of two >= 1")
+        offset_bits = self.line_size.bit_length() - 1
+        set_bits = self.num_sets.bit_length() - 1
+        object.__setattr__(self, "offset_bits", offset_bits)
+        object.__setattr__(self, "set_bits", set_bits)
+        object.__setattr__(self, "tag_shift", offset_bits + set_bits)
         if self.partition is not None:
             norm = {}
             seen = set()
@@ -70,18 +85,6 @@ class CacheGeometry:
                 seen |= ways
                 norm[actor] = ways
             object.__setattr__(self, "partition", norm)
-
-    @property
-    def offset_bits(self) -> int:
-        return self.line_size.bit_length() - 1
-
-    @property
-    def set_bits(self) -> int:
-        return self.num_sets.bit_length() - 1
-
-    @property
-    def tag_shift(self) -> int:
-        return self.offset_bits + self.set_bits
 
     def set_index(self, address: int) -> int:
         return (address >> self.offset_bits) & (self.num_sets - 1)
@@ -139,6 +142,11 @@ class LatencyModel:
             return self.uncached_store
         return self.miss_clean  # clean eviction or invalid fill
 
+    @cached_property
+    def _cost_table(self) -> dict:
+        """`base_cost` of every outcome kind, filled once per model."""
+        return {kind: self.base_cost(kind) for kind in OutcomeKind}
+
 
 class AccessOutcome(NamedTuple):
     kind: OutcomeKind
@@ -168,16 +176,27 @@ class ActorCounters:
 DEFAULT_GEOMETRY = CacheGeometry()
 DEFAULT_LATENCY = LatencyModel()
 
+# Enum members bound once: attribute lookups on an Enum class are slow.
+_READ, _WRITE = AccessKind
+_HIT, _FILL, _EVICT_CLEAN, _EVICT_DIRTY, _UNCACHED = OutcomeKind
+
 
 class Cache:
     """Mutable cache state; single-threaded, deterministic under a fixed seed."""
 
     def __init__(self, geometry: CacheGeometry | None = None, policy="lru",
                  latency: LatencyModel | None = None, seed: int = 0):
-        self.geometry = geometry or DEFAULT_GEOMETRY
+        self.geometry = geo = geometry or DEFAULT_GEOMETRY
         self.latency = latency or DEFAULT_LATENCY
-        self.policy = make_policy(policy, ways=self.geometry.associativity, seed=seed)
+        self.policy = make_policy(policy, ways=geo.associativity, seed=seed)
         self._seed = seed
+        self._cost = self.latency._cost_table
+        self._write_back = geo.write_policy is WritePolicy.WRITE_BACK_ALLOCATE
+        # Victim candidates per actor: the sorted partition, or every way.
+        if geo.partition is None:
+            self._ways = list(range(geo.associativity))
+        else:
+            self._ways = {actor: sorted(ways) for actor, ways in geo.partition.items()}
         self.reset()
 
     # -- state management ---------------------------------------------------
@@ -186,72 +205,60 @@ class Cache:
         """Invalidate every line, zero all counters, reseed the generators."""
         if seed is not None:
             self._seed = seed
-        geo = self.geometry
-        ways = geo.associativity
-        self._valid = [[False] * ways for _ in range(geo.num_sets)]
-        self._dirty = [[False] * ways for _ in range(geo.num_sets)]
-        self._tags = [[None] * ways for _ in range(geo.num_sets)]
+        self._sets = [None] * self.geometry.num_sets  # [tags, dirty, meta] once touched
         self.policy.reset(seed=self._seed)
-        self._meta = [self.policy.new_set_meta() for _ in range(geo.num_sets)]
-        self._jitter_rng = random.Random(self._seed ^ 0x6A177E52)
+        # Only a jittered model draws; seeding a generator is most of a fresh
+        # cache's set-up cost, so an exact model skips it.
+        self._jitter_rng = (random.Random(self._seed ^ 0x6A177E52)
+                            if self.latency.jitter else None)
         self.counters: dict[str, ActorCounters] = {}
         self.cycles = 0
+
+    def _new_set(self):
+        ways = self.geometry.associativity
+        return [[None] * ways, [False] * ways, self.policy.new_set_meta()]
 
     def snapshot_set(self, set_index: int):
         """Pure read of one set: [(valid, dirty, tag, policy_meta), ...] per way."""
         self._check_set(set_index)
-        meta = self._meta[set_index]
-        per_line = meta if isinstance(meta, list) and len(meta) == self.geometry.associativity else None
-        return [
-            LineState(
-                self._valid[set_index][w],
-                self._dirty[set_index][w],
-                self._tags[set_index][w],
-                per_line[w] if per_line is not None else None,
-            )
-            for w in range(self.geometry.associativity)
-        ]
-
-    def policy_meta(self, set_index: int):
-        self._check_set(set_index)
-        return self._meta[set_index]
-
-    def set_policy_meta(self, set_index: int, meta) -> None:
-        """Force one set's policy metadata (experiment support)."""
-        self._check_set(set_index)
-        current = self._meta[set_index]
-        if isinstance(current, list):
-            if not isinstance(meta, list) or len(meta) != len(current):
-                raise ValueError(f"expected list of length {len(current)}")
-            self._meta[set_index] = list(meta)
-        elif meta is not None:
-            raise ValueError("policy keeps no per-set metadata")
+        tags, dirty, meta = self._sets[set_index] or self._new_set()
+        ways = self.geometry.associativity
+        per_line = meta if isinstance(meta, list) and len(meta) == ways else [None] * ways
+        return [LineState(tags[w] is not None, dirty[w], tags[w], per_line[w])
+                for w in range(ways)]
 
     def dirty_count(self, set_index: int) -> int:
         self._check_set(set_index)
-        return sum(self._dirty[set_index])
+        record = self._sets[set_index]
+        return sum(record[1]) if record is not None else 0
 
     # -- accesses -----------------------------------------------------------
 
     def read(self, line: LineRef) -> AccessOutcome:
-        return self.access(line, AccessKind.READ)
+        return self.access(line, _READ)
 
     def write(self, line: LineRef) -> AccessOutcome:
-        return self.access(line, AccessKind.WRITE)
+        return self.access(line, _WRITE)
 
     def access(self, line: LineRef, kind: AccessKind) -> AccessOutcome:
         geo = self.geometry
-        address = line.address
+        actor, address = line
         if not 0 <= address < ADDRESS_SPACE:
             raise ValueError(f"address {address:#x} outside the 64-bit space")
-        actor = line.actor_id
-        if geo.partition is not None and actor not in geo.partition:
-            raise ValueError(f"actor {actor!r} has no way partition")
+        ways = self._ways
+        if geo.partition is not None:
+            try:
+                ways = ways[actor]
+            except KeyError:
+                raise ValueError(f"actor {actor!r} has no way partition") from None
 
         set_index = (address >> geo.offset_bits) & (geo.num_sets - 1)
+        record = self._sets[set_index]
+        if record is None:
+            record = self._sets[set_index] = self._new_set()
+        tags, dirty, meta = record
         tag = (actor, address >> geo.tag_shift)
-        is_write = kind is AccessKind.WRITE
-        write_back = geo.write_policy is WritePolicy.WRITE_BACK_ALLOCATE
+        is_write = kind is _WRITE
 
         stats = self.counters.get(actor)
         if stats is None:
@@ -261,76 +268,45 @@ class Cache:
         else:
             stats.loads += 1
 
-        tags = self._tags[set_index]
-        meta = self._meta[set_index]
-        try:
+        victim = None
+        writeback = False
+        if tag in tags:
             way = tags.index(tag)
-        except ValueError:
-            way = -1
-
-        if way >= 0:
             stats.l1_hits += 1
-            if is_write and write_back:
-                self._dirty[set_index][way] = True
+            if is_write and self._write_back:
+                dirty[way] = True
             self.policy.on_access(meta, way)
-            return self._finish(OutcomeKind.HIT, None, False)
-
-        stats.l1_misses += 1
-        if is_write and not write_back:
+            outcome = _HIT
+        elif is_write and not self._write_back:
             # No-allocate store: memory is updated directly, cache untouched.
-            return self._finish(OutcomeKind.UNCACHED, None, False)
-
-        permitted = geo.partition[actor] if geo.partition is not None else None
-        valid = self._valid[set_index]
-        victim = -1
-        if permitted is None:
-            for w in range(geo.associativity):
-                if not valid[w]:
-                    victim = w
-                    break
+            stats.l1_misses += 1
+            outcome = _UNCACHED
         else:
-            for w in sorted(permitted):
-                if not valid[w]:
-                    victim = w
+            stats.l1_misses += 1
+            for way in ways:
+                if tags[way] is None:
+                    victim = way
+                    outcome = _FILL
                     break
-        if victim >= 0:
-            outcome_kind = OutcomeKind.MISS_FILL_INVALID
-            writeback = False
-        else:
-            candidates = sorted(permitted) if permitted is not None else _all_ways(geo.associativity)
-            victim = self.policy.select_victim(meta, candidates)
-            if self._dirty[set_index][victim]:
-                outcome_kind = OutcomeKind.MISS_EVICT_DIRTY
-                writeback = True
-                stats.writebacks += 1
             else:
-                outcome_kind = OutcomeKind.MISS_EVICT_CLEAN
-                writeback = False
-        valid[victim] = True
-        self._dirty[set_index][victim] = is_write and write_back
-        tags[victim] = tag
-        self.policy.on_access(meta, victim)
-        return self._finish(outcome_kind, victim, writeback)
+                victim = self.policy.select_victim(meta, ways)
+                if dirty[victim]:
+                    outcome = _EVICT_DIRTY
+                    writeback = True
+                    stats.writebacks += 1
+                else:
+                    outcome = _EVICT_CLEAN
+            tags[victim] = tag
+            dirty[victim] = is_write and self._write_back
+            self.policy.on_access(meta, victim)
 
-    def _finish(self, kind, victim_way, writeback) -> AccessOutcome:
-        latency = self.latency.base_cost(kind)
+        latency = self._cost[outcome]
         j = self.latency.jitter
         if j:
             latency += self._jitter_rng.randint(-j, j)
         self.cycles += latency
-        return AccessOutcome(kind, victim_way, writeback, latency)
+        return AccessOutcome(outcome, victim, writeback, latency)
 
     def _check_set(self, set_index):
         if not 0 <= set_index < self.geometry.num_sets:
             raise ValueError(f"set_index {set_index} outside 0..{self.geometry.num_sets - 1}")
-
-
-_WAYS_CACHE = {}
-
-
-def _all_ways(n):
-    try:
-        return _WAYS_CACHE[n]
-    except KeyError:
-        _WAYS_CACHE[n] = list(range(n))
-        return _WAYS_CACHE[n]

@@ -23,18 +23,13 @@ from .analysis import (DEFAULT_ALIGN_WINDOW, DEFAULT_FREQUENCY_HZ,
                        rate_kbps)
 from .cache import (Cache, CacheGeometry, LatencyModel, WritePolicy,
                     make_line)
-from .measurement import (DEFAULT_RSET_SIZE, build_replacement_set,
-                          measure_replacement_latency)
+from .measurement import (DEFAULT_RSET_SIZE, INIT_TAG_BASE, RECEIVER,
+                          RSET_TAG_BASES, SENDER, build_replacement_set,
+                          check_rset_size, measure_replacement_latency,
+                          prime_dirty_probe)
 from .seeding import derive_seed
 
-SENDER = "sender"
-RECEIVER = "receiver"
 NOISE = "noise"
-
-# Tag ranges inside the receiver's space: init lines, then the two
-# replacement sets used alternately so the active one is never resident.
-INIT_TAG_BASE = 0
-RSET_TAG_BASES = (1000, 2000)
 
 DEFAULT_PREAMBLE = "1111000011110000"  # 0xF0F0: alternating runs of both symbols
 
@@ -171,11 +166,7 @@ class ChannelConfig:
             raise ValueError("phase_offset must fall inside the period")
         if not 0 <= self.target_set < self.geometry.num_sets:
             raise ValueError("target_set outside geometry")
-        if self.rset_size < self.geometry.associativity:
-            raise ValueError(
-                f"rset_size {self.rset_size} is below the associativity "
-                f"{self.geometry.associativity}, so a measurement cannot "
-                "replace every line of the target set")
+        check_rset_size(self.rset_size, self.geometry)
         if (self.noise is not None and self.noise.target is not None
                 and not 0 <= self.noise.target < self.geometry.num_sets):
             raise ValueError("noise target outside geometry")
@@ -244,7 +235,7 @@ class Thresholds:
 
 def calibrate_thresholds(cfg: ChannelConfig, trials: int = 8,
                          seed: Optional[int] = None) -> Thresholds:
-    """Run the latency pipeline per level and place cuts at adjacent midpoints."""
+    """Run `prime_dirty_probe` per level and place cuts at adjacent midpoints."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     cfg = cfg.calibration_view()
@@ -256,14 +247,10 @@ def calibrate_thresholds(cfg: ChannelConfig, trials: int = 8,
         for t in range(trials):
             cache = Cache(geo, cfg.policy, cfg.latency,
                           seed=derive_seed(base, "cache", d, t))
-            for i in range(geo.associativity):
-                cache.read(make_line(RECEIVER, cfg.target_set, INIT_TAG_BASE + i, geo))
-            for j in range(d):
-                cache.write(make_line(SENDER, cfg.target_set, j, geo))
             rset = build_replacement_set(RECEIVER, cfg.target_set, cfg.rset_size,
                                          derive_seed(base, "rset", d, t),
                                          geometry=geo, tag_base=RSET_TAG_BASES[0])
-            totals.append(measure_replacement_latency(cache, rset).total_cycles)
+            totals.append(prime_dirty_probe(cache, rset, d).total_cycles)
         means.append(statistics.fmean(totals))
         stds.append(statistics.pstdev(totals))
     return Thresholds.from_level_stats(means, stds)
@@ -291,17 +278,24 @@ def receiver_init(cache: Cache, cfg: ChannelConfig) -> None:
         cache.read(make_line(RECEIVER, cfg.target_set, INIT_TAG_BASE + i, geo))
 
 
+def _receiver_rset(cfg: ChannelConfig, parity: int):
+    """The replacement set the receiver measures with on decodes of this parity."""
+    return build_replacement_set(RECEIVER, cfg.target_set, cfg.rset_size,
+                                 derive_seed(cfg.seed, "chase", parity % 2),
+                                 geometry=cfg.geometry,
+                                 tag_base=RSET_TAG_BASES[parity % 2])
+
+
 def receiver_decode(cache: Cache, cfg: ChannelConfig, parity: int,
-                    thresholds: Thresholds):
+                    thresholds: Thresholds, rsets=None):
     """Measure with the parity-selected replacement set and threshold to bits.
 
-    The measurement leaves the target set full of clean receiver lines, so it
-    doubles as the next period's initialization.
+    `rsets` holds the sets for parities 0 and 1, which `run_channel` builds
+    once per run; without it, the set is built here.  The measurement leaves
+    the target set full of clean receiver lines, so it doubles as the next
+    period's initialization.
     """
-    tag_base = RSET_TAG_BASES[parity % 2]
-    rset = build_replacement_set(RECEIVER, cfg.target_set, cfg.rset_size,
-                                 derive_seed(cfg.seed, "chase", parity % 2),
-                                 geometry=cfg.geometry, tag_base=tag_base)
+    rset = rsets[parity % 2] if rsets is not None else _receiver_rset(cfg, parity)
     sample = measure_replacement_latency(cache, rset)
     index = thresholds.classify(sample.total_cycles)
     return sample, cfg.encoding.bits_for_level_index(index)
@@ -332,10 +326,15 @@ class ChannelReport:
     rate_kbps: float
     alignment_offset: int
     preamble_locked: bool
-    latency_trace: list
     counters: dict
     cycles: int
     events: list = field(repr=False, default_factory=list)
+
+    @property
+    def latency_trace(self) -> list:
+        """(cycle, total_cycles, decoded bits) of each decode, from `events`."""
+        return [(ev.cycle, ev.latency, ev.decoded_bits)
+                for ev in self.events if ev.action == "decode"]
 
     def to_dict(self) -> dict:
         return {
@@ -389,8 +388,8 @@ def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> 
         heapq.heappush(events, (decode_at, 2, i, "decode"))
 
     receiver_init(cache, cfg)
+    rsets = (_receiver_rset(cfg, 0), _receiver_rset(cfg, 1))
     trace = []
-    latency_trace = []
     received_parts = []
     decode_count = 0
     noise_tag = 0
@@ -402,11 +401,10 @@ def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> 
             trace.append(TraceEvent(cycle, SENDER, "encode", cfg.target_set,
                                     level, cost, "", bits))
         elif action == "decode":
-            sample, bits = receiver_decode(cache, cfg, decode_count, thresholds)
+            sample, bits = receiver_decode(cache, cfg, decode_count, thresholds, rsets)
             decode_count += 1
             received_parts.append(bits)
             truth = stream[index * k:(index + 1) * k]
-            latency_trace.append((cycle, sample.total_cycles, bits))
             trace.append(TraceEvent(cycle, RECEIVER, "decode", cfg.target_set,
                                     enc.levels[int(bits, 2)], sample.total_cycles,
                                     bits, truth))
@@ -437,7 +435,6 @@ def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> 
         rate_kbps=rate_kbps(cfg.t_s, k, cfg.f_hz),
         alignment_offset=offset,
         preamble_locked=locked,
-        latency_trace=latency_trace,
         counters={actor: c.as_dict() for actor, c in sorted(cache.counters.items())},
         cycles=cache.cycles,
         events=trace,
@@ -522,32 +519,27 @@ def run_gadget_attack(variant: str, scenario: str, secret: int, seed: int = 0, *
             return cache.write(line0) if variant == "a" else cache.read(line0)
         return cache.read(line1)
 
-    latencies = {}
-    if scenario == "set-state-dirty":
+    if scenario != "victim-timing":
+        # Prime clean (set-state-dirty) or dirty (prime-with-dirty), let the
+        # victim run, then probe the primed set.
+        prime = cache.read if scenario == "set-state-dirty" else cache.write
         for i in range(ways):
-            cache.read(make_line("attacker", set_i, i, geo))
+            prime(make_line("attacker", set_i, i, geo))
         victim_call()
         rset = build_replacement_set("attacker", set_i, rset_size,
                                      derive_seed(seed, "gadget"), geometry=geo,
                                      tag_base=RSET_TAG_BASES[0])
         total = measure_replacement_latency(cache, rset).total_cycles
-        cut = rset_size * lat.miss_clean + (lat.miss_dirty - lat.miss_clean) / 2
-        inferred = int(total > cut)
+        if scenario == "set-state-dirty":
+            cut = rset_size * lat.miss_clean + (lat.miss_dirty - lat.miss_clean) / 2
+            inferred = int(total > cut)
+        else:
+            all_dirty = ways * lat.miss_dirty + (rset_size - ways) * lat.miss_clean
+            one_clean = all_dirty - (lat.miss_dirty - lat.miss_clean)
+            cut = (all_dirty + one_clean) / 2
+            inferred = int(total < cut)
         latencies = {"probe_total_cycles": total, "threshold": cut}
-    elif scenario == "prime-with-dirty":
-        for i in range(ways):
-            cache.write(make_line("attacker", set_i, i, geo))
-        victim_call()
-        rset = build_replacement_set("attacker", set_i, rset_size,
-                                     derive_seed(seed, "gadget"), geometry=geo,
-                                     tag_base=RSET_TAG_BASES[0])
-        total = measure_replacement_latency(cache, rset).total_cycles
-        all_dirty = ways * lat.miss_dirty + (rset_size - ways) * lat.miss_clean
-        one_clean = all_dirty - (lat.miss_dirty - lat.miss_clean)
-        cut = (all_dirty + one_clean) / 2
-        inferred = int(total < cut)
-        latencies = {"probe_total_cycles": total, "threshold": cut}
-    else:  # victim-timing
+    else:
         for i in range(ways):
             cache.write(make_line("attacker", set_i, i, geo))
         for i in range(ways):

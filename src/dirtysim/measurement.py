@@ -4,7 +4,8 @@ Mirrors the pointer-chasing technique: the lines of a replacement set are
 visited in a random permutation, strictly one after another, and the total
 latency is the plain sum of the per-access costs.  Measuring also refills the
 target set with clean lines, so a measurement doubles as initialization for
-the next round.
+the next round.  `prime_dirty_probe` is the whole prime -> dirty -> probe
+sequence on one cache; latency CDFs and channel calibration both run it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,14 @@ from .cache import Cache, CacheGeometry, OutcomeKind, make_line
 from .seeding import derive_seed
 
 DEFAULT_RSET_SIZE = 10
+
+SENDER = "sender"
+RECEIVER = "receiver"
+
+# Tag ranges inside the receiver's space: init lines, then the two
+# replacement sets used alternately so the active one is never resident.
+INIT_TAG_BASE = 0
+RSET_TAG_BASES = (1000, 2000)
 
 
 @dataclass(frozen=True)
@@ -57,6 +66,15 @@ def build_replacement_set(actor_id: str, target_set: int,
     return ReplacementSet(actor_id, target_set, lines, tuple(order))
 
 
+def check_rset_size(rset_size: int, geometry: CacheGeometry) -> None:
+    """Reject a replacement set too small to replace the whole target set."""
+    if rset_size < geometry.associativity:
+        raise ValueError(
+            f"rset_size {rset_size} is below the associativity "
+            f"{geometry.associativity}, so a measurement cannot "
+            "replace every line of the target set")
+
+
 def measure_replacement_latency(cache: Cache, rset: ReplacementSet) -> LatencySample:
     """Access the replacement set serially and sum the latencies.
 
@@ -66,12 +84,28 @@ def measure_replacement_latency(cache: Cache, rset: ReplacementSet) -> LatencySa
     dirty_before = cache.dirty_count(rset.target_set)
     total = 0
     hits = 0
+    hit = OutcomeKind.HIT
     for i in rset.chase_order:
         outcome = cache.read(rset.lines[i])
         total += outcome.latency
-        if outcome.kind is OutcomeKind.HIT:
+        if outcome.kind is hit:
             hits += 1
     return LatencySample(dirty_before, total, hits)
+
+
+def prime_dirty_probe(cache: Cache, rset: ReplacementSet, d: int) -> LatencySample:
+    """Prime the target set with W clean receiver lines, dirty d, then probe.
+
+    The sender's d stores evict d receiver lines, so the probe must replace
+    W-d clean lines and d dirty ones.
+    """
+    geo = cache.geometry
+    target = rset.target_set
+    for i in range(geo.associativity):
+        cache.read(make_line(RECEIVER, target, INIT_TAG_BASE + i, geo))
+    for j in range(d):
+        cache.write(make_line(SENDER, target, j, geo))
+    return measure_replacement_latency(cache, rset)
 
 
 def latency_cdf(d_values, trials: int, seed: int, *,
@@ -80,11 +114,11 @@ def latency_cdf(d_values, trials: int, seed: int, *,
                 rset_size: int = DEFAULT_RSET_SIZE):
     """Replacement-latency samples per dirty-line count, for CDF plots.
 
-    For each d: fill the target set with clean receiver lines, let the sender
-    dirty d lines, then measure with a fresh replacement set; repeated
-    `trials` times.  Returns [(d, sorted samples)].
+    Each of the `trials` per d runs `prime_dirty_probe` on a fresh cache with
+    a freshly seeded replacement set.  Returns [(d, sorted samples)].
     """
     geo = geometry or CacheGeometry()
+    check_rset_size(rset_size, geo)
     ways = geo.associativity
     results = []
     for d in d_values:
@@ -93,13 +127,9 @@ def latency_cdf(d_values, trials: int, seed: int, *,
         samples = []
         for t in range(trials):
             cache = Cache(geo, policy, latency, seed=derive_seed(seed, "cdf", d, t))
-            for i in range(ways):
-                cache.read(make_line("receiver", target_set, i, geo))
-            for j in range(d):
-                cache.write(make_line("sender", target_set, j, geo))
-            rset = build_replacement_set("receiver", target_set, rset_size,
+            rset = build_replacement_set(RECEIVER, target_set, rset_size,
                                          derive_seed(seed, "rset", d, t),
-                                         geometry=geo, tag_base=1000)
-            samples.append(measure_replacement_latency(cache, rset).total_cycles)
+                                         geometry=geo, tag_base=RSET_TAG_BASES[0])
+            samples.append(prime_dirty_probe(cache, rset, d).total_cycles)
         results.append((d, sorted(samples)))
     return results

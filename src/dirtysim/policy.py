@@ -175,17 +175,6 @@ class EvictionExperimentResult:
     evicted_fraction: float
 
 
-_ALL_WAYS_CACHE = {}
-
-
-def _all_ways(ways):
-    try:
-        return _ALL_WAYS_CACHE[ways]
-    except KeyError:
-        _ALL_WAYS_CACHE[ways] = tuple(range(ways))
-        return _ALL_WAYS_CACHE[ways]
-
-
 def eviction_distance_experiment(policy, n: int, trials: int, seed: int,
                                  ways: int = 8) -> EvictionExperimentResult:
     """Measure how often a freshly dirtied line survives n follow-up insertions.
@@ -202,7 +191,7 @@ def eviction_distance_experiment(policy, n: int, trials: int, seed: int,
     if n > 4 * ways:
         raise ValueError(f"n={n} above practical cap {4 * ways}")
     pol = make_policy(policy, ways)
-    candidates = _all_ways(ways)
+    candidates = tuple(range(ways))
     successes = 0
     for t in range(trials):
         rng = random.Random(derive_seed(seed, "evict-dist", t))
@@ -239,7 +228,7 @@ def dirty_eviction_experiment(d: int, l: int, trials: int, seed: int,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     pol = RandomPolicy(ways=ways)
-    candidates = _all_ways(ways)
+    candidates = tuple(range(ways))
     successes = 0
     for t in range(trials):
         pol.reset(seed=derive_seed(seed, "dirty-evict", t))

@@ -2,10 +2,12 @@
 
 Kept deliberately different in structure from the package code: the edit
 distances are a memoized recursion and a Wagner-Fischer DP table instead of
-bit vectors, and the tree-PLRU model walks an integer bitmask instead of a
-list of node bits.
+bit vectors, the tree-PLRU model walks an integer bitmask instead of a
+list of node bits, and the reference cache keeps one dict per set with an
+explicit recency list instead of tag lists and policy metadata.
 """
 
+import random
 from functools import lru_cache
 
 WAYS = 8
@@ -44,11 +46,20 @@ def wagner_fischer(a, b):
     return previous[-1]
 
 
-def plru_victim(state, ways=WAYS):
-    """Follow the pointed-to child from the root; bit 0 means left."""
+def plru_victim(state, ways=WAYS, allowed=None):
+    """Follow the pointed-to child from the root; bit 0 means left.
+
+    With `allowed`, a child whose leaves hold no allowed way is skipped in
+    favour of its sibling.
+    """
     node = 1
+    depth = ways.bit_length() - 1
     while node < ways:
+        depth -= 1
         node = 2 * node + ((state >> (node - 1)) & 1)
+        leaves = range((node << depth) - ways, ((node + 1) << depth) - ways)
+        if allowed is not None and not any(w in allowed for w in leaves):
+            node ^= 1
     return node - ways
 
 
@@ -86,3 +97,96 @@ def plru_eviction_fraction(n, ways=WAYS):
         if "probe" not in occupants:
             evicted += 1
     return evicted / states
+
+
+class ReferenceCache:
+    """Reference L1: per set, a dict way -> [key, dirty] plus a recency list.
+
+    `policy` is "lru" (victim: least recent allowed way in the set's recency
+    list), "tree-plru" (an integer bitmask per set, walked by `plru_victim`)
+    or "random" (one `random.Random(seed)` for the whole cache, drawing with
+    `choice` over the sorted allowed ways, as the package does).  `partition`
+    maps actor -> allowed ways.  Jitter replays one draw per access from
+    `random.Random(seed ^ 0x6A177E52)`, the package's jitter stream.
+    """
+
+    HIT, FILL, CLEAN, DIRTY, UNCACHED = (
+        "hit", "miss-fill-invalid", "miss-evict-clean", "miss-evict-dirty", "uncached")
+
+    def __init__(self, policy, *, ways=WAYS, num_sets=64, line_size=64,
+                 write_back=True, partition=None, costs=(4, 11, 22, 11),
+                 jitter=0, seed=0):
+        self.policy = policy
+        self.ways = ways
+        self.num_sets = num_sets
+        self.line_size = line_size
+        self.write_back = write_back
+        self.partition = partition
+        self.hit_cost, self.clean_cost, self.dirty_cost, self.uncached_cost = costs
+        self.jitter = jitter
+        self.victim_rng = random.Random(seed)
+        self.jitter_rng = random.Random(seed ^ 0x6A177E52)
+        self.sets = {}  # set index -> {"lines": {way: [key, dirty]}, "recency": [...], "plru": int}
+        self.counters = {}
+        self.cycles = 0
+
+    def _set(self, index):
+        return self.sets.setdefault(index, {"lines": {}, "recency": [], "plru": 0})
+
+    def _touch(self, s, way):
+        if way in s["recency"]:
+            s["recency"].remove(way)
+        s["recency"].append(way)
+        s["plru"] = plru_touch(s["plru"], way, self.ways)
+
+    def _victim(self, s, allowed):
+        if self.policy == "lru":
+            return next(w for w in s["recency"] if w in allowed)
+        if self.policy == "tree-plru":
+            return plru_victim(s["plru"], self.ways,
+                               None if len(allowed) == self.ways else allowed)
+        return self.victim_rng.choice(sorted(allowed))
+
+    def access(self, actor, address, write):
+        """Return (outcome kind, victim way, writeback, latency)."""
+        block = address // self.line_size
+        index = block % self.num_sets
+        key = (actor, block // self.num_sets)
+        c = self.counters.setdefault(actor, dict(
+            loads=0, stores=0, l1_hits=0, l1_misses=0, writebacks=0))
+        c["stores" if write else "loads"] += 1
+        s = self._set(index)
+        lines = s["lines"]
+        hit_way = next((w for w, (k, _) in lines.items() if k == key), None)
+        if hit_way is not None:
+            c["l1_hits"] += 1
+            if write and self.write_back:
+                lines[hit_way][1] = True
+            self._touch(s, hit_way)
+            result = [self.HIT, None, False, self.hit_cost]
+        elif write and not self.write_back:
+            c["l1_misses"] += 1
+            result = [self.UNCACHED, None, False, self.uncached_cost]
+        else:
+            c["l1_misses"] += 1
+            allowed = set(range(self.ways) if self.partition is None
+                          else self.partition[actor])
+            empty = sorted(allowed - set(lines))
+            if empty:
+                way, result = empty[0], [self.FILL, empty[0], False, self.clean_cost]
+            else:
+                way = self._victim(s, allowed)
+                if lines[way][1]:
+                    c["writebacks"] += 1
+                    result = [self.DIRTY, way, True, self.dirty_cost]
+                else:
+                    result = [self.CLEAN, way, False, self.clean_cost]
+            lines[way] = [key, write and self.write_back]
+            self._touch(s, way)
+        if self.jitter:
+            result[3] += self.jitter_rng.randint(-self.jitter, self.jitter)
+        self.cycles += result[3]
+        return tuple(result)
+
+    def dirty_count(self, index):
+        return sum(dirty for _, dirty in self._set(index)["lines"].values())

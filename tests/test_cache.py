@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +35,23 @@ def test_default_set_index_uses_bits_6_to_11():
     assert geo.set_index((1 << 12) | (37 << 6) | 13) == 37
     line = make_line("r", 37, tag=99)
     assert geo.set_index(line.address) == 37
+
+
+def test_geometry_derived_fields_follow_replace():
+    geo = dataclasses.replace(CacheGeometry(), num_sets=16, line_size=128)
+    assert (geo.offset_bits, geo.set_bits, geo.tag_shift) == (7, 4, 11)
+    assert dataclasses.replace(geo, num_sets=64) == CacheGeometry(line_size=128)
+    assert make_line("r", 9, 3, geo).address == (3 << 11) | (9 << 7)
+
+
+def test_untouched_sets_read_as_invalid_after_other_sets_fill():
+    cache = Cache()
+    for t in range(8):
+        cache.write(make_line("r", 6, t))
+    assert cache.dirty_count(6) == 8 and cache.dirty_count(7) == 0
+    assert cache.snapshot_set(7) == Cache().snapshot_set(7)
+    with pytest.raises(ValueError):
+        cache.dirty_count(64)
 
 
 def test_distinct_actors_never_alias():

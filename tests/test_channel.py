@@ -142,6 +142,20 @@ def test_receiver_decode_maps_latency_to_bits():
     assert (sample.total_cycles, bits) == (110, "0")
 
 
+def test_run_channel_builds_two_replacement_sets(monkeypatch):
+    import dirtysim.channel as channel
+    cfg = make_cfg()
+    thresholds = calibrate_thresholds(cfg)
+    built = []
+    original = channel.build_replacement_set
+    monkeypatch.setattr(channel, "build_replacement_set",
+                        lambda *a, **kw: built.append(a) or original(*a, **kw))
+    report = run_channel(cfg, thresholds)
+    assert len(built) == 2
+    monkeypatch.undo()
+    assert report.latency_trace == run_channel(cfg, thresholds).latency_trace
+
+
 def test_receiver_decode_multibit():
     cfg = make_cfg(encoding=MultiBitEncoding(), message=random_bits(64, 3))
     thresholds = calibrate_thresholds(cfg)

@@ -151,6 +151,14 @@ def test_small_rset_is_config_error(command, capsys):
     assert err.startswith("config error:") and "rset_size" in err
 
 
+def test_latency_cdf_small_rset_is_config_error(capsys):
+    assert run_cli("latency-cdf", "--seed", "1", "--d-values", "0,8", "--trials", "2",
+                   "--rset-size", "4") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and "rset_size 4" in captured.err
+
+
 def test_config_file_merge_and_flag_override(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("# experiment defaults\nseed = 9\ntrials = 60\nn = 8\n")

@@ -1,8 +1,10 @@
 import pytest
 
 from dirtysim.cache import Cache, CacheGeometry, LatencyModel, make_line
+from dirtysim.channel import ChannelConfig
 from dirtysim.measurement import (build_replacement_set, latency_cdf,
-                                  measure_replacement_latency)
+                                  measure_replacement_latency,
+                                  prime_dirty_probe)
 
 GEO = CacheGeometry()
 
@@ -145,6 +147,35 @@ def test_latency_cdf_ordering_of_means():
 def test_latency_cdf_validates_d():
     with pytest.raises(ValueError):
         latency_cdf([9], trials=1, seed=0)
+
+
+@pytest.mark.parametrize("rset_size", [0, 4, 7])
+def test_latency_cdf_rejects_rset_below_associativity(rset_size):
+    # A set smaller than W cannot replace every line, so its totals would
+    # be short (44 and 88 cycles at size 4) instead of 110 + 11d.
+    with pytest.raises(ValueError) as cdf_error:
+        latency_cdf([0, 8], trials=2, seed=1, rset_size=rset_size)
+    with pytest.raises(ValueError) as channel_error:
+        ChannelConfig(message="1", rset_size=rset_size).validate()
+    assert str(cdf_error.value) == str(channel_error.value)
+    assert f"rset_size {rset_size} is below the associativity 8" in str(cdf_error.value)
+
+
+def test_latency_cdf_accepts_rset_of_exactly_associativity():
+    # Eight replacement lines evict all eight residents: 8 refills, d dirty.
+    table = latency_cdf([0, 8], trials=2, seed=1, rset_size=8)
+    assert table == [(0, [88, 88]), (8, [176, 176])]
+
+
+@pytest.mark.parametrize("d", [0, 3, 8])
+def test_prime_dirty_probe_on_a_fresh_cache(d):
+    cache = Cache(GEO, "lru")
+    rset = build_replacement_set("receiver", 0, 10, seed=d, tag_base=1000)
+    sample = prime_dirty_probe(cache, rset, d)
+    assert (sample.dirty_before, sample.total_cycles, sample.resident_hits) == (d, 110 + 11 * d, 0)
+    assert sum(c.stores for c in cache.counters.values()) == d
+    assert cache.counters["receiver"].loads == GEO.associativity + 10
+    assert cache.dirty_count(0) == 0
 
 
 def test_tree_plru_totals_match_lru_when_l_covers_the_set():
