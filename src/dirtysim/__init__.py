@@ -15,10 +15,10 @@ from .cache import (AccessKind, AccessOutcome, Cache, CacheGeometry,
 from .channel import (BinaryEncoding, CalibrationError, ChannelConfig,
                       ChannelReport, GadgetResult, MultiBitEncoding,
                       NoiseConfig, Thresholds, calibrate_thresholds,
-                      receiver_decode, receiver_init, run_channel,
-                      run_gadget_attack, sender_encode)
+                      receiver_decode, run_channel, run_gadget_attack,
+                      sender_encode)
 from .measurement import (LatencySample, ReplacementSet,
-                          build_replacement_set, latency_cdf,
+                          build_replacement_set, fill_set, latency_cdf,
                           measure_replacement_latency, prime_dirty_probe)
 from .policy import (EvictionExperimentResult, RandomPolicy, TreePLRU,
                      TrueLRU, analytic_dirty_eviction_probability,
@@ -38,8 +38,8 @@ __all__ = [
     "align_by_preamble", "analytic_dirty_eviction_probability",
     "bit_error_rate", "build_replacement_set", "calibrate_thresholds",
     "derive_seed", "dirty_eviction_experiment", "edit_distance",
-    "eviction_distance_experiment", "latency_cdf", "make_line", "make_policy",
-    "measure_replacement_latency", "prime_dirty_probe", "random_bits", "rate_kbps",
-    "receiver_decode", "receiver_init", "run_channel", "run_gadget_attack",
-    "sender_encode", "sweep_ber_vs_rate",
+    "eviction_distance_experiment", "fill_set", "latency_cdf", "make_line",
+    "make_policy", "measure_replacement_latency", "prime_dirty_probe",
+    "random_bits", "rate_kbps", "receiver_decode", "run_channel",
+    "run_gadget_attack", "sender_encode", "sweep_ber_vs_rate",
 ]

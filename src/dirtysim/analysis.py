@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-DEFAULT_FREQUENCY_HZ = 2.2e9
+FREQUENCY_HZ = 2.2e9  # core clock that turns cycles into seconds
 DEFAULT_PERIODS = (800, 1000, 1600, 2200, 5500, 11000)
 DEFAULT_ALIGN_WINDOW = 32
 
@@ -102,12 +102,11 @@ def bit_error_rate(sent, received, alignment_offset: int = 0) -> ErrorReport:
     return ErrorReport(distance, ber, alignment_offset, clamped)
 
 
-def rate_kbps(t_period: int, bits_per_symbol: int,
-              f_hz: float = DEFAULT_FREQUENCY_HZ) -> float:
+def rate_kbps(t_period: int, bits_per_symbol: int) -> float:
     """Transmission rate in Kbps for one symbol every t_period cycles."""
     if t_period <= 0:
         raise ValueError("t_period must be positive")
-    return bits_per_symbol * f_hz / t_period / 1000.0
+    return bits_per_symbol * FREQUENCY_HZ / t_period / 1000.0
 
 
 @dataclass(frozen=True)
@@ -139,8 +138,7 @@ def sweep_ber_vs_rate(cfg_template, periods=DEFAULT_PERIODS, trials: int = 3):
         bers = []
         for trial in range(trials):
             cfg = cfg_template.with_updates(
-                t_s=period, t_r=period, phase_offset=None,
-                seed=derive_seed(cfg_template.seed, "sweep", trial))
+                t_s=period, seed=derive_seed(cfg_template.seed, "sweep", trial))
             report = channel.run_channel(cfg, thresholds=calibration)
             bers.append(report.ber)
         rows.append(SweepRow(period,

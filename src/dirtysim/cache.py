@@ -133,19 +133,14 @@ class LatencyModel:
     uncached_store: int = 11
     jitter: int = 0
 
-    def base_cost(self, kind: OutcomeKind) -> int:
-        if kind is OutcomeKind.HIT:
-            return self.hit
-        if kind is OutcomeKind.MISS_EVICT_DIRTY:
-            return self.miss_dirty
-        if kind is OutcomeKind.UNCACHED:
-            return self.uncached_store
-        return self.miss_clean  # clean eviction or invalid fill
-
     @cached_property
     def _cost_table(self) -> dict:
-        """`base_cost` of every outcome kind, filled once per model."""
-        return {kind: self.base_cost(kind) for kind in OutcomeKind}
+        """Cost of every outcome kind before jitter, filled once per model."""
+        return {OutcomeKind.HIT: self.hit,
+                OutcomeKind.MISS_FILL_INVALID: self.miss_clean,
+                OutcomeKind.MISS_EVICT_CLEAN: self.miss_clean,
+                OutcomeKind.MISS_EVICT_DIRTY: self.miss_dirty,
+                OutcomeKind.UNCACHED: self.uncached_store}
 
 
 class AccessOutcome(NamedTuple):
@@ -184,11 +179,11 @@ _HIT, _FILL, _EVICT_CLEAN, _EVICT_DIRTY, _UNCACHED = OutcomeKind
 class Cache:
     """Mutable cache state; single-threaded, deterministic under a fixed seed."""
 
-    def __init__(self, geometry: CacheGeometry | None = None, policy="lru",
+    def __init__(self, geometry: CacheGeometry | None = None, policy: str = "lru",
                  latency: LatencyModel | None = None, seed: int = 0):
         self.geometry = geo = geometry or DEFAULT_GEOMETRY
         self.latency = latency or DEFAULT_LATENCY
-        self.policy = make_policy(policy, ways=geo.associativity, seed=seed)
+        self._policy_name = policy
         self._seed = seed
         self._cost = self.latency._cost_table
         self._write_back = geo.write_policy is WritePolicy.WRITE_BACK_ALLOCATE
@@ -206,7 +201,9 @@ class Cache:
         if seed is not None:
             self._seed = seed
         self._sets = [None] * self.geometry.num_sets  # [tags, dirty, meta] once touched
-        self.policy.reset(seed=self._seed)
+        # A fresh policy: a random one is seeded once, on construction.
+        self.policy = make_policy(self._policy_name, ways=self.geometry.associativity,
+                                  seed=self._seed)
         # Only a jittered model draws; seeding a generator is most of a fresh
         # cache's set-up cost, so an exact model skips it.
         self._jitter_rng = (random.Random(self._seed ^ 0x6A177E52)

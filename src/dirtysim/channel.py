@@ -11,22 +11,20 @@ hyper-thread interleaving of real hardware.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import json
 import random
 import statistics
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .analysis import (DEFAULT_ALIGN_WINDOW, DEFAULT_FREQUENCY_HZ,
-                       PreambleLockError, align_by_preamble, bit_error_rate,
-                       rate_kbps)
+from .analysis import (DEFAULT_ALIGN_WINDOW, PreambleLockError,
+                       align_by_preamble, bit_error_rate, rate_kbps)
 from .cache import (Cache, CacheGeometry, LatencyModel, WritePolicy,
                     make_line)
-from .measurement import (DEFAULT_RSET_SIZE, INIT_TAG_BASE, RECEIVER,
-                          RSET_TAG_BASES, SENDER, build_replacement_set,
-                          check_rset_size, measure_replacement_latency,
-                          prime_dirty_probe)
+from .measurement import (DEFAULT_RSET_SIZE, RECEIVER, RSET_TAG_BASES, SENDER,
+                          ReplacementSet, build_replacement_set,
+                          check_rset_size, fill_set,
+                          measure_replacement_latency, prime_dirty_probe)
 from .seeding import derive_seed
 
 NOISE = "noise"
@@ -129,9 +127,7 @@ class ChannelConfig:
     """Everything defining one channel run; identical configs replay identically."""
 
     encoding: Encoding = field(default_factory=BinaryEncoding)
-    t_s: int = 5500
-    t_r: Optional[int] = None          # defaults to t_s
-    phase_offset: Optional[int] = None  # defaults to t_s // 2
+    t_s: int = 5500                    # period: encode at its start, decode mid-way
     target_set: int = 0
     rset_size: int = DEFAULT_RSET_SIZE
     preamble: str = DEFAULT_PREAMBLE
@@ -140,30 +136,16 @@ class ChannelConfig:
     seed: int = 0
     slip: int = 0                      # half-width of receiver timing slip, cycles
     geometry: CacheGeometry = field(default_factory=CacheGeometry)
-    policy: object = "lru"
+    policy: str = "lru"
     latency: LatencyModel = field(default_factory=LatencyModel)
-    f_hz: float = DEFAULT_FREQUENCY_HZ
 
     def with_updates(self, **changes) -> "ChannelConfig":
         return dataclasses.replace(self, **changes)
 
-    def resolved(self) -> "ChannelConfig":
-        """Fill derived defaults and validate."""
-        cfg = self
-        if cfg.t_r is None:
-            cfg = cfg.with_updates(t_r=cfg.t_s)
-        if cfg.phase_offset is None:
-            cfg = cfg.with_updates(phase_offset=cfg.t_s // 2)
-        cfg.validate()
-        return cfg
-
     def validate(self):
-        if self.t_s <= 0:
-            raise ValueError("t_s must be positive")
-        if self.t_r is not None and self.t_r != self.t_s:
-            raise ValueError("the evaluated protocol requires t_r == t_s")
-        if self.phase_offset is not None and not 0 < self.phase_offset < self.t_s:
-            raise ValueError("phase_offset must fall inside the period")
+        if self.t_s < 2:
+            raise ValueError("t_s must be at least 2 cycles, so the decode at "
+                             "t_s // 2 comes after the encode in each period")
         if not 0 <= self.target_set < self.geometry.num_sets:
             raise ValueError("target_set outside geometry")
         check_rset_size(self.rset_size, self.geometry)
@@ -241,16 +223,16 @@ def calibrate_thresholds(cfg: ChannelConfig, trials: int = 8,
     cfg = cfg.calibration_view()
     base = seed if seed is not None else derive_seed(cfg.seed, "calibration")
     geo = cfg.geometry
+    rset = build_replacement_set(RECEIVER, cfg.target_set, cfg.rset_size,
+                                 geometry=geo, tag_base=RSET_TAG_BASES[0])
     means, stds = [], []
     for d in cfg.encoding.levels:
         totals = []
         for t in range(trials):
             cache = Cache(geo, cfg.policy, cfg.latency,
                           seed=derive_seed(base, "cache", d, t))
-            rset = build_replacement_set(RECEIVER, cfg.target_set, cfg.rset_size,
-                                         derive_seed(base, "rset", d, t),
-                                         geometry=geo, tag_base=RSET_TAG_BASES[0])
-            totals.append(prime_dirty_probe(cache, rset, d).total_cycles)
+            trial_rset = rset.rechased(derive_seed(base, "rset", d, t))
+            totals.append(prime_dirty_probe(cache, trial_rset, d).total_cycles)
         means.append(statistics.fmean(totals))
         stds.append(statistics.pstdev(totals))
     return Thresholds.from_level_stats(means, stds)
@@ -264,38 +246,16 @@ def sender_encode(cache: Cache, cfg: ChannelConfig, symbol_bits: str):
     Returns (level, summed access cost in cycles).
     """
     level = cfg.encoding.level_for_bits(symbol_bits)
-    cost = 0
-    for j in range(level):
-        outcome = cache.write(make_line(SENDER, cfg.target_set, j, cfg.geometry))
-        cost += outcome.latency
-    return level, cost
+    return level, fill_set(cache, SENDER, cfg.target_set, level, write=True)
 
 
-def receiver_init(cache: Cache, cfg: ChannelConfig) -> None:
-    """Read W receiver lines through the target set so no dirty lines remain."""
-    geo = cfg.geometry
-    for i in range(geo.associativity):
-        cache.read(make_line(RECEIVER, cfg.target_set, INIT_TAG_BASE + i, geo))
+def receiver_decode(cache: Cache, cfg: ChannelConfig, rset: ReplacementSet,
+                    thresholds: Thresholds):
+    """Measure with `rset` and threshold the total to bits.
 
-
-def _receiver_rset(cfg: ChannelConfig, parity: int):
-    """The replacement set the receiver measures with on decodes of this parity."""
-    return build_replacement_set(RECEIVER, cfg.target_set, cfg.rset_size,
-                                 derive_seed(cfg.seed, "chase", parity % 2),
-                                 geometry=cfg.geometry,
-                                 tag_base=RSET_TAG_BASES[parity % 2])
-
-
-def receiver_decode(cache: Cache, cfg: ChannelConfig, parity: int,
-                    thresholds: Thresholds, rsets=None):
-    """Measure with the parity-selected replacement set and threshold to bits.
-
-    `rsets` holds the sets for parities 0 and 1, which `run_channel` builds
-    once per run; without it, the set is built here.  The measurement leaves
-    the target set full of clean receiver lines, so it doubles as the next
-    period's initialization.
+    The measurement leaves the target set full of clean receiver lines, so it
+    doubles as the next period's initialization.
     """
-    rset = rsets[parity % 2] if rsets is not None else _receiver_rset(cfg, parity)
     sample = measure_replacement_latency(cache, rset)
     index = thresholds.classify(sample.total_cycles)
     return sample, cfg.encoding.bits_for_level_index(index)
@@ -357,7 +317,7 @@ class ChannelReport:
 
 def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> ChannelReport:
     """Drive sender, noise, and receiver through one message transmission."""
-    cfg = cfg.resolved()
+    cfg.validate()
     if thresholds is None:
         thresholds = calibrate_thresholds(cfg)
     enc = cfg.encoding
@@ -372,42 +332,47 @@ def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> 
     noise_target = cfg.target_set
     if cfg.noise is not None and cfg.noise.target is not None:
         noise_target = cfg.noise.target
-    noise_offset = max(1, cfg.phase_offset // 2)
+    noise_offset = max(1, cfg.t_s // 4)
 
+    # (cycle, sender < noise < receiver, symbol index) is unique per event.
     events = []
     for i in range(n_symbols):
-        heapq.heappush(events, (i * cfg.t_s, 0, i, "encode"))
+        events.append((i * cfg.t_s, 0, i, "encode"))
         if cfg.noise is not None and cfg.noise.rate > 0:
             if noise_rng.random() < min(cfg.noise.rate, 1.0):
                 action = ("noise-write" if noise_rng.random() < cfg.noise.kind_mix
                           else "noise-read")
-                heapq.heappush(events, (i * cfg.t_s + noise_offset, 1, i, action))
-        decode_at = i * cfg.t_r + cfg.phase_offset
+                events.append((i * cfg.t_s + noise_offset, 1, i, action))
+        decode_at = i * cfg.t_s + cfg.t_s // 2
         if cfg.slip:
             decode_at = max(0, decode_at + slip_rng.randint(-cfg.slip, cfg.slip))
-        heapq.heappush(events, (decode_at, 2, i, "decode"))
+        events.append((decode_at, 2, i, "decode"))
+    events.sort()
 
-    receiver_init(cache, cfg)
-    rsets = (_receiver_rset(cfg, 0), _receiver_rset(cfg, 1))
+    fill_set(cache, RECEIVER, cfg.target_set, cfg.geometry.associativity)
+    # Decodes alternate between two replacement sets, so the one measured
+    # with is never resident.
+    rsets = tuple(build_replacement_set(RECEIVER, cfg.target_set, cfg.rset_size,
+                                        derive_seed(cfg.seed, "chase", p),
+                                        geometry=cfg.geometry,
+                                        tag_base=RSET_TAG_BASES[p])
+                  for p in (0, 1))
     trace = []
     received_parts = []
-    decode_count = 0
     noise_tag = 0
-    while events:
-        cycle, _prio, index, action = heapq.heappop(events)
+    for cycle, _prio, index, action in events:
+        symbol = stream[index * k:(index + 1) * k]
         if action == "encode":
-            bits = stream[index * k:(index + 1) * k]
-            level, cost = sender_encode(cache, cfg, bits)
+            level, cost = sender_encode(cache, cfg, symbol)
             trace.append(TraceEvent(cycle, SENDER, "encode", cfg.target_set,
-                                    level, cost, "", bits))
+                                    level, cost, "", symbol))
         elif action == "decode":
-            sample, bits = receiver_decode(cache, cfg, decode_count, thresholds, rsets)
-            decode_count += 1
+            sample, bits = receiver_decode(cache, cfg, rsets[len(received_parts) % 2],
+                                           thresholds)
             received_parts.append(bits)
-            truth = stream[index * k:(index + 1) * k]
             trace.append(TraceEvent(cycle, RECEIVER, "decode", cfg.target_set,
                                     enc.levels[int(bits, 2)], sample.total_cycles,
-                                    bits, truth))
+                                    bits, symbol))
         else:
             line = make_line(NOISE, noise_target, noise_tag, cfg.geometry)
             noise_tag += 1
@@ -432,7 +397,7 @@ def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> 
         raw_received_bits=received,
         edit_distance=error.edit_distance,
         ber=error.ber,
-        rate_kbps=rate_kbps(cfg.t_s, k, cfg.f_hz),
+        rate_kbps=rate_kbps(cfg.t_s, k),
         alignment_offset=offset,
         preamble_locked=locked,
         counters={actor: c.as_dict() for actor, c in sorted(cache.counters.items())},
@@ -522,9 +487,7 @@ def run_gadget_attack(variant: str, scenario: str, secret: int, seed: int = 0, *
     if scenario != "victim-timing":
         # Prime clean (set-state-dirty) or dirty (prime-with-dirty), let the
         # victim run, then probe the primed set.
-        prime = cache.read if scenario == "set-state-dirty" else cache.write
-        for i in range(ways):
-            prime(make_line("attacker", set_i, i, geo))
+        fill_set(cache, "attacker", set_i, ways, write=scenario == "prime-with-dirty")
         victim_call()
         rset = build_replacement_set("attacker", set_i, rset_size,
                                      derive_seed(seed, "gadget"), geometry=geo,
@@ -540,10 +503,8 @@ def run_gadget_attack(variant: str, scenario: str, secret: int, seed: int = 0, *
             inferred = int(total < cut)
         latencies = {"probe_total_cycles": total, "threshold": cut}
     else:
-        for i in range(ways):
-            cache.write(make_line("attacker", set_i, i, geo))
-        for i in range(ways):
-            cache.read(make_line("attacker", set_j, ways + i, geo))
+        fill_set(cache, "attacker", set_i, ways, write=True)
+        fill_set(cache, "attacker", set_j, ways)
         victim_time = victim_call().latency
         cut = (lat.miss_dirty + lat.miss_clean) / 2
         inferred = int(victim_time > cut)

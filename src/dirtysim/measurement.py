@@ -4,8 +4,9 @@ Mirrors the pointer-chasing technique: the lines of a replacement set are
 visited in a random permutation, strictly one after another, and the total
 latency is the plain sum of the per-access costs.  Measuring also refills the
 target set with clean lines, so a measurement doubles as initialization for
-the next round.  `prime_dirty_probe` is the whole prime -> dirty -> probe
-sequence on one cache; latency CDFs and channel calibration both run it.
+the next round.  `fill_set` is the one step that primes a set or dirties it,
+and `prime_dirty_probe` is the whole prime -> dirty -> probe sequence on one
+cache; latency CDFs and channel calibration both run it.
 """
 
 from __future__ import annotations
@@ -21,21 +22,27 @@ DEFAULT_RSET_SIZE = 10
 SENDER = "sender"
 RECEIVER = "receiver"
 
-# Tag ranges inside the receiver's space: init lines, then the two
-# replacement sets used alternately so the active one is never resident.
-INIT_TAG_BASE = 0
+# Tag bases of the two replacement sets in the receiver's space, used
+# alternately so the active one is never resident; primed lines use 0..W-1.
 RSET_TAG_BASES = (1000, 2000)
 
 
 @dataclass(frozen=True)
 class ReplacementSet:
+    """Lines of one actor mapping to `target_set`, in the order they are chased."""
+
     actor_id: str
     target_set: int
     lines: tuple
-    chase_order: tuple
 
     def __len__(self):
         return len(self.lines)
+
+    def rechased(self, seed: int) -> "ReplacementSet":
+        """The same lines, shuffled from tag order (their sort order) by `seed`."""
+        lines = sorted(self.lines)
+        random.Random(derive_seed("chase", seed)).shuffle(lines)
+        return ReplacementSet(self.actor_id, self.target_set, tuple(lines))
 
 
 @dataclass(frozen=True)
@@ -61,9 +68,7 @@ def build_replacement_set(actor_id: str, target_set: int,
         raise ValueError("replacement set needs at least one line")
     lines = tuple(make_line(actor_id, target_set, tag_base + i, geometry)
                   for i in range(size))
-    order = list(range(size))
-    random.Random(derive_seed("chase", seed)).shuffle(order)
-    return ReplacementSet(actor_id, target_set, lines, tuple(order))
+    return ReplacementSet(actor_id, target_set, lines).rechased(seed)
 
 
 def check_rset_size(rset_size: int, geometry: CacheGeometry) -> None:
@@ -85,12 +90,26 @@ def measure_replacement_latency(cache: Cache, rset: ReplacementSet) -> LatencySa
     total = 0
     hits = 0
     hit = OutcomeKind.HIT
-    for i in rset.chase_order:
-        outcome = cache.read(rset.lines[i])
+    for line in rset.lines:
+        outcome = cache.read(line)
         total += outcome.latency
         if outcome.kind is hit:
             hits += 1
     return LatencySample(dirty_before, total, hits)
+
+
+def fill_set(cache: Cache, actor_id: str, set_index: int, n: int, *,
+             write: bool = False) -> int:
+    """Access tags 0..n-1 of one actor in one set; return the summed latency.
+
+    Reads prime the set with clean lines; writes leave dirty ones.
+    """
+    geo = cache.geometry
+    access = cache.write if write else cache.read
+    total = 0
+    for tag in range(n):
+        total += access(make_line(actor_id, set_index, tag, geo)).latency
+    return total
 
 
 def prime_dirty_probe(cache: Cache, rset: ReplacementSet, d: int) -> LatencySample:
@@ -99,12 +118,8 @@ def prime_dirty_probe(cache: Cache, rset: ReplacementSet, d: int) -> LatencySamp
     The sender's d stores evict d receiver lines, so the probe must replace
     W-d clean lines and d dirty ones.
     """
-    geo = cache.geometry
-    target = rset.target_set
-    for i in range(geo.associativity):
-        cache.read(make_line(RECEIVER, target, INIT_TAG_BASE + i, geo))
-    for j in range(d):
-        cache.write(make_line(SENDER, target, j, geo))
+    fill_set(cache, RECEIVER, rset.target_set, cache.geometry.associativity)
+    fill_set(cache, SENDER, rset.target_set, d, write=True)
     return measure_replacement_latency(cache, rset)
 
 
@@ -115,11 +130,13 @@ def latency_cdf(d_values, trials: int, seed: int, *,
     """Replacement-latency samples per dirty-line count, for CDF plots.
 
     Each of the `trials` per d runs `prime_dirty_probe` on a fresh cache with
-    a freshly seeded replacement set.  Returns [(d, sorted samples)].
+    its own chase order of one replacement set.  Returns [(d, sorted samples)].
     """
     geo = geometry or CacheGeometry()
     check_rset_size(rset_size, geo)
     ways = geo.associativity
+    rset = build_replacement_set(RECEIVER, target_set, rset_size, geometry=geo,
+                                 tag_base=RSET_TAG_BASES[0])
     results = []
     for d in d_values:
         if not 0 <= d <= ways:
@@ -127,9 +144,7 @@ def latency_cdf(d_values, trials: int, seed: int, *,
         samples = []
         for t in range(trials):
             cache = Cache(geo, policy, latency, seed=derive_seed(seed, "cdf", d, t))
-            rset = build_replacement_set(RECEIVER, target_set, rset_size,
-                                         derive_seed(seed, "rset", d, t),
-                                         geometry=geo, tag_base=RSET_TAG_BASES[0])
-            samples.append(prime_dirty_probe(cache, rset, d).total_cycles)
+            trial_rset = rset.rechased(derive_seed(seed, "rset", d, t))
+            samples.append(prime_dirty_probe(cache, trial_rset, d).total_cycles)
         results.append((d, sorted(samples)))
     return results

@@ -152,14 +152,12 @@ _POLICY_NAMES = {
 }
 
 
-def make_policy(spec, ways: int = 8, seed: int = 0) -> ReplacementPolicy:
-    """Build a policy from a name ('lru', 'tree-plru', 'random') or pass one through."""
-    if isinstance(spec, ReplacementPolicy):
-        return spec
+def make_policy(name: str, ways: int = 8, seed: int = 0) -> ReplacementPolicy:
+    """Build a fresh policy from its name: 'lru', 'tree-plru' or 'random'."""
     try:
-        cls = _POLICY_NAMES[spec]
+        cls = _POLICY_NAMES[name]
     except KeyError:
-        raise ValueError(f"unknown replacement policy {spec!r}") from None
+        raise ValueError(f"unknown replacement policy {name!r}") from None
     if cls is RandomPolicy:
         return RandomPolicy(seed=seed, ways=ways)
     return cls(ways)

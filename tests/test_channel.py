@@ -1,12 +1,15 @@
+import dataclasses
+
 import pytest
 
 from dirtysim.cache import Cache, CacheGeometry, LatencyModel, WritePolicy
 from dirtysim.channel import (BinaryEncoding, CalibrationError, ChannelConfig,
                               MultiBitEncoding, NoiseConfig, Thresholds,
                               calibrate_thresholds, receiver_decode,
-                              receiver_init, run_channel, run_gadget_attack,
-                              sender_encode)
-from dirtysim.seeding import random_bits
+                              run_channel, run_gadget_attack, sender_encode)
+from dirtysim.measurement import (RECEIVER, RSET_TAG_BASES,
+                                  build_replacement_set, fill_set)
+from dirtysim.seeding import derive_seed, random_bits
 
 PARTITION = CacheGeometry(partition={"sender": frozenset(range(4)),
                                      "receiver": frozenset(range(4, 8))})
@@ -15,7 +18,22 @@ WRITE_THROUGH = CacheGeometry(write_policy=WritePolicy.WRITE_THROUGH_NO_ALLOCATE
 
 def make_cfg(**kw):
     kw.setdefault("message", random_bits(64, 77))
-    return ChannelConfig(**kw).resolved()
+    cfg = ChannelConfig(**kw)
+    cfg.validate()
+    return cfg
+
+
+def receiver_init(cache, cfg):
+    """The receiver's prime at the start of `run_channel`."""
+    fill_set(cache, RECEIVER, cfg.target_set, cfg.geometry.associativity)
+
+
+def receiver_rsets(cfg):
+    """The two replacement sets `run_channel` decodes with, alternately."""
+    return [build_replacement_set(RECEIVER, cfg.target_set, cfg.rset_size,
+                                  derive_seed(cfg.seed, "chase", p),
+                                  geometry=cfg.geometry, tag_base=RSET_TAG_BASES[p])
+            for p in (0, 1)]
 
 
 # -- encodings -----------------------------------------------------------------
@@ -54,8 +72,10 @@ def test_multibit_encoding_validation():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        make_cfg(t_s=1000, t_r=900)
+    for t_s in (-5, 0, 1):
+        with pytest.raises(ValueError, match="t_s must be at least 2"):
+            make_cfg(t_s=t_s)
+    assert make_cfg(t_s=2).t_s == 2
     with pytest.raises(ValueError):
         make_cfg(message="0101x")
     with pytest.raises(ValueError):
@@ -78,6 +98,14 @@ def test_config_validation():
     assert (edge.noise.target, edge.rset_size) == (63, 8)
 
 
+def test_config_fields():
+    # One field per fact: the receiver shares the sender's period, decodes at
+    # its middle, and rates use the package's one clock frequency.
+    assert [f.name for f in dataclasses.fields(ChannelConfig)] == [
+        "encoding", "t_s", "target_set", "rset_size", "preamble", "message",
+        "noise", "seed", "slip", "geometry", "policy", "latency"]
+
+
 # -- actors ----------------------------------------------------------------------
 
 def test_sender_encode_binary_one_dirty_line():
@@ -85,7 +113,7 @@ def test_sender_encode_binary_one_dirty_line():
     cache = Cache(cfg.geometry)
     receiver_init(cache, cfg)
     level, cost = sender_encode(cache, cfg, "1")
-    assert level == 1
+    assert (level, cost) == (1, 11)  # one clean receiver line evicted
     assert cache.dirty_count(cfg.target_set) == 1
     assert cache.counters["sender"].stores == 1
 
@@ -136,9 +164,10 @@ def test_receiver_decode_maps_latency_to_bits():
     cache = Cache(cfg.geometry)
     receiver_init(cache, cfg)
     sender_encode(cache, cfg, "1")
-    sample, bits = receiver_decode(cache, cfg, 0, thresholds)
+    rsets = receiver_rsets(cfg)
+    sample, bits = receiver_decode(cache, cfg, rsets[0], thresholds)
     assert (sample.total_cycles, bits) == (121, "1")
-    sample, bits = receiver_decode(cache, cfg, 1, thresholds)
+    sample, bits = receiver_decode(cache, cfg, rsets[1], thresholds)
     assert (sample.total_cycles, bits) == (110, "0")
 
 
@@ -162,7 +191,7 @@ def test_receiver_decode_multibit():
     cache = Cache(cfg.geometry)
     receiver_init(cache, cfg)
     sender_encode(cache, cfg, "10")
-    sample, bits = receiver_decode(cache, cfg, 0, thresholds)
+    sample, bits = receiver_decode(cache, cfg, receiver_rsets(cfg)[0], thresholds)
     assert (sample.total_cycles, bits) == (165, "10")
 
 

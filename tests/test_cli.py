@@ -151,6 +151,16 @@ def test_small_rset_is_config_error(command, capsys):
     assert err.startswith("config error:") and "rset_size" in err
 
 
+def test_period_below_two_cycles_is_config_error(capsys):
+    # The decode at period // 2 must come after the encode at cycle 0.
+    assert run_cli("run-channel", "--seed", "1", "--message-bits", "16",
+                   "--period", "1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:")
+    assert "t_s must be at least 2" in captured.err
+
+
 def test_latency_cdf_small_rset_is_config_error(capsys):
     assert run_cli("latency-cdf", "--seed", "1", "--d-values", "0,8", "--trials", "2",
                    "--rset-size", "4") == 2

@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
 from dirtysim.cache import Cache, CacheGeometry, LatencyModel, make_line
 from dirtysim.channel import ChannelConfig
-from dirtysim.measurement import (build_replacement_set, latency_cdf,
+from dirtysim.measurement import (build_replacement_set, fill_set, latency_cdf,
                                   measure_replacement_latency,
                                   prime_dirty_probe)
+from dirtysim.seeding import derive_seed
 
 GEO = CacheGeometry()
 
@@ -24,7 +27,7 @@ def test_build_replacement_set_shape():
     assert len(rset) == 10
     assert all(GEO.set_index(line.address) == 5 for line in rset.lines)
     assert len({line.address for line in rset.lines}) == 10
-    assert sorted(rset.chase_order) == list(range(10))
+    assert sorted(rset.lines) == [make_line("r", 5, t) for t in range(10)]
 
 
 def test_build_replacement_set_deterministic():
@@ -32,12 +35,29 @@ def test_build_replacement_set_deterministic():
     b = build_replacement_set("r", 5, 10, seed=3)
     assert a == b
     c = build_replacement_set("r", 5, 10, seed=4)
-    assert c.lines == a.lines  # only the chase order is seeded
+    assert sorted(c.lines) == sorted(a.lines)  # only the chase order is seeded
+    assert c.lines != a.lines
+
+
+def test_chase_order_is_the_seeded_shuffle_of_tag_order():
+    # The lines are stored in the order a seeded shuffle of the indices
+    # 0..size-1 gives, so that order, not the tag order, is what is visited.
+    order = list(range(10))
+    random.Random(derive_seed("chase", 3)).shuffle(order)
+    rset = build_replacement_set("r", 5, 10, seed=3, tag_base=1000)
+    assert rset.lines == tuple(make_line("r", 5, 1000 + i) for i in order)
+
+
+def test_rechased_ignores_the_current_order():
+    rset = build_replacement_set("r", 5, 10, seed=3)
+    for seed in (0, 4, 17):
+        assert rset.rechased(seed) == build_replacement_set("r", 5, 10, seed=seed)
+        assert rset.rechased(4).rechased(seed) == rset.rechased(seed)
 
 
 def test_build_replacement_set_singleton():
     rset = build_replacement_set("r", 0, 1, seed=0)
-    assert rset.chase_order == (0,)
+    assert rset.lines == (make_line("r", 0, 0),)
 
 
 def test_build_replacement_set_rejects_empty():
@@ -62,7 +82,7 @@ def test_total_is_sum_of_individual_latencies():
     cache = prepared_cache(3)
     rset = build_replacement_set("receiver", 0, 10, seed=1, tag_base=1000)
     shadow = prepared_cache(3)
-    individual = [shadow.read(rset.lines[i]).latency for i in rset.chase_order]
+    individual = [shadow.read(line).latency for line in rset.lines]
     assert measure_replacement_latency(cache, rset).total_cycles == sum(individual)
 
 
@@ -165,6 +185,18 @@ def test_latency_cdf_accepts_rset_of_exactly_associativity():
     # Eight replacement lines evict all eight residents: 8 refills, d dirty.
     table = latency_cdf([0, 8], trials=2, seed=1, rset_size=8)
     assert table == [(0, [88, 88]), (8, [176, 176])]
+
+
+def test_fill_set_reads_prime_clean_and_writes_dirty():
+    cache = Cache(GEO)
+    assert fill_set(cache, "receiver", 3, 8) == 8 * 11  # eight invalid fills
+    assert [s.tag for s in cache.snapshot_set(3)] == [("receiver", t) for t in range(8)]
+    assert cache.dirty_count(3) == 0
+    assert fill_set(cache, "receiver", 3, 8) == 8 * 4  # the same tags now hit
+    assert fill_set(cache, "sender", 3, 3, write=True) == 3 * 11
+    assert cache.dirty_count(3) == 3
+    assert cache.counters["sender"].stores == 3
+    assert fill_set(cache, "sender", 3, 0, write=True) == 0
 
 
 @pytest.mark.parametrize("d", [0, 3, 8])

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,6 +109,27 @@ def test_make_policy_names_and_rejection():
     assert isinstance(make_policy("random"), RandomPolicy)
     with pytest.raises(ValueError):
         make_policy("mru")
+    with pytest.raises(ValueError):
+        make_policy(TrueLRU())  # names only: a shared instance would share state
+
+
+def test_random_policy_cache_seeds_its_generator_once(monkeypatch):
+    seeds = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, seed=None):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    cache = Cache(policy="random", seed=7)
+    assert seeds == [7]
+    cache.reset(seed=8)
+    assert seeds == [7, 8]
+    # Draws still follow a generator seeded with the cache's seed.
+    expected = CountingRandom(8)
+    assert [cache.policy.select_victim(None, ALL) for _ in range(20)] == \
+        [expected.choice(ALL) for _ in range(20)]
 
 
 # -- eviction-distance experiment ---------------------------------------------
