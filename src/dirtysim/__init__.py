@@ -9,9 +9,8 @@ and defense modes (write-through, way partitioning).
 from .analysis import (DEFAULT_PERIODS, ErrorReport, PreambleLockError,
                        align_by_preamble, bit_error_rate, edit_distance,
                        rate_kbps, sweep_ber_vs_rate)
-from .cache import (AccessKind, AccessOutcome, Cache, CacheGeometry,
-                    LatencyModel, LineRef, LineState, OutcomeKind,
-                    WritePolicy, make_line)
+from .cache import (AccessOutcome, Cache, CacheGeometry, LatencyModel,
+                    LineRef, LineState, OutcomeKind, WritePolicy, make_line)
 from .channel import (BinaryEncoding, CalibrationError, ChannelConfig,
                       ChannelReport, GadgetResult, MultiBitEncoding,
                       NoiseConfig, Thresholds, calibrate_thresholds,
@@ -29,7 +28,7 @@ from .seeding import derive_seed, random_bits
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccessKind", "AccessOutcome", "BinaryEncoding", "Cache", "CacheGeometry",
+    "AccessOutcome", "BinaryEncoding", "Cache", "CacheGeometry",
     "CalibrationError", "ChannelConfig", "ChannelReport", "DEFAULT_PERIODS",
     "ErrorReport", "EvictionExperimentResult", "GadgetResult", "LatencyModel",
     "LatencySample", "LineRef", "LineState", "MultiBitEncoding", "NoiseConfig",

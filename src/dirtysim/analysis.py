@@ -14,7 +14,7 @@ figures stay comparable across message sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 FREQUENCY_HZ = 2.2e9  # core clock that turns cycles into seconds
 DEFAULT_PERIODS = (800, 1000, 1600, 2200, 5500, 11000)
@@ -86,11 +86,10 @@ def align_by_preamble(stream, preamble, window: int = DEFAULT_ALIGN_WINDOW) -> i
 class ErrorReport:
     edit_distance: int
     ber: float
-    alignment_offset: int = 0
     clamped: bool = False
 
 
-def bit_error_rate(sent, received, alignment_offset: int = 0) -> ErrorReport:
+def bit_error_rate(sent, received) -> ErrorReport:
     """Edit distance over sent length; clamps to 1.0 if the received stream balloons."""
     if not sent:
         raise ValueError("sent stream must be non-empty")
@@ -99,7 +98,7 @@ def bit_error_rate(sent, received, alignment_offset: int = 0) -> ErrorReport:
     clamped = ber > 1.0
     if clamped:
         ber = 1.0
-    return ErrorReport(distance, ber, alignment_offset, clamped)
+    return ErrorReport(distance, ber, clamped)
 
 
 def rate_kbps(t_period: int, bits_per_symbol: int) -> float:
@@ -137,8 +136,8 @@ def sweep_ber_vs_rate(cfg_template, periods=DEFAULT_PERIODS, trials: int = 3):
     for period in periods:
         bers = []
         for trial in range(trials):
-            cfg = cfg_template.with_updates(
-                t_s=period, seed=derive_seed(cfg_template.seed, "sweep", trial))
+            cfg = replace(cfg_template, t_s=period,
+                          seed=derive_seed(cfg_template.seed, "sweep", trial))
             report = channel.run_channel(cfg, thresholds=calibration)
             bers.append(report.ber)
         rows.append(SweepRow(period,

@@ -30,11 +30,6 @@ class WritePolicy(Enum):
     WRITE_THROUGH_NO_ALLOCATE = "write-through"
 
 
-class AccessKind(Enum):
-    READ = "read"
-    WRITE = "write"
-
-
 class OutcomeKind(Enum):
     HIT = "hit"
     MISS_FILL_INVALID = "miss-fill-invalid"
@@ -113,7 +108,6 @@ class LineState(NamedTuple):
     valid: bool
     dirty: bool
     tag: object
-    policy_meta: object
 
 
 @dataclass(frozen=True)
@@ -122,15 +116,14 @@ class LatencyModel:
 
     Defaults follow measured L1 costs on an 8-way part: ~4 cycles for a hit,
     ~11 to refill over a clean victim, ~22 when the victim must be written
-    back.  A write-through store that bypasses the cache is charged like a
-    clean refill; the constant only matters in defense mode where the channel
-    is dead regardless.
+    back.  A write-through store that bypasses the cache is charged
+    `miss_clean`, like a clean refill; the cost only matters in defense mode
+    where the channel is dead regardless.
     """
 
     hit: int = 4
     miss_clean: int = 11
     miss_dirty: int = 22
-    uncached_store: int = 11
     jitter: int = 0
 
     @cached_property
@@ -140,7 +133,7 @@ class LatencyModel:
                 OutcomeKind.MISS_FILL_INVALID: self.miss_clean,
                 OutcomeKind.MISS_EVICT_CLEAN: self.miss_clean,
                 OutcomeKind.MISS_EVICT_DIRTY: self.miss_dirty,
-                OutcomeKind.UNCACHED: self.uncached_store}
+                OutcomeKind.UNCACHED: self.miss_clean}
 
 
 class AccessOutcome(NamedTuple):
@@ -158,21 +151,11 @@ class ActorCounters:
     l1_misses: int = 0
     writebacks: int = 0
 
-    def as_dict(self):
-        return {
-            "loads": self.loads,
-            "stores": self.stores,
-            "l1_hits": self.l1_hits,
-            "l1_misses": self.l1_misses,
-            "writebacks": self.writebacks,
-        }
-
 
 DEFAULT_GEOMETRY = CacheGeometry()
 DEFAULT_LATENCY = LatencyModel()
 
 # Enum members bound once: attribute lookups on an Enum class are slow.
-_READ, _WRITE = AccessKind
 _HIT, _FILL, _EVICT_CLEAN, _EVICT_DIRTY, _UNCACHED = OutcomeKind
 
 
@@ -216,13 +199,11 @@ class Cache:
         return [[None] * ways, [False] * ways, self.policy.new_set_meta()]
 
     def snapshot_set(self, set_index: int):
-        """Pure read of one set: [(valid, dirty, tag, policy_meta), ...] per way."""
+        """Pure read of one set: [(valid, dirty, tag), ...] per way."""
         self._check_set(set_index)
-        tags, dirty, meta = self._sets[set_index] or self._new_set()
-        ways = self.geometry.associativity
-        per_line = meta if isinstance(meta, list) and len(meta) == ways else [None] * ways
-        return [LineState(tags[w] is not None, dirty[w], tags[w], per_line[w])
-                for w in range(ways)]
+        tags, dirty, _ = self._sets[set_index] or self._new_set()
+        return [LineState(tag is not None, is_dirty, tag)
+                for tag, is_dirty in zip(tags, dirty)]
 
     def dirty_count(self, set_index: int) -> int:
         self._check_set(set_index)
@@ -232,12 +213,12 @@ class Cache:
     # -- accesses -----------------------------------------------------------
 
     def read(self, line: LineRef) -> AccessOutcome:
-        return self.access(line, _READ)
+        return self.access(line, False)
 
     def write(self, line: LineRef) -> AccessOutcome:
-        return self.access(line, _WRITE)
+        return self.access(line, True)
 
-    def access(self, line: LineRef, kind: AccessKind) -> AccessOutcome:
+    def access(self, line: LineRef, is_write: bool) -> AccessOutcome:
         geo = self.geometry
         actor, address = line
         if not 0 <= address < ADDRESS_SPACE:
@@ -255,7 +236,6 @@ class Cache:
             record = self._sets[set_index] = self._new_set()
         tags, dirty, meta = record
         tag = (actor, address >> geo.tag_shift)
-        is_write = kind is _WRITE
 
         stats = self.counters.get(actor)
         if stats is None:

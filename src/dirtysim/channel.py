@@ -19,12 +19,13 @@ from typing import NamedTuple, Optional
 
 from .analysis import (DEFAULT_ALIGN_WINDOW, PreambleLockError,
                        align_by_preamble, bit_error_rate, rate_kbps)
-from .cache import (Cache, CacheGeometry, LatencyModel, WritePolicy,
-                    make_line)
+from .cache import (DEFAULT_GEOMETRY, DEFAULT_LATENCY, Cache, CacheGeometry,
+                    LatencyModel, WritePolicy, make_line)
 from .measurement import (DEFAULT_RSET_SIZE, RECEIVER, RSET_TAG_BASES, SENDER,
                           ReplacementSet, build_replacement_set,
                           check_rset_size, fill_set,
                           measure_replacement_latency, prime_dirty_probe)
+from .policy import POLICIES
 from .seeding import derive_seed
 
 NOISE = "noise"
@@ -71,8 +72,8 @@ class BinaryEncoding(Encoding):
     name = "binary"
 
     def __post_init__(self):
-        if not 1 <= self.d_one <= 8:
-            raise ValueError("d_one must be in 1..8")
+        if self.d_one < 1:
+            raise ValueError("d_one must be >= 1")
 
     @property
     def levels(self):
@@ -113,7 +114,6 @@ class NoiseConfig:
 
     rate: float = 0.0
     kind_mix: float = 0.0  # probability a noise event is a write (dirty)
-    target: Optional[int] = None  # defaults to the channel's target set
 
     def __post_init__(self):
         if self.rate < 0:
@@ -139,9 +139,6 @@ class ChannelConfig:
     policy: str = "lru"
     latency: LatencyModel = field(default_factory=LatencyModel)
 
-    def with_updates(self, **changes) -> "ChannelConfig":
-        return dataclasses.replace(self, **changes)
-
     def validate(self):
         if self.t_s < 2:
             raise ValueError("t_s must be at least 2 cycles, so the decode at "
@@ -149,9 +146,8 @@ class ChannelConfig:
         if not 0 <= self.target_set < self.geometry.num_sets:
             raise ValueError("target_set outside geometry")
         check_rset_size(self.rset_size, self.geometry)
-        if (self.noise is not None and self.noise.target is not None
-                and not 0 <= self.noise.target < self.geometry.num_sets):
-            raise ValueError("noise target outside geometry")
+        if self.policy not in POLICIES:
+            raise ValueError(f"unknown replacement policy {self.policy!r}")
         k = self.encoding.bits_per_symbol
         for label, bits in (("preamble", self.preamble), ("message", self.message)):
             if any(c not in "01" for c in bits):
@@ -176,7 +172,7 @@ class ChannelConfig:
         geometry = dataclasses.replace(
             self.geometry, write_policy=WritePolicy.WRITE_BACK_ALLOCATE,
             partition=None)
-        return self.with_updates(geometry=geometry, noise=None)
+        return dataclasses.replace(self, geometry=geometry, noise=None)
 
 
 # -- thresholds --------------------------------------------------------------
@@ -329,9 +325,6 @@ def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> 
                   seed=derive_seed(cfg.seed, "cache"))
     noise_rng = random.Random(derive_seed(cfg.seed, "noise"))
     slip_rng = random.Random(derive_seed(cfg.seed, "slip"))
-    noise_target = cfg.target_set
-    if cfg.noise is not None and cfg.noise.target is not None:
-        noise_target = cfg.noise.target
     noise_offset = max(1, cfg.t_s // 4)
 
     # (cycle, sender < noise < receiver, symbol index) is unique per event.
@@ -374,11 +367,11 @@ def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> 
                                     enc.levels[int(bits, 2)], sample.total_cycles,
                                     bits, symbol))
         else:
-            line = make_line(NOISE, noise_target, noise_tag, cfg.geometry)
+            line = make_line(NOISE, cfg.target_set, noise_tag, cfg.geometry)
             noise_tag += 1
             outcome = (cache.write(line) if action == "noise-write"
                        else cache.read(line))
-            trace.append(TraceEvent(cycle, NOISE, action, noise_target,
+            trace.append(TraceEvent(cycle, NOISE, action, cfg.target_set,
                                     "", outcome.latency, "", ""))
 
     received = "".join(received_parts)
@@ -389,7 +382,7 @@ def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> 
     except PreambleLockError:
         offset, locked = 0, False
     payload = received[offset + len(cfg.preamble):]
-    error = bit_error_rate(cfg.message, payload, offset)
+    error = bit_error_rate(cfg.message, payload)
 
     return ChannelReport(
         sent_bits=cfg.message,
@@ -400,7 +393,7 @@ def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> 
         rate_kbps=rate_kbps(cfg.t_s, k),
         alignment_offset=offset,
         preamble_locked=locked,
-        counters={actor: c.as_dict() for actor, c in sorted(cache.counters.items())},
+        counters={actor: dataclasses.asdict(c) for actor, c in sorted(cache.counters.items())},
         cycles=cache.cycles,
         events=trace,
     )
@@ -421,22 +414,14 @@ class GadgetResult:
     inferred: int
     latencies: dict
 
-    def to_dict(self):
-        return {
-            "variant": self.variant,
-            "scenario": self.scenario,
-            "secret": self.secret,
-            "inferred": self.inferred,
-            "latencies": self.latencies,
-        }
-
 
 def run_gadget_attack(variant: str, scenario: str, secret: int, seed: int = 0, *,
                       line0_set: Optional[int] = None,
-                      line1_set: Optional[int] = None,
-                      geometry: Optional[CacheGeometry] = None,
-                      latency: Optional[LatencyModel] = None) -> GadgetResult:
+                      line1_set: Optional[int] = None) -> GadgetResult:
     """Recover a victim's secret-dependent access through replacement latency.
+
+    LRU only: the cache is the default geometry and latency model under LRU,
+    and the cuts below assume its deterministic victim order.
 
     Scenario set-state-dirty: the attacker primes a set clean and detects the
     dirty line the victim's store leaves behind (variant a only; the two
@@ -446,7 +431,6 @@ def run_gadget_attack(variant: str, scenario: str, secret: int, seed: int = 0, *
     victim-timing: the victim's own access time separates a dirty eviction
     from a clean one (either variant, different sets).
     """
-    variant = str(variant).lower().replace("listing", "").strip("-_ ")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     scenario = _SCENARIO_ALIASES.get(str(scenario), str(scenario))
@@ -460,8 +444,7 @@ def run_gadget_attack(variant: str, scenario: str, secret: int, seed: int = 0, *
     if scenario == "prime-with-dirty" and variant != "b":
         raise ValueError("prime-with-dirty needs the load-only gadget (variant b)")
 
-    geo = geometry or CacheGeometry()
-    lat = latency or LatencyModel()
+    geo, lat = DEFAULT_GEOMETRY, DEFAULT_LATENCY
     set_i = 1 if line0_set is None else line0_set
     if line1_set is None:
         set_j = set_i if scenario == "set-state-dirty" else (set_i + 1) % geo.num_sets

@@ -8,6 +8,7 @@ emits CSV or JSON whose bytes depend only on the configuration.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -16,7 +17,6 @@ from . import analysis, channel, measurement, policy
 from .cache import CacheGeometry, LatencyModel, WritePolicy
 from .seeding import random_bits
 
-POLICY_CHOICES = ("lru", "tree-plru", "random")
 DEFENSE_CHOICES = ("none", "write-through", "partition")
 
 
@@ -142,8 +142,6 @@ def cmd_evict_prob(args):
     trials = int(args.trials if args.trials is not None else 10000)
     ns = _int_list(args.n) if args.n is not None else [8, 9, 10]
     pol = args.policy or "lru"
-    if pol not in POLICY_CHOICES:
-        raise ConfigError(f"unknown policy {pol!r}")
     lines = ["policy,N,trials,fraction"]
     for n in ns:
         result = policy.eviction_distance_experiment(pol, n, trials, seed)
@@ -221,7 +219,7 @@ def cmd_gadget(args):
         int(args.secret if args.secret is not None else 1), seed,
         line0_set=None if args.line0_set is None else int(args.line0_set),
         line1_set=None if args.line1_set is None else int(args.line1_set))
-    _emit(json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n", args.out)
+    _emit(json.dumps(dataclasses.asdict(result), indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 
@@ -244,7 +242,7 @@ def _add_channel_options(sub):
     sub.add_argument("--noise-rate", dest="noise_rate", type=float, default=None)
     sub.add_argument("--noise-write-prob", dest="noise_write_prob", type=float, default=None)
     sub.add_argument("--defense", choices=DEFENSE_CHOICES, default=None)
-    sub.add_argument("--policy", choices=POLICY_CHOICES, default=None)
+    sub.add_argument("--policy", choices=policy.POLICIES, default=None)
     sub.add_argument("--jitter", type=int, default=None)
     sub.add_argument("--slip", type=int, default=None)
     sub.add_argument("--target-set", dest="target_set", type=int, default=None)
@@ -259,7 +257,7 @@ def build_parser():
 
     p = commands.add_parser("evict-prob", help="eviction probability vs replacement-set size")
     _add_common(p)
-    p.add_argument("--policy", choices=POLICY_CHOICES, default=None)
+    p.add_argument("--policy", choices=policy.POLICIES, default=None)
     p.add_argument("--n", default=None, help="replacement-set sizes, e.g. '8,9,10'")
     p.set_defaults(func=cmd_evict_prob)
 
@@ -272,7 +270,7 @@ def build_parser():
     p = commands.add_parser("latency-cdf", help="replacement-latency samples per dirty count")
     _add_common(p)
     p.add_argument("--d-values", dest="d_values", default=None)
-    p.add_argument("--policy", choices=POLICY_CHOICES, default=None)
+    p.add_argument("--policy", choices=policy.POLICIES, default=None)
     p.add_argument("--jitter", type=int, default=None)
     p.add_argument("--target-set", dest="target_set", type=int, default=None)
     p.add_argument("--rset-size", dest="rset_size", type=int, default=None)
@@ -290,7 +288,8 @@ def build_parser():
     p.add_argument("--periods", default=None)
     p.set_defaults(func=cmd_sweep)
 
-    p = commands.add_parser("gadget", help="secret recovery through the three side-channel scenarios")
+    p = commands.add_parser("gadget", help="secret recovery through the three side-channel "
+                            "scenarios (LRU only)")
     _add_common(p)
     p.add_argument("--variant", choices=channel.VARIANTS, default=None)
     p.add_argument("--scenario", default=None,

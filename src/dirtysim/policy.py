@@ -18,8 +18,6 @@ from .seeding import derive_seed
 class ReplacementPolicy:
     """Base interface: per-set metadata plus victim choice and touch update."""
 
-    name = "base"
-
     def new_set_meta(self):
         raise NotImplementedError
 
@@ -39,8 +37,6 @@ class ReplacementPolicy:
 
 class TrueLRU(ReplacementPolicy):
     """Exact LRU: every way carries a recency stamp from a shared counter."""
-
-    name = "lru"
 
     def __init__(self, ways: int = 8):
         self.ways = ways
@@ -73,8 +69,6 @@ class TreePLRU(ReplacementPolicy):
     the pointed-to child; touching a way sets every bit on its root path to
     point away from it.
     """
-
-    name = "tree-plru"
 
     def __init__(self, ways: int = 8):
         if ways < 2 or ways & (ways - 1):
@@ -123,8 +117,6 @@ class TreePLRU(ReplacementPolicy):
 class RandomPolicy(ReplacementPolicy):
     """Uniform victim choice from a seeded generator; no per-set metadata."""
 
-    name = "random"
-
     def __init__(self, seed: int = 0, ways: int = 8):
         self.ways = ways
         self._seed = seed
@@ -145,7 +137,7 @@ class RandomPolicy(ReplacementPolicy):
         return self._rng.choice(candidates)
 
 
-_POLICY_NAMES = {
+POLICIES = {  # name -> class; the one list of accepted policy names
     "lru": TrueLRU,
     "tree-plru": TreePLRU,
     "random": RandomPolicy,
@@ -155,7 +147,7 @@ _POLICY_NAMES = {
 def make_policy(name: str, ways: int = 8, seed: int = 0) -> ReplacementPolicy:
     """Build a fresh policy from its name: 'lru', 'tree-plru' or 'random'."""
     try:
-        cls = _POLICY_NAMES[name]
+        cls = POLICIES[name]
     except KeyError:
         raise ValueError(f"unknown replacement policy {name!r}") from None
     if cls is RandomPolicy:
@@ -167,8 +159,6 @@ def make_policy(name: str, ways: int = 8, seed: int = 0) -> ReplacementPolicy:
 class EvictionExperimentResult:
     """Outcome of one Monte-Carlo eviction experiment."""
 
-    replacement_set_size: int
-    dirty_count: int
     trials: int
     evicted_fraction: float
 
@@ -206,7 +196,7 @@ def eviction_distance_experiment(policy, n: int, trials: int, seed: int,
             pol.on_access(meta, victim)
         if 0 not in occupants:
             successes += 1
-    return EvictionExperimentResult(n, 1, trials, successes / trials)
+    return EvictionExperimentResult(trials, successes / trials)
 
 
 def dirty_eviction_experiment(d: int, l: int, trials: int, seed: int,
@@ -239,7 +229,7 @@ def dirty_eviction_experiment(d: int, l: int, trials: int, seed: int,
                 dirty[victim] = False
         if evicted_one:
             successes += 1
-    return EvictionExperimentResult(l, d, trials, successes / trials)
+    return EvictionExperimentResult(trials, successes / trials)
 
 
 def analytic_dirty_eviction_probability(ways: int, d: int, l: int) -> float:

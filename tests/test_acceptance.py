@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion.  Tolerances are pinned here, not configurable.
 """
 
+import dataclasses
 import functools
 import json
 import random
@@ -124,7 +125,7 @@ def test_criterion_07_noiseless_end_to_end():
         template = ChannelConfig(encoding=encoding, message=message, seed=SEED)
         thresholds = calibrate_thresholds(template)
         for period in periods:
-            cfg = template.with_updates(t_s=period)
+            cfg = dataclasses.replace(template, t_s=period)
             report = run_channel(cfg, thresholds=thresholds)
             assert report.ber == 0.0, (encoding.d_label, period)
 

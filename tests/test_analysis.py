@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -180,7 +182,7 @@ def test_wider_margin_resists_identical_dirty_noise():
     noise = NoiseConfig(rate=0.2, kind_mix=1.0)
     slim = ChannelConfig(message=random_bits(64, 8), seed=8, noise=noise,
                          encoding=BinaryEncoding(1))
-    wide = slim.with_updates(encoding=BinaryEncoding(8))
+    wide = dataclasses.replace(slim, encoding=BinaryEncoding(8))
     slim_rows = sweep_ber_vs_rate(slim, periods=(1600, 5500), trials=3)
     wide_rows = sweep_ber_vs_rate(wide, periods=(1600, 5500), trials=3)
     for s, w in zip(slim_rows, wide_rows):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirtysim.cache import (AccessKind, Cache, CacheGeometry, LatencyModel,
-                            LineRef, OutcomeKind, WritePolicy, make_line)
+from dirtysim.cache import (Cache, CacheGeometry, LatencyModel, LineRef,
+                            OutcomeKind, WritePolicy, make_line)
 
 WT = WritePolicy.WRITE_THROUGH_NO_ALLOCATE
 
@@ -206,9 +206,8 @@ def test_determinism_random_policy_with_jitter():
         cache = Cache(policy="random", latency=LatencyModel(jitter=3), seed=42)
         outcomes = []
         for t in range(200):
-            kind = AccessKind.WRITE if t % 3 else AccessKind.READ
-            outcomes.append(cache.access(make_line("a", t % 2, t % 12), kind))
-        return outcomes, {a: c.as_dict() for a, c in cache.counters.items()}, cache.cycles
+            outcomes.append(cache.access(make_line("a", t % 2, t % 12), t % 3 != 0))
+        return outcomes, {a: dataclasses.asdict(c) for a, c in cache.counters.items()}, cache.cycles
 
     assert run() == run()
 
@@ -225,13 +224,12 @@ def test_counter_conservation(ops):
     cache = Cache()
     dirty_evictions = 0
     for actor, set_index, tag, is_write in ops:
-        kind = AccessKind.WRITE if is_write else AccessKind.READ
-        out = cache.access(make_line(actor, set_index, tag), kind)
+        out = cache.access(make_line(actor, set_index, tag), is_write)
         dirty_evictions += out.kind is OutcomeKind.MISS_EVICT_DIRTY
         assert out.writeback == (out.kind is OutcomeKind.MISS_EVICT_DIRTY)
     total = {"loads": 0, "stores": 0, "l1_hits": 0, "l1_misses": 0, "writebacks": 0}
     for counters in cache.counters.values():
-        for key, value in counters.as_dict().items():
+        for key, value in dataclasses.asdict(counters).items():
             total[key] += value
     assert total["l1_hits"] + total["l1_misses"] == total["loads"] + total["stores"]
     assert total["writebacks"] == dirty_evictions
@@ -243,8 +241,7 @@ def test_dirty_lines_only_clean_by_eviction(ops):
     cache = Cache()
     dirty_tags = set()
     for actor, set_index, tag, is_write in ops:
-        kind = AccessKind.WRITE if is_write else AccessKind.READ
-        cache.access(make_line(actor, set_index, tag), kind)
+        cache.access(make_line(actor, set_index, tag), is_write)
         resident = {(set_index, s.tag) for s in cache.snapshot_set(set_index) if s.valid}
         now_dirty = {(set_index, s.tag) for s in cache.snapshot_set(set_index) if s.dirty}
         # a previously dirty line that is still resident must still be dirty
@@ -259,7 +256,6 @@ def test_dirty_lines_only_clean_by_eviction(ops):
 def test_write_through_never_writes_back(ops):
     cache = Cache(CacheGeometry(write_policy=WT))
     for actor, set_index, tag, is_write in ops:
-        kind = AccessKind.WRITE if is_write else AccessKind.READ
-        out = cache.access(make_line(actor, set_index, tag), kind)
+        out = cache.access(make_line(actor, set_index, tag), is_write)
         assert out.kind is not OutcomeKind.MISS_EVICT_DIRTY
         assert not out.writeback

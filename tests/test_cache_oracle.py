@@ -5,12 +5,14 @@ both models; after every access the outcome kind, victim way, writeback flag,
 latency, per-actor counters, cycle total and the set's dirty count must agree.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirtysim.cache import (AccessKind, Cache, CacheGeometry, LatencyModel,
-                            LineRef, WritePolicy, make_line)
+from dirtysim.cache import (Cache, CacheGeometry, LatencyModel, LineRef,
+                            WritePolicy, make_line)
 from oracles import ReferenceCache
 
 NUM_SETS = 2
@@ -44,9 +46,9 @@ def test_cache_matches_reference(policy, mode, stream, seed, jitter):
             actor = "a"
         line = make_line(actor, set_index, tag, geo)
         line = LineRef(actor, line.address + offset)
-        got = cache.access(line, AccessKind.WRITE if write else AccessKind.READ)
+        got = cache.access(line, write)
         want = ref.access(actor, line.address, write)
         assert (got.kind.value, got.victim_way, got.writeback, got.latency) == want
-        assert {a: c.as_dict() for a, c in cache.counters.items()} == ref.counters
+        assert {a: dataclasses.asdict(c) for a, c in cache.counters.items()} == ref.counters
         assert cache.cycles == ref.cycles
         assert cache.dirty_count(set_index) == ref.dirty_count(set_index)

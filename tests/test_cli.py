@@ -161,6 +161,32 @@ def test_period_below_two_cycles_is_config_error(capsys):
     assert "t_s must be at least 2" in captured.err
 
 
+def test_d_one_above_associativity_is_config_error(capsys):
+    assert run_cli("run-channel", "--seed", "1", "--message-bits", "16",
+                   "--d-one", "9") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:")
+    assert "encoding level exceeds associativity" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("run-channel", "--message-bits", "16"),
+    ("sweep", "--message-bits", "16", "--trials", "1", "--periods", "1600"),
+    ("evict-prob", "--n", "8", "--trials", "10"),
+    ("latency-cdf", "--d-values", "0", "--trials", "1"),
+])
+def test_unknown_policy_in_config_file_is_config_error(argv, tmp_path, capsys):
+    # A config file bypasses argparse's --policy choices.
+    config = tmp_path / "run.cfg"
+    config.write_text("policy = mru\n")
+    assert run_cli(*argv, "--seed", "1", "--config", str(config)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:")
+    assert "unknown replacement policy 'mru'" in captured.err
+
+
 def test_latency_cdf_small_rset_is_config_error(capsys):
     assert run_cli("latency-cdf", "--seed", "1", "--d-values", "0,8", "--trials", "2",
                    "--rset-size", "4") == 2
