@@ -12,13 +12,14 @@ SEED = 7
 print("Eviction probability of a freshly written line in an 8-way set")
 print("(replacement set of N distinct fresh lines, %d trials per cell)" % TRIALS)
 print()
+# One run per policy gives its whole curve: evicted_within[n - 1] is the
+# fraction of trials whose probe line was out within n insertions.
+curves = [eviction_distance_experiment(policy, 12, TRIALS, seed=SEED).evicted_within
+          for policy in ("lru", "tree-plru", "random")]
 print("   N   true-LRU   tree-PLRU   random")
 for n in range(6, 13):
-    row = [n]
-    for policy in ("lru", "tree-plru", "random"):
-        result = eviction_distance_experiment(policy, n, TRIALS, seed=SEED)
-        row.append(result.evicted_fraction)
-    print("  %2d    %6.1f%%     %6.1f%%   %6.1f%%" % (row[0], 100 * row[1], 100 * row[2], 100 * row[3]))
+    lru, plru, rand = (curve[n - 1] for curve in curves)
+    print("  %2d    %6.1f%%     %6.1f%%   %6.1f%%" % (n, 100 * lru, 100 * plru, 100 * rand))
 
 print("""
 Reading the table:

@@ -131,8 +131,13 @@ def _channel_config(args, seed):
     )
 
 
-def _int_list(text):
-    return [int(v) for v in str(text).replace(",", " ").split()]
+def _int_list(text, default, name, low=0):
+    if text is None:
+        return default
+    values = [int(v) for v in str(text).replace(",", " ").split()]
+    if not values or min(values) < low:
+        raise ConfigError(f"{name} must be a non-empty list of integers >= {low}")
+    return values
 
 
 # -- commands ----------------------------------------------------------------
@@ -140,12 +145,12 @@ def _int_list(text):
 def cmd_evict_prob(args):
     seed = _require_seed(args)
     trials = int(args.trials if args.trials is not None else 10000)
-    ns = _int_list(args.n) if args.n is not None else [8, 9, 10]
+    ns = _int_list(args.n, [8, 9, 10], "n", low=1)
     pol = args.policy or "lru"
+    curve = policy.eviction_distance_experiment(pol, max(ns), trials, seed).evicted_within
     lines = ["policy,N,trials,fraction"]
     for n in ns:
-        result = policy.eviction_distance_experiment(pol, n, trials, seed)
-        lines.append(f"{pol},{n},{trials},{result.evicted_fraction:.4f}")
+        lines.append(f"{pol},{n},{trials},{curve[n - 1]:.4f}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -153,15 +158,15 @@ def cmd_evict_prob(args):
 def cmd_dirty_evict(args):
     seed = _require_seed(args)
     trials = int(args.trials if args.trials is not None else 10000)
-    ds = _int_list(args.d) if args.d is not None else [2, 3]
-    ls = _int_list(args.l) if args.l is not None else [8, 9, 10, 11, 12, 13]
+    ds = _int_list(args.d, [2, 3], "d")
+    ls = _int_list(args.l, [8, 9, 10, 11, 12, 13], "l", low=1)
     ways = CacheGeometry().associativity
     lines = ["d,L,trials,mc_fraction,analytic_p"]
     for d in sorted(ds):
+        curve = policy.dirty_eviction_experiment(d, max(ls), trials, seed).evicted_within
         for l in sorted(ls):
             analytic = policy.analytic_dirty_eviction_probability(ways, d, l)
-            mc = policy.dirty_eviction_experiment(d, l, trials, seed).evicted_fraction
-            lines.append(f"{d},{l},{trials},{mc:.4f},{analytic:.4f}")
+            lines.append(f"{d},{l},{trials},{curve[l - 1]:.4f},{analytic:.4f}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -170,7 +175,7 @@ def cmd_latency_cdf(args):
     seed = _require_seed(args)
     trials = int(args.trials if args.trials is not None else 1000)
     ways = CacheGeometry().associativity
-    ds = _int_list(args.d_values) if args.d_values is not None else list(range(ways + 1))
+    ds = _int_list(args.d_values, list(range(ways + 1)), "d-values")
     table = measurement.latency_cdf(
         ds, trials, seed, policy=args.policy or "lru", latency=_latency(args.jitter),
         target_set=int(args.target_set or 0),
@@ -199,8 +204,7 @@ def cmd_run_channel(args):
 
 def cmd_sweep(args):
     seed = _require_seed(args)
-    periods = (_int_list(args.periods) if args.periods is not None
-               else list(analysis.DEFAULT_PERIODS))
+    periods = _int_list(args.periods, list(analysis.DEFAULT_PERIODS), "periods")
     trials = int(args.trials if args.trials is not None else 3)
     cfg = _channel_config(args, seed)
     rows = analysis.sweep_ber_vs_rate(cfg, periods, trials)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .seeding import derive_seed
 
@@ -157,20 +158,28 @@ def make_policy(name: str, ways: int = 8, seed: int = 0) -> ReplacementPolicy:
 
 @dataclass(frozen=True)
 class EvictionExperimentResult:
-    """Outcome of one Monte-Carlo eviction experiment."""
+    """Outcome of one Monte-Carlo eviction experiment, as a curve over draws.
+
+    `evicted_within[k]` is the fraction of trials evicted within k + 1
+    draws.  Every point of the curve comes from the same trials, so one run
+    with the largest n (or l) gives the whole table.
+    """
 
     trials: int
-    evicted_fraction: float
+    evicted_within: tuple[float, ...]
+
+    @property
+    def evicted_fraction(self) -> float:
+        return self.evicted_within[-1]
 
 
 def eviction_distance_experiment(policy, n: int, trials: int, seed: int,
                                  ways: int = 8) -> EvictionExperimentResult:
-    """Measure how often a freshly dirtied line survives n follow-up insertions.
+    """Measure how often a freshly dirtied line survives up to n follow-up insertions.
 
     Per trial: a full set of unrelated valid lines with randomized policy
-    metadata, one write installing the probe line (making it dirty), then n
-    distinct fresh lines.  Returns the fraction of trials in which the probe
-    line was evicted.
+    metadata, one write installing the probe line (making it dirty), then up
+    to n distinct fresh lines, stopping at the one that evicts the probe.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -180,34 +189,33 @@ def eviction_distance_experiment(policy, n: int, trials: int, seed: int,
         raise ValueError(f"n={n} above practical cap {4 * ways}")
     pol = make_policy(policy, ways)
     candidates = tuple(range(ways))
-    successes = 0
+    first = [0] * n  # first[j]: trials whose probe line insertion j + 1 evicted
     for t in range(trials):
         rng = random.Random(derive_seed(seed, "evict-dist", t))
         pol.reset(seed=derive_seed(seed, "evict-dist-victims", t))
         meta = pol.new_set_meta()
-        occupants = list(range(-ways, 0))  # unrelated prefill
         pol.randomize_meta(meta, rng)
-        victim = pol.select_victim(meta, candidates)
-        occupants[victim] = 0  # probe line, dirty
-        pol.on_access(meta, victim)
-        for j in range(1, n + 1):
+        probe = pol.select_victim(meta, candidates)
+        pol.on_access(meta, probe)
+        for j in range(n):
             victim = pol.select_victim(meta, candidates)
-            occupants[victim] = j
+            if victim == probe:
+                first[j] += 1
+                break
             pol.on_access(meta, victim)
-        if 0 not in occupants:
-            successes += 1
-    return EvictionExperimentResult(trials, successes / trials)
+    return EvictionExperimentResult(trials, tuple(c / trials for c in accumulate(first)))
 
 
 def dirty_eviction_experiment(d: int, l: int, trials: int, seed: int,
                               ways: int = 8) -> EvictionExperimentResult:
-    """Probability that >= 1 of d dirty lines is evicted by l random-policy misses.
+    """Probability that >= 1 of d dirty lines is evicted by up to l random-policy misses.
 
-    Models a full set holding d dirty lines (kept resident, as by looping over
-    them) and ways-d clean lines, then l distinct replacement lines installed
-    under uniform random victim selection.  Self-eviction of replacement lines
-    is allowed.  Victim draws depend only on (seed, trial), so fractions are
-    pathwise monotone in both d and l for a fixed seed.
+    Models a full set holding d dirty lines in ways 0..d-1 (kept resident, as
+    by looping over them) and ways-d clean lines, then up to l distinct
+    replacement lines, which may evict each other, under uniform random
+    victim selection; a trial stops at its first dirty victim.  Victim draws
+    depend only on (seed, trial), so fractions are pathwise monotone in both
+    d and l for a fixed seed.
     """
     if not 0 <= d <= ways:
         raise ValueError(f"d={d} outside 0..{ways}")
@@ -217,19 +225,14 @@ def dirty_eviction_experiment(d: int, l: int, trials: int, seed: int,
         raise ValueError("trials must be >= 1")
     pol = RandomPolicy(ways=ways)
     candidates = tuple(range(ways))
-    successes = 0
+    first = [0] * l  # first[j]: trials whose first dirty victim was draw j + 1
     for t in range(trials):
         pol.reset(seed=derive_seed(seed, "dirty-evict", t))
-        dirty = [w < d for w in range(ways)]
-        evicted_one = False
-        for _ in range(l):
-            victim = pol.select_victim(None, candidates)
-            if dirty[victim]:
-                evicted_one = True
-                dirty[victim] = False
-        if evicted_one:
-            successes += 1
-    return EvictionExperimentResult(trials, successes / trials)
+        for j in range(l):
+            if pol.select_victim(None, candidates) < d:
+                first[j] += 1
+                break
+    return EvictionExperimentResult(trials, tuple(c / trials for c in accumulate(first)))
 
 
 def analytic_dirty_eviction_probability(ways: int, d: int, l: int) -> float:

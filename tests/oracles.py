@@ -4,11 +4,17 @@ Kept deliberately different in structure from the package code: the edit
 distances are a memoized recursion and a Wagner-Fischer DP table instead of
 bit vectors, the tree-PLRU model walks an integer bitmask instead of a
 list of node bits, and the reference cache keeps one dict per set with an
-explicit recency list instead of tag lists and policy metadata.
+explicit recency list instead of tag lists and policy metadata.  The two
+Monte-Carlo experiments are replayed one grid point at a time, with every
+draw made and the evictions read off per-way lists at the end, where the
+package records each trial's first eviction and stops.
 """
 
 import random
 from functools import lru_cache
+
+from dirtysim.policy import make_policy
+from dirtysim.seeding import derive_seed
 
 WAYS = 8
 
@@ -97,6 +103,57 @@ def plru_eviction_fraction(n, ways=WAYS):
         if "probe" not in occupants:
             evicted += 1
     return evicted / states
+
+
+def eviction_distance_fraction(policy, n, trials, seed, ways=WAYS):
+    """Fraction of trials whose probe line is gone after exactly n insertions.
+
+    Same trials as `eviction_distance_experiment`: a prefilled set with
+    randomized metadata, the probe line installed at the policy's victim,
+    then all n fresh insertions, each touching its way.
+    """
+    pol = make_policy(policy, ways)
+    candidates = tuple(range(ways))
+    successes = 0
+    for t in range(trials):
+        rng = random.Random(derive_seed(seed, "evict-dist", t))
+        pol.reset(seed=derive_seed(seed, "evict-dist-victims", t))
+        meta = pol.new_set_meta()
+        occupants = list(range(-ways, 0))  # unrelated prefill
+        pol.randomize_meta(meta, rng)
+        victim = pol.select_victim(meta, candidates)
+        occupants[victim] = 0  # probe line, dirty
+        pol.on_access(meta, victim)
+        for j in range(1, n + 1):
+            victim = pol.select_victim(meta, candidates)
+            occupants[victim] = j
+            pol.on_access(meta, victim)
+        if 0 not in occupants:
+            successes += 1
+    return successes / trials
+
+
+def dirty_eviction_fraction(d, l, trials, seed, ways=WAYS):
+    """Fraction of trials in which l uniform victim draws evict a dirty line.
+
+    Ways 0..d-1 start dirty; each trial draws with `choice` from its own
+    `random.Random(derive_seed(seed, "dirty-evict", t))`, as the package's
+    random policy does, and cleans every dirty way it hits.
+    """
+    candidates = tuple(range(ways))
+    successes = 0
+    for t in range(trials):
+        rng = random.Random(derive_seed(seed, "dirty-evict", t))
+        dirty = [w < d for w in range(ways)]
+        evicted_one = False
+        for _ in range(l):
+            victim = rng.choice(candidates)
+            if dirty[victim]:
+                evicted_one = True
+                dirty[victim] = False
+        if evicted_one:
+            successes += 1
+    return successes / trials
 
 
 class ReferenceCache:

@@ -6,6 +6,8 @@ import pytest
 
 from dirtysim.cli import main
 
+from oracles import dirty_eviction_fraction, eviction_distance_fraction
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -193,6 +195,52 @@ def test_latency_cdf_small_rset_is_config_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error:") and "rset_size 4" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("evict-prob", "--n", "0,8"),
+    ("evict-prob", "--n", "8,33"),
+    ("evict-prob", "--n", "8", "--trials", "0"),
+    ("evict-prob", "--n", ""),
+    ("dirty-evict", "--l", "0,8"),
+    ("dirty-evict", "--d", "9"),
+    ("dirty-evict", "--trials", "0"),
+    ("dirty-evict", "--d", ""),
+    ("dirty-evict", "--l", ""),
+    ("dirty-evict", "--d", "", "--l", "0"),
+    ("latency-cdf", "--d-values", ""),
+    ("sweep", "--periods", "", "--message-bits", "16", "--trials", "1"),
+])
+def test_bad_or_empty_list_is_config_error(argv, capsys):
+    # The experiments run once, at the largest n or l, so every element of
+    # a list must still be checked before that run.
+    assert run_cli(*argv, "--seed", "1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:")
+
+
+def test_experiments_run_once_per_curve(monkeypatch, tmp_path):
+    import dirtysim.policy as policy
+    calls = []
+    for name in ("eviction_distance_experiment", "dirty_eviction_experiment"):
+        original = getattr(policy, name)
+        monkeypatch.setattr(policy, name, lambda *a, _name=name, _original=original, **kw:
+                            calls.append((_name, a[:2])) or _original(*a, **kw))
+    out = tmp_path / "evict.csv"
+    run_cli("evict-prob", "--policy", "random", "--n", "9,3,12,9", "--trials", "40",
+            "--seed", "6", "--out", str(out))
+    assert calls == [("eviction_distance_experiment", ("random", 12))]
+    assert out.read_text().splitlines()[1:] == [
+        f"random,{n},40,{eviction_distance_fraction('random', n, 40, 6):.4f}"
+        for n in (9, 3, 12, 9)]
+    calls.clear()
+    run_cli("dirty-evict", "--d", "3,0,1", "--l", "13,2,8", "--trials", "40",
+            "--seed", "6", "--out", str(out))
+    assert calls == [("dirty_eviction_experiment", (d, 13)) for d in (0, 1, 3)]
+    assert [row.split(",")[:4] for row in out.read_text().splitlines()[1:]] == [
+        [str(d), str(l), "40", f"{dirty_eviction_fraction(d, l, 40, 6):.4f}"]
+        for d in (0, 1, 3) for l in (2, 8, 13)]
 
 
 def test_config_file_merge_and_flag_override(tmp_path):

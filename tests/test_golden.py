@@ -2,12 +2,16 @@
 
 Criterion 12 only shows that one build repeats itself; these files pin the
 bytes themselves, so a refactor that changes any number fails here.  The
-files were written by the code before the lean-cache refactor.  To rewrite
-them after an intended change of output, run from the repo root:
+CLI files were written by the code before the lean-cache refactor, and the
+demo files (the stdout of demos 01 and 02) by the code before the
+experiments returned whole curves.  To rewrite them after an intended change
+of output, run from the repo root:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,8 +19,14 @@ import pytest
 
 from dirtysim.cli import main as cli_main
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 SEED = 2024
+# golden name -> demo script whose stdout it holds
+DEMOS = {
+    "demo-01": "01_eviction_probability.py",
+    "demo-02": "02_random_replacement.py",
+}
 
 # name -> argv without --seed/--out.  A run-channel case whose name ends in
 # "-trace" also writes its event trace to <name>.trace.csv.
@@ -77,6 +87,16 @@ def run_case(name, out_dir):
     return paths
 
 
+def run_demo(name, cwd):
+    """Run one demo script with this checkout's package; return its stdout bytes."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / DEMOS[name])],
+                          cwd=cwd, env=env, capture_output=True, check=True)
+    return proc.stdout
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name, tmp_path):
     for path in run_case(name, tmp_path):
@@ -84,9 +104,15 @@ def test_output_matches_golden(name, tmp_path):
         assert path.read_bytes() == golden.read_bytes(), f"{golden.name} differs"
 
 
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_demo_output_matches_golden(name, tmp_path):
+    assert run_demo(name, tmp_path) == (GOLDEN / f"{name}.out").read_bytes()
+
+
 def test_every_golden_file_has_a_case():
     expected = ({f"{name}.out" for name in CASES}
-                | {f"{name}.trace.csv" for name in CASES if name.endswith("-trace")})
+                | {f"{name}.trace.csv" for name in CASES if name.endswith("-trace")}
+                | {f"{name}.out" for name in DEMOS})
     assert {p.name for p in GOLDEN.iterdir()} == expected
 
 
@@ -94,4 +120,8 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case in sorted(CASES):
         for written in run_case(case, GOLDEN):
-            print(written.relative_to(GOLDEN.parent.parent), file=sys.stderr)
+            print(written.relative_to(ROOT), file=sys.stderr)
+    for demo in sorted(DEMOS):
+        written = GOLDEN / f"{demo}.out"
+        written.write_bytes(run_demo(demo, ROOT))
+        print(written.relative_to(ROOT), file=sys.stderr)

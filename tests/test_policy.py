@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirtysim.cache import Cache, make_line
-from dirtysim.policy import (RandomPolicy, TreePLRU, TrueLRU,
+from dirtysim.policy import (POLICIES, RandomPolicy, TreePLRU, TrueLRU,
                              analytic_dirty_eviction_probability,
                              dirty_eviction_experiment,
                              eviction_distance_experiment, make_policy)
 from dirtysim.seeding import derive_seed
 
-from oracles import plru_eviction_fraction, plru_touch, plru_victim
+from oracles import (dirty_eviction_fraction, eviction_distance_fraction,
+                     plru_eviction_fraction, plru_touch, plru_victim)
 
 ALL = tuple(range(8))
 
@@ -161,6 +162,18 @@ def test_eviction_distance_random_policy_matches_closed_form():
     assert abs(result.evicted_fraction - expected) < 3 * sigma
 
 
+@settings(max_examples=100, deadline=None)
+@given(policy=st.sampled_from(sorted(POLICIES)), n=st.integers(1, 20),
+       trials=st.integers(1, 50), seed=st.integers())
+def test_eviction_distance_curve_matches_per_point_oracle(policy, n, trials, seed):
+    result = eviction_distance_experiment(policy, n, trials, seed)
+    assert result.trials == trials
+    assert len(result.evicted_within) == n
+    for k in range(1, n + 1):
+        assert result.evicted_within[k - 1] == eviction_distance_fraction(policy, k, trials, seed), k
+    assert result.evicted_fraction == result.evicted_within[-1]
+
+
 def test_eviction_distance_validation():
     with pytest.raises(ValueError):
         eviction_distance_experiment("lru", 0, 10, seed=0)
@@ -198,6 +211,18 @@ def test_dirty_eviction_monotone_in_d_and_l_for_fixed_seed():
             assert grid[(d, l)] <= grid[(d + 1, l)]
     for d in (1, 2, 3):
         assert grid[(d, 8)] <= grid[(d, 10)] <= grid[(d, 13)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(0, 8), l=st.integers(1, 20), trials=st.integers(1, 50),
+       seed=st.integers())
+def test_dirty_eviction_curve_matches_per_point_oracle(d, l, trials, seed):
+    result = dirty_eviction_experiment(d, l, trials, seed)
+    assert result.trials == trials
+    assert len(result.evicted_within) == l
+    for k in range(1, l + 1):
+        assert result.evicted_within[k - 1] == dirty_eviction_fraction(d, k, trials, seed), k
+    assert result.evicted_fraction == result.evicted_within[-1]
 
 
 def test_dirty_eviction_validation():
