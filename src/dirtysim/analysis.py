@@ -130,6 +130,8 @@ def sweep_ber_vs_rate(cfg_template, periods=DEFAULT_PERIODS, trials: int = 3):
 
     if not periods:
         raise ValueError("periods must be non-empty")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     cfg_template.validate()
     calibration = channel.calibrate_thresholds(cfg_template)
     rows = []

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -101,7 +100,8 @@ def make_line(actor_id: str, set_index: int, tag: int,
     if tag < 0:
         raise ValueError("tag must be non-negative")
     address = (tag << geo.tag_shift) | (set_index << geo.offset_bits)
-    return LineRef(actor_id, address)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__ on this hot path.
+    return tuple.__new__(LineRef, (actor_id, address))
 
 
 class LineState(NamedTuple):
@@ -125,15 +125,6 @@ class LatencyModel:
     miss_clean: int = 11
     miss_dirty: int = 22
     jitter: int = 0
-
-    @cached_property
-    def _cost_table(self) -> dict:
-        """Cost of every outcome kind before jitter, filled once per model."""
-        return {OutcomeKind.HIT: self.hit,
-                OutcomeKind.MISS_FILL_INVALID: self.miss_clean,
-                OutcomeKind.MISS_EVICT_CLEAN: self.miss_clean,
-                OutcomeKind.MISS_EVICT_DIRTY: self.miss_dirty,
-                OutcomeKind.UNCACHED: self.miss_clean}
 
 
 class AccessOutcome(NamedTuple):
@@ -168,7 +159,6 @@ class Cache:
         self.latency = latency or DEFAULT_LATENCY
         self._policy_name = policy
         self._seed = seed
-        self._cost = self.latency._cost_table
         self._write_back = geo.write_policy is WritePolicy.WRITE_BACK_ALLOCATE
         # Victim candidates per actor: the sorted partition, or every way.
         if geo.partition is None:
@@ -245,6 +235,8 @@ class Cache:
         else:
             stats.loads += 1
 
+        cost = self.latency
+        latency = cost.miss_clean  # fills, clean evictions, uncached stores
         victim = None
         writeback = False
         if tag in tags:
@@ -254,13 +246,15 @@ class Cache:
                 dirty[way] = True
             self.policy.on_access(meta, way)
             outcome = _HIT
+            latency = cost.hit
         elif is_write and not self._write_back:
             # No-allocate store: memory is updated directly, cache untouched.
             stats.l1_misses += 1
             outcome = _UNCACHED
         else:
             stats.l1_misses += 1
-            for way in ways:
+            # The C-level `None in tags` spares a full set the Python loop.
+            for way in (ways if None in tags else ()):
                 if tags[way] is None:
                     victim = way
                     outcome = _FILL
@@ -269,6 +263,7 @@ class Cache:
                 victim = self.policy.select_victim(meta, ways)
                 if dirty[victim]:
                     outcome = _EVICT_DIRTY
+                    latency = cost.miss_dirty
                     writeback = True
                     stats.writebacks += 1
                 else:
@@ -277,12 +272,12 @@ class Cache:
             dirty[victim] = is_write and self._write_back
             self.policy.on_access(meta, victim)
 
-        latency = self._cost[outcome]
-        j = self.latency.jitter
+        j = cost.jitter
         if j:
             latency += self._jitter_rng.randint(-j, j)
         self.cycles += latency
-        return AccessOutcome(outcome, victim, writeback, latency)
+        # tuple.__new__ skips the NamedTuple's Python-level __new__ on this hot path.
+        return tuple.__new__(AccessOutcome, (outcome, victim, writeback, latency))
 
     def _check_set(self, set_index):
         if not 0 <= set_index < self.geometry.num_sets:

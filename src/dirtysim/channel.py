@@ -213,7 +213,7 @@ class Thresholds:
 
 def calibrate_thresholds(cfg: ChannelConfig, trials: int = 8,
                          seed: Optional[int] = None) -> Thresholds:
-    """Run `prime_dirty_probe` per level and place cuts at adjacent midpoints."""
+    """Run `prime_dirty_probe` per level (fresh caches, one chase order); cut at midpoints."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     cfg = cfg.calibration_view()
@@ -227,8 +227,7 @@ def calibrate_thresholds(cfg: ChannelConfig, trials: int = 8,
         for t in range(trials):
             cache = Cache(geo, cfg.policy, cfg.latency,
                           seed=derive_seed(base, "cache", d, t))
-            trial_rset = rset.rechased(derive_seed(base, "rset", d, t))
-            totals.append(prime_dirty_probe(cache, trial_rset, d).total_cycles)
+            totals.append(prime_dirty_probe(cache, rset, d).total_cycles)
         means.append(statistics.fmean(totals))
         stds.append(statistics.pstdev(totals))
     return Thresholds.from_level_stats(means, stds)
@@ -369,8 +368,7 @@ def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> 
         else:
             line = make_line(NOISE, cfg.target_set, noise_tag, cfg.geometry)
             noise_tag += 1
-            outcome = (cache.write(line) if action == "noise-write"
-                       else cache.read(line))
+            outcome = cache.access(line, action == "noise-write")
             trace.append(TraceEvent(cycle, NOISE, action, cfg.target_set,
                                     "", outcome.latency, "", ""))
 

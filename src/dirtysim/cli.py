@@ -90,6 +90,11 @@ def _geometry(defense):
     raise ConfigError(f"unknown defense {defense!r}")
 
 
+def _int_or(value, default):
+    """An option as an int; `default` only when it was not given (0 is kept)."""
+    return int(default if value is None else value)
+
+
 def _latency(jitter):
     return LatencyModel(jitter=int(jitter or 0))
 
@@ -97,30 +102,25 @@ def _latency(jitter):
 def _encoding(args):
     name = (args.encoding or "binary").lower()
     if name == "binary":
-        return channel.BinaryEncoding(int(args.d_one if args.d_one is not None else 1))
+        return channel.BinaryEncoding(_int_or(args.d_one, 1))
     if name == "multibit":
-        raw = args.levels if args.levels is not None else "0,3,5,8"
-        if isinstance(raw, str):
-            values = tuple(int(v) for v in raw.replace("|", ",").split(","))
-        else:
-            values = tuple(int(v) for v in raw)
-        return channel.MultiBitEncoding(values)
+        return channel.MultiBitEncoding(_int_list(args.levels, (0, 3, 5, 8), "levels"))
     raise ConfigError(f"unknown encoding {name!r}")
 
 
 def _channel_config(args, seed):
     message = args.message
     if message is None:
-        message = random_bits(int(args.message_bits or 128), seed)
+        message = random_bits(_int_or(args.message_bits, 128), seed)
     noise = None
     if args.noise_rate is not None and float(args.noise_rate) > 0:
         noise = channel.NoiseConfig(rate=float(args.noise_rate),
                                     kind_mix=float(args.noise_write_prob or 0.0))
     return channel.ChannelConfig(
         encoding=_encoding(args),
-        t_s=int(args.period if args.period is not None else 5500),
+        t_s=_int_or(args.period, 5500),
         target_set=int(args.target_set or 0),
-        rset_size=int(args.rset_size or measurement.DEFAULT_RSET_SIZE),
+        rset_size=_int_or(args.rset_size, measurement.DEFAULT_RSET_SIZE),
         message=message,
         noise=noise,
         seed=seed,
@@ -131,10 +131,13 @@ def _channel_config(args, seed):
     )
 
 
-def _int_list(text, default, name, low=0):
-    if text is None:
+def _int_list(raw, default, name, low=0):
+    """Integers separated by commas, spaces or '|', or a JSON config list."""
+    if raw is None:
         return default
-    values = [int(v) for v in str(text).replace(",", " ").split()]
+    if not isinstance(raw, (list, tuple)):
+        raw = str(raw).replace(",", " ").replace("|", " ").split()
+    values = [int(v) for v in raw]
     if not values or min(values) < low:
         raise ConfigError(f"{name} must be a non-empty list of integers >= {low}")
     return values
@@ -144,7 +147,7 @@ def _int_list(text, default, name, low=0):
 
 def cmd_evict_prob(args):
     seed = _require_seed(args)
-    trials = int(args.trials if args.trials is not None else 10000)
+    trials = _int_or(args.trials, 10000)
     ns = _int_list(args.n, [8, 9, 10], "n", low=1)
     pol = args.policy or "lru"
     curve = policy.eviction_distance_experiment(pol, max(ns), trials, seed).evicted_within
@@ -157,7 +160,7 @@ def cmd_evict_prob(args):
 
 def cmd_dirty_evict(args):
     seed = _require_seed(args)
-    trials = int(args.trials if args.trials is not None else 10000)
+    trials = _int_or(args.trials, 10000)
     ds = _int_list(args.d, [2, 3], "d")
     ls = _int_list(args.l, [8, 9, 10, 11, 12, 13], "l", low=1)
     ways = CacheGeometry().associativity
@@ -173,13 +176,13 @@ def cmd_dirty_evict(args):
 
 def cmd_latency_cdf(args):
     seed = _require_seed(args)
-    trials = int(args.trials if args.trials is not None else 1000)
+    trials = _int_or(args.trials, 1000)
     ways = CacheGeometry().associativity
     ds = _int_list(args.d_values, list(range(ways + 1)), "d-values")
     table = measurement.latency_cdf(
         ds, trials, seed, policy=args.policy or "lru", latency=_latency(args.jitter),
         target_set=int(args.target_set or 0),
-        rset_size=int(args.rset_size or measurement.DEFAULT_RSET_SIZE))
+        rset_size=_int_or(args.rset_size, measurement.DEFAULT_RSET_SIZE))
     lines = ["d,trial,total_cycles"]
     for d, samples in table:
         for trial, total in enumerate(samples):
@@ -205,7 +208,7 @@ def cmd_run_channel(args):
 def cmd_sweep(args):
     seed = _require_seed(args)
     periods = _int_list(args.periods, list(analysis.DEFAULT_PERIODS), "periods")
-    trials = int(args.trials if args.trials is not None else 3)
+    trials = _int_or(args.trials, 3)
     cfg = _channel_config(args, seed)
     rows = analysis.sweep_ber_vs_rate(cfg, periods, trials)
     lines = ["period_cycles,rate_kbps,encoding,d,trials,mean_ber"]
@@ -217,10 +220,10 @@ def cmd_sweep(args):
 
 
 def cmd_gadget(args):
-    seed = int(args.seed) if args.seed is not None else 0
+    seed = _int_or(args.seed, 0)
     result = channel.run_gadget_attack(
         args.variant or "a", args.scenario or "set-state-dirty",
-        int(args.secret if args.secret is not None else 1), seed,
+        _int_or(args.secret, 1), seed,
         line0_set=None if args.line0_set is None else int(args.line0_set),
         line1_set=None if args.line1_set is None else int(args.line1_set))
     _emit(json.dumps(dataclasses.asdict(result), indent=2, sort_keys=True) + "\n", args.out)

@@ -7,6 +7,10 @@ target set with clean lines, so a measurement doubles as initialization for
 the next round.  `fill_set` is the one step that primes a set or dirties it,
 and `prime_dirty_probe` is the whole prime -> dirty -> probe sequence on one
 cache; latency CDFs and channel calibration both run it.
+
+A fresh cache's probe total cannot depend on the chase order (every line
+misses, policies see ways not tags, jitter is drawn per access in order), so
+CDFs and calibration chase one seeded order in every trial.
 """
 
 from __future__ import annotations
@@ -35,15 +39,6 @@ class ReplacementSet:
     target_set: int
     lines: tuple
 
-    def __len__(self):
-        return len(self.lines)
-
-    def rechased(self, seed: int) -> "ReplacementSet":
-        """The same lines, shuffled from tag order (their sort order) by `seed`."""
-        lines = sorted(self.lines)
-        random.Random(derive_seed("chase", seed)).shuffle(lines)
-        return ReplacementSet(self.actor_id, self.target_set, tuple(lines))
-
 
 @dataclass(frozen=True)
 class LatencySample:
@@ -63,12 +58,13 @@ def build_replacement_set(actor_id: str, target_set: int,
                           size: int = DEFAULT_RSET_SIZE, seed: int = 0, *,
                           geometry: CacheGeometry | None = None,
                           tag_base: int = 0) -> ReplacementSet:
-    """Choose `size` distinct-tag lines mapping to `target_set`, chase order seeded."""
+    """Choose `size` distinct-tag lines mapping to `target_set`, tag order shuffled by `seed`."""
     if size < 1:
         raise ValueError("replacement set needs at least one line")
-    lines = tuple(make_line(actor_id, target_set, tag_base + i, geometry)
-                  for i in range(size))
-    return ReplacementSet(actor_id, target_set, lines).rechased(seed)
+    lines = [make_line(actor_id, target_set, tag_base + i, geometry)
+             for i in range(size)]
+    random.Random(derive_seed("chase", seed)).shuffle(lines)
+    return ReplacementSet(actor_id, target_set, tuple(lines))
 
 
 def check_rset_size(rset_size: int, geometry: CacheGeometry) -> None:
@@ -87,11 +83,12 @@ def measure_replacement_latency(cache: Cache, rset: ReplacementSet) -> LatencySa
     replacement sets does this); residual hits are flagged, not fatal.
     """
     dirty_before = cache.dirty_count(rset.target_set)
+    access = cache.access
     total = 0
     hits = 0
     hit = OutcomeKind.HIT
     for line in rset.lines:
-        outcome = cache.read(line)
+        outcome = access(line, False)
         total += outcome.latency
         if outcome.kind is hit:
             hits += 1
@@ -105,10 +102,10 @@ def fill_set(cache: Cache, actor_id: str, set_index: int, n: int, *,
     Reads prime the set with clean lines; writes leave dirty ones.
     """
     geo = cache.geometry
-    access = cache.write if write else cache.read
+    access = cache.access
     total = 0
     for tag in range(n):
-        total += access(make_line(actor_id, set_index, tag, geo)).latency
+        total += access(make_line(actor_id, set_index, tag, geo), write).latency
     return total
 
 
@@ -130,8 +127,10 @@ def latency_cdf(d_values, trials: int, seed: int, *,
     """Replacement-latency samples per dirty-line count, for CDF plots.
 
     Each of the `trials` per d runs `prime_dirty_probe` on a fresh cache with
-    its own chase order of one replacement set.  Returns [(d, sorted samples)].
+    the call's one chase order (see above).  Returns [(d, sorted samples)].
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     geo = geometry or CacheGeometry()
     check_rset_size(rset_size, geo)
     ways = geo.associativity
@@ -144,7 +143,6 @@ def latency_cdf(d_values, trials: int, seed: int, *,
         samples = []
         for t in range(trials):
             cache = Cache(geo, policy, latency, seed=derive_seed(seed, "cdf", d, t))
-            trial_rset = rset.rechased(derive_seed(seed, "rset", d, t))
-            samples.append(prime_dirty_probe(cache, trial_rset, d).total_cycles)
+            samples.append(prime_dirty_probe(cache, rset, d).total_cycles)
         results.append((d, sorted(samples)))
     return results

@@ -59,6 +59,9 @@ class TrueLRU(ReplacementPolicy):
         meta[way] = self._tick
 
     def select_victim(self, meta, candidates):
+        if len(candidates) == self.ways:
+            # A full set's stamps are unique: the same way the key scan picks.
+            return meta.index(min(meta))
         return min(candidates, key=meta.__getitem__)
 
 

@@ -210,10 +210,20 @@ def test_latency_cdf_small_rset_is_config_error(capsys):
     ("dirty-evict", "--d", "", "--l", "0"),
     ("latency-cdf", "--d-values", ""),
     ("sweep", "--periods", "", "--message-bits", "16", "--trials", "1"),
+    ("latency-cdf", "--trials", "0"),
+    ("sweep", "--message-bits", "8", "--trials", "0", "--periods", "5500"),
+    ("latency-cdf", "--d-values", "0", "--trials", "1", "--rset-size", "0"),
+    ("run-channel", "--message-bits", "16", "--rset-size", "0"),
+    ("sweep", "--message-bits", "16", "--trials", "1", "--periods", "5500",
+     "--rset-size", "0"),
+    ("run-channel", "--message-bits", "0"),
+    ("sweep", "--message-bits", "0", "--trials", "1", "--periods", "5500"),
 ])
 def test_bad_or_empty_list_is_config_error(argv, capsys):
     # The experiments run once, at the largest n or l, so every element of
-    # a list must still be checked before that run.
+    # a list must still be checked before that run.  A zero typed for
+    # --trials, --rset-size or --message-bits is rejected too, not replaced
+    # by the option's default.
     assert run_cli(*argv, "--seed", "1") == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -261,6 +271,14 @@ def test_config_file_json_form(tmp_path):
     out = tmp_path / "a.csv"
     run_cli("evict-prob", "--policy", "lru", "--config", str(config), "--out", str(out))
     assert "lru,8,40," in out.read_text()
+    # A list option may also be a JSON list, with the same checks as text.
+    config.write_text(json.dumps({"seed": 9, "trials": 40, "n": [8, 9]}))
+    assert run_cli("evict-prob", "--policy", "lru", "--config", str(config),
+                   "--out", str(out)) == 0
+    assert out.read_text().splitlines()[1:] == ["lru,8,40,1.0000", "lru,9,40,1.0000"]
+    for bad in ([], [0, 8]):
+        config.write_text(json.dumps({"seed": 9, "trials": 40, "n": bad}))
+        assert run_cli("evict-prob", "--policy", "lru", "--config", str(config)) == 2
 
 
 @pytest.mark.parametrize("argv", [
