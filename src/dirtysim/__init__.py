@@ -16,9 +16,9 @@ from .channel import (BinaryEncoding, CalibrationError, ChannelConfig,
                       NoiseConfig, Thresholds, calibrate_thresholds,
                       receiver_decode, run_channel, run_gadget_attack,
                       sender_encode)
-from .measurement import (LatencySample, ReplacementSet,
-                          build_replacement_set, fill_set, latency_cdf,
-                          measure_replacement_latency, prime_dirty_probe)
+from .measurement import (LatencySample, build_replacement_set, fill_set,
+                          latency_cdf, measure_replacement_latency,
+                          prime_dirty_probe)
 from .policy import (EvictionExperimentResult, RandomPolicy, TreePLRU,
                      TrueLRU, analytic_dirty_eviction_probability,
                      dirty_eviction_experiment, eviction_distance_experiment,
@@ -32,8 +32,8 @@ __all__ = [
     "CalibrationError", "ChannelConfig", "ChannelReport", "DEFAULT_PERIODS",
     "ErrorReport", "EvictionExperimentResult", "GadgetResult", "LatencyModel",
     "LatencySample", "LineRef", "LineState", "MultiBitEncoding", "NoiseConfig",
-    "OutcomeKind", "PreambleLockError", "RandomPolicy", "ReplacementSet",
-    "Thresholds", "TreePLRU", "TrueLRU", "WritePolicy",
+    "OutcomeKind", "PreambleLockError", "RandomPolicy", "Thresholds",
+    "TreePLRU", "TrueLRU", "WritePolicy",
     "align_by_preamble", "analytic_dirty_eviction_probability",
     "bit_error_rate", "build_replacement_set", "calibrate_thresholds",
     "derive_seed", "dirty_eviction_experiment", "edit_distance",

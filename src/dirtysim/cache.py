@@ -126,11 +126,15 @@ class LatencyModel:
     miss_dirty: int = 22
     jitter: int = 0
 
+    def __post_init__(self):
+        for name in ("hit", "miss_clean", "miss_dirty", "jitter"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+
 
 class AccessOutcome(NamedTuple):
     kind: OutcomeKind
     victim_way: Optional[int]
-    writeback: bool
     latency: int
 
 
@@ -157,32 +161,22 @@ class Cache:
                  latency: LatencyModel | None = None, seed: int = 0):
         self.geometry = geo = geometry or DEFAULT_GEOMETRY
         self.latency = latency or DEFAULT_LATENCY
-        self._policy_name = policy
-        self._seed = seed
         self._write_back = geo.write_policy is WritePolicy.WRITE_BACK_ALLOCATE
         # Victim candidates per actor: the sorted partition, or every way.
         if geo.partition is None:
             self._ways = list(range(geo.associativity))
         else:
             self._ways = {actor: sorted(ways) for actor, ways in geo.partition.items()}
-        self.reset()
-
-    # -- state management ---------------------------------------------------
-
-    def reset(self, seed: int | None = None) -> None:
-        """Invalidate every line, zero all counters, reseed the generators."""
-        if seed is not None:
-            self._seed = seed
-        self._sets = [None] * self.geometry.num_sets  # [tags, dirty, meta] once touched
-        # A fresh policy: a random one is seeded once, on construction.
-        self.policy = make_policy(self._policy_name, ways=self.geometry.associativity,
-                                  seed=self._seed)
+        self._sets = [None] * geo.num_sets  # [tags, dirty, meta] once touched
+        self.policy = make_policy(policy, ways=geo.associativity, seed=seed)
         # Only a jittered model draws; seeding a generator is most of a fresh
         # cache's set-up cost, so an exact model skips it.
-        self._jitter_rng = (random.Random(self._seed ^ 0x6A177E52)
+        self._jitter_rng = (random.Random(seed ^ 0x6A177E52)
                             if self.latency.jitter else None)
         self.counters: dict[str, ActorCounters] = {}
         self.cycles = 0
+
+    # -- state management ---------------------------------------------------
 
     def _new_set(self):
         ways = self.geometry.associativity
@@ -238,7 +232,6 @@ class Cache:
         cost = self.latency
         latency = cost.miss_clean  # fills, clean evictions, uncached stores
         victim = None
-        writeback = False
         if tag in tags:
             way = tags.index(tag)
             stats.l1_hits += 1
@@ -264,7 +257,6 @@ class Cache:
                 if dirty[victim]:
                     outcome = _EVICT_DIRTY
                     latency = cost.miss_dirty
-                    writeback = True
                     stats.writebacks += 1
                 else:
                     outcome = _EVICT_CLEAN
@@ -277,7 +269,7 @@ class Cache:
             latency += self._jitter_rng.randint(-j, j)
         self.cycles += latency
         # tuple.__new__ skips the NamedTuple's Python-level __new__ on this hot path.
-        return tuple.__new__(AccessOutcome, (outcome, victim, writeback, latency))
+        return tuple.__new__(AccessOutcome, (outcome, victim, latency))
 
     def _check_set(self, set_index):
         if not 0 <= set_index < self.geometry.num_sets:

@@ -5,7 +5,9 @@ spaces.  The sender encodes a symbol as the number of dirty lines it leaves
 in the agreed target set; the receiver recovers it from the summed latency of
 replacing that set.  A deterministic event loop with a total order
 (cycle, then sender < noise < receiver) stands in for the wall-clock
-hyper-thread interleaving of real hardware.
+hyper-thread interleaving of real hardware.  Every transmission starts with
+the fixed `PREAMBLE`, by which the receiver aligns its decoded stream; noise
+events come only from a `NoiseConfig` with a rate above 0.
 """
 
 from __future__ import annotations
@@ -17,20 +19,21 @@ import statistics
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .analysis import (DEFAULT_ALIGN_WINDOW, PreambleLockError,
-                       align_by_preamble, bit_error_rate, rate_kbps)
+from .analysis import (PreambleLockError, align_by_preamble, bit_error_rate,
+                       rate_kbps)
 from .cache import (DEFAULT_GEOMETRY, DEFAULT_LATENCY, Cache, CacheGeometry,
                     LatencyModel, WritePolicy, make_line)
 from .measurement import (DEFAULT_RSET_SIZE, RECEIVER, RSET_TAG_BASES, SENDER,
-                          ReplacementSet, build_replacement_set,
-                          check_rset_size, fill_set,
+                          build_replacement_set, check_rset_size, fill_set,
                           measure_replacement_latency, prime_dirty_probe)
 from .policy import POLICIES
 from .seeding import derive_seed
 
 NOISE = "noise"
 
-DEFAULT_PREAMBLE = "1111000011110000"  # 0xF0F0: alternating runs of both symbols
+# Sent before every message: 0xF0F0, alternating runs of both symbols.  Its
+# 16 bits must split into whole symbols, so 8 levels (3 bits) cannot be used.
+PREAMBLE = "1111000011110000"
 
 
 class CalibrationError(RuntimeError):
@@ -130,9 +133,8 @@ class ChannelConfig:
     t_s: int = 5500                    # period: encode at its start, decode mid-way
     target_set: int = 0
     rset_size: int = DEFAULT_RSET_SIZE
-    preamble: str = DEFAULT_PREAMBLE
     message: str = ""
-    noise: Optional[NoiseConfig] = None
+    noise: NoiseConfig = field(default_factory=NoiseConfig)
     seed: int = 0
     slip: int = 0                      # half-width of receiver timing slip, cycles
     geometry: CacheGeometry = field(default_factory=CacheGeometry)
@@ -149,7 +151,7 @@ class ChannelConfig:
         if self.policy not in POLICIES:
             raise ValueError(f"unknown replacement policy {self.policy!r}")
         k = self.encoding.bits_per_symbol
-        for label, bits in (("preamble", self.preamble), ("message", self.message)):
+        for label, bits in (("preamble", PREAMBLE), ("message", self.message)):
             if any(c not in "01" for c in bits):
                 raise ValueError(f"{label} must be a 0/1 string")
             if len(bits) % k:
@@ -160,7 +162,7 @@ class ChannelConfig:
             raise ValueError("encoding level exceeds associativity")
         if self.slip < 0:
             raise ValueError("slip must be >= 0")
-        if self.noise is not None and self.noise.rate > 0 and self.geometry.partition is not None:
+        if self.noise.rate > 0 and self.geometry.partition is not None:
             raise ValueError("noise actor has no way partition; disable noise or partitioning")
 
     def calibration_view(self) -> "ChannelConfig":
@@ -172,7 +174,7 @@ class ChannelConfig:
         geometry = dataclasses.replace(
             self.geometry, write_policy=WritePolicy.WRITE_BACK_ALLOCATE,
             partition=None)
-        return dataclasses.replace(self, geometry=geometry, noise=None)
+        return dataclasses.replace(self, geometry=geometry, noise=NoiseConfig())
 
 
 # -- thresholds --------------------------------------------------------------
@@ -211,13 +213,12 @@ class Thresholds:
         return index
 
 
-def calibrate_thresholds(cfg: ChannelConfig, trials: int = 8,
-                         seed: Optional[int] = None) -> Thresholds:
+def calibrate_thresholds(cfg: ChannelConfig, trials: int = 8) -> Thresholds:
     """Run `prime_dirty_probe` per level (fresh caches, one chase order); cut at midpoints."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     cfg = cfg.calibration_view()
-    base = seed if seed is not None else derive_seed(cfg.seed, "calibration")
+    base = derive_seed(cfg.seed, "calibration")
     geo = cfg.geometry
     rset = build_replacement_set(RECEIVER, cfg.target_set, cfg.rset_size,
                                  geometry=geo, tag_base=RSET_TAG_BASES[0])
@@ -244,7 +245,7 @@ def sender_encode(cache: Cache, cfg: ChannelConfig, symbol_bits: str):
     return level, fill_set(cache, SENDER, cfg.target_set, level, write=True)
 
 
-def receiver_decode(cache: Cache, cfg: ChannelConfig, rset: ReplacementSet,
+def receiver_decode(cache: Cache, cfg: ChannelConfig, rset: tuple,
                     thresholds: Thresholds):
     """Measure with `rset` and threshold the total to bits.
 
@@ -262,7 +263,6 @@ class TraceEvent(NamedTuple):
     cycle: int
     actor: str
     action: str
-    set_index: int
     d: object
     latency: int
     decoded_bits: str
@@ -291,23 +291,12 @@ class ChannelReport:
         return [(ev.cycle, ev.latency, ev.decoded_bits)
                 for ev in self.events if ev.action == "decode"]
 
-    def to_dict(self) -> dict:
-        return {
-            "sent_bits": self.sent_bits,
-            "received_bits": self.received_bits,
-            "raw_received_bits": self.raw_received_bits,
-            "edit_distance": self.edit_distance,
-            "ber": self.ber,
-            "rate_kbps": self.rate_kbps,
-            "alignment_offset": self.alignment_offset,
-            "preamble_locked": self.preamble_locked,
-            "latency_trace": [list(entry) for entry in self.latency_trace],
-            "counters": self.counters,
-            "cycles": self.cycles,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        """Every field but `events`, plus `latency_trace`, as sorted-key JSON."""
+        out = {f.name: getattr(self, f.name)
+               for f in dataclasses.fields(self) if f.name != "events"}
+        out["latency_trace"] = self.latency_trace
+        return json.dumps(out, indent=2, sort_keys=True) + "\n"
 
 
 def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> ChannelReport:
@@ -317,7 +306,7 @@ def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> 
         thresholds = calibrate_thresholds(cfg)
     enc = cfg.encoding
     k = enc.bits_per_symbol
-    stream = cfg.preamble + cfg.message
+    stream = PREAMBLE + cfg.message
     n_symbols = len(stream) // k
 
     cache = Cache(cfg.geometry, cfg.policy, cfg.latency,
@@ -330,11 +319,10 @@ def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> 
     events = []
     for i in range(n_symbols):
         events.append((i * cfg.t_s, 0, i, "encode"))
-        if cfg.noise is not None and cfg.noise.rate > 0:
-            if noise_rng.random() < min(cfg.noise.rate, 1.0):
-                action = ("noise-write" if noise_rng.random() < cfg.noise.kind_mix
-                          else "noise-read")
-                events.append((i * cfg.t_s + noise_offset, 1, i, action))
+        # noise_rng feeds nothing else, so its draws at rate 0 change no output.
+        if noise_rng.random() < cfg.noise.rate:
+            action = "noise-write" if noise_rng.random() < cfg.noise.kind_mix else "noise-read"
+            events.append((i * cfg.t_s + noise_offset, 1, i, action))
         decode_at = i * cfg.t_s + cfg.t_s // 2
         if cfg.slip:
             decode_at = max(0, decode_at + slip_rng.randint(-cfg.slip, cfg.slip))
@@ -356,30 +344,26 @@ def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> 
         symbol = stream[index * k:(index + 1) * k]
         if action == "encode":
             level, cost = sender_encode(cache, cfg, symbol)
-            trace.append(TraceEvent(cycle, SENDER, "encode", cfg.target_set,
-                                    level, cost, "", symbol))
+            trace.append(TraceEvent(cycle, SENDER, "encode", level, cost, "", symbol))
         elif action == "decode":
             sample, bits = receiver_decode(cache, cfg, rsets[len(received_parts) % 2],
                                            thresholds)
             received_parts.append(bits)
-            trace.append(TraceEvent(cycle, RECEIVER, "decode", cfg.target_set,
-                                    enc.levels[int(bits, 2)], sample.total_cycles,
-                                    bits, symbol))
+            trace.append(TraceEvent(cycle, RECEIVER, "decode", enc.levels[int(bits, 2)],
+                                    sample.total_cycles, bits, symbol))
         else:
             line = make_line(NOISE, cfg.target_set, noise_tag, cfg.geometry)
             noise_tag += 1
             outcome = cache.access(line, action == "noise-write")
-            trace.append(TraceEvent(cycle, NOISE, action, cfg.target_set,
-                                    "", outcome.latency, "", ""))
+            trace.append(TraceEvent(cycle, NOISE, action, "", outcome.latency, "", ""))
 
     received = "".join(received_parts)
-    window = max(DEFAULT_ALIGN_WINDOW, len(cfg.preamble))
     try:
-        offset = align_by_preamble(received, cfg.preamble, window)
+        offset = align_by_preamble(received, PREAMBLE)
         locked = True
     except PreambleLockError:
         offset, locked = 0, False
-    payload = received[offset + len(cfg.preamble):]
+    payload = received[offset + len(PREAMBLE):]
     error = bit_error_rate(cfg.message, payload)
 
     return ChannelReport(

@@ -1,8 +1,9 @@
 """Experiment runner: every capability behind a reproducible subcommand.
 
 Each command takes an explicit seed (flag, config file, or DIRTYSIM_SEED) and
-emits CSV or JSON whose bytes depend only on the configuration.  Exit codes:
-0 success, 2 configuration error, 3 threshold calibration failure.
+emits CSV or JSON whose bytes depend only on the configuration.  A config
+file may set only the options of its command.  Exit codes: 0 success,
+2 configuration error, 3 threshold calibration failure.
 """
 
 from __future__ import annotations
@@ -47,9 +48,11 @@ def _load_config(path):
 
 def _merge(args):
     """Config-file values fill any option the command line left at None."""
-    if getattr(args, "config", None):
+    if args.config:
         for key, value in _load_config(args.config).items():
-            if getattr(args, key, None) is None and hasattr(args, key):
+            if key in ("command", "func") or not hasattr(args, key):
+                raise ConfigError(f"unknown config key {key!r} for {args.command}")
+            if getattr(args, key) is None:
                 setattr(args, key, value)
     return args
 
@@ -109,13 +112,12 @@ def _encoding(args):
 
 
 def _channel_config(args, seed):
-    message = args.message
-    if message is None:
+    if args.message is None:
         message = random_bits(_int_or(args.message_bits, 128), seed)
-    noise = None
-    if args.noise_rate is not None and float(args.noise_rate) > 0:
-        noise = channel.NoiseConfig(rate=float(args.noise_rate),
-                                    kind_mix=float(args.noise_write_prob or 0.0))
+    else:
+        message = str(args.message)  # a config file's 1111 decodes as an int
+    noise = channel.NoiseConfig(rate=float(args.noise_rate or 0.0),
+                                kind_mix=float(args.noise_write_prob or 0.0))
     return channel.ChannelConfig(
         encoding=_encoding(args),
         t_s=_int_or(args.period, 5500),
@@ -199,7 +201,7 @@ def cmd_run_channel(args):
     if args.trace:
         rows = ["cycle,actor,action,set,d,latency,decoded_bit,truth_bit"]
         for ev in report.events:
-            rows.append(f"{ev.cycle},{ev.actor},{ev.action},{ev.set_index},"
+            rows.append(f"{ev.cycle},{ev.actor},{ev.action},{cfg.target_set},"
                         f"{ev.d},{ev.latency},{ev.decoded_bits},{ev.truth_bits}")
         _emit("\n".join(rows) + "\n", args.trace)
     return 0
@@ -232,9 +234,10 @@ def cmd_gadget(args):
 
 # -- parser ------------------------------------------------------------------
 
-def _add_common(sub):
+def _add_common(sub, trials=True):
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--trials", type=int, default=None)
+    if trials:
+        sub.add_argument("--trials", type=int, default=None)
     sub.add_argument("--out", default=None)
     sub.add_argument("--config", default=None)
 
@@ -284,7 +287,7 @@ def build_parser():
     p.set_defaults(func=cmd_latency_cdf)
 
     p = commands.add_parser("run-channel", help="run the covert channel once")
-    _add_common(p)
+    _add_common(p, trials=False)
     _add_channel_options(p)
     p.add_argument("--trace", default=None, help="also write a CSV event trace here")
     p.set_defaults(func=cmd_run_channel)
@@ -297,7 +300,7 @@ def build_parser():
 
     p = commands.add_parser("gadget", help="secret recovery through the three side-channel "
                             "scenarios (LRU only)")
-    _add_common(p)
+    _add_common(p, trials=False)
     p.add_argument("--variant", choices=channel.VARIANTS, default=None)
     p.add_argument("--scenario", default=None,
                    help="set-state-dirty | prime-with-dirty | victim-timing (or 1|2|3)")

@@ -1,12 +1,13 @@
 """Replacement-set construction and serialized replacement-latency measurement.
 
-Mirrors the pointer-chasing technique: the lines of a replacement set are
-visited in a random permutation, strictly one after another, and the total
-latency is the plain sum of the per-access costs.  Measuring also refills the
-target set with clean lines, so a measurement doubles as initialization for
-the next round.  `fill_set` is the one step that primes a set or dirties it,
-and `prime_dirty_probe` is the whole prime -> dirty -> probe sequence on one
-cache; latency CDFs and channel calibration both run it.
+Mirrors the pointer-chasing technique: a replacement set is the tuple of its
+lines in a random permutation, visited strictly one after another, and the
+total latency is the plain sum of the per-access costs.  Measuring also
+refills the target set with clean lines, so a measurement doubles as
+initialization for the next round.  `fill_set` is the one step that primes
+a set or dirties it, and `prime_dirty_probe` is the whole prime -> dirty ->
+probe sequence on one cache; latency CDFs and channel calibration both run
+it.  A replacement set's lines name its target set by their index bits.
 
 A fresh cache's probe total cannot depend on the chase order (every line
 misses, policies see ways not tags, jitter is drawn per access in order), so
@@ -18,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .cache import Cache, CacheGeometry, OutcomeKind, make_line
+from .cache import DEFAULT_GEOMETRY, Cache, CacheGeometry, OutcomeKind, make_line
 from .seeding import derive_seed
 
 DEFAULT_RSET_SIZE = 10
@@ -29,15 +30,6 @@ RECEIVER = "receiver"
 # Tag bases of the two replacement sets in the receiver's space, used
 # alternately so the active one is never resident; primed lines use 0..W-1.
 RSET_TAG_BASES = (1000, 2000)
-
-
-@dataclass(frozen=True)
-class ReplacementSet:
-    """Lines of one actor mapping to `target_set`, in the order they are chased."""
-
-    actor_id: str
-    target_set: int
-    lines: tuple
 
 
 @dataclass(frozen=True)
@@ -57,14 +49,14 @@ class LatencySample:
 def build_replacement_set(actor_id: str, target_set: int,
                           size: int = DEFAULT_RSET_SIZE, seed: int = 0, *,
                           geometry: CacheGeometry | None = None,
-                          tag_base: int = 0) -> ReplacementSet:
-    """Choose `size` distinct-tag lines mapping to `target_set`, tag order shuffled by `seed`."""
+                          tag_base: int = 0) -> tuple:
+    """`size` distinct-tag lines in `target_set`, as a tuple in the chase order of `seed`."""
     if size < 1:
         raise ValueError("replacement set needs at least one line")
     lines = [make_line(actor_id, target_set, tag_base + i, geometry)
              for i in range(size)]
     random.Random(derive_seed("chase", seed)).shuffle(lines)
-    return ReplacementSet(actor_id, target_set, tuple(lines))
+    return tuple(lines)
 
 
 def check_rset_size(rset_size: int, geometry: CacheGeometry) -> None:
@@ -76,18 +68,18 @@ def check_rset_size(rset_size: int, geometry: CacheGeometry) -> None:
             "replace every line of the target set")
 
 
-def measure_replacement_latency(cache: Cache, rset: ReplacementSet) -> LatencySample:
+def measure_replacement_latency(cache: Cache, rset: tuple) -> LatencySample:
     """Access the replacement set serially and sum the latencies.
 
     The caller must ensure the set's lines are not resident (alternating two
     replacement sets does this); residual hits are flagged, not fatal.
     """
-    dirty_before = cache.dirty_count(rset.target_set)
+    dirty_before = cache.dirty_count(cache.geometry.set_index(rset[0].address))
     access = cache.access
     total = 0
     hits = 0
     hit = OutcomeKind.HIT
-    for line in rset.lines:
+    for line in rset:
         outcome = access(line, False)
         total += outcome.latency
         if outcome.kind is hit:
@@ -109,19 +101,19 @@ def fill_set(cache: Cache, actor_id: str, set_index: int, n: int, *,
     return total
 
 
-def prime_dirty_probe(cache: Cache, rset: ReplacementSet, d: int) -> LatencySample:
+def prime_dirty_probe(cache: Cache, rset: tuple, d: int) -> LatencySample:
     """Prime the target set with W clean receiver lines, dirty d, then probe.
 
     The sender's d stores evict d receiver lines, so the probe must replace
     W-d clean lines and d dirty ones.
     """
-    fill_set(cache, RECEIVER, rset.target_set, cache.geometry.associativity)
-    fill_set(cache, SENDER, rset.target_set, d, write=True)
+    target_set = cache.geometry.set_index(rset[0].address)
+    fill_set(cache, RECEIVER, target_set, cache.geometry.associativity)
+    fill_set(cache, SENDER, target_set, d, write=True)
     return measure_replacement_latency(cache, rset)
 
 
-def latency_cdf(d_values, trials: int, seed: int, *,
-                geometry: CacheGeometry | None = None, policy="lru",
+def latency_cdf(d_values, trials: int, seed: int, *, policy="lru",
                 latency=None, target_set: int = 0,
                 rset_size: int = DEFAULT_RSET_SIZE):
     """Replacement-latency samples per dirty-line count, for CDF plots.
@@ -131,7 +123,7 @@ def latency_cdf(d_values, trials: int, seed: int, *,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    geo = geometry or CacheGeometry()
+    geo = DEFAULT_GEOMETRY
     check_rset_size(rset_size, geo)
     ways = geo.associativity
     rset = build_replacement_set(RECEIVER, target_set, rset_size, geometry=geo,

@@ -22,8 +22,8 @@ class ReplacementPolicy:
     def new_set_meta(self):
         raise NotImplementedError
 
-    def reset(self, seed=None):
-        """Drop any cross-set state (access counters, RNG position)."""
+    def reset(self, seed):
+        """Start a new trial: zero the access counter, or reseed the RNG with `seed`."""
 
     def randomize_meta(self, meta, rng):
         """Scramble metadata to a uniformly random reachable state (for experiments)."""
@@ -46,7 +46,7 @@ class TrueLRU(ReplacementPolicy):
     def new_set_meta(self):
         return [0] * self.ways
 
-    def reset(self, seed=None):
+    def reset(self, seed):
         self._tick = 0
 
     def randomize_meta(self, meta, rng):
@@ -123,16 +123,13 @@ class RandomPolicy(ReplacementPolicy):
 
     def __init__(self, seed: int = 0, ways: int = 8):
         self.ways = ways
-        self._seed = seed
         self._rng = random.Random(seed)
 
     def new_set_meta(self):
         return None
 
-    def reset(self, seed=None):
-        if seed is not None:
-            self._seed = seed
-        self._rng = random.Random(self._seed)
+    def reset(self, seed):
+        self._rng = random.Random(seed)
 
     def on_access(self, meta, way):
         pass

@@ -13,8 +13,9 @@ import pytest
 
 from dirtysim.analysis import edit_distance, rate_kbps
 from dirtysim.cache import Cache, CacheGeometry, WritePolicy, make_line
-from dirtysim.channel import (BinaryEncoding, ChannelConfig, MultiBitEncoding,
-                              NoiseConfig, calibrate_thresholds, run_channel,
+from dirtysim.channel import (PREAMBLE, BinaryEncoding, ChannelConfig,
+                              MultiBitEncoding, NoiseConfig,
+                              calibrate_thresholds, run_channel,
                               run_gadget_attack)
 from dirtysim.cli import main as cli_main
 from dirtysim.measurement import build_replacement_set, measure_replacement_latency
@@ -140,7 +141,7 @@ def test_criterion_08_noise():
     dirty = ChannelConfig(message=message, seed=SEED,
                           noise=NoiseConfig(rate=0.1, kind_mix=1.0))
     report = run_channel(dirty)
-    stream = dirty.preamble + dirty.message
+    stream = PREAMBLE + dirty.message
     assert len(stream) >= 2000
     zeros = flips = 0
     for truth, (_, _, decoded) in zip(stream, report.latency_trace):

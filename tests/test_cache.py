@@ -67,7 +67,6 @@ def test_write_hit_sets_dirty():
     cache.read(line)
     out = cache.write(line)
     assert out.kind is OutcomeKind.HIT
-    assert not out.writeback
     assert cache.dirty_count(3) == 1
 
 
@@ -88,7 +87,7 @@ def test_dirty_victim_costs_writeback():
         cache.read(make_line("a", 0, t))
     out = cache.read(make_line("a", 0, 100))  # LRU victim is the dirty line
     assert out.kind is OutcomeKind.MISS_EVICT_DIRTY
-    assert out.writeback and out.victim_way == 0
+    assert out.victim_way == 0
     assert out.latency == 22
 
 
@@ -98,7 +97,6 @@ def test_clean_victim_is_plain_refill():
         cache.read(make_line("a", 0, t))
     out = cache.read(make_line("a", 0, 100))
     assert out.kind is OutcomeKind.MISS_EVICT_CLEAN
-    assert not out.writeback
     assert out.latency == 11
 
 
@@ -155,18 +153,6 @@ def test_snapshot_after_receiver_style_init():
     assert sum(s.dirty for s in snapshot) == 0
 
 
-def test_reset_clears_everything_and_is_idempotent():
-    cache = Cache()
-    for t in range(20):
-        cache.write(make_line("a", t % 4, t))
-    cache.reset()
-    assert cache.cycles == 0 and cache.counters == {}
-    assert all(not s.valid for s in cache.snapshot_set(0))
-    before = [cache.snapshot_set(s) for s in range(4)]
-    cache.reset()
-    assert [cache.snapshot_set(s) for s in range(4)] == before
-
-
 def test_rejects_address_beyond_64_bits():
     cache = Cache()
     with pytest.raises(ValueError):
@@ -201,6 +187,12 @@ def test_latency_model_jitter_bounds():
         assert abs(out.latency - 11) <= 2
 
 
+@pytest.mark.parametrize("name", ["hit", "miss_clean", "miss_dirty", "jitter"])
+def test_latency_model_rejects_negative_values_by_name(name):
+    with pytest.raises(ValueError, match=name):
+        LatencyModel(**{name: -1})
+
+
 def test_determinism_random_policy_with_jitter():
     def run():
         cache = Cache(policy="random", latency=LatencyModel(jitter=3), seed=42)
@@ -226,7 +218,6 @@ def test_counter_conservation(ops):
     for actor, set_index, tag, is_write in ops:
         out = cache.access(make_line(actor, set_index, tag), is_write)
         dirty_evictions += out.kind is OutcomeKind.MISS_EVICT_DIRTY
-        assert out.writeback == (out.kind is OutcomeKind.MISS_EVICT_DIRTY)
     total = {"loads": 0, "stores": 0, "l1_hits": 0, "l1_misses": 0, "writebacks": 0}
     for counters in cache.counters.values():
         for key, value in dataclasses.asdict(counters).items():
@@ -258,4 +249,3 @@ def test_write_through_never_writes_back(ops):
     for actor, set_index, tag, is_write in ops:
         out = cache.access(make_line(actor, set_index, tag), is_write)
         assert out.kind is not OutcomeKind.MISS_EVICT_DIRTY
-        assert not out.writeback

@@ -1,8 +1,9 @@
 """Differential test: the package cache against `oracles.ReferenceCache`.
 
 Random streams of (actor, set, tag, byte offset, read/write) run through
-both models; after every access the outcome kind, victim way, writeback flag,
-latency, per-actor counters, cycle total and the set's dirty count must agree.
+both models; after every access the outcome kind, victim way, latency,
+per-actor counters, cycle total and the set's dirty count must agree, and the
+reference's own writeback flag must be set exactly on a dirty eviction.
 """
 
 import dataclasses
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirtysim.cache import (Cache, CacheGeometry, LatencyModel, LineRef,
-                            WritePolicy, make_line)
+                            OutcomeKind, WritePolicy, make_line)
 from oracles import ReferenceCache
 
 NUM_SETS = 2
@@ -48,7 +49,8 @@ def test_cache_matches_reference(policy, mode, stream, seed, jitter):
         line = LineRef(actor, line.address + offset)
         got = cache.access(line, write)
         want = ref.access(actor, line.address, write)
-        assert (got.kind.value, got.victim_way, got.writeback, got.latency) == want
+        writeback = got.kind is OutcomeKind.MISS_EVICT_DIRTY
+        assert (got.kind.value, got.victim_way, writeback, got.latency) == want
         assert {a: dataclasses.asdict(c) for a, c in cache.counters.items()} == ref.counters
         assert cache.cycles == ref.cycles
         assert cache.dirty_count(set_index) == ref.dirty_count(set_index)

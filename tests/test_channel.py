@@ -3,10 +3,11 @@ import dataclasses
 import pytest
 
 from dirtysim.cache import Cache, CacheGeometry, LatencyModel, WritePolicy
-from dirtysim.channel import (BinaryEncoding, CalibrationError, ChannelConfig,
-                              MultiBitEncoding, NoiseConfig, Thresholds,
-                              calibrate_thresholds, receiver_decode,
-                              run_channel, run_gadget_attack, sender_encode)
+from dirtysim.channel import (PREAMBLE, BinaryEncoding, CalibrationError,
+                              ChannelConfig, MultiBitEncoding, NoiseConfig,
+                              Thresholds, calibrate_thresholds,
+                              receiver_decode, run_channel, run_gadget_attack,
+                              sender_encode)
 from dirtysim.measurement import (RECEIVER, RSET_TAG_BASES,
                                   build_replacement_set, fill_set)
 from dirtysim.seeding import derive_seed, random_bits
@@ -102,12 +103,19 @@ def test_config_validation():
         ChannelConfig(policy="mru", message="1").validate()
 
 
+def test_eight_levels_do_not_divide_the_preamble():
+    # 3 bits per symbol fit a 6-bit message but not the 16-bit preamble.
+    assert len(PREAMBLE) == 16
+    with pytest.raises(ValueError, match="preamble length must be a multiple of 3"):
+        make_cfg(encoding=MultiBitEncoding(tuple(range(8))), message="010110")
+
+
 def test_config_fields():
     # One field per fact: the receiver shares the sender's period, decodes at
     # its middle, and rates use the package's one clock frequency.
     assert [f.name for f in dataclasses.fields(ChannelConfig)] == [
-        "encoding", "t_s", "target_set", "rset_size", "preamble", "message",
-        "noise", "seed", "slip", "geometry", "policy", "latency"]
+        "encoding", "t_s", "target_set", "rset_size", "message", "noise",
+        "seed", "slip", "geometry", "policy", "latency"]
 
 
 # -- actors ----------------------------------------------------------------------
@@ -271,7 +279,7 @@ def test_report_rate_matches_formula():
 def test_sender_access_count_equals_levels_sent():
     cfg = make_cfg(encoding=BinaryEncoding(1), message=random_bits(64, 13))
     report = run_channel(cfg)
-    stream = cfg.preamble + cfg.message
+    stream = PREAMBLE + cfg.message
     counters = report.counters.get("sender", {"loads": 0, "stores": 0})
     assert counters["loads"] + counters["stores"] == stream.count("1")
     encode_events = [e for e in report.events if e.action == "encode"]
@@ -281,7 +289,7 @@ def test_sender_access_count_equals_levels_sent():
 def test_latency_trace_length_matches_decodes():
     cfg = make_cfg(message=random_bits(32, 4))
     report = run_channel(cfg)
-    n_symbols = (len(cfg.preamble) + len(cfg.message))
+    n_symbols = len(PREAMBLE) + len(cfg.message)
     assert len(report.latency_trace) == n_symbols
 
 
@@ -297,7 +305,7 @@ def test_dirty_noise_flips_zero_symbols():
                    message="0" * 64)
     report = run_channel(cfg)
     decoded = [bits for _, _, bits in report.latency_trace]
-    stream = cfg.preamble + cfg.message
+    stream = PREAMBLE + cfg.message
     for truth, got in zip(stream, decoded):
         if truth == "0":
             assert got != "0"

@@ -172,6 +172,71 @@ def test_d_one_above_associativity_is_config_error(capsys):
     assert "encoding level exceeds associativity" in captured.err
 
 
+def config_error(capsys):
+    """stderr of a run that must have failed before writing any output."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:")
+    return captured.err
+
+
+@pytest.mark.parametrize("flag,value,reason", [
+    ("--noise-rate", "-1", "rate must be >= 0"),
+    ("--noise-write-prob", "5", "kind_mix must be in [0, 1]"),
+])
+def test_bad_noise_value_is_config_error(flag, value, reason, capsys):
+    # Out-of-range noise values used to run a noiseless channel instead.
+    assert run_cli("run-channel", "--seed", "1", "--message-bits", "16", flag, value) == 2
+    assert reason in config_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ("latency-cdf", "--d-values", "0", "--trials", "1"),
+    ("run-channel", "--message-bits", "16"),
+])
+def test_negative_jitter_is_config_error_that_names_it(argv, capsys):
+    assert run_cli(*argv, "--seed", "1", "--jitter", "-1") == 2
+    assert "jitter must be >= 0" in config_error(capsys)
+
+
+@pytest.mark.parametrize("command", ["run-channel", "gadget"])
+def test_trials_is_no_option_of_commands_without_trials(command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--seed", "1", "--trials", "3")
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,text,key", [
+    (("latency-cdf", "--d-values", "0", "--trials", "1"), "polcy = random\n", "'polcy'"),
+    (("latency-cdf", "--trials", "1"), '{"d-values": "0"}', "'d-values'"),
+    (("run-channel", "--message-bits", "16"), "trials = 3\n", "'trials'"),
+    (("gadget",), '{"trials": 3}', "'trials'"),
+])
+def test_unknown_config_key_is_config_error_that_names_it(argv, text, key, tmp_path,
+                                                          capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    assert run_cli(*argv, "--seed", "1", "--config", str(config)) == 2
+    assert f"unknown config key {key}" in config_error(capsys)
+
+
+@pytest.mark.parametrize("text,flags", [
+    ("message = 1111\n", ("--message", "1111")),
+    ('{"message": 1111}', ("--message", "1111")),
+    ("encoding = multibit\nmessage = 10\n", ("--encoding", "multibit", "--message", "10")),
+    ('{"encoding": "multibit", "message": 10}', ("--encoding", "multibit", "--message", "10")),
+])
+def test_bit_string_message_in_config_file(text, flags, tmp_path):
+    # A flat value or a JSON number such as 1111 decodes to an int.
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    want, got = tmp_path / "flags.json", tmp_path / "config.json"
+    assert run_cli("run-channel", *flags, "--seed", "1", "--out", str(want)) == 0
+    assert run_cli("run-channel", "--config", str(config), "--seed", "1",
+                   "--out", str(got)) == 0
+    assert read(got) == read(want)
+
+
 @pytest.mark.parametrize("argv", [
     ("run-channel", "--message-bits", "16"),
     ("sweep", "--message-bits", "16", "--trials", "1", "--periods", "1600"),

@@ -3,8 +3,10 @@
 Criterion 12 only shows that one build repeats itself; these files pin the
 bytes themselves, so a refactor that changes any number fails here.  The
 CLI files were written by the code before the lean-cache refactor, and the
-demo files (the stdout of demos 01 and 02) by the code before the
-experiments returned whole curves.  To rewrite them after an intended change
+demo files hold the stdout of demos 01 and 02 (written by the code before the
+experiments returned whole curves) and of demos 04 and 05 (noise, multibit,
+both defenses and every gadget pair; written before replacement sets became
+plain tuples).  To rewrite them after an intended change
 of output, run from the repo root:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -26,6 +28,8 @@ SEED = 2024
 DEMOS = {
     "demo-01": "01_eviction_probability.py",
     "demo-02": "02_random_replacement.py",
+    "demo-04": "04_covert_channel.py",
+    "demo-05": "05_defenses_and_gadgets.py",
 }
 
 # name -> argv without --seed/--out.  A run-channel case whose name ends in

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from dirtysim.cache import Cache, CacheGeometry, LatencyModel, make_line
 from dirtysim.channel import ChannelConfig
-from dirtysim.measurement import (ReplacementSet, build_replacement_set, fill_set,
-                                  latency_cdf, measure_replacement_latency,
-                                  prime_dirty_probe)
+from dirtysim.measurement import (build_replacement_set, fill_set, latency_cdf,
+                                  measure_replacement_latency, prime_dirty_probe)
 from dirtysim.policy import POLICIES
 from dirtysim.seeding import derive_seed
 
@@ -27,10 +26,10 @@ def prepared_cache(d, latency=None, seed=0):
 
 def test_build_replacement_set_shape():
     rset = build_replacement_set("r", 5, 10, seed=3)
-    assert len(rset.lines) == 10
-    assert all(GEO.set_index(line.address) == 5 for line in rset.lines)
-    assert len({line.address for line in rset.lines}) == 10
-    assert sorted(rset.lines) == [make_line("r", 5, t) for t in range(10)]
+    assert len(rset) == 10
+    assert all(GEO.set_index(line.address) == 5 for line in rset)
+    assert len({line.address for line in rset}) == 10
+    assert sorted(rset) == [make_line("r", 5, t) for t in range(10)]
 
 
 def test_build_replacement_set_deterministic():
@@ -38,8 +37,8 @@ def test_build_replacement_set_deterministic():
     b = build_replacement_set("r", 5, 10, seed=3)
     assert a == b
     c = build_replacement_set("r", 5, 10, seed=4)
-    assert sorted(c.lines) == sorted(a.lines)  # only the chase order is seeded
-    assert c.lines != a.lines
+    assert sorted(c) == sorted(a)  # only the chase order is seeded
+    assert c != a
 
 
 def test_chase_order_is_the_seeded_shuffle_of_tag_order():
@@ -48,12 +47,12 @@ def test_chase_order_is_the_seeded_shuffle_of_tag_order():
     order = list(range(10))
     random.Random(derive_seed("chase", 3)).shuffle(order)
     rset = build_replacement_set("r", 5, 10, seed=3, tag_base=1000)
-    assert rset.lines == tuple(make_line("r", 5, 1000 + i) for i in order)
+    assert rset == tuple(make_line("r", 5, 1000 + i) for i in order)
 
 
 def test_build_replacement_set_singleton():
     rset = build_replacement_set("r", 0, 1, seed=0)
-    assert rset.lines == (make_line("r", 0, 0),)
+    assert rset == (make_line("r", 0, 0),)
 
 
 def test_build_replacement_set_rejects_empty():
@@ -78,7 +77,7 @@ def test_total_is_sum_of_individual_latencies():
     cache = prepared_cache(3)
     rset = build_replacement_set("receiver", 0, 10, seed=1, tag_base=1000)
     shadow = prepared_cache(3)
-    individual = [shadow.read(line).latency for line in rset.lines]
+    individual = [shadow.read(line).latency for line in rset]
     assert measure_replacement_latency(cache, rset).total_cycles == sum(individual)
 
 
@@ -143,7 +142,7 @@ def test_chase_order_does_not_change_total(data, geo, policy, jitter, cache_seed
     results = []
     for chased in (lines, [lines[i] for i in order]):
         cache = Cache(geo, policy, LatencyModel(jitter=jitter), seed=cache_seed)
-        sample = prime_dirty_probe(cache, ReplacementSet("receiver", 0, tuple(chased)), d)
+        sample = prime_dirty_probe(cache, tuple(chased), d)
         results.append((sample.total_cycles, sample.dirty_before,
                         sample.resident_hits, cache.cycles))
     assert results[0] == results[1]

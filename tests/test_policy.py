@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirtysim.cache import Cache, make_line
+from dirtysim.cache import Cache, OutcomeKind, make_line
 from dirtysim.policy import (POLICIES, RandomPolicy, TreePLRU, TrueLRU,
                              analytic_dirty_eviction_probability,
                              dirty_eviction_experiment,
@@ -125,7 +125,7 @@ def test_random_policy_cache_seeds_its_generator_once(monkeypatch):
     monkeypatch.setattr(random, "Random", CountingRandom)
     cache = Cache(policy="random", seed=7)
     assert seeds == [7]
-    cache.reset(seed=8)
+    cache = Cache(policy="random", seed=8)
     assert seeds == [7, 8]
     # Draws still follow a generator seeded with the cache's seed.
     expected = CountingRandom(8)
@@ -263,10 +263,9 @@ def test_analytic_monotone(d, l):
 def test_dirty_eviction_experiment_agrees_with_cache_pipeline():
     """Replay the experiment through the real cache under the random policy."""
     d, l, trials = 3, 10, 3000
-    cache = Cache(policy="random")
     successes = 0
     for t in range(trials):
-        cache.reset(seed=derive_seed(99, "pipeline", t))
+        cache = Cache(policy="random", seed=derive_seed(99, "pipeline", t))
         for i in range(8 - d):
             cache.read(make_line("filler", 0, i))
         for j in range(d):
@@ -274,7 +273,7 @@ def test_dirty_eviction_experiment_agrees_with_cache_pipeline():
         evicted = False
         for r in range(l):
             out = cache.read(make_line("receiver", 0, 1000 + r))
-            evicted = evicted or out.writeback
+            evicted = evicted or out.kind is OutcomeKind.MISS_EVICT_DIRTY
         successes += evicted
     pipeline = successes / trials
     direct = dirty_eviction_experiment(d, l, trials, seed=555).evicted_fraction
