@@ -12,7 +12,7 @@ from .analysis import (DEFAULT_PERIODS, ErrorReport, PreambleLockError,
 from .cache import (AccessOutcome, Cache, CacheGeometry, LatencyModel,
                     LineRef, LineState, OutcomeKind, WritePolicy, make_line)
 from .channel import (BinaryEncoding, CalibrationError, ChannelConfig,
-                      ChannelReport, GadgetResult, MultiBitEncoding,
+                      ChannelReport, Encoding, GadgetResult, MultiBitEncoding,
                       NoiseConfig, Thresholds, calibrate_thresholds,
                       receiver_decode, run_channel, run_gadget_attack,
                       sender_encode)
@@ -30,10 +30,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AccessOutcome", "BinaryEncoding", "Cache", "CacheGeometry",
     "CalibrationError", "ChannelConfig", "ChannelReport", "DEFAULT_PERIODS",
-    "ErrorReport", "EvictionExperimentResult", "GadgetResult", "LatencyModel",
-    "LatencySample", "LineRef", "LineState", "MultiBitEncoding", "NoiseConfig",
-    "OutcomeKind", "PreambleLockError", "RandomPolicy", "Thresholds",
-    "TreePLRU", "TrueLRU", "WritePolicy",
+    "Encoding", "ErrorReport", "EvictionExperimentResult", "GadgetResult",
+    "LatencyModel", "LatencySample", "LineRef", "LineState",
+    "MultiBitEncoding", "NoiseConfig", "OutcomeKind", "PreambleLockError",
+    "RandomPolicy", "Thresholds", "TreePLRU", "TrueLRU", "WritePolicy",
     "align_by_preamble", "analytic_dirty_eviction_probability",
     "bit_error_rate", "build_replacement_set", "calibrate_thresholds",
     "derive_seed", "dirty_eviction_experiment", "edit_distance",

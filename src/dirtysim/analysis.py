@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 FREQUENCY_HZ = 2.2e9  # core clock that turns cycles into seconds
 DEFAULT_PERIODS = (800, 1000, 1600, 2200, 5500, 11000)
-DEFAULT_ALIGN_WINDOW = 32
+ALIGN_WINDOW = 32
 
 
 class PreambleLockError(ValueError):
@@ -61,18 +61,16 @@ def edit_distance(a, b) -> int:
     return score
 
 
-def align_by_preamble(stream, preamble, window: int = DEFAULT_ALIGN_WINDOW) -> int:
-    """Offset in [0, window] where the stream best matches the preamble.
+def align_by_preamble(stream, preamble) -> int:
+    """Offset in [0, ALIGN_WINDOW] where the stream best matches the preamble.
 
     Ties break toward the smallest offset.  Raises PreambleLockError when the
     best distance exceeds a quarter of the preamble length.
     """
-    if window < len(preamble):
-        raise ValueError("window must cover at least one preamble length")
     best_offset = 0
     best_distance = None
     plen = len(preamble)
-    for offset in range(0, window + 1):
+    for offset in range(ALIGN_WINDOW + 1):
         distance = edit_distance(preamble, stream[offset:offset + plen])
         if best_distance is None or distance < best_distance:
             best_offset, best_distance = offset, distance

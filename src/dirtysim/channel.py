@@ -12,6 +12,7 @@ events come only from a `NoiseConfig` with a rate above 0.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import json
 import random
@@ -42,12 +43,30 @@ class CalibrationError(RuntimeError):
 
 # -- encodings ---------------------------------------------------------------
 
+@dataclass(frozen=True)
 class Encoding:
-    """Maps symbol bits to a dirty-line count (level) and back."""
+    """Symbol bits <-> dirty-line count: 2**k strictly increasing levels carry k bits.
 
-    @property
-    def levels(self):
-        raise NotImplementedError
+    Binary is the two-level case (0, d_one).  `name` sets `d_label`: d_one for
+    binary, every level for multibit.
+    """
+
+    levels: tuple = (0, 1)
+    name: str = "binary"
+
+    def __post_init__(self):
+        levels = tuple(self.levels)
+        object.__setattr__(self, "levels", levels)
+        if self.name not in ("binary", "multibit"):
+            raise ValueError(f"unknown encoding {self.name!r}")
+        if self.name == "binary" and not (len(levels) == 2 and levels[0] == 0 < levels[1]):
+            raise ValueError("binary levels must be (0, d_one) with d_one >= 1")
+        if len(levels) < 2 or len(levels) & (len(levels) - 1):
+            raise ValueError("need a power-of-two number of levels >= 2")
+        if any(b <= a for a, b in zip(levels, levels[1:])):
+            raise ValueError("levels must be strictly increasing")
+        if levels[0] < 0:
+            raise ValueError("levels must be non-negative")
 
     @property
     def bits_per_symbol(self) -> int:
@@ -55,6 +74,8 @@ class Encoding:
 
     @property
     def d_label(self) -> str:
+        if self.name == "binary":
+            return str(self.levels[1])
         return "-".join(str(d) for d in self.levels)
 
     def level_for_bits(self, bits: str) -> int:
@@ -67,46 +88,14 @@ class Encoding:
         return format(index, f"0{self.bits_per_symbol}b")
 
 
-@dataclass(frozen=True)
-class BinaryEncoding(Encoding):
+def BinaryEncoding(d_one: int = 1) -> Encoding:
     """Bit 0 leaves the set untouched; bit 1 installs d_one dirty lines."""
-
-    d_one: int = 1
-    name = "binary"
-
-    def __post_init__(self):
-        if self.d_one < 1:
-            raise ValueError("d_one must be >= 1")
-
-    @property
-    def levels(self):
-        return (0, self.d_one)
-
-    @property
-    def d_label(self) -> str:
-        return str(self.d_one)
+    return Encoding((0, d_one), "binary")
 
 
-@dataclass(frozen=True)
-class MultiBitEncoding(Encoding):
-    """2**k strictly increasing dirty-line counts encode k bits per symbol."""
-
-    level_values: tuple = (0, 3, 5, 8)
-    name = "multibit"
-
-    def __post_init__(self):
-        values = tuple(self.level_values)
-        object.__setattr__(self, "level_values", values)
-        if len(values) < 2 or len(values) & (len(values) - 1):
-            raise ValueError("need a power-of-two number of levels >= 2")
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise ValueError("levels must be strictly increasing")
-        if values[0] < 0:
-            raise ValueError("levels must be non-negative")
-
-    @property
-    def levels(self):
-        return self.level_values
+def MultiBitEncoding(levels=(0, 3, 5, 8)) -> Encoding:
+    """Each group of k bits selects one of 2**k dirty-line counts."""
+    return Encoding(levels, "multibit")
 
 
 # -- configuration -----------------------------------------------------------
@@ -121,6 +110,8 @@ class NoiseConfig:
     def __post_init__(self):
         if self.rate < 0:
             raise ValueError("rate must be >= 0")
+        if self.rate > 1:
+            raise ValueError("rate must be <= 1")
         if not 0.0 <= self.kind_mix <= 1.0:
             raise ValueError("kind_mix must be in [0, 1]")
 
@@ -129,7 +120,7 @@ class NoiseConfig:
 class ChannelConfig:
     """Everything defining one channel run; identical configs replay identically."""
 
-    encoding: Encoding = field(default_factory=BinaryEncoding)
+    encoding: Encoding = Encoding()
     t_s: int = 5500                    # period: encode at its start, decode mid-way
     target_set: int = 0
     rset_size: int = DEFAULT_RSET_SIZE
@@ -204,13 +195,8 @@ class Thresholds:
         return cls(tuple((means[i] + means[i + 1]) / 2.0 for i in range(len(means) - 1)))
 
     def classify(self, total_cycles: int) -> int:
-        index = 0
-        for cut in self.cuts:
-            if total_cycles > cut:
-                index += 1
-            else:
-                break
-        return index
+        """Index of the level: the number of cuts below `total_cycles`."""
+        return bisect.bisect_left(self.cuts, total_cycles)
 
 
 def calibrate_thresholds(cfg: ChannelConfig, trials: int = 8) -> Thresholds:
@@ -397,13 +383,14 @@ class GadgetResult:
     latencies: dict
 
 
-def run_gadget_attack(variant: str, scenario: str, secret: int, seed: int = 0, *,
+def run_gadget_attack(variant: str, scenario: str, secret: int, *,
                       line0_set: Optional[int] = None,
                       line1_set: Optional[int] = None) -> GadgetResult:
     """Recover a victim's secret-dependent access through replacement latency.
 
     LRU only: the cache is the default geometry and latency model under LRU,
-    and the cuts below assume its deterministic victim order.
+    and the cuts below assume its deterministic victim order.  Without jitter
+    or a random policy nothing is drawn, so the result needs no seed.
 
     Scenario set-state-dirty: the attacker primes a set clean and detects the
     dirty line the victim's store leaves behind (variant a only; the two
@@ -438,7 +425,7 @@ def run_gadget_attack(variant: str, scenario: str, secret: int, seed: int = 0, *
     if scenario in ("prime-with-dirty", "victim-timing") and set_i == set_j:
         raise ValueError(f"{scenario} requires line 0 and line 1 in different cache sets")
 
-    cache = Cache(geo, "lru", lat, seed=seed)
+    cache = Cache(geo, "lru", lat)
     ways = geo.associativity
     rset_size = DEFAULT_RSET_SIZE
     line0 = make_line("victim", set_i, 0, geo)
@@ -454,8 +441,7 @@ def run_gadget_attack(variant: str, scenario: str, secret: int, seed: int = 0, *
         # victim run, then probe the primed set.
         fill_set(cache, "attacker", set_i, ways, write=scenario == "prime-with-dirty")
         victim_call()
-        rset = build_replacement_set("attacker", set_i, rset_size,
-                                     derive_seed(seed, "gadget"), geometry=geo,
+        rset = build_replacement_set("attacker", set_i, rset_size, geometry=geo,
                                      tag_base=RSET_TAG_BASES[0])
         total = measure_replacement_latency(cache, rset).total_cycles
         if scenario == "set-state-dirty":

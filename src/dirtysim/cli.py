@@ -1,9 +1,10 @@
 """Experiment runner: every capability behind a reproducible subcommand.
 
 Each command takes an explicit seed (flag, config file, or DIRTYSIM_SEED) and
-emits CSV or JSON whose bytes depend only on the configuration.  A config
-file may set only the options of its command.  Exit codes: 0 success,
-2 configuration error, 3 threshold calibration failure.
+emits CSV or JSON whose bytes depend only on the configuration; `gadget` is
+deterministic and ignores the seed.  A config file may set only the options
+of its command.  Exit codes: 0 success, 2 configuration error, 3 threshold
+calibration failure.
 """
 
 from __future__ import annotations
@@ -222,10 +223,9 @@ def cmd_sweep(args):
 
 
 def cmd_gadget(args):
-    seed = _int_or(args.seed, 0)
     result = channel.run_gadget_attack(
         args.variant or "a", args.scenario or "set-state-dirty",
-        _int_or(args.secret, 1), seed,
+        _int_or(args.secret, 1),
         line0_set=None if args.line0_set is None else int(args.line0_set),
         line1_set=None if args.line1_set is None else int(args.line1_set))
     _emit(json.dumps(dataclasses.asdict(result), indent=2, sort_keys=True) + "\n", args.out)
@@ -299,7 +299,7 @@ def build_parser():
     p.set_defaults(func=cmd_sweep)
 
     p = commands.add_parser("gadget", help="secret recovery through the three side-channel "
-                            "scenarios (LRU only)")
+                            "scenarios (LRU only; deterministic, ignores --seed)")
     _add_common(p, trials=False)
     p.add_argument("--variant", choices=channel.VARIANTS, default=None)
     p.add_argument("--scenario", default=None,

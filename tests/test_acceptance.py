@@ -189,7 +189,7 @@ def test_criterion_11_gadgets():
               ("a", "victim-timing"), ("b", "victim-timing")]
     for variant, scenario in combos:
         for secret in (0, 1):
-            result = run_gadget_attack(variant, scenario, secret, seed=SEED)
+            result = run_gadget_attack(variant, scenario, secret)
             assert result.inferred == secret, (variant, scenario, secret)
     with pytest.raises(ValueError):
         run_gadget_attack("b", "prime-with-dirty", 1, line0_set=2, line1_set=2)

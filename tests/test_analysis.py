@@ -108,11 +108,6 @@ def test_align_no_lock_on_constant_stream():
         align_by_preamble("0" * 64, PREAMBLE)
 
 
-def test_align_window_validation():
-    with pytest.raises(ValueError):
-        align_by_preamble("0" * 64, PREAMBLE, window=8)
-
-
 def test_ber_identical_streams():
     msg = random_bits(128, 9)
     report = bit_error_rate(msg, msg)

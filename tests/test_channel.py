@@ -45,8 +45,12 @@ def test_binary_encoding_levels():
     assert enc.bits_per_symbol == 1
     assert enc.level_for_bits("1") == 4
     assert enc.level_for_bits("0") == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="d_one >= 1"):
         BinaryEncoding(0)
+    # Equal levels, but the sweep labels binary by d_one and multibit by levels.
+    assert BinaryEncoding(8).levels == MultiBitEncoding((0, 8)).levels == (0, 8)
+    assert BinaryEncoding(8).d_label == "8"
+    assert MultiBitEncoding((0, 8)).d_label == "0-8"
     # The upper bound on d_one is the geometry's associativity, so it is
     # checked by validate(), not by the encoding.
     with pytest.raises(ValueError, match="encoding level exceeds associativity"):
@@ -91,8 +95,11 @@ def test_config_validation():
         make_cfg(message="")
     with pytest.raises(ValueError):
         make_cfg(noise=NoiseConfig(rate=0.5), geometry=PARTITION)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rate must be >= 0"):
         NoiseConfig(rate=-1)
+    with pytest.raises(ValueError, match="rate must be <= 1"):
+        NoiseConfig(rate=1.5)
+    assert NoiseConfig(rate=1.0).rate == 1.0
     with pytest.raises(ValueError):
         NoiseConfig(rate=0.1, kind_mix=1.5)
     for rset_size in (0, 4, 7):
@@ -242,6 +249,9 @@ def test_thresholds_classify():
     assert th.classify(143) == 1
     assert th.classify(165) == 2
     assert th.classify(198) == 3
+    assert th.classify(154) == 1  # a total equal to a cut falls below it
+    for total in range(100, 211):
+        assert th.classify(total) == sum(c < total for c in th.cuts)
     with pytest.raises(ValueError):
         Thresholds((5.0, 5.0))
 

@@ -172,6 +172,12 @@ def test_d_one_above_associativity_is_config_error(capsys):
     assert "encoding level exceeds associativity" in captured.err
 
 
+def test_d_one_zero_is_config_error(capsys):
+    assert run_cli("run-channel", "--seed", "1", "--message-bits", "16",
+                   "--d-one", "0") == 2
+    assert "d_one >= 1" in config_error(capsys)
+
+
 def config_error(capsys):
     """stderr of a run that must have failed before writing any output."""
     captured = capsys.readouterr()
@@ -183,6 +189,7 @@ def config_error(capsys):
 @pytest.mark.parametrize("flag,value,reason", [
     ("--noise-rate", "-1", "rate must be >= 0"),
     ("--noise-write-prob", "5", "kind_mix must be in [0, 1]"),
+    ("--noise-rate", "5", "rate must be <= 1"),
 ])
 def test_bad_noise_value_is_config_error(flag, value, reason, capsys):
     # Out-of-range noise values used to run a noiseless channel instead.

@@ -6,8 +6,9 @@ CLI files were written by the code before the lean-cache refactor, and the
 demo files hold the stdout of demos 01 and 02 (written by the code before the
 experiments returned whole curves) and of demos 04 and 05 (noise, multibit,
 both defenses and every gadget pair; written before replacement sets became
-plain tuples).  To rewrite them after an intended change
-of output, run from the repo root:
+plain tuples).  The sweep-multibit, sweep-d-one-8 and sweep-multibit-0-8
+files were written before the encodings became one `Encoding` class.  To
+rewrite them after an intended change of output, run from the repo root:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -65,6 +66,15 @@ CASES = {
                             "--periods", "800,5500", "--encoding", "multibit",
                             "--policy", "tree-plru", "--slip", "500", "--noise-rate", "0.6",
                             "--noise-write-prob", "0.7"),
+    # the sweep's encoding and d columns for each kind of encoding; the last
+    # two share levels (0, 8) but not labels
+    "sweep-multibit": ("sweep", "--message-bits", "32", "--trials", "1",
+                       "--periods", "1600,5500", "--encoding", "multibit"),
+    "sweep-d-one-8": ("sweep", "--message-bits", "32", "--trials", "1",
+                      "--periods", "1600,5500", "--d-one", "8"),
+    "sweep-multibit-0-8": ("sweep", "--message-bits", "32", "--trials", "1",
+                           "--periods", "1600,5500", "--encoding", "multibit",
+                           "--levels", "0,8"),
     "gadget-a-set-state-dirty-0": ("gadget", "--variant", "a", "--scenario",
                                    "set-state-dirty", "--secret", "0"),
     "gadget-b-prime-with-dirty-1": ("gadget", "--variant", "b", "--scenario",
