@@ -16,10 +16,10 @@ print()
 header = "        " + "".join("   L=%-5d" % l for l in range(8, 14))
 print(header)
 gaps = []
-for d in (1, 2, 3):
-    # One run with L=13 gives the whole row: evicted_within[l - 1] is the
-    # fraction of trials with a dirty victim within l draws.
-    curve = dirty_eviction_experiment(d, 13, TRIALS, seed=SEED).evicted_within
+# One run with every d and L=13 gives the whole table: curves[d][l - 1] is
+# the fraction of trials with a dirty victim within l draws.
+curves = dirty_eviction_experiment((1, 2, 3), 13, TRIALS, seed=SEED).curves
+for d, curve in curves.items():
     mc_row = [curve[l - 1] for l in range(8, 14)]
     exact_row = [analytic_dirty_eviction_probability(WAYS, d, l) for l in range(8, 14)]
     print("  d=%d mc " % d + "".join("  %6.1f%%" % (100 * v) for v in mc_row))

@@ -19,8 +19,9 @@ from .channel import (BinaryEncoding, CalibrationError, ChannelConfig,
 from .measurement import (LatencySample, build_replacement_set, fill_set,
                           latency_cdf, measure_replacement_latency,
                           prime_dirty_probe)
-from .policy import (EvictionExperimentResult, RandomPolicy, TreePLRU,
-                     TrueLRU, analytic_dirty_eviction_probability,
+from .policy import (DirtyEvictionResult, EvictionExperimentResult,
+                     RandomPolicy, TreePLRU, TrueLRU,
+                     analytic_dirty_eviction_probability,
                      dirty_eviction_experiment, eviction_distance_experiment,
                      make_policy)
 from .seeding import derive_seed, random_bits
@@ -30,8 +31,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AccessOutcome", "BinaryEncoding", "Cache", "CacheGeometry",
     "CalibrationError", "ChannelConfig", "ChannelReport", "DEFAULT_PERIODS",
-    "Encoding", "ErrorReport", "EvictionExperimentResult", "GadgetResult",
-    "LatencyModel", "LatencySample", "LineRef", "LineState",
+    "DirtyEvictionResult", "Encoding", "ErrorReport",
+    "EvictionExperimentResult", "GadgetResult", "LatencyModel",
+    "LatencySample", "LineRef", "LineState",
     "MultiBitEncoding", "NoiseConfig", "OutcomeKind", "PreambleLockError",
     "RandomPolicy", "Thresholds", "TreePLRU", "TrueLRU", "WritePolicy",
     "align_by_preamble", "analytic_dirty_eviction_probability",

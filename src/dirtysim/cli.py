@@ -106,8 +106,12 @@ def _latency(jitter):
 def _encoding(args):
     name = (args.encoding or "binary").lower()
     if name == "binary":
+        if args.levels is not None:
+            raise ConfigError("--levels applies only to --encoding multibit")
         return channel.BinaryEncoding(_int_or(args.d_one, 1))
     if name == "multibit":
+        if args.d_one is not None:
+            raise ConfigError("--d-one applies only to --encoding binary")
         return channel.MultiBitEncoding(_int_list(args.levels, (0, 3, 5, 8), "levels"))
     raise ConfigError(f"unknown encoding {name!r}")
 
@@ -167,12 +171,12 @@ def cmd_dirty_evict(args):
     ds = _int_list(args.d, [2, 3], "d")
     ls = _int_list(args.l, [8, 9, 10, 11, 12, 13], "l", low=1)
     ways = CacheGeometry().associativity
+    curves = policy.dirty_eviction_experiment(ds, max(ls), trials, seed).curves
     lines = ["d,L,trials,mc_fraction,analytic_p"]
     for d in sorted(ds):
-        curve = policy.dirty_eviction_experiment(d, max(ls), trials, seed).evicted_within
         for l in sorted(ls):
             analytic = policy.analytic_dirty_eviction_probability(ways, d, l)
-            lines.append(f"{d},{l},{trials},{curve[l - 1]:.4f},{analytic:.4f}")
+            lines.append(f"{d},{l},{trials},{curves[d][l - 1]:.4f},{analytic:.4f}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -22,8 +22,13 @@ class ReplacementPolicy:
     def new_set_meta(self):
         raise NotImplementedError
 
-    def reset(self, seed):
-        """Start a new trial: zero the access counter, or reseed the RNG with `seed`."""
+    def reset(self, *seed_parts):
+        """Start a new trial.
+
+        Only a policy that draws reads `seed_parts`: it reseeds from
+        `derive_seed(*seed_parts)`.  The others derive nothing, so a
+        deterministic policy's trial costs no seed.
+        """
 
     def randomize_meta(self, meta, rng):
         """Scramble metadata to a uniformly random reachable state (for experiments)."""
@@ -46,7 +51,7 @@ class TrueLRU(ReplacementPolicy):
     def new_set_meta(self):
         return [0] * self.ways
 
-    def reset(self, seed):
+    def reset(self, *seed_parts):
         self._tick = 0
 
     def randomize_meta(self, meta, rng):
@@ -128,8 +133,8 @@ class RandomPolicy(ReplacementPolicy):
     def new_set_meta(self):
         return None
 
-    def reset(self, seed):
-        self._rng = random.Random(seed)
+    def reset(self, *seed_parts):
+        self._rng = random.Random(derive_seed(*seed_parts))
 
     def on_access(self, meta, way):
         pass
@@ -192,7 +197,7 @@ def eviction_distance_experiment(policy, n: int, trials: int, seed: int,
     first = [0] * n  # first[j]: trials whose probe line insertion j + 1 evicted
     for t in range(trials):
         rng = random.Random(derive_seed(seed, "evict-dist", t))
-        pol.reset(seed=derive_seed(seed, "evict-dist-victims", t))
+        pol.reset(seed, "evict-dist-victims", t)
         meta = pol.new_set_meta()
         pol.randomize_meta(meta, rng)
         probe = pol.select_victim(meta, candidates)
@@ -206,33 +211,56 @@ def eviction_distance_experiment(policy, n: int, trials: int, seed: int,
     return EvictionExperimentResult(trials, tuple(c / trials for c in accumulate(first)))
 
 
-def dirty_eviction_experiment(d: int, l: int, trials: int, seed: int,
-                              ways: int = 8) -> EvictionExperimentResult:
+@dataclass(frozen=True)
+class DirtyEvictionResult:
+    """Outcome of one dirty-eviction experiment: one curve per dirty count.
+
+    `curves[d][k]` is the fraction of trials with a dirty victim within
+    k + 1 draws when ways 0..d-1 are dirty.  Every curve comes from the same
+    trials, so one run with every d and the largest l gives the whole table.
+    """
+
+    trials: int
+    curves: dict[int, tuple[float, ...]]
+
+
+def dirty_eviction_experiment(ds, l: int, trials: int, seed: int,
+                              ways: int = 8) -> DirtyEvictionResult:
     """Probability that >= 1 of d dirty lines is evicted by up to l random-policy misses.
 
     Models a full set holding d dirty lines in ways 0..d-1 (kept resident, as
     by looping over them) and ways-d clean lines, then up to l distinct
     replacement lines, which may evict each other, under uniform random
-    victim selection; a trial stops at its first dirty victim.  Victim draws
-    depend only on (seed, trial), so fractions are pathwise monotone in both
-    d and l for a fixed seed.
+    victim selection.  Victim draws depend only on (seed, trial), not on d,
+    so one pass serves every d in `ds`: a trial draws until each d has seen
+    a victim below it (its first dirty victim) or until l draws.  Fractions
+    are therefore pathwise monotone in both d and l for a fixed seed.
     """
-    if not 0 <= d <= ways:
-        raise ValueError(f"d={d} outside 0..{ways}")
+    todo = sorted(set(ds))
+    if not todo:
+        raise ValueError("ds must not be empty")
+    for d in (todo[0], todo[-1]):
+        if not 0 <= d <= ways:
+            raise ValueError(f"d={d} outside 0..{ways}")
     if l < 1:
         raise ValueError("l must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     pol = RandomPolicy(ways=ways)
     candidates = tuple(range(ways))
-    first = [0] * l  # first[j]: trials whose first dirty victim was draw j + 1
+    # first[d][j]: trials whose first victim below d was draw j + 1
+    first = {d: [0] * l for d in todo}
     for t in range(trials):
-        pol.reset(seed=derive_seed(seed, "dirty-evict", t))
+        pol.reset(seed, "dirty-evict", t)
+        pending = todo.copy()  # ascending, so a victim credits the largest d first
         for j in range(l):
-            if pol.select_victim(None, candidates) < d:
-                first[j] += 1
+            victim = pol.select_victim(None, candidates)
+            while pending and victim < pending[-1]:
+                first[pending.pop()][j] += 1
+            if not pending:
                 break
-    return EvictionExperimentResult(trials, tuple(c / trials for c in accumulate(first)))
+    return DirtyEvictionResult(trials, {d: tuple(c / trials for c in accumulate(counts))
+                                        for d, counts in first.items()})
 
 
 def analytic_dirty_eviction_probability(ways: int, d: int, l: int) -> float:

@@ -82,7 +82,7 @@ def test_criterion_04_dirty_grid():
     grid = {}
     for d in (2, 3):
         for l in range(8, 14):
-            grid[(d, l)] = dirty_eviction_experiment(d, l, TRIALS, seed=SEED).evicted_fraction
+            grid[(d, l)] = dirty_eviction_experiment([d], l, TRIALS, seed=SEED).curves[d][-1]
     for l in range(8, 14):
         assert grid[(2, l)] <= grid[(3, l)]
     for d in (2, 3):

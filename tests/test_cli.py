@@ -178,6 +178,33 @@ def test_d_one_zero_is_config_error(capsys):
     assert "d_one >= 1" in config_error(capsys)
 
 
+@pytest.mark.parametrize("command", [("run-channel",), ("sweep", "--trials", "1",
+                                                          "--periods", "5500")])
+@pytest.mark.parametrize("options,stray", [
+    (("--levels", "0,8"), "--levels"),  # binary by default
+    (("--encoding", "binary", "--levels", "0,8"), "--levels"),
+    (("--encoding", "multibit", "--d-one", "5"), "--d-one"),
+])
+def test_other_encodings_option_is_config_error(command, options, stray, capsys):
+    # Each encoding reads only its own option, so the other one would be
+    # silently ignored.
+    assert run_cli(*command, "--seed", "1", "--message-bits", "16", *options) == 2
+    assert stray in config_error(capsys)
+
+
+@pytest.mark.parametrize("text,stray", [
+    ("levels = 0,8\n", "--levels"),
+    ("encoding = multibit\nd-one = 5\n", "--d-one"),
+    ('{"encoding": "multibit", "d_one": 5}', "--d-one"),
+])
+def test_other_encodings_config_key_is_config_error(text, stray, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    assert run_cli("run-channel", "--seed", "1", "--message-bits", "16",
+                   "--config", str(config)) == 2
+    assert stray in config_error(capsys)
+
+
 def config_error(capsys):
     """stderr of a run that must have failed before writing any output."""
     captured = capsys.readouterr()
@@ -316,13 +343,16 @@ def test_experiments_run_once_per_curve(monkeypatch, tmp_path):
     assert out.read_text().splitlines()[1:] == [
         f"random,{n},40,{eviction_distance_fraction('random', n, 40, 6):.4f}"
         for n in (9, 3, 12, 9)]
-    calls.clear()
-    run_cli("dirty-evict", "--d", "3,0,1", "--l", "13,2,8", "--trials", "40",
-            "--seed", "6", "--out", str(out))
-    assert calls == [("dirty_eviction_experiment", (d, 13)) for d in (0, 1, 3)]
-    assert [row.split(",")[:4] for row in out.read_text().splitlines()[1:]] == [
-        [str(d), str(l), "40", f"{dirty_eviction_fraction(d, l, 40, 6):.4f}"]
-        for d in (0, 1, 3) for l in (2, 8, 13)]
+    for d_option, rows in (("3,0,1", (0, 1, 3)), ("2,2,0", (0, 2, 2))):
+        calls.clear()
+        run_cli("dirty-evict", "--d", d_option, "--l", "13,2,8", "--trials", "40",
+                "--seed", "6", "--out", str(out))
+        # One experiment for the whole table, at the largest l.
+        assert [(name, sorted(ds), l) for name, (ds, l) in calls] == [
+            ("dirty_eviction_experiment", sorted(rows), 13)]
+        assert [row.split(",")[:4] for row in out.read_text().splitlines()[1:]] == [
+            [str(d), str(l), "40", f"{dirty_eviction_fraction(d, l, 40, 6):.4f}"]
+            for d in rows for l in (2, 8, 13)]
 
 
 def test_config_file_merge_and_flag_override(tmp_path):

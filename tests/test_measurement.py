@@ -154,6 +154,22 @@ def test_latency_cdf_point_masses_without_jitter():
         assert samples == [110 + 11 * d] * 4
 
 
+@pytest.mark.parametrize("rset_size", range(8, 17))
+@pytest.mark.parametrize("policy", ["lru", "tree-plru"])
+def test_latency_cdf_is_a_point_mass_for_deterministic_policies(policy, rset_size):
+    # Under lru and tree-plru every replacement line misses and the probe
+    # writes back each of the d dirty lines exactly once, whatever the seed
+    # or the target set.
+    lat = LatencyModel()
+    for seed, target_set in [(0, 0), (1, 17), (2024, 63), (-7, 40)]:
+        table = latency_cdf(range(9), trials=3, seed=seed, policy=policy,
+                            target_set=target_set, rset_size=rset_size)
+        assert [d for d, _ in table] == list(range(9))
+        for d, samples in table:
+            total = rset_size * lat.miss_clean + d * (lat.miss_dirty - lat.miss_clean)
+            assert samples == [total] * 3, (seed, target_set, d)
+
+
 def test_latency_cdf_band_separation_arithmetic():
     # Adjacent means sit 11 cycles apart; each access carries +-j, so a
     # 10-access total stays within +-10j of its mean.  Bands are therefore

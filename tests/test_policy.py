@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirtysim.cache import Cache, OutcomeKind, make_line
@@ -183,20 +183,45 @@ def test_eviction_distance_validation():
         eviction_distance_experiment("lru", 8, 0, seed=0)
 
 
+def test_seeds_are_derived_only_where_a_policy_draws(monkeypatch):
+    import dirtysim.policy as policy_module
+    derived = []
+    monkeypatch.setattr(policy_module, "derive_seed",
+                        lambda *parts: derived.append(parts) or derive_seed(*parts))
+    TrueLRU(8).reset(5, "trial", 1)
+    TreePLRU(8).reset(5, "trial", 1)
+    assert derived == []
+    pol = RandomPolicy(ways=8)
+    pol.reset(5, "trial", 1)
+    assert derived == [(5, "trial", 1)]
+    rng = random.Random(derive_seed(5, "trial", 1))
+    for _ in range(20):
+        assert pol.select_victim(None, ALL) == rng.choice(ALL)
+    # Per trial: the metadata seed, plus the victims seed for random only;
+    # the dirty-eviction table derives one seed per trial for every d.
+    for name, per_trial in (("lru", 1), ("tree-plru", 1), ("random", 2)):
+        derived.clear()
+        eviction_distance_experiment(name, 8, 30, seed=4)
+        assert len(derived) == 30 * per_trial, name
+    derived.clear()
+    dirty_eviction_experiment([0, 2, 3, 3, 8], 13, 30, seed=4)
+    assert len(derived) == 30
+
+
 # -- dirty-eviction experiment -------------------------------------------------
 
 def test_dirty_eviction_all_ways_dirty_is_certain():
-    assert dirty_eviction_experiment(8, 1, 500, seed=2).evicted_fraction == 1.0
+    assert dirty_eviction_experiment([8], 1, 500, seed=2).curves[8][-1] == 1.0
 
 
 def test_dirty_eviction_no_dirty_lines_never_succeeds():
-    assert dirty_eviction_experiment(0, 13, 500, seed=2).evicted_fraction == 0.0
+    assert dirty_eviction_experiment([0], 13, 500, seed=2).curves[0][-1] == 0.0
 
 
 def test_dirty_eviction_tracks_analytic_probability():
     trials = 10_000
     for d, l in [(2, 8), (3, 10), (3, 13)]:
-        mc = dirty_eviction_experiment(d, l, trials, seed=7).evicted_fraction
+        mc = dirty_eviction_experiment([d], l, trials, seed=7).curves[d][-1]
         p = analytic_dirty_eviction_probability(8, d, l)
         sigma = (p * (1 - p) / trials) ** 0.5
         assert abs(mc - p) < 4 * sigma + 1e-9, (d, l, mc, p)
@@ -204,7 +229,7 @@ def test_dirty_eviction_tracks_analytic_probability():
 
 def test_dirty_eviction_monotone_in_d_and_l_for_fixed_seed():
     trials = 2000
-    grid = {(d, l): dirty_eviction_experiment(d, l, trials, seed=11).evicted_fraction
+    grid = {(d, l): dirty_eviction_experiment([d], l, trials, seed=11).curves[d][-1]
             for d in (1, 2, 3) for l in (8, 10, 13)}
     for d in (1, 2):
         for l in (8, 10, 13):
@@ -214,22 +239,36 @@ def test_dirty_eviction_monotone_in_d_and_l_for_fixed_seed():
 
 
 @settings(max_examples=100, deadline=None)
-@given(d=st.integers(0, 8), l=st.integers(1, 20), trials=st.integers(1, 50),
-       seed=st.integers())
-def test_dirty_eviction_curve_matches_per_point_oracle(d, l, trials, seed):
-    result = dirty_eviction_experiment(d, l, trials, seed)
+@given(ds=st.lists(st.integers(0, 8), min_size=1, max_size=5), l=st.integers(1, 20),
+       trials=st.integers(1, 50), seed=st.integers())
+@example(ds=[3, 0, 8, 3], l=13, trials=50, seed=2024)
+@example(ds=[0], l=20, trials=10, seed=0)
+def test_dirty_eviction_curve_matches_per_point_oracle(ds, l, trials, seed):
+    # One pass over the trials for every d must give each d the curve that
+    # the single-d oracle gives at every point.
+    result = dirty_eviction_experiment(ds, l, trials, seed)
     assert result.trials == trials
-    assert len(result.evicted_within) == l
-    for k in range(1, l + 1):
-        assert result.evicted_within[k - 1] == dirty_eviction_fraction(d, k, trials, seed), k
-    assert result.evicted_fraction == result.evicted_within[-1]
+    assert sorted(result.curves) == sorted(set(ds))
+    for d in ds:
+        curve = result.curves[d]
+        assert len(curve) == l
+        for k in range(1, l + 1):
+            assert curve[k - 1] == dirty_eviction_fraction(d, k, trials, seed), (d, k)
 
 
 def test_dirty_eviction_validation():
     with pytest.raises(ValueError):
-        dirty_eviction_experiment(9, 10, 10, seed=0)
+        dirty_eviction_experiment([9], 10, 10, seed=0)
     with pytest.raises(ValueError):
-        dirty_eviction_experiment(3, 0, 10, seed=0)
+        dirty_eviction_experiment([3], 0, 10, seed=0)
+    with pytest.raises(ValueError, match="d=9"):
+        dirty_eviction_experiment([2, 9, 3], 10, 10, seed=0)
+    with pytest.raises(ValueError, match="d=-1"):
+        dirty_eviction_experiment([-1, 3], 10, 10, seed=0)
+    with pytest.raises(ValueError):
+        dirty_eviction_experiment([], 10, 10, seed=0)
+    with pytest.raises(ValueError):
+        dirty_eviction_experiment([3], 10, 0, seed=0)
 
 
 # -- analytic formula ----------------------------------------------------------
@@ -276,7 +315,7 @@ def test_dirty_eviction_experiment_agrees_with_cache_pipeline():
             evicted = evicted or out.kind is OutcomeKind.MISS_EVICT_DIRTY
         successes += evicted
     pipeline = successes / trials
-    direct = dirty_eviction_experiment(d, l, trials, seed=555).evicted_fraction
+    direct = dirty_eviction_experiment([d], l, trials, seed=555).curves[d][-1]
     p = analytic_dirty_eviction_probability(8, d, l)
     sigma = (p * (1 - p) / trials) ** 0.5
     assert abs(pipeline - p) < 4 * sigma
