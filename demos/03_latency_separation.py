@@ -6,14 +6,15 @@
 # per-access jitter, and writes CSV suitable for CDF plotting.
 
 import os
-
-import numpy as np
+import statistics
+from collections import Counter
 
 from dirtysim import LatencyModel, latency_cdf
 
 TRIALS = 200
 SEED = 11
-OUT = os.path.join(os.path.dirname(__file__), "out")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+OUT = os.path.join(ROOT, "demos", "out")
 os.makedirs(OUT, exist_ok=True)
 
 print("Noiseless totals (replacement set of 10, true LRU):")
@@ -26,8 +27,8 @@ print("With +-2 cycles of per-access jitter (%d trials per d):" % TRIALS)
 table = latency_cdf(range(9), trials=TRIALS, seed=SEED, latency=LatencyModel(jitter=2))
 print("   d   mean    p5     p95")
 for d, samples in table:
-    arr = np.asarray(samples)
-    print("  %2d  %6.1f  %5d  %5d" % (d, arr.mean(), np.percentile(arr, 5), np.percentile(arr, 95)))
+    cuts = statistics.quantiles(samples, n=20, method="inclusive")
+    print("  %2d  %6.1f  %5d  %5d" % (d, statistics.fmean(samples), cuts[0], cuts[-1]))
 
 csv_path = os.path.join(OUT, "latency_cdf.csv")
 with open(csv_path, "w") as fh:
@@ -36,7 +37,7 @@ with open(csv_path, "w") as fh:
         for trial, total in enumerate(samples):
             fh.write("%d,%d,%d\n" % (d, trial, total))
 print()
-print("CDF samples written to", csv_path)
+print("CDF samples written to", os.path.relpath(csv_path, ROOT))
 
 # a crude terminal CDF: one row per d, buckets of 5 cycles
 lo = min(min(s) for _, s in table)
@@ -44,8 +45,9 @@ hi = max(max(s) for _, s in table)
 print()
 print("ASCII density (each column = 5 cycles, %d..%d):" % (lo, hi))
 for d, samples in table:
-    hist, _ = np.histogram(samples, bins=range(lo, hi + 6, 5))
-    line = "".join(" .:-=+*#"[min(7, int(c / TRIALS * 24))] for c in hist)
+    hist = Counter((s - lo) // 5 for s in samples)
+    line = "".join(" .:-=+*#"[min(7, int(hist[k] / TRIALS * 24))]
+                   for k in range((hi - lo) // 5 + 1))
     print("  d=%d |%s|" % (d, line))
 
 print()

@@ -18,7 +18,7 @@ from .channel import (BinaryEncoding, CalibrationError, ChannelConfig,
                       sender_encode)
 from .measurement import (LatencySample, build_replacement_set, fill_set,
                           latency_cdf, measure_replacement_latency,
-                          prime_dirty_probe)
+                          prime_dirty_probe, probe_totals)
 from .policy import (DirtyEvictionResult, EvictionExperimentResult,
                      RandomPolicy, TreePLRU, TrueLRU,
                      analytic_dirty_eviction_probability,
@@ -41,6 +41,6 @@ __all__ = [
     "derive_seed", "dirty_eviction_experiment", "edit_distance",
     "eviction_distance_experiment", "fill_set", "latency_cdf", "make_line",
     "make_policy", "measure_replacement_latency", "prime_dirty_probe",
-    "random_bits", "rate_kbps", "receiver_decode", "run_channel",
+    "probe_totals", "random_bits", "rate_kbps", "receiver_decode", "run_channel",
     "run_gadget_attack", "sender_encode", "sweep_ber_vs_rate",
 ]

@@ -26,7 +26,7 @@ from .cache import (DEFAULT_GEOMETRY, DEFAULT_LATENCY, Cache, CacheGeometry,
                     LatencyModel, WritePolicy, make_line)
 from .measurement import (DEFAULT_RSET_SIZE, RECEIVER, RSET_TAG_BASES, SENDER,
                           build_replacement_set, check_rset_size, fill_set,
-                          measure_replacement_latency, prime_dirty_probe)
+                          measure_replacement_latency, probe_totals)
 from .policy import POLICIES
 from .seeding import derive_seed
 
@@ -156,17 +156,6 @@ class ChannelConfig:
         if self.noise.rate > 0 and self.geometry.partition is not None:
             raise ValueError("noise actor has no way partition; disable noise or partitioning")
 
-    def calibration_view(self) -> "ChannelConfig":
-        """The undefended equivalent used to calibrate decode thresholds.
-
-        Thresholds model the attacker's expectation of the write-back channel;
-        defenses are applied at run time, not during calibration.
-        """
-        geometry = dataclasses.replace(
-            self.geometry, write_policy=WritePolicy.WRITE_BACK_ALLOCATE,
-            partition=None)
-        return dataclasses.replace(self, geometry=geometry, noise=NoiseConfig())
-
 
 # -- thresholds --------------------------------------------------------------
 
@@ -199,25 +188,24 @@ class Thresholds:
         return bisect.bisect_left(self.cuts, total_cycles)
 
 
+def _midpoint_thresholds(table) -> Thresholds:
+    """Cuts between the levels of a `probe_totals` table, from each level's mean and spread."""
+    return Thresholds.from_level_stats([statistics.fmean(t) for _, t in table],
+                                       [statistics.pstdev(t) for _, t in table])
+
+
 def calibrate_thresholds(cfg: ChannelConfig, trials: int = 8) -> Thresholds:
-    """Run `prime_dirty_probe` per level (fresh caches, one chase order); cut at midpoints."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    cfg = cfg.calibration_view()
-    base = derive_seed(cfg.seed, "calibration")
-    geo = cfg.geometry
-    rset = build_replacement_set(RECEIVER, cfg.target_set, cfg.rset_size,
-                                 geometry=geo, tag_base=RSET_TAG_BASES[0])
-    means, stds = [], []
-    for d in cfg.encoding.levels:
-        totals = []
-        for t in range(trials):
-            cache = Cache(geo, cfg.policy, cfg.latency,
-                          seed=derive_seed(base, "cache", d, t))
-            totals.append(prime_dirty_probe(cache, rset, d).total_cycles)
-        means.append(statistics.fmean(totals))
-        stds.append(statistics.pstdev(totals))
-    return Thresholds.from_level_stats(means, stds)
+    """Cut at the midpoints of each level's `probe_totals` on the undefended cache.
+
+    Thresholds model the attacker's expectation of the write-back channel:
+    defenses act at run time, not during calibration, and noise is never read.
+    """
+    geometry = dataclasses.replace(cfg.geometry, partition=None,
+                                   write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
+    return _midpoint_thresholds(probe_totals(
+        cfg.encoding.levels, trials, (derive_seed(cfg.seed, "calibration"), "cache"),
+        geometry=geometry, policy=cfg.policy, latency=cfg.latency,
+        target_set=cfg.target_set, rset_size=cfg.rset_size))
 
 
 # -- protocol actors ---------------------------------------------------------
@@ -389,8 +377,8 @@ def run_gadget_attack(variant: str, scenario: str, secret: int, *,
     """Recover a victim's secret-dependent access through replacement latency.
 
     LRU only: the cache is the default geometry and latency model under LRU,
-    and the cuts below assume its deterministic victim order.  Without jitter
-    or a random policy nothing is drawn, so the result needs no seed.
+    whose deterministic victim order lets one calibration trial per level set
+    a probe cut.  Nothing is drawn, so the result needs no seed.
 
     Scenario set-state-dirty: the attacker primes a set clean and detects the
     dirty line the victim's store leaves behind (variant a only; the two
@@ -427,7 +415,6 @@ def run_gadget_attack(variant: str, scenario: str, secret: int, *,
 
     cache = Cache(geo, "lru", lat)
     ways = geo.associativity
-    rset_size = DEFAULT_RSET_SIZE
     line0 = make_line("victim", set_i, 0, geo)
     line1 = make_line("victim", set_j, 1, geo)
 
@@ -438,20 +425,20 @@ def run_gadget_attack(variant: str, scenario: str, secret: int, *,
 
     if scenario != "victim-timing":
         # Prime clean (set-state-dirty) or dirty (prime-with-dirty), let the
-        # victim run, then probe the primed set.
-        fill_set(cache, "attacker", set_i, ways, write=scenario == "prime-with-dirty")
+        # victim run, then probe the primed set.  The cut is calibrated as
+        # the channel's: a store adds one dirty line (levels 0 and 1), a load
+        # displaces one of W (levels W-1 and W).
+        dirty = scenario == "prime-with-dirty"
+        fill_set(cache, "attacker", set_i, ways, write=dirty)
         victim_call()
-        rset = build_replacement_set("attacker", set_i, rset_size, geometry=geo,
+        rset = build_replacement_set("attacker", set_i, DEFAULT_RSET_SIZE, geometry=geo,
                                      tag_base=RSET_TAG_BASES[0])
         total = measure_replacement_latency(cache, rset).total_cycles
-        if scenario == "set-state-dirty":
-            cut = rset_size * lat.miss_clean + (lat.miss_dirty - lat.miss_clean) / 2
-            inferred = int(total > cut)
-        else:
-            all_dirty = ways * lat.miss_dirty + (rset_size - ways) * lat.miss_clean
-            one_clean = all_dirty - (lat.miss_dirty - lat.miss_clean)
-            cut = (all_dirty + one_clean) / 2
-            inferred = int(total < cut)
+        levels = (ways - 1, ways) if dirty else (0, 1)
+        cut, = _midpoint_thresholds(probe_totals(
+            levels, 1, ("gadget",), geometry=geo, policy="lru", latency=lat,
+            target_set=set_i, rset_size=DEFAULT_RSET_SIZE)).cuts
+        inferred = int(total < cut if dirty else total > cut)
         latencies = {"probe_total_cycles": total, "threshold": cut}
     else:
         fill_set(cache, "attacker", set_i, ways, write=True)

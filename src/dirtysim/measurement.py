@@ -6,12 +6,14 @@ total latency is the plain sum of the per-access costs.  Measuring also
 refills the target set with clean lines, so a measurement doubles as
 initialization for the next round.  `fill_set` is the one step that primes
 a set or dirties it, and `prime_dirty_probe` is the whole prime -> dirty ->
-probe sequence on one cache; latency CDFs and channel calibration both run
-it.  A replacement set's lines name its target set by their index bits.
+probe sequence on one cache.  `probe_totals` runs it on fresh caches for
+every level and trial; latency CDFs, channel calibration and the gadget's
+probe cuts all read it.  A replacement set's lines name its target set by
+their index bits.
 
 A fresh cache's probe total cannot depend on the chase order (every line
 misses, policies see ways not tags, jitter is drawn per access in order), so
-CDFs and calibration chase one seeded order in every trial.
+`probe_totals` chases one seeded order in every trial.
 """
 
 from __future__ import annotations
@@ -113,28 +115,36 @@ def prime_dirty_probe(cache: Cache, rset: tuple, d: int) -> LatencySample:
     return measure_replacement_latency(cache, rset)
 
 
-def latency_cdf(d_values, trials: int, seed: int, *, policy="lru",
-                latency=None, target_set: int = 0,
-                rset_size: int = DEFAULT_RSET_SIZE):
-    """Replacement-latency samples per dirty-line count, for CDF plots.
+def probe_totals(levels, trials: int, seed_parts, *, geometry: CacheGeometry,
+                 policy: str, latency, target_set: int, rset_size: int):
+    """Probe totals per dirty-line count: [(d, totals in trial order)].
 
-    Each of the `trials` per d runs `prime_dirty_probe` on a fresh cache with
-    the call's one chase order (see above).  Returns [(d, sorted samples)].
+    Every input is checked before anything is simulated.  Trial t of level d
+    runs `prime_dirty_probe` on a fresh cache seeded
+    `derive_seed(*seed_parts, d, t)`, chasing one replacement set.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    geo = DEFAULT_GEOMETRY
-    check_rset_size(rset_size, geo)
-    ways = geo.associativity
-    rset = build_replacement_set(RECEIVER, target_set, rset_size, geometry=geo,
-                                 tag_base=RSET_TAG_BASES[0])
-    results = []
-    for d in d_values:
+    check_rset_size(rset_size, geometry)
+    levels = list(levels)
+    ways = geometry.associativity
+    for d in levels:
         if not 0 <= d <= ways:
             raise ValueError(f"d={d} outside 0..{ways}")
-        samples = []
-        for t in range(trials):
-            cache = Cache(geo, policy, latency, seed=derive_seed(seed, "cdf", d, t))
-            samples.append(prime_dirty_probe(cache, rset, d).total_cycles)
-        results.append((d, sorted(samples)))
-    return results
+    rset = build_replacement_set(RECEIVER, target_set, rset_size, geometry=geometry,
+                                 tag_base=RSET_TAG_BASES[0])
+
+    def total(d, t):
+        cache = Cache(geometry, policy, latency, seed=derive_seed(*seed_parts, d, t))
+        return prime_dirty_probe(cache, rset, d).total_cycles
+    return [(d, [total(d, t) for t in range(trials)]) for d in levels]
+
+
+def latency_cdf(d_values, trials: int, seed: int, *, policy="lru",
+                latency=None, target_set: int = 0,
+                rset_size: int = DEFAULT_RSET_SIZE):
+    """[(d, sorted probe totals)] on the default geometry, for CDF plots."""
+    table = probe_totals(d_values, trials, (seed, "cdf"), geometry=DEFAULT_GEOMETRY,
+                         policy=policy, latency=latency, target_set=target_set,
+                         rset_size=rset_size)
+    return [(d, sorted(totals)) for d, totals in table]

@@ -16,32 +16,7 @@ from itertools import accumulate
 from .seeding import derive_seed
 
 
-class ReplacementPolicy:
-    """Base interface: per-set metadata plus victim choice and touch update."""
-
-    def new_set_meta(self):
-        raise NotImplementedError
-
-    def reset(self, *seed_parts):
-        """Start a new trial.
-
-        Only a policy that draws reads `seed_parts`: it reseeds from
-        `derive_seed(*seed_parts)`.  The others derive nothing, so a
-        deterministic policy's trial costs no seed.
-        """
-
-    def randomize_meta(self, meta, rng):
-        """Scramble metadata to a uniformly random reachable state (for experiments)."""
-
-    def on_access(self, meta, way: int) -> None:
-        raise NotImplementedError
-
-    def select_victim(self, meta, candidates) -> int:
-        """Pick a victim among `candidates` (all assumed valid)."""
-        raise NotImplementedError
-
-
-class TrueLRU(ReplacementPolicy):
+class TrueLRU:
     """Exact LRU: every way carries a recency stamp from a shared counter."""
 
     def __init__(self, ways: int = 8):
@@ -70,7 +45,7 @@ class TrueLRU(ReplacementPolicy):
         return min(candidates, key=meta.__getitem__)
 
 
-class TreePLRU(ReplacementPolicy):
+class TreePLRU:
     """Tree pseudo-LRU over a power-of-two number of ways.
 
     Metadata is exactly ways-1 bits in heap order (node i at meta[i-1]).
@@ -86,6 +61,9 @@ class TreePLRU(ReplacementPolicy):
 
     def new_set_meta(self):
         return [0] * (self.ways - 1)
+
+    def reset(self, *seed_parts):
+        pass
 
     def randomize_meta(self, meta, rng):
         for i in range(len(meta)):
@@ -123,7 +101,7 @@ class TreePLRU(ReplacementPolicy):
         return any(w in cand for w in range(lo - self.ways, hi - self.ways + 1))
 
 
-class RandomPolicy(ReplacementPolicy):
+class RandomPolicy:
     """Uniform victim choice from a seeded generator; no per-set metadata."""
 
     def __init__(self, seed: int = 0, ways: int = 8):
@@ -134,7 +112,12 @@ class RandomPolicy(ReplacementPolicy):
         return None
 
     def reset(self, *seed_parts):
+        # Only a policy that draws reads `seed_parts`; the deterministic ones
+        # derive nothing, so their trials cost no seed.
         self._rng = random.Random(derive_seed(*seed_parts))
+
+    def randomize_meta(self, meta, rng):
+        pass
 
     def on_access(self, meta, way):
         pass
@@ -150,7 +133,7 @@ POLICIES = {  # name -> class; the one list of accepted policy names
 }
 
 
-def make_policy(name: str, ways: int = 8, seed: int = 0) -> ReplacementPolicy:
+def make_policy(name: str, ways: int = 8, seed: int = 0):
     """Build a fresh policy from its name: 'lru', 'tree-plru' or 'random'."""
     try:
         cls = POLICIES[name]

@@ -4,11 +4,12 @@ Criterion 12 only shows that one build repeats itself; these files pin the
 bytes themselves, so a refactor that changes any number fails here.  The
 CLI files were written by the code before the lean-cache refactor, and the
 demo files hold the stdout of demos 01 and 02 (written by the code before the
-experiments returned whole curves) and of demos 04 and 05 (noise, multibit,
-both defenses and every gadget pair; written before replacement sets became
-plain tuples).  The sweep-multibit, sweep-d-one-8 and sweep-multibit-0-8
-files were written before the encodings became one `Encoding` class.  To
-rewrite them after an intended change of output, run from the repo root:
+experiments returned whole curves), of demo 03 (written while it still used
+numpy) and of demos 04 and 05 (noise, multibit, both defenses and every
+gadget pair; written before replacement sets became plain tuples).  The
+sweep-multibit, sweep-d-one-8 and sweep-multibit-0-8 files were written
+before the encodings became one `Encoding` class.  To rewrite them after an
+intended change of output, run from the repo root:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -29,6 +30,7 @@ SEED = 2024
 DEMOS = {
     "demo-01": "01_eviction_probability.py",
     "demo-02": "02_random_replacement.py",
+    "demo-03": "03_latency_separation.py",
     "demo-04": "04_covert_channel.py",
     "demo-05": "05_defenses_and_gadgets.py",
 }

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dirtysim import measurement
 from dirtysim.cache import Cache, CacheGeometry, LatencyModel, make_line
 from dirtysim.channel import ChannelConfig
 from dirtysim.measurement import (build_replacement_set, fill_set, latency_cdf,
@@ -194,6 +195,20 @@ def test_latency_cdf_ordering_of_means():
 def test_latency_cdf_validates_d():
     with pytest.raises(ValueError):
         latency_cdf([9], trials=1, seed=0)
+
+
+def test_latency_cdf_fails_before_simulating(monkeypatch):
+    # A bad d late in the list must not cost the caches of the good ones.
+    built = []
+
+    def counting_cache(*args, **kwargs):
+        built.append(args)
+        return Cache(*args, **kwargs)
+
+    monkeypatch.setattr(measurement, "Cache", counting_cache)
+    with pytest.raises(ValueError, match="d=9 outside 0..8"):
+        latency_cdf([0, 9], trials=1, seed=0)
+    assert built == []
 
 
 @pytest.mark.parametrize("rset_size", [0, 4, 7])
