@@ -176,6 +176,11 @@ class Cache:
         self.counters: dict[str, ActorCounters] = {}
         self.cycles = 0
 
+    @property
+    def draws(self) -> bool:
+        """Whether any outcome reads a random generator, so the seed matters."""
+        return self._jitter_rng is not None or self.policy.draws
+
     # -- state management ---------------------------------------------------
 
     def _new_set(self):

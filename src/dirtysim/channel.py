@@ -274,11 +274,17 @@ class ChannelReport:
 
 
 def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> ChannelReport:
-    """Drive sender, noise, and receiver through one message transmission."""
+    """Drive sender, noise, and receiver through one message transmission.
+
+    Given `thresholds` must hold one cut between each pair of adjacent levels.
+    """
     cfg.validate()
+    enc = cfg.encoding
     if thresholds is None:
         thresholds = calibrate_thresholds(cfg)
-    enc = cfg.encoding
+    elif len(thresholds.cuts) != len(enc.levels) - 1:
+        raise ValueError(f"thresholds have {len(thresholds.cuts)} cuts, but "
+                         f"{len(enc.levels)} levels need {len(enc.levels) - 1}")
     k = enc.bits_per_symbol
     stream = PREAMBLE + cfg.message
     n_symbols = len(stream) // k

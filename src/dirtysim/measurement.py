@@ -8,8 +8,10 @@ initialization for the next round.  `fill_set` is the one step that primes
 a set or dirties it, and `prime_dirty_probe` is the whole prime -> dirty ->
 probe sequence on one cache.  `probe_totals` runs it on fresh caches for
 every level and trial; latency CDFs, channel calibration and the gadget's
-probe cuts all read it.  A replacement set's lines name its target set by
-their index bits.
+probe cuts all read it.  A cache that draws nothing (no random policy, no
+jitter) is simulated once per level: its seed reaches no outcome, so every
+trial would replay the same accesses on the same fresh state.  A
+replacement set's lines name its target set by their index bits.
 
 A fresh cache's probe total cannot depend on the chase order (every line
 misses, policies see ways not tags, jitter is drawn per access in order), so
@@ -121,7 +123,10 @@ def probe_totals(levels, trials: int, seed_parts, *, geometry: CacheGeometry,
 
     Every input is checked before anything is simulated.  Trial t of level d
     runs `prime_dirty_probe` on a fresh cache seeded
-    `derive_seed(*seed_parts, d, t)`, chasing one replacement set.
+    `derive_seed(*seed_parts, d, t)`, chasing one replacement set.  When
+    trial 0's cache does not `draw` (no random policy, no jitter), the seed
+    reaches no outcome and every trial would run the same accesses on the
+    same fresh state, so trial 0's total stands for all `trials`.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -134,10 +139,17 @@ def probe_totals(levels, trials: int, seed_parts, *, geometry: CacheGeometry,
     rset = build_replacement_set(RECEIVER, target_set, rset_size, geometry=geometry,
                                  tag_base=RSET_TAG_BASES[0])
 
-    def total(d, t):
-        cache = Cache(geometry, policy, latency, seed=derive_seed(*seed_parts, d, t))
-        return prime_dirty_probe(cache, rset, d).total_cycles
-    return [(d, [total(d, t) for t in range(trials)]) for d in levels]
+    table = []
+    for d in levels:
+        totals = []
+        for t in range(trials):
+            cache = Cache(geometry, policy, latency, seed=derive_seed(*seed_parts, d, t))
+            totals.append(prime_dirty_probe(cache, rset, d).total_cycles)
+            if not cache.draws:
+                totals *= trials  # every trial would replay this one exactly
+                break
+        table.append((d, totals))
+    return table
 
 
 def latency_cdf(d_values, trials: int, seed: int, *, policy="lru",

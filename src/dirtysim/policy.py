@@ -19,6 +19,8 @@ from .seeding import derive_seed
 class TrueLRU:
     """Exact LRU: every way carries a recency stamp from a shared counter."""
 
+    draws = False  # True where the policy reads a random generator
+
     def __init__(self, ways: int = 8):
         self.ways = ways
         self._tick = 0
@@ -53,6 +55,8 @@ class TreePLRU:
     the pointed-to child; touching a way sets every bit on its root path to
     point away from it.
     """
+
+    draws = False
 
     def __init__(self, ways: int = 8):
         if ways < 2 or ways & (ways - 1):
@@ -103,6 +107,8 @@ class TreePLRU:
 
 class RandomPolicy:
     """Uniform victim choice from a seeded generator; no per-set metadata."""
+
+    draws = True
 
     def __init__(self, seed: int = 0, ways: int = 8):
         self.ways = ways

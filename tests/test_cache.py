@@ -193,6 +193,13 @@ def test_latency_model_rejects_negative_values_by_name(name):
         LatencyModel(**{name: -1})
 
 
+@pytest.mark.parametrize("policy", ["lru", "tree-plru", "random"])
+@pytest.mark.parametrize("jitter", [0, 1, 3])
+def test_cache_draws_exactly_with_a_random_policy_or_jitter(policy, jitter):
+    cache = Cache(policy=policy, latency=LatencyModel(jitter=jitter), seed=7)
+    assert cache.draws is (policy == "random" or jitter > 0)
+
+
 def test_determinism_random_policy_with_jitter():
     def run():
         cache = Cache(policy="random", latency=LatencyModel(jitter=3), seed=42)

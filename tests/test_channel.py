@@ -257,6 +257,26 @@ def test_thresholds_classify():
         Thresholds((5.0, 5.0))
 
 
+@pytest.mark.parametrize("encoding, cuts, message", [
+    # Binary with three cuts used to fail midway with an IndexError.
+    (BinaryEncoding(), (100.0, 120.0, 130.0), "01" * 8),
+    # Multibit with one cut used to run through and report BER 0.0, though
+    # only two of its four levels could be decoded.
+    (MultiBitEncoding(), (115.0,), "0101" * 8),
+])
+def test_run_channel_rejects_thresholds_of_the_wrong_cut_count(monkeypatch, encoding,
+                                                               cuts, message):
+    import dirtysim.channel as channel
+    cfg = make_cfg(encoding=encoding, message=message)
+    built = []
+    monkeypatch.setattr(channel, "Cache", lambda *a, **kw: built.append(a))
+    levels = len(encoding.levels)
+    with pytest.raises(ValueError, match=f"thresholds have {len(cuts)} cuts, "
+                                         f"but {levels} levels need {levels - 1}"):
+        run_channel(cfg, Thresholds(cuts))
+    assert built == []
+
+
 # -- end-to-end -------------------------------------------------------------------
 
 @pytest.mark.parametrize("encoding", [BinaryEncoding(1), BinaryEncoding(8),

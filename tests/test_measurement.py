@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from dirtysim import measurement
 from dirtysim.cache import Cache, CacheGeometry, LatencyModel, make_line
 from dirtysim.channel import ChannelConfig
-from dirtysim.measurement import (build_replacement_set, fill_set, latency_cdf,
-                                  measure_replacement_latency, prime_dirty_probe)
+from dirtysim.measurement import (RECEIVER, RSET_TAG_BASES, build_replacement_set,
+                                  fill_set, latency_cdf, measure_replacement_latency,
+                                  prime_dirty_probe, probe_totals)
 from dirtysim.policy import POLICIES
 from dirtysim.seeding import derive_seed
 
@@ -147,6 +148,63 @@ def test_chase_order_does_not_change_total(data, geo, policy, jitter, cache_seed
         results.append((sample.total_cycles, sample.dirty_before,
                         sample.resident_hits, cache.cycles))
     assert results[0] == results[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(),
+       policy=st.sampled_from(sorted(POLICIES)),
+       jitter=st.sampled_from([0, 3]),
+       parts=st.lists(st.one_of(st.integers(), st.text(max_size=4)), max_size=3),
+       target_set=st.integers(0, GEO.num_sets - 1),
+       rset_size=st.integers(GEO.associativity, 16),
+       trials=st.integers(1, 6))
+def test_probe_totals_equals_one_fresh_cache_per_trial(data, policy, jitter, parts,
+                                                       target_set, rset_size, trials):
+    # Simulating a cache that draws nothing once per level must give exactly
+    # the totals of the straight per-trial loop, and a cache that draws must
+    # still run every trial on its own seed.
+    ways = GEO.associativity
+    levels = data.draw(st.lists(st.integers(0, ways), min_size=1, max_size=3),
+                       label="levels")
+    lat = LatencyModel(jitter=jitter)
+    rset = build_replacement_set(RECEIVER, target_set, rset_size,
+                                 tag_base=RSET_TAG_BASES[0])
+    expected = [(d, [prime_dirty_probe(Cache(GEO, policy, lat,
+                                             seed=derive_seed(*parts, d, t)),
+                                       rset, d).total_cycles
+                     for t in range(trials)])
+                for d in levels]
+    assert probe_totals(levels, trials, parts, geometry=GEO, policy=policy, latency=lat,
+                        target_set=target_set, rset_size=rset_size) == expected
+
+
+@pytest.mark.parametrize("policy, jitter, per_level", [
+    ("lru", 0, 1), ("tree-plru", 0, 1),
+    ("random", 0, 5), ("lru", 2, 5), ("tree-plru", 2, 5), ("random", 2, 5),
+])
+def test_probe_totals_simulates_a_level_once_only_when_nothing_draws(
+        monkeypatch, policy, jitter, per_level):
+    built, derived = [], []
+
+    def counting_cache(*args, **kwargs):
+        built.append(args)
+        return Cache(*args, **kwargs)
+
+    def counting_seed(*parts):
+        derived.append(parts)
+        return derive_seed(*parts)
+
+    monkeypatch.setattr(measurement, "Cache", counting_cache)
+    monkeypatch.setattr(measurement, "derive_seed", counting_seed)
+    levels = [0, 3, 8]
+    table = probe_totals(levels, 5, (1, "x"), geometry=GEO, policy=policy,
+                         latency=LatencyModel(jitter=jitter), target_set=0,
+                         rset_size=10)
+    assert [len(totals) for _, totals in table] == [5] * len(levels)
+    assert len(built) == per_level * len(levels)
+    # One more seed orders the chase of the one replacement set.
+    assert derived[0] == ("chase", 0)
+    assert derived[1:] == [(1, "x", d, t) for d in levels for t in range(per_level)]
 
 
 def test_latency_cdf_point_masses_without_jitter():

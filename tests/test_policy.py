@@ -188,9 +188,13 @@ def test_seeds_are_derived_only_where_a_policy_draws(monkeypatch):
     derived = []
     monkeypatch.setattr(policy_module, "derive_seed",
                         lambda *parts: derived.append(parts) or derive_seed(*parts))
-    TrueLRU(8).reset(5, "trial", 1)
-    TreePLRU(8).reset(5, "trial", 1)
-    assert derived == []
+    # A class's `draws` states the same fact its `reset` acts on.
+    for name, cls in POLICIES.items():
+        derived.clear()
+        cls(ways=8).reset(5, "trial", 1)
+        assert derived == ([(5, "trial", 1)] if cls.draws else []), name
+    assert [name for name, cls in POLICIES.items() if cls.draws] == ["random"]
+    derived.clear()
     pol = RandomPolicy(ways=8)
     pol.reset(5, "trial", 1)
     assert derived == [(5, "trial", 1)]
