@@ -3,8 +3,11 @@
 Each command takes an explicit seed (flag, config file, or DIRTYSIM_SEED) and
 emits CSV or JSON whose bytes depend only on the configuration; `gadget` is
 deterministic and ignores the seed.  A config file may set only the options
-of its command.  Exit codes: 0 success, 2 configuration error, 3 threshold
-calibration failure.
+of its command, and each value is read exactly as its flag would be: an
+empty value, a fraction for an integer option, or true/false exits 2, every
+item of a JSON list must be an integer, and a JSON null leaves the option
+unset.  Flags win over the file, and the file over the declared defaults.
+Exit codes: 0 success, 2 configuration error, 3 threshold calibration failure.
 """
 
 from __future__ import annotations
@@ -19,7 +22,13 @@ from . import analysis, channel, measurement, policy
 from .cache import CacheGeometry, LatencyModel, WritePolicy
 from .seeding import random_bits
 
-DEFENSE_CHOICES = ("none", "write-through", "partition")
+WAYS = CacheGeometry().associativity
+DEFENSES = {  # --defense name -> the geometry the channel runs on
+    "none": CacheGeometry(),
+    "write-through": CacheGeometry(write_policy=WritePolicy.WRITE_THROUGH_NO_ALLOCATE),
+    "partition": CacheGeometry(partition={channel.SENDER: range(WAYS // 2),
+                                          channel.RECEIVER: range(WAYS // 2, WAYS)}),
+}
 
 
 class ConfigError(ValueError):
@@ -47,28 +56,16 @@ def _load_config(path):
     return values
 
 
-def _merge(args):
-    """Config-file values fill any option the command line left at None."""
-    if args.config:
-        for key, value in _load_config(args.config).items():
-            if key in ("command", "func") or not hasattr(args, key):
-                raise ConfigError(f"unknown config key {key!r} for {args.command}")
-            if getattr(args, key) is None:
-                setattr(args, key, value)
-    return args
-
-
 def _require_seed(args):
-    if args.seed is None:
-        env = os.environ.get("DIRTYSIM_SEED")
-        if env is not None:
-            try:
-                args.seed = int(env)
-            except ValueError:
-                raise ConfigError(f"DIRTYSIM_SEED={env!r} is not an integer") from None
-    if args.seed is None:
+    if args.seed is not None:
+        return args.seed
+    env = os.environ.get("DIRTYSIM_SEED")
+    if env is None:
         raise ConfigError("an explicit --seed is required (or set DIRTYSIM_SEED)")
-    return int(args.seed)
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"DIRTYSIM_SEED={env!r} is not an integer") from None
 
 
 def _emit(text, out_path):
@@ -79,72 +76,46 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _geometry(defense):
-    defense = defense or "none"
-    if defense == "none":
-        return CacheGeometry()
-    if defense == "write-through":
-        return CacheGeometry(write_policy=WritePolicy.WRITE_THROUGH_NO_ALLOCATE)
-    if defense == "partition":
-        half = CacheGeometry().associativity // 2
-        return CacheGeometry(partition={
-            channel.SENDER: frozenset(range(half)),
-            channel.RECEIVER: frozenset(range(half, 2 * half)),
-        })
-    raise ConfigError(f"unknown defense {defense!r}")
-
-
-def _int_or(value, default):
-    """An option as an int; `default` only when it was not given (0 is kept)."""
-    return int(default if value is None else value)
-
-
-def _latency(jitter):
-    return LatencyModel(jitter=int(jitter or 0))
-
-
 def _encoding(args):
-    name = (args.encoding or "binary").lower()
-    if name == "binary":
-        if args.levels is not None:
-            raise ConfigError("--levels applies only to --encoding multibit")
-        return channel.BinaryEncoding(_int_or(args.d_one, 1))
-    if name == "multibit":
+    if args.encoding == "multibit":
         if args.d_one is not None:
             raise ConfigError("--d-one applies only to --encoding binary")
-        return channel.MultiBitEncoding(_int_list(args.levels, (0, 3, 5, 8), "levels"))
-    raise ConfigError(f"unknown encoding {name!r}")
+        if args.levels is None:
+            return channel.MultiBitEncoding()
+        return channel.MultiBitEncoding(_int_list(args.levels, "levels"))
+    if args.levels is not None:
+        raise ConfigError("--levels applies only to --encoding multibit")
+    if args.d_one is None:
+        return channel.Encoding(name=args.encoding)
+    return channel.Encoding((0, args.d_one), args.encoding)
 
 
 def _channel_config(args, seed):
-    if args.message is None:
-        message = random_bits(_int_or(args.message_bits, 128), seed)
-    else:
-        message = str(args.message)  # a config file's 1111 decodes as an int
-    noise = channel.NoiseConfig(rate=float(args.noise_rate or 0.0),
-                                kind_mix=float(args.noise_write_prob or 0.0))
+    if args.defense not in DEFENSES:
+        raise ConfigError(f"unknown defense {args.defense!r}")
+    message = args.message
+    if message is None:
+        message = random_bits(args.message_bits, seed)
     return channel.ChannelConfig(
         encoding=_encoding(args),
-        t_s=_int_or(args.period, 5500),
-        target_set=int(args.target_set or 0),
-        rset_size=_int_or(args.rset_size, measurement.DEFAULT_RSET_SIZE),
+        t_s=args.period,
+        target_set=args.target_set,
+        rset_size=args.rset_size,
         message=message,
-        noise=noise,
+        noise=channel.NoiseConfig(rate=args.noise_rate, kind_mix=args.noise_write_prob),
         seed=seed,
-        slip=int(args.slip or 0),
-        geometry=_geometry(args.defense),
-        policy=args.policy or "lru",
-        latency=_latency(args.jitter),
+        slip=args.slip,
+        geometry=DEFENSES[args.defense],
+        policy=args.policy,
+        latency=LatencyModel(jitter=args.jitter),
     )
 
 
-def _int_list(raw, default, name, low=0):
-    """Integers separated by commas, spaces or '|', or a JSON config list."""
-    if raw is None:
-        return default
-    if not isinstance(raw, (list, tuple)):
-        raw = str(raw).replace(",", " ").replace("|", " ").split()
-    values = [int(v) for v in raw]
+def _int_list(raw, name, low=0):
+    """Integers from text split at commas, spaces or '|', or from a list or tuple."""
+    if isinstance(raw, str):
+        raw = raw.replace(",", " ").replace("|", " ").split()
+    values = [int(str(v)) for v in raw]  # str(): an item 8.7 or true is no integer
     if not values or min(values) < low:
         raise ConfigError(f"{name} must be a non-empty list of integers >= {low}")
     return values
@@ -154,42 +125,36 @@ def _int_list(raw, default, name, low=0):
 
 def cmd_evict_prob(args):
     seed = _require_seed(args)
-    trials = _int_or(args.trials, 10000)
-    ns = _int_list(args.n, [8, 9, 10], "n", low=1)
-    pol = args.policy or "lru"
-    curve = policy.eviction_distance_experiment(pol, max(ns), trials, seed).evicted_within
+    ns = _int_list(args.n, "n", low=1)
+    curve = policy.eviction_distance_experiment(args.policy, max(ns), args.trials,
+                                                seed).evicted_within
     lines = ["policy,N,trials,fraction"]
     for n in ns:
-        lines.append(f"{pol},{n},{trials},{curve[n - 1]:.4f}")
+        lines.append(f"{args.policy},{n},{args.trials},{curve[n - 1]:.4f}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_dirty_evict(args):
     seed = _require_seed(args)
-    trials = _int_or(args.trials, 10000)
-    ds = _int_list(args.d, [2, 3], "d")
-    ls = _int_list(args.l, [8, 9, 10, 11, 12, 13], "l", low=1)
-    ways = CacheGeometry().associativity
-    curves = policy.dirty_eviction_experiment(ds, max(ls), trials, seed).curves
+    ds = _int_list(args.d, "d")
+    ls = _int_list(args.l, "l", low=1)
+    curves = policy.dirty_eviction_experiment(ds, max(ls), args.trials, seed).curves
     lines = ["d,L,trials,mc_fraction,analytic_p"]
     for d in sorted(ds):
         for l in sorted(ls):
-            analytic = policy.analytic_dirty_eviction_probability(ways, d, l)
-            lines.append(f"{d},{l},{trials},{curves[d][l - 1]:.4f},{analytic:.4f}")
+            analytic = policy.analytic_dirty_eviction_probability(WAYS, d, l)
+            lines.append(f"{d},{l},{args.trials},{curves[d][l - 1]:.4f},{analytic:.4f}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_latency_cdf(args):
     seed = _require_seed(args)
-    trials = _int_or(args.trials, 1000)
-    ways = CacheGeometry().associativity
-    ds = _int_list(args.d_values, list(range(ways + 1)), "d-values")
     table = measurement.latency_cdf(
-        ds, trials, seed, policy=args.policy or "lru", latency=_latency(args.jitter),
-        target_set=int(args.target_set or 0),
-        rset_size=_int_or(args.rset_size, measurement.DEFAULT_RSET_SIZE))
+        _int_list(args.d_values, "d-values"), args.trials, seed, policy=args.policy,
+        latency=LatencyModel(jitter=args.jitter), target_set=args.target_set,
+        rset_size=args.rset_size)
     lines = ["d,trial,total_cycles"]
     for d, samples in table:
         for trial, total in enumerate(samples):
@@ -214,10 +179,9 @@ def cmd_run_channel(args):
 
 def cmd_sweep(args):
     seed = _require_seed(args)
-    periods = _int_list(args.periods, list(analysis.DEFAULT_PERIODS), "periods")
-    trials = _int_or(args.trials, 3)
+    periods = _int_list(args.periods, "periods")
     cfg = _channel_config(args, seed)
-    rows = analysis.sweep_ber_vs_rate(cfg, periods, trials)
+    rows = analysis.sweep_ber_vs_rate(cfg, periods, args.trials)
     lines = ["period_cycles,rate_kbps,encoding,d,trials,mean_ber"]
     for row in rows:
         lines.append(f"{row.period_cycles},{row.rate_kbps:.3f},{row.encoding},"
@@ -227,40 +191,43 @@ def cmd_sweep(args):
 
 
 def cmd_gadget(args):
-    result = channel.run_gadget_attack(
-        args.variant or "a", args.scenario or "set-state-dirty",
-        _int_or(args.secret, 1),
-        line0_set=None if args.line0_set is None else int(args.line0_set),
-        line1_set=None if args.line1_set is None else int(args.line1_set))
+    result = channel.run_gadget_attack(args.variant, args.scenario, args.secret,
+                                       line0_set=args.line0_set, line1_set=args.line1_set)
     _emit(json.dumps(dataclasses.asdict(result), indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 
 # -- parser ------------------------------------------------------------------
 
-def _add_common(sub, trials=True):
-    sub.add_argument("--seed", type=int, default=None)
-    if trials:
-        sub.add_argument("--trials", type=int, default=None)
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--config", default=None)
+def _add_common(sub, trials=None):
+    """Options of every command; `trials` is the default of its --trials, if any."""
+    sub.add_argument("--seed", type=int)
+    if trials is not None:
+        sub.add_argument("--trials", type=int, default=trials)
+    sub.add_argument("--out")
+    sub.add_argument("--config")
+    sub.set_defaults(parser=sub)  # main hands a config file's values to `parser`
+
+
+def _add_cache_options(sub):
+    sub.add_argument("--policy", choices=policy.POLICIES, default="lru")
+    sub.add_argument("--jitter", type=int, default=0)
+    sub.add_argument("--target-set", type=int, default=0)
+    sub.add_argument("--rset-size", type=int, default=measurement.DEFAULT_RSET_SIZE)
 
 
 def _add_channel_options(sub):
-    sub.add_argument("--encoding", choices=("binary", "multibit"), default=None)
-    sub.add_argument("--d-one", dest="d_one", type=int, default=None)
-    sub.add_argument("--levels", default=None)
-    sub.add_argument("--period", type=int, default=None)
-    sub.add_argument("--message", default=None)
-    sub.add_argument("--message-bits", dest="message_bits", type=int, default=None)
-    sub.add_argument("--noise-rate", dest="noise_rate", type=float, default=None)
-    sub.add_argument("--noise-write-prob", dest="noise_write_prob", type=float, default=None)
-    sub.add_argument("--defense", choices=DEFENSE_CHOICES, default=None)
-    sub.add_argument("--policy", choices=policy.POLICIES, default=None)
-    sub.add_argument("--jitter", type=int, default=None)
-    sub.add_argument("--slip", type=int, default=None)
-    sub.add_argument("--target-set", dest="target_set", type=int, default=None)
-    sub.add_argument("--rset-size", dest="rset_size", type=int, default=None)
+    _add_cache_options(sub)
+    sub.add_argument("--encoding", choices=("binary", "multibit"), default="binary")
+    sub.add_argument("--d-one", type=int)
+    sub.add_argument("--levels")
+    sub.add_argument("--period", type=int, default=5500)
+    sub.add_argument("--message")
+    sub.add_argument("--message-bits", type=int, default=128)
+    sub.add_argument("--noise-rate", type=float, default=0.0)
+    sub.add_argument("--noise-write-prob", type=float, default=0.0)
+    sub.add_argument("--defense", choices=DEFENSES, default="none")
+    sub.add_argument("--slip", type=int, default=0)
 
 
 def build_parser():
@@ -270,57 +237,64 @@ def build_parser():
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("evict-prob", help="eviction probability vs replacement-set size")
-    _add_common(p)
-    p.add_argument("--policy", choices=policy.POLICIES, default=None)
-    p.add_argument("--n", default=None, help="replacement-set sizes, e.g. '8,9,10'")
+    _add_common(p, trials=10000)
+    p.add_argument("--policy", choices=policy.POLICIES, default="lru")
+    p.add_argument("--n", default=(8, 9, 10), help="replacement-set sizes, e.g. '8,9,10'")
     p.set_defaults(func=cmd_evict_prob)
 
     p = commands.add_parser("dirty-evict", help="dirty-line eviction under random replacement")
-    _add_common(p)
-    p.add_argument("--d", default=None, help="dirty-line counts, e.g. '2,3'")
-    p.add_argument("--l", default=None, help="replacement-set sizes, e.g. '8,9,10,11,12,13'")
+    _add_common(p, trials=10000)
+    p.add_argument("--d", default=(2, 3), help="dirty-line counts, e.g. '2,3'")
+    p.add_argument("--l", default=(8, 9, 10, 11, 12, 13),
+                   help="replacement-set sizes, e.g. '8,9,10,11,12,13'")
     p.set_defaults(func=cmd_dirty_evict)
 
     p = commands.add_parser("latency-cdf", help="replacement-latency samples per dirty count")
-    _add_common(p)
-    p.add_argument("--d-values", dest="d_values", default=None)
-    p.add_argument("--policy", choices=policy.POLICIES, default=None)
-    p.add_argument("--jitter", type=int, default=None)
-    p.add_argument("--target-set", dest="target_set", type=int, default=None)
-    p.add_argument("--rset-size", dest="rset_size", type=int, default=None)
+    _add_common(p, trials=1000)
+    p.add_argument("--d-values", default=tuple(range(WAYS + 1)))
+    _add_cache_options(p)
     p.set_defaults(func=cmd_latency_cdf)
 
     p = commands.add_parser("run-channel", help="run the covert channel once")
-    _add_common(p, trials=False)
+    _add_common(p)
     _add_channel_options(p)
-    p.add_argument("--trace", default=None, help="also write a CSV event trace here")
+    p.add_argument("--trace", help="also write a CSV event trace here")
     p.set_defaults(func=cmd_run_channel)
 
     p = commands.add_parser("sweep", help="mean BER across transmission periods")
-    _add_common(p)
+    _add_common(p, trials=3)
     _add_channel_options(p)
-    p.add_argument("--periods", default=None)
+    p.add_argument("--periods", default=analysis.DEFAULT_PERIODS)
     p.set_defaults(func=cmd_sweep)
 
     p = commands.add_parser("gadget", help="secret recovery through the three side-channel "
                             "scenarios (LRU only; deterministic, ignores --seed)")
-    _add_common(p, trials=False)
-    p.add_argument("--variant", choices=channel.VARIANTS, default=None)
-    p.add_argument("--scenario", default=None,
+    _add_common(p)
+    p.add_argument("--variant", choices=channel.VARIANTS, default="a")
+    p.add_argument("--scenario", default="set-state-dirty",
                    help="set-state-dirty | prime-with-dirty | victim-timing (or 1|2|3)")
-    p.add_argument("--secret", type=int, choices=(0, 1), default=None)
-    p.add_argument("--line0-set", dest="line0_set", type=int, default=None)
-    p.add_argument("--line1-set", dest="line1_set", type=int, default=None)
+    p.add_argument("--secret", type=int, choices=(0, 1), default=1)
+    p.add_argument("--line0-set", type=int)
+    p.add_argument("--line1-set", type=int)
     p.set_defaults(func=cmd_gadget)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = build_parser()  # per call: config values become this parser's defaults
     args = parser.parse_args(argv)
     try:
-        args = _merge(args)
+        if args.config:
+            values = {}
+            for key, value in _load_config(args.config).items():
+                if key in ("command", "func", "parser") or not hasattr(args, key):
+                    raise ConfigError(f"unknown config key {key!r} for {args.command}")
+                if value is not None:  # a JSON null leaves the option unset
+                    values[key] = value if isinstance(value, list) else str(value)
+            # As a default, a text value is converted by its flag's own type.
+            args.parser.set_defaults(**values)
+            args = parser.parse_args(argv)
         return args.func(args)
     except channel.CalibrationError as exc:
         print(f"calibration failure: {exc}", file=sys.stderr)

@@ -155,6 +155,11 @@ def test_default_periods_are_the_six_evaluated_ones():
     assert DEFAULT_PERIODS == (800, 1000, 1600, 2200, 5500, 11000)
 
 
+def test_sweep_rejects_empty_periods():
+    with pytest.raises(ValueError, match="periods must be non-empty"):
+        sweep_ber_vs_rate(ChannelConfig(message="01"), periods=(), trials=1)
+
+
 def test_sweep_noiseless_is_all_zero():
     cfg = ChannelConfig(message=random_bits(32, 5), seed=5)
     rows = sweep_ber_vs_rate(cfg, periods=(1600, 5500), trials=2)

@@ -37,6 +37,13 @@ def test_default_set_index_uses_bits_6_to_11():
     assert geo.set_index(line.address) == 37
 
 
+def test_make_line_rejects_set_index_and_tag_out_of_range():
+    with pytest.raises(ValueError, match="set_index 64 outside 0..63"):
+        make_line("r", 64, 0)
+    with pytest.raises(ValueError, match="tag must be non-negative"):
+        make_line("r", 0, -1)
+
+
 def test_geometry_derived_fields_follow_replace():
     geo = dataclasses.replace(CacheGeometry(), num_sets=16, line_size=128)
     assert (geo.offset_bits, geo.set_bits, geo.tag_shift) == (7, 4, 11)

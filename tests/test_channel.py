@@ -4,7 +4,7 @@ import pytest
 
 from dirtysim.cache import Cache, CacheGeometry, LatencyModel, WritePolicy
 from dirtysim.channel import (PREAMBLE, BinaryEncoding, CalibrationError,
-                              ChannelConfig, MultiBitEncoding, NoiseConfig,
+                              ChannelConfig, Encoding, MultiBitEncoding, NoiseConfig,
                               Thresholds, calibrate_thresholds,
                               receiver_decode, run_channel, run_gadget_attack,
                               sender_encode)
@@ -80,6 +80,10 @@ def test_multibit_encoding_validation():
         MultiBitEncoding((0, 3, 5))  # not a power of two
     with pytest.raises(ValueError):
         MultiBitEncoding((4,))
+    with pytest.raises(ValueError, match="levels must be non-negative"):
+        Encoding((-1, 0), "multibit")
+    with pytest.raises(ValueError, match="unknown encoding 'ternary'"):
+        Encoding((0, 1), "ternary")
 
 
 def test_config_validation():
@@ -106,6 +110,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match="rset_size"):
             make_cfg(rset_size=rset_size)
     assert make_cfg(rset_size=8).rset_size == 8
+    with pytest.raises(ValueError, match="target_set outside geometry"):
+        make_cfg(target_set=64)
+    with pytest.raises(ValueError, match="slip must be >= 0"):
+        make_cfg(slip=-1)
     with pytest.raises(ValueError, match="unknown replacement policy 'mru'"):
         ChannelConfig(policy="mru", message="1").validate()
 
@@ -386,6 +394,10 @@ def test_gadget_pairing_rules():
         run_gadget_attack("c", "victim-timing", 1)
     with pytest.raises(ValueError):
         run_gadget_attack("a", "bogus", 1)
+    with pytest.raises(ValueError, match="secret must be 0 or 1"):
+        run_gadget_attack("a", "set-state-dirty", 2)
+    with pytest.raises(ValueError, match="set index 64 outside geometry"):
+        run_gadget_attack("a", "set-state-dirty", 1, line0_set=64)
 
 
 def test_gadget_accepts_numeric_scenario_aliases():

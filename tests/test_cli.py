@@ -127,6 +127,12 @@ def test_missing_seed_is_config_error(capsys, monkeypatch):
     assert "seed" in capsys.readouterr().err
 
 
+def test_non_integer_env_seed_is_config_error(capsys, monkeypatch):
+    monkeypatch.setenv("DIRTYSIM_SEED", "abc")
+    assert run_cli("evict-prob", "--n", "8", "--trials", "10") == 2
+    assert "DIRTYSIM_SEED='abc' is not an integer" in config_error(capsys)
+
+
 def test_env_seed_fallback(tmp_path, monkeypatch):
     out_env = tmp_path / "env.csv"
     out_flag = tmp_path / "flag.csv"
@@ -254,6 +260,66 @@ def test_unknown_config_key_is_config_error_that_names_it(argv, text, key, tmp_p
     assert f"unknown config key {key}" in config_error(capsys)
 
 
+def test_config_line_without_equals_is_config_error(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("seed 9\n")
+    assert run_cli("evict-prob", "--n", "8", "--trials", "10", "--config", str(config)) == 2
+    assert "bad config line: 'seed 9'" in config_error(capsys)
+
+
+def exit_code(*argv):
+    """main's exit code, also where argparse rejects a value with SystemExit."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv,text", [
+    (("latency-cdf", "--d-values", "0", "--trials", "1"), "policy =\n"),
+    (("run-channel", "--message-bits", "16"), '{"defense": ""}'),
+    (("gadget",), "scenario =\n"),
+    (("run-channel", "--message-bits", "16"), "noise_rate =\n"),
+    (("latency-cdf", "--d-values", "0", "--trials", "1"), "target_set = 2.9\n"),
+    (("evict-prob", "--n", "8"), "trials = true\n"),
+    (("evict-prob", "--trials", "10"), '{"n": [8.7, 9]}'),
+    (("latency-cdf", "--trials", "1"), '{"d_values": [true, 8]}'),
+], ids=["empty-policy", "empty-defense", "empty-scenario", "empty-noise-rate",
+        "fractional-target-set", "boolean-trials", "fractional-list-item",
+        "boolean-list-item"])
+def test_config_value_is_read_as_its_flag(argv, text, tmp_path, capsys):
+    # Each value exits 2 as a flag, so a config file must not replace it with
+    # the option's default or a rounded number.
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    assert exit_code(*argv, "--seed", "1", "--config", str(config)) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("text", ['{"trials": null}', "trials = null\n"], ids=["json", "flat"])
+def test_config_null_leaves_the_option_unset(text, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    argv = ("latency-cdf", "--d-values", "0", "--seed", "1")
+    assert run_cli(*argv, "--out", str(want)) == 0
+    assert run_cli(*argv, "--config", str(config), "--out", str(got)) == 0
+    assert read(got) == read(want)
+
+
+def test_config_values_do_not_outlive_their_call(tmp_path):
+    # main runs many times in one process (the benchmark's passes do), so a
+    # config file's values must not carry into the next call.
+    config = tmp_path / "run.cfg"
+    config.write_text("trials = 2\n")
+    out = tmp_path / "cdf.csv"
+    argv = ("latency-cdf", "--d-values", "0", "--seed", "1", "--out", str(out))
+    assert run_cli(*argv, "--config", str(config)) == 0
+    assert len(out.read_text().splitlines()) == 1 + 2
+    assert run_cli(*argv) == 0
+    assert len(out.read_text().splitlines()) == 1 + 1000
+
+
 @pytest.mark.parametrize("text,flags", [
     ("message = 1111\n", ("--message", "1111")),
     ('{"message": 1111}', ("--message", "1111")),
@@ -378,7 +444,7 @@ def test_config_file_json_form(tmp_path):
     assert run_cli("evict-prob", "--policy", "lru", "--config", str(config),
                    "--out", str(out)) == 0
     assert out.read_text().splitlines()[1:] == ["lru,8,40,1.0000", "lru,9,40,1.0000"]
-    for bad in ([], [0, 8]):
+    for bad in ([], [0, 8], [8.7, 9], [True, 8]):
         config.write_text(json.dumps({"seed": 9, "trials": 40, "n": bad}))
         assert run_cli("evict-prob", "--policy", "lru", "--config", str(config)) == 2
 
