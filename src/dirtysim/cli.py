@@ -2,11 +2,12 @@
 
 Each command takes an explicit seed (flag, config file, or DIRTYSIM_SEED) and
 emits CSV or JSON whose bytes depend only on the configuration; `gadget` is
-deterministic and ignores the seed.  A config file may set only the options
-of its command, and each value is read exactly as its flag would be: an
-empty value, a fraction for an integer option, or true/false exits 2, every
-item of a JSON list must be an integer, and a JSON null leaves the option
-unset.  Flags win over the file, and the file over the declared defaults.
+deterministic and ignores the seed.  A config file stands for flags placed
+before the command line's, which win: a key `k` with value `v` is read as
+`--k=v`, a JSON list as its comma-joined text, and a JSON null is skipped.  It
+may set only options of its command, and each value meets its flag's type and
+choices exactly as on the command line.  A config file that cannot be read, or
+an --out or --trace path that cannot be written, is a configuration error.
 Exit codes: 0 success, 2 configuration error, 3 threshold calibration failure.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -91,8 +93,6 @@ def _encoding(args):
 
 
 def _channel_config(args, seed):
-    if args.defense not in DEFENSES:
-        raise ConfigError(f"unknown defense {args.defense!r}")
     message = args.message
     if message is None:
         message = random_bits(args.message_bits, seed)
@@ -111,11 +111,9 @@ def _channel_config(args, seed):
     )
 
 
-def _int_list(raw, name, low=0):
-    """Integers from text split at commas, spaces or '|', or from a list or tuple."""
-    if isinstance(raw, str):
-        raw = raw.replace(",", " ").replace("|", " ").split()
-    values = [int(str(v)) for v in raw]  # str(): an item 8.7 or true is no integer
+def _int_list(text, name, low=0):
+    """Integers from text split at commas, spaces or '|'."""
+    values = [int(v) for v in text.replace(",", " ").replace("|", " ").split()]
     if not values or min(values) < low:
         raise ConfigError(f"{name} must be a non-empty list of integers >= {low}")
     return values
@@ -167,13 +165,13 @@ def cmd_run_channel(args):
     seed = _require_seed(args)
     cfg = _channel_config(args, seed)
     report = channel.run_channel(cfg)
-    _emit(report.to_json(), args.out)
-    if args.trace:
+    if args.trace:  # first, so a trace path that cannot be written leaves stdout empty
         rows = ["cycle,actor,action,set,d,latency,decoded_bit,truth_bit"]
         for ev in report.events:
             rows.append(f"{ev.cycle},{ev.actor},{ev.action},{cfg.target_set},"
                         f"{ev.d},{ev.latency},{ev.decoded_bits},{ev.truth_bits}")
         _emit("\n".join(rows) + "\n", args.trace)
+    _emit(report.to_json(), args.out)
     return 0
 
 
@@ -206,7 +204,6 @@ def _add_common(sub, trials=None):
         sub.add_argument("--trials", type=int, default=trials)
     sub.add_argument("--out")
     sub.add_argument("--config")
-    sub.set_defaults(parser=sub)  # main hands a config file's values to `parser`
 
 
 def _add_cache_options(sub):
@@ -230,6 +227,7 @@ def _add_channel_options(sub):
     sub.add_argument("--slip", type=int, default=0)
 
 
+@functools.cache  # built once: nothing changes it, so every call shares it
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dirtysim",
@@ -239,33 +237,28 @@ def build_parser():
     p = commands.add_parser("evict-prob", help="eviction probability vs replacement-set size")
     _add_common(p, trials=10000)
     p.add_argument("--policy", choices=policy.POLICIES, default="lru")
-    p.add_argument("--n", default=(8, 9, 10), help="replacement-set sizes, e.g. '8,9,10'")
-    p.set_defaults(func=cmd_evict_prob)
+    p.add_argument("--n", default="8,9,10", help="replacement-set sizes, e.g. '8,9,10'")
 
     p = commands.add_parser("dirty-evict", help="dirty-line eviction under random replacement")
     _add_common(p, trials=10000)
-    p.add_argument("--d", default=(2, 3), help="dirty-line counts, e.g. '2,3'")
-    p.add_argument("--l", default=(8, 9, 10, 11, 12, 13),
+    p.add_argument("--d", default="2,3", help="dirty-line counts, e.g. '2,3'")
+    p.add_argument("--l", default="8,9,10,11,12,13",
                    help="replacement-set sizes, e.g. '8,9,10,11,12,13'")
-    p.set_defaults(func=cmd_dirty_evict)
 
     p = commands.add_parser("latency-cdf", help="replacement-latency samples per dirty count")
     _add_common(p, trials=1000)
-    p.add_argument("--d-values", default=tuple(range(WAYS + 1)))
+    p.add_argument("--d-values", default=",".join(map(str, range(WAYS + 1))))
     _add_cache_options(p)
-    p.set_defaults(func=cmd_latency_cdf)
 
     p = commands.add_parser("run-channel", help="run the covert channel once")
     _add_common(p)
     _add_channel_options(p)
     p.add_argument("--trace", help="also write a CSV event trace here")
-    p.set_defaults(func=cmd_run_channel)
 
     p = commands.add_parser("sweep", help="mean BER across transmission periods")
     _add_common(p, trials=3)
     _add_channel_options(p)
-    p.add_argument("--periods", default=analysis.DEFAULT_PERIODS)
-    p.set_defaults(func=cmd_sweep)
+    p.add_argument("--periods", default=",".join(map(str, analysis.DEFAULT_PERIODS)))
 
     p = commands.add_parser("gadget", help="secret recovery through the three side-channel "
                             "scenarios (LRU only; deterministic, ignores --seed)")
@@ -276,30 +269,31 @@ def build_parser():
     p.add_argument("--secret", type=int, choices=(0, 1), default=1)
     p.add_argument("--line0-set", type=int)
     p.add_argument("--line1-set", type=int)
-    p.set_defaults(func=cmd_gadget)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()  # per call: config values become this parser's defaults
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.config:
-            values = {}
+            flags = []
             for key, value in _load_config(args.config).items():
-                if key in ("command", "func", "parser") or not hasattr(args, key):
+                if key == "command" or not hasattr(args, key):
                     raise ConfigError(f"unknown config key {key!r} for {args.command}")
+                if isinstance(value, list):
+                    value = ",".join(map(str, value))
                 if value is not None:  # a JSON null leaves the option unset
-                    values[key] = value if isinstance(value, list) else str(value)
-            # As a default, a text value is converted by its flag's own type.
-            args.parser.set_defaults(**values)
-            args = parser.parse_args(argv)
-        return args.func(args)
+                    flags.append(f"--{key.replace('_', '-')}={value}")
+            # The file's flags go first, so the command line's win.
+            args = build_parser().parse_args([argv[0], *flags, *argv[1:]])
+        # Found by name on each call, so a wrapper set on this module is what runs.
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except channel.CalibrationError as exc:
         print(f"calibration failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from dirtysim.cli import main
+from dirtysim.cli import build_parser, main
 
 from oracles import dirty_eviction_fraction, eviction_distance_fraction
 
@@ -296,6 +296,55 @@ def test_config_value_is_read_as_its_flag(argv, text, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def outcome(capsys, *argv):
+    """Exit code, stdout and the `error:` lines of stderr of one run."""
+    code = exit_code(*argv)
+    captured = capsys.readouterr()
+    return code, captured.out, [line for line in captured.err.splitlines() if "error:" in line]
+
+
+EVICT = ("evict-prob", "--trials", "20", "--seed", "1")
+CHANNEL = ("run-channel", "--message-bits", "16", "--seed", "1")
+
+
+@pytest.mark.parametrize("code,argv,key,value,flags", [
+    (2, ("evict-prob", "--seed", "1"), "trials", [1, 2], ("--trials", "1,2")),
+    (2, CHANNEL, "period", [1000, 2000], ("--period", "1000,2000")),
+    (2, EVICT, "policy", ["lru", "random"], ("--policy", "lru,random")),
+    (2, ("run-channel", "--seed", "1"), "message", [1, 0, 1, 1], ("--message", "1,0,1,1")),
+    (0, ("evict-prob", "--policy", "random", "--trials", "20"), "seed", [1], ("--seed", "1")),
+    (2, EVICT, "policy", "mru", ("--policy", "mru")),
+    (2, CHANNEL, "defense", "aslr", ("--defense", "aslr")),
+    (2, CHANNEL, "encoding", "BINARY", ("--encoding", "BINARY")),
+    (2, ("gadget",), "variant", "c", ("--variant", "c")),
+    (2, ("gadget",), "secret", 2, ("--secret", "2")),
+    (0, EVICT, "n", [8, 9], ("--n", "8,9")),
+    (0, EVICT, "n", "8,9", ("--n", "8,9")),
+    (0, ("dirty-evict", "--trials", "20", "--seed", "1"), "l", [8, 13], ("--l", "8,13")),
+    (0, ("latency-cdf", "--trials", "2", "--seed", "1"), "d_values", [0, 8],
+     ("--d-values", "0,8")),
+    (0, ("sweep", "--message-bits", "16", "--trials", "1", "--seed", "1"), "periods",
+     [1600, 5500], ("--periods", "1600,5500")),
+    (0, CHANNEL + ("--encoding", "multibit"), "levels", [0, 3, 5, 8],
+     ("--levels", "0,3,5,8")),
+    (0, CHANNEL + ("--encoding", "multibit"), "levels", "0,3,5,8", ("--levels", "0,3,5,8")),
+], ids=["list-trials", "list-period", "list-policy", "list-message", "list-seed",
+        "choice-policy", "choice-defense", "choice-encoding", "choice-variant",
+        "choice-secret", "json-list-n", "text-n", "json-list-l", "json-list-d-values",
+        "json-list-periods", "json-list-levels", "text-levels"])
+def test_config_file_gives_what_its_flags_give(code, argv, key, value, flags, tmp_path,
+                                               capsys):
+    # A config file stands for flags: the flat file, the JSON file and the
+    # flags exit alike, print alike, and fail with the same error line.
+    flat, as_json = tmp_path / "run.cfg", tmp_path / "run.json"
+    flat.write_text(f"{key} = {value if isinstance(value, str) else json.dumps(value)}\n")
+    as_json.write_text(json.dumps({key: value}))
+    want = outcome(capsys, *argv, *flags)
+    assert want[0] == code and (want[1] == "") == (code == 2) and len(want[2]) == code // 2
+    assert outcome(capsys, *argv, "--config", str(flat)) == want
+    assert outcome(capsys, *argv, "--config", str(as_json)) == want
+
+
 @pytest.mark.parametrize("text", ['{"trials": null}', "trials = null\n"], ids=["json", "flat"])
 def test_config_null_leaves_the_option_unset(text, tmp_path):
     config = tmp_path / "run.cfg"
@@ -318,6 +367,46 @@ def test_config_values_do_not_outlive_their_call(tmp_path):
     assert len(out.read_text().splitlines()) == 1 + 2
     assert run_cli(*argv) == 0
     assert len(out.read_text().splitlines()) == 1 + 1000
+
+
+COMMANDS = ("evict-prob", "dirty-evict", "latency-cdf", "run-channel", "sweep", "gadget")
+
+
+def test_parser_is_built_once_and_never_changed(tmp_path):
+    assert build_parser() is build_parser()
+    before = [build_parser().parse_args([command]) for command in COMMANDS]
+    config = tmp_path / "run.cfg"
+    config.write_text("trials = 2\npolicy = random\nd_values = 0\n")
+    assert run_cli("latency-cdf", "--seed", "1", "--config", str(config),
+                   "--out", str(tmp_path / "cdf.csv")) == 0
+    assert [build_parser().parse_args([command]) for command in COMMANDS] == before
+
+
+def test_command_is_looked_up_by_name_on_each_call(monkeypatch):
+    # The benchmark's tracer wraps the module's cmd_* functions in place, so
+    # main must find the command there on every call, not hold it from the
+    # first build of the parser.
+    import dirtysim.cli as cli
+    monkeypatch.setattr(cli, "cmd_gadget", lambda args: 7)
+    assert run_cli("gadget") == 7
+
+
+@pytest.mark.parametrize("argv", [
+    ("evict-prob", "--config", "{missing}"),
+    ("evict-prob", "--config", "{dir}"),
+    ("evict-prob", "--n", "8", "--trials", "10", "--out", "{dir}"),
+    ("evict-prob", "--n", "8", "--trials", "10", "--out", "{missing}/evict.csv"),
+    ("run-channel", "--message-bits", "16", "--trace", "{dir}"),
+    ("run-channel", "--message-bits", "16", "--trace", "{missing}/trace.csv"),
+], ids=["missing-config", "directory-config", "directory-out", "missing-dir-out",
+        "directory-trace", "missing-dir-trace"])
+def test_os_error_is_config_error(argv, tmp_path, capsys):
+    # A path that cannot be read or written exits 2 with one line and no
+    # traceback; a bad --trace leaves stdout empty, as the report is not printed.
+    argv = [arg.format(missing=tmp_path / "missing", dir=tmp_path) for arg in argv]
+    assert run_cli(*argv, "--seed", "1") == 2
+    err = config_error(capsys)
+    assert len(err.splitlines()) == 1 and str(tmp_path) in err
 
 
 @pytest.mark.parametrize("text,flags", [
@@ -344,14 +433,13 @@ def test_bit_string_message_in_config_file(text, flags, tmp_path):
     ("latency-cdf", "--d-values", "0", "--trials", "1"),
 ])
 def test_unknown_policy_in_config_file_is_config_error(argv, tmp_path, capsys):
-    # A config file bypasses argparse's --policy choices.
+    # A config file's policy meets argparse's --policy choices, as the flag does.
     config = tmp_path / "run.cfg"
     config.write_text("policy = mru\n")
-    assert run_cli(*argv, "--seed", "1", "--config", str(config)) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("config error:")
-    assert "unknown replacement policy 'mru'" in captured.err
+    code, out, errors = outcome(capsys, *argv, "--seed", "1", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert errors == outcome(capsys, *argv, "--seed", "1", "--policy", "mru")[2]
+    assert len(errors) == 1 and "invalid choice: 'mru'" in errors[0]
 
 
 def test_latency_cdf_small_rset_is_config_error(capsys):
