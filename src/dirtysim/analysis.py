@@ -121,7 +121,8 @@ def sweep_ber_vs_rate(cfg_template, periods=DEFAULT_PERIODS, trials: int = 3):
 
     Trial seeds are derived without the period so noise/slip draws are shared
     across periods (common random numbers), which keeps the BER-vs-rate trend
-    monotone instead of drowning it in sampling noise.
+    monotone instead of drowning it in sampling noise.  Every run's config is
+    built, and so checked, before anything is simulated.
     """
     from . import channel  # deferred: channel builds reports out of this module
     from .seeding import derive_seed
@@ -130,16 +131,13 @@ def sweep_ber_vs_rate(cfg_template, periods=DEFAULT_PERIODS, trials: int = 3):
         raise ValueError("periods must be non-empty")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    cfg_template.validate()
+    runs = [[replace(cfg_template, t_s=period,
+                     seed=derive_seed(cfg_template.seed, "sweep", trial))
+             for trial in range(trials)] for period in periods]
     calibration = channel.calibrate_thresholds(cfg_template)
     rows = []
-    for period in periods:
-        bers = []
-        for trial in range(trials):
-            cfg = replace(cfg_template, t_s=period,
-                          seed=derive_seed(cfg_template.seed, "sweep", trial))
-            report = channel.run_channel(cfg, thresholds=calibration)
-            bers.append(report.ber)
+    for period, cfgs in zip(periods, runs):
+        bers = [channel.run_channel(cfg, thresholds=calibration).ber for cfg in cfgs]
         rows.append(SweepRow(period,
                              rate_kbps(period, cfg_template.encoding.bits_per_symbol),
                              cfg_template.encoding.name,

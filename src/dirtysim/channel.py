@@ -118,13 +118,17 @@ class NoiseConfig:
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Everything defining one channel run; identical configs replay identically."""
+    """Everything defining one channel run; identical configs replay identically.
 
+    A config checks itself when built, and `dataclasses.replace` builds anew,
+    so every config that exists is valid.
+    """
+
+    message: str
     encoding: Encoding = Encoding()
     t_s: int = 5500                    # period: encode at its start, decode mid-way
     target_set: int = 0
     rset_size: int = DEFAULT_RSET_SIZE
-    message: str = ""
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     seed: int = 0
     slip: int = 0                      # half-width of receiver timing slip, cycles
@@ -132,7 +136,7 @@ class ChannelConfig:
     policy: str = "lru"
     latency: LatencyModel = field(default_factory=LatencyModel)
 
-    def validate(self):
+    def __post_init__(self):
         if self.t_s < 2:
             raise ValueError("t_s must be at least 2 cycles, so the decode at "
                              "t_s // 2 comes after the encode in each period")
@@ -276,9 +280,9 @@ class ChannelReport:
 def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> ChannelReport:
     """Drive sender, noise, and receiver through one message transmission.
 
-    Given `thresholds` must hold one cut between each pair of adjacent levels.
+    `cfg` checked itself when built; given `thresholds` must hold one cut
+    between each pair of adjacent levels.
     """
-    cfg.validate()
     enc = cfg.encoding
     if thresholds is None:
         thresholds = calibrate_thresholds(cfg)

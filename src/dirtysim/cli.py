@@ -5,10 +5,11 @@ emits CSV or JSON whose bytes depend only on the configuration; `gadget` is
 deterministic and ignores the seed.  A config file stands for flags placed
 before the command line's, which win: a key `k` with value `v` is read as
 `--k=v`, a JSON list as its comma-joined text, and a JSON null is skipped.  It
-may set only options of its command, and each value meets its flag's type and
-choices exactly as on the command line.  A config file that cannot be read, or
-an --out or --trace path that cannot be written, is a configuration error.
-Exit codes: 0 success, 2 configuration error, 3 threshold calibration failure.
+may set only options of its command other than --config, and each value
+meets its flag's type and choices exactly as on the command line.  A config
+file that cannot be read, or an --out or --trace path that cannot be written,
+is a configuration error.  Exit codes: 0 success, 2 configuration error, 3
+threshold calibration failure.
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ DEFENSES = {  # --defense name -> the geometry the channel runs on
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -49,7 +46,7 @@ def _load_config(path):
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"bad config line: {raw!r}")
+            raise ValueError(f"bad config line: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         try:
             values[key.replace("-", "_")] = json.loads(value)
@@ -63,11 +60,11 @@ def _require_seed(args):
         return args.seed
     env = os.environ.get("DIRTYSIM_SEED")
     if env is None:
-        raise ConfigError("an explicit --seed is required (or set DIRTYSIM_SEED)")
+        raise ValueError("an explicit --seed is required (or set DIRTYSIM_SEED)")
     try:
         return int(env)
     except ValueError:
-        raise ConfigError(f"DIRTYSIM_SEED={env!r} is not an integer") from None
+        raise ValueError(f"DIRTYSIM_SEED={env!r} is not an integer") from None
 
 
 def _emit(text, out_path):
@@ -81,12 +78,12 @@ def _emit(text, out_path):
 def _encoding(args):
     if args.encoding == "multibit":
         if args.d_one is not None:
-            raise ConfigError("--d-one applies only to --encoding binary")
+            raise ValueError("--d-one applies only to --encoding binary")
         if args.levels is None:
             return channel.MultiBitEncoding()
         return channel.MultiBitEncoding(_int_list(args.levels, "levels"))
     if args.levels is not None:
-        raise ConfigError("--levels applies only to --encoding multibit")
+        raise ValueError("--levels applies only to --encoding multibit")
     if args.d_one is None:
         return channel.Encoding(name=args.encoding)
     return channel.Encoding((0, args.d_one), args.encoding)
@@ -115,7 +112,7 @@ def _int_list(text, name, low=0):
     """Integers from text split at commas, spaces or '|'."""
     values = [int(v) for v in text.replace(",", " ").replace("|", " ").split()]
     if not values or min(values) < low:
-        raise ConfigError(f"{name} must be a non-empty list of integers >= {low}")
+        raise ValueError(f"{name} must be a non-empty list of integers >= {low}")
     return values
 
 
@@ -280,8 +277,8 @@ def main(argv=None) -> int:
         if args.config:
             flags = []
             for key, value in _load_config(args.config).items():
-                if key == "command" or not hasattr(args, key):
-                    raise ConfigError(f"unknown config key {key!r} for {args.command}")
+                if key in ("command", "config") or not hasattr(args, key):
+                    raise ValueError(f"unknown config key {key!r} for {args.command}")
                 if isinstance(value, list):
                     value = ",".join(map(str, value))
                 if value is not None:  # a JSON null leaves the option unset
@@ -293,7 +290,7 @@ def main(argv=None) -> int:
     except channel.CalibrationError as exc:
         print(f"calibration failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

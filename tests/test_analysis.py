@@ -160,6 +160,23 @@ def test_sweep_rejects_empty_periods():
         sweep_ber_vs_rate(ChannelConfig(message="01"), periods=(), trials=1)
 
 
+def test_sweep_checks_every_period_before_simulating(monkeypatch):
+    # A bad later period fails before the earlier periods run.
+    from dirtysim import channel
+    calls = []
+    for name in ("calibrate_thresholds", "run_channel"):
+        real = getattr(channel, name)
+        monkeypatch.setattr(channel, name,
+                            lambda *a, _real=real, _name=name, **kw:
+                            calls.append(_name) or _real(*a, **kw))
+    template = ChannelConfig(message=random_bits(32, 4), seed=4)
+    with pytest.raises(ValueError, match="t_s must be at least 2 cycles"):
+        sweep_ber_vs_rate(template, periods=(5500, 1), trials=2)
+    assert calls == []
+    sweep_ber_vs_rate(template, periods=(5500,), trials=2)
+    assert calls == ["calibrate_thresholds", "run_channel", "run_channel"]
+
+
 def test_sweep_noiseless_is_all_zero():
     cfg = ChannelConfig(message=random_bits(32, 5), seed=5)
     rows = sweep_ber_vs_rate(cfg, periods=(1600, 5500), trials=2)

@@ -19,9 +19,7 @@ WRITE_THROUGH = CacheGeometry(write_policy=WritePolicy.WRITE_THROUGH_NO_ALLOCATE
 
 def make_cfg(**kw):
     kw.setdefault("message", random_bits(64, 77))
-    cfg = ChannelConfig(**kw)
-    cfg.validate()
-    return cfg
+    return ChannelConfig(**kw)
 
 
 def receiver_init(cache, cfg):
@@ -52,7 +50,7 @@ def test_binary_encoding_levels():
     assert BinaryEncoding(8).d_label == "8"
     assert MultiBitEncoding((0, 8)).d_label == "0-8"
     # The upper bound on d_one is the geometry's associativity, so it is
-    # checked by validate(), not by the encoding.
+    # checked by the channel config, not by the encoding.
     with pytest.raises(ValueError, match="encoding level exceeds associativity"):
         make_cfg(encoding=BinaryEncoding(9))
     report = run_channel(make_cfg(encoding=BinaryEncoding(16), rset_size=20,
@@ -115,7 +113,22 @@ def test_config_validation():
     with pytest.raises(ValueError, match="slip must be >= 0"):
         make_cfg(slip=-1)
     with pytest.raises(ValueError, match="unknown replacement policy 'mru'"):
-        ChannelConfig(policy="mru", message="1").validate()
+        ChannelConfig(policy="mru", message="1")
+
+
+def test_config_checks_itself_when_built_or_replaced():
+    # No config can exist invalid: the constructor and `replace` raise the
+    # messages the checks give, and there is no separate method to forget.
+    assert not hasattr(ChannelConfig, "validate")
+    valid = make_cfg()
+    with pytest.raises(ValueError, match="t_s must be at least 2 cycles"):
+        dataclasses.replace(valid, t_s=1)
+    with pytest.raises(ValueError, match="^message must be non-empty$"):
+        ChannelConfig(message="")
+    with pytest.raises(ValueError, match="target_set outside geometry"):
+        dataclasses.replace(valid, target_set=-1)
+    with pytest.raises(TypeError):
+        ChannelConfig()  # a message has no default that could pass
 
 
 def test_eight_levels_do_not_divide_the_preamble():
@@ -128,8 +141,9 @@ def test_eight_levels_do_not_divide_the_preamble():
 def test_config_fields():
     # One field per fact: the receiver shares the sender's period, decodes at
     # its middle, and rates use the package's one clock frequency.
+    # `message` comes first, with no default: an empty one is never valid.
     assert [f.name for f in dataclasses.fields(ChannelConfig)] == [
-        "encoding", "t_s", "target_set", "rset_size", "message", "noise",
+        "message", "encoding", "t_s", "target_set", "rset_size", "noise",
         "seed", "slip", "geometry", "policy", "latency"]
 
 

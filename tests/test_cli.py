@@ -169,6 +169,14 @@ def test_period_below_two_cycles_is_config_error(capsys):
     assert "t_s must be at least 2" in captured.err
 
 
+def test_sweep_rejects_a_bad_later_period_before_calibrating(capsys):
+    # Calibration fails at this seed; the period that can never run is
+    # reported first, whatever the seed.
+    assert run_cli("sweep", "--seed", "4", "--message-bits", "32", "--jitter", "2",
+                   "--trials", "1", "--periods", "5500,1") == 2
+    assert "t_s must be at least 2" in config_error(capsys)
+
+
 def test_d_one_above_associativity_is_config_error(capsys):
     assert run_cli("run-channel", "--seed", "1", "--message-bits", "16",
                    "--d-one", "9") == 2
@@ -251,6 +259,8 @@ def test_trials_is_no_option_of_commands_without_trials(command):
     (("latency-cdf", "--trials", "1"), '{"d-values": "0"}', "'d-values'"),
     (("run-channel", "--message-bits", "16"), "trials = 3\n", "'trials'"),
     (("gadget",), '{"trials": 3}', "'trials'"),
+    # A file includes no other file, so a nested `config` key is unknown.
+    (("evict-prob", "--n", "8"), "config = /nope.cfg\ntrials = 5\n", "'config'"),
 ])
 def test_unknown_config_key_is_config_error_that_names_it(argv, text, key, tmp_path,
                                                           capsys):

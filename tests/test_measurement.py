@@ -276,7 +276,7 @@ def test_latency_cdf_rejects_rset_below_associativity(rset_size):
     with pytest.raises(ValueError) as cdf_error:
         latency_cdf([0, 8], trials=2, seed=1, rset_size=rset_size)
     with pytest.raises(ValueError) as channel_error:
-        ChannelConfig(message="1", rset_size=rset_size).validate()
+        ChannelConfig(message="1", rset_size=rset_size)
     assert str(cdf_error.value) == str(channel_error.value)
     assert f"rset_size {rset_size} is below the associativity 8" in str(cdf_error.value)
 
