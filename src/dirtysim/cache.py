@@ -9,19 +9,19 @@ partitioning per actor.
 A set is allocated on its first access, as one [tags, dirty, meta] record; a
 way is valid when its tag is not None.  Most experiments build a fresh cache
 and touch one set, so a set that is never accessed costs nothing and reads as
-all-invalid.
+all-invalid.  A line is (actor, set, tag): the model tracks the states of
+sets and lines, not memory locations, and a line outside the cache's sets is
+an error, never a wrap into another set.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
 from .policy import make_policy
-
-ADDRESS_SPACE = 1 << 64
 
 
 class WritePolicy(Enum):
@@ -47,24 +47,14 @@ class CacheGeometry:
 
     num_sets: int = 64
     associativity: int = 8
-    line_size: int = 64
     write_policy: WritePolicy = WritePolicy.WRITE_BACK_ALLOCATE
     partition: Optional[dict] = None  # actor id -> iterable of permitted ways
-    # Address split, derived from the sizes above.
-    offset_bits: int = field(init=False, compare=False, repr=False)
-    set_bits: int = field(init=False, compare=False, repr=False)
-    tag_shift: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for name in ("num_sets", "associativity", "line_size"):
+        for name in ("num_sets", "associativity"):
             value = getattr(self, name)
             if not _is_pow2(value):
                 raise ValueError(f"{name}={value} must be a power of two >= 1")
-        offset_bits = self.line_size.bit_length() - 1
-        set_bits = self.num_sets.bit_length() - 1
-        object.__setattr__(self, "offset_bits", offset_bits)
-        object.__setattr__(self, "set_bits", set_bits)
-        object.__setattr__(self, "tag_shift", offset_bits + set_bits)
         if self.partition is not None:
             norm = {}
             seen = set()
@@ -80,28 +70,24 @@ class CacheGeometry:
                 norm[actor] = ways
             object.__setattr__(self, "partition", norm)
 
-    def set_index(self, address: int) -> int:
-        return (address >> self.offset_bits) & (self.num_sets - 1)
-
 
 class LineRef(NamedTuple):
-    """An address in one actor's space; actors never alias each other."""
+    """One line of one actor's space; actors never alias each other.
+
+    The cache that accesses it checks `set_index` against its own sets.
+    """
 
     actor_id: str
-    address: int
+    set_index: int
+    tag: int
 
 
-def make_line(actor_id: str, set_index: int, tag: int,
-              geometry: CacheGeometry | None = None) -> LineRef:
-    """Build a LineRef whose index bits select `set_index` and whose tag is `tag`."""
-    geo = geometry or DEFAULT_GEOMETRY
-    if not 0 <= set_index < geo.num_sets:
-        raise ValueError(f"set_index {set_index} outside 0..{geo.num_sets - 1}")
+def make_line(actor_id: str, set_index: int, tag: int) -> LineRef:
+    """The line `tag` of `actor_id` in set `set_index`."""
     if tag < 0:
         raise ValueError("tag must be non-negative")
-    address = (tag << geo.tag_shift) | (set_index << geo.offset_bits)
     # tuple.__new__ skips the NamedTuple's Python-level __new__ on this hot path.
-    return tuple.__new__(LineRef, (actor_id, address))
+    return tuple.__new__(LineRef, (actor_id, set_index, tag))
 
 
 class LineState(NamedTuple):
@@ -208,23 +194,22 @@ class Cache:
         return self.access(line, True)
 
     def access(self, line: LineRef, is_write: bool) -> AccessOutcome:
-        geo = self.geometry
-        actor, address = line
-        if not 0 <= address < ADDRESS_SPACE:
-            raise ValueError(f"address {address:#x} outside the 64-bit space")
+        actor, set_index, tag = line
+        sets = self._sets
+        if not 0 <= set_index < len(sets):
+            self._check_set(set_index)  # raises, naming the set
         ways = self._ways
-        if geo.partition is not None:
+        if self.geometry.partition is not None:
             try:
                 ways = ways[actor]
             except KeyError:
                 raise ValueError(f"actor {actor!r} has no way partition") from None
 
-        set_index = (address >> geo.offset_bits) & (geo.num_sets - 1)
-        record = self._sets[set_index]
+        record = sets[set_index]
         if record is None:
-            record = self._sets[set_index] = self._new_set()
+            record = sets[set_index] = self._new_set()
         tags, dirty, meta = record
-        tag = (actor, address >> geo.tag_shift)
+        tag = (actor, tag)
 
         stats = self.counters.get(actor)
         if stats is None:

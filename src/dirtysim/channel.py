@@ -1,8 +1,8 @@
 """Covert-channel protocol: sender, receiver, scheduler, noise, and gadgets.
 
-One sender and one receiver share a simulated L1 from distinct address
-spaces.  The sender encodes a symbol as the number of dirty lines it leaves
-in the agreed target set; the receiver recovers it from the summed latency of
+One sender and one receiver share a simulated L1, each with lines of its
+own.  The sender encodes a symbol as the number of dirty lines it leaves in
+the agreed target set; the receiver recovers it from the summed latency of
 replacing that set.  A deterministic event loop with a total order
 (cycle, then sender < noise < receiver) stands in for the wall-clock
 hyper-thread interleaving of real hardware.  Every transmission starts with
@@ -318,7 +318,6 @@ def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> 
     # with is never resident.
     rsets = tuple(build_replacement_set(RECEIVER, cfg.target_set, cfg.rset_size,
                                         derive_seed(cfg.seed, "chase", p),
-                                        geometry=cfg.geometry,
                                         tag_base=RSET_TAG_BASES[p])
                   for p in (0, 1))
     trace = []
@@ -336,7 +335,7 @@ def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> 
             trace.append(TraceEvent(cycle, RECEIVER, "decode", enc.levels[int(bits, 2)],
                                     sample.total_cycles, bits, symbol))
         else:
-            line = make_line(NOISE, cfg.target_set, noise_tag, cfg.geometry)
+            line = make_line(NOISE, cfg.target_set, noise_tag)
             noise_tag += 1
             outcome = cache.access(line, action == "noise-write")
             trace.append(TraceEvent(cycle, NOISE, action, "", outcome.latency, "", ""))
@@ -425,8 +424,8 @@ def run_gadget_attack(variant: str, scenario: str, secret: int, *,
 
     cache = Cache(geo, "lru", lat)
     ways = geo.associativity
-    line0 = make_line("victim", set_i, 0, geo)
-    line1 = make_line("victim", set_j, 1, geo)
+    line0 = make_line("victim", set_i, 0)
+    line1 = make_line("victim", set_j, 1)
 
     def victim_call():
         if secret:
@@ -441,7 +440,7 @@ def run_gadget_attack(variant: str, scenario: str, secret: int, *,
         dirty = scenario == "prime-with-dirty"
         fill_set(cache, "attacker", set_i, ways, write=dirty)
         victim_call()
-        rset = build_replacement_set("attacker", set_i, DEFAULT_RSET_SIZE, geometry=geo,
+        rset = build_replacement_set("attacker", set_i, DEFAULT_RSET_SIZE,
                                      tag_base=RSET_TAG_BASES[0])
         total = measure_replacement_latency(cache, rset).total_cycles
         levels = (ways - 1, ways) if dirty else (0, 1)

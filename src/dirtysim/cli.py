@@ -89,13 +89,13 @@ def _encoding(args):
     return channel.Encoding((0, args.d_one), args.encoding)
 
 
-def _channel_config(args, seed):
+def _channel_config(args, seed, **fields):
+    """The channel the options describe; `fields` sets any other config field."""
     message = args.message
     if message is None:
         message = random_bits(args.message_bits, seed)
     return channel.ChannelConfig(
         encoding=_encoding(args),
-        t_s=args.period,
         target_set=args.target_set,
         rset_size=args.rset_size,
         message=message,
@@ -105,6 +105,7 @@ def _channel_config(args, seed):
         geometry=DEFENSES[args.defense],
         policy=args.policy,
         latency=LatencyModel(jitter=args.jitter),
+        **fields,
     )
 
 
@@ -160,7 +161,7 @@ def cmd_latency_cdf(args):
 
 def cmd_run_channel(args):
     seed = _require_seed(args)
-    cfg = _channel_config(args, seed)
+    cfg = _channel_config(args, seed, t_s=args.period)
     report = channel.run_channel(cfg)
     if args.trace:  # first, so a trace path that cannot be written leaves stdout empty
         rows = ["cycle,actor,action,set,d,latency,decoded_bit,truth_bit"]
@@ -215,7 +216,6 @@ def _add_channel_options(sub):
     sub.add_argument("--encoding", choices=("binary", "multibit"), default="binary")
     sub.add_argument("--d-one", type=int)
     sub.add_argument("--levels")
-    sub.add_argument("--period", type=int, default=5500)
     sub.add_argument("--message")
     sub.add_argument("--message-bits", type=int, default=128)
     sub.add_argument("--noise-rate", type=float, default=0.0)
@@ -226,39 +226,44 @@ def _add_channel_options(sub):
 
 @functools.cache  # built once: nothing changes it, so every call shares it
 def build_parser():
+    # Flags are spelled in full: an abbreviation could read --period as --periods.
     parser = argparse.ArgumentParser(
-        prog="dirtysim",
+        prog="dirtysim", allow_abbrev=False,
         description="Write-back cache covert-channel simulator and experiment runner")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("evict-prob", help="eviction probability vs replacement-set size")
+    def command(name, summary):
+        return commands.add_parser(name, help=summary, allow_abbrev=False)
+
+    p = command("evict-prob", "eviction probability vs replacement-set size")
     _add_common(p, trials=10000)
     p.add_argument("--policy", choices=policy.POLICIES, default="lru")
     p.add_argument("--n", default="8,9,10", help="replacement-set sizes, e.g. '8,9,10'")
 
-    p = commands.add_parser("dirty-evict", help="dirty-line eviction under random replacement")
+    p = command("dirty-evict", "dirty-line eviction under random replacement")
     _add_common(p, trials=10000)
     p.add_argument("--d", default="2,3", help="dirty-line counts, e.g. '2,3'")
     p.add_argument("--l", default="8,9,10,11,12,13",
                    help="replacement-set sizes, e.g. '8,9,10,11,12,13'")
 
-    p = commands.add_parser("latency-cdf", help="replacement-latency samples per dirty count")
+    p = command("latency-cdf", "replacement-latency samples per dirty count")
     _add_common(p, trials=1000)
     p.add_argument("--d-values", default=",".join(map(str, range(WAYS + 1))))
     _add_cache_options(p)
 
-    p = commands.add_parser("run-channel", help="run the covert channel once")
+    p = command("run-channel", "run the covert channel once")
     _add_common(p)
     _add_channel_options(p)
+    p.add_argument("--period", type=int, default=5500)
     p.add_argument("--trace", help="also write a CSV event trace here")
 
-    p = commands.add_parser("sweep", help="mean BER across transmission periods")
+    p = command("sweep", "mean BER across transmission periods")
     _add_common(p, trials=3)
     _add_channel_options(p)
     p.add_argument("--periods", default=",".join(map(str, analysis.DEFAULT_PERIODS)))
 
-    p = commands.add_parser("gadget", help="secret recovery through the three side-channel "
-                            "scenarios (LRU only; deterministic, ignores --seed)")
+    p = command("gadget", "secret recovery through the three side-channel "
+                "scenarios (LRU only; deterministic, ignores --seed)")
     _add_common(p)
     p.add_argument("--variant", choices=channel.VARIANTS, default="a")
     p.add_argument("--scenario", default="set-state-dirty",

@@ -10,8 +10,8 @@ probe sequence on one cache.  `probe_totals` runs it on fresh caches for
 every level and trial; latency CDFs, channel calibration and the gadget's
 probe cuts all read it.  A cache that draws nothing (no random policy, no
 jitter) is simulated once per level: its seed reaches no outcome, so every
-trial would replay the same accesses on the same fresh state.  A
-replacement set's lines name its target set by their index bits.
+trial would replay the same accesses on the same fresh state.  Every line of
+a replacement set names its target set.
 
 A fresh cache's probe total cannot depend on the chase order (every line
 misses, policies see ways not tags, jitter is drawn per access in order), so
@@ -52,13 +52,11 @@ class LatencySample:
 
 def build_replacement_set(actor_id: str, target_set: int,
                           size: int = DEFAULT_RSET_SIZE, seed: int = 0, *,
-                          geometry: CacheGeometry | None = None,
                           tag_base: int = 0) -> tuple:
     """`size` distinct-tag lines in `target_set`, as a tuple in the chase order of `seed`."""
     if size < 1:
         raise ValueError("replacement set needs at least one line")
-    lines = [make_line(actor_id, target_set, tag_base + i, geometry)
-             for i in range(size)]
+    lines = [make_line(actor_id, target_set, tag_base + i) for i in range(size)]
     random.Random(derive_seed("chase", seed)).shuffle(lines)
     return tuple(lines)
 
@@ -78,7 +76,7 @@ def measure_replacement_latency(cache: Cache, rset: tuple) -> LatencySample:
     The caller must ensure the set's lines are not resident (alternating two
     replacement sets does this); residual hits are flagged, not fatal.
     """
-    dirty_before = cache.dirty_count(cache.geometry.set_index(rset[0].address))
+    dirty_before = cache.dirty_count(rset[0].set_index)
     access = cache.access
     total = 0
     hits = 0
@@ -97,11 +95,10 @@ def fill_set(cache: Cache, actor_id: str, set_index: int, n: int, *,
 
     Reads prime the set with clean lines; writes leave dirty ones.
     """
-    geo = cache.geometry
     access = cache.access
     total = 0
     for tag in range(n):
-        total += access(make_line(actor_id, set_index, tag, geo), write).latency
+        total += access(make_line(actor_id, set_index, tag), write).latency
     return total
 
 
@@ -111,7 +108,7 @@ def prime_dirty_probe(cache: Cache, rset: tuple, d: int) -> LatencySample:
     The sender's d stores evict d receiver lines, so the probe must replace
     W-d clean lines and d dirty ones.
     """
-    target_set = cache.geometry.set_index(rset[0].address)
+    target_set = rset[0].set_index
     fill_set(cache, RECEIVER, target_set, cache.geometry.associativity)
     fill_set(cache, SENDER, target_set, d, write=True)
     return measure_replacement_latency(cache, rset)
@@ -131,12 +128,14 @@ def probe_totals(levels, trials: int, seed_parts, *, geometry: CacheGeometry,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     check_rset_size(rset_size, geometry)
+    if not 0 <= target_set < geometry.num_sets:
+        raise ValueError(f"target_set {target_set} outside 0..{geometry.num_sets - 1}")
     levels = list(levels)
     ways = geometry.associativity
     for d in levels:
         if not 0 <= d <= ways:
             raise ValueError(f"d={d} outside 0..{ways}")
-    rset = build_replacement_set(RECEIVER, target_set, rset_size, geometry=geometry,
+    rset = build_replacement_set(RECEIVER, target_set, rset_size,
                                  tag_base=RSET_TAG_BASES[0])
 
     table = []

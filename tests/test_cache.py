@@ -11,8 +11,7 @@ WT = WritePolicy.WRITE_THROUGH_NO_ALLOCATE
 
 
 def test_geometry_rejects_non_powers_of_two():
-    for kwargs in ({"num_sets": 48}, {"associativity": 6}, {"line_size": 100},
-                   {"num_sets": 0}):
+    for kwargs in ({"num_sets": 48}, {"associativity": 6}, {"num_sets": 0}):
         with pytest.raises(ValueError):
             CacheGeometry(**kwargs)
 
@@ -28,27 +27,10 @@ def test_geometry_partition_validation():
     assert geo.partition["a"] == frozenset({0, 1})
 
 
-def test_default_set_index_uses_bits_6_to_11():
-    geo = CacheGeometry()
-    assert geo.offset_bits == 6 and geo.set_bits == 6
-    assert geo.set_index(37 << 6) == 37
-    assert geo.set_index((1 << 12) | (37 << 6) | 13) == 37
-    line = make_line("r", 37, tag=99)
-    assert geo.set_index(line.address) == 37
-
-
-def test_make_line_rejects_set_index_and_tag_out_of_range():
-    with pytest.raises(ValueError, match="set_index 64 outside 0..63"):
-        make_line("r", 64, 0)
+def test_make_line_rejects_negative_tag():
+    assert make_line("r", 37, tag=99) == LineRef("r", 37, 99)
     with pytest.raises(ValueError, match="tag must be non-negative"):
         make_line("r", 0, -1)
-
-
-def test_geometry_derived_fields_follow_replace():
-    geo = dataclasses.replace(CacheGeometry(), num_sets=16, line_size=128)
-    assert (geo.offset_bits, geo.set_bits, geo.tag_shift) == (7, 4, 11)
-    assert dataclasses.replace(geo, num_sets=64) == CacheGeometry(line_size=128)
-    assert make_line("r", 9, 3, geo).address == (3 << 11) | (9 << 7)
 
 
 def test_untouched_sets_read_as_invalid_after_other_sets_fill():
@@ -160,12 +142,15 @@ def test_snapshot_after_receiver_style_init():
     assert sum(s.dirty for s in snapshot) == 0
 
 
-def test_rejects_address_beyond_64_bits():
-    cache = Cache()
-    with pytest.raises(ValueError):
-        cache.read(LineRef("a", 1 << 64))
-    with pytest.raises(ValueError):
-        cache.read(LineRef("a", -1))
+def test_access_rejects_a_set_outside_the_cache():
+    # A line names its set; the cache never wraps it into another one.
+    cache = Cache(CacheGeometry(num_sets=16))
+    for set_index in (-1, 16, 37):
+        for is_write in (False, True):
+            with pytest.raises(ValueError, match=f"set_index {set_index} outside 0..15"):
+                cache.access(make_line("a", set_index, 0), is_write)
+    assert cache.counters == {} and cache.cycles == 0
+    assert all(cache.dirty_count(s) == 0 for s in range(16))
 
 
 def test_partition_rejects_unlisted_actor():

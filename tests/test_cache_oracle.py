@@ -1,9 +1,10 @@
 """Differential test: the package cache against `oracles.ReferenceCache`.
 
 Random streams of (actor, set, tag, byte offset, read/write) run through
-both models; after every access the outcome kind, victim way, latency,
-per-actor counters, cycle total and the set's dirty count must agree, and the
-reference's own writeback flag must be set exactly on a dirty eviction.
+both models, the reference as the byte address of that line and offset;
+after every access the outcome kind, victim way, latency, per-actor counters,
+cycle total and the set's dirty count must agree, and the reference's own
+writeback flag must be set exactly on a dirty eviction.
 """
 
 import dataclasses
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirtysim.cache import (Cache, CacheGeometry, LatencyModel, LineRef,
-                            OutcomeKind, WritePolicy, make_line)
+from dirtysim.cache import (Cache, CacheGeometry, LatencyModel, OutcomeKind,
+                            WritePolicy, make_line)
 from oracles import ReferenceCache
 
 NUM_SETS = 2
@@ -45,10 +46,8 @@ def test_cache_matches_reference(policy, mode, stream, seed, jitter):
     for actor, set_index, tag, offset, write in stream:
         if mode == "partition" and actor == "c":
             actor = "a"
-        line = make_line(actor, set_index, tag, geo)
-        line = LineRef(actor, line.address + offset)
-        got = cache.access(line, write)
-        want = ref.access(actor, line.address, write)
+        got = cache.access(make_line(actor, set_index, tag), write)
+        want = ref.access(actor, (tag * NUM_SETS + set_index) * 64 + offset, write)
         writeback = got.kind is OutcomeKind.MISS_EVICT_DIRTY
         assert (got.kind.value, got.victim_way, writeback, got.latency) == want
         assert {a: dataclasses.asdict(c) for a, c in cache.counters.items()} == ref.counters

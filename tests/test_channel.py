@@ -31,7 +31,7 @@ def receiver_rsets(cfg):
     """The two replacement sets `run_channel` decodes with, alternately."""
     return [build_replacement_set(RECEIVER, cfg.target_set, cfg.rset_size,
                                   derive_seed(cfg.seed, "chase", p),
-                                  geometry=cfg.geometry, tag_base=RSET_TAG_BASES[p])
+                                  tag_base=RSET_TAG_BASES[p])
             for p in (0, 1)]
 
 

@@ -177,6 +177,18 @@ def test_sweep_rejects_a_bad_later_period_before_calibrating(capsys):
     assert "t_s must be at least 2" in config_error(capsys)
 
 
+def test_sweep_takes_no_period(tmp_path, capsys):
+    # Each sweep run sets its own period, so a --period would change no
+    # output; flags are spelled in full, so it is no prefix of --periods.
+    argv = ("sweep", "--seed", "1", "--message-bits", "16", "--trials", "1")
+    assert exit_code(*argv, "--period", "5500") == 2
+    assert capsys.readouterr().out == ""
+    config = tmp_path / "sweep.cfg"
+    config.write_text("period = 1000\n")
+    assert exit_code(*argv, "--config", str(config)) == 2
+    assert "unknown config key 'period'" in config_error(capsys)
+
+
 def test_d_one_above_associativity_is_config_error(capsys):
     assert run_cli("run-channel", "--seed", "1", "--message-bits", "16",
                    "--d-one", "9") == 2

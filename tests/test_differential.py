@@ -3,10 +3,12 @@
 `benchmarks/reference/dirtysim` is the package's source at the commit the
 benchmark froze, which `benchmarks/run.py` times the program against.  Both
 `cli.main`s run here in one process on argv that hypothesis draws for every
-subcommand, at small sizes, some of it moved into a config file.  They must
-agree on the exit code, standard output and the bytes of every file written
-through --out and --trace.  Standard error is not compared: its messages
-were reworded on purpose.
+subcommand, at small sizes, some of it moved into a config file.  The seed
+is given as --seed, or now and then through DIRTYSIM_SEED or the config
+file, which both programs read alike.  They must agree on the exit code,
+standard output and the bytes of every file written through --out and
+--trace.  Standard error is not compared: its messages were reworded on
+purpose.
 
 Some inputs the program rejects on purpose where the reference runs, or
 fails another way.  `INTENDED` lists them: each entry is a predicate on the
@@ -26,11 +28,13 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import os
 import shutil
 import sys
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -74,18 +78,27 @@ class Case(NamedTuple):
     config: tuple   # (key, text) pairs written to a flat config file
     outputs: tuple  # the file options the run writes: "out", "trace"
     seed: int
+    seed_from: str = "flag"  # "flag", "env" (DIRTYSIM_SEED) or "config"
 
     def options(self):
         """Each option's text as the run sees it: flags win over the file."""
         return {**dict(self.config), **dict(self.flags)}
 
+    def environ(self):
+        return {"DIRTYSIM_SEED": str(self.seed)} if self.seed_from == "env" else {}
+
     def argv(self, workdir):
-        argv = [self.command, "--seed", str(self.seed)]
+        argv = [self.command]
+        config = self.config
+        if self.seed_from == "flag":
+            argv += ["--seed", str(self.seed)]
+        elif self.seed_from == "config":
+            config += (("seed", str(self.seed)),)
         for key, text in self.flags:
             argv += [f"--{key}", text]
-        if self.config:
+        if config:
             path = workdir / "run.cfg"
-            path.write_text("".join(f"{key} = {text}\n" for key, text in self.config))
+            path.write_text("".join(f"{key} = {text}\n" for key, text in config))
             argv += ["--config", str(path)]
         for key in self.outputs:
             argv += [f"--{key}", str(workdir / key)]
@@ -109,8 +122,11 @@ def period_below_two(case):
 def invalid_sweep_template(case):
     opts = case.options()
     noisy = opts.get("noise-rate", "0.0") != "0.0"
-    return case.command == "sweep" and (
-        opts.get("period") == "1" or (noisy and opts.get("defense") == "partition"))
+    return case.command == "sweep" and noisy and opts.get("defense") == "partition"
+
+
+def sweep_period(case):
+    return case.command == "sweep" and "period" in case.options()
 
 
 def rset_below_ways(case):
@@ -141,6 +157,7 @@ INTENDED = {  # why the program exits 2 where the reference does not
     "d977669: a config value is read as its flag's text": odd_config_value,
     "after 3366322: sweep checks every period before it calibrates": period_below_two,
     "after 3366322: a config file may not name another config file": nested_config,
+    "after ae63c71: sweep takes no --period, which changed no output": sweep_period,
 }
 
 
@@ -197,12 +214,12 @@ CHANNEL_OPTIONS = (
     *CACHE_OPTIONS,
     option("rset-size", st.integers(8, 24)),
     encoding_options(),
-    option("period", rarely(st.sampled_from((2, 400, 1000, 1600, 5500)), st.just(1))),
     option("noise-rate", rarely(st.sampled_from((0.0, 0.3, 1.0)), st.just(5.0))),
     option("noise-write-prob", st.sampled_from((0.0, 0.5, 1.0))),
     option("defense", st.sampled_from(("none", "write-through", "partition"))),
     option("slip", st.integers(0, 2000)),
 )
+PERIOD = rarely(st.sampled_from((2, 400, 1000, 1600, 5500)), st.just(1))
 PERIODS = int_list(st.sampled_from((2, 400, 800, 1600, 5500, 11000)))
 COMMANDS = {  # command -> (option strategies, file options it may write)
     "evict-prob": ((POLICY,
@@ -215,8 +232,9 @@ COMMANDS = {  # command -> (option strategies, file options it may write)
                      option("rset-size", rarely(st.integers(8, 16), st.sampled_from((6, 7)))),
                      required("d-values", int_list(st.integers(0, 8))),
                      required("trials", st.integers(1, 4))), ("out",)),
-    "run-channel": (CHANNEL_OPTIONS, ("out", "trace")),
+    "run-channel": ((*CHANNEL_OPTIONS, option("period", PERIOD)), ("out", "trace")),
     "sweep": ((*CHANNEL_OPTIONS,
+               rarely(st.just([]), required("period", PERIOD)),
                required("periods", rarely(PERIODS, st.one_of(
                    st.just(""), PERIODS.map(lambda text: text + ",1")))),
                required("trials", st.integers(1, 2))), ("out",)),
@@ -246,7 +264,8 @@ def cases(draw):
                 tuple(pair for pair, moved in zip(pairs, in_file) if not moved),
                 tuple(config),
                 tuple(key for key in files if draw(st.booleans())),
-                draw(st.integers(0, 2**16)))
+                draw(st.integers(0, 2**16)),
+                draw(st.one_of(st.just("flag"), st.sampled_from(("env", "config")))))
 
 
 # -- running -----------------------------------------------------------------
@@ -260,7 +279,8 @@ def run(main, case):
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()),
+              mock.patch.dict(os.environ, case.environ())):
             try:
                 code = main(case.argv(workdir))
             except SystemExit as exc:
@@ -317,6 +337,9 @@ def test_loading_the_reference_writes_no_bytecode(tmp_path):
      "after 3366322: a config file may not name another config file"),
     (Case("run-channel", (("message-bits", "16"), ("levels", "0,8")), (), ("out",), 1),
      "9536012: the other encoding's option is a config error"),
+    (Case("sweep", (("message-bits", "16"), ("trials", "1"), ("periods", "1600"),
+                    ("period", "5500")), (), (), 1),
+     "after ae63c71: sweep takes no --period, which changed no output"),
 ])
 def test_listed_differences_are_real(case, reason):
     # Each of these exits 2 here and not in the reference, for the listed reason.

@@ -29,8 +29,8 @@ def prepared_cache(d, latency=None, seed=0):
 def test_build_replacement_set_shape():
     rset = build_replacement_set("r", 5, 10, seed=3)
     assert len(rset) == 10
-    assert all(GEO.set_index(line.address) == 5 for line in rset)
-    assert len({line.address for line in rset}) == 10
+    assert all(line.set_index == 5 for line in rset)
+    assert len({line.tag for line in rset}) == 10
     assert sorted(rset) == [make_line("r", 5, t) for t in range(10)]
 
 
@@ -140,7 +140,7 @@ def test_chase_order_does_not_change_total(data, geo, policy, jitter, cache_seed
     d = data.draw(st.integers(0, ways), label="d")
     size = data.draw(st.integers(ways, 24), label="size")
     order = data.draw(st.permutations(range(size)), label="order")
-    lines = [make_line("receiver", 0, 1000 + i, geo) for i in range(size)]
+    lines = [make_line("receiver", 0, 1000 + i) for i in range(size)]
     results = []
     for chased in (lines, [lines[i] for i in order]):
         cache = Cache(geo, policy, LatencyModel(jitter=jitter), seed=cache_seed)
@@ -266,6 +266,10 @@ def test_latency_cdf_fails_before_simulating(monkeypatch):
     monkeypatch.setattr(measurement, "Cache", counting_cache)
     with pytest.raises(ValueError, match="d=9 outside 0..8"):
         latency_cdf([0, 9], trials=1, seed=0)
+    # Only the cache that accesses a line checks its set, so probe_totals
+    # checks the target set itself.
+    with pytest.raises(ValueError, match="target_set 64 outside 0..63"):
+        latency_cdf([0], 1, 0, target_set=64)
     assert built == []
 
 
