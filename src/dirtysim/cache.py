@@ -12,6 +12,12 @@ and touch one set, so a set that is never accessed costs nothing and reads as
 all-invalid.  A line is (actor, set, tag): the model tracks the states of
 sets and lines, not memory locations, and a line outside the cache's sets is
 an error, never a wrap into another set.
+
+`Cache.access_run` is the one access loop, and `Cache.access` is its
+one-line case: a run redoes its checks and lookups only when the actor or
+the set changes.  No line is ever invalidated and a fill takes the actor's
+first free candidate way, so its valid candidates are a prefix of its
+sorted ways, and a free one exists exactly when the last is free: O(1).
 """
 
 from __future__ import annotations
@@ -194,72 +200,90 @@ class Cache:
         return self.access(line, True)
 
     def access(self, line: LineRef, is_write: bool) -> AccessOutcome:
-        actor, set_index, tag = line
+        return self.access_run((line,), is_write)[2]
+
+    def access_run(self, lines, is_write: bool):
+        """Access `lines` in order, all loads or all stores.
+
+        Returns (summed latency, hit count, last `AccessOutcome` or None).
+        State, counters and cycles are those of `access` on each line in
+        turn, also when a line raises: the lines before it are applied, and
+        it and the lines after it change nothing.
+        """
         sets = self._sets
-        if not 0 <= set_index < len(sets):
-            self._check_set(set_index)  # raises, naming the set
-        ways = self._ways
-        if self.geometry.partition is not None:
-            try:
-                ways = ways[actor]
-            except KeyError:
-                raise ValueError(f"actor {actor!r} has no way partition") from None
-
-        record = sets[set_index]
-        if record is None:
-            record = sets[set_index] = self._new_set()
-        tags, dirty, meta = record
-        tag = (actor, tag)
-
-        stats = self.counters.get(actor)
-        if stats is None:
-            stats = self.counters[actor] = ActorCounters()
-        if is_write:
-            stats.stores += 1
-        else:
-            stats.loads += 1
-
+        partition = self.geometry.partition
+        write_back = self._write_back
         cost = self.latency
-        latency = cost.miss_clean  # fills, clean evictions, uncached stores
-        victim = None
-        if tag in tags:
-            way = tags.index(tag)
-            stats.l1_hits += 1
-            if is_write and self._write_back:
-                dirty[way] = True
-            self.policy.on_access(meta, way)
-            outcome = _HIT
-            latency = cost.hit
-        elif is_write and not self._write_back:
-            # No-allocate store: memory is updated directly, cache untouched.
-            stats.l1_misses += 1
-            outcome = _UNCACHED
-        else:
-            stats.l1_misses += 1
-            # The C-level `None in tags` spares a full set the Python loop.
-            for way in (ways if None in tags else ()):
-                if tags[way] is None:
-                    victim = way
-                    outcome = _FILL
-                    break
-            else:
-                victim = self.policy.select_victim(meta, ways)
-                if dirty[victim]:
-                    outcome = _EVICT_DIRTY
-                    latency = cost.miss_dirty
-                    stats.writebacks += 1
-                else:
-                    outcome = _EVICT_CLEAN
-            tags[victim] = tag
-            dirty[victim] = is_write and self._write_back
-            self.policy.on_access(meta, victim)
-
         j = cost.jitter
-        if j:
-            latency += self._jitter_rng.randint(-j, j)
-        self.cycles += latency
+        policy = self.policy
+        total = hits = 0
+        outcome = cur_actor = cur_set = None
+        try:
+            for actor, set_index, tag in lines:
+                if set_index is not cur_set or actor is not cur_actor:
+                    if not 0 <= set_index < len(sets):
+                        self._check_set(set_index)  # raises, naming the set
+                    ways = self._ways
+                    if partition is not None:
+                        try:
+                            ways = ways[actor]
+                        except KeyError:
+                            raise ValueError(f"actor {actor!r} has no way partition") from None
+                    record = sets[set_index]
+                    if record is None:
+                        record = sets[set_index] = self._new_set()
+                    tags, dirty, meta = record
+                    last_way = ways[-1]
+                    stats = self.counters.get(actor)
+                    if stats is None:
+                        stats = self.counters[actor] = ActorCounters()
+                    cur_actor, cur_set = actor, set_index
+                tag = (actor, tag)
+                if is_write:
+                    stats.stores += 1
+                else:
+                    stats.loads += 1
+
+                if tag in tags:
+                    way = tags.index(tag)
+                    stats.l1_hits += 1
+                    if is_write and write_back:
+                        dirty[way] = True
+                    policy.on_access(meta, way)
+                    outcome, victim, latency = _HIT, None, cost.hit
+                    hits += 1
+                elif is_write and not write_back:
+                    # No-allocate store: memory is updated directly, cache untouched.
+                    stats.l1_misses += 1
+                    outcome, victim, latency = _UNCACHED, None, cost.miss_clean
+                else:
+                    stats.l1_misses += 1
+                    # Valid candidates are a prefix (module docstring): O(1).
+                    if tags[last_way] is None:
+                        for way in ways:
+                            if tags[way] is None:
+                                victim = way
+                                break
+                        outcome, latency = _FILL, cost.miss_clean
+                    else:
+                        victim = policy.select_victim(meta, ways)
+                        if dirty[victim]:
+                            outcome, latency = _EVICT_DIRTY, cost.miss_dirty
+                            stats.writebacks += 1
+                        else:
+                            outcome, latency = _EVICT_CLEAN, cost.miss_clean
+                    tags[victim] = tag
+                    dirty[victim] = is_write and write_back
+                    policy.on_access(meta, victim)
+
+                if j:
+                    latency += self._jitter_rng.randint(-j, j)
+                total += latency
+        finally:
+            self.cycles += total
         # tuple.__new__ skips the NamedTuple's Python-level __new__ on this hot path.
-        return tuple.__new__(AccessOutcome, (outcome, victim, latency))
+        last = None if outcome is None else tuple.__new__(AccessOutcome, (outcome, victim, latency))
+        return total, hits, last
 
     def _check_set(self, set_index):
         if not 0 <= set_index < self.geometry.num_sets:

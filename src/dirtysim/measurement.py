@@ -6,9 +6,10 @@ total latency is the plain sum of the per-access costs.  Measuring also
 refills the target set with clean lines, so a measurement doubles as
 initialization for the next round.  `fill_set` is the one step that primes
 a set or dirties it, and `prime_dirty_probe` is the whole prime -> dirty ->
-probe sequence on one cache.  `probe_totals` runs it on fresh caches for
-every level and trial; latency CDFs, channel calibration and the gadget's
-probe cuts all read it.  A cache that draws nothing (no random policy, no
+probe sequence on one cache; a probe and a fill are one `Cache.access_run`
+each.  `probe_totals` runs the sequence on fresh caches for every level and
+trial; latency CDFs, channel calibration and the gadget's probe cuts all
+read it.  A cache that draws nothing (no random policy, no
 jitter) is simulated once per level: its seed reaches no outcome, so every
 trial would replay the same accesses on the same fresh state.  Every line of
 a replacement set names its target set.
@@ -23,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .cache import DEFAULT_GEOMETRY, Cache, CacheGeometry, OutcomeKind, make_line
+from .cache import DEFAULT_GEOMETRY, Cache, CacheGeometry, make_line
 from .seeding import derive_seed
 
 DEFAULT_RSET_SIZE = 10
@@ -77,15 +78,7 @@ def measure_replacement_latency(cache: Cache, rset: tuple) -> LatencySample:
     replacement sets does this); residual hits are flagged, not fatal.
     """
     dirty_before = cache.dirty_count(rset[0].set_index)
-    access = cache.access
-    total = 0
-    hits = 0
-    hit = OutcomeKind.HIT
-    for line in rset:
-        outcome = access(line, False)
-        total += outcome.latency
-        if outcome.kind is hit:
-            hits += 1
+    total, hits, _ = cache.access_run(rset, False)
     return LatencySample(dirty_before, total, hits)
 
 
@@ -95,11 +88,8 @@ def fill_set(cache: Cache, actor_id: str, set_index: int, n: int, *,
 
     Reads prime the set with clean lines; writes leave dirty ones.
     """
-    access = cache.access
-    total = 0
-    for tag in range(n):
-        total += access(make_line(actor_id, set_index, tag), write).latency
-    return total
+    lines = [make_line(actor_id, set_index, tag) for tag in range(n)]
+    return cache.access_run(lines, write)[0]
 
 
 def prime_dirty_probe(cache: Cache, rset: tuple, d: int) -> LatencySample:

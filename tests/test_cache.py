@@ -153,6 +153,29 @@ def test_access_rejects_a_set_outside_the_cache():
     assert all(cache.dirty_count(s) == 0 for s in range(16))
 
 
+@pytest.mark.parametrize("bad, match", [(("a", 16, 0), "set_index 16 outside"),
+                                        (("a", -1, 0), "set_index -1 outside"),
+                                        (("intruder", 0, 0), "no way partition")])
+@pytest.mark.parametrize("is_write", [False, True])
+def test_a_run_that_raises_keeps_the_lines_before_it(bad, match, is_write):
+    # The lines before the failing one are applied as `access` would apply
+    # them, and the failing line and those after it change nothing.
+    geo = CacheGeometry(num_sets=16, partition={"a": {0, 2, 3}, "b": {1, 4}})
+    batched, single = (Cache(geo, "random", LatencyModel(jitter=2), seed=5) for _ in range(2))
+    before = [make_line(actor, s, tag) for actor, s, tag in
+              (("a", 0, 0), ("a", 0, 1), ("b", 0, 0), ("a", 0, 2), ("a", 0, 3), ("a", 15, 0))]
+    run = before + [make_line(*bad), make_line("b", 0, 1)]
+    with pytest.raises(ValueError, match=match):
+        batched.access_run(run, is_write)
+    for line in before:
+        single.access(line, is_write)
+    with pytest.raises(ValueError, match=match):
+        single.access(make_line(*bad), is_write)
+    assert [batched.snapshot_set(s) for s in range(16)] == [single.snapshot_set(s) for s in range(16)]
+    assert batched.counters == single.counters
+    assert batched.cycles == single.cycles
+
+
 def test_partition_rejects_unlisted_actor():
     cache = Cache(CacheGeometry(partition={"a": {0, 1}}))
     with pytest.raises(ValueError):

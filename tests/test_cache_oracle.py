@@ -4,10 +4,15 @@ Random streams of (actor, set, tag, byte offset, read/write) run through
 both models, the reference as the byte address of that line and offset;
 after every access the outcome kind, victim way, latency, per-actor counters,
 cycle total and the set's dirty count must agree, and the reference's own
-writeback flag must be set exactly on a dirty eviction.
+writeback flag must be set exactly on a dirty eviction.  The same streams
+run through `Cache.access_run` in runs must sum to the reference's latencies,
+and runs cut at random points must leave the state that per-line `access`
+calls leave.  After any stream, each actor's valid ways are a prefix of its
+sorted candidate ways: the invariant behind the cache's O(1) free-way test.
 """
 
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -27,25 +32,55 @@ MODES = {
     "partition": dict(partition=PARTITION),
 }
 
+SEEDS = st.integers(0, 2**32)
+JITTERS = st.sampled_from([0, 3])
+
 streams = st.lists(
     st.tuples(st.sampled_from("abc"), st.integers(0, NUM_SETS - 1),
               st.integers(0, 13), st.integers(0, 63), st.booleans()),
     min_size=1, max_size=80)
 
 
-@pytest.mark.parametrize("mode", sorted(MODES))
-@pytest.mark.parametrize("policy", ["lru", "tree-plru", "random"])
-@settings(max_examples=60, deadline=None)
-@given(stream=streams, seed=st.integers(0, 2**32), jitter=st.sampled_from([0, 3]))
-def test_cache_matches_reference(policy, mode, stream, seed, jitter):
+def twins(policy, mode, seed, jitter):
+    """A package cache in `mode` and the reference cache it must match."""
     geo = CacheGeometry(num_sets=NUM_SETS, **MODES[mode])
     cache = Cache(geo, policy, LatencyModel(jitter=jitter), seed=seed)
     ref = ReferenceCache(policy, num_sets=NUM_SETS, seed=seed, jitter=jitter,
                          write_back=geo.write_policy is WritePolicy.WRITE_BACK_ALLOCATE,
                          partition=geo.partition and PARTITION)
+    return cache, ref
+
+
+def actor_in(mode, actor):
+    """The partition lists actors a and b only; c stands for a there."""
+    return "a" if mode == "partition" and actor == "c" else actor
+
+
+def state(cache):
+    """Every set's snapshot, the counters and the cycle total."""
+    return ([cache.snapshot_set(s) for s in range(cache.geometry.num_sets)],
+            {a: dataclasses.asdict(c) for a, c in cache.counters.items()}, cache.cycles)
+
+
+def assert_valid_ways_are_prefixes(cache):
+    """Each actor's valid candidate ways come before its invalid ones."""
+    geo = cache.geometry
+    candidates = geo.partition.values() if geo.partition else [range(geo.associativity)]
+    for set_index in range(geo.num_sets):
+        snapshot = cache.snapshot_set(set_index)
+        for ways in candidates:
+            valid = [snapshot[w].valid for w in sorted(ways)]
+            assert valid == sorted(valid, reverse=True), (set_index, sorted(ways), valid)
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("policy", ["lru", "tree-plru", "random"])
+@settings(max_examples=60, deadline=None)
+@given(stream=streams, seed=SEEDS, jitter=JITTERS)
+def test_cache_matches_reference(policy, mode, stream, seed, jitter):
+    cache, ref = twins(policy, mode, seed, jitter)
     for actor, set_index, tag, offset, write in stream:
-        if mode == "partition" and actor == "c":
-            actor = "a"
+        actor = actor_in(mode, actor)
         got = cache.access(make_line(actor, set_index, tag), write)
         want = ref.access(actor, (tag * NUM_SETS + set_index) * 64 + offset, write)
         writeback = got.kind is OutcomeKind.MISS_EVICT_DIRTY
@@ -53,3 +88,69 @@ def test_cache_matches_reference(policy, mode, stream, seed, jitter):
         assert {a: dataclasses.asdict(c) for a, c in cache.counters.items()} == ref.counters
         assert cache.cycles == ref.cycles
         assert cache.dirty_count(set_index) == ref.dirty_count(set_index)
+    assert_valid_ways_are_prefixes(cache)
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("policy", ["lru", "tree-plru", "random"])
+@settings(max_examples=40, deadline=None)
+@given(stream=streams, seed=SEEDS, jitter=JITTERS)
+def test_runs_sum_to_the_reference_latencies(policy, mode, stream, seed, jitter):
+    # Each maximal run of loads or of stores is one `access_run`.
+    cache, ref = twins(policy, mode, seed, jitter)
+    for write, run in itertools.groupby(stream, key=lambda access: access[4]):
+        lines, want_total, want_hits = [], 0, 0
+        for actor, set_index, tag, offset, _ in run:
+            actor = actor_in(mode, actor)
+            lines.append(make_line(actor, set_index, tag))
+            kind, _, _, latency = ref.access(actor, (tag * NUM_SETS + set_index) * 64 + offset, write)
+            want_total += latency
+            want_hits += kind == ReferenceCache.HIT
+        total, hits, _ = cache.access_run(lines, write)
+        assert (total, hits) == (want_total, want_hits)
+    assert {a: dataclasses.asdict(c) for a, c in cache.counters.items()} == ref.counters
+    assert cache.cycles == ref.cycles
+    assert_valid_ways_are_prefixes(cache)
+
+
+drawn_lines = st.tuples(st.sampled_from("abc"), st.integers(0, NUM_SETS - 1), st.integers(0, 13))
+runs = st.lists(st.tuples(st.booleans(), st.lists(drawn_lines, max_size=12)),
+                min_size=1, max_size=12)
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("policy", ["lru", "tree-plru", "random"])
+@settings(max_examples=40, deadline=None)
+@given(runs=runs, seed=SEEDS, jitter=JITTERS)
+def test_runs_match_per_line_access(policy, mode, runs, seed, jitter):
+    # A stream cut into runs at random points, each run all loads or all
+    # stores: one twin takes each run in one `access_run`, the other line
+    # by line through `access`.
+    geo = CacheGeometry(num_sets=NUM_SETS, **MODES[mode])
+    batched, single = (Cache(geo, policy, LatencyModel(jitter=jitter), seed=seed)
+                       for _ in range(2))
+    for write, run in runs:
+        run = [make_line(actor_in(mode, actor), s, tag) for actor, s, tag in run]
+        outcomes = [single.access(line, write) for line in run]
+        total, hits, last = batched.access_run(run, write)
+        assert total == sum(o.latency for o in outcomes)
+        assert hits == sum(o.kind is OutcomeKind.HIT for o in outcomes)
+        assert last == (outcomes[-1] if outcomes else None)
+        assert state(batched) == state(single)
+
+
+def test_an_actor_fills_its_first_free_way_around_another_actors_lines():
+    # b takes ways 1, 2 and 4 first, so each of a's candidates 0, 3 and 5
+    # lies beyond one of b's lines; each actor still fills its own ways in
+    # order, and evicts only once its last candidate is valid.
+    cache = Cache(CacheGeometry(num_sets=1, partition=PARTITION))
+    outcomes = [cache.access(make_line(actor, 0, tag), False)
+               for actor, tag in (("b", 0), ("b", 1), ("b", 2), ("a", 0), ("a", 1), ("a", 2))]
+    assert [(o.kind, o.victim_way) for o in outcomes] == (
+        [(OutcomeKind.MISS_FILL_INVALID, w) for w in (1, 2, 4, 0, 3, 5)])
+    assert_valid_ways_are_prefixes(cache)
+    assert cache.access(make_line("a", 0, 3), False).kind is OutcomeKind.MISS_EVICT_CLEAN
+    total, _, last = cache.access_run([make_line("b", 0, tag) for tag in (3, 4, 5)], True)
+    assert total == 11 * 3 and last.kind is OutcomeKind.MISS_EVICT_CLEAN
+    assert [s.tag for s in cache.snapshot_set(0)][6:] == [("b", 3), ("b", 4)]
+    assert_valid_ways_are_prefixes(cache)
