@@ -120,7 +120,10 @@ class LatencyModel:
 
     def __post_init__(self):
         for name in ("hit", "miss_clean", "miss_dirty", "jitter"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, not {value!r}")
+            if value < 0:
                 raise ValueError(f"{name} must be >= 0")
 
 

@@ -108,7 +108,7 @@ class NoiseConfig:
     kind_mix: float = 0.0  # probability a noise event is a write (dirty)
 
     def __post_init__(self):
-        if self.rate < 0:
+        if not self.rate >= 0:  # NaN fails this too
             raise ValueError("rate must be >= 0")
         if self.rate > 1:
             raise ValueError("rate must be <= 1")

@@ -1,10 +1,11 @@
 """Victim-selection policies and the eviction-probability experiments.
 
-Three policies are modeled: true LRU (per-way recency stamps), Tree-PLRU
-(W-1 tree bits per set, the scheme common in commercial L1 caches), and
-seeded pseudo-random selection.  All are pure functions over per-set
-metadata, which keeps the experiments below independent of the full cache
-model in `dirtysim.cache`.
+Three policies are modeled: true LRU, Tree-PLRU (W-1 tree bits per set, the
+scheme common in commercial L1 caches), and seeded pseudo-random selection.
+LRU and Tree-PLRU are rules over one set's metadata and hold no other
+state; the random policy keeps no metadata, and its generator is the only
+state a policy holds.  `draws` says which policies read it.  This keeps the
+experiments below independent of the full cache model in `dirtysim.cache`.
 """
 
 from __future__ import annotations
@@ -17,34 +18,31 @@ from .seeding import derive_seed
 
 
 class TrueLRU:
-    """Exact LRU: every way carries a recency stamp from a shared counter."""
+    """Exact LRU: a set's metadata is its ways from least to most recently used."""
 
     draws = False  # True where the policy reads a random generator
 
     def __init__(self, ways: int = 8):
         self.ways = ways
-        self._tick = 0
 
     def new_set_meta(self):
-        return [0] * self.ways
-
-    def reset(self, *seed_parts):
-        self._tick = 0
+        return list(range(self.ways))
 
     def randomize_meta(self, meta, rng):
-        # A uniformly random access order yields a uniform recency permutation.
-        for way in rng.sample(range(self.ways), self.ways):
-            self.on_access(meta, way)
+        # A uniformly random touch order is a uniform recency permutation.
+        meta[:] = rng.sample(range(self.ways), self.ways)
 
     def on_access(self, meta, way):
-        self._tick += 1
-        meta[way] = self._tick
+        meta.remove(way)
+        meta.append(way)
 
     def select_victim(self, meta, candidates):
         if len(candidates) == self.ways:
-            # A full set's stamps are unique: the same way the key scan picks.
-            return meta.index(min(meta))
-        return min(candidates, key=meta.__getitem__)
+            return meta[0]
+        for way in meta:
+            if way in candidates:
+                return way
+        raise ValueError("no candidate ways")
 
 
 class TreePLRU:
@@ -65,9 +63,6 @@ class TreePLRU:
 
     def new_set_meta(self):
         return [0] * (self.ways - 1)
-
-    def reset(self, *seed_parts):
-        pass
 
     def randomize_meta(self, meta, rng):
         for i in range(len(meta)):
@@ -116,11 +111,6 @@ class RandomPolicy:
 
     def new_set_meta(self):
         return None
-
-    def reset(self, *seed_parts):
-        # Only a policy that draws reads `seed_parts`; the deterministic ones
-        # derive nothing, so their trials cost no seed.
-        self._rng = random.Random(derive_seed(*seed_parts))
 
     def randomize_meta(self, meta, rng):
         pass
@@ -186,7 +176,8 @@ def eviction_distance_experiment(policy, n: int, trials: int, seed: int,
     first = [0] * n  # first[j]: trials whose probe line insertion j + 1 evicted
     for t in range(trials):
         rng = random.Random(derive_seed(seed, "evict-dist", t))
-        pol.reset(seed, "evict-dist-victims", t)
+        if pol.draws:  # only a policy that draws costs a trial its own seed
+            pol = make_policy(policy, ways, derive_seed(seed, "evict-dist-victims", t))
         meta = pol.new_set_meta()
         pol.randomize_meta(meta, rng)
         probe = pol.select_victim(meta, candidates)
@@ -235,12 +226,11 @@ def dirty_eviction_experiment(ds, l: int, trials: int, seed: int,
         raise ValueError("l must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    pol = RandomPolicy(ways=ways)
     candidates = tuple(range(ways))
     # first[d][j]: trials whose first victim below d was draw j + 1
     first = {d: [0] * l for d in todo}
     for t in range(trials):
-        pol.reset(seed, "dirty-evict", t)
+        pol = RandomPolicy(derive_seed(seed, "dirty-evict", t), ways)
         pending = todo.copy()  # ascending, so a victim credits the largest d first
         for j in range(l):
             victim = pol.select_victim(None, candidates)

@@ -117,7 +117,8 @@ def eviction_distance_fraction(policy, n, trials, seed, ways=WAYS):
     successes = 0
     for t in range(trials):
         rng = random.Random(derive_seed(seed, "evict-dist", t))
-        pol.reset(seed, "evict-dist-victims", t)
+        if pol.draws:
+            pol = make_policy(policy, ways, derive_seed(seed, "evict-dist-victims", t))
         meta = pol.new_set_meta()
         occupants = list(range(-ways, 0))  # unrelated prefill
         pol.randomize_meta(meta, rng)

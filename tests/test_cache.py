@@ -208,6 +208,15 @@ def test_latency_model_rejects_negative_values_by_name(name):
         LatencyModel(**{name: -1})
 
 
+@pytest.mark.parametrize("value", [2.5, float("nan")])
+@pytest.mark.parametrize("name", ["hit", "miss_clean", "miss_dirty", "jitter"])
+def test_latency_model_rejects_non_integer_values_by_name(name, value):
+    # Unchecked, a float jitter fails only in calibration's `randint`, and a
+    # NaN cost runs.
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        LatencyModel(**{name: value})
+
+
 @pytest.mark.parametrize("policy", ["lru", "tree-plru", "random"])
 @pytest.mark.parametrize("jitter", [0, 1, 3])
 def test_cache_draws_exactly_with_a_random_policy_or_jitter(policy, jitter):

@@ -1,7 +1,8 @@
 """Differential test: the package cache against `oracles.ReferenceCache`.
 
 Random streams of (actor, set, tag, byte offset, read/write) run through
-both models, the reference as the byte address of that line and offset;
+both models, the reference as the byte address of that line and offset,
+each stream with its own drawn costs, hit < clean miss < dirty miss;
 after every access the outcome kind, victim way, latency, per-actor counters,
 cycle total and the set's dirty count must agree, and the reference's own
 writeback flag must be set exactly on a dirty eviction.  The same streams
@@ -34,6 +35,9 @@ MODES = {
 
 SEEDS = st.integers(0, 2**32)
 JITTERS = st.sampled_from([0, 3])
+# hit < miss_clean < miss_dirty, so a cost charged for the wrong outcome kind
+# shows; a no-allocate store is charged miss_clean.
+COSTS = st.lists(st.integers(0, 50), min_size=3, max_size=3, unique=True).map(sorted)
 
 streams = st.lists(
     st.tuples(st.sampled_from("abc"), st.integers(0, NUM_SETS - 1),
@@ -41,11 +45,20 @@ streams = st.lists(
     min_size=1, max_size=80)
 
 
-def twins(policy, mode, seed, jitter):
+def examples(tier1):
+    """`tier1` examples, or the `differential` profile's count (conftest.py)."""
+    if settings.get_current_profile_name() == "differential":
+        return settings.default
+    return settings(max_examples=tier1, deadline=None)
+
+
+def twins(policy, mode, seed, jitter, costs):
     """A package cache in `mode` and the reference cache it must match."""
     geo = CacheGeometry(num_sets=NUM_SETS, **MODES[mode])
-    cache = Cache(geo, policy, LatencyModel(jitter=jitter), seed=seed)
+    hit, miss_clean, miss_dirty = costs
+    cache = Cache(geo, policy, LatencyModel(hit, miss_clean, miss_dirty, jitter), seed=seed)
     ref = ReferenceCache(policy, num_sets=NUM_SETS, seed=seed, jitter=jitter,
+                         costs=(hit, miss_clean, miss_dirty, miss_clean),
                          write_back=geo.write_policy is WritePolicy.WRITE_BACK_ALLOCATE,
                          partition=geo.partition and PARTITION)
     return cache, ref
@@ -75,10 +88,10 @@ def assert_valid_ways_are_prefixes(cache):
 
 @pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("policy", ["lru", "tree-plru", "random"])
-@settings(max_examples=60, deadline=None)
-@given(stream=streams, seed=SEEDS, jitter=JITTERS)
-def test_cache_matches_reference(policy, mode, stream, seed, jitter):
-    cache, ref = twins(policy, mode, seed, jitter)
+@examples(60)
+@given(stream=streams, seed=SEEDS, jitter=JITTERS, costs=COSTS)
+def test_cache_matches_reference(policy, mode, stream, seed, jitter, costs):
+    cache, ref = twins(policy, mode, seed, jitter, costs)
     for actor, set_index, tag, offset, write in stream:
         actor = actor_in(mode, actor)
         got = cache.access(make_line(actor, set_index, tag), write)
@@ -93,11 +106,11 @@ def test_cache_matches_reference(policy, mode, stream, seed, jitter):
 
 @pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("policy", ["lru", "tree-plru", "random"])
-@settings(max_examples=40, deadline=None)
-@given(stream=streams, seed=SEEDS, jitter=JITTERS)
-def test_runs_sum_to_the_reference_latencies(policy, mode, stream, seed, jitter):
+@examples(40)
+@given(stream=streams, seed=SEEDS, jitter=JITTERS, costs=COSTS)
+def test_runs_sum_to_the_reference_latencies(policy, mode, stream, seed, jitter, costs):
     # Each maximal run of loads or of stores is one `access_run`.
-    cache, ref = twins(policy, mode, seed, jitter)
+    cache, ref = twins(policy, mode, seed, jitter, costs)
     for write, run in itertools.groupby(stream, key=lambda access: access[4]):
         lines, want_total, want_hits = [], 0, 0
         for actor, set_index, tag, offset, _ in run:
@@ -120,7 +133,7 @@ runs = st.lists(st.tuples(st.booleans(), st.lists(drawn_lines, max_size=12)),
 
 @pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("policy", ["lru", "tree-plru", "random"])
-@settings(max_examples=40, deadline=None)
+@examples(40)
 @given(runs=runs, seed=SEEDS, jitter=JITTERS)
 def test_runs_match_per_line_access(policy, mode, runs, seed, jitter):
     # A stream cut into runs at random points, each run all loads or all

@@ -101,6 +101,8 @@ def test_config_validation():
         NoiseConfig(rate=-1)
     with pytest.raises(ValueError, match="rate must be <= 1"):
         NoiseConfig(rate=1.5)
+    with pytest.raises(ValueError, match="rate must be >= 0"):
+        NoiseConfig(rate=float("nan"))
     assert NoiseConfig(rate=1.0).rate == 1.0
     with pytest.raises(ValueError):
         NoiseConfig(rate=0.1, kind_mix=1.5)

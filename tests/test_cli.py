@@ -243,11 +243,22 @@ def config_error(capsys):
     ("--noise-rate", "-1", "rate must be >= 0"),
     ("--noise-write-prob", "5", "kind_mix must be in [0, 1]"),
     ("--noise-rate", "5", "rate must be <= 1"),
+    ("--noise-rate", "nan", "rate must be >= 0"),
+    ("--noise-write-prob", "nan", "kind_mix must be in [0, 1]"),
 ])
 def test_bad_noise_value_is_config_error(flag, value, reason, capsys):
     # Out-of-range noise values used to run a noiseless channel instead.
     assert run_cli("run-channel", "--seed", "1", "--message-bits", "16", flag, value) == 2
     assert reason in config_error(capsys)
+
+
+def test_nan_noise_rate_in_a_config_file_is_config_error(tmp_path, capsys):
+    # JSON reads the bare word NaN as a float, and NaN fails `rate > 1`.
+    config = tmp_path / "run.cfg"
+    config.write_text("noise-rate = NaN\n", encoding="utf-8")
+    assert run_cli("run-channel", "--seed", "1", "--message-bits", "16",
+                   "--config", str(config)) == 2
+    assert "rate must be >= 0" in config_error(capsys)
 
 
 @pytest.mark.parametrize("argv", [

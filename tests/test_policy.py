@@ -34,6 +34,37 @@ def test_lru_reaccess_promotes():
     assert pol.select_victim(meta, ALL) == 1
 
 
+def test_lru_metadata_is_the_recency_order():
+    pol = TrueLRU(8)
+    meta = pol.new_set_meta()
+    assert meta == list(range(8))
+    for w in (3, 5, 3):
+        pol.on_access(meta, w)
+    assert meta == [0, 1, 2, 4, 6, 7, 5, 3]
+    assert pol.select_victim(meta, ALL) == 0
+    # A partial candidate list: its least recently used way.
+    assert pol.select_victim(meta, (3, 5, 6)) == 6
+    assert pol.select_victim(meta, (3, 5)) == 5
+
+
+def test_lru_randomized_metadata_is_a_random_touch_order():
+    pol = TrueLRU(8)
+    for seed in range(20):
+        meta = pol.new_set_meta()
+        pol.randomize_meta(meta, random.Random(seed))
+        touched = pol.new_set_meta()
+        for w in random.Random(seed).sample(range(8), 8):
+            pol.on_access(touched, w)
+        assert meta == touched, seed
+
+
+@pytest.mark.parametrize("cls", [TrueLRU, TreePLRU])
+def test_select_victim_rejects_an_empty_candidate_list(cls):
+    pol = cls(8)
+    with pytest.raises(ValueError, match="no candidate ways"):
+        pol.select_victim(pol.new_set_meta(), ())
+
+
 def test_tree_plru_metadata_is_w_minus_1_bits():
     for ways in (2, 4, 8, 16):
         assert len(TreePLRU(ways).new_set_meta()) == ways - 1
@@ -188,16 +219,16 @@ def test_seeds_are_derived_only_where_a_policy_draws(monkeypatch):
     derived = []
     monkeypatch.setattr(policy_module, "derive_seed",
                         lambda *parts: derived.append(parts) or derive_seed(*parts))
-    # A class's `draws` states the same fact its `reset` acts on.
+    # Only the random policy draws, and building any policy derives nothing:
+    # the experiments derive a trial's seed, for a policy that draws only.
+    assert [name for name, cls in POLICIES.items() if cls.draws] == ["random"]
     for name, cls in POLICIES.items():
         derived.clear()
-        cls(ways=8).reset(5, "trial", 1)
-        assert derived == ([(5, "trial", 1)] if cls.draws else []), name
-    assert [name for name, cls in POLICIES.items() if cls.draws] == ["random"]
-    derived.clear()
-    pol = RandomPolicy(ways=8)
-    pol.reset(5, "trial", 1)
-    assert derived == [(5, "trial", 1)]
+        pol = make_policy(name, 8, 5)
+        assert derived == [], name
+        if not cls.draws:  # a deterministic policy's state is its sets' metadata
+            assert vars(pol) == {"ways": 8}, name
+    pol = make_policy("random", 8, derive_seed(5, "trial", 1))
     rng = random.Random(derive_seed(5, "trial", 1))
     for _ in range(20):
         assert pol.select_victim(None, ALL) == rng.choice(ALL)
