@@ -64,8 +64,10 @@ def edit_distance(a, b) -> int:
 def align_by_preamble(stream, preamble) -> int:
     """Offset in [0, ALIGN_WINDOW] where the stream best matches the preamble.
 
-    Ties break toward the smallest offset.  Raises PreambleLockError when the
-    best distance exceeds a quarter of the preamble length.
+    Ties break toward the smallest offset, so the scan stops at the first
+    exact match: no distance is below 0, and no later offset can replace it.
+    Raises PreambleLockError when the best distance exceeds a quarter of the
+    preamble length.
     """
     best_offset = 0
     best_distance = None
@@ -74,6 +76,8 @@ def align_by_preamble(stream, preamble) -> int:
         distance = edit_distance(preamble, stream[offset:offset + plen])
         if best_distance is None or distance < best_distance:
             best_offset, best_distance = offset, distance
+            if not distance:
+                break
     if best_distance > plen // 4:
         raise PreambleLockError(
             f"best preamble distance {best_distance} exceeds lock limit {plen // 4}")

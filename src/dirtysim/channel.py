@@ -48,7 +48,10 @@ class Encoding:
     """Symbol bits <-> dirty-line count: 2**k strictly increasing levels carry k bits.
 
     Binary is the two-level case (0, d_one).  `name` sets `d_label`: d_one for
-    binary, every level for multibit.
+    binary, every level for multibit.  Both directions of the mapping are
+    looked up in tables built with the encoding.  The tables are not
+    fields, so equality, hashing, `repr` and `dataclasses.replace` see only
+    `levels` and `name`.
     """
 
     levels: tuple = (0, 1)
@@ -67,6 +70,9 @@ class Encoding:
             raise ValueError("levels must be strictly increasing")
         if levels[0] < 0:
             raise ValueError("levels must be non-negative")
+        symbols = tuple(format(i, f"0{self.bits_per_symbol}b") for i in range(len(levels)))
+        object.__setattr__(self, "_symbols", symbols)
+        object.__setattr__(self, "_level_of", dict(zip(symbols, levels)))
 
     @property
     def bits_per_symbol(self) -> int:
@@ -79,13 +85,13 @@ class Encoding:
         return "-".join(str(d) for d in self.levels)
 
     def level_for_bits(self, bits: str) -> int:
-        k = self.bits_per_symbol
-        if len(bits) != k or any(c not in "01" for c in bits):
-            raise ValueError(f"symbol {bits!r} is not {k} bits")
-        return self.levels[int(bits, 2)]
+        try:
+            return self._level_of[bits]
+        except KeyError:
+            raise ValueError(f"symbol {bits!r} is not {self.bits_per_symbol} bits") from None
 
     def bits_for_level_index(self, index: int) -> str:
-        return format(index, f"0{self.bits_per_symbol}b")
+        return self._symbols[index]
 
 
 def BinaryEncoding(d_one: int = 1) -> Encoding:
@@ -137,6 +143,10 @@ class ChannelConfig:
     latency: LatencyModel = field(default_factory=LatencyModel)
 
     def __post_init__(self):
+        for name in ("t_s", "target_set", "rset_size", "slip"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, not {value!r}")
         if self.t_s < 2:
             raise ValueError("t_s must be at least 2 cycles, so the decode at "
                              "t_s // 2 comes after the encode in each period")
@@ -332,7 +342,7 @@ def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> 
             sample, bits = receiver_decode(cache, cfg, rsets[len(received_parts) % 2],
                                            thresholds)
             received_parts.append(bits)
-            trace.append(TraceEvent(cycle, RECEIVER, "decode", enc.levels[int(bits, 2)],
+            trace.append(TraceEvent(cycle, RECEIVER, "decode", enc.level_for_bits(bits),
                                     sample.total_cycles, bits, symbol))
         else:
             line = make_line(NOISE, cfg.target_set, noise_tag)

@@ -45,21 +45,38 @@ class TrueLRU:
         raise ValueError("no candidate ways")
 
 
+def _root_path(node):
+    """(meta index, bit) for each ancestor of a heap node, pointing away from it.
+
+    A left child has an even index, so its parent's bit points right (1).
+    """
+    path = []
+    while node > 1:
+        path.append(((node >> 1) - 1, 1 - (node & 1)))
+        node >>= 1
+    return tuple(path)
+
+
 class TreePLRU:
     """Tree pseudo-LRU over a power-of-two number of ways.
 
     Metadata is exactly ways-1 bits in heap order (node i at meta[i-1]).
     Convention: bit 0 points to the left child and the victim walk follows
     the pointed-to child; touching a way sets every bit on its root path to
-    point away from it.
+    point away from it.  A touch writes the way's precomputed root path, a
+    tuple of (meta index, bit) pairs; the table is built once per way count
+    and kept on the class, so an instance holds nothing but `ways`.
     """
 
     draws = False
+    _root_paths = {}  # ways -> per way, the root path a touch writes
 
     def __init__(self, ways: int = 8):
         if ways < 2 or ways & (ways - 1):
             raise ValueError("Tree-PLRU needs a power-of-two way count >= 2")
         self.ways = ways
+        if ways not in self._root_paths:
+            self._root_paths[ways] = tuple(_root_path(way + ways) for way in range(ways))
 
     def new_set_meta(self):
         return [0] * (self.ways - 1)
@@ -69,11 +86,8 @@ class TreePLRU:
             meta[i] = rng.randint(0, 1)
 
     def on_access(self, meta, way):
-        idx = way + self.ways
-        while idx > 1:
-            parent = idx >> 1
-            meta[parent - 1] = 1 if idx & 1 == 0 else 0
-            idx = parent
+        for i, bit in self._root_paths[self.ways][way]:
+            meta[i] = bit
 
     def select_victim(self, meta, candidates):
         ways = self.ways

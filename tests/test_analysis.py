@@ -1,10 +1,11 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dirtysim.analysis import (DEFAULT_PERIODS, PreambleLockError,
+import dirtysim.analysis as analysis
+from dirtysim.analysis import (ALIGN_WINDOW, DEFAULT_PERIODS, PreambleLockError,
                                align_by_preamble, bit_error_rate,
                                edit_distance, rate_kbps, sweep_ber_vs_rate)
 from dirtysim.channel import BinaryEncoding, ChannelConfig, NoiseConfig
@@ -106,6 +107,67 @@ def test_align_prefers_smallest_offset_on_ties():
 def test_align_no_lock_on_constant_stream():
     with pytest.raises(PreambleLockError):
         align_by_preamble("0" * 64, PREAMBLE)
+
+
+def align_reference(stream, preamble):
+    """Every offset scored, the minimum taken, the smallest offset on a tie."""
+    plen = len(preamble)
+    distances = [wagner_fischer(preamble, stream[offset:offset + plen])
+                 for offset in range(ALIGN_WINDOW + 1)]
+    best = min(distances)
+    if best > plen // 4:
+        raise PreambleLockError(f"best preamble distance {best} exceeds lock limit {plen // 4}")
+    return distances.index(best)
+
+
+@st.composite
+def preamble_streams(draw):
+    """A preamble, and a stream of junk, exact and damaged copies of it."""
+    preamble = draw(st.one_of(st.just(PREAMBLE), st.text(alphabet="01", min_size=1, max_size=12)))
+
+    def damaged(flips):
+        out = list(preamble)
+        for i in flips:
+            out[i % len(out)] = "10"[int(out[i % len(out)])]
+        return "".join(out)
+
+    piece = st.one_of(st.just(preamble),
+                      st.lists(st.integers(0, 63), min_size=1, max_size=5).map(damaged),
+                      st.text(alphabet="01", max_size=ALIGN_WINDOW + 4))
+    return draw(st.lists(piece, max_size=5).map("".join)), preamble
+
+
+def outcome(align, stream, preamble):
+    try:
+        return align(stream, preamble)
+    except PreambleLockError as exc:
+        return str(exc)
+
+
+@example(("010" + PREAMBLE, PREAMBLE))               # exact match at a later offset
+@example(("0" * 5 + PREAMBLE * 3, PREAMBLE))         # several exact matches
+@example(("1" + PREAMBLE[:12], PREAMBLE))            # shorter than window + preamble
+@example(("0" * 64, PREAMBLE))                       # no lock
+@example(("0" * ALIGN_WINDOW + PREAMBLE, PREAMBLE))  # exact match at the last offset
+@given(preamble_streams())
+def test_align_equals_the_brute_force_reference(case):
+    stream, preamble = case
+    assert outcome(align_by_preamble, stream, preamble) == outcome(align_reference, stream, preamble)
+
+
+def test_align_stops_at_the_first_exact_match(monkeypatch):
+    calls = []
+    monkeypatch.setattr(analysis, "edit_distance",
+                        lambda a, b: calls.append(1) or edit_distance(a, b))
+    assert align_by_preamble(PREAMBLE + random_bits(64, 1), PREAMBLE) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert align_by_preamble("010" + PREAMBLE + PREAMBLE, PREAMBLE) == 3
+    assert len(calls) == 4
+    calls.clear()  # without an exact match, every offset is scored
+    with pytest.raises(PreambleLockError):
+        align_by_preamble("0" * 64, PREAMBLE)
+    assert len(calls) == ALIGN_WINDOW + 1
 
 
 def test_ber_identical_streams():

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -71,6 +72,32 @@ def test_multibit_encoding_mapping():
         enc.level_for_bits("2x")
 
 
+@pytest.mark.parametrize("enc", [BinaryEncoding(d_one) for d_one in range(1, 9)]
+                         + [MultiBitEncoding(), MultiBitEncoding((0, 8)),
+                            MultiBitEncoding((0, 1, 2, 8)), MultiBitEncoding(tuple(range(16)))],
+                         ids=repr)
+def test_encoding_tables_round_trip(enc):
+    k = enc.bits_per_symbol
+    for index, level in enumerate(enc.levels):
+        bits = enc.bits_for_level_index(index)
+        assert bits == format(index, f"0{k}b")
+        assert enc.level_for_bits(bits) == level
+    for bad in ("", "2", "011", "1 "):
+        with pytest.raises(ValueError, match=f"^symbol {re.escape(repr(bad))} is not {k} bits$"):
+            enc.level_for_bits(bad)
+
+
+def test_encoding_tables_are_not_fields():
+    enc = MultiBitEncoding()
+    assert [f.name for f in dataclasses.fields(enc)] == ["levels", "name"]
+    assert enc == MultiBitEncoding([0, 3, 5, 8])
+    assert hash(enc) == hash(MultiBitEncoding([0, 3, 5, 8]))
+    assert repr(enc) == "Encoding(levels=(0, 3, 5, 8), name='multibit')"
+    other = dataclasses.replace(enc, levels=(0, 1, 2, 8))
+    assert other.level_for_bits("11") == 8 and other.bits_for_level_index(1) == "01"
+    assert enc.level_for_bits("11") == 8
+
+
 def test_multibit_encoding_validation():
     with pytest.raises(ValueError):
         MultiBitEncoding((0, 3, 3, 8))  # not strictly increasing
@@ -131,6 +158,16 @@ def test_config_checks_itself_when_built_or_replaced():
         dataclasses.replace(valid, target_set=-1)
     with pytest.raises(TypeError):
         ChannelConfig()  # a message has no default that could pass
+
+
+@pytest.mark.parametrize("value", [2.5, 10.0, True])
+@pytest.mark.parametrize("name", ["t_s", "target_set", "rset_size", "slip"])
+def test_config_rejects_a_non_int_field(name, value):
+    message = f"^{name} must be an int, not {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        make_cfg(**{name: value})
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(make_cfg(), **{name: value})
 
 
 def test_eight_levels_do_not_divide_the_preamble():

@@ -103,6 +103,29 @@ def test_tree_plru_matches_bitmask_oracle_on_all_states():
             assert pol.select_victim(lib_meta, ALL) == plru_victim(oracle_state)
 
 
+def loop_touch(meta, way, ways):
+    """A touch as the parent-and-bit loop walks it: each parent points away from its child."""
+    idx = way + ways
+    while idx > 1:
+        parent = idx >> 1
+        meta[parent - 1] = 1 if idx & 1 == 0 else 0
+        idx = parent
+
+
+@pytest.mark.parametrize("ways", [2, 4, 8, 16, 32, 64])
+def test_tree_plru_touch_writes_the_loop_rules_root_path(ways):
+    pol = TreePLRU(ways)
+    rng = random.Random(ways)
+    for _ in range(50):
+        state = [rng.randint(0, 1) for _ in range(ways - 1)]
+        for way in range(ways):
+            meta, expected = list(state), list(state)
+            pol.on_access(meta, way)
+            loop_touch(expected, way, ways)
+            assert meta == expected, (state, way)
+    assert vars(pol) == {"ways": ways}  # the path table is the class's, shared per W
+
+
 def test_tree_plru_partitioned_walk_stays_in_partition():
     pol = TreePLRU(8)
     subset = (2, 5, 6)
