@@ -18,6 +18,8 @@ one-line case: a run redoes its checks and lookups only when the actor or
 the set changes.  No line is ever invalidated and a fill takes the actor's
 first free candidate way, so its valid candidates are a prefix of its
 sorted ways, and a free one exists exactly when the last is free: O(1).
+Each access adds one to one of its actor's outcome counts, a load and a
+store count per `OutcomeKind`; `Cache.counters` is derived from them.
 """
 
 from __future__ import annotations
@@ -43,6 +45,12 @@ class OutcomeKind(Enum):
     UNCACHED = "uncached"
 
 
+def check_int(name: str, value) -> None:
+    """Reject the value of integer field `name` unless it is an int and not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, not {value!r}")
+
+
 def _is_pow2(n: int) -> bool:
     return n >= 1 and n & (n - 1) == 0
 
@@ -59,6 +67,7 @@ class CacheGeometry:
     def __post_init__(self):
         for name in ("num_sets", "associativity"):
             value = getattr(self, name)
+            check_int(name, value)
             if not _is_pow2(value):
                 raise ValueError(f"{name}={value} must be a power of two >= 1")
         if self.partition is not None:
@@ -68,6 +77,8 @@ class CacheGeometry:
                 ways = frozenset(ways)
                 if not ways:
                     raise ValueError(f"partition for {actor!r} is empty")
+                for way in ways:
+                    check_int(f"partition way of {actor!r}", way)
                 if any(w < 0 or w >= self.associativity for w in ways):
                     raise ValueError(f"partition for {actor!r} has ways outside 0..{self.associativity - 1}")
                 if ways & seen:
@@ -121,8 +132,7 @@ class LatencyModel:
     def __post_init__(self):
         for name in ("hit", "miss_clean", "miss_dirty", "jitter"):
             value = getattr(self, name)
-            if not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, not {value!r}")
+            check_int(name, value)
             if value < 0:
                 raise ValueError(f"{name} must be >= 0")
 
@@ -133,20 +143,12 @@ class AccessOutcome(NamedTuple):
     latency: int
 
 
-@dataclass
-class ActorCounters:
-    loads: int = 0
-    stores: int = 0
-    l1_hits: int = 0
-    l1_misses: int = 0
-    writebacks: int = 0
-
-
 DEFAULT_GEOMETRY = CacheGeometry()
 DEFAULT_LATENCY = LatencyModel()
 
-# Enum members bound once: attribute lookups on an Enum class are slow.
-_HIT, _FILL, _EVICT_CLEAN, _EVICT_DIRTY, _UNCACHED = OutcomeKind
+# The k-th `OutcomeKind` as an offset into an actor's counts: loads 2k, stores 2k+1.
+_HIT, _FILL, _EVICT_CLEAN, _EVICT_DIRTY, _UNCACHED = range(0, 10, 2)
+_KINDS = tuple(OutcomeKind)
 
 
 class Cache:
@@ -168,13 +170,24 @@ class Cache:
         # cache's set-up cost, so an exact model skips it.
         self._jitter_rng = (random.Random(seed ^ 0x6A177E52)
                             if self.latency.jitter else None)
-        self.counters: dict[str, ActorCounters] = {}
+        self._counts = {}  # actor -> its 10 outcome counts (see _HIT)
         self.cycles = 0
 
     @property
     def draws(self) -> bool:
         """Whether any outcome reads a random generator, so the seed matters."""
         return self._jitter_rng is not None or self.policy.draws
+
+    @property
+    def counters(self) -> dict:
+        """Per actor: loads, stores, L1 hits and misses, and write-backs, from its counts."""
+        derived = {}
+        for actor, c in self._counts.items():
+            loads, stores, hits = sum(c[0::2]), sum(c[1::2]), c[_HIT] + c[_HIT + 1]
+            derived[actor] = {"loads": loads, "stores": stores, "l1_hits": hits,
+                              "l1_misses": loads + stores - hits,
+                              "writebacks": c[_EVICT_DIRTY] + c[_EVICT_DIRTY + 1]}
+        return derived
 
     # -- state management ---------------------------------------------------
 
@@ -219,6 +232,7 @@ class Cache:
         cost = self.latency
         j = cost.jitter
         policy = self.policy
+        store = 1 if is_write else 0  # count offset: a truthy is_write is a store
         total = hits = 0
         outcome = cur_actor = cur_set = None
         try:
@@ -237,19 +251,13 @@ class Cache:
                         record = sets[set_index] = self._new_set()
                     tags, dirty, meta = record
                     last_way = ways[-1]
-                    stats = self.counters.get(actor)
-                    if stats is None:
-                        stats = self.counters[actor] = ActorCounters()
+                    counts = self._counts.get(actor)
+                    if counts is None:
+                        counts = self._counts[actor] = [0] * 10
                     cur_actor, cur_set = actor, set_index
                 tag = (actor, tag)
-                if is_write:
-                    stats.stores += 1
-                else:
-                    stats.loads += 1
-
                 if tag in tags:
                     way = tags.index(tag)
-                    stats.l1_hits += 1
                     if is_write and write_back:
                         dirty[way] = True
                     policy.on_access(meta, way)
@@ -257,10 +265,8 @@ class Cache:
                     hits += 1
                 elif is_write and not write_back:
                     # No-allocate store: memory is updated directly, cache untouched.
-                    stats.l1_misses += 1
                     outcome, victim, latency = _UNCACHED, None, cost.miss_clean
                 else:
-                    stats.l1_misses += 1
                     # Valid candidates are a prefix (module docstring): O(1).
                     if tags[last_way] is None:
                         for way in ways:
@@ -272,12 +278,12 @@ class Cache:
                         victim = policy.select_victim(meta, ways)
                         if dirty[victim]:
                             outcome, latency = _EVICT_DIRTY, cost.miss_dirty
-                            stats.writebacks += 1
                         else:
                             outcome, latency = _EVICT_CLEAN, cost.miss_clean
                     tags[victim] = tag
                     dirty[victim] = is_write and write_back
                     policy.on_access(meta, victim)
+                counts[outcome + store] += 1
 
                 if j:
                     latency += self._jitter_rng.randint(-j, j)
@@ -285,7 +291,8 @@ class Cache:
         finally:
             self.cycles += total
         # tuple.__new__ skips the NamedTuple's Python-level __new__ on this hot path.
-        last = None if outcome is None else tuple.__new__(AccessOutcome, (outcome, victim, latency))
+        last = (None if outcome is None else
+                tuple.__new__(AccessOutcome, (_KINDS[outcome >> 1], victim, latency)))
         return total, hits, last
 
     def _check_set(self, set_index):

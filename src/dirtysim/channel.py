@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import json
+import math
 import random
 import statistics
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from typing import NamedTuple, Optional
 from .analysis import (PreambleLockError, align_by_preamble, bit_error_rate,
                        rate_kbps)
 from .cache import (DEFAULT_GEOMETRY, DEFAULT_LATENCY, Cache, CacheGeometry,
-                    LatencyModel, WritePolicy, make_line)
+                    LatencyModel, WritePolicy, check_int, make_line)
 from .measurement import (DEFAULT_RSET_SIZE, RECEIVER, RSET_TAG_BASES, SENDER,
                           build_replacement_set, check_rset_size, fill_set,
                           measure_replacement_latency, probe_totals)
@@ -60,6 +61,8 @@ class Encoding:
     def __post_init__(self):
         levels = tuple(self.levels)
         object.__setattr__(self, "levels", levels)
+        for i, level in enumerate(levels):
+            check_int(f"levels[{i}]", level)
         if self.name not in ("binary", "multibit"):
             raise ValueError(f"unknown encoding {self.name!r}")
         if self.name == "binary" and not (len(levels) == 2 and levels[0] == 0 < levels[1]):
@@ -144,9 +147,7 @@ class ChannelConfig:
 
     def __post_init__(self):
         for name in ("t_s", "target_set", "rset_size", "slip"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, not {value!r}")
+            check_int(name, getattr(self, name))
         if self.t_s < 2:
             raise ValueError("t_s must be at least 2 cycles, so the decode at "
                              "t_s // 2 comes after the encode in each period")
@@ -182,6 +183,8 @@ class Thresholds:
     def __post_init__(self):
         cuts = tuple(float(c) for c in self.cuts)
         object.__setattr__(self, "cuts", cuts)
+        if not all(map(math.isfinite, cuts)):
+            raise ValueError(f"cuts must be finite, not {cuts!r}")
         if any(b <= a for a, b in zip(cuts, cuts[1:])):
             raise ValueError("cuts must be strictly increasing")
 
@@ -368,7 +371,7 @@ def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> 
         rate_kbps=rate_kbps(cfg.t_s, k),
         alignment_offset=offset,
         preamble_locked=locked,
-        counters={actor: dataclasses.asdict(c) for actor, c in sorted(cache.counters.items())},
+        counters=dict(sorted(cache.counters.items())),
         cycles=cache.cycles,
         events=trace,
     )

@@ -11,6 +11,7 @@ package records each trial's first eviction and stops.
 """
 
 import random
+from collections import Counter
 from functools import lru_cache
 
 from dirtysim.policy import make_policy
@@ -166,6 +167,7 @@ class ReferenceCache:
     `choice` over the sorted allowed ways, as the package does).  `partition`
     maps actor -> allowed ways.  Jitter replays one draw per access from
     `random.Random(seed ^ 0x6A177E52)`, the package's jitter stream.
+    `outcomes` counts each actor's accesses by (outcome kind, is store).
     """
 
     HIT, FILL, CLEAN, DIRTY, UNCACHED = (
@@ -186,6 +188,7 @@ class ReferenceCache:
         self.jitter_rng = random.Random(seed ^ 0x6A177E52)
         self.sets = {}  # set index -> {"lines": {way: [key, dirty]}, "recency": [...], "plru": int}
         self.counters = {}
+        self.outcomes = {}  # actor -> Counter of (outcome kind, is store)
         self.cycles = 0
 
     def _set(self, index):
@@ -241,6 +244,7 @@ class ReferenceCache:
                     result = [self.CLEAN, way, False, self.clean_cost]
             lines[way] = [key, write and self.write_back]
             self._touch(s, way)
+        self.outcomes.setdefault(actor, Counter())[result[0], bool(write)] += 1
         if self.jitter:
             result[3] += self.jitter_rng.randint(-self.jitter, self.jitter)
         self.cycles += result[3]

@@ -1,4 +1,4 @@
-import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +25,25 @@ def test_geometry_partition_validation():
         CacheGeometry(partition={"a": {8}})
     geo = CacheGeometry(partition={"a": {0, 1}, "b": {2, 3}})
     assert geo.partition["a"] == frozenset({0, 1})
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (CacheGeometry, "num_sets", True), (CacheGeometry, "num_sets", 64.0),
+    (CacheGeometry, "associativity", 8.0), (CacheGeometry, "associativity", True),
+    (LatencyModel, "jitter", True), (LatencyModel, "hit", False),
+])
+def test_a_count_field_rejects_a_bool_or_a_float_by_name(cls, name, value):
+    # Unchecked, associativity=8.0 raised TypeError, num_sets=True built a
+    # 1-set cache and jitter=True built a jittered model.
+    with pytest.raises(ValueError, match=f"^{name} must be an int, not {re.escape(repr(value))}$"):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("way", [0.5, 3.0, True])
+def test_partition_rejects_a_non_int_way(way):
+    # Unchecked, a way of 0.5 built and the run failed in the access loop.
+    with pytest.raises(ValueError, match=f"^partition way of 'a' must be an int, not {way!r}$"):
+        CacheGeometry(partition={"a": {way}, "b": {4}})
 
 
 def test_make_line_rejects_negative_tag():
@@ -230,7 +249,7 @@ def test_determinism_random_policy_with_jitter():
         outcomes = []
         for t in range(200):
             outcomes.append(cache.access(make_line("a", t % 2, t % 12), t % 3 != 0))
-        return outcomes, {a: dataclasses.asdict(c) for a, c in cache.counters.items()}, cache.cycles
+        return outcomes, cache.counters, cache.cycles
 
     assert run() == run()
 
@@ -251,7 +270,7 @@ def test_counter_conservation(ops):
         dirty_evictions += out.kind is OutcomeKind.MISS_EVICT_DIRTY
     total = {"loads": 0, "stores": 0, "l1_hits": 0, "l1_misses": 0, "writebacks": 0}
     for counters in cache.counters.values():
-        for key, value in dataclasses.asdict(counters).items():
+        for key, value in counters.items():
             total[key] += value
     assert total["l1_hits"] + total["l1_misses"] == total["loads"] + total["stores"]
     assert total["writebacks"] == dirty_evictions

@@ -4,15 +4,15 @@ Random streams of (actor, set, tag, byte offset, read/write) run through
 both models, the reference as the byte address of that line and offset,
 each stream with its own drawn costs, hit < clean miss < dirty miss;
 after every access the outcome kind, victim way, latency, per-actor counters,
-cycle total and the set's dirty count must agree, and the reference's own
-writeback flag must be set exactly on a dirty eviction.  The same streams
-run through `Cache.access_run` in runs must sum to the reference's latencies,
-and runs cut at random points must leave the state that per-line `access`
-calls leave.  After any stream, each actor's valid ways are a prefix of its
-sorted candidate ways: the invariant behind the cache's O(1) free-way test.
+per-actor outcome counts, cycle total and the set's dirty count must agree,
+and the reference's own writeback flag must be set exactly on a dirty
+eviction.  The same streams run through `Cache.access_run` in runs must sum
+to the reference's latencies, and runs cut at random points must leave the
+state that per-line `access` calls leave.  After any stream, each actor's
+valid ways are a prefix of its sorted candidate ways: the invariant behind
+the cache's O(1) free-way test.
 """
 
-import dataclasses
 import itertools
 
 import pytest
@@ -72,7 +72,18 @@ def actor_in(mode, actor):
 def state(cache):
     """Every set's snapshot, the counters and the cycle total."""
     return ([cache.snapshot_set(s) for s in range(cache.geometry.num_sets)],
-            {a: dataclasses.asdict(c) for a, c in cache.counters.items()}, cache.cycles)
+            cache.counters, cache.cycles)
+
+
+def outcome_counts(cache):
+    """The cache's count record as {actor: {(kind value, is store): count}}, zeros left out.
+
+    An actor's count 2k + is_write holds its loads (is_write 0) or stores (1)
+    whose outcome is the k-th `OutcomeKind`.
+    """
+    kinds = list(OutcomeKind)
+    return {actor: {(kinds[i >> 1].value, bool(i & 1)): n for i, n in enumerate(counts) if n}
+            for actor, counts in cache._counts.items()}
 
 
 def assert_valid_ways_are_prefixes(cache):
@@ -98,7 +109,8 @@ def test_cache_matches_reference(policy, mode, stream, seed, jitter, costs):
         want = ref.access(actor, (tag * NUM_SETS + set_index) * 64 + offset, write)
         writeback = got.kind is OutcomeKind.MISS_EVICT_DIRTY
         assert (got.kind.value, got.victim_way, writeback, got.latency) == want
-        assert {a: dataclasses.asdict(c) for a, c in cache.counters.items()} == ref.counters
+        assert cache.counters == ref.counters
+        assert outcome_counts(cache) == ref.outcomes
         assert cache.cycles == ref.cycles
         assert cache.dirty_count(set_index) == ref.dirty_count(set_index)
     assert_valid_ways_are_prefixes(cache)
@@ -121,7 +133,8 @@ def test_runs_sum_to_the_reference_latencies(policy, mode, stream, seed, jitter,
             want_hits += kind == ReferenceCache.HIT
         total, hits, _ = cache.access_run(lines, write)
         assert (total, hits) == (want_total, want_hits)
-    assert {a: dataclasses.asdict(c) for a, c in cache.counters.items()} == ref.counters
+    assert cache.counters == ref.counters
+    assert outcome_counts(cache) == ref.outcomes
     assert cache.cycles == ref.cycles
     assert_valid_ways_are_prefixes(cache)
 

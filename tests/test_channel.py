@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import pytest
@@ -111,6 +112,16 @@ def test_multibit_encoding_validation():
         Encoding((0, 1), "ternary")
 
 
+@pytest.mark.parametrize("name", ["binary", "multibit"])
+@pytest.mark.parametrize("levels, index", [((0, 1.5), 1), ((False, True), 0), ((0, 2.0), 1)])
+def test_encoding_rejects_a_non_int_level(name, levels, index):
+    # Unchecked, (0, 1.5) built and the run failed in `fill_set`, and
+    # (False, True) built with d_label "True".
+    value = levels[index]
+    with pytest.raises(ValueError, match=rf"^levels\[{index}\] must be an int, not {value!r}$"):
+        Encoding(levels, name)
+
+
 def test_config_validation():
     for t_s in (-5, 0, 1):
         with pytest.raises(ValueError, match="t_s must be at least 2"):
@@ -195,7 +206,7 @@ def test_sender_encode_binary_one_dirty_line():
     level, cost = sender_encode(cache, cfg, "1")
     assert (level, cost) == (1, 11)  # one clean receiver line evicted
     assert cache.dirty_count(cfg.target_set) == 1
-    assert cache.counters["sender"].stores == 1
+    assert cache.counters["sender"]["stores"] == 1
 
 
 def test_sender_encode_zero_touches_nothing():
@@ -316,6 +327,15 @@ def test_thresholds_classify():
         assert th.classify(total) == sum(c < total for c in th.cuts)
     with pytest.raises(ValueError):
         Thresholds((5.0, 5.0))
+
+
+@pytest.mark.parametrize("cuts", [(math.nan,), (math.inf,), (-math.inf, 120.0),
+                                  (100.0, math.nan)])
+def test_thresholds_reject_a_cut_that_is_not_finite(cuts):
+    # Unchecked, a NaN cut classified every total as level 0, and a run
+    # with it exited cleanly with a BER.
+    with pytest.raises(ValueError, match="^cuts must be finite"):
+        Thresholds(cuts)
 
 
 @pytest.mark.parametrize("encoding, cuts, message", [

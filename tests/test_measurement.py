@@ -299,7 +299,7 @@ def test_fill_set_reads_prime_clean_and_writes_dirty():
     assert fill_set(cache, "receiver", 3, 8) == 8 * 4  # the same tags now hit
     assert fill_set(cache, "sender", 3, 3, write=True) == 3 * 11
     assert cache.dirty_count(3) == 3
-    assert cache.counters["sender"].stores == 3
+    assert cache.counters["sender"]["stores"] == 3
     assert fill_set(cache, "sender", 3, 0, write=True) == 0
 
 
@@ -309,8 +309,8 @@ def test_prime_dirty_probe_on_a_fresh_cache(d):
     rset = build_replacement_set("receiver", 0, 10, seed=d, tag_base=1000)
     sample = prime_dirty_probe(cache, rset, d)
     assert (sample.dirty_before, sample.total_cycles, sample.resident_hits) == (d, 110 + 11 * d, 0)
-    assert sum(c.stores for c in cache.counters.values()) == d
-    assert cache.counters["receiver"].loads == GEO.associativity + 10
+    assert sum(c["stores"] for c in cache.counters.values()) == d
+    assert cache.counters["receiver"]["loads"] == GEO.associativity + 10
     assert cache.dirty_count(0) == 0
 
 

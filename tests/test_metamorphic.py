@@ -1,0 +1,102 @@
+"""Metamorphic relations of the protocol layer: pairs of runs that must agree.
+
+None of these needs a right answer.  Each draws a channel config, runs it
+twice with one input changed, and compares what the two reports hold: the
+raw decoded stream, the BER, the per-actor counters and the cycle total.
+
+- Target-set relabelling: the target set is a label.  Set 0 and set 17
+  give the same report.
+- Latency scaling: with no jitter, doubling the hit, clean-miss and
+  dirty-miss costs doubles the cycle total and changes nothing else;
+  calibration's cuts double with the totals they split.
+- Seed freedom: under LRU or Tree-PLRU with no jitter, noise or slip,
+  nothing draws, so any two seeds give the same report.
+
+A config that calibration rejects must be rejected on both sides.  Tier-1
+checks the same few cases on every run; `pytest
+--hypothesis-profile=differential` draws that profile's count of fresh ones
+(see `conftest.py`).
+"""
+
+import dataclasses
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dirtysim.cache import LatencyModel
+from dirtysim.channel import (BinaryEncoding, CalibrationError, ChannelConfig,
+                              MultiBitEncoding, NoiseConfig, run_channel)
+from dirtysim.cli import DEFENSES
+
+DRAWS = (settings.default if settings.get_current_profile_name() == "differential"
+         else settings(max_examples=40, deadline=None, derandomize=True))
+
+ENCODINGS = (BinaryEncoding(1), BinaryEncoding(4), MultiBitEncoding(),
+             MultiBitEncoding((0, 1, 2, 8)))
+SEEDS = st.integers(0, 2**32)
+
+
+@st.composite
+def configs(draw, policies=("lru", "tree-plru", "random"), drawn=True):
+    """A small channel config; `drawn=False` turns off jitter, noise and slip."""
+    encoding = draw(st.sampled_from(ENCODINGS))
+    bits = encoding.bits_per_symbol * draw(st.integers(8, 48))
+    defense = draw(st.sampled_from(sorted(DEFENSES)))
+    policy = draw(st.sampled_from(policies))
+    # hit < miss_clean < miss_dirty, so a cost charged for the wrong outcome
+    # shows; a dirty eviction costs at least 4 more, so jitter 2 calibrates.
+    hit = draw(st.integers(0, 10))
+    miss_clean = hit + draw(st.integers(1, 20))
+    miss_dirty = miss_clean + draw(st.integers(4, 20))
+    noise = NoiseConfig()
+    if drawn and defense != "partition":  # the noise actor has no partition
+        noise = NoiseConfig(draw(st.sampled_from([0.0, 0.5, 1.0])),
+                            draw(st.sampled_from([0.0, 0.5, 1.0])))
+    return ChannelConfig(
+        message=format(draw(st.integers(0, 2**bits - 1)), f"0{bits}b"),
+        encoding=encoding,
+        t_s=draw(st.sampled_from([1000, 5500])),
+        # Random victims need a longer replacement set to calibrate.
+        rset_size=24 if policy == "random" else draw(st.sampled_from([8, 10])),
+        noise=noise,
+        seed=draw(SEEDS),
+        slip=draw(st.sampled_from([0, 300])) if drawn else 0,
+        geometry=DEFENSES[defense],
+        policy=policy,
+        latency=LatencyModel(hit, miss_clean, miss_dirty,
+                             draw(st.sampled_from([0, 2])) if drawn else 0))
+
+
+def report_of(cfg):
+    """(raw decoded stream, BER, counters, cycles), or `CalibrationError`."""
+    try:
+        report = run_channel(cfg)
+    except CalibrationError:
+        return CalibrationError
+    return report.raw_received_bits, report.ber, report.counters, report.cycles
+
+
+@DRAWS
+@given(cfg=configs())
+def test_the_target_set_is_a_label(cfg):
+    assert report_of(dataclasses.replace(cfg, target_set=17)) == report_of(cfg)
+
+
+@DRAWS
+@given(cfg=configs())
+def test_doubled_costs_double_only_the_cycles(cfg):
+    cfg = dataclasses.replace(cfg, latency=dataclasses.replace(cfg.latency, jitter=0))
+    lat = cfg.latency
+    doubled = dataclasses.replace(cfg, latency=LatencyModel(
+        2 * lat.hit, 2 * lat.miss_clean, 2 * lat.miss_dirty))
+    base, scaled = report_of(cfg), report_of(doubled)
+    if base is CalibrationError:
+        assert scaled is CalibrationError
+    else:
+        assert scaled == base[:3] + (2 * base[3],)
+
+
+@DRAWS
+@given(cfg=configs(policies=("lru", "tree-plru"), drawn=False), seed=SEEDS)
+def test_a_run_that_draws_nothing_ignores_its_seed(cfg, seed):
+    assert report_of(dataclasses.replace(cfg, seed=seed)) == report_of(cfg)
