@@ -9,9 +9,12 @@ partitioning per actor.
 A set is allocated on its first access, as one [tags, dirty, meta] record; a
 way is valid when its tag is not None.  Most experiments build a fresh cache
 and touch one set, so a set that is never accessed costs nothing and reads as
-all-invalid.  A line is (actor, set, tag): the model tracks the states of
-sets and lines, not memory locations, and a line outside the cache's sets is
-an error, never a wrap into another set.
+all-invalid.  The policy's metadata is a value that `on_access` returns
+(Tree-PLRU's is one int of W-1 bits; see `dirtysim.policy`), so the access
+loop keeps it as a local and writes it back to the record when it moves to
+another set or stops.  A line is (actor, set, tag): the model tracks the
+states of sets and lines, not memory locations, and a line outside the
+cache's sets is an error, never a wrap into another set.
 
 `Cache.access_run` is the one access loop, and `Cache.access` is its
 one-line case: a run redoes its checks and lookups only when the actor or
@@ -234,7 +237,7 @@ class Cache:
         policy = self.policy
         store = 1 if is_write else 0  # count offset: a truthy is_write is a store
         total = hits = 0
-        outcome = cur_actor = cur_set = None
+        outcome = cur_actor = cur_set = record = None
         try:
             for actor, set_index, tag in lines:
                 if set_index is not cur_set or actor is not cur_actor:
@@ -246,6 +249,8 @@ class Cache:
                             ways = ways[actor]
                         except KeyError:
                             raise ValueError(f"actor {actor!r} has no way partition") from None
+                    if record is not None:
+                        record[2] = meta  # back to the set it came from
                     record = sets[set_index]
                     if record is None:
                         record = sets[set_index] = self._new_set()
@@ -260,7 +265,7 @@ class Cache:
                     way = tags.index(tag)
                     if is_write and write_back:
                         dirty[way] = True
-                    policy.on_access(meta, way)
+                    meta = policy.on_access(meta, way)
                     outcome, victim, latency = _HIT, None, cost.hit
                     hits += 1
                 elif is_write and not write_back:
@@ -282,13 +287,15 @@ class Cache:
                             outcome, latency = _EVICT_CLEAN, cost.miss_clean
                     tags[victim] = tag
                     dirty[victim] = is_write and write_back
-                    policy.on_access(meta, victim)
+                    meta = policy.on_access(meta, victim)
                 counts[outcome + store] += 1
 
                 if j:
                     latency += self._jitter_rng.randint(-j, j)
                 total += latency
         finally:
+            if record is not None:
+                record[2] = meta
             self.cycles += total
         # tuple.__new__ skips the NamedTuple's Python-level __new__ on this hot path.
         last = (None if outcome is None else

@@ -117,6 +117,10 @@ class NoiseConfig:
     kind_mix: float = 0.0  # probability a noise event is a write (dirty)
 
     def __post_init__(self):
+        for name in ("rate", "kind_mix"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, not {value!r}")
         if not self.rate >= 0:  # NaN fails this too
             raise ValueError("rate must be >= 0")
         if self.rate > 1:
@@ -146,7 +150,9 @@ class ChannelConfig:
     latency: LatencyModel = field(default_factory=LatencyModel)
 
     def __post_init__(self):
-        for name in ("t_s", "target_set", "rset_size", "slip"):
+        # `seed` too: seeds are hashed as text, so 1, 1.0 and True would be
+        # equal configs that replay differently.
+        for name in ("t_s", "target_set", "rset_size", "slip", "seed"):
             check_int(name, getattr(self, name))
         if self.t_s < 2:
             raise ValueError("t_s must be at least 2 cycles, so the decode at "

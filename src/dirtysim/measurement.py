@@ -21,6 +21,7 @@ misses, policies see ways not tags, jitter is drawn per access in order), so
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -88,8 +89,13 @@ def fill_set(cache: Cache, actor_id: str, set_index: int, n: int, *,
 
     Reads prime the set with clean lines; writes leave dirty ones.
     """
-    lines = [make_line(actor_id, set_index, tag) for tag in range(n)]
-    return cache.access_run(lines, write)[0]
+    return cache.access_run(_fill_lines(actor_id, set_index, n), write)[0]
+
+
+@functools.lru_cache(maxsize=256)
+def _fill_lines(actor_id: str, set_index: int, n: int) -> tuple:
+    """Lines 0..n-1 of one actor in one set, built once: a `LineRef` is immutable."""
+    return tuple(make_line(actor_id, set_index, tag) for tag in range(n))
 
 
 def prime_dirty_probe(cache: Cache, rset: tuple, d: int) -> LatencySample:

@@ -4,8 +4,12 @@ Three policies are modeled: true LRU, Tree-PLRU (W-1 tree bits per set, the
 scheme common in commercial L1 caches), and seeded pseudo-random selection.
 LRU and Tree-PLRU are rules over one set's metadata and hold no other
 state; the random policy keeps no metadata, and its generator is the only
-state a policy holds.  `draws` says which policies read it.  This keeps the
-experiments below independent of the full cache model in `dirtysim.cache`.
+state a policy holds.  `draws` says which policies read it.  Metadata is a
+value: `on_access` and `randomize_meta` return the set's new metadata, and
+the caller keeps it.  LRU's is a recency list, which it updates in place
+and returns; Tree-PLRU's is one int of W-1 bits; the random policy's is
+None.  This keeps the experiments below independent of the full cache
+model in `dirtysim.cache`.
 """
 
 from __future__ import annotations
@@ -30,11 +34,12 @@ class TrueLRU:
 
     def randomize_meta(self, meta, rng):
         # A uniformly random touch order is a uniform recency permutation.
-        meta[:] = rng.sample(range(self.ways), self.ways)
+        return rng.sample(range(self.ways), self.ways)
 
     def on_access(self, meta, way):
         meta.remove(way)
         meta.append(way)
+        return meta
 
     def select_victim(self, meta, candidates):
         if len(candidates) == self.ways:
@@ -45,64 +50,85 @@ class TrueLRU:
         raise ValueError("no candidate ways")
 
 
-def _root_path(node):
-    """(meta index, bit) for each ancestor of a heap node, pointing away from it.
+def _touch_masks(ways):
+    """Per way, (keep, put) with which a touch is `meta & keep | put`.
 
-    A left child has an even index, so its parent's bit points right (1).
+    A touch points every bit on the way's root path away from it.  Node i
+    is bit i-1; a left child has an even index, so its parent's bit is set
+    (points right) and a right child's parent's bit is cleared.
     """
-    path = []
-    while node > 1:
-        path.append(((node >> 1) - 1, 1 - (node & 1)))
-        node >>= 1
-    return tuple(path)
+    masks = []
+    for way in range(ways):
+        path = put = 0
+        node = way + ways
+        while node > 1:
+            bit = 1 << ((node >> 1) - 1)
+            path |= bit
+            if not node & 1:
+                put |= bit
+            node >>= 1
+        masks.append((~path, put))
+    return tuple(masks)
 
 
 class TreePLRU:
     """Tree pseudo-LRU over a power-of-two number of ways.
 
-    Metadata is exactly ways-1 bits in heap order (node i at meta[i-1]).
+    Metadata is one int of ways-1 bits in heap order: node i is bit i-1.
     Convention: bit 0 points to the left child and the victim walk follows
     the pointed-to child; touching a way sets every bit on its root path to
-    point away from it.  A touch writes the way's precomputed root path, a
-    tuple of (meta index, bit) pairs; the table is built once per way count
-    and kept on the class, so an instance holds nothing but `ways`.
+    point away from it, one mask pair per way.  A full-set victim is looked
+    up by state, and the walk fills the entry the first time a state is
+    seen.  The masks and victims are the class's, one table each per way
+    count, so an instance holds nothing but `ways`.
     """
 
     draws = False
-    _root_paths = {}  # ways -> per way, the root path a touch writes
+    _masks = {}  # ways -> per way, (keep, put) of a touch
+    _victims = {}  # ways -> {state: full-set victim}, filled as states are seen
+    _VICTIMS_CAP = 1 << 16  # a wide tree's memo starts over once this full
 
     def __init__(self, ways: int = 8):
         if ways < 2 or ways & (ways - 1):
             raise ValueError("Tree-PLRU needs a power-of-two way count >= 2")
         self.ways = ways
-        if ways not in self._root_paths:
-            self._root_paths[ways] = tuple(_root_path(way + ways) for way in range(ways))
+        if ways not in self._masks:
+            self._masks[ways] = _touch_masks(ways)
+            self._victims[ways] = {}
 
     def new_set_meta(self):
-        return [0] * (self.ways - 1)
+        return 0
 
     def randomize_meta(self, meta, rng):
-        for i in range(len(meta)):
-            meta[i] = rng.randint(0, 1)
+        meta = 0
+        for i in range(self.ways - 1):
+            meta |= rng.randint(0, 1) << i
+        return meta
 
     def on_access(self, meta, way):
-        for i, bit in self._root_paths[self.ways][way]:
-            meta[i] = bit
+        keep, put = self._masks[self.ways][way]
+        return meta & keep | put
 
     def select_victim(self, meta, candidates):
         ways = self.ways
         if len(candidates) == ways:
-            idx = 1
-            while idx < ways:
-                idx = (idx << 1) | meta[idx - 1]
-            return idx - ways
+            victims = self._victims[ways]
+            victim = victims.get(meta)
+            if victim is None:
+                if len(victims) >= self._VICTIMS_CAP:
+                    victims.clear()
+                idx = 1
+                while idx < ways:
+                    idx = (idx << 1) | (meta >> (idx - 1) & 1)
+                victim = victims[meta] = idx - ways
+            return victim
         # Partitioned walk: never descend into a subtree with no candidate.
         cand = set(candidates)
         if not cand:
             raise ValueError("no candidate ways")
         idx = 1
         while idx < ways:
-            preferred = (idx << 1) | meta[idx - 1]
+            preferred = (idx << 1) | (meta >> (idx - 1) & 1)
             idx = preferred if self._subtree_has(preferred, cand) else preferred ^ 1
         return idx - ways
 
@@ -127,10 +153,10 @@ class RandomPolicy:
         return None
 
     def randomize_meta(self, meta, rng):
-        pass
+        return None
 
     def on_access(self, meta, way):
-        pass
+        return None
 
     def select_victim(self, meta, candidates):
         return self._rng.choice(candidates)
@@ -192,16 +218,15 @@ def eviction_distance_experiment(policy, n: int, trials: int, seed: int,
         rng = random.Random(derive_seed(seed, "evict-dist", t))
         if pol.draws:  # only a policy that draws costs a trial its own seed
             pol = make_policy(policy, ways, derive_seed(seed, "evict-dist-victims", t))
-        meta = pol.new_set_meta()
-        pol.randomize_meta(meta, rng)
+        meta = pol.randomize_meta(pol.new_set_meta(), rng)
         probe = pol.select_victim(meta, candidates)
-        pol.on_access(meta, probe)
+        meta = pol.on_access(meta, probe)
         for j in range(n):
             victim = pol.select_victim(meta, candidates)
             if victim == probe:
                 first[j] += 1
                 break
-            pol.on_access(meta, victim)
+            meta = pol.on_access(meta, victim)
     return EvictionExperimentResult(trials, tuple(c / trials for c in accumulate(first)))
 
 

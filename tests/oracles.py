@@ -2,9 +2,10 @@
 
 Kept deliberately different in structure from the package code: the edit
 distances are a memoized recursion and a Wagner-Fischer DP table instead of
-bit vectors, the tree-PLRU model walks an integer bitmask instead of a
-list of node bits, and the reference cache keeps one dict per set with an
-explicit recency list instead of tag lists and policy metadata.  The two
+bit vectors, the tree-PLRU model walks a state's bits one node at a time
+instead of applying per-way masks and memoized victims, and the reference
+cache keeps one dict per set with an explicit recency list instead of tag
+lists and policy metadata.  The two
 Monte-Carlo experiments are replayed one grid point at a time, with every
 draw made and the evictions read off per-way lists at the end, where the
 package records each trial's first eviction and stops.
@@ -120,16 +121,15 @@ def eviction_distance_fraction(policy, n, trials, seed, ways=WAYS):
         rng = random.Random(derive_seed(seed, "evict-dist", t))
         if pol.draws:
             pol = make_policy(policy, ways, derive_seed(seed, "evict-dist-victims", t))
-        meta = pol.new_set_meta()
         occupants = list(range(-ways, 0))  # unrelated prefill
-        pol.randomize_meta(meta, rng)
+        meta = pol.randomize_meta(pol.new_set_meta(), rng)
         victim = pol.select_victim(meta, candidates)
         occupants[victim] = 0  # probe line, dirty
-        pol.on_access(meta, victim)
+        meta = pol.on_access(meta, victim)
         for j in range(1, n + 1):
             victim = pol.select_victim(meta, candidates)
             occupants[victim] = j
-            pol.on_access(meta, victim)
+            meta = pol.on_access(meta, victim)
         if 0 not in occupants:
             successes += 1
     return successes / trials

@@ -195,6 +195,27 @@ def test_a_run_that_raises_keeps_the_lines_before_it(bad, match, is_write):
     assert batched.cycles == single.cycles
 
 
+@pytest.mark.parametrize("policy", ["lru", "tree-plru"])
+@pytest.mark.parametrize("bad", [("a", 16, 0), ("intruder", 0, 0)])
+def test_a_run_that_raises_keeps_the_metadata_of_the_lines_before_it(policy, bad):
+    # The loop keeps a set's policy metadata as a local; a raising line must
+    # still leave each set's metadata as the lines before it left it, in the
+    # set the run was in and in the sets it left.
+    geo = CacheGeometry(num_sets=16, partition={"a": {0, 2, 3}, "b": {1, 4}})
+    batched, single = (Cache(geo, policy) for _ in range(2))
+    before = [make_line(actor, s, tag) for actor, s, tag in
+              (("a", 0, 0), ("a", 0, 1), ("a", 0, 2), ("a", 0, 3), ("b", 0, 0),
+               ("a", 0, 0), ("b", 0, 1), ("a", 5, 1), ("a", 5, 0), ("b", 0, 2))]
+    with pytest.raises(ValueError):
+        batched.access_run(before + [make_line(*bad), make_line("a", 0, 9)], False)
+    for line in before:
+        single.access(line, False)
+    assert batched._sets == single._sets
+    after = [make_line(actor, 0, tag) for actor, tag in (("a", 7), ("b", 7), ("a", 8), ("b", 8))]
+    assert ([batched.access(line, True) for line in after] ==
+            [single.access(line, True) for line in after])
+
+
 def test_partition_rejects_unlisted_actor():
     cache = Cache(CacheGeometry(partition={"a": {0, 1}}))
     with pytest.raises(ValueError):

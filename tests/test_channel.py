@@ -172,13 +172,27 @@ def test_config_checks_itself_when_built_or_replaced():
 
 
 @pytest.mark.parametrize("value", [2.5, 10.0, True])
-@pytest.mark.parametrize("name", ["t_s", "target_set", "rset_size", "slip"])
+@pytest.mark.parametrize("name", ["t_s", "target_set", "rset_size", "slip", "seed"])
 def test_config_rejects_a_non_int_field(name, value):
+    # Seeds are hashed as text, so an unchecked seed=1.0 or True made a config
+    # equal to seed=1's whose random-policy run differed from it.
     message = f"^{name} must be an int, not {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=message):
         make_cfg(**{name: value})
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(make_cfg(), **{name: value})
+
+
+@pytest.mark.parametrize("name", ["rate", "kind_mix"])
+@pytest.mark.parametrize("value", [True, False])
+def test_noise_config_rejects_a_bool_field(name, value):
+    # Unchecked, NoiseConfig(rate=True) built and ran as rate 1.
+    message = f"^{name} must be a number, not {value!r}$"
+    with pytest.raises(ValueError, match=message):
+        NoiseConfig(**{name: value})
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(NoiseConfig(0.5, 0.5), **{name: value})
+    assert getattr(dataclasses.replace(NoiseConfig(0.5, 0.5), **{name: int(value)}), name) == value
 
 
 def test_eight_levels_do_not_divide_the_preamble():

@@ -2,7 +2,8 @@
 
 None of these needs a right answer.  Each draws a channel config, runs it
 twice with one input changed, and compares what the two reports hold: the
-raw decoded stream, the BER, the per-actor counters and the cycle total.
+raw decoded stream, the BER, the per-actor counters and the cycle total
+(the message-prefix relation reads the raw decoded stream only).
 
 - Target-set relabelling: the target set is a label.  Set 0 and set 17
   give the same report.
@@ -11,6 +12,9 @@ raw decoded stream, the BER, the per-actor counters and the cycle total.
   calibration's cuts double with the totals they split.
 - Seed freedom: under LRU or Tree-PLRU with no jitter, noise or slip,
   nothing draws, so any two seeds give the same report.
+- Message prefix: a run decodes its symbols in order, and nothing it draws
+  depends on what comes later, so the raw decoded stream of a message's
+  first half is a prefix of the whole message's.
 
 A config that calibration rejects must be rejected on both sides.  Tier-1
 checks the same few cases on every run; `pytest
@@ -20,13 +24,14 @@ checks the same few cases on every run; `pytest
 
 import dataclasses
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirtysim.cache import LatencyModel
 from dirtysim.channel import (BinaryEncoding, CalibrationError, ChannelConfig,
                               MultiBitEncoding, NoiseConfig, run_channel)
 from dirtysim.cli import DEFENSES
+from dirtysim.seeding import random_bits
 
 DRAWS = (settings.default if settings.get_current_profile_name() == "differential"
          else settings(max_examples=40, deadline=None, derandomize=True))
@@ -100,3 +105,20 @@ def test_doubled_costs_double_only_the_cycles(cfg):
 @given(cfg=configs(policies=("lru", "tree-plru"), drawn=False), seed=SEEDS)
 def test_a_run_that_draws_nothing_ignores_its_seed(cfg, seed):
     assert report_of(dataclasses.replace(cfg, seed=seed)) == report_of(cfg)
+
+
+@DRAWS
+@given(cfg=configs())
+# Tier-1's few draws hold little noise that a write-back set sees, and few
+# slips that move a decode past a noise event; this run has both.
+@example(cfg=ChannelConfig(message=random_bits(64, 3), t_s=1000,
+                           noise=NoiseConfig(0.5, 0.5), seed=4, slip=300))
+def test_a_message_prefix_decodes_to_a_prefix_of_the_stream(cfg):
+    k = cfg.encoding.bits_per_symbol
+    half = dataclasses.replace(cfg, message=cfg.message[:len(cfg.message) // k // 2 * k])
+    whole, first = report_of(cfg), report_of(half)
+    if whole is CalibrationError:
+        assert first is CalibrationError
+    else:
+        assert first is not CalibrationError
+        assert whole[0].startswith(first[0]), (whole[0], first[0])

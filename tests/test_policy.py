@@ -21,7 +21,7 @@ def test_lru_evicts_oldest():
     pol = TrueLRU(8)
     meta = pol.new_set_meta()
     for w in range(8):
-        pol.on_access(meta, w)
+        meta = pol.on_access(meta, w)
     assert pol.select_victim(meta, ALL) == 0
 
 
@@ -29,8 +29,8 @@ def test_lru_reaccess_promotes():
     pol = TrueLRU(8)
     meta = pol.new_set_meta()
     for w in range(8):
-        pol.on_access(meta, w)
-    pol.on_access(meta, 0)  # oldest becomes newest
+        meta = pol.on_access(meta, w)
+    meta = pol.on_access(meta, 0)  # oldest becomes newest
     assert pol.select_victim(meta, ALL) == 1
 
 
@@ -39,7 +39,7 @@ def test_lru_metadata_is_the_recency_order():
     meta = pol.new_set_meta()
     assert meta == list(range(8))
     for w in (3, 5, 3):
-        pol.on_access(meta, w)
+        meta = pol.on_access(meta, w)
     assert meta == [0, 1, 2, 4, 6, 7, 5, 3]
     assert pol.select_victim(meta, ALL) == 0
     # A partial candidate list: its least recently used way.
@@ -50,11 +50,10 @@ def test_lru_metadata_is_the_recency_order():
 def test_lru_randomized_metadata_is_a_random_touch_order():
     pol = TrueLRU(8)
     for seed in range(20):
-        meta = pol.new_set_meta()
-        pol.randomize_meta(meta, random.Random(seed))
+        meta = pol.randomize_meta(pol.new_set_meta(), random.Random(seed))
         touched = pol.new_set_meta()
         for w in random.Random(seed).sample(range(8), 8):
-            pol.on_access(touched, w)
+            touched = pol.on_access(touched, w)
         assert meta == touched, seed
 
 
@@ -67,17 +66,28 @@ def test_select_victim_rejects_an_empty_candidate_list(cls):
 
 def test_tree_plru_metadata_is_w_minus_1_bits():
     for ways in (2, 4, 8, 16):
-        assert len(TreePLRU(ways).new_set_meta()) == ways - 1
+        pol = TreePLRU(ways)
+        assert pol.new_set_meta() == 0
+        full = (1 << (ways - 1)) - 1
+        # Every touch and every random state stays inside the W-1 bits, and
+        # the touches of all ways reach each of them.
+        touched = [pol.on_access(state, way) for state in (0, full) for way in range(ways)]
+        assert all(0 <= meta <= full for meta in touched)
+        reached = 0
+        for meta in touched:
+            reached |= meta
+        assert reached == full
+        rng = random.Random(ways)
+        assert all(0 <= pol.randomize_meta(0, rng) <= full for _ in range(50))
     with pytest.raises(ValueError):
         TreePLRU(6)
 
 
 def test_tree_plru_two_way_alternates():
     pol = TreePLRU(2)
-    meta = pol.new_set_meta()
-    pol.on_access(meta, 0)
+    meta = pol.on_access(pol.new_set_meta(), 0)
     assert pol.select_victim(meta, (0, 1)) == 1
-    pol.on_access(meta, 1)
+    meta = pol.on_access(meta, 1)
     assert pol.select_victim(meta, (0, 1)) == 0
 
 
@@ -85,22 +95,65 @@ def test_tree_plru_never_victimizes_last_touch():
     pol = TreePLRU(8)
     for state in range(128):
         for way in range(8):
-            meta = [(state >> i) & 1 for i in range(7)]
-            pol.on_access(meta, way)
-            assert pol.select_victim(meta, ALL) != way
+            assert pol.select_victim(pol.on_access(state, way), ALL) != way
 
 
 def test_tree_plru_matches_bitmask_oracle_on_all_states():
     pol = TreePLRU(8)
     for state in range(128):
-        meta = [(state >> i) & 1 for i in range(7)]
-        assert pol.select_victim(meta, ALL) == plru_victim(state)
-        # touch agreement: compare resulting victim after touching each way
+        assert pol.select_victim(state, ALL) == plru_victim(state)
+        # touch agreement: the same state, and the same victim after it
         for way in range(8):
-            lib_meta = list(meta)
-            pol.on_access(lib_meta, way)
             oracle_state = plru_touch(state, way)
-            assert pol.select_victim(lib_meta, ALL) == plru_victim(oracle_state)
+            assert pol.on_access(state, way) == oracle_state
+            assert pol.select_victim(pol.on_access(state, way), ALL) == plru_victim(oracle_state)
+
+
+@pytest.mark.parametrize("ways", [2, 4, 8])
+def test_tree_plru_is_the_oracle_on_every_state_way_and_subset(ways):
+    pol = TreePLRU(ways)
+    full = tuple(range(ways))
+    if ways <= 4:  # every non-empty subset
+        subsets = [tuple(w for w in full if mask >> w & 1) for mask in range(1, 1 << ways)]
+    else:
+        rng = random.Random(ways)
+        subsets = [tuple(sorted(rng.sample(full, rng.randint(1, ways - 1)))) for _ in range(40)]
+    for state in range(1 << (ways - 1)):
+        for way in full:
+            assert pol.on_access(state, way) == plru_touch(state, way, ways), (state, way)
+        assert pol.select_victim(state, full) == plru_victim(state, ways), state
+        for subset in subsets:
+            assert pol.select_victim(state, subset) == \
+                plru_victim(state, ways, allowed=subset), (state, subset)
+
+
+@pytest.mark.parametrize("ways", [16, 32, 64])
+def test_tree_plru_is_the_oracle_on_sampled_states_of_a_wide_tree(ways):
+    pol = TreePLRU(ways)
+    full = tuple(range(ways))
+    rng = random.Random(ways)
+    for _ in range(200):
+        state = rng.getrandbits(ways - 1)
+        subset = tuple(sorted(rng.sample(full, rng.randint(1, ways - 1))))
+        way = rng.randrange(ways)
+        assert pol.on_access(state, way) == plru_touch(state, way, ways), (state, way)
+        assert pol.select_victim(state, full) == plru_victim(state, ways), state
+        assert pol.select_victim(state, subset) == \
+            plru_victim(state, ways, allowed=subset), (state, subset)
+    assert vars(pol) == {"ways": ways}
+
+
+def test_tree_plru_victim_memo_stays_bounded(monkeypatch):
+    # A wide tree has too many states to remember them all: the memo starts
+    # over when full, and every victim is still the walk's.
+    monkeypatch.setattr(TreePLRU, "_VICTIMS_CAP", 4)
+    pol = TreePLRU(32)
+    full = tuple(range(32))
+    rng = random.Random(5)
+    for _ in range(50):
+        state = rng.getrandbits(31)
+        assert pol.select_victim(state, full) == plru_victim(state, 32), state
+        assert len(TreePLRU._victims[32]) <= 4
 
 
 def loop_touch(meta, way, ways):
@@ -119,19 +172,20 @@ def test_tree_plru_touch_writes_the_loop_rules_root_path(ways):
     for _ in range(50):
         state = [rng.randint(0, 1) for _ in range(ways - 1)]
         for way in range(ways):
-            meta, expected = list(state), list(state)
-            pol.on_access(meta, way)
+            expected = list(state)
             loop_touch(expected, way, ways)
-            assert meta == expected, (state, way)
-    assert vars(pol) == {"ways": ways}  # the path table is the class's, shared per W
+            # Bit i of the int metadata is node i + 1's bit.
+            meta = pol.on_access(sum(bit << i for i, bit in enumerate(state)), way)
+            assert [meta >> i & 1 for i in range(ways - 1)] == expected, (state, way)
+            assert meta >> (ways - 1) == 0, (state, way)
+    assert vars(pol) == {"ways": ways}  # the masks and victims are the class's, shared per W
 
 
 def test_tree_plru_partitioned_walk_stays_in_partition():
     pol = TreePLRU(8)
     subset = (2, 5, 6)
     for state in range(128):
-        meta = [(state >> i) & 1 for i in range(7)]
-        assert pol.select_victim(meta, subset) in subset
+        assert pol.select_victim(state, subset) in subset
     with pytest.raises(ValueError):
         pol.select_victim(pol.new_set_meta(), ())
 
@@ -143,8 +197,9 @@ def test_random_policy_is_reproducible_and_stateless():
     seq_b = [b.select_victim(None, ALL) for _ in range(50)]
     assert seq_a == seq_b
     meta = a.new_set_meta()
-    a.on_access(meta, 3)
     assert meta is None
+    assert a.on_access(meta, 3) is None
+    assert a.randomize_meta(meta, random.Random(1)) is None
 
 
 def test_random_policy_uniform_within_3_sigma():
