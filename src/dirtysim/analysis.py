@@ -127,7 +127,15 @@ def sweep_ber_vs_rate(cfg_template, periods=DEFAULT_PERIODS, trials: int = 3):
     across periods (common random numbers), which keeps the BER-vs-rate trend
     monotone instead of drowning it in sampling noise.  Every run's config is
     built, and so checked, before anything is simulated.
+
+    Each trial simulates each distinct event order once.  A run reads its
+    period only through the order of its events (see `channel`), and within
+    one trial the seed fixes the cache's draws and what each noise event
+    does, so the events' (prio, symbol index) sequence names everything the
+    simulation reads: periods that schedule the same order get the same BER.
+    Across trials the seed differs, so no order is shared between them.
     """
+    from array import array  # deferred with the rest: only a sweep packs event orders
     from . import channel  # deferred: channel builds reports out of this module
     from .seeding import derive_seed
 
@@ -135,17 +143,27 @@ def sweep_ber_vs_rate(cfg_template, periods=DEFAULT_PERIODS, trials: int = 3):
         raise ValueError("periods must be non-empty")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    runs = [[replace(cfg_template, t_s=period,
-                     seed=derive_seed(cfg_template.seed, "sweep", trial))
-             for trial in range(trials)] for period in periods]
+    seeds = [derive_seed(cfg_template.seed, "sweep", trial) for trial in range(trials)]
+    runs = [[replace(cfg_template, t_s=period, seed=seed) for period in periods] for seed in seeds]
     calibration = channel.calibrate_thresholds(cfg_template)
-    rows = []
-    for period, cfgs in zip(periods, runs):
-        bers = [channel.run_channel(cfg, thresholds=calibration).ber for cfg in cfgs]
-        rows.append(SweepRow(period,
-                             rate_kbps(period, cfg_template.encoding.bits_per_symbol),
-                             cfg_template.encoding.name,
-                             cfg_template.encoding.d_label,
-                             trials,
-                             sum(bers) / len(bers)))
-    return rows
+    trial_bers = []
+    for cfgs in runs:
+        ber_of_order = {}  # this trial's orders only -> BER
+        bers = []
+        for cfg in cfgs:
+            events = channel.schedule(cfg)
+            # One C int per event; exact, since prio < 3 (an index too big
+            # for a C int raises rather than collide).
+            order = array("i", (3 * index + prio for _, prio, index, _ in events)).tobytes()
+            if order not in ber_of_order:
+                ber_of_order[order] = channel.simulate(cfg, events, calibration).ber
+            del events  # so two periods' events are never alive at once
+            bers.append(ber_of_order[order])
+        trial_bers.append(bers)
+    return [SweepRow(period,
+                     rate_kbps(period, cfg_template.encoding.bits_per_symbol),
+                     cfg_template.encoding.name,
+                     cfg_template.encoding.d_label,
+                     trials,
+                     sum(bers) / trials)
+            for period, bers in zip(periods, zip(*trial_bers))]

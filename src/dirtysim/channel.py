@@ -8,6 +8,14 @@ replacing that set.  A deterministic event loop with a total order
 hyper-thread interleaving of real hardware.  Every transmission starts with
 the fixed `PREAMBLE`, by which the receiver aligns its decoded stream; noise
 events come only from a `NoiseConfig` with a rate above 0.
+
+`run_channel` is two steps.  `schedule` draws noise and slip and returns the
+sorted events; `simulate` runs the cache over them and scores the result.
+An access's latency never moves the clock, so a run reads its period only
+through the order of its events: two periods that schedule the same actions
+in the same order give the same decoded stream, BER, counters and cycle
+total.  A sweep relies on this to simulate each distinct order once per
+trial.
 """
 
 from __future__ import annotations
@@ -296,29 +304,20 @@ class ChannelReport:
         return json.dumps(out, indent=2, sort_keys=True) + "\n"
 
 
-def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> ChannelReport:
-    """Drive sender, noise, and receiver through one message transmission.
+def schedule(cfg: ChannelConfig) -> list:
+    """The run's events in the order they happen: sorted (cycle, prio, index, action).
 
-    `cfg` checked itself when built; given `thresholds` must hold one cut
-    between each pair of adjacent levels.
+    `prio` orders sender (0) < noise (1) < receiver (2) at one cycle, and
+    `index` is the symbol's position in the preamble-led stream, so each
+    event's key is unique.  This is the one place noise and slip draw.  Both
+    generators draw per symbol in index order, and how many draws a symbol
+    takes does not depend on `t_s`, so a run's period shows only in the
+    events' cycles.
     """
-    enc = cfg.encoding
-    if thresholds is None:
-        thresholds = calibrate_thresholds(cfg)
-    elif len(thresholds.cuts) != len(enc.levels) - 1:
-        raise ValueError(f"thresholds have {len(thresholds.cuts)} cuts, but "
-                         f"{len(enc.levels)} levels need {len(enc.levels) - 1}")
-    k = enc.bits_per_symbol
-    stream = PREAMBLE + cfg.message
-    n_symbols = len(stream) // k
-
-    cache = Cache(cfg.geometry, cfg.policy, cfg.latency,
-                  seed=derive_seed(cfg.seed, "cache"))
+    n_symbols = (len(PREAMBLE) + len(cfg.message)) // cfg.encoding.bits_per_symbol
     noise_rng = random.Random(derive_seed(cfg.seed, "noise"))
     slip_rng = random.Random(derive_seed(cfg.seed, "slip"))
     noise_offset = max(1, cfg.t_s // 4)
-
-    # (cycle, sender < noise < receiver, symbol index) is unique per event.
     events = []
     for i in range(n_symbols):
         events.append((i * cfg.t_s, 0, i, "encode"))
@@ -331,7 +330,25 @@ def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> 
             decode_at = max(0, decode_at + slip_rng.randint(-cfg.slip, cfg.slip))
         events.append((decode_at, 2, i, "decode"))
     events.sort()
+    return events
 
+
+def simulate(cfg: ChannelConfig, events: list, thresholds: Thresholds) -> ChannelReport:
+    """Run the cache over `cfg`'s scheduled `events` and score the decoded stream.
+
+    Only the cycles in the trace and `rate_kbps` read `cfg.t_s`: the cache,
+    the stream and the decoded bits see the events' order alone, since an
+    access's latency never moves the clock.  `thresholds` must hold one cut
+    between each pair of adjacent levels.
+    """
+    enc = cfg.encoding
+    if len(thresholds.cuts) != len(enc.levels) - 1:
+        raise ValueError(f"thresholds have {len(thresholds.cuts)} cuts, but "
+                         f"{len(enc.levels)} levels need {len(enc.levels) - 1}")
+    k = enc.bits_per_symbol
+    stream = PREAMBLE + cfg.message
+    cache = Cache(cfg.geometry, cfg.policy, cfg.latency,
+                  seed=derive_seed(cfg.seed, "cache"))
     fill_set(cache, RECEIVER, cfg.target_set, cfg.geometry.associativity)
     # Decodes alternate between two replacement sets, so the one measured
     # with is never resident.
@@ -381,6 +398,17 @@ def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> 
         cycles=cache.cycles,
         events=trace,
     )
+
+
+def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> ChannelReport:
+    """Drive sender, noise, and receiver through one message transmission.
+
+    `cfg` checked itself when built; without `thresholds`, the run
+    calibrates its own.
+    """
+    if thresholds is None:
+        thresholds = calibrate_thresholds(cfg)
+    return simulate(cfg, schedule(cfg), thresholds)
 
 
 # -- side-channel gadgets ----------------------------------------------------

@@ -6,10 +6,14 @@ from hypothesis import strategies as st
 
 import dirtysim.analysis as analysis
 from dirtysim.analysis import (ALIGN_WINDOW, DEFAULT_PERIODS, PreambleLockError,
-                               align_by_preamble, bit_error_rate,
+                               SweepRow, align_by_preamble, bit_error_rate,
                                edit_distance, rate_kbps, sweep_ber_vs_rate)
-from dirtysim.channel import BinaryEncoding, ChannelConfig, NoiseConfig
-from dirtysim.seeding import random_bits
+from dirtysim.cache import LatencyModel
+from dirtysim.channel import (BinaryEncoding, CalibrationError, ChannelConfig,
+                              MultiBitEncoding, NoiseConfig, calibrate_thresholds,
+                              run_channel)
+from dirtysim.cli import DEFENSES
+from dirtysim.seeding import derive_seed, random_bits
 
 from oracles import brute_levenshtein, wagner_fischer
 
@@ -223,10 +227,10 @@ def test_sweep_rejects_empty_periods():
 
 
 def test_sweep_checks_every_period_before_simulating(monkeypatch):
-    # A bad later period fails before the earlier periods run.
+    # A bad later period fails before the earlier periods are scheduled.
     from dirtysim import channel
     calls = []
-    for name in ("calibrate_thresholds", "run_channel"):
+    for name in ("calibrate_thresholds", "schedule", "simulate"):
         real = getattr(channel, name)
         monkeypatch.setattr(channel, name,
                             lambda *a, _real=real, _name=name, **kw:
@@ -236,7 +240,93 @@ def test_sweep_checks_every_period_before_simulating(monkeypatch):
         sweep_ber_vs_rate(template, periods=(5500, 1), trials=2)
     assert calls == []
     sweep_ber_vs_rate(template, periods=(5500,), trials=2)
-    assert calls == ["calibrate_thresholds", "run_channel", "run_channel"]
+    assert calls == ["calibrate_thresholds", "schedule", "simulate", "schedule", "simulate"]
+
+
+def sweep_by_definition(cfg, periods, trials):
+    """The sweep as it is defined: one calibrated `run_channel` per period and trial."""
+    calibration = calibrate_thresholds(cfg)
+    rows = []
+    for period in periods:
+        bers = [run_channel(dataclasses.replace(cfg, t_s=period,
+                                                seed=derive_seed(cfg.seed, "sweep", trial)),
+                            thresholds=calibration).ber
+                for trial in range(trials)]
+        rows.append(SweepRow(period, rate_kbps(period, cfg.encoding.bits_per_symbol),
+                             cfg.encoding.name, cfg.encoding.d_label, trials,
+                             sum(bers) / len(bers)))
+    return rows
+
+
+def sweep_outcome(sweep, cfg, periods, trials):
+    try:
+        return sweep(cfg, periods, trials)
+    except CalibrationError:
+        return CalibrationError
+
+
+# `benchmarks/run.py`'s sweep-noisy workload, at 128 bits and seed 1.
+SWEEP_NOISY = ChannelConfig(message=random_bits(128, 1), encoding=MultiBitEncoding(),
+                            policy="tree-plru", noise=NoiseConfig(1.0, 0.5), slip=300, seed=1)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A small channel config, a period list with repeats, and a trial count."""
+    encoding = draw(st.sampled_from([BinaryEncoding(1), BinaryEncoding(4), MultiBitEncoding()]))
+    defense = draw(st.sampled_from(sorted(DEFENSES)))
+    policy = draw(st.sampled_from(["lru", "tree-plru", "random"]))
+    noise = NoiseConfig()
+    if defense != "partition":  # the noise actor has no partition
+        noise = NoiseConfig(draw(st.sampled_from([0.0, 0.5, 1.0])),
+                            draw(st.sampled_from([0.0, 0.5, 1.0])))
+    bits = encoding.bits_per_symbol * draw(st.integers(4, 24))
+    cfg = ChannelConfig(
+        message=format(draw(st.integers(0, 2**bits - 1)), f"0{bits}b"),
+        encoding=encoding,
+        rset_size=24 if policy == "random" else 10,
+        noise=noise,
+        seed=draw(st.integers(0, 2**32)),
+        slip=draw(st.one_of(st.sampled_from([0, 300, 600, 2000]), st.integers(0, 2000))),
+        geometry=DEFENSES[defense],
+        policy=policy,
+        latency=LatencyModel(jitter=draw(st.sampled_from([0, 1, 2]))))
+    period = st.one_of(st.sampled_from(DEFAULT_PERIODS), st.integers(200, 11000))
+    periods = tuple(draw(st.lists(period, min_size=1, max_size=6)))
+    return cfg, periods, draw(st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=sweep_cases())
+@example(case=(SWEEP_NOISY, DEFAULT_PERIODS, 2))
+# CI's smoke sweep: every period has its own order, and one period repeats.
+@example(case=(ChannelConfig(message=random_bits(16, 1), policy="random", rset_size=24,
+                             slip=600, noise=NoiseConfig(0.5), seed=1),
+               (800, 1600, 1600, 5500), 2))
+# Both trials schedule one order but decode to different BERs, because the
+# random policy draws from each trial's seed.
+@example(case=(ChannelConfig(message=random_bits(16, 5), policy="random", rset_size=24, seed=5),
+               (800, 1600), 2))
+def test_the_sweep_equals_one_run_per_period_and_trial(case):
+    assert sweep_outcome(sweep_ber_vs_rate, *case) == sweep_outcome(sweep_by_definition, *case)
+
+
+def count_simulations(monkeypatch, cfg, trials):
+    from dirtysim import channel
+    calls = []
+    real = channel.simulate
+    monkeypatch.setattr(channel, "simulate", lambda *a: calls.append(1) or real(*a))
+    sweep_ber_vs_rate(cfg, DEFAULT_PERIODS, trials)
+    return len(calls)
+
+
+def test_the_sweep_simulates_each_order_once_per_trial(monkeypatch):
+    # Without slip or noise, every period schedules the same order.
+    assert count_simulations(monkeypatch, ChannelConfig(message=random_bits(32, 5), seed=5),
+                             trials=3) == 3
+    # The sweep-noisy workload at seed 2024: 2 trials of 6 periods hold 6 orders.
+    noisy = dataclasses.replace(SWEEP_NOISY, message=random_bits(128, 2024), seed=2024)
+    assert count_simulations(monkeypatch, noisy, trials=2) == 6
 
 
 def test_sweep_noiseless_is_all_zero():
