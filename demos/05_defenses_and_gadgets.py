@@ -41,7 +41,7 @@ for variant, scenario, note in [
         assert result.inferred == secret
     print(f"  {line} secret recovered for both values  ({note})")
 
-result = run_gadget_attack("a", "set-state-dirty", 1, line0_set=5, line1_set=5)
+result = run_gadget_attack("a", "set-state-dirty", 1)
 print()
 print("set-state-dirty even works with both victim lines in the SAME set")
 print("(probe total %d vs threshold %.1f) -- a pure presence channel like"

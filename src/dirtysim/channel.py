@@ -2,12 +2,14 @@
 
 One sender and one receiver share a simulated L1, each with lines of its
 own.  The sender encodes a symbol as the number of dirty lines it leaves in
-the agreed target set; the receiver recovers it from the summed latency of
-replacing that set.  A deterministic event loop with a total order
-(cycle, then sender < noise < receiver) stands in for the wall-clock
-hyper-thread interleaving of real hardware.  Every transmission starts with
-the fixed `PREAMBLE`, by which the receiver aligns its decoded stream; noise
-events come only from a `NoiseConfig` with a rate above 0.
+`TARGET_SET`; the receiver recovers it from the summed latency of replacing
+that set.  Noise lands in that set too, and calibration probes it.  Every
+set is alike and holds only the channel, so any set would do.  A
+deterministic event loop with a total order (cycle, then sender < noise <
+receiver) stands in for the wall-clock hyper-thread interleaving of real
+hardware.  Every transmission starts with the fixed `PREAMBLE`, by which
+the receiver aligns its decoded stream; noise events come only from a
+`NoiseConfig` with a rate above 0.
 
 `run_channel` is two steps.  `schedule` draws noise and slip and returns the
 sorted events; `simulate` runs the cache over them and scores the result.
@@ -34,8 +36,8 @@ from .analysis import (PreambleLockError, align_by_preamble, bit_error_rate,
 from .cache import (DEFAULT_GEOMETRY, DEFAULT_LATENCY, Cache, CacheGeometry,
                     LatencyModel, WritePolicy, check_int, make_line)
 from .measurement import (DEFAULT_RSET_SIZE, RECEIVER, RSET_TAG_BASES, SENDER,
-                          build_replacement_set, check_rset_size, fill_set,
-                          measure_replacement_latency, probe_totals)
+                          TARGET_SET, build_replacement_set, check_rset_size,
+                          fill_set, measure_replacement_latency, probe_totals)
 from .policy import POLICIES
 from .seeding import derive_seed
 
@@ -148,7 +150,6 @@ class ChannelConfig:
     message: str
     encoding: Encoding = Encoding()
     t_s: int = 5500                    # period: encode at its start, decode mid-way
-    target_set: int = 0
     rset_size: int = DEFAULT_RSET_SIZE
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     seed: int = 0
@@ -160,13 +161,11 @@ class ChannelConfig:
     def __post_init__(self):
         # `seed` too: seeds are hashed as text, so 1, 1.0 and True would be
         # equal configs that replay differently.
-        for name in ("t_s", "target_set", "rset_size", "slip", "seed"):
+        for name in ("t_s", "rset_size", "slip", "seed"):
             check_int(name, getattr(self, name))
         if self.t_s < 2:
             raise ValueError("t_s must be at least 2 cycles, so the decode at "
                              "t_s // 2 comes after the encode in each period")
-        if not 0 <= self.target_set < self.geometry.num_sets:
-            raise ValueError("target_set outside geometry")
         check_rset_size(self.rset_size, self.geometry)
         if self.policy not in POLICIES:
             raise ValueError(f"unknown replacement policy {self.policy!r}")
@@ -236,18 +235,18 @@ def calibrate_thresholds(cfg: ChannelConfig, trials: int = 8) -> Thresholds:
     return _midpoint_thresholds(probe_totals(
         cfg.encoding.levels, trials, (derive_seed(cfg.seed, "calibration"), "cache"),
         geometry=geometry, policy=cfg.policy, latency=cfg.latency,
-        target_set=cfg.target_set, rset_size=cfg.rset_size))
+        rset_size=cfg.rset_size))
 
 
 # -- protocol actors ---------------------------------------------------------
 
 def sender_encode(cache: Cache, cfg: ChannelConfig, symbol_bits: str):
-    """Dirty `level` sender lines in the target set; level 0 touches nothing.
+    """Dirty `level` sender lines in `TARGET_SET`; level 0 touches nothing.
 
     Returns (level, summed access cost in cycles).
     """
     level = cfg.encoding.level_for_bits(symbol_bits)
-    return level, fill_set(cache, SENDER, cfg.target_set, level, write=True)
+    return level, fill_set(cache, SENDER, TARGET_SET, level, write=True)
 
 
 def receiver_decode(cache: Cache, cfg: ChannelConfig, rset: tuple,
@@ -349,10 +348,10 @@ def simulate(cfg: ChannelConfig, events: list, thresholds: Thresholds) -> Channe
     stream = PREAMBLE + cfg.message
     cache = Cache(cfg.geometry, cfg.policy, cfg.latency,
                   seed=derive_seed(cfg.seed, "cache"))
-    fill_set(cache, RECEIVER, cfg.target_set, cfg.geometry.associativity)
+    fill_set(cache, RECEIVER, TARGET_SET, cfg.geometry.associativity)
     # Decodes alternate between two replacement sets, so the one measured
     # with is never resident.
-    rsets = tuple(build_replacement_set(RECEIVER, cfg.target_set, cfg.rset_size,
+    rsets = tuple(build_replacement_set(RECEIVER, TARGET_SET, cfg.rset_size,
                                         derive_seed(cfg.seed, "chase", p),
                                         tag_base=RSET_TAG_BASES[p])
                   for p in (0, 1))
@@ -371,7 +370,7 @@ def simulate(cfg: ChannelConfig, events: list, thresholds: Thresholds) -> Channe
             trace.append(TraceEvent(cycle, RECEIVER, "decode", enc.level_for_bits(bits),
                                     sample.total_cycles, bits, symbol))
         else:
-            line = make_line(NOISE, cfg.target_set, noise_tag)
+            line = make_line(NOISE, TARGET_SET, noise_tag)
             noise_tag += 1
             outcome = cache.access(line, action == "noise-write")
             trace.append(TraceEvent(cycle, NOISE, action, "", outcome.latency, "", ""))
@@ -427,22 +426,23 @@ class GadgetResult:
     latencies: dict
 
 
-def run_gadget_attack(variant: str, scenario: str, secret: int, *,
-                      line0_set: Optional[int] = None,
-                      line1_set: Optional[int] = None) -> GadgetResult:
+def run_gadget_attack(variant: str, scenario: str, secret: int) -> GadgetResult:
     """Recover a victim's secret-dependent access through replacement latency.
 
     LRU only: the cache is the default geometry and latency model under LRU,
     whose deterministic victim order lets one calibration trial per level set
     a probe cut.  Nothing is drawn, so the result needs no seed.
 
-    Scenario set-state-dirty: the attacker primes a set clean and detects the
-    dirty line the victim's store leaves behind (variant a only; the two
-    victim lines may share a set).  Scenario prime-with-dirty: the attacker
-    primes with W dirty lines and detects the one the victim's load displaces
-    (variant b; the lines must sit in different sets).  Scenario
-    victim-timing: the victim's own access time separates a dirty eviction
-    from a clean one (either variant, different sets).
+    The gadget places its own lines: line 0 in `TARGET_SET`, and line 1 in
+    the same set for set-state-dirty and in the next set otherwise.  Sets
+    are alike, so no placement that keeps this sharing changes the result.
+
+    Scenario set-state-dirty: the attacker primes line 0's set clean and
+    detects the dirty line the victim's store leaves behind (variant a
+    only).  Scenario prime-with-dirty: the attacker primes it with W dirty
+    lines and detects the one the victim's load displaces (variant b).
+    Scenario victim-timing: the victim's own access time separates a dirty
+    eviction from a clean one (either variant).
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
@@ -458,21 +458,11 @@ def run_gadget_attack(variant: str, scenario: str, secret: int, *,
         raise ValueError("prime-with-dirty needs the load-only gadget (variant b)")
 
     geo, lat = DEFAULT_GEOMETRY, DEFAULT_LATENCY
-    set_i = 1 if line0_set is None else line0_set
-    if line1_set is None:
-        set_j = set_i if scenario == "set-state-dirty" else (set_i + 1) % geo.num_sets
-    else:
-        set_j = line1_set
-    for s in (set_i, set_j):
-        if not 0 <= s < geo.num_sets:
-            raise ValueError(f"set index {s} outside geometry")
-    if scenario in ("prime-with-dirty", "victim-timing") and set_i == set_j:
-        raise ValueError(f"{scenario} requires line 0 and line 1 in different cache sets")
-
+    line1_set = TARGET_SET if scenario == "set-state-dirty" else TARGET_SET + 1
     cache = Cache(geo, "lru", lat)
     ways = geo.associativity
-    line0 = make_line("victim", set_i, 0)
-    line1 = make_line("victim", set_j, 1)
+    line0 = make_line("victim", TARGET_SET, 0)
+    line1 = make_line("victim", line1_set, 1)
 
     def victim_call():
         if secret:
@@ -485,20 +475,20 @@ def run_gadget_attack(variant: str, scenario: str, secret: int, *,
         # the channel's: a store adds one dirty line (levels 0 and 1), a load
         # displaces one of W (levels W-1 and W).
         dirty = scenario == "prime-with-dirty"
-        fill_set(cache, "attacker", set_i, ways, write=dirty)
+        fill_set(cache, "attacker", TARGET_SET, ways, write=dirty)
         victim_call()
-        rset = build_replacement_set("attacker", set_i, DEFAULT_RSET_SIZE,
+        rset = build_replacement_set("attacker", TARGET_SET, DEFAULT_RSET_SIZE,
                                      tag_base=RSET_TAG_BASES[0])
         total = measure_replacement_latency(cache, rset).total_cycles
         levels = (ways - 1, ways) if dirty else (0, 1)
         cut, = _midpoint_thresholds(probe_totals(
             levels, 1, ("gadget",), geometry=geo, policy="lru", latency=lat,
-            target_set=set_i, rset_size=DEFAULT_RSET_SIZE)).cuts
+            rset_size=DEFAULT_RSET_SIZE)).cuts
         inferred = int(total < cut if dirty else total > cut)
         latencies = {"probe_total_cycles": total, "threshold": cut}
     else:
-        fill_set(cache, "attacker", set_i, ways, write=True)
-        fill_set(cache, "attacker", set_j, ways)
+        fill_set(cache, "attacker", TARGET_SET, ways, write=True)
+        fill_set(cache, "attacker", line1_set, ways)
         victim_time = victim_call().latency
         cut = (lat.miss_dirty + lat.miss_clean) / 2
         inferred = int(victim_time > cut)

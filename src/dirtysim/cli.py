@@ -8,8 +8,10 @@ before the command line's, which win: a key `k` with value `v` is read as
 may set only options of its command other than --config, and each value
 meets its flag's type and choices exactly as on the command line.  A config
 file that cannot be read, or an --out or --trace path that cannot be written,
-is a configuration error.  Exit codes: 0 success, 2 configuration error, 3
-threshold calibration failure.
+is a configuration error, and run-channel then writes neither.  No option
+names a cache set: every set is alike, so the channel, its calibration and
+latency-cdf use `measurement.TARGET_SET`, and the gadget places its lines.
+Exit codes: 0 success, 2 configuration error, 3 threshold calibration failure.
 """
 
 from __future__ import annotations
@@ -67,6 +69,15 @@ def _require_seed(args):
         raise ValueError(f"DIRTYSIM_SEED={env!r} is not an integer") from None
 
 
+def _check_writable(*paths):
+    """Raise OSError if a path cannot be opened for writing; create no file."""
+    for path in filter(None, paths):
+        existed = os.path.lexists(path)
+        open(path, "a").close()
+        if not existed:
+            os.remove(path)
+
+
 def _emit(text, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -96,7 +107,6 @@ def _channel_config(args, seed, **fields):
         message = random_bits(args.message_bits, seed)
     return channel.ChannelConfig(
         encoding=_encoding(args),
-        target_set=args.target_set,
         rset_size=args.rset_size,
         message=message,
         noise=channel.NoiseConfig(rate=args.noise_rate, kind_mix=args.noise_write_prob),
@@ -149,8 +159,7 @@ def cmd_latency_cdf(args):
     seed = _require_seed(args)
     table = measurement.latency_cdf(
         _int_list(args.d_values, "d-values"), args.trials, seed, policy=args.policy,
-        latency=LatencyModel(jitter=args.jitter), target_set=args.target_set,
-        rset_size=args.rset_size)
+        latency=LatencyModel(jitter=args.jitter), rset_size=args.rset_size)
     lines = ["d,trial,total_cycles"]
     for d, samples in table:
         for trial, total in enumerate(samples):
@@ -163,10 +172,12 @@ def cmd_run_channel(args):
     seed = _require_seed(args)
     cfg = _channel_config(args, seed, t_s=args.period)
     report = channel.run_channel(cfg)
-    if args.trace:  # first, so a trace path that cannot be written leaves stdout empty
+    # Both paths first, so one that cannot be written leaves no output behind.
+    _check_writable(args.trace, args.out)
+    if args.trace:
         rows = ["cycle,actor,action,set,d,latency,decoded_bit,truth_bit"]
         for ev in report.events:
-            rows.append(f"{ev.cycle},{ev.actor},{ev.action},{cfg.target_set},"
+            rows.append(f"{ev.cycle},{ev.actor},{ev.action},{measurement.TARGET_SET},"
                         f"{ev.d},{ev.latency},{ev.decoded_bits},{ev.truth_bits}")
         _emit("\n".join(rows) + "\n", args.trace)
     _emit(report.to_json(), args.out)
@@ -187,8 +198,7 @@ def cmd_sweep(args):
 
 
 def cmd_gadget(args):
-    result = channel.run_gadget_attack(args.variant, args.scenario, args.secret,
-                                       line0_set=args.line0_set, line1_set=args.line1_set)
+    result = channel.run_gadget_attack(args.variant, args.scenario, args.secret)
     _emit(json.dumps(dataclasses.asdict(result), indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
@@ -207,7 +217,6 @@ def _add_common(sub, trials=None):
 def _add_cache_options(sub):
     sub.add_argument("--policy", choices=policy.POLICIES, default="lru")
     sub.add_argument("--jitter", type=int, default=0)
-    sub.add_argument("--target-set", type=int, default=0)
     sub.add_argument("--rset-size", type=int, default=measurement.DEFAULT_RSET_SIZE)
 
 
@@ -269,8 +278,6 @@ def build_parser():
     p.add_argument("--scenario", default="set-state-dirty",
                    help="set-state-dirty | prime-with-dirty | victim-timing (or 1|2|3)")
     p.add_argument("--secret", type=int, choices=(0, 1), default=1)
-    p.add_argument("--line0-set", type=int)
-    p.add_argument("--line1-set", type=int)
 
     return parser
 

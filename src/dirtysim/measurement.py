@@ -30,6 +30,11 @@ from .seeding import derive_seed
 
 DEFAULT_RSET_SIZE = 10
 
+# The one set the channel, its calibration and the CDFs use.  Every set has
+# the same ways, policy and latencies, and nothing else runs in it, so any
+# set would give the same results: the index is a label on the lines.
+TARGET_SET = 0
+
 SENDER = "sender"
 RECEIVER = "receiver"
 
@@ -111,8 +116,8 @@ def prime_dirty_probe(cache: Cache, rset: tuple, d: int) -> LatencySample:
 
 
 def probe_totals(levels, trials: int, seed_parts, *, geometry: CacheGeometry,
-                 policy: str, latency, target_set: int, rset_size: int):
-    """Probe totals per dirty-line count: [(d, totals in trial order)].
+                 policy: str, latency, rset_size: int):
+    """Probe totals per dirty-line count in `TARGET_SET`: [(d, totals by trial)].
 
     Every input is checked before anything is simulated.  Trial t of level d
     runs `prime_dirty_probe` on a fresh cache seeded
@@ -124,14 +129,12 @@ def probe_totals(levels, trials: int, seed_parts, *, geometry: CacheGeometry,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     check_rset_size(rset_size, geometry)
-    if not 0 <= target_set < geometry.num_sets:
-        raise ValueError(f"target_set {target_set} outside 0..{geometry.num_sets - 1}")
     levels = list(levels)
     ways = geometry.associativity
     for d in levels:
         if not 0 <= d <= ways:
             raise ValueError(f"d={d} outside 0..{ways}")
-    rset = build_replacement_set(RECEIVER, target_set, rset_size,
+    rset = build_replacement_set(RECEIVER, TARGET_SET, rset_size,
                                  tag_base=RSET_TAG_BASES[0])
 
     table = []
@@ -148,10 +151,8 @@ def probe_totals(levels, trials: int, seed_parts, *, geometry: CacheGeometry,
 
 
 def latency_cdf(d_values, trials: int, seed: int, *, policy="lru",
-                latency=None, target_set: int = 0,
-                rset_size: int = DEFAULT_RSET_SIZE):
+                latency=None, rset_size: int = DEFAULT_RSET_SIZE):
     """[(d, sorted probe totals)] on the default geometry, for CDF plots."""
     table = probe_totals(d_values, trials, (seed, "cdf"), geometry=DEFAULT_GEOMETRY,
-                         policy=policy, latency=latency, target_set=target_set,
-                         rset_size=rset_size)
+                         policy=policy, latency=latency, rset_size=rset_size)
     return [(d, sorted(totals)) for d, totals in table]

@@ -5,8 +5,8 @@ scheme common in commercial L1 caches), and seeded pseudo-random selection.
 LRU and Tree-PLRU are rules over one set's metadata and hold no other
 state; the random policy keeps no metadata, and its generator is the only
 state a policy holds.  `draws` says which policies read it.  Metadata is a
-value: `on_access` and `randomize_meta` return the set's new metadata, and
-the caller keeps it.  LRU's is a recency list, which it updates in place
+value: `on_access` returns the set's new metadata and `randomize_meta` a
+random one, and the caller keeps it.  LRU's is a recency list, which it updates in place
 and returns; Tree-PLRU's is one int of W-1 bits; the random policy's is
 None.  This keeps the experiments below independent of the full cache
 model in `dirtysim.cache`.
@@ -32,7 +32,7 @@ class TrueLRU:
     def new_set_meta(self):
         return list(range(self.ways))
 
-    def randomize_meta(self, meta, rng):
+    def randomize_meta(self, rng):
         # A uniformly random touch order is a uniform recency permutation.
         return rng.sample(range(self.ways), self.ways)
 
@@ -99,7 +99,7 @@ class TreePLRU:
     def new_set_meta(self):
         return 0
 
-    def randomize_meta(self, meta, rng):
+    def randomize_meta(self, rng):
         meta = 0
         for i in range(self.ways - 1):
             meta |= rng.randint(0, 1) << i
@@ -152,7 +152,7 @@ class RandomPolicy:
     def new_set_meta(self):
         return None
 
-    def randomize_meta(self, meta, rng):
+    def randomize_meta(self, rng):
         return None
 
     def on_access(self, meta, way):
@@ -218,7 +218,7 @@ def eviction_distance_experiment(policy, n: int, trials: int, seed: int,
         rng = random.Random(derive_seed(seed, "evict-dist", t))
         if pol.draws:  # only a policy that draws costs a trial its own seed
             pol = make_policy(policy, ways, derive_seed(seed, "evict-dist-victims", t))
-        meta = pol.randomize_meta(pol.new_set_meta(), rng)
+        meta = pol.randomize_meta(rng)
         probe = pol.select_victim(meta, candidates)
         meta = pol.on_access(meta, probe)
         for j in range(n):

@@ -122,7 +122,7 @@ def eviction_distance_fraction(policy, n, trials, seed, ways=WAYS):
         if pol.draws:
             pol = make_policy(policy, ways, derive_seed(seed, "evict-dist-victims", t))
         occupants = list(range(-ways, 0))  # unrelated prefill
-        meta = pol.randomize_meta(pol.new_set_meta(), rng)
+        meta = pol.randomize_meta(rng)
         victim = pol.select_victim(meta, candidates)
         occupants[victim] = 0  # probe line, dirty
         meta = pol.on_access(meta, victim)

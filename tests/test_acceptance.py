@@ -192,7 +192,7 @@ def test_criterion_11_gadgets():
             result = run_gadget_attack(variant, scenario, secret)
             assert result.inferred == secret, (variant, scenario, secret)
     with pytest.raises(ValueError):
-        run_gadget_attack("b", "prime-with-dirty", 1, line0_set=2, line1_set=2)
+        run_gadget_attack("a", "prime-with-dirty", 1)
 
 
 @criterion(12, "every CLI command is byte-identical across reruns")

@@ -9,8 +9,8 @@ from dirtysim.channel import (PREAMBLE, BinaryEncoding, CalibrationError,
                               ChannelConfig, Encoding, MultiBitEncoding, NoiseConfig,
                               Thresholds, calibrate_thresholds,
                               receiver_decode, run_channel, run_gadget_attack,
-                              sender_encode)
-from dirtysim.measurement import (RECEIVER, RSET_TAG_BASES,
+                              schedule, sender_encode)
+from dirtysim.measurement import (RECEIVER, RSET_TAG_BASES, TARGET_SET,
                                   build_replacement_set, fill_set)
 from dirtysim.seeding import derive_seed, random_bits
 
@@ -26,12 +26,12 @@ def make_cfg(**kw):
 
 def receiver_init(cache, cfg):
     """The receiver's prime at the start of `run_channel`."""
-    fill_set(cache, RECEIVER, cfg.target_set, cfg.geometry.associativity)
+    fill_set(cache, RECEIVER, TARGET_SET, cfg.geometry.associativity)
 
 
 def receiver_rsets(cfg):
     """The two replacement sets `run_channel` decodes with, alternately."""
-    return [build_replacement_set(RECEIVER, cfg.target_set, cfg.rset_size,
+    return [build_replacement_set(RECEIVER, TARGET_SET, cfg.rset_size,
                                   derive_seed(cfg.seed, "chase", p),
                                   tag_base=RSET_TAG_BASES[p])
             for p in (0, 1)]
@@ -148,8 +148,6 @@ def test_config_validation():
         with pytest.raises(ValueError, match="rset_size"):
             make_cfg(rset_size=rset_size)
     assert make_cfg(rset_size=8).rset_size == 8
-    with pytest.raises(ValueError, match="target_set outside geometry"):
-        make_cfg(target_set=64)
     with pytest.raises(ValueError, match="slip must be >= 0"):
         make_cfg(slip=-1)
     with pytest.raises(ValueError, match="unknown replacement policy 'mru'"):
@@ -165,14 +163,12 @@ def test_config_checks_itself_when_built_or_replaced():
         dataclasses.replace(valid, t_s=1)
     with pytest.raises(ValueError, match="^message must be non-empty$"):
         ChannelConfig(message="")
-    with pytest.raises(ValueError, match="target_set outside geometry"):
-        dataclasses.replace(valid, target_set=-1)
     with pytest.raises(TypeError):
         ChannelConfig()  # a message has no default that could pass
 
 
 @pytest.mark.parametrize("value", [2.5, 10.0, True])
-@pytest.mark.parametrize("name", ["t_s", "target_set", "rset_size", "slip", "seed"])
+@pytest.mark.parametrize("name", ["t_s", "rset_size", "slip", "seed"])
 def test_config_rejects_a_non_int_field(name, value):
     # Seeds are hashed as text, so an unchecked seed=1.0 or True made a config
     # equal to seed=1's whose random-policy run differed from it.
@@ -207,7 +203,7 @@ def test_config_fields():
     # its middle, and rates use the package's one clock frequency.
     # `message` comes first, with no default: an empty one is never valid.
     assert [f.name for f in dataclasses.fields(ChannelConfig)] == [
-        "message", "encoding", "t_s", "target_set", "rset_size", "noise",
+        "message", "encoding", "t_s", "rset_size", "noise",
         "seed", "slip", "geometry", "policy", "latency"]
 
 
@@ -219,7 +215,7 @@ def test_sender_encode_binary_one_dirty_line():
     receiver_init(cache, cfg)
     level, cost = sender_encode(cache, cfg, "1")
     assert (level, cost) == (1, 11)  # one clean receiver line evicted
-    assert cache.dirty_count(cfg.target_set) == 1
+    assert cache.dirty_count(TARGET_SET) == 1
     assert cache.counters["sender"]["stores"] == 1
 
 
@@ -238,19 +234,19 @@ def test_sender_encode_multibit_installs_level():
     receiver_init(cache, cfg)
     level, _ = sender_encode(cache, cfg, "10")
     assert level == 5
-    assert cache.dirty_count(cfg.target_set) == 5
+    assert cache.dirty_count(TARGET_SET) == 5
 
 
 def test_receiver_init_fills_clean():
     cfg = make_cfg()
     cache = Cache(cfg.geometry)
     receiver_init(cache, cfg)
-    snapshot = cache.snapshot_set(cfg.target_set)
+    snapshot = cache.snapshot_set(TARGET_SET)
     assert sum(s.valid for s in snapshot) == 8
-    assert cache.dirty_count(cfg.target_set) == 0
+    assert cache.dirty_count(TARGET_SET) == 0
     occupancy = [s.tag for s in snapshot]
     receiver_init(cache, cfg)
-    assert [s.tag for s in cache.snapshot_set(cfg.target_set)] == occupancy
+    assert [s.tag for s in cache.snapshot_set(TARGET_SET)] == occupancy
 
 
 def test_receiver_init_clears_sender_dirty_line():
@@ -258,9 +254,9 @@ def test_receiver_init_clears_sender_dirty_line():
     cache = Cache(cfg.geometry)
     receiver_init(cache, cfg)
     sender_encode(cache, cfg, "1")
-    assert cache.dirty_count(cfg.target_set) == 1
+    assert cache.dirty_count(TARGET_SET) == 1
     receiver_init(cache, cfg)  # 8 fresh lines push out all prior residents
-    assert cache.dirty_count(cfg.target_set) == 0
+    assert cache.dirty_count(TARGET_SET) == 0
 
 
 def test_receiver_decode_maps_latency_to_bits():
@@ -372,6 +368,24 @@ def test_run_channel_rejects_thresholds_of_the_wrong_cut_count(monkeypatch, enco
     assert built == []
 
 
+# -- schedule ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("t_s,noise_at,decode_at", [
+    (3, 1, 1), (5, 1, 2), (7, 1, 3), (1001, 250, 500), (1601, 400, 800)])
+@pytest.mark.parametrize("encoding", [BinaryEncoding(), MultiBitEncoding()])
+def test_schedule_cycles_at_odd_periods(encoding, t_s, noise_at, decode_at):
+    # Symbol i encodes at i * t_s, meets noise `noise_at` cycles later and
+    # decodes `decode_at` cycles later; an odd period shifts none of them.
+    cfg = make_cfg(encoding=encoding, t_s=t_s, noise=NoiseConfig(rate=1.0, kind_mix=0.5))
+    n_symbols = (len(PREAMBLE) + len(cfg.message)) // encoding.bits_per_symbol
+    expected = sorted(event for i in range(n_symbols) for event in (
+        (i * t_s, 0, i), (i * t_s + noise_at, 1, i), (i * t_s + decode_at, 2, i)))
+    events = schedule(cfg)
+    assert [event[:3] for event in events] == expected
+    actions = {prio: {event[3] for event in events if event[1] == prio} for prio in (0, 1, 2)}
+    assert actions == {0: {"encode"}, 1: {"noise-read", "noise-write"}, 2: {"decode"}}
+
+
 # -- end-to-end -------------------------------------------------------------------
 
 @pytest.mark.parametrize("encoding", [BinaryEncoding(1), BinaryEncoding(8),
@@ -463,15 +477,6 @@ def test_gadgets_recover_secret(variant, scenario, secret):
     assert result.inferred == secret
 
 
-def test_gadget_same_set_allowed_only_for_scenario_one():
-    result = run_gadget_attack("a", "set-state-dirty", 0, line0_set=4, line1_set=4)
-    assert result.inferred == 0
-    for scenario in ("prime-with-dirty", "victim-timing"):
-        variant = "b" if scenario == "prime-with-dirty" else "a"
-        with pytest.raises(ValueError):
-            run_gadget_attack(variant, scenario, 1, line0_set=4, line1_set=4)
-
-
 def test_gadget_pairing_rules():
     with pytest.raises(ValueError):
         run_gadget_attack("b", "set-state-dirty", 1)
@@ -483,8 +488,6 @@ def test_gadget_pairing_rules():
         run_gadget_attack("a", "bogus", 1)
     with pytest.raises(ValueError, match="secret must be 0 or 1"):
         run_gadget_attack("a", "set-state-dirty", 2)
-    with pytest.raises(ValueError, match="set index 64 outside geometry"):
-        run_gadget_attack("a", "set-state-dirty", 1, line0_set=64)
 
 
 def test_gadget_accepts_numeric_scenario_aliases():

@@ -114,13 +114,6 @@ def test_gadget_json(tmp_path):
     assert payload["inferred"] == payload["secret"] == 1
 
 
-def test_gadget_same_set_rejected_with_exit_2(capsys):
-    code = run_cli("gadget", "--variant", "b", "--scenario", "2", "--secret", "1",
-                   "--line0-set", "3", "--line1-set", "3")
-    assert code == 2
-    assert "different cache sets" in capsys.readouterr().err
-
-
 def test_missing_seed_is_config_error(capsys, monkeypatch):
     monkeypatch.delenv("DIRTYSIM_SEED", raising=False)
     assert run_cli("evict-prob", "--policy", "lru", "--n", "8", "--trials", "10") == 2
@@ -313,12 +306,12 @@ def exit_code(*argv):
     (("run-channel", "--message-bits", "16"), '{"defense": ""}'),
     (("gadget",), "scenario =\n"),
     (("run-channel", "--message-bits", "16"), "noise_rate =\n"),
-    (("latency-cdf", "--d-values", "0", "--trials", "1"), "target_set = 2.9\n"),
+    (("latency-cdf", "--d-values", "0", "--trials", "1"), "rset_size = 2.9\n"),
     (("evict-prob", "--n", "8"), "trials = true\n"),
     (("evict-prob", "--trials", "10"), '{"n": [8.7, 9]}'),
     (("latency-cdf", "--trials", "1"), '{"d_values": [true, 8]}'),
 ], ids=["empty-policy", "empty-defense", "empty-scenario", "empty-noise-rate",
-        "fractional-target-set", "boolean-trials", "fractional-list-item",
+        "fractional-rset-size", "boolean-trials", "fractional-list-item",
         "boolean-list-item"])
 def test_config_value_is_read_as_its_flag(argv, text, tmp_path, capsys):
     # Each value exits 2 as a flag, so a config file must not replace it with
@@ -431,15 +424,22 @@ def test_command_is_looked_up_by_name_on_each_call(monkeypatch):
     ("evict-prob", "--n", "8", "--trials", "10", "--out", "{missing}/evict.csv"),
     ("run-channel", "--message-bits", "16", "--trace", "{dir}"),
     ("run-channel", "--message-bits", "16", "--trace", "{missing}/trace.csv"),
+    ("run-channel", "--message-bits", "16", "--trace", "{dir}/trace.csv",
+     "--out", "{missing}/report.json"),
+    ("run-channel", "--message-bits", "16", "--trace", "{missing}/trace.csv",
+     "--out", "{dir}/report.json"),
 ], ids=["missing-config", "directory-config", "directory-out", "missing-dir-out",
-        "directory-trace", "missing-dir-trace"])
+        "directory-trace", "missing-dir-trace", "missing-dir-out-with-trace",
+        "missing-dir-trace-with-out"])
 def test_os_error_is_config_error(argv, tmp_path, capsys):
     # A path that cannot be read or written exits 2 with one line and no
-    # traceback; a bad --trace leaves stdout empty, as the report is not printed.
+    # traceback.  It leaves stdout empty and writes no file: run-channel
+    # checks both of its paths before it writes either.
     argv = [arg.format(missing=tmp_path / "missing", dir=tmp_path) for arg in argv]
     assert run_cli(*argv, "--seed", "1") == 2
     err = config_error(capsys)
     assert len(err.splitlines()) == 1 and str(tmp_path) in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("text,flags", [

@@ -3,12 +3,13 @@
 `benchmarks/reference/dirtysim` is the package's source at the commit the
 benchmark froze, which `benchmarks/run.py` times the program against.  Both
 `cli.main`s run here in one process on argv that hypothesis draws for every
-subcommand, at small sizes, some of it moved into a config file.  The seed
-is given as --seed, or now and then through DIRTYSIM_SEED or the config
-file, which both programs read alike.  They must agree on the exit code,
-standard output and the bytes of every file written through --out and
---trace.  Standard error is not compared: its messages were reworded on
-purpose.
+subcommand, at small sizes, some of it moved into a config file, flat or
+JSON.  The seed is given as --seed, or now and then through DIRTYSIM_SEED or
+the config file, which both programs read alike.  Now and then an --out or
+--trace path lies under a directory that does not exist.  They must agree
+on the exit code, standard output and the bytes of every file written
+through --out and --trace.  Standard error is not compared: its messages
+were reworded on purpose.
 
 Some inputs the program rejects on purpose where the reference runs, or
 fails another way.  `INTENDED` lists them: each entry is a predicate on the
@@ -28,6 +29,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import json
 import os
 import shutil
 import sys
@@ -79,6 +81,8 @@ class Case(NamedTuple):
     outputs: tuple  # the file options the run writes: "out", "trace"
     seed: int
     seed_from: str = "flag"  # "flag", "env" (DIRTYSIM_SEED) or "config"
+    json_config: bool = False  # the config file as JSON, not flat lines
+    missing: tuple = ()  # the file options whose path lies under a missing directory
 
     def options(self):
         """Each option's text as the run sees it: flags win over the file."""
@@ -98,11 +102,25 @@ class Case(NamedTuple):
             argv += [f"--{key}", text]
         if config:
             path = workdir / "run.cfg"
-            path.write_text("".join(f"{key} = {text}\n" for key, text in config))
+            if self.json_config:
+                # Each value as its flat line reads it: JSON where the text
+                # parses, and text (a list's commas too) where it does not.
+                path.write_text(json.dumps({key.replace("-", "_"): json_value(text)
+                                            for key, text in config}))
+            else:
+                path.write_text("".join(f"{key} = {text}\n" for key, text in config))
             argv += ["--config", str(path)]
         for key in self.outputs:
-            argv += [f"--{key}", str(workdir / key)]
+            folder = workdir / "missing" if key in self.missing else workdir
+            argv += [f"--{key}", str(folder / key)]
         return argv
+
+
+def json_value(text):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
 
 
 # Each predicate reads option text as drawn, since a config value may be odd.
@@ -148,6 +166,19 @@ def other_encodings_option(case):
     return ("levels" in opts and not multibit) or ("d-one" in opts and multibit)
 
 
+def cache_set_option(case):
+    return "target-set" in case.options()
+
+
+def gadget_line_set(case):
+    opts = case.options()
+    return case.command == "gadget" and ("line0-set" in opts or "line1-set" in opts)
+
+
+def output_under_missing_dir(case):
+    return bool(case.missing)
+
+
 INTENDED = {  # why the program exits 2 where the reference does not
     "55c803a: sweep checks its template before calibrating": invalid_sweep_template,
     "11d09bf: latency-cdf rejects rset_size below the associativity": rset_below_ways,
@@ -158,6 +189,12 @@ INTENDED = {  # why the program exits 2 where the reference does not
     "after 3366322: sweep checks every period before it calibrates": period_below_two,
     "after 3366322: a config file may not name another config file": nested_config,
     "after ae63c71: sweep takes no --period, which changed no output": sweep_period,
+    "after 3366322: an --out or --trace path that cannot be written is a config error":
+        output_under_missing_dir,
+    "after 62546ac: no option names the channel's cache set, which changed no output":
+        cache_set_option,
+    "after 62546ac: the gadget places its own lines, so no option names their sets":
+        gadget_line_set,
 }
 
 
@@ -208,7 +245,7 @@ POLICY = option("policy", st.sampled_from(POLICIES))
 CACHE_OPTIONS = (
     POLICY,
     option("jitter", st.integers(0, 3)),
-    option("target-set", st.integers(0, 63)),
+    rarely(st.just([]), required("target-set", st.integers(0, 63))),
 )
 CHANNEL_OPTIONS = (
     *CACHE_OPTIONS,
@@ -242,8 +279,8 @@ COMMANDS = {  # command -> (option strategies, file options it may write)
                 option("scenario", st.sampled_from(
                     ("set-state-dirty", "prime-with-dirty", "victim-timing", "1", "2", "3"))),
                 option("secret", st.sampled_from((0, 1))),
-                option("line0-set", st.integers(0, 63)),
-                option("line1-set", st.integers(0, 63))), ("out",)),
+                rarely(st.just([]), required("line0-set", st.integers(0, 63))),
+                rarely(st.just([]), required("line1-set", st.integers(0, 63)))), ("out",)),
 }
 
 
@@ -260,12 +297,15 @@ def cases(draw):
         config[0] = (config[0][0], draw(st.sampled_from(ODD_VALUES)))
     if draw(SELDOM):
         config.append(("config", "nested.cfg"))
+    outputs = tuple(key for key in files if draw(st.booleans()))
     return Case(command,
                 tuple(pair for pair, moved in zip(pairs, in_file) if not moved),
                 tuple(config),
-                tuple(key for key in files if draw(st.booleans())),
+                outputs,
                 draw(st.integers(0, 2**16)),
-                draw(st.one_of(st.just("flag"), st.sampled_from(("env", "config")))))
+                draw(st.one_of(st.just("flag"), st.sampled_from(("env", "config")))),
+                draw(st.booleans()),
+                tuple(key for key in outputs if draw(SELDOM)))
 
 
 # -- running -----------------------------------------------------------------
@@ -340,6 +380,13 @@ def test_loading_the_reference_writes_no_bytecode(tmp_path):
     (Case("sweep", (("message-bits", "16"), ("trials", "1"), ("periods", "1600"),
                     ("period", "5500")), (), (), 1),
      "after ae63c71: sweep takes no --period, which changed no output"),
+    (Case("run-channel", (("message-bits", "16"),), (), ("out", "trace"), 1, missing=("out",)),
+     "after 3366322: an --out or --trace path that cannot be written is a config error"),
+    (Case("latency-cdf", (("d-values", "0,8"), ("trials", "1")), (("target-set", "7"),),
+          ("out",), 1, json_config=True),
+     "after 62546ac: no option names the channel's cache set, which changed no output"),
+    (Case("gadget", (("scenario", "2"), ("variant", "b"), ("line0-set", "5")), (), ("out",), 1),
+     "after 62546ac: the gadget places its own lines, so no option names their sets"),
 ])
 def test_listed_differences_are_real(case, reason):
     # Each of these exits 2 here and not in the reference, for the listed reason.

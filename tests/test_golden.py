@@ -50,7 +50,7 @@ CASES = {
     "evict-prob-random": ("evict-prob", "--policy", "random", "--n", "8,10", "--trials", "200"),
     "latency-cdf-jitter": ("latency-cdf", "--d-values", "0,3,8", "--trials", "5", "--jitter", "2"),
     "latency-cdf-tree-plru": ("latency-cdf", "--d-values", "1,5", "--trials", "4",
-                              "--policy", "tree-plru", "--target-set", "7"),
+                              "--policy", "tree-plru"),
     "latency-cdf-random": ("latency-cdf", "--d-values", "2,6", "--trials", "6",
                            "--policy", "random", "--rset-size", "12"),
     "run-channel-multibit": ("run-channel", "--message-bits", "64", "--encoding", "multibit"),

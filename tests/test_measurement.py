@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from dirtysim import measurement
 from dirtysim.cache import Cache, CacheGeometry, LatencyModel, make_line
 from dirtysim.channel import ChannelConfig
-from dirtysim.measurement import (RECEIVER, RSET_TAG_BASES, build_replacement_set,
-                                  fill_set, latency_cdf, measure_replacement_latency,
-                                  prime_dirty_probe, probe_totals)
+from dirtysim.measurement import (RECEIVER, RSET_TAG_BASES, TARGET_SET,
+                                  build_replacement_set, fill_set, latency_cdf,
+                                  measure_replacement_latency, prime_dirty_probe,
+                                  probe_totals)
 from dirtysim.policy import POLICIES
 from dirtysim.seeding import derive_seed
 
@@ -155,11 +156,10 @@ def test_chase_order_does_not_change_total(data, geo, policy, jitter, cache_seed
        policy=st.sampled_from(sorted(POLICIES)),
        jitter=st.sampled_from([0, 3]),
        parts=st.lists(st.one_of(st.integers(), st.text(max_size=4)), max_size=3),
-       target_set=st.integers(0, GEO.num_sets - 1),
        rset_size=st.integers(GEO.associativity, 16),
        trials=st.integers(1, 6))
 def test_probe_totals_equals_one_fresh_cache_per_trial(data, policy, jitter, parts,
-                                                       target_set, rset_size, trials):
+                                                       rset_size, trials):
     # Simulating a cache that draws nothing once per level must give exactly
     # the totals of the straight per-trial loop, and a cache that draws must
     # still run every trial on its own seed.
@@ -167,7 +167,7 @@ def test_probe_totals_equals_one_fresh_cache_per_trial(data, policy, jitter, par
     levels = data.draw(st.lists(st.integers(0, ways), min_size=1, max_size=3),
                        label="levels")
     lat = LatencyModel(jitter=jitter)
-    rset = build_replacement_set(RECEIVER, target_set, rset_size,
+    rset = build_replacement_set(RECEIVER, TARGET_SET, rset_size,
                                  tag_base=RSET_TAG_BASES[0])
     expected = [(d, [prime_dirty_probe(Cache(GEO, policy, lat,
                                              seed=derive_seed(*parts, d, t)),
@@ -175,7 +175,7 @@ def test_probe_totals_equals_one_fresh_cache_per_trial(data, policy, jitter, par
                      for t in range(trials)])
                 for d in levels]
     assert probe_totals(levels, trials, parts, geometry=GEO, policy=policy, latency=lat,
-                        target_set=target_set, rset_size=rset_size) == expected
+                        rset_size=rset_size) == expected
 
 
 @pytest.mark.parametrize("policy, jitter, per_level", [
@@ -198,8 +198,7 @@ def test_probe_totals_simulates_a_level_once_only_when_nothing_draws(
     monkeypatch.setattr(measurement, "derive_seed", counting_seed)
     levels = [0, 3, 8]
     table = probe_totals(levels, 5, (1, "x"), geometry=GEO, policy=policy,
-                         latency=LatencyModel(jitter=jitter), target_set=0,
-                         rset_size=10)
+                         latency=LatencyModel(jitter=jitter), rset_size=10)
     assert [len(totals) for _, totals in table] == [5] * len(levels)
     assert len(built) == per_level * len(levels)
     # One more seed orders the chase of the one replacement set.
@@ -217,16 +216,15 @@ def test_latency_cdf_point_masses_without_jitter():
 @pytest.mark.parametrize("policy", ["lru", "tree-plru"])
 def test_latency_cdf_is_a_point_mass_for_deterministic_policies(policy, rset_size):
     # Under lru and tree-plru every replacement line misses and the probe
-    # writes back each of the d dirty lines exactly once, whatever the seed
-    # or the target set.
+    # writes back each of the d dirty lines exactly once, whatever the seed.
     lat = LatencyModel()
-    for seed, target_set in [(0, 0), (1, 17), (2024, 63), (-7, 40)]:
+    for seed in (0, 1, 2024, -7):
         table = latency_cdf(range(9), trials=3, seed=seed, policy=policy,
-                            target_set=target_set, rset_size=rset_size)
+                            rset_size=rset_size)
         assert [d for d, _ in table] == list(range(9))
         for d, samples in table:
             total = rset_size * lat.miss_clean + d * (lat.miss_dirty - lat.miss_clean)
-            assert samples == [total] * 3, (seed, target_set, d)
+            assert samples == [total] * 3, (seed, d)
 
 
 def test_latency_cdf_band_separation_arithmetic():
@@ -266,10 +264,6 @@ def test_latency_cdf_fails_before_simulating(monkeypatch):
     monkeypatch.setattr(measurement, "Cache", counting_cache)
     with pytest.raises(ValueError, match="d=9 outside 0..8"):
         latency_cdf([0, 9], trials=1, seed=0)
-    # Only the cache that accesses a line checks its set, so probe_totals
-    # checks the target set itself.
-    with pytest.raises(ValueError, match="target_set 64 outside 0..63"):
-        latency_cdf([0], 1, 0, target_set=64)
     assert built == []
 
 

@@ -5,8 +5,6 @@ twice with one input changed, and compares what the two reports hold: the
 raw decoded stream, the BER, the per-actor counters and the cycle total
 (the message-prefix relation reads the raw decoded stream only).
 
-- Target-set relabelling: the target set is a label.  Set 0 and set 17
-  give the same report.
 - Latency scaling: with no jitter, doubling the hit, clean-miss and
   dirty-miss costs doubles the cycle total and changes nothing else;
   calibration's cuts double with the totals they split.
@@ -91,13 +89,6 @@ def report_of(cfg):
     except CalibrationError:
         return CalibrationError
     return report.raw_received_bits, report.ber, report.counters, report.cycles
-
-
-@DRAWS
-@given(cfg=configs())
-@example(cfg=NOISY)
-def test_the_target_set_is_a_label(cfg):
-    assert report_of(dataclasses.replace(cfg, target_set=17)) == report_of(cfg)
 
 
 @DRAWS

@@ -50,7 +50,7 @@ def test_lru_metadata_is_the_recency_order():
 def test_lru_randomized_metadata_is_a_random_touch_order():
     pol = TrueLRU(8)
     for seed in range(20):
-        meta = pol.randomize_meta(pol.new_set_meta(), random.Random(seed))
+        meta = pol.randomize_meta(random.Random(seed))
         touched = pol.new_set_meta()
         for w in random.Random(seed).sample(range(8), 8):
             touched = pol.on_access(touched, w)
@@ -78,7 +78,7 @@ def test_tree_plru_metadata_is_w_minus_1_bits():
             reached |= meta
         assert reached == full
         rng = random.Random(ways)
-        assert all(0 <= pol.randomize_meta(0, rng) <= full for _ in range(50))
+        assert all(0 <= pol.randomize_meta(rng) <= full for _ in range(50))
     with pytest.raises(ValueError):
         TreePLRU(6)
 
@@ -199,7 +199,7 @@ def test_random_policy_is_reproducible_and_stateless():
     meta = a.new_set_meta()
     assert meta is None
     assert a.on_access(meta, 3) is None
-    assert a.randomize_meta(meta, random.Random(1)) is None
+    assert a.randomize_meta(random.Random(1)) is None
 
 
 def test_random_policy_uniform_within_3_sigma():
