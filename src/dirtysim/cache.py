@@ -212,12 +212,6 @@ class Cache:
 
     # -- accesses -----------------------------------------------------------
 
-    def read(self, line: LineRef) -> AccessOutcome:
-        return self.access(line, False)
-
-    def write(self, line: LineRef) -> AccessOutcome:
-        return self.access(line, True)
-
     def access(self, line: LineRef, is_write: bool) -> AccessOutcome:
         return self.access_run((line,), is_write)[2]
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-import json
 import math
 import random
 import statistics
@@ -181,8 +180,13 @@ class ChannelConfig:
             raise ValueError("encoding level exceeds associativity")
         if self.slip < 0:
             raise ValueError("slip must be >= 0")
-        if self.noise.rate > 0 and self.geometry.partition is not None:
-            raise ValueError("noise actor has no way partition; disable noise or partitioning")
+        partition = self.geometry.partition
+        if partition is not None:
+            actors = (SENDER, RECEIVER, NOISE) if self.noise.rate > 0 else (SENDER, RECEIVER)
+            for actor in actors:
+                if actor not in partition:
+                    raise ValueError(f"{actor} actor has no way partition; "
+                                     "give it ways or disable partitioning")
 
 
 # -- thresholds --------------------------------------------------------------
@@ -294,13 +298,6 @@ class ChannelReport:
         """(cycle, total_cycles, decoded bits) of each decode, from `events`."""
         return [(ev.cycle, ev.latency, ev.decoded_bits)
                 for ev in self.events if ev.action == "decode"]
-
-    def to_json(self) -> str:
-        """Every field but `events`, plus `latency_trace`, as sorted-key JSON."""
-        out = {f.name: getattr(self, f.name)
-               for f in dataclasses.fields(self) if f.name != "events"}
-        out["latency_trace"] = self.latency_trace
-        return json.dumps(out, indent=2, sort_keys=True) + "\n"
 
 
 def schedule(cfg: ChannelConfig) -> list:
@@ -464,10 +461,9 @@ def run_gadget_attack(variant: str, scenario: str, secret: int) -> GadgetResult:
     line0 = make_line("victim", TARGET_SET, 0)
     line1 = make_line("victim", line1_set, 1)
 
-    def victim_call():
-        if secret:
-            return cache.write(line0) if variant == "a" else cache.read(line0)
-        return cache.read(line1)
+    # The victim's one access: with secret 1, variant a stores to line 0 and
+    # variant b loads it; with secret 0, either loads line 1.
+    victim = (line0, variant == "a") if secret else (line1, False)
 
     if scenario != "victim-timing":
         # Prime clean (set-state-dirty) or dirty (prime-with-dirty), let the
@@ -476,7 +472,7 @@ def run_gadget_attack(variant: str, scenario: str, secret: int) -> GadgetResult:
         # displaces one of W (levels W-1 and W).
         dirty = scenario == "prime-with-dirty"
         fill_set(cache, "attacker", TARGET_SET, ways, write=dirty)
-        victim_call()
+        cache.access(*victim)
         rset = build_replacement_set("attacker", TARGET_SET, DEFAULT_RSET_SIZE,
                                      tag_base=RSET_TAG_BASES[0])
         total = measure_replacement_latency(cache, rset).total_cycles
@@ -489,7 +485,7 @@ def run_gadget_attack(variant: str, scenario: str, secret: int) -> GadgetResult:
     else:
         fill_set(cache, "attacker", TARGET_SET, ways, write=True)
         fill_set(cache, "attacker", line1_set, ways)
-        victim_time = victim_call().latency
+        victim_time = cache.access(*victim).latency
         cut = (lat.miss_dirty + lat.miss_clean) / 2
         inferred = int(victim_time > cut)
         latencies = {"victim_call_cycles": victim_time, "threshold": cut,

@@ -1,16 +1,19 @@
 """Experiment runner: every capability behind a reproducible subcommand.
 
 Each command takes an explicit seed (flag, config file, or DIRTYSIM_SEED) and
-emits CSV or JSON whose bytes depend only on the configuration; `gadget` is
-deterministic and ignores the seed.  A config file stands for flags placed
-before the command line's, which win: a key `k` with value `v` is read as
-`--k=v`, a JSON list as its comma-joined text, and a JSON null is skipped.  It
-may set only options of its command other than --config, and each value
-meets its flag's type and choices exactly as on the command line.  A config
-file that cannot be read, or an --out or --trace path that cannot be written,
-is a configuration error, and run-channel then writes neither.  No option
-names a cache set: every set is alike, so the channel, its calibration and
-latency-cdf use `measurement.TARGET_SET`, and the gadget places its lines.
+returns its CSV or JSON texts, whose bytes depend only on the configuration;
+`gadget` is deterministic and ignores the seed.  `main` writes the texts,
+checking every path after the first before any write (the first write checks
+its own), so no command leaves part of its output behind.  A config file
+stands for flags placed before the command line's, which win: a key `k` with
+value `v` is read as `--k=v`, a JSON list as its comma-joined text, and a
+JSON null is skipped.  It may set only options of its command other than
+--config, and each value meets its flag's type and choices exactly as on the
+command line.  A config file that cannot be read, or an output path that
+cannot be written, is a configuration error.  A run-channel whose probes hit
+resident lines says so on stderr.  No option names a cache set: every set is
+alike, so the channel, its calibration and latency-cdf use
+`measurement.TARGET_SET`, and the gadget places its lines.
 Exit codes: 0 success, 2 configuration error, 3 threshold calibration failure.
 """
 
@@ -86,6 +89,15 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
+def _csv(header, rows):
+    """A table: the header line, then each of `rows`, a line already joined."""
+    return "\n".join((header, *rows)) + "\n"
+
+
+def _json(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def _encoding(args):
     if args.encoding == "multibit":
         if args.d_one is not None:
@@ -134,11 +146,9 @@ def cmd_evict_prob(args):
     ns = _int_list(args.n, "n", low=1)
     curve = policy.eviction_distance_experiment(args.policy, max(ns), args.trials,
                                                 seed).evicted_within
-    lines = ["policy,N,trials,fraction"]
-    for n in ns:
-        lines.append(f"{args.policy},{n},{args.trials},{curve[n - 1]:.4f}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return {args.out: _csv("policy,N,trials,fraction",
+                           (f"{args.policy},{n},{args.trials},{curve[n - 1]:.4f}"
+                            for n in ns))}
 
 
 def cmd_dirty_evict(args):
@@ -146,13 +156,10 @@ def cmd_dirty_evict(args):
     ds = _int_list(args.d, "d")
     ls = _int_list(args.l, "l", low=1)
     curves = policy.dirty_eviction_experiment(ds, max(ls), args.trials, seed).curves
-    lines = ["d,L,trials,mc_fraction,analytic_p"]
-    for d in sorted(ds):
-        for l in sorted(ls):
-            analytic = policy.analytic_dirty_eviction_probability(WAYS, d, l)
-            lines.append(f"{d},{l},{args.trials},{curves[d][l - 1]:.4f},{analytic:.4f}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return {args.out: _csv("d,L,trials,mc_fraction,analytic_p", (
+        f"{d},{l},{args.trials},{curves[d][l - 1]:.4f},"
+        f"{policy.analytic_dirty_eviction_probability(WAYS, d, l):.4f}"
+        for d in sorted(ds) for l in sorted(ls)))}
 
 
 def cmd_latency_cdf(args):
@@ -160,47 +167,47 @@ def cmd_latency_cdf(args):
     table = measurement.latency_cdf(
         _int_list(args.d_values, "d-values"), args.trials, seed, policy=args.policy,
         latency=LatencyModel(jitter=args.jitter), rset_size=args.rset_size)
-    lines = ["d,trial,total_cycles"]
-    for d, samples in table:
-        for trial, total in enumerate(samples):
-            lines.append(f"{d},{trial},{total}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return {args.out: _csv("d,trial,total_cycles",
+                           (f"{d},{trial},{total}" for d, samples in table
+                            for trial, total in enumerate(samples)))}
 
 
 def cmd_run_channel(args):
     seed = _require_seed(args)
     cfg = _channel_config(args, seed, t_s=args.period)
     report = channel.run_channel(cfg)
-    # Both paths first, so one that cannot be written leaves no output behind.
-    _check_writable(args.trace, args.out)
+    latency_trace = report.latency_trace
+    # The receiver's accesses are the prime, all fills, and the probes, so
+    # any hit is a probe that found its line resident.
+    hits = report.counters[measurement.RECEIVER]["l1_hits"]
+    if hits:
+        print(f"warning: {hits} probe accesses hit resident lines "
+              f"in {len(latency_trace)} decodes", file=sys.stderr)
+    outputs = {}
     if args.trace:
-        rows = ["cycle,actor,action,set,d,latency,decoded_bit,truth_bit"]
-        for ev in report.events:
-            rows.append(f"{ev.cycle},{ev.actor},{ev.action},{measurement.TARGET_SET},"
-                        f"{ev.d},{ev.latency},{ev.decoded_bits},{ev.truth_bits}")
-        _emit("\n".join(rows) + "\n", args.trace)
-    _emit(report.to_json(), args.out)
-    return 0
+        outputs[args.trace] = _csv(
+            "cycle,actor,action,set,d,latency,decoded_bit,truth_bit",
+            (f"{ev.cycle},{ev.actor},{ev.action},{measurement.TARGET_SET},"
+             f"{ev.d},{ev.latency},{ev.decoded_bits},{ev.truth_bits}"
+             for ev in report.events))
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
+              if f.name != "events"}
+    outputs[args.out] = _json({**fields, "latency_trace": latency_trace})
+    return outputs
 
 
 def cmd_sweep(args):
     seed = _require_seed(args)
     periods = _int_list(args.periods, "periods")
-    cfg = _channel_config(args, seed)
-    rows = analysis.sweep_ber_vs_rate(cfg, periods, args.trials)
-    lines = ["period_cycles,rate_kbps,encoding,d,trials,mean_ber"]
-    for row in rows:
-        lines.append(f"{row.period_cycles},{row.rate_kbps:.3f},{row.encoding},"
-                     f"{row.d_label},{row.trials},{row.mean_ber:.4f}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    rows = analysis.sweep_ber_vs_rate(_channel_config(args, seed), periods, args.trials)
+    return {args.out: _csv("period_cycles,rate_kbps,encoding,d,trials,mean_ber", (
+        f"{row.period_cycles},{row.rate_kbps:.3f},{row.encoding},"
+        f"{row.d_label},{row.trials},{row.mean_ber:.4f}" for row in rows))}
 
 
 def cmd_gadget(args):
     result = channel.run_gadget_attack(args.variant, args.scenario, args.secret)
-    _emit(json.dumps(dataclasses.asdict(result), indent=2, sort_keys=True) + "\n", args.out)
-    return 0
+    return {args.out: _json(dataclasses.asdict(result))}
 
 
 # -- parser ------------------------------------------------------------------
@@ -298,7 +305,13 @@ def main(argv=None) -> int:
             # The file's flags go first, so the command line's win.
             args = build_parser().parse_args([argv[0], *flags, *argv[1:]])
         # Found by name on each call, so a wrapper set on this module is what runs.
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        outputs = globals()["cmd_" + args.command.replace("-", "_")](args)
+        # Every path but the first before any write, so one that cannot be
+        # written leaves no output behind; the first write checks its own.
+        _check_writable(*list(outputs)[1:])
+        for path, text in outputs.items():
+            _emit(text, path)
+        return 0
     except channel.CalibrationError as exc:
         print(f"calibration failure: {exc}", file=sys.stderr)
         return 3

@@ -99,9 +99,9 @@ def test_criterion_05_latency_arithmetic():
     for d in range(9):
         cache = Cache()
         for i in range(8):
-            cache.read(make_line("receiver", 0, i))
+            cache.access(make_line("receiver", 0, i), False)
         for j in range(d):
-            cache.write(make_line("sender", 0, j))
+            cache.access(make_line("sender", 0, j), True)
         rset = build_replacement_set("receiver", 0, 10, seed=d, tag_base=1000)
         totals.append(measure_replacement_latency(cache, rset).total_cycles)
     assert totals == [110 + 11 * d for d in range(9)]

@@ -55,7 +55,7 @@ def test_make_line_rejects_negative_tag():
 def test_untouched_sets_read_as_invalid_after_other_sets_fill():
     cache = Cache()
     for t in range(8):
-        cache.write(make_line("r", 6, t))
+        cache.access(make_line("r", 6, t), True)
     assert cache.dirty_count(6) == 8 and cache.dirty_count(7) == 0
     assert cache.snapshot_set(7) == Cache().snapshot_set(7)
     with pytest.raises(ValueError):
@@ -64,36 +64,36 @@ def test_untouched_sets_read_as_invalid_after_other_sets_fill():
 
 def test_distinct_actors_never_alias():
     cache = Cache()
-    cache.write(make_line("a", 0, 7))
-    out = cache.read(make_line("b", 0, 7))
+    cache.access(make_line("a", 0, 7), True)
+    out = cache.access(make_line("b", 0, 7), False)
     assert out.kind is not OutcomeKind.HIT
 
 
 def test_write_hit_sets_dirty():
     cache = Cache()
     line = make_line("a", 3, 1)
-    cache.read(line)
-    out = cache.write(line)
+    cache.access(line, False)
+    out = cache.access(line, True)
     assert out.kind is OutcomeKind.HIT
     assert cache.dirty_count(3) == 1
 
 
 def test_invalid_ways_fill_first_lowest_index():
     cache = Cache()
-    first = cache.read(make_line("a", 0, 1))
+    first = cache.access(make_line("a", 0, 1), False)
     assert first.kind is OutcomeKind.MISS_FILL_INVALID
     assert first.victim_way == 0
     assert first.latency == 11  # no write-back, so same as a clean eviction
-    second = cache.read(make_line("a", 0, 2))
+    second = cache.access(make_line("a", 0, 2), False)
     assert second.victim_way == 1
 
 
 def test_dirty_victim_costs_writeback():
     cache = Cache()
-    cache.write(make_line("a", 0, 0))
+    cache.access(make_line("a", 0, 0), True)
     for t in range(1, 8):
-        cache.read(make_line("a", 0, t))
-    out = cache.read(make_line("a", 0, 100))  # LRU victim is the dirty line
+        cache.access(make_line("a", 0, t), False)
+    out = cache.access(make_line("a", 0, 100), False)  # LRU victim is the dirty line
     assert out.kind is OutcomeKind.MISS_EVICT_DIRTY
     assert out.victim_way == 0
     assert out.latency == 22
@@ -102,15 +102,15 @@ def test_dirty_victim_costs_writeback():
 def test_clean_victim_is_plain_refill():
     cache = Cache()
     for t in range(8):
-        cache.read(make_line("a", 0, t))
-    out = cache.read(make_line("a", 0, 100))
+        cache.access(make_line("a", 0, t), False)
+    out = cache.access(make_line("a", 0, 100), False)
     assert out.kind is OutcomeKind.MISS_EVICT_CLEAN
     assert out.latency == 11
 
 
 def test_write_through_store_miss_is_uncached():
     cache = Cache(CacheGeometry(write_policy=WT))
-    out = cache.write(make_line("a", 0, 1))
+    out = cache.access(make_line("a", 0, 1), True)
     assert out.kind is OutcomeKind.UNCACHED
     assert out.victim_way is None
     snapshot = cache.snapshot_set(0)
@@ -120,18 +120,18 @@ def test_write_through_store_miss_is_uncached():
 def test_write_through_never_dirties():
     cache = Cache(CacheGeometry(write_policy=WT))
     line = make_line("a", 0, 1)
-    cache.read(line)
-    cache.write(line)  # write hit: data goes through, line stays clean
+    cache.access(line, False)
+    cache.access(line, True)  # write hit: data goes through, line stays clean
     assert cache.dirty_count(0) == 0
     for t in range(2, 40):
-        cache.write(make_line("a", 0, t))
-        cache.read(make_line("a", 0, t))
+        cache.access(make_line("a", 0, t), True)
+        cache.access(make_line("a", 0, t), False)
     assert all(cache.dirty_count(s) == 0 for s in range(cache.geometry.num_sets))
 
 
 def test_write_through_read_fills_clean():
     cache = Cache(CacheGeometry(write_policy=WT))
-    out = cache.read(make_line("a", 2, 5))
+    out = cache.access(make_line("a", 2, 5), False)
     assert out.kind is OutcomeKind.MISS_FILL_INVALID
     state = cache.snapshot_set(2)[0]
     assert state.valid and not state.dirty
@@ -146,7 +146,7 @@ def test_snapshot_fresh_cache_all_invalid():
 
 def test_snapshot_after_one_write():
     cache = Cache()
-    cache.write(make_line("a", 4, 9))
+    cache.access(make_line("a", 4, 9), True)
     snapshot = cache.snapshot_set(4)
     dirty = [s for s in snapshot if s.dirty]
     assert len(dirty) == 1 and dirty[0].valid
@@ -155,7 +155,7 @@ def test_snapshot_after_one_write():
 def test_snapshot_after_receiver_style_init():
     cache = Cache()
     for t in range(8):
-        cache.read(make_line("r", 6, t))
+        cache.access(make_line("r", 6, t), False)
     snapshot = cache.snapshot_set(6)
     assert sum(s.valid for s in snapshot) == 8
     assert sum(s.dirty for s in snapshot) == 0
@@ -219,17 +219,17 @@ def test_a_run_that_raises_keeps_the_metadata_of_the_lines_before_it(policy, bad
 def test_partition_rejects_unlisted_actor():
     cache = Cache(CacheGeometry(partition={"a": {0, 1}}))
     with pytest.raises(ValueError):
-        cache.read(make_line("intruder", 0, 1))
+        cache.access(make_line("intruder", 0, 1), False)
 
 
 def test_partition_confines_each_actor():
     geo = CacheGeometry(partition={"a": {0, 1, 2, 3}, "b": {4, 5, 6, 7}})
     cache = Cache(geo)
     for t in range(16):
-        cache.write(make_line("b", 0, t))
+        cache.access(make_line("b", 0, t), True)
     b_ways = [cache.snapshot_set(0)[w] for w in range(4, 8)]
     for t in range(100, 130):
-        cache.write(make_line("a", 0, t))
+        cache.access(make_line("a", 0, t), True)
     assert [cache.snapshot_set(0)[w] for w in range(4, 8)] == b_ways
     assert all(not cache.snapshot_set(0)[w].valid or
                cache.snapshot_set(0)[w].tag[0] == "a" for w in range(0, 4))
@@ -238,7 +238,7 @@ def test_partition_confines_each_actor():
 def test_latency_model_jitter_bounds():
     cache = Cache(latency=LatencyModel(jitter=2), seed=3)
     for t in range(50):
-        out = cache.read(make_line("a", 0, t))
+        out = cache.access(make_line("a", 0, t), False)
         assert abs(out.latency - 11) <= 2
 
 

@@ -10,6 +10,7 @@ from dirtysim.channel import (PREAMBLE, BinaryEncoding, CalibrationError,
                               Thresholds, calibrate_thresholds,
                               receiver_decode, run_channel, run_gadget_attack,
                               schedule, sender_encode)
+from dirtysim.cli import main as cli_main
 from dirtysim.measurement import (RECEIVER, RSET_TAG_BASES, TARGET_SET,
                                   build_replacement_set, fill_set)
 from dirtysim.seeding import derive_seed, random_bits
@@ -152,6 +153,26 @@ def test_config_validation():
         make_cfg(slip=-1)
     with pytest.raises(ValueError, match="unknown replacement policy 'mru'"):
         ChannelConfig(policy="mru", message="1")
+
+
+@pytest.mark.parametrize("partition,rate,missing", [
+    ({"sender": range(4)}, 0.0, "receiver"),
+    ({"receiver": range(4)}, 0.0, "sender"),
+    ({"sender": range(4), "receiver": range(4, 8)}, 0.5, "noise"),
+])
+def test_config_rejects_a_partition_without_an_actor_of_the_run(partition, rate, missing):
+    # Unchecked, a run without the sender's or receiver's ways calibrated and
+    # then failed in `simulate`.
+    geometry = CacheGeometry(partition=partition)
+    with pytest.raises(ValueError, match=f"^{missing} actor has no way partition"):
+        make_cfg(geometry=geometry, noise=NoiseConfig(rate=rate))
+
+
+def test_config_accepts_a_partition_with_ways_for_noise():
+    # PARTITION itself shows that noise at rate 0 needs no ways.
+    three = CacheGeometry(partition={"sender": range(3), "receiver": range(3, 6),
+                                     "noise": range(6, 8)})
+    assert make_cfg(geometry=three, noise=NoiseConfig(rate=0.5)).geometry is three
 
 
 def test_config_checks_itself_when_built_or_replaced():
@@ -403,9 +424,15 @@ def test_noiseless_channel_under_tree_plru():
     assert run_channel(cfg).ber == 0.0
 
 
-def test_report_is_deterministic():
-    cfg = make_cfg(noise=NoiseConfig(rate=0.3, kind_mix=0.5), seed=5)
-    assert run_channel(cfg).to_json() == run_channel(cfg).to_json()
+def test_report_is_deterministic(capsys):
+    # The report's bytes are those the CLI writes.
+    argv = ["run-channel", "--message", random_bits(64, 77), "--noise-rate", "0.3",
+            "--noise-write-prob", "0.5", "--seed", "5"]
+    reports = []
+    for _ in range(2):
+        assert cli_main(argv) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 def test_report_rate_matches_formula():

@@ -138,6 +138,25 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     assert read(out_env) == read(out_flag)
 
 
+def test_resident_probe_hits_warn_on_stderr(capsys):
+    # Random replacement can keep a replacement-set line resident until its
+    # next probe; the run says so and its outputs stay as they are.
+    argv = ("run-channel", "--policy", "random", "--message-bits", "256", "--seed", "1")
+    assert run_cli(*argv) == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["counters"]["receiver"]["l1_hits"] == 241
+    assert report["preamble_locked"] and report["ber"] == 0.421875
+    assert captured.err == "warning: 241 probe accesses hit resident lines in 272 decodes\n"
+
+
+def test_lru_run_does_not_warn(capsys):
+    assert run_cli("run-channel", "--message-bits", "64", "--seed", "1") == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["counters"]["receiver"]["l1_hits"] == 0
+    assert captured.err == ""
+
+
 def test_calibration_failure_exit_3(capsys):
     assert run_cli("run-channel", "--seed", "1", "--message-bits", "16",
                    "--jitter", "6") == 3
@@ -408,13 +427,38 @@ def test_parser_is_built_once_and_never_changed(tmp_path):
     assert [build_parser().parse_args([command]) for command in COMMANDS] == before
 
 
-def test_command_is_looked_up_by_name_on_each_call(monkeypatch):
+def test_command_is_looked_up_by_name_on_each_call(monkeypatch, capsys):
     # The benchmark's tracer wraps the module's cmd_* functions in place, so
     # main must find the command there on every call, not hold it from the
-    # first build of the parser.
+    # first build of the parser.  main writes what the command returns.
     import dirtysim.cli as cli
-    monkeypatch.setattr(cli, "cmd_gadget", lambda args: 7)
-    assert run_cli("gadget") == 7
+    monkeypatch.setattr(cli, "cmd_gadget", lambda args: {None: "x"})
+    assert run_cli("gadget") == 0
+    assert capsys.readouterr().out == "x"
+
+
+@pytest.mark.parametrize("argv,checked", [
+    (("evict-prob", "--n", "8", "--trials", "10", "--out", "{dir}/evict.csv"), []),
+    (("dirty-evict", "--d", "2", "--l", "8", "--trials", "10"), []),
+    (("latency-cdf", "--d-values", "0", "--trials", "1", "--out", "{dir}/cdf.csv"), []),
+    (("run-channel", "--message-bits", "16", "--out", "{dir}/report.json"), []),
+    (("run-channel", "--message-bits", "16", "--trace", "{dir}/trace.csv"), [None]),
+    (("run-channel", "--message-bits", "16", "--trace", "{dir}/trace.csv",
+      "--out", "{dir}/report.json"), ["{dir}/report.json"]),
+    (("sweep", "--message-bits", "16", "--trials", "1", "--periods", "5500",
+      "--out", "{dir}/sweep.csv"), []),
+    (("gadget", "--out", "{dir}/gadget.json"), []),
+])
+def test_main_checks_every_path_after_the_first(argv, checked, monkeypatch, tmp_path, capsys):
+    # The first write checks its own path, so a command with one output makes
+    # no extra filesystem call; run-channel's report follows its trace.
+    import dirtysim.cli as cli
+    calls = []
+    monkeypatch.setattr(cli, "_check_writable", lambda *paths: calls.append(list(paths)))
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    assert run_cli(*argv, "--seed", "1") == 0
+    assert calls == [[path and path.format(dir=tmp_path) for path in checked]]
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -433,8 +477,8 @@ def test_command_is_looked_up_by_name_on_each_call(monkeypatch):
         "missing-dir-trace-with-out"])
 def test_os_error_is_config_error(argv, tmp_path, capsys):
     # A path that cannot be read or written exits 2 with one line and no
-    # traceback.  It leaves stdout empty and writes no file: run-channel
-    # checks both of its paths before it writes either.
+    # traceback.  It leaves stdout empty and writes no file: main checks
+    # run-channel's report path before it writes the trace.
     argv = [arg.format(missing=tmp_path / "missing", dir=tmp_path) for arg in argv]
     assert run_cli(*argv, "--seed", "1") == 2
     err = config_error(capsys)

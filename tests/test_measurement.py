@@ -21,9 +21,9 @@ def prepared_cache(d, latency=None, seed=0):
     """Target set 0 filled with 8 clean receiver lines, then d dirty sender lines."""
     cache = Cache(GEO, "lru", latency, seed=seed)
     for i in range(GEO.associativity):
-        cache.read(make_line("receiver", 0, i))
+        cache.access(make_line("receiver", 0, i), False)
     for j in range(d):
-        cache.write(make_line("sender", 0, j))
+        cache.access(make_line("sender", 0, j), True)
     return cache
 
 
@@ -80,7 +80,7 @@ def test_total_is_sum_of_individual_latencies():
     cache = prepared_cache(3)
     rset = build_replacement_set("receiver", 0, 10, seed=1, tag_base=1000)
     shadow = prepared_cache(3)
-    individual = [shadow.read(line).latency for line in rset]
+    individual = [shadow.access(line, False).latency for line in rset]
     assert measure_replacement_latency(cache, rset).total_cycles == sum(individual)
 
 
