@@ -8,7 +8,10 @@ for global distance (H. Hyyrö, "A bit-vector algorithm for computing
 Levenshtein and Damerau edit distances", Nordic J. Computing 10(1), 2003).
 One DP column is packed into Python ints used as bit vectors of any width,
 so a pair costs O(n) big-int operations of m bits instead of n*m cell
-updates.  Bit error rate is edit distance divided by the sent length, so
+updates.  The common prefix and suffix are stripped first, which is exact
+for unit costs: equal streams cost one comparison, and only the stretch
+from the first to the last difference reaches the bit-vector pass.  Bit
+error rate is edit distance divided by the sent length, so
 figures stay comparable across message sizes.
 """
 
@@ -31,6 +34,17 @@ def edit_distance(a, b) -> int:
     Symbols must be hashable: each symbol of the shorter input maps to the
     bitmask of its positions.
     """
+    # A common prefix or suffix adds nothing to the distance (module docstring).
+    if a == b:
+        return 0
+    n = min(len(a), len(b))
+    lo = 0
+    while lo < n and a[lo] == b[lo]:
+        lo += 1
+    hi = 0
+    while hi < n - lo and a[-1 - hi] == b[-1 - hi]:
+        hi += 1
+    a, b = a[lo:len(a) - hi], b[lo:len(b) - hi]
     if len(a) < len(b):
         a, b = b, a
     m = len(b)
@@ -134,6 +148,8 @@ def sweep_ber_vs_rate(cfg_template, periods=DEFAULT_PERIODS, trials: int = 3):
     does, so the events' (prio, symbol index) sequence names everything the
     simulation reads: periods that schedule the same order get the same BER.
     Across trials the seed differs, so no order is shared between them.
+    A trial's runs also share one table of simulated steps (see `channel`),
+    since they differ only in `t_s`.
     """
     from array import array  # deferred with the rest: only a sweep packs event orders
     from . import channel  # deferred: channel builds reports out of this module
@@ -149,6 +165,7 @@ def sweep_ber_vs_rate(cfg_template, periods=DEFAULT_PERIODS, trials: int = 3):
     trial_bers = []
     for cfgs in runs:
         ber_of_order = {}  # this trial's orders only -> BER
+        steps = channel._Steps()  # shared by this trial's runs alone
         bers = []
         for cfg in cfgs:
             events = channel.schedule(cfg)
@@ -156,7 +173,7 @@ def sweep_ber_vs_rate(cfg_template, periods=DEFAULT_PERIODS, trials: int = 3):
             # for a C int raises rather than collide).
             order = array("i", (3 * index + prio for _, prio, index, _ in events)).tobytes()
             if order not in ber_of_order:
-                ber_of_order[order] = channel.simulate(cfg, events, calibration).ber
+                ber_of_order[order] = channel._simulate(cfg, events, calibration, steps).ber
             del events  # so two periods' events are never alive at once
             bers.append(ber_of_order[order])
         trial_bers.append(bers)

@@ -23,6 +23,9 @@ first free candidate way, so its valid candidates are a prefix of its
 sorted ways, and a free one exists exactly when the last is free: O(1).
 Each access adds one to one of its actor's outcome counts, a load and a
 store count per `OutcomeKind`; `Cache.counters` is derived from them.
+A set's state reads out as a hashable value and loads back, and counts and
+cycles can be added without an access: `channel` walks a table of steps
+with them.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from operator import add
 from typing import NamedTuple, Optional
 
 from .policy import make_policy
@@ -152,6 +156,7 @@ DEFAULT_LATENCY = LatencyModel()
 # The k-th `OutcomeKind` as an offset into an actor's counts: loads 2k, stores 2k+1.
 _HIT, _FILL, _EVICT_CLEAN, _EVICT_DIRTY, _UNCACHED = range(0, 10, 2)
 _KINDS = tuple(OutcomeKind)
+_NO_COUNTS = (0,) * 10
 
 
 class Cache:
@@ -204,6 +209,32 @@ class Cache:
         tags, dirty, _ = self._sets[set_index] or self._new_set()
         return [LineState(tag is not None, is_dirty, tag)
                 for tag, is_dirty in zip(tags, dirty)]
+
+    def outcome_counts(self, actor) -> tuple:
+        """The actor's 10 outcome counts: a load and a store count per `OutcomeKind`."""
+        return tuple(self._counts.get(actor, _NO_COUNTS))
+
+    def add_outcomes(self, actor, counts, cycles: int) -> None:
+        """Count outcomes (as `outcome_counts` lists them) and cycles without accessing.
+
+        An actor whose counts are all 0 stays out of `counters`.
+        """
+        if any(counts):
+            self._counts[actor] = list(map(add, self._counts.get(actor, _NO_COUNTS), counts))
+        self.cycles += cycles
+
+    def set_state(self, set_index: int) -> tuple:
+        """One set's (tags, dirty bits, metadata) as a hashable value for `load_set`."""
+        self._check_set(set_index)
+        tags, dirty, meta = self._sets[set_index] or self._new_set()
+        return tuple(tags), tuple(dirty), tuple(meta) if isinstance(meta, list) else meta
+
+    def load_set(self, set_index: int, state: tuple) -> None:
+        """Make one set hold a `set_state` value; counters and cycles stay as they are."""
+        self._check_set(set_index)
+        tags, dirty, meta = state
+        self._sets[set_index] = [list(tags), list(dirty),
+                                 list(meta) if isinstance(meta, tuple) else meta]
 
     def dirty_count(self, set_index: int) -> int:
         self._check_set(set_index)

@@ -18,6 +18,21 @@ through the order of its events: two periods that schedule the same actions
 in the same order give the same decoded stream, BER, counters and cycle
 total.  A sweep relies on this to simulate each distinct order once per
 trial.
+
+When the cache draws nothing (no random policy, no jitter), `simulate`
+walks a table of steps instead of running every event.  Every access lands
+in `TARGET_SET`, so what an event does is fixed by that set's state (tags,
+dirty bits, policy metadata) and its action: the symbol of an encode, the
+replacement set's parity of a decode, read or write for noise.  The first
+time a (state, action) comes up, the real actor runs on the live cache and
+the step is stored: next state, trace fields and the actor's count delta.
+After that the step is only tallied, and the tallies' counts and cycles are
+added at the end, so every output is that of running each event.  Noise
+lines' tags are stored as one canonical tag that no fresh noise line can
+equal: each noise line is accessed once, so which one is resident never
+matters.  The table lives for one run, or for one sweep trial, whose runs
+differ only in `t_s`.  A cache that draws runs every event and stores
+nothing.
 """
 
 from __future__ import annotations
@@ -27,7 +42,9 @@ import dataclasses
 import math
 import random
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import sub
 from typing import NamedTuple, Optional
 
 from .analysis import (PreambleLockError, align_by_preamble, bit_error_rate,
@@ -329,14 +346,52 @@ def schedule(cfg: ChannelConfig) -> list:
     return events
 
 
+_ACTOR_OF = {"encode": SENDER, "decode": RECEIVER, "noise-read": NOISE, "noise-write": NOISE}
+
+# A noise line's resident tag in a walk's states; `make_line` takes no
+# negative tag, so no fresh noise line equals it.
+_NOISE_TAG = (NOISE, -1)
+
+
+class _Steps:
+    """The steps a walk has simulated, for runs that differ only in `t_s`.
+
+    A step is keyed by (state id, action) and holds (next state id, the
+    trace fields from actor to decoded bits, the actor's count delta).
+    """
+
+    def __init__(self):
+        self.table = {}
+        self.ids = {}     # canonical target-set state -> its id
+        self.states = []  # id -> canonical target-set state
+
+    def state_of(self, cache: Cache) -> int:
+        """The id of the cache's target-set state, noise tags made canonical."""
+        tags, dirty, meta = cache.set_state(TARGET_SET)
+        state = (tuple([_NOISE_TAG if tag is not None and tag[0] == NOISE else tag
+                        for tag in tags]), dirty, meta)
+        sid = self.ids.get(state)
+        if sid is None:
+            sid = self.ids[state] = len(self.states)
+            self.states.append(state)
+        return sid
+
+
 def simulate(cfg: ChannelConfig, events: list, thresholds: Thresholds) -> ChannelReport:
     """Run the cache over `cfg`'s scheduled `events` and score the decoded stream.
 
     Only the cycles in the trace and `rate_kbps` read `cfg.t_s`: the cache,
     the stream and the decoded bits see the events' order alone, since an
     access's latency never moves the clock.  `thresholds` must hold one cut
-    between each pair of adjacent levels.
+    between each pair of adjacent levels.  A cache that draws nothing is
+    walked through a table of steps (module docstring).
     """
+    return _simulate(cfg, events, thresholds, _Steps())
+
+
+def _simulate(cfg: ChannelConfig, events: list, thresholds: Thresholds,
+              steps: _Steps) -> ChannelReport:
+    """`simulate`, walking and extending `steps`, whose runs differ from `cfg` only in `t_s`."""
     enc = cfg.encoding
     if len(thresholds.cuts) != len(enc.levels) - 1:
         raise ValueError(f"thresholds have {len(thresholds.cuts)} cuts, but "
@@ -352,25 +407,56 @@ def simulate(cfg: ChannelConfig, events: list, thresholds: Thresholds) -> Channe
                                         derive_seed(cfg.seed, "chase", p),
                                         tag_base=RSET_TAG_BASES[p])
                   for p in (0, 1))
+    table = steps.table
+    walk = not cache.draws  # a drawing cache's steps hang on its generators: store none
+    state = steps.state_of(cache) if walk else None
+    live = True  # whether the cache's target set holds `state`
     trace = []
     received_parts = []
+    tally = Counter()  # hit step -> times
     noise_tag = 0
     for cycle, _prio, index, action in events:
-        symbol = stream[index * k:(index + 1) * k]
+        truth = stream[index * k:(index + 1) * k]
         if action == "encode":
-            level, cost = sender_encode(cache, cfg, symbol)
-            trace.append(TraceEvent(cycle, SENDER, "encode", level, cost, "", symbol))
+            key = (state, truth)
         elif action == "decode":
-            sample, bits = receiver_decode(cache, cfg, rsets[len(received_parts) % 2],
-                                           thresholds)
-            received_parts.append(bits)
-            trace.append(TraceEvent(cycle, RECEIVER, "decode", enc.level_for_bits(bits),
-                                    sample.total_cycles, bits, symbol))
+            key = (state, len(received_parts) % 2)
         else:
-            line = make_line(NOISE, TARGET_SET, noise_tag)
-            noise_tag += 1
-            outcome = cache.access(line, action == "noise-write")
-            trace.append(TraceEvent(cycle, NOISE, action, "", outcome.latency, "", ""))
+            key, truth = (state, action), ""
+        step = table.get(key)
+        if step is None:
+            if not live:
+                cache.load_set(TARGET_SET, steps.states[state])
+            actor = _ACTOR_OF[action]
+            before = cache.outcome_counts(actor)
+            if action == "encode":
+                level, cost = sender_encode(cache, cfg, truth)
+                fields = (actor, action, level, cost, "")
+            elif action == "decode":
+                sample, bits = receiver_decode(cache, cfg, rsets[len(received_parts) % 2],
+                                               thresholds)
+                fields = (actor, action, enc.level_for_bits(bits), sample.total_cycles, bits)
+            else:
+                outcome = cache.access(make_line(actor, TARGET_SET, noise_tag),
+                                       action == "noise-write")
+                noise_tag += 1
+                fields = (actor, action, "", outcome.latency, "")
+            step = (steps.state_of(cache) if walk else None, *fields,
+                    tuple(map(sub, cache.outcome_counts(actor), before)))
+            if walk:
+                table[key] = step
+                live = True
+        else:
+            tally[key] += 1
+            live = False
+        state, actor, name, d, latency, bits, _ = step
+        # tuple.__new__ skips the NamedTuple's Python-level __new__ on this hot path.
+        trace.append(tuple.__new__(TraceEvent, (cycle, actor, name, d, latency, bits, truth)))
+        if bits:
+            received_parts.append(bits)
+    for key, times in tally.items():
+        _, actor, _, _, latency, _, delta = table[key]
+        cache.add_outcomes(actor, [times * n for n in delta], times * latency)
 
     received = "".join(received_parts)
     try:

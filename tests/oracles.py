@@ -8,13 +8,22 @@ cache keeps one dict per set with an explicit recency list instead of tag
 lists and policy metadata.  The two
 Monte-Carlo experiments are replayed one grid point at a time, with every
 draw made and the evictions read off per-way lists at the end, where the
-package records each trial's first eviction and stops.
+package records each trial's first eviction and stops.  The channel's
+simulation runs every event's real action on one live cache, where the
+package walks a table of the steps it has already run.
 """
 
 import random
 from collections import Counter
 from functools import lru_cache
 
+from dirtysim.analysis import (PreambleLockError, align_by_preamble, bit_error_rate,
+                               rate_kbps)
+from dirtysim.cache import Cache, make_line
+from dirtysim.channel import (NOISE, PREAMBLE, ChannelReport, TraceEvent,
+                              receiver_decode, sender_encode)
+from dirtysim.measurement import (RECEIVER, RSET_TAG_BASES, SENDER, TARGET_SET,
+                                  build_replacement_set, fill_set)
 from dirtysim.policy import make_policy
 from dirtysim.seeding import derive_seed
 
@@ -252,3 +261,53 @@ class ReferenceCache:
 
     def dirty_count(self, index):
         return sum(dirty for _, dirty in self._set(index)["lines"].values())
+
+
+def direct_simulate(cfg, events, thresholds):
+    """`channel.simulate` as one real action per event, with no table of steps.
+
+    Every encode, decode and noise access runs on the one live cache, and
+    the report's counters and cycles are that cache's.
+    """
+    enc = cfg.encoding
+    k = enc.bits_per_symbol
+    stream = PREAMBLE + cfg.message
+    cache = Cache(cfg.geometry, cfg.policy, cfg.latency, seed=derive_seed(cfg.seed, "cache"))
+    fill_set(cache, RECEIVER, TARGET_SET, cfg.geometry.associativity)
+    rsets = tuple(build_replacement_set(RECEIVER, TARGET_SET, cfg.rset_size,
+                                        derive_seed(cfg.seed, "chase", p),
+                                        tag_base=RSET_TAG_BASES[p])
+                  for p in (0, 1))
+    trace = []
+    received_parts = []
+    noise_tag = 0
+    for cycle, _prio, index, action in events:
+        symbol = stream[index * k:(index + 1) * k]
+        if action == "encode":
+            level, cost = sender_encode(cache, cfg, symbol)
+            trace.append(TraceEvent(cycle, SENDER, "encode", level, cost, "", symbol))
+        elif action == "decode":
+            sample, bits = receiver_decode(cache, cfg, rsets[len(received_parts) % 2],
+                                           thresholds)
+            received_parts.append(bits)
+            trace.append(TraceEvent(cycle, RECEIVER, "decode", enc.level_for_bits(bits),
+                                    sample.total_cycles, bits, symbol))
+        else:
+            line = make_line(NOISE, TARGET_SET, noise_tag)
+            noise_tag += 1
+            outcome = cache.access(line, action == "noise-write")
+            trace.append(TraceEvent(cycle, NOISE, action, "", outcome.latency, "", ""))
+
+    received = "".join(received_parts)
+    try:
+        offset = align_by_preamble(received, PREAMBLE)
+        locked = True
+    except PreambleLockError:
+        offset, locked = 0, False
+    payload = received[offset + len(PREAMBLE):]
+    error = bit_error_rate(cfg.message, payload)
+    return ChannelReport(
+        sent_bits=cfg.message, received_bits=payload, raw_received_bits=received,
+        edit_distance=error.edit_distance, ber=error.ber, rate_kbps=rate_kbps(cfg.t_s, k),
+        alignment_offset=offset, preamble_locked=locked,
+        counters=dict(sorted(cache.counters.items())), cycles=cache.cycles, events=trace)

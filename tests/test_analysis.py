@@ -69,6 +69,35 @@ def test_edit_distance_matches_wagner_fischer_on_long_inputs(pair):
     assert edit_distance(a, b) == wagner_fischer(a, b)
 
 
+@st.composite
+def shared_ends(draw):
+    """prefix + middle + suffix twice, with the middles drawn apart or equal.
+
+    The middles may be empty, so some pairs are identical and in some one
+    input is a prefix or suffix of the other.  Integer symbols stay lists.
+    """
+    symbols = draw(st.sampled_from(["01", "abc", (0, 1, 2, 3)]))
+    part = st.lists(st.sampled_from(symbols), max_size=200)
+    prefix, suffix, middle_a = draw(part), draw(part), draw(part)
+    middle_b = draw(st.one_of(part, st.just(middle_a), st.just([])))
+    a, b = prefix + middle_a + suffix, prefix + middle_b + suffix
+    if isinstance(symbols, str):
+        return "".join(a), "".join(b)
+    return a, b
+
+
+@settings(max_examples=120, deadline=None)
+@given(pair=shared_ends())
+@example(pair=("0110", "0110"))
+@example(pair=("0101", "010111"))
+@example(pair=("abcxyz", "abcdxyz"))
+@example(pair=([1, 2, 3], [1, 2, 3, 4]))
+@example(pair=([], [0, 0]))
+def test_edit_distance_matches_wagner_fischer_with_shared_ends(pair):
+    a, b = pair
+    assert edit_distance(a, b) == wagner_fischer(a, b)
+
+
 def test_edit_distance_identities_at_16k_bits():
     n = 16384
     a = random_bits(n, 11)
@@ -230,7 +259,7 @@ def test_sweep_checks_every_period_before_simulating(monkeypatch):
     # A bad later period fails before the earlier periods are scheduled.
     from dirtysim import channel
     calls = []
-    for name in ("calibrate_thresholds", "schedule", "simulate"):
+    for name in ("calibrate_thresholds", "schedule", "_simulate"):
         real = getattr(channel, name)
         monkeypatch.setattr(channel, name,
                             lambda *a, _real=real, _name=name, **kw:
@@ -240,7 +269,7 @@ def test_sweep_checks_every_period_before_simulating(monkeypatch):
         sweep_ber_vs_rate(template, periods=(5500, 1), trials=2)
     assert calls == []
     sweep_ber_vs_rate(template, periods=(5500,), trials=2)
-    assert calls == ["calibrate_thresholds", "schedule", "simulate", "schedule", "simulate"]
+    assert calls == ["calibrate_thresholds", "schedule", "_simulate", "schedule", "_simulate"]
 
 
 def sweep_by_definition(cfg, periods, trials):
@@ -307,6 +336,12 @@ def sweep_cases(draw):
 # random policy draws from each trial's seed.
 @example(case=(ChannelConfig(message=random_bits(16, 5), policy="random", rset_size=24, seed=5),
                (800, 1600), 2))
+# Noise writes and slip: a later run of a trial reaches, through steps an
+# earlier run stored, states that hold that run's noise lines, so those
+# lines must be stored in a form no fresh noise line can hit.
+@example(case=(ChannelConfig(message=random_bits(32, 1), encoding=MultiBitEncoding(),
+                             slip=600, noise=NoiseConfig(1.0, 1.0), seed=1),
+               (800, 1000, 1600), 2))
 def test_the_sweep_equals_one_run_per_period_and_trial(case):
     assert sweep_outcome(sweep_ber_vs_rate, *case) == sweep_outcome(sweep_by_definition, *case)
 
@@ -314,8 +349,8 @@ def test_the_sweep_equals_one_run_per_period_and_trial(case):
 def count_simulations(monkeypatch, cfg, trials):
     from dirtysim import channel
     calls = []
-    real = channel.simulate
-    monkeypatch.setattr(channel, "simulate", lambda *a: calls.append(1) or real(*a))
+    real = channel._simulate  # the sweep hands each trial's table of steps to it
+    monkeypatch.setattr(channel, "_simulate", lambda *a: calls.append(1) or real(*a))
     sweep_ber_vs_rate(cfg, DEFAULT_PERIODS, trials)
     return len(calls)
 
