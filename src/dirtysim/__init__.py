@@ -10,7 +10,7 @@ from .analysis import (DEFAULT_PERIODS, ErrorReport, PreambleLockError,
                        align_by_preamble, bit_error_rate, edit_distance,
                        rate_kbps, sweep_ber_vs_rate)
 from .cache import (AccessOutcome, Cache, CacheGeometry, LatencyModel,
-                    LineRef, LineState, OutcomeKind, WritePolicy, make_line)
+                    LineRef, OutcomeKind, WritePolicy, make_line)
 from .channel import (BinaryEncoding, CalibrationError, ChannelConfig,
                       ChannelReport, Encoding, GadgetResult, MultiBitEncoding,
                       NoiseConfig, Thresholds, calibrate_thresholds,
@@ -33,7 +33,7 @@ __all__ = [
     "CalibrationError", "ChannelConfig", "ChannelReport", "DEFAULT_PERIODS",
     "DirtyEvictionResult", "Encoding", "ErrorReport",
     "EvictionExperimentResult", "GadgetResult", "LatencyModel",
-    "LatencySample", "LineRef", "LineState",
+    "LatencySample", "LineRef",
     "MultiBitEncoding", "NoiseConfig", "OutcomeKind", "PreambleLockError",
     "RandomPolicy", "Thresholds", "TreePLRU", "TrueLRU", "WritePolicy",
     "align_by_preamble", "analytic_dirty_eviction_probability",

@@ -11,16 +11,18 @@ way is valid when its tag is not None.  Most experiments build a fresh cache
 and touch one set, so a set that is never accessed costs nothing and reads as
 all-invalid.  The policy's metadata is a value that `on_access` returns
 (Tree-PLRU's is one int of W-1 bits; see `dirtysim.policy`), so the access
-loop keeps it as a local and writes it back to the record when it moves to
-another set or stops.  A line is (actor, set, tag): the model tracks the
-states of sets and lines, not memory locations, and a line outside the
-cache's sets is an error, never a wrap into another set.
+loop keeps it as a local and writes it back to the record when it stops.
+A line is (actor, set, tag): the model tracks the states of sets and lines,
+not memory locations, and a line outside the cache's sets is an error, never
+a wrap into another set.
 
 `Cache.access_run` is the one access loop, and `Cache.access` is its
-one-line case: a run redoes its checks and lookups only when the actor or
-the set changes.  No line is ever invalidated and a fill takes the actor's
-first free candidate way, so its valid candidates are a prefix of its
-sorted ways, and a free one exists exactly when the last is free: O(1).
+one-line case.  A run is one actor's tags in one set, as every protocol step
+is: it checks the set and looks up the actor's ways once, before its first
+access, so a run that raises changes nothing.  No line is ever invalidated
+and a fill takes the actor's first free candidate way, so its valid
+candidates are a prefix of its sorted ways, and a free one exists exactly
+when the last is free: O(1).
 Each access adds one to one of its actor's outcome counts, a load and a
 store count per `OutcomeKind`; `Cache.counters` is derived from them.
 A set's state reads out as a hashable value and loads back, and counts and
@@ -114,12 +116,6 @@ def make_line(actor_id: str, set_index: int, tag: int) -> LineRef:
     return tuple.__new__(LineRef, (actor_id, set_index, tag))
 
 
-class LineState(NamedTuple):
-    valid: bool
-    dirty: bool
-    tag: object
-
-
 @dataclass(frozen=True)
 class LatencyModel:
     """Per-outcome access costs in cycles, with optional uniform jitter.
@@ -203,13 +199,6 @@ class Cache:
         ways = self.geometry.associativity
         return [[None] * ways, [False] * ways, self.policy.new_set_meta()]
 
-    def snapshot_set(self, set_index: int):
-        """Pure read of one set: [(valid, dirty, tag), ...] per way."""
-        self._check_set(set_index)
-        tags, dirty, _ = self._sets[set_index] or self._new_set()
-        return [LineState(tag is not None, is_dirty, tag)
-                for tag, is_dirty in zip(tags, dirty)]
-
     def outcome_counts(self, actor) -> tuple:
         """The actor's 10 outcome counts: a load and a store count per `OutcomeKind`."""
         return tuple(self._counts.get(actor, _NO_COUNTS))
@@ -244,88 +233,82 @@ class Cache:
     # -- accesses -----------------------------------------------------------
 
     def access(self, line: LineRef, is_write: bool) -> AccessOutcome:
-        return self.access_run((line,), is_write)[2]
+        actor, set_index, tag = line
+        return self.access_run(actor, set_index, (tag,), is_write)[2]
 
-    def access_run(self, lines, is_write: bool):
-        """Access `lines` in order, all loads or all stores.
+    def access_run(self, actor, set_index: int, tags, is_write: bool):
+        """Access one actor's `tags` in one set, in order, all loads or all stores.
 
-        Returns (summed latency, hit count, last `AccessOutcome` or None).
-        State, counters and cycles are those of `access` on each line in
-        turn, also when a line raises: the lines before it are applied, and
-        it and the lines after it change nothing.
+        `tags` is a sequence, such as a tuple or a range.  Returns (summed
+        latency, hit count, last `AccessOutcome` or None).  State, counters
+        and cycles are those of `access` on each line in turn.  The set and
+        the actor's ways are checked before the first access, so a run that
+        raises changes nothing, and an empty run neither allocates the set
+        nor counts the actor.
         """
         sets = self._sets
-        partition = self.geometry.partition
+        if not 0 <= set_index < len(sets):
+            self._check_set(set_index)  # raises, naming the set
+        ways = self._ways
+        if self.geometry.partition is not None:
+            try:
+                ways = ways[actor]
+            except KeyError:
+                raise ValueError(f"actor {actor!r} has no way partition") from None
+        if not tags:
+            return 0, 0, None
+        record = sets[set_index]
+        if record is None:
+            record = sets[set_index] = self._new_set()
+        resident, dirty, meta = record
+        counts = self._counts.get(actor)
+        if counts is None:
+            counts = self._counts[actor] = [0] * 10
         write_back = self._write_back
         cost = self.latency
         j = cost.jitter
         policy = self.policy
+        last_way = ways[-1]
         store = 1 if is_write else 0  # count offset: a truthy is_write is a store
         total = hits = 0
-        outcome = cur_actor = cur_set = record = None
-        try:
-            for actor, set_index, tag in lines:
-                if set_index is not cur_set or actor is not cur_actor:
-                    if not 0 <= set_index < len(sets):
-                        self._check_set(set_index)  # raises, naming the set
-                    ways = self._ways
-                    if partition is not None:
-                        try:
-                            ways = ways[actor]
-                        except KeyError:
-                            raise ValueError(f"actor {actor!r} has no way partition") from None
-                    if record is not None:
-                        record[2] = meta  # back to the set it came from
-                    record = sets[set_index]
-                    if record is None:
-                        record = sets[set_index] = self._new_set()
-                    tags, dirty, meta = record
-                    last_way = ways[-1]
-                    counts = self._counts.get(actor)
-                    if counts is None:
-                        counts = self._counts[actor] = [0] * 10
-                    cur_actor, cur_set = actor, set_index
-                tag = (actor, tag)
-                if tag in tags:
-                    way = tags.index(tag)
-                    if is_write and write_back:
-                        dirty[way] = True
-                    meta = policy.on_access(meta, way)
-                    outcome, victim, latency = _HIT, None, cost.hit
-                    hits += 1
-                elif is_write and not write_back:
-                    # No-allocate store: memory is updated directly, cache untouched.
-                    outcome, victim, latency = _UNCACHED, None, cost.miss_clean
+        for tag in tags:
+            line = (actor, tag)
+            if line in resident:
+                way = resident.index(line)
+                if is_write and write_back:
+                    dirty[way] = True
+                meta = policy.on_access(meta, way)
+                outcome, victim, latency = _HIT, None, cost.hit
+                hits += 1
+            elif is_write and not write_back:
+                # No-allocate store: memory is updated directly, cache untouched.
+                outcome, victim, latency = _UNCACHED, None, cost.miss_clean
+            else:
+                # Valid candidates are a prefix (module docstring): O(1).
+                if resident[last_way] is None:
+                    for way in ways:
+                        if resident[way] is None:
+                            victim = way
+                            break
+                    outcome, latency = _FILL, cost.miss_clean
                 else:
-                    # Valid candidates are a prefix (module docstring): O(1).
-                    if tags[last_way] is None:
-                        for way in ways:
-                            if tags[way] is None:
-                                victim = way
-                                break
-                        outcome, latency = _FILL, cost.miss_clean
+                    victim = policy.select_victim(meta, ways)
+                    if dirty[victim]:
+                        outcome, latency = _EVICT_DIRTY, cost.miss_dirty
                     else:
-                        victim = policy.select_victim(meta, ways)
-                        if dirty[victim]:
-                            outcome, latency = _EVICT_DIRTY, cost.miss_dirty
-                        else:
-                            outcome, latency = _EVICT_CLEAN, cost.miss_clean
-                    tags[victim] = tag
-                    dirty[victim] = is_write and write_back
-                    meta = policy.on_access(meta, victim)
-                counts[outcome + store] += 1
+                        outcome, latency = _EVICT_CLEAN, cost.miss_clean
+                resident[victim] = line
+                dirty[victim] = is_write and write_back
+                meta = policy.on_access(meta, victim)
+            counts[outcome + store] += 1
 
-                if j:
-                    latency += self._jitter_rng.randint(-j, j)
-                total += latency
-        finally:
-            if record is not None:
-                record[2] = meta
-            self.cycles += total
+            if j:
+                latency += self._jitter_rng.randint(-j, j)
+            total += latency
+        record[2] = meta
+        self.cycles += total
         # tuple.__new__ skips the NamedTuple's Python-level __new__ on this hot path.
-        last = (None if outcome is None else
-                tuple.__new__(AccessOutcome, (_KINDS[outcome >> 1], victim, latency)))
-        return total, hits, last
+        return total, hits, tuple.__new__(AccessOutcome, (_KINDS[outcome >> 1], victim, latency))
 
     def _check_set(self, set_index):
         if not 0 <= set_index < self.geometry.num_sets:

@@ -21,7 +21,6 @@ misses, policies see ways not tags, jitter is drawn per access in order), so
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 
@@ -80,11 +79,14 @@ def check_rset_size(rset_size: int, geometry: CacheGeometry) -> None:
 def measure_replacement_latency(cache: Cache, rset: tuple) -> LatencySample:
     """Access the replacement set serially and sum the latencies.
 
-    The caller must ensure the set's lines are not resident (alternating two
-    replacement sets does this); residual hits are flagged, not fatal.
+    `rset` is one actor's lines in one set, as `build_replacement_set`
+    builds it.  The caller must ensure its lines are not resident
+    (alternating two replacement sets does this); residual hits are
+    flagged, not fatal.
     """
-    dirty_before = cache.dirty_count(rset[0].set_index)
-    total, hits, _ = cache.access_run(rset, False)
+    actor, set_index, _ = rset[0]
+    dirty_before = cache.dirty_count(set_index)
+    total, hits, _ = cache.access_run(actor, set_index, [tag for _, _, tag in rset], False)
     return LatencySample(dirty_before, total, hits)
 
 
@@ -94,13 +96,7 @@ def fill_set(cache: Cache, actor_id: str, set_index: int, n: int, *,
 
     Reads prime the set with clean lines; writes leave dirty ones.
     """
-    return cache.access_run(_fill_lines(actor_id, set_index, n), write)[0]
-
-
-@functools.lru_cache(maxsize=256)
-def _fill_lines(actor_id: str, set_index: int, n: int) -> tuple:
-    """Lines 0..n-1 of one actor in one set, built once: a `LineRef` is immutable."""
-    return tuple(make_line(actor_id, set_index, tag) for tag in range(n))
+    return cache.access_run(actor_id, set_index, range(n), write)[0]
 
 
 def prime_dirty_probe(cache: Cache, rset: tuple, d: int) -> LatencySample:

@@ -57,7 +57,7 @@ def test_untouched_sets_read_as_invalid_after_other_sets_fill():
     for t in range(8):
         cache.access(make_line("r", 6, t), True)
     assert cache.dirty_count(6) == 8 and cache.dirty_count(7) == 0
-    assert cache.snapshot_set(7) == Cache().snapshot_set(7)
+    assert cache.set_state(7) == Cache().set_state(7)
     with pytest.raises(ValueError):
         cache.dirty_count(64)
 
@@ -113,8 +113,7 @@ def test_write_through_store_miss_is_uncached():
     out = cache.access(make_line("a", 0, 1), True)
     assert out.kind is OutcomeKind.UNCACHED
     assert out.victim_way is None
-    snapshot = cache.snapshot_set(0)
-    assert not any(s.valid for s in snapshot)
+    assert cache.set_state(0)[0] == (None,) * 8
 
 
 def test_write_through_never_dirties():
@@ -133,32 +132,29 @@ def test_write_through_read_fills_clean():
     cache = Cache(CacheGeometry(write_policy=WT))
     out = cache.access(make_line("a", 2, 5), False)
     assert out.kind is OutcomeKind.MISS_FILL_INVALID
-    state = cache.snapshot_set(2)[0]
-    assert state.valid and not state.dirty
+    tags, dirty, _ = cache.set_state(2)
+    assert tags[0] == ("a", 5) and not dirty[0]
 
 
 def test_snapshot_fresh_cache_all_invalid():
     cache = Cache()
-    snapshot = cache.snapshot_set(11)
-    assert len(snapshot) == 8
-    assert all(not s.valid and not s.dirty for s in snapshot)
+    tags, dirty, _ = cache.set_state(11)
+    assert tags == (None,) * 8 and dirty == (False,) * 8
 
 
 def test_snapshot_after_one_write():
     cache = Cache()
     cache.access(make_line("a", 4, 9), True)
-    snapshot = cache.snapshot_set(4)
-    dirty = [s for s in snapshot if s.dirty]
-    assert len(dirty) == 1 and dirty[0].valid
+    tags, dirty, _ = cache.set_state(4)
+    assert dirty.count(True) == 1 and tags[dirty.index(True)] == ("a", 9)
 
 
 def test_snapshot_after_receiver_style_init():
     cache = Cache()
     for t in range(8):
         cache.access(make_line("r", 6, t), False)
-    snapshot = cache.snapshot_set(6)
-    assert sum(s.valid for s in snapshot) == 8
-    assert sum(s.dirty for s in snapshot) == 0
+    tags, dirty, _ = cache.set_state(6)
+    assert None not in tags and not any(dirty)
 
 
 def test_access_rejects_a_set_outside_the_cache():
@@ -172,48 +168,35 @@ def test_access_rejects_a_set_outside_the_cache():
     assert all(cache.dirty_count(s) == 0 for s in range(16))
 
 
-@pytest.mark.parametrize("bad, match", [(("a", 16, 0), "set_index 16 outside"),
-                                        (("a", -1, 0), "set_index -1 outside"),
-                                        (("intruder", 0, 0), "no way partition")])
-@pytest.mark.parametrize("is_write", [False, True])
-def test_a_run_that_raises_keeps_the_lines_before_it(bad, match, is_write):
-    # The lines before the failing one are applied as `access` would apply
-    # them, and the failing line and those after it change nothing.
+@pytest.mark.parametrize("actor, set_index, match", [
+    ("a", 16, "set_index 16 outside 0..15"), ("a", -1, "set_index -1 outside 0..15"),
+    ("intruder", 0, "actor 'intruder' has no way partition")], ids=["set16", "set-1", "intruder"])
+@pytest.mark.parametrize("tags", [(0, 9, 1), ()], ids=["tags", "empty"])
+@pytest.mark.parametrize("policy", ["lru", "tree-plru", "random"])
+def test_a_run_that_raises_changes_nothing(policy, tags, actor, set_index, match):
+    # The set and the actor's ways are checked before the first access, so
+    # every set record (metadata included), count and cycle stays, and so
+    # does the generator state that later accesses draw from.
     geo = CacheGeometry(num_sets=16, partition={"a": {0, 2, 3}, "b": {1, 4}})
-    batched, single = (Cache(geo, "random", LatencyModel(jitter=2), seed=5) for _ in range(2))
-    before = [make_line(actor, s, tag) for actor, s, tag in
-              (("a", 0, 0), ("a", 0, 1), ("b", 0, 0), ("a", 0, 2), ("a", 0, 3), ("a", 15, 0))]
-    run = before + [make_line(*bad), make_line("b", 0, 1)]
-    with pytest.raises(ValueError, match=match):
-        batched.access_run(run, is_write)
-    for line in before:
-        single.access(line, is_write)
-    with pytest.raises(ValueError, match=match):
-        single.access(make_line(*bad), is_write)
-    assert [batched.snapshot_set(s) for s in range(16)] == [single.snapshot_set(s) for s in range(16)]
-    assert batched.counters == single.counters
-    assert batched.cycles == single.cycles
+    cache, twin = (Cache(geo, policy, LatencyModel(jitter=2), seed=5) for _ in range(2))
+    for c in (cache, twin):
+        for run in (("a", 0, range(5)), ("b", 0, (0, 1, 2)), ("a", 15, (0,)), ("a", 0, (1, 7))):
+            c.access_run(*run, True)
+    with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+        cache.access_run(actor, set_index, tags, False)
+    assert cache._sets == twin._sets
+    assert cache.counters == twin.counters and cache.cycles == twin.cycles
+    after = [make_line(*line) for line in (("a", 0, 8), ("b", 0, 8), ("a", 0, 0), ("b", 0, 9))]
+    assert [cache.access(line, True) for line in after] == [twin.access(line, True)
+                                                             for line in after]
 
 
-@pytest.mark.parametrize("policy", ["lru", "tree-plru"])
-@pytest.mark.parametrize("bad", [("a", 16, 0), ("intruder", 0, 0)])
-def test_a_run_that_raises_keeps_the_metadata_of_the_lines_before_it(policy, bad):
-    # The loop keeps a set's policy metadata as a local; a raising line must
-    # still leave each set's metadata as the lines before it left it, in the
-    # set the run was in and in the sets it left.
-    geo = CacheGeometry(num_sets=16, partition={"a": {0, 2, 3}, "b": {1, 4}})
-    batched, single = (Cache(geo, policy) for _ in range(2))
-    before = [make_line(actor, s, tag) for actor, s, tag in
-              (("a", 0, 0), ("a", 0, 1), ("a", 0, 2), ("a", 0, 3), ("b", 0, 0),
-               ("a", 0, 0), ("b", 0, 1), ("a", 5, 1), ("a", 5, 0), ("b", 0, 2))]
-    with pytest.raises(ValueError):
-        batched.access_run(before + [make_line(*bad), make_line("a", 0, 9)], False)
-    for line in before:
-        single.access(line, False)
-    assert batched._sets == single._sets
-    after = [make_line(actor, 0, tag) for actor, tag in (("a", 7), ("b", 7), ("a", 8), ("b", 8))]
-    assert ([batched.access(line, True) for line in after] ==
-            [single.access(line, True) for line in after])
+def test_an_empty_run_counts_no_actor_and_allocates_no_set():
+    cache = Cache(CacheGeometry(num_sets=16))
+    assert cache.access_run("a", 3, (), True) == (0, 0, None)
+    assert cache.access_run("a", 3, range(0), False) == (0, 0, None)
+    assert cache.counters == {} and cache.cycles == 0
+    assert cache._sets == [None] * 16
 
 
 def test_partition_rejects_unlisted_actor():
@@ -227,12 +210,13 @@ def test_partition_confines_each_actor():
     cache = Cache(geo)
     for t in range(16):
         cache.access(make_line("b", 0, t), True)
-    b_ways = [cache.snapshot_set(0)[w] for w in range(4, 8)]
+    tags, dirty, _ = cache.set_state(0)
+    b_ways = tags[4:], dirty[4:]
     for t in range(100, 130):
         cache.access(make_line("a", 0, t), True)
-    assert [cache.snapshot_set(0)[w] for w in range(4, 8)] == b_ways
-    assert all(not cache.snapshot_set(0)[w].valid or
-               cache.snapshot_set(0)[w].tag[0] == "a" for w in range(0, 4))
+    tags, dirty, _ = cache.set_state(0)
+    assert (tags[4:], dirty[4:]) == b_ways
+    assert all(tag is None or tag[0] == "a" for tag in tags[:4])
 
 
 def test_latency_model_jitter_bounds():
@@ -304,8 +288,9 @@ def test_dirty_lines_only_clean_by_eviction(ops):
     dirty_tags = set()
     for actor, set_index, tag, is_write in ops:
         cache.access(make_line(actor, set_index, tag), is_write)
-        resident = {(set_index, s.tag) for s in cache.snapshot_set(set_index) if s.valid}
-        now_dirty = {(set_index, s.tag) for s in cache.snapshot_set(set_index) if s.dirty}
+        tags, dirty, _ = cache.set_state(set_index)
+        resident = {(set_index, tag) for tag in tags if tag is not None}
+        now_dirty = {(set_index, tag) for tag, is_dirty in zip(tags, dirty) if is_dirty}
         # a previously dirty line that is still resident must still be dirty
         for entry in dirty_tags:
             if entry[0] == set_index and entry in resident:

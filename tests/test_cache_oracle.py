@@ -6,8 +6,9 @@ each stream with its own drawn costs, hit < clean miss < dirty miss;
 after every access the outcome kind, victim way, latency, per-actor counters,
 per-actor outcome counts, cycle total and the set's dirty count must agree,
 and the reference's own writeback flag must be set exactly on a dirty
-eviction.  The same streams run through `Cache.access_run` in runs must sum
-to the reference's latencies, and runs cut at random points must leave the
+eviction.  The same streams, cut into `Cache.access_run` runs wherever the
+access kind, the actor or the set changes, must sum to the reference's
+latencies, and drawn runs of one actor's tags in one set must leave the
 state that per-line `access` calls leave.  After any stream, each actor's
 valid ways are a prefix of its sorted candidate ways: the invariant behind
 the cache's O(1) free-way test.
@@ -70,8 +71,8 @@ def actor_in(mode, actor):
 
 
 def state(cache):
-    """Every set's snapshot, the counters and the cycle total."""
-    return ([cache.snapshot_set(s) for s in range(cache.geometry.num_sets)],
+    """Every set's state, the counters and the cycle total."""
+    return ([cache.set_state(s) for s in range(cache.geometry.num_sets)],
             cache.counters, cache.cycles)
 
 
@@ -91,9 +92,9 @@ def assert_valid_ways_are_prefixes(cache):
     geo = cache.geometry
     candidates = geo.partition.values() if geo.partition else [range(geo.associativity)]
     for set_index in range(geo.num_sets):
-        snapshot = cache.snapshot_set(set_index)
+        tags = cache.set_state(set_index)[0]
         for ways in candidates:
-            valid = [snapshot[w].valid for w in sorted(ways)]
+            valid = [tags[w] is not None for w in sorted(ways)]
             assert valid == sorted(valid, reverse=True), (set_index, sorted(ways), valid)
 
 
@@ -121,17 +122,21 @@ def test_cache_matches_reference(policy, mode, stream, seed, jitter, costs):
 @examples(40)
 @given(stream=streams, seed=SEEDS, jitter=JITTERS, costs=COSTS)
 def test_runs_sum_to_the_reference_latencies(policy, mode, stream, seed, jitter, costs):
-    # Each maximal run of loads or of stores is one `access_run`.
+    # Each maximal run of one actor's loads or stores in one set is one
+    # `access_run`.
+    def run_key(access):
+        actor, set_index, _, _, write = access
+        return write, actor_in(mode, actor), set_index
+
     cache, ref = twins(policy, mode, seed, jitter, costs)
-    for write, run in itertools.groupby(stream, key=lambda access: access[4]):
-        lines, want_total, want_hits = [], 0, 0
-        for actor, set_index, tag, offset, _ in run:
-            actor = actor_in(mode, actor)
-            lines.append(make_line(actor, set_index, tag))
+    for (write, actor, set_index), run in itertools.groupby(stream, key=run_key):
+        tags, want_total, want_hits = [], 0, 0
+        for _, _, tag, offset, _ in run:
+            tags.append(tag)
             kind, _, _, latency = ref.access(actor, (tag * NUM_SETS + set_index) * 64 + offset, write)
             want_total += latency
             want_hits += kind == ReferenceCache.HIT
-        total, hits, _ = cache.access_run(lines, write)
+        total, hits, _ = cache.access_run(actor, set_index, tags, write)
         assert (total, hits) == (want_total, want_hits)
     assert cache.counters == ref.counters
     assert outcome_counts(cache) == ref.outcomes
@@ -139,8 +144,8 @@ def test_runs_sum_to_the_reference_latencies(policy, mode, stream, seed, jitter,
     assert_valid_ways_are_prefixes(cache)
 
 
-drawn_lines = st.tuples(st.sampled_from("abc"), st.integers(0, NUM_SETS - 1), st.integers(0, 13))
-runs = st.lists(st.tuples(st.booleans(), st.lists(drawn_lines, max_size=12)),
+runs = st.lists(st.tuples(st.booleans(), st.sampled_from("abc"), st.integers(0, NUM_SETS - 1),
+                          st.lists(st.integers(0, 13), max_size=12)),
                 min_size=1, max_size=12)
 
 
@@ -149,16 +154,16 @@ runs = st.lists(st.tuples(st.booleans(), st.lists(drawn_lines, max_size=12)),
 @examples(40)
 @given(runs=runs, seed=SEEDS, jitter=JITTERS)
 def test_runs_match_per_line_access(policy, mode, runs, seed, jitter):
-    # A stream cut into runs at random points, each run all loads or all
-    # stores: one twin takes each run in one `access_run`, the other line
-    # by line through `access`.
+    # Drawn runs, each one actor's loads or stores in one set, empty ones
+    # too: one twin takes each run in one `access_run`, the other line by
+    # line through `access`.
     geo = CacheGeometry(num_sets=NUM_SETS, **MODES[mode])
     batched, single = (Cache(geo, policy, LatencyModel(jitter=jitter), seed=seed)
                        for _ in range(2))
-    for write, run in runs:
-        run = [make_line(actor_in(mode, actor), s, tag) for actor, s, tag in run]
-        outcomes = [single.access(line, write) for line in run]
-        total, hits, last = batched.access_run(run, write)
+    for write, actor, set_index, tags in runs:
+        actor = actor_in(mode, actor)
+        outcomes = [single.access(make_line(actor, set_index, tag), write) for tag in tags]
+        total, hits, last = batched.access_run(actor, set_index, tags, write)
         assert total == sum(o.latency for o in outcomes)
         assert hits == sum(o.kind is OutcomeKind.HIT for o in outcomes)
         assert last == (outcomes[-1] if outcomes else None)
@@ -176,7 +181,7 @@ def test_an_actor_fills_its_first_free_way_around_another_actors_lines():
         [(OutcomeKind.MISS_FILL_INVALID, w) for w in (1, 2, 4, 0, 3, 5)])
     assert_valid_ways_are_prefixes(cache)
     assert cache.access(make_line("a", 0, 3), False).kind is OutcomeKind.MISS_EVICT_CLEAN
-    total, _, last = cache.access_run([make_line("b", 0, tag) for tag in (3, 4, 5)], True)
+    total, _, last = cache.access_run("b", 0, (3, 4, 5), True)
     assert total == 11 * 3 and last.kind is OutcomeKind.MISS_EVICT_CLEAN
-    assert [s.tag for s in cache.snapshot_set(0)][6:] == [("b", 3), ("b", 4)]
+    assert cache.set_state(0)[0][6:] == (("b", 3), ("b", 4))
     assert_valid_ways_are_prefixes(cache)

@@ -262,12 +262,10 @@ def test_receiver_init_fills_clean():
     cfg = make_cfg()
     cache = Cache(cfg.geometry)
     receiver_init(cache, cfg)
-    snapshot = cache.snapshot_set(TARGET_SET)
-    assert sum(s.valid for s in snapshot) == 8
-    assert cache.dirty_count(TARGET_SET) == 0
-    occupancy = [s.tag for s in snapshot]
+    occupancy, dirty, _ = cache.set_state(TARGET_SET)
+    assert None not in occupancy and not any(dirty)
     receiver_init(cache, cfg)
-    assert [s.tag for s in cache.snapshot_set(TARGET_SET)] == occupancy
+    assert cache.set_state(TARGET_SET)[0] == occupancy
 
 
 def test_receiver_init_clears_sender_dirty_line():

@@ -288,7 +288,7 @@ def test_latency_cdf_accepts_rset_of_exactly_associativity():
 def test_fill_set_reads_prime_clean_and_writes_dirty():
     cache = Cache(GEO)
     assert fill_set(cache, "receiver", 3, 8) == 8 * 11  # eight invalid fills
-    assert [s.tag for s in cache.snapshot_set(3)] == [("receiver", t) for t in range(8)]
+    assert cache.set_state(3)[0] == tuple(("receiver", t) for t in range(8))
     assert cache.dirty_count(3) == 0
     assert fill_set(cache, "receiver", 3, 8) == 8 * 4  # the same tags now hit
     assert fill_set(cache, "sender", 3, 3, write=True) == 3 * 11
