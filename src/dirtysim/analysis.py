@@ -165,7 +165,7 @@ def sweep_ber_vs_rate(cfg_template, periods=DEFAULT_PERIODS, trials: int = 3):
     trial_bers = []
     for cfgs in runs:
         ber_of_order = {}  # this trial's orders only -> BER
-        steps = channel._Steps()  # shared by this trial's runs alone
+        steps = channel.Steps()  # shared by this trial's runs alone
         bers = []
         for cfg in cfgs:
             events = channel.schedule(cfg)
@@ -173,7 +173,7 @@ def sweep_ber_vs_rate(cfg_template, periods=DEFAULT_PERIODS, trials: int = 3):
             # for a C int raises rather than collide).
             order = array("i", (3 * index + prio for _, prio, index, _ in events)).tobytes()
             if order not in ber_of_order:
-                ber_of_order[order] = channel._simulate(cfg, events, calibration, steps).ber
+                ber_of_order[order] = channel.simulate(cfg, events, calibration, steps).ber
             del events  # so two periods' events are never alive at once
             bers.append(ber_of_order[order])
         trial_bers.append(bers)

@@ -54,10 +54,12 @@ class OutcomeKind(Enum):
     UNCACHED = "uncached"
 
 
-def check_int(name: str, value) -> None:
-    """Reject the value of integer field `name` unless it is an int and not a bool."""
+def check_int(name: str, value, least: Optional[int] = None) -> None:
+    """Reject integer field `name`'s value unless an int, not a bool, and >= `least` if given."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an int, not {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 def _is_pow2(n: int) -> bool:
@@ -134,10 +136,7 @@ class LatencyModel:
 
     def __post_init__(self):
         for name in ("hit", "miss_clean", "miss_dirty", "jitter"):
-            value = getattr(self, name)
-            check_int(name, value)
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0")
+            check_int(name, getattr(self, name), 0)
 
 
 class AccessOutcome(NamedTuple):

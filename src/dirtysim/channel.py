@@ -177,7 +177,7 @@ class ChannelConfig:
     def __post_init__(self):
         # `seed` too: seeds are hashed as text, so 1, 1.0 and True would be
         # equal configs that replay differently.
-        for name in ("t_s", "rset_size", "slip", "seed"):
+        for name in ("t_s", "slip", "seed"):
             check_int(name, getattr(self, name))
         if self.t_s < 2:
             raise ValueError("t_s must be at least 2 cycles, so the decode at "
@@ -272,12 +272,12 @@ def sender_encode(cache: Cache, cfg: ChannelConfig, symbol_bits: str):
 
 def receiver_decode(cache: Cache, cfg: ChannelConfig, rset: tuple,
                     thresholds: Thresholds):
-    """Measure with `rset` and threshold the total to bits.
+    """Probe `TARGET_SET` with the receiver's tags `rset` and threshold the total to bits.
 
     The measurement leaves the target set full of clean receiver lines, so it
     doubles as the next period's initialization.
     """
-    sample = measure_replacement_latency(cache, rset)
+    sample = measure_replacement_latency(cache, RECEIVER, TARGET_SET, rset)
     index = thresholds.classify(sample.total_cycles)
     return sample, cfg.encoding.bits_for_level_index(index)
 
@@ -353,7 +353,7 @@ _ACTOR_OF = {"encode": SENDER, "decode": RECEIVER, "noise-read": NOISE, "noise-w
 _NOISE_TAG = (NOISE, -1)
 
 
-class _Steps:
+class Steps:
     """The steps a walk has simulated, for runs that differ only in `t_s`.
 
     A step is keyed by (state id, action) and holds (next state id, the
@@ -377,21 +377,19 @@ class _Steps:
         return sid
 
 
-def simulate(cfg: ChannelConfig, events: list, thresholds: Thresholds) -> ChannelReport:
+def simulate(cfg: ChannelConfig, events: list, thresholds: Thresholds,
+             steps: Optional[Steps] = None) -> ChannelReport:
     """Run the cache over `cfg`'s scheduled `events` and score the decoded stream.
 
     Only the cycles in the trace and `rate_kbps` read `cfg.t_s`: the cache,
     the stream and the decoded bits see the events' order alone, since an
     access's latency never moves the clock.  `thresholds` must hold one cut
     between each pair of adjacent levels.  A cache that draws nothing is
-    walked through a table of steps (module docstring).
+    walked through `steps` (module docstring), a fresh table when None; the
+    runs that share a table must differ only in `t_s`.
     """
-    return _simulate(cfg, events, thresholds, _Steps())
-
-
-def _simulate(cfg: ChannelConfig, events: list, thresholds: Thresholds,
-              steps: _Steps) -> ChannelReport:
-    """`simulate`, walking and extending `steps`, whose runs differ from `cfg` only in `t_s`."""
+    if steps is None:
+        steps = Steps()
     enc = cfg.encoding
     if len(thresholds.cuts) != len(enc.levels) - 1:
         raise ValueError(f"thresholds have {len(thresholds.cuts)} cuts, but "
@@ -403,8 +401,7 @@ def _simulate(cfg: ChannelConfig, events: list, thresholds: Thresholds,
     fill_set(cache, RECEIVER, TARGET_SET, cfg.geometry.associativity)
     # Decodes alternate between two replacement sets, so the one measured
     # with is never resident.
-    rsets = tuple(build_replacement_set(RECEIVER, TARGET_SET, cfg.rset_size,
-                                        derive_seed(cfg.seed, "chase", p),
+    rsets = tuple(build_replacement_set(cfg.rset_size, derive_seed(cfg.seed, "chase", p),
                                         tag_base=RSET_TAG_BASES[p])
                   for p in (0, 1))
     table = steps.table
@@ -559,9 +556,8 @@ def run_gadget_attack(variant: str, scenario: str, secret: int) -> GadgetResult:
         dirty = scenario == "prime-with-dirty"
         fill_set(cache, "attacker", TARGET_SET, ways, write=dirty)
         cache.access(*victim)
-        rset = build_replacement_set("attacker", TARGET_SET, DEFAULT_RSET_SIZE,
-                                     tag_base=RSET_TAG_BASES[0])
-        total = measure_replacement_latency(cache, rset).total_cycles
+        rset = build_replacement_set(DEFAULT_RSET_SIZE, tag_base=RSET_TAG_BASES[0])
+        total = measure_replacement_latency(cache, "attacker", TARGET_SET, rset).total_cycles
         levels = (ways - 1, ways) if dirty else (0, 1)
         cut, = _midpoint_thresholds(probe_totals(
             levels, 1, ("gadget",), geometry=geo, policy="lru", latency=lat,

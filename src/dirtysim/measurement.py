@@ -1,18 +1,19 @@
 """Replacement-set construction and serialized replacement-latency measurement.
 
 Mirrors the pointer-chasing technique: a replacement set is the tuple of its
-lines in a random permutation, visited strictly one after another, and the
-total latency is the plain sum of the per-access costs.  Measuring also
-refills the target set with clean lines, so a measurement doubles as
-initialization for the next round.  `fill_set` is the one step that primes
-a set or dirties it, and `prime_dirty_probe` is the whole prime -> dirty ->
-probe sequence on one cache; a probe and a fill are one `Cache.access_run`
-each.  `probe_totals` runs the sequence on fresh caches for every level and
-trial; latency CDFs, channel calibration and the gadget's probe cuts all
-read it.  A cache that draws nothing (no random policy, no
-jitter) is simulated once per level: its seed reaches no outcome, so every
-trial would replay the same accesses on the same fresh state.  Every line of
-a replacement set names its target set.
+tags in a random permutation, visited strictly one after another by the
+actor in the set its caller names, and the total latency is the plain sum
+of the per-access costs.  Measuring also refills the target set with clean
+lines, so a measurement doubles as initialization for the next round.
+`fill_set` is the one step that primes a set or dirties it, and
+`prime_dirty_probe` is the whole prime -> dirty -> probe sequence on one
+cache; a probe and a fill are one `Cache.access_run` each.  `probe_totals`
+runs the sequence on fresh caches for every level and trial; latency CDFs,
+channel calibration and the gadget's probe cuts all read it.  A cache that
+draws nothing (no random policy, no jitter) is simulated once per level: its
+seed reaches no outcome, so every trial would replay the same accesses on
+the same fresh state.  Like a fill, a probe names its actor and set: the
+replacement set holds only tags.
 
 A fresh cache's probe total cannot depend on the chase order (every line
 misses, policies see ways not tags, jitter is drawn per access in order), so
@@ -24,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .cache import DEFAULT_GEOMETRY, Cache, CacheGeometry, make_line
+from .cache import DEFAULT_GEOMETRY, Cache, CacheGeometry, check_int
 from .seeding import derive_seed
 
 DEFAULT_RSET_SIZE = 10
@@ -56,19 +57,19 @@ class LatencySample:
         return self.resident_hits > 0
 
 
-def build_replacement_set(actor_id: str, target_set: int,
-                          size: int = DEFAULT_RSET_SIZE, seed: int = 0, *,
+def build_replacement_set(size: int = DEFAULT_RSET_SIZE, seed: int = 0, *,
                           tag_base: int = 0) -> tuple:
-    """`size` distinct-tag lines in `target_set`, as a tuple in the chase order of `seed`."""
-    if size < 1:
-        raise ValueError("replacement set needs at least one line")
-    lines = [make_line(actor_id, target_set, tag_base + i) for i in range(size)]
-    random.Random(derive_seed("chase", seed)).shuffle(lines)
-    return tuple(lines)
+    """Tags `tag_base`..`tag_base+size-1`, as a tuple in the chase order of `seed`."""
+    check_int("size", size, 1)
+    check_int("tag_base", tag_base, 0)
+    tags = list(range(tag_base, tag_base + size))
+    random.Random(derive_seed("chase", seed)).shuffle(tags)
+    return tuple(tags)
 
 
 def check_rset_size(rset_size: int, geometry: CacheGeometry) -> None:
-    """Reject a replacement set too small to replace the whole target set."""
+    """Reject a replacement set size that is not an int or cannot replace the whole set."""
+    check_int("rset_size", rset_size)
     if rset_size < geometry.associativity:
         raise ValueError(
             f"rset_size {rset_size} is below the associativity "
@@ -76,17 +77,15 @@ def check_rset_size(rset_size: int, geometry: CacheGeometry) -> None:
             "replace every line of the target set")
 
 
-def measure_replacement_latency(cache: Cache, rset: tuple) -> LatencySample:
-    """Access the replacement set serially and sum the latencies.
+def measure_replacement_latency(cache: Cache, actor_id: str, set_index: int,
+                                rset: tuple) -> LatencySample:
+    """Read `actor_id`'s tags `rset` in set `set_index` serially; sum the latencies.
 
-    `rset` is one actor's lines in one set, as `build_replacement_set`
-    builds it.  The caller must ensure its lines are not resident
-    (alternating two replacement sets does this); residual hits are
-    flagged, not fatal.
+    The caller must ensure those lines are not resident (alternating two
+    replacement sets does this); residual hits are flagged, not fatal.
     """
-    actor, set_index, _ = rset[0]
     dirty_before = cache.dirty_count(set_index)
-    total, hits, _ = cache.access_run(actor, set_index, [tag for _, _, tag in rset], False)
+    total, hits, _ = cache.access_run(actor_id, set_index, rset, False)
     return LatencySample(dirty_before, total, hits)
 
 
@@ -100,15 +99,14 @@ def fill_set(cache: Cache, actor_id: str, set_index: int, n: int, *,
 
 
 def prime_dirty_probe(cache: Cache, rset: tuple, d: int) -> LatencySample:
-    """Prime the target set with W clean receiver lines, dirty d, then probe.
+    """Prime `TARGET_SET` with W clean receiver lines, dirty d, then probe with `rset`.
 
-    The sender's d stores evict d receiver lines, so the probe must replace
-    W-d clean lines and d dirty ones.
+    The sender's d stores evict d receiver lines, so the receiver's probe
+    must replace W-d clean lines and d dirty ones.
     """
-    target_set = rset[0].set_index
-    fill_set(cache, RECEIVER, target_set, cache.geometry.associativity)
-    fill_set(cache, SENDER, target_set, d, write=True)
-    return measure_replacement_latency(cache, rset)
+    fill_set(cache, RECEIVER, TARGET_SET, cache.geometry.associativity)
+    fill_set(cache, SENDER, TARGET_SET, d, write=True)
+    return measure_replacement_latency(cache, RECEIVER, TARGET_SET, rset)
 
 
 def probe_totals(levels, trials: int, seed_parts, *, geometry: CacheGeometry,
@@ -122,16 +120,15 @@ def probe_totals(levels, trials: int, seed_parts, *, geometry: CacheGeometry,
     reaches no outcome and every trial would run the same accesses on the
     same fresh state, so trial 0's total stands for all `trials`.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_int("trials", trials, 1)
     check_rset_size(rset_size, geometry)
     levels = list(levels)
     ways = geometry.associativity
     for d in levels:
+        check_int("d", d)
         if not 0 <= d <= ways:
             raise ValueError(f"d={d} outside 0..{ways}")
-    rset = build_replacement_set(RECEIVER, TARGET_SET, rset_size,
-                                 tag_base=RSET_TAG_BASES[0])
+    rset = build_replacement_set(rset_size, tag_base=RSET_TAG_BASES[0])
 
     table = []
     for d in levels:

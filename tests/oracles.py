@@ -274,8 +274,7 @@ def direct_simulate(cfg, events, thresholds):
     stream = PREAMBLE + cfg.message
     cache = Cache(cfg.geometry, cfg.policy, cfg.latency, seed=derive_seed(cfg.seed, "cache"))
     fill_set(cache, RECEIVER, TARGET_SET, cfg.geometry.associativity)
-    rsets = tuple(build_replacement_set(RECEIVER, TARGET_SET, cfg.rset_size,
-                                        derive_seed(cfg.seed, "chase", p),
+    rsets = tuple(build_replacement_set(cfg.rset_size, derive_seed(cfg.seed, "chase", p),
                                         tag_base=RSET_TAG_BASES[p])
                   for p in (0, 1))
     trace = []

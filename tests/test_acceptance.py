@@ -102,8 +102,8 @@ def test_criterion_05_latency_arithmetic():
             cache.access(make_line("receiver", 0, i), False)
         for j in range(d):
             cache.access(make_line("sender", 0, j), True)
-        rset = build_replacement_set("receiver", 0, 10, seed=d, tag_base=1000)
-        totals.append(measure_replacement_latency(cache, rset).total_cycles)
+        rset = build_replacement_set(10, seed=d, tag_base=1000)
+        totals.append(measure_replacement_latency(cache, "receiver", 0, rset).total_cycles)
     assert totals == [110 + 11 * d for d in range(9)]
     assert {b - a for a, b in zip(totals, totals[1:])} == {11}
 

@@ -32,8 +32,7 @@ def receiver_init(cache, cfg):
 
 def receiver_rsets(cfg):
     """The two replacement sets `run_channel` decodes with, alternately."""
-    return [build_replacement_set(RECEIVER, TARGET_SET, cfg.rset_size,
-                                  derive_seed(cfg.seed, "chase", p),
+    return [build_replacement_set(cfg.rset_size, derive_seed(cfg.seed, "chase", p),
                                   tag_base=RSET_TAG_BASES[p])
             for p in (0, 1)]
 

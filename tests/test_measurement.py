@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from dirtysim import measurement
 from dirtysim.cache import Cache, CacheGeometry, LatencyModel, make_line
 from dirtysim.channel import ChannelConfig
-from dirtysim.measurement import (RECEIVER, RSET_TAG_BASES, TARGET_SET,
-                                  build_replacement_set, fill_set, latency_cdf,
-                                  measure_replacement_latency, prime_dirty_probe,
-                                  probe_totals)
+from dirtysim.measurement import (RSET_TAG_BASES, build_replacement_set, fill_set,
+                                  latency_cdf, measure_replacement_latency,
+                                  prime_dirty_probe, probe_totals)
 from dirtysim.policy import POLICIES
 from dirtysim.seeding import derive_seed
 
@@ -28,39 +27,59 @@ def prepared_cache(d, latency=None, seed=0):
 
 
 def test_build_replacement_set_shape():
-    rset = build_replacement_set("r", 5, 10, seed=3)
-    assert len(rset) == 10
-    assert all(line.set_index == 5 for line in rset)
-    assert len({line.tag for line in rset}) == 10
-    assert sorted(rset) == [make_line("r", 5, t) for t in range(10)]
+    rset = build_replacement_set(10, seed=3, tag_base=7)
+    assert sorted(rset) == list(range(7, 17))
+
+
+def test_a_probe_reads_the_actor_and_set_its_caller_names():
+    # The replacement set holds tags only: the probe's actor and set are
+    # the ones passed to it, not a default.
+    cache = Cache(GEO, "lru")
+    rset = build_replacement_set(10, seed=3)
+    sample = measure_replacement_latency(cache, "r", 5, rset)
+    assert sample.total_cycles == 10 * 11
+    # Eight fills, then LRU evicts ways 0 and 1 for the last two tags.
+    assert cache.set_state(5)[0] == tuple(("r", tag) for tag in rset[8:] + rset[2:8])
+    assert cache.set_state(0) == Cache(GEO, "lru").set_state(0)
+    assert set(cache.counters) == {"r"}
 
 
 def test_build_replacement_set_deterministic():
-    a = build_replacement_set("r", 5, 10, seed=3)
-    b = build_replacement_set("r", 5, 10, seed=3)
+    a = build_replacement_set(10, seed=3)
+    b = build_replacement_set(10, seed=3)
     assert a == b
-    c = build_replacement_set("r", 5, 10, seed=4)
+    c = build_replacement_set(10, seed=4)
     assert sorted(c) == sorted(a)  # only the chase order is seeded
     assert c != a
 
 
 def test_chase_order_is_the_seeded_shuffle_of_tag_order():
-    # The lines are stored in the order a seeded shuffle of the indices
+    # The tags are stored in the order a seeded shuffle of the indices
     # 0..size-1 gives, so that order, not the tag order, is what is visited.
     order = list(range(10))
     random.Random(derive_seed("chase", 3)).shuffle(order)
-    rset = build_replacement_set("r", 5, 10, seed=3, tag_base=1000)
-    assert rset == tuple(make_line("r", 5, 1000 + i) for i in order)
+    rset = build_replacement_set(10, seed=3, tag_base=1000)
+    assert rset == tuple(1000 + i for i in order)
 
 
 def test_build_replacement_set_singleton():
-    rset = build_replacement_set("r", 0, 1, seed=0)
-    assert rset == (make_line("r", 0, 0),)
+    rset = build_replacement_set(1, seed=0)
+    assert rset == (0,)
 
 
 def test_build_replacement_set_rejects_empty():
-    with pytest.raises(ValueError):
-        build_replacement_set("r", 0, 0, seed=0)
+    with pytest.raises(ValueError, match="^size must be >= 1$"):
+        build_replacement_set(0, seed=0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"size": 8.5}, "^size must be an int, not 8.5$"),
+    ({"tag_base": -1}, "^tag_base must be >= 0$"),
+    ({"tag_base": 1.5}, "^tag_base must be an int, not 1.5$"),
+])
+def test_build_replacement_set_rejects_a_bad_size_or_tag_base(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        build_replacement_set(**kwargs)
 
 
 @pytest.mark.parametrize("d", range(9))
@@ -69,8 +88,8 @@ def test_totals_are_110_plus_11d(d):
     expected = (8 - d) * 11 + d * 22 + 2 * 11
     assert expected == 110 + 11 * d
     cache = prepared_cache(d)
-    rset = build_replacement_set("receiver", 0, 10, seed=d, tag_base=1000)
-    sample = measure_replacement_latency(cache, rset)
+    rset = build_replacement_set(10, seed=d, tag_base=1000)
+    sample = measure_replacement_latency(cache, "receiver", 0, rset)
     assert sample.total_cycles == expected
     assert sample.dirty_before == d
     assert sample.resident_hits == 0
@@ -78,10 +97,10 @@ def test_totals_are_110_plus_11d(d):
 
 def test_total_is_sum_of_individual_latencies():
     cache = prepared_cache(3)
-    rset = build_replacement_set("receiver", 0, 10, seed=1, tag_base=1000)
+    rset = build_replacement_set(10, seed=1, tag_base=1000)
     shadow = prepared_cache(3)
-    individual = [shadow.access(line, False).latency for line in rset]
-    assert measure_replacement_latency(cache, rset).total_cycles == sum(individual)
+    individual = [shadow.access(make_line("receiver", 0, tag), False).latency for tag in rset]
+    assert measure_replacement_latency(cache, "receiver", 0, rset).total_cycles == sum(individual)
 
 
 def test_adjacent_d_step_equals_dirty_minus_clean_cost():
@@ -89,8 +108,8 @@ def test_adjacent_d_step_equals_dirty_minus_clean_cost():
     totals = []
     for d in range(9):
         cache = prepared_cache(d, latency=model)
-        rset = build_replacement_set("receiver", 0, 10, seed=d, tag_base=1000)
-        totals.append(measure_replacement_latency(cache, rset).total_cycles)
+        rset = build_replacement_set(10, seed=d, tag_base=1000)
+        totals.append(measure_replacement_latency(cache, "receiver", 0, rset).total_cycles)
     steps = {b - a for a, b in zip(totals, totals[1:])}
     assert steps == {model.miss_dirty - model.miss_clean}
 
@@ -99,29 +118,29 @@ def test_resident_lines_flagged_not_fatal():
     # With L > W, rerunning the same chase order self-thrashes and still
     # misses everywhere; a W-sized set left fully resident shows the flag.
     cache = prepared_cache(0)
-    rset = build_replacement_set("receiver", 0, 8, seed=1, tag_base=1000)
-    first = measure_replacement_latency(cache, rset)
+    rset = build_replacement_set(8, seed=1, tag_base=1000)
+    first = measure_replacement_latency(cache, "receiver", 0, rset)
     assert not first.precondition_violated
-    again = measure_replacement_latency(cache, rset)
+    again = measure_replacement_latency(cache, "receiver", 0, rset)
     assert again.precondition_violated
     assert again.resident_hits == 8
 
 
 def test_same_order_reuse_self_thrashes_instead_of_hitting():
     cache = prepared_cache(0)
-    rset = build_replacement_set("receiver", 0, 10, seed=1, tag_base=1000)
-    measure_replacement_latency(cache, rset)
-    again = measure_replacement_latency(cache, rset)
+    rset = build_replacement_set(10, seed=1, tag_base=1000)
+    measure_replacement_latency(cache, "receiver", 0, rset)
+    again = measure_replacement_latency(cache, "receiver", 0, rset)
     assert again.resident_hits == 0  # LRU evicts each line just before its turn
 
 
 def test_measurement_doubles_as_initialization():
     cache = prepared_cache(8)
-    rset_a = build_replacement_set("receiver", 0, 10, seed=1, tag_base=1000)
-    measure_replacement_latency(cache, rset_a)
+    rset_a = build_replacement_set(10, seed=1, tag_base=1000)
+    measure_replacement_latency(cache, "receiver", 0, rset_a)
     assert cache.dirty_count(0) == 0
-    rset_b = build_replacement_set("receiver", 0, 10, seed=2, tag_base=2000)
-    sample = measure_replacement_latency(cache, rset_b)
+    rset_b = build_replacement_set(10, seed=2, tag_base=2000)
+    sample = measure_replacement_latency(cache, "receiver", 0, rset_b)
     assert sample.total_cycles == 110
     assert sample.resident_hits == 0
 
@@ -141,9 +160,9 @@ def test_chase_order_does_not_change_total(data, geo, policy, jitter, cache_seed
     d = data.draw(st.integers(0, ways), label="d")
     size = data.draw(st.integers(ways, 24), label="size")
     order = data.draw(st.permutations(range(size)), label="order")
-    lines = [make_line("receiver", 0, 1000 + i) for i in range(size)]
+    tags = [1000 + i for i in range(size)]
     results = []
-    for chased in (lines, [lines[i] for i in order]):
+    for chased in (tags, [tags[i] for i in order]):
         cache = Cache(geo, policy, LatencyModel(jitter=jitter), seed=cache_seed)
         sample = prime_dirty_probe(cache, tuple(chased), d)
         results.append((sample.total_cycles, sample.dirty_before,
@@ -167,8 +186,7 @@ def test_probe_totals_equals_one_fresh_cache_per_trial(data, policy, jitter, par
     levels = data.draw(st.lists(st.integers(0, ways), min_size=1, max_size=3),
                        label="levels")
     lat = LatencyModel(jitter=jitter)
-    rset = build_replacement_set(RECEIVER, TARGET_SET, rset_size,
-                                 tag_base=RSET_TAG_BASES[0])
+    rset = build_replacement_set(rset_size, tag_base=RSET_TAG_BASES[0])
     expected = [(d, [prime_dirty_probe(Cache(GEO, policy, lat,
                                              seed=derive_seed(*parts, d, t)),
                                        rset, d).total_cycles
@@ -267,6 +285,28 @@ def test_latency_cdf_fails_before_simulating(monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("call, message", [
+    (([0], 2, 1, 8.5), "^rset_size must be an int, not 8.5$"),
+    (([0], 2.5, 1, 10), "^trials must be an int, not 2.5$"),
+    (([0, 0.5], 2, 1, 10), "^d must be an int, not 0.5$"),
+    (([True], 2, 1, 10), "^d must be an int, not True$"),
+])
+def test_latency_cdf_rejects_a_non_int_before_simulating(monkeypatch, call, message):
+    # Each of these used to raise TypeError from inside `range`, or (a bool
+    # level) to run and label its row True.
+    built = []
+
+    def counting_cache(*args, **kwargs):
+        built.append(args)
+        return Cache(*args, **kwargs)
+
+    monkeypatch.setattr(measurement, "Cache", counting_cache)
+    d_values, trials, seed, rset_size = call
+    with pytest.raises(ValueError, match=message):
+        latency_cdf(d_values, trials, seed, rset_size=rset_size)
+    assert built == []
+
+
 @pytest.mark.parametrize("rset_size", [0, 4, 7])
 def test_latency_cdf_rejects_rset_below_associativity(rset_size):
     # A set smaller than W cannot replace every line, so its totals would
@@ -300,7 +340,7 @@ def test_fill_set_reads_prime_clean_and_writes_dirty():
 @pytest.mark.parametrize("d", [0, 3, 8])
 def test_prime_dirty_probe_on_a_fresh_cache(d):
     cache = Cache(GEO, "lru")
-    rset = build_replacement_set("receiver", 0, 10, seed=d, tag_base=1000)
+    rset = build_replacement_set(10, seed=d, tag_base=1000)
     sample = prime_dirty_probe(cache, rset, d)
     assert (sample.dirty_before, sample.total_cycles, sample.resident_hits) == (d, 110 + 11 * d, 0)
     assert sum(c["stores"] for c in cache.counters.values()) == d
