@@ -10,7 +10,7 @@ from .analysis import (DEFAULT_PERIODS, ErrorReport, PreambleLockError,
                        align_by_preamble, bit_error_rate, edit_distance,
                        rate_kbps, sweep_ber_vs_rate)
 from .cache import (AccessOutcome, Cache, CacheGeometry, LatencyModel,
-                    LineRef, OutcomeKind, WritePolicy, make_line)
+                    OutcomeKind, WritePolicy, make_line)
 from .channel import (BinaryEncoding, CalibrationError, ChannelConfig,
                       ChannelReport, Encoding, GadgetResult, MultiBitEncoding,
                       NoiseConfig, Thresholds, calibrate_thresholds,
@@ -32,8 +32,7 @@ __all__ = [
     "AccessOutcome", "BinaryEncoding", "Cache", "CacheGeometry",
     "CalibrationError", "ChannelConfig", "ChannelReport", "DEFAULT_PERIODS",
     "DirtyEvictionResult", "Encoding", "ErrorReport",
-    "EvictionExperimentResult", "GadgetResult", "LatencyModel",
-    "LatencySample", "LineRef",
+    "EvictionExperimentResult", "GadgetResult", "LatencyModel", "LatencySample",
     "MultiBitEncoding", "NoiseConfig", "OutcomeKind", "PreambleLockError",
     "RandomPolicy", "Thresholds", "TreePLRU", "TrueLRU", "WritePolicy",
     "align_by_preamble", "analytic_dirty_eviction_probability",

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .seeding import check_int, derive_seed
+
 FREQUENCY_HZ = 2.2e9  # core clock that turns cycles into seconds
 DEFAULT_PERIODS = (800, 1000, 1600, 2200, 5500, 11000)
 ALIGN_WINDOW = 32
@@ -119,8 +121,7 @@ def bit_error_rate(sent, received) -> ErrorReport:
 
 def rate_kbps(t_period: int, bits_per_symbol: int) -> float:
     """Transmission rate in Kbps for one symbol every t_period cycles."""
-    if t_period <= 0:
-        raise ValueError("t_period must be positive")
+    check_int("t_period", t_period, 1)
     return bits_per_symbol * FREQUENCY_HZ / t_period / 1000.0
 
 
@@ -153,12 +154,10 @@ def sweep_ber_vs_rate(cfg_template, periods=DEFAULT_PERIODS, trials: int = 3):
     """
     from array import array  # deferred with the rest: only a sweep packs event orders
     from . import channel  # deferred: channel builds reports out of this module
-    from .seeding import derive_seed
 
     if not periods:
         raise ValueError("periods must be non-empty")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_int("trials", trials, 1)
     seeds = [derive_seed(cfg_template.seed, "sweep", trial) for trial in range(trials)]
     runs = [[replace(cfg_template, t_s=period, seed=seed) for period in periods] for seed in seeds]
     calibration = channel.calibrate_thresholds(cfg_template)

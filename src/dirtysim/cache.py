@@ -39,6 +39,7 @@ from operator import add
 from typing import NamedTuple, Optional
 
 from .policy import make_policy
+from .seeding import check_int
 
 
 class WritePolicy(Enum):
@@ -52,14 +53,6 @@ class OutcomeKind(Enum):
     MISS_EVICT_CLEAN = "miss-evict-clean"
     MISS_EVICT_DIRTY = "miss-evict-dirty"
     UNCACHED = "uncached"
-
-
-def check_int(name: str, value, least: Optional[int] = None) -> None:
-    """Reject integer field `name`'s value unless an int, not a bool, and >= `least` if given."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an int, not {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"{name} must be >= {least}")
 
 
 def _is_pow2(n: int) -> bool:
@@ -99,23 +92,11 @@ class CacheGeometry:
             object.__setattr__(self, "partition", norm)
 
 
-class LineRef(NamedTuple):
-    """One line of one actor's space; actors never alias each other.
-
-    The cache that accesses it checks `set_index` against its own sets.
-    """
-
-    actor_id: str
-    set_index: int
-    tag: int
-
-
-def make_line(actor_id: str, set_index: int, tag: int) -> LineRef:
-    """The line `tag` of `actor_id` in set `set_index`."""
+def make_line(actor_id: str, set_index: int, tag: int) -> tuple:
+    """The line (actor_id, set_index, tag); actors never alias, and a cache checks the set."""
     if tag < 0:
         raise ValueError("tag must be non-negative")
-    # tuple.__new__ skips the NamedTuple's Python-level __new__ on this hot path.
-    return tuple.__new__(LineRef, (actor_id, set_index, tag))
+    return actor_id, set_index, tag
 
 
 @dataclass(frozen=True)
@@ -231,7 +212,7 @@ class Cache:
 
     # -- accesses -----------------------------------------------------------
 
-    def access(self, line: LineRef, is_write: bool) -> AccessOutcome:
+    def access(self, line: tuple, is_write: bool) -> AccessOutcome:
         actor, set_index, tag = line
         return self.access_run(actor, set_index, (tag,), is_write)[2]
 

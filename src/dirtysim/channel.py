@@ -41,7 +41,6 @@ import bisect
 import dataclasses
 import math
 import random
-import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import sub
@@ -50,14 +49,15 @@ from typing import NamedTuple, Optional
 from .analysis import (PreambleLockError, align_by_preamble, bit_error_rate,
                        rate_kbps)
 from .cache import (DEFAULT_GEOMETRY, DEFAULT_LATENCY, Cache, CacheGeometry,
-                    LatencyModel, WritePolicy, check_int, make_line)
+                    LatencyModel, WritePolicy, make_line)
 from .measurement import (DEFAULT_RSET_SIZE, RECEIVER, RSET_TAG_BASES, SENDER,
                           TARGET_SET, build_replacement_set, check_rset_size,
                           fill_set, measure_replacement_latency, probe_totals)
 from .policy import POLICIES
-from .seeding import derive_seed
+from .seeding import check_int, derive_seed
 
 NOISE = "noise"
+CALIBRATION_TRIALS = 8  # probe totals per level that calibration reads
 
 # Sent before every message: 0xF0F0, alternating runs of both symbols.  Its
 # 16 bits must split into whole symbols, so 8 levels (3 bits) cannot be used.
@@ -177,7 +177,7 @@ class ChannelConfig:
     def __post_init__(self):
         # `seed` too: seeds are hashed as text, so 1, 1.0 and True would be
         # equal configs that replay differently.
-        for name in ("t_s", "slip", "seed"):
+        for name in ("t_s", "seed"):
             check_int(name, getattr(self, name))
         if self.t_s < 2:
             raise ValueError("t_s must be at least 2 cycles, so the decode at "
@@ -195,8 +195,7 @@ class ChannelConfig:
             raise ValueError("message must be non-empty")
         if max(self.encoding.levels) > self.geometry.associativity:
             raise ValueError("encoding level exceeds associativity")
-        if self.slip < 0:
-            raise ValueError("slip must be >= 0")
+        check_int("slip", self.slip, 0)
         partition = self.geometry.partition
         if partition is not None:
             actors = (SENDER, RECEIVER, NOISE) if self.noise.rate > 0 else (SENDER, RECEIVER)
@@ -240,12 +239,13 @@ class Thresholds:
 
 
 def _midpoint_thresholds(table) -> Thresholds:
-    """Cuts between the levels of a `probe_totals` table, from each level's mean and spread."""
-    return Thresholds.from_level_stats([statistics.fmean(t) for _, t in table],
-                                       [statistics.pstdev(t) for _, t in table])
+    """Cuts between a `probe_totals` table's levels, from each level's mean and population σ."""
+    stats = [(len(t), sum(t), sum(x * x for x in t)) for _, t in table]
+    return Thresholds.from_level_stats([s / n for n, s, _ in stats],
+                                       [math.sqrt(n * q - s * s) / n for n, s, q in stats])
 
 
-def calibrate_thresholds(cfg: ChannelConfig, trials: int = 8) -> Thresholds:
+def calibrate_thresholds(cfg: ChannelConfig) -> Thresholds:
     """Cut at the midpoints of each level's `probe_totals` on the undefended cache.
 
     Thresholds model the attacker's expectation of the write-back channel:
@@ -254,7 +254,7 @@ def calibrate_thresholds(cfg: ChannelConfig, trials: int = 8) -> Thresholds:
     geometry = dataclasses.replace(cfg.geometry, partition=None,
                                    write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
     return _midpoint_thresholds(probe_totals(
-        cfg.encoding.levels, trials, (derive_seed(cfg.seed, "calibration"), "cache"),
+        cfg.encoding.levels, CALIBRATION_TRIALS, (derive_seed(cfg.seed, "calibration"), "cache"),
         geometry=geometry, policy=cfg.policy, latency=cfg.latency,
         rset_size=cfg.rset_size))
 

@@ -25,8 +25,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .cache import DEFAULT_GEOMETRY, Cache, CacheGeometry, check_int
-from .seeding import derive_seed
+from .cache import DEFAULT_GEOMETRY, Cache, CacheGeometry
+from .policy import check_dirty_count
+from .seeding import check_int, derive_seed
 
 DEFAULT_RSET_SIZE = 10
 
@@ -123,11 +124,8 @@ def probe_totals(levels, trials: int, seed_parts, *, geometry: CacheGeometry,
     check_int("trials", trials, 1)
     check_rset_size(rset_size, geometry)
     levels = list(levels)
-    ways = geometry.associativity
     for d in levels:
-        check_int("d", d)
-        if not 0 <= d <= ways:
-            raise ValueError(f"d={d} outside 0..{ways}")
+        check_dirty_count(d, geometry.associativity)
     rset = build_replacement_set(rset_size, tag_base=RSET_TAG_BASES[0])
 
     table = []
@@ -146,6 +144,7 @@ def probe_totals(levels, trials: int, seed_parts, *, geometry: CacheGeometry,
 def latency_cdf(d_values, trials: int, seed: int, *, policy="lru",
                 latency=None, rset_size: int = DEFAULT_RSET_SIZE):
     """[(d, sorted probe totals)] on the default geometry, for CDF plots."""
+    check_int("seed", seed)
     table = probe_totals(d_values, trials, (seed, "cdf"), geometry=DEFAULT_GEOMETRY,
                          policy=policy, latency=latency, rset_size=rset_size)
     return [(d, sorted(totals)) for d, totals in table]

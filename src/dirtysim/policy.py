@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .seeding import derive_seed
+from .seeding import check_int, derive_seed
 
 
 class TrueLRU:
@@ -180,6 +180,13 @@ def make_policy(name: str, ways: int = 8, seed: int = 0):
     return cls(ways)
 
 
+def check_dirty_count(d, ways: int) -> None:
+    """Reject a dirty-line count `d` unless an int in 0..`ways`."""
+    check_int("d", d)
+    if not 0 <= d <= ways:
+        raise ValueError(f"d={d} outside 0..{ways}")
+
+
 @dataclass(frozen=True)
 class EvictionExperimentResult:
     """Outcome of one Monte-Carlo eviction experiment, as a curve over draws.
@@ -205,10 +212,10 @@ def eviction_distance_experiment(policy, n: int, trials: int, seed: int,
     metadata, one write installing the probe line (making it dirty), then up
     to n distinct fresh lines, stopping at the one that evicts the probe.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_int("n", n, 1)
+    check_int("trials", trials, 1)
+    check_int("ways", ways, 1)
+    check_int("seed", seed)
     if n > 4 * ways:
         raise ValueError(f"n={n} above practical cap {4 * ways}")
     pol = make_policy(policy, ways)
@@ -255,16 +262,16 @@ def dirty_eviction_experiment(ds, l: int, trials: int, seed: int,
     a victim below it (its first dirty victim) or until l draws.  Fractions
     are therefore pathwise monotone in both d and l for a fixed seed.
     """
-    todo = sorted(set(ds))
-    if not todo:
+    check_int("ways", ways, 1)
+    check_int("seed", seed)
+    ds = list(ds)
+    if not ds:
         raise ValueError("ds must not be empty")
-    for d in (todo[0], todo[-1]):
-        if not 0 <= d <= ways:
-            raise ValueError(f"d={d} outside 0..{ways}")
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    for d in ds:
+        check_dirty_count(d, ways)
+    check_int("l", l, 1)
+    check_int("trials", trials, 1)
+    todo = sorted(set(ds))
     candidates = tuple(range(ways))
     # first[d][j]: trials whose first victim below d was draw j + 1
     first = {d: [0] * l for d in todo}
@@ -287,10 +294,7 @@ def analytic_dirty_eviction_probability(ways: int, d: int, l: int) -> float:
     Ignores that an evicted dirty line stops being dirty, which is irrelevant
     for the at-least-one event; Monte Carlo above agrees up to sampling noise.
     """
-    if ways < 1:
-        raise ValueError("ways must be >= 1")
-    if not 0 <= d <= ways:
-        raise ValueError(f"d={d} outside 0..{ways}")
-    if l < 0:
-        raise ValueError("l must be >= 0")
+    check_int("ways", ways, 1)
+    check_dirty_count(d, ways)
+    check_int("l", l, 0)
     return 1.0 - ((ways - d) / ways) ** l

@@ -1,7 +1,19 @@
-"""Stable seed derivation so every experiment is reproducible bit-for-bit."""
+"""Stable seed derivation, and `check_int`, the one rule for every count and seed.
+
+Seeds are hashed as text, so 1, 1.0 and True would replay differently.  Every
+module imports `check_int` from here, since this one imports none of them.
+"""
 
 import hashlib
 import random
+
+
+def check_int(name: str, value, least: int | None = None) -> None:
+    """Reject integer field `name`'s value unless an int, not a bool, and >= `least` if given."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, not {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 def derive_seed(*parts) -> int:
@@ -16,6 +28,7 @@ def derive_seed(*parts) -> int:
 
 
 def random_bits(n: int, seed) -> str:
-    """Return an n-character '0'/'1' string drawn from a dedicated generator."""
+    """Return an n-character '0'/'1' string; `seed` is any value with a stable text form."""
+    check_int("n", n, 0)
     rng = random.Random(derive_seed("bits", seed))
     return "".join(rng.choice("01") for _ in range(n))

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirtysim.cache import (Cache, CacheGeometry, LatencyModel, LineRef,
-                            OutcomeKind, WritePolicy, make_line)
+from dirtysim.cache import (Cache, CacheGeometry, LatencyModel, OutcomeKind,
+                            WritePolicy, make_line)
 
 WT = WritePolicy.WRITE_THROUGH_NO_ALLOCATE
 
@@ -47,7 +47,7 @@ def test_partition_rejects_a_non_int_way(way):
 
 
 def test_make_line_rejects_negative_tag():
-    assert make_line("r", 37, tag=99) == LineRef("r", 37, 99)
+    assert make_line("r", 37, tag=99) == ("r", 37, 99)
     with pytest.raises(ValueError, match="tag must be non-negative"):
         make_line("r", 0, -1)
 

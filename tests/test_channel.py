@@ -333,7 +333,7 @@ def test_calibration_fails_on_degenerate_levels():
 def test_calibration_fails_when_jitter_swamps_separation():
     cfg = make_cfg(latency=LatencyModel(jitter=6))
     with pytest.raises(CalibrationError):
-        calibrate_thresholds(cfg, trials=32)
+        calibrate_thresholds(cfg)
 
 
 def test_calibration_ignores_defenses():
