@@ -140,42 +140,23 @@ def sweep_ber_vs_rate(cfg_template, periods=DEFAULT_PERIODS, trials: int = 3):
 
     Trial seeds are derived without the period so noise/slip draws are shared
     across periods (common random numbers), which keeps the BER-vs-rate trend
-    monotone instead of drowning it in sampling noise.  Every run's config is
-    built, and so checked, before anything is simulated.
-
-    Each trial simulates each distinct event order once.  A run reads its
-    period only through the order of its events (see `channel`), and within
-    one trial the seed fixes the cache's draws and what each noise event
-    does, so the events' (prio, symbol index) sequence names everything the
-    simulation reads: periods that schedule the same order get the same BER.
-    Across trials the seed differs, so no order is shared between them.
-    A trial's runs also share one table of simulated steps (see `channel`),
-    since they differ only in `t_s`.
+    monotone instead of drowning it in sampling noise.  Every period's config
+    is built, and so checked, before anything is calibrated or simulated.
+    Each trial is one `channel.period_bers` call, which simulates each
+    distinct event order once.
     """
-    from array import array  # deferred with the rest: only a sweep packs event orders
     from . import channel  # deferred: channel builds reports out of this module
 
     if not periods:
         raise ValueError("periods must be non-empty")
     check_int("trials", trials, 1)
-    seeds = [derive_seed(cfg_template.seed, "sweep", trial) for trial in range(trials)]
-    runs = [[replace(cfg_template, t_s=period, seed=seed) for period in periods] for seed in seeds]
+    for period in periods:
+        replace(cfg_template, t_s=period)  # checks the period
     calibration = channel.calibrate_thresholds(cfg_template)
-    trial_bers = []
-    for cfgs in runs:
-        ber_of_order = {}  # this trial's orders only -> BER
-        steps = channel.Steps()  # shared by this trial's runs alone
-        bers = []
-        for cfg in cfgs:
-            events = channel.schedule(cfg)
-            # One C int per event; exact, since prio < 3 (an index too big
-            # for a C int raises rather than collide).
-            order = array("i", (3 * index + prio for _, prio, index, _ in events)).tobytes()
-            if order not in ber_of_order:
-                ber_of_order[order] = channel.simulate(cfg, events, calibration, steps).ber
-            del events  # so two periods' events are never alive at once
-            bers.append(ber_of_order[order])
-        trial_bers.append(bers)
+    trial_bers = [channel.period_bers(replace(cfg_template,
+                                              seed=derive_seed(cfg_template.seed, "sweep", trial)),
+                                      periods, calibration)
+                  for trial in range(trials)]
     return [SweepRow(period,
                      rate_kbps(period, cfg_template.encoding.bits_per_symbol),
                      cfg_template.encoding.name,

@@ -33,10 +33,10 @@ with them.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from operator import add
-from typing import NamedTuple, Optional
 
 from .policy import make_policy
 from .seeding import check_int
@@ -66,7 +66,7 @@ class CacheGeometry:
     num_sets: int = 64
     associativity: int = 8
     write_policy: WritePolicy = WritePolicy.WRITE_BACK_ALLOCATE
-    partition: Optional[dict] = None  # actor id -> iterable of permitted ways
+    partition: dict | None = None  # actor id -> iterable of permitted ways
 
     def __post_init__(self):
         for name in ("num_sets", "associativity"):
@@ -120,10 +120,7 @@ class LatencyModel:
             check_int(name, getattr(self, name), 0)
 
 
-class AccessOutcome(NamedTuple):
-    kind: OutcomeKind
-    victim_way: Optional[int]
-    latency: int
+AccessOutcome = namedtuple("AccessOutcome", "kind victim_way latency")
 
 
 DEFAULT_GEOMETRY = CacheGeometry()
@@ -287,7 +284,7 @@ class Cache:
             total += latency
         record[2] = meta
         self.cycles += total
-        # tuple.__new__ skips the NamedTuple's Python-level __new__ on this hot path.
+        # tuple.__new__ skips the namedtuple's Python-level __new__ on this hot path.
         return total, hits, tuple.__new__(AccessOutcome, (_KINDS[outcome >> 1], victim, latency))
 
     def _check_set(self, set_index):

@@ -12,14 +12,13 @@ the receiver aligns its decoded stream; noise events come only from a
 `NoiseConfig` with a rate above 0.
 
 `run_channel` is two steps.  `schedule` draws noise and slip and returns the
-sorted events; `simulate` runs the cache over them and scores the result.
+sorted events; `_simulate` runs the cache over them and scores the result.
 An access's latency never moves the clock, so a run reads its period only
 through the order of its events: two periods that schedule the same actions
 in the same order give the same decoded stream, BER, counters and cycle
-total.  A sweep relies on this to simulate each distinct order once per
-trial.
+total.  `period_bers` relies on this to simulate each distinct order once.
 
-When the cache draws nothing (no random policy, no jitter), `simulate`
+When the cache draws nothing (no random policy, no jitter), `_simulate`
 walks a table of steps instead of running every event.  Every access lands
 in `TARGET_SET`, so what an event does is fixed by that set's state (tags,
 dirty bits, policy metadata) and its action: the symbol of an encode, the
@@ -30,9 +29,9 @@ After that the step is only tallied, and the tallies' counts and cycles are
 added at the end, so every output is that of running each event.  Noise
 lines' tags are stored as one canonical tag that no fresh noise line can
 equal: each noise line is accessed once, so which one is resident never
-matters.  The table lives for one run, or for one sweep trial, whose runs
-differ only in `t_s`.  A cache that draws runs every event and stores
-nothing.
+matters.  A table lives for one `run_channel` call or one `period_bers`
+call, whose runs share one config but for `t_s`, and one set of cuts.  A
+cache that draws runs every event and stores nothing.
 """
 
 from __future__ import annotations
@@ -41,10 +40,9 @@ import bisect
 import dataclasses
 import math
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from operator import sub
-from typing import NamedTuple, Optional
 
 from .analysis import (PreambleLockError, align_by_preamble, bit_error_rate,
                        rate_kbps)
@@ -187,7 +185,7 @@ class ChannelConfig:
             raise ValueError(f"unknown replacement policy {self.policy!r}")
         k = self.encoding.bits_per_symbol
         for label, bits in (("preamble", PREAMBLE), ("message", self.message)):
-            if any(c not in "01" for c in bits):
+            if not set(bits) <= {"0", "1"}:
                 raise ValueError(f"{label} must be a 0/1 string")
             if len(bits) % k:
                 raise ValueError(f"{label} length must be a multiple of {k}")
@@ -284,17 +282,10 @@ def receiver_decode(cache: Cache, cfg: ChannelConfig, rset: tuple,
 
 # -- the timed protocol ------------------------------------------------------
 
-class TraceEvent(NamedTuple):
-    cycle: int
-    actor: str
-    action: str
-    d: object
-    latency: int
-    decoded_bits: str
-    truth_bits: str
+TraceEvent = namedtuple("TraceEvent", "cycle actor action d latency decoded_bits truth_bits")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelReport:
     """Decoded stream plus error metrics and per-actor counters."""
 
@@ -354,7 +345,7 @@ _NOISE_TAG = (NOISE, -1)
 
 
 class Steps:
-    """The steps a walk has simulated, for runs that differ only in `t_s`.
+    """The steps a walk has simulated, for one `run_channel` or `period_bers` call.
 
     A step is keyed by (state id, action) and holds (next state id, the
     trace fields from actor to decoded bits, the actor's count delta).
@@ -377,19 +368,17 @@ class Steps:
         return sid
 
 
-def simulate(cfg: ChannelConfig, events: list, thresholds: Thresholds,
-             steps: Optional[Steps] = None) -> ChannelReport:
+def _simulate(cfg: ChannelConfig, events: list, thresholds: Thresholds,
+              steps: Steps) -> ChannelReport:
     """Run the cache over `cfg`'s scheduled `events` and score the decoded stream.
 
     Only the cycles in the trace and `rate_kbps` read `cfg.t_s`: the cache,
     the stream and the decoded bits see the events' order alone, since an
     access's latency never moves the clock.  `thresholds` must hold one cut
     between each pair of adjacent levels.  A cache that draws nothing is
-    walked through `steps` (module docstring), a fresh table when None; the
-    runs that share a table must differ only in `t_s`.
+    walked through `steps` (module docstring), whose every step was stored
+    by a run of `cfg` but for `t_s`, decoded with `thresholds`.
     """
-    if steps is None:
-        steps = Steps()
     enc = cfg.encoding
     if len(thresholds.cuts) != len(enc.levels) - 1:
         raise ValueError(f"thresholds have {len(thresholds.cuts)} cuts, but "
@@ -447,7 +436,7 @@ def simulate(cfg: ChannelConfig, events: list, thresholds: Thresholds,
             tally[key] += 1
             live = False
         state, actor, name, d, latency, bits, _ = step
-        # tuple.__new__ skips the NamedTuple's Python-level __new__ on this hot path.
+        # tuple.__new__ skips the namedtuple's Python-level __new__ on this hot path.
         trace.append(tuple.__new__(TraceEvent, (cycle, actor, name, d, latency, bits, truth)))
         if bits:
             received_parts.append(bits)
@@ -479,7 +468,7 @@ def simulate(cfg: ChannelConfig, events: list, thresholds: Thresholds,
     )
 
 
-def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> ChannelReport:
+def run_channel(cfg: ChannelConfig, thresholds: Thresholds | None = None) -> ChannelReport:
     """Drive sender, noise, and receiver through one message transmission.
 
     `cfg` checked itself when built; without `thresholds`, the run
@@ -487,7 +476,34 @@ def run_channel(cfg: ChannelConfig, thresholds: Optional[Thresholds] = None) -> 
     """
     if thresholds is None:
         thresholds = calibrate_thresholds(cfg)
-    return simulate(cfg, schedule(cfg), thresholds)
+    return _simulate(cfg, schedule(cfg), thresholds, Steps())
+
+
+def period_bers(cfg: ChannelConfig, periods, thresholds: Thresholds) -> list:
+    """The BER of `cfg` run at each of `periods` with `thresholds`, in order.
+
+    Every period's config is built, and so checked, before anything runs.
+    Each distinct event order is simulated once (module docstring): the
+    seed fixes the cache's draws and what each noise event does, so the
+    events' (prio, symbol index) sequence names everything a run reads.
+    The runs share one table of steps.
+    """
+    from array import array  # deferred: only a sweep packs event orders
+
+    cfgs = [dataclasses.replace(cfg, t_s=period) for period in periods]
+    steps = Steps()
+    ber_of_order = {}  # this call's orders only -> BER
+    bers = []
+    for run in cfgs:
+        events = schedule(run)
+        # One C int per event; exact, since prio < 3 (an index too big
+        # for a C int raises rather than collide).
+        order = array("i", (3 * index + prio for _, prio, index, _ in events)).tobytes()
+        if order not in ber_of_order:
+            ber_of_order[order] = _simulate(run, events, thresholds, steps).ber
+        del events  # so two periods' events are never alive at once
+        bers.append(ber_of_order[order])
+    return bers
 
 
 # -- side-channel gadgets ----------------------------------------------------

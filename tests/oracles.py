@@ -264,7 +264,7 @@ class ReferenceCache:
 
 
 def direct_simulate(cfg, events, thresholds):
-    """`channel.simulate` as one real action per event, with no table of steps.
+    """`run_channel`'s simulation of `events` as one real action each, with no table of steps.
 
     Every encode, decode and noise access runs on the one live cache, and
     the report's counters and cycles are that cache's.

@@ -259,7 +259,7 @@ def test_sweep_checks_every_period_before_simulating(monkeypatch):
     # A bad later period fails before the earlier periods are scheduled.
     from dirtysim import channel
     calls = []
-    for name in ("calibrate_thresholds", "schedule", "simulate"):
+    for name in ("calibrate_thresholds", "schedule", "_simulate"):
         real = getattr(channel, name)
         monkeypatch.setattr(channel, name,
                             lambda *a, _real=real, _name=name, **kw:
@@ -269,7 +269,7 @@ def test_sweep_checks_every_period_before_simulating(monkeypatch):
         sweep_ber_vs_rate(template, periods=(5500, 1), trials=2)
     assert calls == []
     sweep_ber_vs_rate(template, periods=(5500,), trials=2)
-    assert calls == ["calibrate_thresholds", "schedule", "simulate", "schedule", "simulate"]
+    assert calls == ["calibrate_thresholds", "schedule", "_simulate", "schedule", "_simulate"]
 
 
 def sweep_by_definition(cfg, periods, trials):
@@ -349,8 +349,8 @@ def test_the_sweep_equals_one_run_per_period_and_trial(case):
 def count_simulations(monkeypatch, cfg, trials):
     from dirtysim import channel
     calls = []
-    real = channel.simulate  # the sweep hands each trial's table of steps to it
-    monkeypatch.setattr(channel, "simulate", lambda *a: calls.append(1) or real(*a))
+    real = channel._simulate  # each trial's `period_bers` hands its table of steps to it
+    monkeypatch.setattr(channel, "_simulate", lambda *a: calls.append(1) or real(*a))
     sweep_ber_vs_rate(cfg, DEFAULT_PERIODS, trials)
     return len(calls)
 

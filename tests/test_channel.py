@@ -161,7 +161,7 @@ def test_config_validation():
 ])
 def test_config_rejects_a_partition_without_an_actor_of_the_run(partition, rate, missing):
     # Unchecked, a run without the sender's or receiver's ways calibrated and
-    # then failed in `simulate`.
+    # then failed in the simulation.
     geometry = CacheGeometry(partition=partition)
     with pytest.raises(ValueError, match=f"^{missing} actor has no way partition"):
         make_cfg(geometry=geometry, noise=NoiseConfig(rate=rate))

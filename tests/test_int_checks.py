@@ -7,6 +7,7 @@ of 1.0 or True replayed a different curve from seed 1 (seeds are hashed as
 text).
 """
 
+import os
 import re
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from dirtysim.seeding import random_bits
 SPIES = {
     "evict-prob": [(policy, "derive_seed")],
     "dirty-evict": [(policy, "derive_seed")],
-    "sweep": [(channel, "simulate"), (channel, "calibrate_thresholds")],
+    "sweep": [(channel, "_simulate"), (channel, "calibrate_thresholds")],
     "latency-cdf": [(measurement, "Cache")],
     "random-bits": [(seeding, "derive_seed")],
 }
@@ -130,3 +131,11 @@ def test_importing_the_cli_loads_no_statistics_module():
             "print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+    # Nor `typing`: the records are `collections.namedtuple`s and dataclasses.
+    # A `.pth` file that `site` runs may import `typing` itself, so this
+    # child skips `site` and finds the package through PYTHONPATH alone.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(seeding.__file__)))
+    code = "import sys, dirtysim.cli; print('typing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "False\n"

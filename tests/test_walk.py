@@ -1,18 +1,20 @@
-"""The walked `simulate` against one real action per event.
+"""The walked simulation against one real action per event.
 
-`channel.simulate` runs each distinct (target-set state, action) step of a
-run once and walks a table of them after that, when the cache draws
-nothing.  `oracles.direct_simulate` runs every event's real encode, decode
-or noise access on one live cache.  Both must give the same report, field
-by field: the raw decoded stream, every trace event, the counters, the
-cycle total and the BER.  A cache that draws (random policy or jitter) must
-run every event for real.
+`run_channel` runs each distinct (target-set state, action) step of a run
+once and walks a table of them after that, when the cache draws nothing.
+`oracles.direct_simulate` runs every event's real encode, decode or noise
+access on one live cache.  Both must give the same report, field by field:
+the raw decoded stream, every trace event, the counters, the cycle total
+and the BER.  A cache that draws (random policy or jitter) must run every
+event for real.  `period_bers` shares one table across the periods of a
+call, and must give each period the BER of its own `run_channel`.
 
 Tier-1 checks the same few cases on every run; `pytest
 --hypothesis-profile=differential` draws that profile's count of fresh ones
 (see `conftest.py`).
 """
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 import dirtysim.channel as channel
 from dirtysim.cache import LatencyModel
 from dirtysim.channel import (BinaryEncoding, ChannelConfig, MultiBitEncoding, NoiseConfig,
-                              Thresholds, run_channel, schedule, simulate)
+                              Thresholds, period_bers, run_channel, schedule)
 from dirtysim.cli import DEFENSES
 from dirtysim.seeding import random_bits
 
@@ -89,9 +91,8 @@ SWEEP_NOISY = ChannelConfig(message=random_bits(128, 2024), encoding=MultiBitEnc
                                 noise=NoiseConfig(1.0, 1.0))))
 def test_the_walk_equals_one_real_action_per_event(run):
     cfg, thresholds = run
-    events = schedule(cfg)
-    walked = simulate(cfg, events, thresholds)
-    direct = direct_simulate(cfg, events, thresholds)
+    walked = run_channel(cfg, thresholds)
+    direct = direct_simulate(cfg, schedule(cfg), thresholds)
     assert walked.raw_received_bits == direct.raw_received_bits
     assert walked.events == direct.events
     assert walked.counters == direct.counters
@@ -128,3 +129,21 @@ def test_a_run_that_draws_runs_every_event(monkeypatch, fields):
     cfg = ChannelConfig(message=random_bits(512, 1), seed=1, **fields)
     encodes, decodes, symbols = count_actions(monkeypatch, cfg)
     assert encodes == decodes == symbols == 16 + 512
+
+
+@DRAWS
+@given(run=runs(), periods=st.lists(st.one_of(st.sampled_from([800, 1001, 1600, 5500]),
+                                              st.integers(2, 12000)), min_size=1, max_size=4))
+@example(run=case(SWEEP_NOISY), periods=[800, 1000, 1600, 800])
+def test_period_bers_is_one_run_per_period(run, periods):
+    cfg, thresholds = run
+    assert period_bers(cfg, periods, thresholds) == [
+        run_channel(dataclasses.replace(cfg, t_s=p), thresholds).ber for p in periods]
+
+
+def test_a_period_bers_table_lives_for_one_call():
+    # Both periods schedule one order.  A table kept from the first call
+    # would decode the second call with the first call's cut.
+    cfg = ChannelConfig(message=random_bits(256, 1), seed=1)
+    assert period_bers(cfg, (5500, 1600), Thresholds((115.5,))) == [0.0, 0.0]
+    assert period_bers(cfg, (5500, 1600), Thresholds((130.0,))) == [0.53515625, 0.53515625]
