@@ -48,7 +48,7 @@ from .analysis import (PreambleLockError, align_by_preamble, bit_error_rate,
                        rate_kbps)
 from .cache import (DEFAULT_GEOMETRY, DEFAULT_LATENCY, Cache, CacheGeometry,
                     LatencyModel, WritePolicy, make_line)
-from .measurement import (DEFAULT_RSET_SIZE, RECEIVER, RSET_TAG_BASES, SENDER,
+from .measurement import (DEFAULT_RSET_SIZE, RECEIVER, RSET_TAG_BASE, SENDER,
                           TARGET_SET, build_replacement_set, check_rset_size,
                           fill_set, measure_replacement_latency, probe_totals)
 from .policy import POLICIES
@@ -391,7 +391,7 @@ def _simulate(cfg: ChannelConfig, events: list, thresholds: Thresholds,
     # Decodes alternate between two replacement sets, so the one measured
     # with is never resident.
     rsets = tuple(build_replacement_set(cfg.rset_size, derive_seed(cfg.seed, "chase", p),
-                                        tag_base=RSET_TAG_BASES[p])
+                                        tag_base=RSET_TAG_BASE + p * cfg.rset_size)
                   for p in (0, 1))
     table = steps.table
     walk = not cache.draws  # a drawing cache's steps hang on its generators: store none
@@ -572,7 +572,7 @@ def run_gadget_attack(variant: str, scenario: str, secret: int) -> GadgetResult:
         dirty = scenario == "prime-with-dirty"
         fill_set(cache, "attacker", TARGET_SET, ways, write=dirty)
         cache.access(*victim)
-        rset = build_replacement_set(DEFAULT_RSET_SIZE, tag_base=RSET_TAG_BASES[0])
+        rset = build_replacement_set(DEFAULT_RSET_SIZE, tag_base=RSET_TAG_BASE)
         total = measure_replacement_latency(cache, "attacker", TARGET_SET, rset).total_cycles
         levels = (ways - 1, ways) if dirty else (0, 1)
         cut, = _midpoint_thresholds(probe_totals(

@@ -39,9 +39,10 @@ TARGET_SET = 0
 SENDER = "sender"
 RECEIVER = "receiver"
 
-# Tag bases of the two replacement sets in the receiver's space, used
-# alternately so the active one is never resident; primed lines use 0..W-1.
-RSET_TAG_BASES = (1000, 2000)
+# First tag of the replacement sets in the receiver's space (primed lines use
+# 0..W-1).  The channel's set p of size L starts at RSET_TAG_BASE + p*L, so the
+# two it alternates are disjoint and the one measured with is never resident.
+RSET_TAG_BASE = 1000
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def probe_totals(levels, trials: int, seed_parts, *, geometry: CacheGeometry,
     levels = list(levels)
     for d in levels:
         check_dirty_count(d, geometry.associativity)
-    rset = build_replacement_set(rset_size, tag_base=RSET_TAG_BASES[0])
+    rset = build_replacement_set(rset_size, tag_base=RSET_TAG_BASE)
 
     table = []
     for d in levels:

@@ -4,12 +4,13 @@ Three policies are modeled: true LRU, Tree-PLRU (W-1 tree bits per set, the
 scheme common in commercial L1 caches), and seeded pseudo-random selection.
 LRU and Tree-PLRU are rules over one set's metadata and hold no other
 state; the random policy keeps no metadata, and its generator is the only
-state a policy holds.  `draws` says which policies read it.  Metadata is a
-value: `on_access` returns the set's new metadata and `randomize_meta` a
-random one, and the caller keeps it.  LRU's is a recency list, which it updates in place
-and returns; Tree-PLRU's is one int of W-1 bits; the random policy's is
-None.  This keeps the experiments below independent of the full cache
-model in `dirtysim.cache`.
+state a policy holds.  A policy is `draws`, which says whether it reads
+that generator, and three rules: `new_set_meta`, `on_access` and
+`select_victim`.  Metadata is a value: `new_set_meta` returns a fresh set's
+and `on_access` the set's new one, and the caller keeps it.  LRU's is a
+recency list, which it updates in place and returns; Tree-PLRU's is one int
+of W-1 bits; the random policy's is None.  This keeps the experiments below
+independent of the full cache model in `dirtysim.cache`.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ class TrueLRU:
 
     def new_set_meta(self):
         return list(range(self.ways))
-
-    def randomize_meta(self, rng):
-        # A uniformly random touch order is a uniform recency permutation.
-        return rng.sample(range(self.ways), self.ways)
 
     def on_access(self, meta, way):
         meta.remove(way)
@@ -99,12 +96,6 @@ class TreePLRU:
     def new_set_meta(self):
         return 0
 
-    def randomize_meta(self, rng):
-        meta = 0
-        for i in range(self.ways - 1):
-            meta |= rng.randint(0, 1) << i
-        return meta
-
     def on_access(self, meta, way):
         keep, put = self._masks[self.ways][way]
         return meta & keep | put
@@ -150,9 +141,6 @@ class RandomPolicy:
         self._rng = random.Random(seed)
 
     def new_set_meta(self):
-        return None
-
-    def randomize_meta(self, rng):
         return None
 
     def on_access(self, meta, way):
@@ -208,9 +196,12 @@ def eviction_distance_experiment(policy, n: int, trials: int, seed: int,
                                  ways: int = 8) -> EvictionExperimentResult:
     """Measure how often a freshly dirtied line survives up to n follow-up insertions.
 
-    Per trial: a full set of unrelated valid lines with randomized policy
+    Per trial: a full set of unrelated valid lines with fresh policy
     metadata, one write installing the probe line (making it dirty), then up
     to n distinct fresh lines, stopping at the one that evicts the probe.
+    LRU and Tree-PLRU evict the probe at exactly insertion W from every
+    start state.  A policy that draws nothing replays one trial exactly, so
+    that trial stands for all `trials`; the random policy seeds each trial.
     """
     check_int("n", n, 1)
     check_int("trials", trials, 1)
@@ -221,11 +212,11 @@ def eviction_distance_experiment(policy, n: int, trials: int, seed: int,
     pol = make_policy(policy, ways)
     candidates = tuple(range(ways))
     first = [0] * n  # first[j]: trials whose probe line insertion j + 1 evicted
-    for t in range(trials):
-        rng = random.Random(derive_seed(seed, "evict-dist", t))
+    runs = trials if pol.draws else 1
+    for t in range(runs):
         if pol.draws:  # only a policy that draws costs a trial its own seed
             pol = make_policy(policy, ways, derive_seed(seed, "evict-dist-victims", t))
-        meta = pol.randomize_meta(rng)
+        meta = pol.new_set_meta()
         probe = pol.select_victim(meta, candidates)
         meta = pol.on_access(meta, probe)
         for j in range(n):
@@ -234,7 +225,8 @@ def eviction_distance_experiment(policy, n: int, trials: int, seed: int,
                 first[j] += 1
                 break
             meta = pol.on_access(meta, victim)
-    return EvictionExperimentResult(trials, tuple(c / trials for c in accumulate(first)))
+    return EvictionExperimentResult(
+        trials, tuple(c * (trials // runs) / trials for c in accumulate(first)))
 
 
 @dataclass(frozen=True)

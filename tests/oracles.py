@@ -22,7 +22,7 @@ from dirtysim.analysis import (PreambleLockError, align_by_preamble, bit_error_r
 from dirtysim.cache import Cache, make_line
 from dirtysim.channel import (NOISE, PREAMBLE, ChannelReport, TraceEvent,
                               receiver_decode, sender_encode)
-from dirtysim.measurement import (RECEIVER, RSET_TAG_BASES, SENDER, TARGET_SET,
+from dirtysim.measurement import (RECEIVER, RSET_TAG_BASE, SENDER, TARGET_SET,
                                   build_replacement_set, fill_set)
 from dirtysim.policy import make_policy
 from dirtysim.seeding import derive_seed
@@ -116,22 +116,35 @@ def plru_eviction_fraction(n, ways=WAYS):
     return evicted / states
 
 
+def random_start_meta(policy, ways, rng):
+    """A uniformly random metadata value of `policy` for a set of `ways` ways."""
+    if policy == "lru":
+        return rng.sample(range(ways), ways)  # a recency order
+    if policy == "tree-plru":
+        return rng.getrandbits(ways - 1)
+    return None
+
+
 def eviction_distance_fraction(policy, n, trials, seed, ways=WAYS):
     """Fraction of trials whose probe line is gone after exactly n insertions.
 
-    Same trials as `eviction_distance_experiment`: a prefilled set with
-    randomized metadata, the probe line installed at the policy's victim,
-    then all n fresh insertions, each touching its way.
+    The trials of `eviction_distance_experiment`, each run in full: a
+    prefilled set, the probe line installed at the policy's victim, then all
+    n fresh insertions, each touching its way.  Where the experiment starts
+    every trial from fresh metadata, each trial here starts from a random
+    state of its own, so agreement shows that the fresh start stands for
+    every start.  The random policy's victims follow the experiment's
+    per-trial seed.
     """
     pol = make_policy(policy, ways)
     candidates = tuple(range(ways))
     successes = 0
     for t in range(trials):
-        rng = random.Random(derive_seed(seed, "evict-dist", t))
+        rng = random.Random(derive_seed(seed, "oracle-start", t))
         if pol.draws:
             pol = make_policy(policy, ways, derive_seed(seed, "evict-dist-victims", t))
         occupants = list(range(-ways, 0))  # unrelated prefill
-        meta = pol.randomize_meta(rng)
+        meta = random_start_meta(policy, ways, rng)
         victim = pol.select_victim(meta, candidates)
         occupants[victim] = 0  # probe line, dirty
         meta = pol.on_access(meta, victim)
@@ -275,7 +288,7 @@ def direct_simulate(cfg, events, thresholds):
     cache = Cache(cfg.geometry, cfg.policy, cfg.latency, seed=derive_seed(cfg.seed, "cache"))
     fill_set(cache, RECEIVER, TARGET_SET, cfg.geometry.associativity)
     rsets = tuple(build_replacement_set(cfg.rset_size, derive_seed(cfg.seed, "chase", p),
-                                        tag_base=RSET_TAG_BASES[p])
+                                        tag_base=RSET_TAG_BASE + p * cfg.rset_size)
                   for p in (0, 1))
     trace = []
     received_parts = []

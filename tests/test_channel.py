@@ -11,7 +11,7 @@ from dirtysim.channel import (PREAMBLE, BinaryEncoding, CalibrationError,
                               receiver_decode, run_channel, run_gadget_attack,
                               schedule, sender_encode)
 from dirtysim.cli import main as cli_main
-from dirtysim.measurement import (RECEIVER, RSET_TAG_BASES, TARGET_SET,
+from dirtysim.measurement import (RECEIVER, RSET_TAG_BASE, TARGET_SET,
                                   build_replacement_set, fill_set)
 from dirtysim.seeding import derive_seed, random_bits
 
@@ -33,7 +33,7 @@ def receiver_init(cache, cfg):
 def receiver_rsets(cfg):
     """The two replacement sets `run_channel` decodes with, alternately."""
     return [build_replacement_set(cfg.rset_size, derive_seed(cfg.seed, "chase", p),
-                                  tag_base=RSET_TAG_BASES[p])
+                                  tag_base=RSET_TAG_BASE + p * cfg.rset_size)
             for p in (0, 1)]
 
 
@@ -290,16 +290,21 @@ def test_receiver_decode_maps_latency_to_bits():
     assert (sample.total_cycles, bits) == (110, "0")
 
 
-def test_run_channel_builds_two_replacement_sets(monkeypatch):
+@pytest.mark.parametrize("rset_size", [10, 999, 1000, 1001, 1500, 4000])
+def test_run_channel_builds_two_disjoint_replacement_sets(rset_size, monkeypatch):
+    # Sets above 1000 lines once shared tags, so a decode hit lines that the
+    # decode before it left resident.
     import dirtysim.channel as channel
-    cfg = make_cfg()
+    cfg = make_cfg(rset_size=rset_size)
     thresholds = calibrate_thresholds(cfg)
     built = []
     original = channel.build_replacement_set
     monkeypatch.setattr(channel, "build_replacement_set",
-                        lambda *a, **kw: built.append(a) or original(*a, **kw))
+                        lambda *a, **kw: built.append(original(*a, **kw)) or built[-1])
     report = run_channel(cfg, thresholds)
-    assert len(built) == 2
+    assert [len(rset) for rset in built] == [rset_size, rset_size]
+    assert not set(built[0]) & set(built[1])
+    assert report.counters["receiver"]["l1_hits"] == 0
     monkeypatch.undo()
     assert report.latency_trace == run_channel(cfg, thresholds).latency_trace
 

@@ -157,6 +157,19 @@ def test_lru_run_does_not_warn(capsys):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("rset_size, seed", [(1500, 1), (2000, 2)])
+def test_large_replacement_sets_leave_nothing_resident(rset_size, seed, capsys):
+    # Above 1000 lines the two sets once shared tags, so a decode hit lines
+    # that the decode before it left resident.
+    assert run_cli("run-channel", "--rset-size", str(rset_size), "--message-bits", "512",
+                   "--seed", str(seed)) == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["ber"] == 0.0
+    assert report["counters"]["receiver"]["l1_hits"] == 0
+    assert captured.err == ""
+
+
 def test_calibration_failure_exit_3(capsys):
     assert run_cli("run-channel", "--seed", "1", "--message-bits", "16",
                    "--jitter", "6") == 3

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from dirtysim import measurement
 from dirtysim.cache import Cache, CacheGeometry, LatencyModel, make_line
 from dirtysim.channel import ChannelConfig
-from dirtysim.measurement import (RSET_TAG_BASES, build_replacement_set, fill_set,
+from dirtysim.measurement import (RSET_TAG_BASE, build_replacement_set, fill_set,
                                   latency_cdf, measure_replacement_latency,
                                   prime_dirty_probe, probe_totals)
 from dirtysim.policy import POLICIES
@@ -186,7 +186,7 @@ def test_probe_totals_equals_one_fresh_cache_per_trial(data, policy, jitter, par
     levels = data.draw(st.lists(st.integers(0, ways), min_size=1, max_size=3),
                        label="levels")
     lat = LatencyModel(jitter=jitter)
-    rset = build_replacement_set(rset_size, tag_base=RSET_TAG_BASES[0])
+    rset = build_replacement_set(rset_size, tag_base=RSET_TAG_BASE)
     expected = [(d, [prime_dirty_probe(Cache(GEO, policy, lat,
                                              seed=derive_seed(*parts, d, t)),
                                        rset, d).total_cycles

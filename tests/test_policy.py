@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -47,16 +48,6 @@ def test_lru_metadata_is_the_recency_order():
     assert pol.select_victim(meta, (3, 5)) == 5
 
 
-def test_lru_randomized_metadata_is_a_random_touch_order():
-    pol = TrueLRU(8)
-    for seed in range(20):
-        meta = pol.randomize_meta(random.Random(seed))
-        touched = pol.new_set_meta()
-        for w in random.Random(seed).sample(range(8), 8):
-            touched = pol.on_access(touched, w)
-        assert meta == touched, seed
-
-
 @pytest.mark.parametrize("cls", [TrueLRU, TreePLRU])
 def test_select_victim_rejects_an_empty_candidate_list(cls):
     pol = cls(8)
@@ -69,16 +60,14 @@ def test_tree_plru_metadata_is_w_minus_1_bits():
         pol = TreePLRU(ways)
         assert pol.new_set_meta() == 0
         full = (1 << (ways - 1)) - 1
-        # Every touch and every random state stays inside the W-1 bits, and
-        # the touches of all ways reach each of them.
+        # Every touch stays inside the W-1 bits, and the touches of all ways
+        # reach each of them.
         touched = [pol.on_access(state, way) for state in (0, full) for way in range(ways)]
         assert all(0 <= meta <= full for meta in touched)
         reached = 0
         for meta in touched:
             reached |= meta
         assert reached == full
-        rng = random.Random(ways)
-        assert all(0 <= pol.randomize_meta(rng) <= full for _ in range(50))
     with pytest.raises(ValueError):
         TreePLRU(6)
 
@@ -199,7 +188,6 @@ def test_random_policy_is_reproducible_and_stateless():
     meta = a.new_set_meta()
     assert meta is None
     assert a.on_access(meta, 3) is None
-    assert a.randomize_meta(random.Random(1)) is None
 
 
 def test_random_policy_uniform_within_3_sigma():
@@ -263,6 +251,73 @@ def test_eviction_distance_tree_plru_agrees_with_enumeration():
     assert mc == plru_eviction_fraction(8)
 
 
+@pytest.mark.parametrize("policy", ["lru", "tree-plru", "random"])
+def test_only_a_drawing_policy_runs_every_trial(policy, monkeypatch):
+    # A policy that draws nothing replays one trial exactly: it runs once,
+    # derives no seed and builds no generator.
+    import dirtysim.policy as policy_module
+    cls = POLICIES[policy]
+    calls, derived, generators = [], [], []
+    original = cls.select_victim
+    monkeypatch.setattr(cls, "select_victim",
+                        lambda self, *a: calls.append(a) or original(self, *a))
+    monkeypatch.setattr(policy_module, "derive_seed",
+                        lambda *parts: derived.append(parts) or derive_seed(*parts))
+
+    class CountingRandom(random.Random):
+        def __init__(self, seed=None):
+            generators.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    n, trials = 12, 1000
+    result = eviction_distance_experiment(policy, n, trials, seed=3)
+    if cls.draws:
+        assert derived == [(3, "evict-dist-victims", t) for t in range(trials)]
+        assert len(generators) == trials + 1  # the unseeded first build, then one per trial
+        assert len(calls) > trials
+    else:
+        assert derived == [] and generators == []
+        assert len(calls) <= n + 1
+        assert result.evicted_within == (0.0,) * 7 + (1.0,) * (n - 7)
+    assert result.trials == trials
+
+
+@pytest.mark.parametrize("ways", [2, 4, 8, 16])
+def test_tree_plru_evicts_the_probe_at_insertion_w_from_every_state(ways):
+    for start in range(1 << (ways - 1)):
+        probe = plru_victim(start, ways)
+        state = plru_touch(start, probe, ways)
+        evicted_at = None
+        for insertion in range(1, ways + 1):
+            victim = plru_victim(state, ways)
+            if victim == probe:
+                evicted_at = insertion
+                break
+            state = plru_touch(state, victim, ways)
+        assert evicted_at == ways, start
+    result = eviction_distance_experiment("tree-plru", 2 * ways, 100, seed=1, ways=ways)
+    assert result.evicted_within == (0.0,) * (ways - 1) + (1.0,) * (ways + 1)
+
+
+@pytest.mark.parametrize("ways", [2, 3, 4, 5, 6])
+def test_lru_evicts_the_probe_at_insertion_w_from_every_recency_order(ways):
+    for start in itertools.permutations(range(ways)):
+        order = list(start)  # least to most recently used
+        probe = order.pop(0)
+        order.append(probe)
+        evicted_at = None
+        for insertion in range(1, ways + 1):
+            victim = order.pop(0)
+            order.append(victim)
+            if victim == probe:
+                evicted_at = insertion
+                break
+        assert evicted_at == ways, start
+    result = eviction_distance_experiment("lru", 2 * ways, 100, seed=1, ways=ways)
+    assert result.evicted_within == (0.0,) * (ways - 1) + (1.0,) * (ways + 1)
+
+
 def test_eviction_distance_random_policy_matches_closed_form():
     trials = 4000
     result = eviction_distance_experiment("random", 8, trials, seed=3)
@@ -310,9 +365,9 @@ def test_seeds_are_derived_only_where_a_policy_draws(monkeypatch):
     rng = random.Random(derive_seed(5, "trial", 1))
     for _ in range(20):
         assert pol.select_victim(None, ALL) == rng.choice(ALL)
-    # Per trial: the metadata seed, plus the victims seed for random only;
-    # the dirty-eviction table derives one seed per trial for every d.
-    for name, per_trial in (("lru", 1), ("tree-plru", 1), ("random", 2)):
+    # The victims seed of each trial, for random only; the dirty-eviction
+    # table derives one seed per trial for every d.
+    for name, per_trial in (("lru", 0), ("tree-plru", 0), ("random", 1)):
         derived.clear()
         eviction_distance_experiment(name, 8, 30, seed=4)
         assert len(derived) == 30 * per_trial, name
