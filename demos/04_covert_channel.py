@@ -7,8 +7,7 @@
 from dataclasses import replace
 
 from dirtysim import (BinaryEncoding, ChannelConfig, MultiBitEncoding,
-                      NoiseConfig, calibrate_thresholds, random_bits,
-                      run_channel)
+                      calibrate_thresholds, random_bits, run_channel)
 
 SEED = 2718
 message = random_bits(128, SEED)
@@ -34,9 +33,9 @@ print("multibit @ %d cycles/symbol -> %.1f Kbps, BER %.4f" %
 
 print()
 print("noise robustness:")
-clean = replace(cfg, noise=NoiseConfig(rate=1.0, kind_mix=0.0))
+clean = replace(cfg, noise_rate=1.0, noise_write_prob=0.0)
 print("  one clean read into the set every period -> BER %.4f" % run_channel(clean).ber)
-dirty = replace(cfg, noise=NoiseConfig(rate=0.2, kind_mix=1.0))
+dirty = replace(cfg, noise_rate=0.2, noise_write_prob=1.0)
 print("  dirty writes at rate 0.2 per period     -> BER %.4f" % run_channel(dirty).ber)
 print()
 print("Clean noise is harmless: under LRU the sender's dirty line is the")

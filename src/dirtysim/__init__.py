@@ -13,9 +13,8 @@ from .cache import (AccessOutcome, Cache, CacheGeometry, LatencyModel,
                     OutcomeKind, WritePolicy, make_line)
 from .channel import (BinaryEncoding, CalibrationError, ChannelConfig,
                       ChannelReport, Encoding, GadgetResult, MultiBitEncoding,
-                      NoiseConfig, Thresholds, calibrate_thresholds,
-                      receiver_decode, run_channel, run_gadget_attack,
-                      sender_encode)
+                      Thresholds, calibrate_thresholds, receiver_decode,
+                      run_channel, run_gadget_attack, sender_encode)
 from .measurement import (LatencySample, build_replacement_set, fill_set,
                           latency_cdf, measure_replacement_latency,
                           prime_dirty_probe, probe_totals)
@@ -33,7 +32,7 @@ __all__ = [
     "CalibrationError", "ChannelConfig", "ChannelReport", "DEFAULT_PERIODS",
     "DirtyEvictionResult", "Encoding", "ErrorReport",
     "EvictionExperimentResult", "GadgetResult", "LatencyModel", "LatencySample",
-    "MultiBitEncoding", "NoiseConfig", "OutcomeKind", "PreambleLockError",
+    "MultiBitEncoding", "OutcomeKind", "PreambleLockError",
     "RandomPolicy", "Thresholds", "TreePLRU", "TrueLRU", "WritePolicy",
     "align_by_preamble", "analytic_dirty_eviction_probability",
     "bit_error_rate", "build_replacement_set", "calibrate_thresholds",

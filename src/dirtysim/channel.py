@@ -9,7 +9,7 @@ deterministic event loop with a total order (cycle, then sender < noise <
 receiver) stands in for the wall-clock hyper-thread interleaving of real
 hardware.  Every transmission starts with the fixed `PREAMBLE`, by which
 the receiver aligns its decoded stream; noise events come only from a
-`NoiseConfig` with a rate above 0.
+`noise_rate` above 0.
 
 `run_channel` is two steps.  `schedule` draws noise and slip and returns the
 sorted events; `_simulate` runs the cache over them and scores the result.
@@ -48,9 +48,9 @@ from .analysis import (PreambleLockError, align_by_preamble, bit_error_rate,
                        rate_kbps)
 from .cache import (DEFAULT_GEOMETRY, DEFAULT_LATENCY, Cache, CacheGeometry,
                     LatencyModel, WritePolicy, make_line)
-from .measurement import (DEFAULT_RSET_SIZE, RECEIVER, RSET_TAG_BASE, SENDER,
-                          TARGET_SET, build_replacement_set, check_rset_size,
-                          fill_set, measure_replacement_latency, probe_totals)
+from .measurement import (DEFAULT_RSET_SIZE, RECEIVER, SENDER, TARGET_SET,
+                          build_replacement_set, check_rset_size, fill_set,
+                          measure_replacement_latency, probe_totals)
 from .policy import POLICIES
 from .seeding import check_int, derive_seed
 
@@ -134,26 +134,6 @@ def MultiBitEncoding(levels=(0, 3, 5, 8)) -> Encoding:
 # -- configuration -----------------------------------------------------------
 
 @dataclass(frozen=True)
-class NoiseConfig:
-    """Third-party interference: per-period event probability and write share."""
-
-    rate: float = 0.0
-    kind_mix: float = 0.0  # probability a noise event is a write (dirty)
-
-    def __post_init__(self):
-        for name in ("rate", "kind_mix"):
-            value = getattr(self, name)
-            if isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, not {value!r}")
-        if not self.rate >= 0:  # NaN fails this too
-            raise ValueError("rate must be >= 0")
-        if self.rate > 1:
-            raise ValueError("rate must be <= 1")
-        if not 0.0 <= self.kind_mix <= 1.0:
-            raise ValueError("kind_mix must be in [0, 1]")
-
-
-@dataclass(frozen=True)
 class ChannelConfig:
     """Everything defining one channel run; identical configs replay identically.
 
@@ -165,7 +145,8 @@ class ChannelConfig:
     encoding: Encoding = Encoding()
     t_s: int = 5500                    # period: encode at its start, decode mid-way
     rset_size: int = DEFAULT_RSET_SIZE
-    noise: NoiseConfig = field(default_factory=NoiseConfig)
+    noise_rate: float = 0.0            # probability of a noise event per period
+    noise_write_prob: float = 0.0      # probability a noise event is a write
     seed: int = 0
     slip: int = 0                      # half-width of receiver timing slip, cycles
     geometry: CacheGeometry = field(default_factory=CacheGeometry)
@@ -181,6 +162,10 @@ class ChannelConfig:
             raise ValueError("t_s must be at least 2 cycles, so the decode at "
                              "t_s // 2 comes after the encode in each period")
         check_rset_size(self.rset_size, self.geometry)
+        for name in ("noise_rate", "noise_write_prob"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not 0 <= value <= 1:  # NaN fails this too
+                raise ValueError(f"{name} must be a number in [0, 1], not {value!r}")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown replacement policy {self.policy!r}")
         k = self.encoding.bits_per_symbol
@@ -196,7 +181,7 @@ class ChannelConfig:
         check_int("slip", self.slip, 0)
         partition = self.geometry.partition
         if partition is not None:
-            actors = (SENDER, RECEIVER, NOISE) if self.noise.rate > 0 else (SENDER, RECEIVER)
+            actors = (SENDER, RECEIVER, NOISE) if self.noise_rate > 0 else (SENDER, RECEIVER)
             for actor in actors:
                 if actor not in partition:
                     raise ValueError(f"{actor} actor has no way partition; "
@@ -326,8 +311,8 @@ def schedule(cfg: ChannelConfig) -> list:
     for i in range(n_symbols):
         events.append((i * cfg.t_s, 0, i, "encode"))
         # noise_rng feeds nothing else, so its draws at rate 0 change no output.
-        if noise_rng.random() < cfg.noise.rate:
-            action = "noise-write" if noise_rng.random() < cfg.noise.kind_mix else "noise-read"
+        if noise_rng.random() < cfg.noise_rate:
+            action = "noise-write" if noise_rng.random() < cfg.noise_write_prob else "noise-read"
             events.append((i * cfg.t_s + noise_offset, 1, i, action))
         decode_at = i * cfg.t_s + cfg.t_s // 2
         if cfg.slip:
@@ -391,7 +376,7 @@ def _simulate(cfg: ChannelConfig, events: list, thresholds: Thresholds,
     # Decodes alternate between two replacement sets, so the one measured
     # with is never resident.
     rsets = tuple(build_replacement_set(cfg.rset_size, derive_seed(cfg.seed, "chase", p),
-                                        tag_base=RSET_TAG_BASE + p * cfg.rset_size)
+                                        ways=cfg.geometry.associativity, index=p)
                   for p in (0, 1))
     table = steps.table
     walk = not cache.draws  # a drawing cache's steps hang on its generators: store none
@@ -572,7 +557,7 @@ def run_gadget_attack(variant: str, scenario: str, secret: int) -> GadgetResult:
         dirty = scenario == "prime-with-dirty"
         fill_set(cache, "attacker", TARGET_SET, ways, write=dirty)
         cache.access(*victim)
-        rset = build_replacement_set(DEFAULT_RSET_SIZE, tag_base=RSET_TAG_BASE)
+        rset = build_replacement_set(DEFAULT_RSET_SIZE, ways=ways)
         total = measure_replacement_latency(cache, "attacker", TARGET_SET, rset).total_cycles
         levels = (ways - 1, ways) if dirty else (0, 1)
         cut, = _midpoint_thresholds(probe_totals(

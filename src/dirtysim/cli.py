@@ -28,7 +28,7 @@ import sys
 
 from . import analysis, channel, measurement, policy
 from .cache import CacheGeometry, LatencyModel, WritePolicy
-from .seeding import random_bits
+from .seeding import check_int, random_bits
 
 WAYS = CacheGeometry().associativity
 DEFENSES = {  # --defense name -> the geometry the channel runs on
@@ -116,12 +116,14 @@ def _channel_config(args, seed, **fields):
     """The channel the options describe; `fields` sets any other config field."""
     message = args.message
     if message is None:
+        check_int("message_bits", args.message_bits, 1)
         message = random_bits(args.message_bits, seed)
     return channel.ChannelConfig(
         encoding=_encoding(args),
         rset_size=args.rset_size,
         message=message,
-        noise=channel.NoiseConfig(rate=args.noise_rate, kind_mix=args.noise_write_prob),
+        noise_rate=args.noise_rate,
+        noise_write_prob=args.noise_write_prob,
         seed=seed,
         slip=args.slip,
         geometry=DEFENSES[args.defense],

@@ -39,11 +39,6 @@ TARGET_SET = 0
 SENDER = "sender"
 RECEIVER = "receiver"
 
-# First tag of the replacement sets in the receiver's space (primed lines use
-# 0..W-1).  The channel's set p of size L starts at RSET_TAG_BASE + p*L, so the
-# two it alternates are disjoint and the one measured with is never resident.
-RSET_TAG_BASE = 1000
-
 
 @dataclass(frozen=True)
 class LatencySample:
@@ -60,11 +55,18 @@ class LatencySample:
 
 
 def build_replacement_set(size: int = DEFAULT_RSET_SIZE, seed: int = 0, *,
-                          tag_base: int = 0) -> tuple:
-    """Tags `tag_base`..`tag_base+size-1`, as a tuple in the chase order of `seed`."""
+                          ways: int = 0, index: int = 0) -> tuple:
+    """Replacement set `index` of a set of `ways` ways, in the chase order of `seed`.
+
+    This is the one tag layout.  A fill holds tags 0..ways-1, so set `index`
+    takes the `size` tags from ways + index*size: no replacement set holds a
+    primed line, and the channel's two, which it alternates, share no tag.
+    """
     check_int("size", size, 1)
-    check_int("tag_base", tag_base, 0)
-    tags = list(range(tag_base, tag_base + size))
+    check_int("ways", ways, 0)
+    check_int("index", index, 0)
+    start = ways + index * size
+    tags = list(range(start, start + size))
     random.Random(derive_seed("chase", seed)).shuffle(tags)
     return tuple(tags)
 
@@ -127,7 +129,7 @@ def probe_totals(levels, trials: int, seed_parts, *, geometry: CacheGeometry,
     levels = list(levels)
     for d in levels:
         check_dirty_count(d, geometry.associativity)
-    rset = build_replacement_set(rset_size, tag_base=RSET_TAG_BASE)
+    rset = build_replacement_set(rset_size, ways=geometry.associativity)
 
     table = []
     for d in levels:

@@ -22,8 +22,8 @@ from dirtysim.analysis import (PreambleLockError, align_by_preamble, bit_error_r
 from dirtysim.cache import Cache, make_line
 from dirtysim.channel import (NOISE, PREAMBLE, ChannelReport, TraceEvent,
                               receiver_decode, sender_encode)
-from dirtysim.measurement import (RECEIVER, RSET_TAG_BASE, SENDER, TARGET_SET,
-                                  build_replacement_set, fill_set)
+from dirtysim.measurement import (RECEIVER, SENDER, TARGET_SET, build_replacement_set,
+                                  fill_set)
 from dirtysim.policy import make_policy
 from dirtysim.seeding import derive_seed
 
@@ -288,7 +288,7 @@ def direct_simulate(cfg, events, thresholds):
     cache = Cache(cfg.geometry, cfg.policy, cfg.latency, seed=derive_seed(cfg.seed, "cache"))
     fill_set(cache, RECEIVER, TARGET_SET, cfg.geometry.associativity)
     rsets = tuple(build_replacement_set(cfg.rset_size, derive_seed(cfg.seed, "chase", p),
-                                        tag_base=RSET_TAG_BASE + p * cfg.rset_size)
+                                        ways=cfg.geometry.associativity, index=p)
                   for p in (0, 1))
     trace = []
     received_parts = []

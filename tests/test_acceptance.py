@@ -14,8 +14,7 @@ import pytest
 from dirtysim.analysis import edit_distance, rate_kbps
 from dirtysim.cache import Cache, CacheGeometry, WritePolicy, make_line
 from dirtysim.channel import (PREAMBLE, BinaryEncoding, ChannelConfig,
-                              MultiBitEncoding, NoiseConfig,
-                              calibrate_thresholds, run_channel,
+                              MultiBitEncoding, calibrate_thresholds, run_channel,
                               run_gadget_attack)
 from dirtysim.cli import main as cli_main
 from dirtysim.measurement import build_replacement_set, measure_replacement_latency
@@ -102,7 +101,7 @@ def test_criterion_05_latency_arithmetic():
             cache.access(make_line("receiver", 0, i), False)
         for j in range(d):
             cache.access(make_line("sender", 0, j), True)
-        rset = build_replacement_set(10, seed=d, tag_base=1000)
+        rset = build_replacement_set(10, seed=d, ways=8)
         totals.append(measure_replacement_latency(cache, "receiver", 0, rset).total_cycles)
     assert totals == [110 + 11 * d for d in range(9)]
     assert {b - a for a, b in zip(totals, totals[1:])} == {11}
@@ -134,12 +133,10 @@ def test_criterion_07_noiseless_end_to_end():
 @criterion(8, "clean noise is harmless; dirty noise flips 0-symbols at its rate")
 def test_criterion_08_noise():
     message = random_bits(2048, SEED)
-    clean = ChannelConfig(message=message, seed=SEED,
-                          noise=NoiseConfig(rate=1.0, kind_mix=0.0))
+    clean = ChannelConfig(message=message, seed=SEED, noise_rate=1.0, noise_write_prob=0.0)
     assert run_channel(clean).ber == 0.0
 
-    dirty = ChannelConfig(message=message, seed=SEED,
-                          noise=NoiseConfig(rate=0.1, kind_mix=1.0))
+    dirty = ChannelConfig(message=message, seed=SEED, noise_rate=0.1, noise_write_prob=1.0)
     report = run_channel(dirty)
     stream = PREAMBLE + dirty.message
     assert len(stream) >= 2000

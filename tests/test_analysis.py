@@ -10,8 +10,7 @@ from dirtysim.analysis import (ALIGN_WINDOW, DEFAULT_PERIODS, PreambleLockError,
                                edit_distance, rate_kbps, sweep_ber_vs_rate)
 from dirtysim.cache import LatencyModel
 from dirtysim.channel import (BinaryEncoding, CalibrationError, ChannelConfig,
-                              MultiBitEncoding, NoiseConfig, calibrate_thresholds,
-                              run_channel)
+                              MultiBitEncoding, calibrate_thresholds, run_channel)
 from dirtysim.cli import DEFENSES
 from dirtysim.seeding import derive_seed, random_bits
 
@@ -296,7 +295,8 @@ def sweep_outcome(sweep, cfg, periods, trials):
 
 # `benchmarks/run.py`'s sweep-noisy workload, at 128 bits and seed 1.
 SWEEP_NOISY = ChannelConfig(message=random_bits(128, 1), encoding=MultiBitEncoding(),
-                            policy="tree-plru", noise=NoiseConfig(1.0, 0.5), slip=300, seed=1)
+                            policy="tree-plru", noise_rate=1.0, noise_write_prob=0.5,
+                            slip=300, seed=1)
 
 
 @st.composite
@@ -305,16 +305,16 @@ def sweep_cases(draw):
     encoding = draw(st.sampled_from([BinaryEncoding(1), BinaryEncoding(4), MultiBitEncoding()]))
     defense = draw(st.sampled_from(sorted(DEFENSES)))
     policy = draw(st.sampled_from(["lru", "tree-plru", "random"]))
-    noise = NoiseConfig()
+    noise = {}
     if defense != "partition":  # the noise actor has no partition
-        noise = NoiseConfig(draw(st.sampled_from([0.0, 0.5, 1.0])),
-                            draw(st.sampled_from([0.0, 0.5, 1.0])))
+        noise = dict(noise_rate=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                     noise_write_prob=draw(st.sampled_from([0.0, 0.5, 1.0])))
     bits = encoding.bits_per_symbol * draw(st.integers(4, 24))
     cfg = ChannelConfig(
         message=format(draw(st.integers(0, 2**bits - 1)), f"0{bits}b"),
         encoding=encoding,
         rset_size=24 if policy == "random" else 10,
-        noise=noise,
+        **noise,
         seed=draw(st.integers(0, 2**32)),
         slip=draw(st.one_of(st.sampled_from([0, 300, 600, 2000]), st.integers(0, 2000))),
         geometry=DEFENSES[defense],
@@ -330,7 +330,7 @@ def sweep_cases(draw):
 @example(case=(SWEEP_NOISY, DEFAULT_PERIODS, 2))
 # CI's smoke sweep: every period has its own order, and one period repeats.
 @example(case=(ChannelConfig(message=random_bits(16, 1), policy="random", rset_size=24,
-                             slip=600, noise=NoiseConfig(0.5), seed=1),
+                             slip=600, noise_rate=0.5, seed=1),
                (800, 1600, 1600, 5500), 2))
 # Both trials schedule one order but decode to different BERs, because the
 # random policy draws from each trial's seed.
@@ -340,7 +340,7 @@ def sweep_cases(draw):
 # earlier run stored, states that hold that run's noise lines, so those
 # lines must be stored in a form no fresh noise line can hit.
 @example(case=(ChannelConfig(message=random_bits(32, 1), encoding=MultiBitEncoding(),
-                             slip=600, noise=NoiseConfig(1.0, 1.0), seed=1),
+                             slip=600, noise_rate=1.0, noise_write_prob=1.0, seed=1),
                (800, 1000, 1600), 2))
 def test_the_sweep_equals_one_run_per_period_and_trial(case):
     assert sweep_outcome(sweep_ber_vs_rate, *case) == sweep_outcome(sweep_by_definition, *case)
@@ -383,9 +383,8 @@ def test_sweep_with_slip_ber_rises_as_period_shrinks():
 def test_wider_margin_resists_identical_dirty_noise():
     # Same seed means both encodings face the same noise event stream; a lone
     # noise line costs one dirty eviction, under d=1's cut but far under d=8's.
-    noise = NoiseConfig(rate=0.2, kind_mix=1.0)
-    slim = ChannelConfig(message=random_bits(64, 8), seed=8, noise=noise,
-                         encoding=BinaryEncoding(1))
+    slim = ChannelConfig(message=random_bits(64, 8), seed=8, noise_rate=0.2,
+                         noise_write_prob=1.0, encoding=BinaryEncoding(1))
     wide = dataclasses.replace(slim, encoding=BinaryEncoding(8))
     slim_rows = sweep_ber_vs_rate(slim, periods=(1600, 5500), trials=3)
     wide_rows = sweep_ber_vs_rate(wide, periods=(1600, 5500), trials=3)

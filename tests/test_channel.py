@@ -6,13 +6,11 @@ import pytest
 
 from dirtysim.cache import Cache, CacheGeometry, LatencyModel, WritePolicy
 from dirtysim.channel import (PREAMBLE, BinaryEncoding, CalibrationError,
-                              ChannelConfig, Encoding, MultiBitEncoding, NoiseConfig,
-                              Thresholds, calibrate_thresholds,
-                              receiver_decode, run_channel, run_gadget_attack,
-                              schedule, sender_encode)
+                              ChannelConfig, Encoding, MultiBitEncoding, Thresholds,
+                              calibrate_thresholds, receiver_decode, run_channel,
+                              run_gadget_attack, schedule, sender_encode)
 from dirtysim.cli import main as cli_main
-from dirtysim.measurement import (RECEIVER, RSET_TAG_BASE, TARGET_SET,
-                                  build_replacement_set, fill_set)
+from dirtysim.measurement import RECEIVER, TARGET_SET, build_replacement_set, fill_set
 from dirtysim.seeding import derive_seed, random_bits
 
 PARTITION = CacheGeometry(partition={"sender": frozenset(range(4)),
@@ -33,7 +31,7 @@ def receiver_init(cache, cfg):
 def receiver_rsets(cfg):
     """The two replacement sets `run_channel` decodes with, alternately."""
     return [build_replacement_set(cfg.rset_size, derive_seed(cfg.seed, "chase", p),
-                                  tag_base=RSET_TAG_BASE + p * cfg.rset_size)
+                                  ways=cfg.geometry.associativity, index=p)
             for p in (0, 1)]
 
 
@@ -134,16 +132,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         make_cfg(message="")
     with pytest.raises(ValueError):
-        make_cfg(noise=NoiseConfig(rate=0.5), geometry=PARTITION)
-    with pytest.raises(ValueError, match="rate must be >= 0"):
-        NoiseConfig(rate=-1)
-    with pytest.raises(ValueError, match="rate must be <= 1"):
-        NoiseConfig(rate=1.5)
-    with pytest.raises(ValueError, match="rate must be >= 0"):
-        NoiseConfig(rate=float("nan"))
-    assert NoiseConfig(rate=1.0).rate == 1.0
-    with pytest.raises(ValueError):
-        NoiseConfig(rate=0.1, kind_mix=1.5)
+        make_cfg(noise_rate=0.5, geometry=PARTITION)
     for rset_size in (0, 4, 7):
         with pytest.raises(ValueError, match="rset_size"):
             make_cfg(rset_size=rset_size)
@@ -164,14 +153,14 @@ def test_config_rejects_a_partition_without_an_actor_of_the_run(partition, rate,
     # then failed in the simulation.
     geometry = CacheGeometry(partition=partition)
     with pytest.raises(ValueError, match=f"^{missing} actor has no way partition"):
-        make_cfg(geometry=geometry, noise=NoiseConfig(rate=rate))
+        make_cfg(geometry=geometry, noise_rate=rate)
 
 
 def test_config_accepts_a_partition_with_ways_for_noise():
     # PARTITION itself shows that noise at rate 0 needs no ways.
     three = CacheGeometry(partition={"sender": range(3), "receiver": range(3, 6),
                                      "noise": range(6, 8)})
-    assert make_cfg(geometry=three, noise=NoiseConfig(rate=0.5)).geometry is three
+    assert make_cfg(geometry=three, noise_rate=0.5).geometry is three
 
 
 def test_config_checks_itself_when_built_or_replaced():
@@ -199,16 +188,25 @@ def test_config_rejects_a_non_int_field(name, value):
         dataclasses.replace(make_cfg(), **{name: value})
 
 
-@pytest.mark.parametrize("name", ["rate", "kind_mix"])
-@pytest.mark.parametrize("value", [True, False])
-def test_noise_config_rejects_a_bool_field(name, value):
-    # Unchecked, NoiseConfig(rate=True) built and ran as rate 1.
-    message = f"^{name} must be a number, not {value!r}$"
+@pytest.mark.parametrize("name", ["noise_rate", "noise_write_prob"])
+@pytest.mark.parametrize("value", [True, False, -1, -0.5, 1.5, 5, float("nan")])
+def test_config_rejects_a_noise_field_outside_0_1(name, value):
+    # Unchecked, noise_rate=True built and ran as rate 1; a NaN fails every
+    # comparison, so it must be rejected rather than slip past `> 1`.
+    message = rf"^{name} must be a number in \[0, 1\], not {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=message):
-        NoiseConfig(**{name: value})
+        make_cfg(**{name: value})
+    noisy = make_cfg(noise_rate=0.5, noise_write_prob=0.5)
     with pytest.raises(ValueError, match=message):
-        dataclasses.replace(NoiseConfig(0.5, 0.5), **{name: value})
-    assert getattr(dataclasses.replace(NoiseConfig(0.5, 0.5), **{name: int(value)}), name) == value
+        dataclasses.replace(noisy, **{name: value})
+
+
+@pytest.mark.parametrize("name", ["noise_rate", "noise_write_prob"])
+@pytest.mark.parametrize("value", [0, 1, 0.0, 0.5, 1.0])
+def test_config_accepts_a_noise_field_in_0_1(name, value):
+    noisy = make_cfg(noise_rate=0.5, noise_write_prob=0.5)
+    assert getattr(dataclasses.replace(noisy, **{name: value}), name) == value
+    assert getattr(make_cfg(**{name: value}), name) == value
 
 
 def test_eight_levels_do_not_divide_the_preamble():
@@ -223,7 +221,7 @@ def test_config_fields():
     # its middle, and rates use the package's one clock frequency.
     # `message` comes first, with no default: an empty one is never valid.
     assert [f.name for f in dataclasses.fields(ChannelConfig)] == [
-        "message", "encoding", "t_s", "rset_size", "noise",
+        "message", "encoding", "t_s", "rset_size", "noise_rate", "noise_write_prob",
         "seed", "slip", "geometry", "policy", "latency"]
 
 
@@ -304,9 +302,20 @@ def test_run_channel_builds_two_disjoint_replacement_sets(rset_size, monkeypatch
     report = run_channel(cfg, thresholds)
     assert [len(rset) for rset in built] == [rset_size, rset_size]
     assert not set(built[0]) & set(built[1])
+    assert not (set(built[0]) | set(built[1])) & set(range(cfg.geometry.associativity))
     assert report.counters["receiver"]["l1_hits"] == 0
     monkeypatch.undo()
     assert report.latency_trace == run_channel(cfg, thresholds).latency_trace
+
+
+def test_a_set_of_more_than_1000_ways_probes_none_of_its_primed_lines():
+    # Replacement sets once started at tag 1000 whatever the ways, so at
+    # 1024 ways the first decode hit 24 primed lines: BER 0.469, no lock.
+    geometry = CacheGeometry(associativity=1024)
+    report = run_channel(ChannelConfig(message=random_bits(64, 1), geometry=geometry,
+                                       rset_size=1024, seed=1))
+    assert (report.ber, report.preamble_locked) == (0.0, True)
+    assert report.counters["receiver"]["l1_hits"] == 0
 
 
 def test_receiver_decode_multibit():
@@ -345,7 +354,7 @@ def test_calibration_ignores_defenses():
     # Calibration measures the undefended write-back channel, and noise only
     # acts at run time: a store-only noise writer every period changes no cut.
     for kw in (dict(geometry=WRITE_THROUGH), dict(geometry=PARTITION),
-               dict(noise=NoiseConfig(rate=1.0, kind_mix=1.0))):
+               dict(noise_rate=1.0, noise_write_prob=1.0)):
         assert calibrate_thresholds(make_cfg(**kw)).cuts == (115.5,), kw
 
 
@@ -399,7 +408,7 @@ def test_run_channel_rejects_thresholds_of_the_wrong_cut_count(monkeypatch, enco
 def test_schedule_cycles_at_odd_periods(encoding, t_s, noise_at, decode_at):
     # Symbol i encodes at i * t_s, meets noise `noise_at` cycles later and
     # decodes `decode_at` cycles later; an odd period shifts none of them.
-    cfg = make_cfg(encoding=encoding, t_s=t_s, noise=NoiseConfig(rate=1.0, kind_mix=0.5))
+    cfg = make_cfg(encoding=encoding, t_s=t_s, noise_rate=1.0, noise_write_prob=0.5)
     n_symbols = (len(PREAMBLE) + len(cfg.message)) // encoding.bits_per_symbol
     expected = sorted(event for i in range(n_symbols) for event in (
         (i * t_s, 0, i), (i * t_s + noise_at, 1, i), (i * t_s + decode_at, 2, i)))
@@ -463,14 +472,14 @@ def test_latency_trace_length_matches_decodes():
 
 
 def test_clean_noise_immunity_under_lru():
-    cfg = make_cfg(noise=NoiseConfig(rate=1.0, kind_mix=0.0),
+    cfg = make_cfg(noise_rate=1.0, noise_write_prob=0.0,
                    message=random_bits(128, 31))
     report = run_channel(cfg)
     assert report.ber == 0.0
 
 
 def test_dirty_noise_flips_zero_symbols():
-    cfg = make_cfg(noise=NoiseConfig(rate=1.0, kind_mix=1.0),
+    cfg = make_cfg(noise_rate=1.0, noise_write_prob=1.0,
                    message="0" * 64)
     report = run_channel(cfg)
     decoded = [bits for _, _, bits in report.latency_trace]

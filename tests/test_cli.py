@@ -265,16 +265,25 @@ def config_error(capsys):
 
 
 @pytest.mark.parametrize("flag,value,reason", [
-    ("--noise-rate", "-1", "rate must be >= 0"),
-    ("--noise-write-prob", "5", "kind_mix must be in [0, 1]"),
-    ("--noise-rate", "5", "rate must be <= 1"),
-    ("--noise-rate", "nan", "rate must be >= 0"),
-    ("--noise-write-prob", "nan", "kind_mix must be in [0, 1]"),
+    ("--noise-rate", "-1", "noise_rate must be a number in [0, 1], not -1.0"),
+    ("--noise-write-prob", "5", "noise_write_prob must be a number in [0, 1], not 5.0"),
+    ("--noise-rate", "5", "noise_rate must be a number in [0, 1], not 5.0"),
+    ("--noise-rate", "nan", "noise_rate must be a number in [0, 1], not nan"),
+    ("--noise-write-prob", "nan", "noise_write_prob must be a number in [0, 1], not nan"),
 ])
 def test_bad_noise_value_is_config_error(flag, value, reason, capsys):
-    # Out-of-range noise values used to run a noiseless channel instead.
+    # Out-of-range noise values used to run a noiseless channel instead.  The
+    # error names the config field of the flag, which shares the flag's name.
     assert run_cli("run-channel", "--seed", "1", "--message-bits", "16", flag, value) == 2
-    assert reason in config_error(capsys)
+    assert config_error(capsys) == f"config error: {reason}\n"
+
+
+@pytest.mark.parametrize("command", [("run-channel",), ("sweep", "--trials", "1")])
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_bad_message_bits_is_config_error_that_names_it(command, value, capsys):
+    # A negative count was reported as `n`, the name of random_bits' argument.
+    assert run_cli(*command, "--seed", "1", "--message-bits", value) == 2
+    assert config_error(capsys) == "config error: message_bits must be >= 1\n"
 
 
 def test_nan_noise_rate_in_a_config_file_is_config_error(tmp_path, capsys):
@@ -283,7 +292,7 @@ def test_nan_noise_rate_in_a_config_file_is_config_error(tmp_path, capsys):
     config.write_text("noise-rate = NaN\n", encoding="utf-8")
     assert run_cli("run-channel", "--seed", "1", "--message-bits", "16",
                    "--config", str(config)) == 2
-    assert "rate must be >= 0" in config_error(capsys)
+    assert "noise_rate must be a number in [0, 1], not nan" in config_error(capsys)
 
 
 @pytest.mark.parametrize("argv", [

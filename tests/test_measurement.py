@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from dirtysim import measurement
 from dirtysim.cache import Cache, CacheGeometry, LatencyModel, make_line
 from dirtysim.channel import ChannelConfig
-from dirtysim.measurement import (RSET_TAG_BASE, build_replacement_set, fill_set,
-                                  latency_cdf, measure_replacement_latency,
-                                  prime_dirty_probe, probe_totals)
+from dirtysim.measurement import (build_replacement_set, fill_set, latency_cdf,
+                                  measure_replacement_latency, prime_dirty_probe,
+                                  probe_totals)
 from dirtysim.policy import POLICIES
 from dirtysim.seeding import derive_seed
 
@@ -27,8 +27,10 @@ def prepared_cache(d, latency=None, seed=0):
 
 
 def test_build_replacement_set_shape():
-    rset = build_replacement_set(10, seed=3, tag_base=7)
-    assert sorted(rset) == list(range(7, 17))
+    # Set `index` of a set of `ways` ways starts at ways + index*size.
+    assert sorted(build_replacement_set(10, seed=3)) == list(range(10))
+    assert sorted(build_replacement_set(10, seed=3, ways=7)) == list(range(7, 17))
+    assert sorted(build_replacement_set(10, seed=3, ways=7, index=2)) == list(range(27, 37))
 
 
 def test_a_probe_reads_the_actor_and_set_its_caller_names():
@@ -58,8 +60,8 @@ def test_chase_order_is_the_seeded_shuffle_of_tag_order():
     # 0..size-1 gives, so that order, not the tag order, is what is visited.
     order = list(range(10))
     random.Random(derive_seed("chase", 3)).shuffle(order)
-    rset = build_replacement_set(10, seed=3, tag_base=1000)
-    assert rset == tuple(1000 + i for i in order)
+    rset = build_replacement_set(10, seed=3, ways=8)
+    assert rset == tuple(8 + i for i in order)
 
 
 def test_build_replacement_set_singleton():
@@ -74,12 +76,34 @@ def test_build_replacement_set_rejects_empty():
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"size": 8.5}, "^size must be an int, not 8.5$"),
-    ({"tag_base": -1}, "^tag_base must be >= 0$"),
-    ({"tag_base": 1.5}, "^tag_base must be an int, not 1.5$"),
+    ({"ways": -1}, "^ways must be >= 0$"),
+    ({"ways": 1.5}, "^ways must be an int, not 1.5$"),
+    ({"index": -1}, "^index must be >= 0$"),
+    ({"index": True}, "^index must be an int, not True$"),
 ])
-def test_build_replacement_set_rejects_a_bad_size_or_tag_base(kwargs, message):
+def test_build_replacement_set_rejects_a_bad_size_or_layout(kwargs, message):
     with pytest.raises(ValueError, match=message):
         build_replacement_set(**kwargs)
+
+
+@pytest.mark.parametrize("ways", [1, 2, 8, 999, 1000, 1024, 3000])
+@pytest.mark.parametrize("extra", [0, 1, 7, 2000])
+def test_replacement_sets_share_no_tag_with_a_fill_or_each_other(ways, extra):
+    # A fill uses tags 0..ways-1; each replacement set must start past them
+    # and past the set before it.
+    size = ways + extra
+    sets = [set(range(ways))] + [
+        set(build_replacement_set(size, seed=p, ways=ways, index=p))
+        for p in (0, 1)]
+    assert sum(map(len, sets)) == len(set().union(*sets)) == 3 * ways + 2 * extra
+
+
+def test_probe_totals_above_1000_ways_hit_no_primed_line():
+    # With the sets at tag 1000, 1024 ways gave 11,096 and 11,107: the probe
+    # hit 24 of the lines its own prime left.
+    geometry = CacheGeometry(associativity=1024)
+    assert probe_totals([0, 1], 1, ("x",), geometry=geometry, policy="lru", latency=None,
+                        rset_size=1024) == [(0, [11264]), (1, [11275])]
 
 
 @pytest.mark.parametrize("d", range(9))
@@ -88,7 +112,7 @@ def test_totals_are_110_plus_11d(d):
     expected = (8 - d) * 11 + d * 22 + 2 * 11
     assert expected == 110 + 11 * d
     cache = prepared_cache(d)
-    rset = build_replacement_set(10, seed=d, tag_base=1000)
+    rset = build_replacement_set(10, seed=d, ways=8)
     sample = measure_replacement_latency(cache, "receiver", 0, rset)
     assert sample.total_cycles == expected
     assert sample.dirty_before == d
@@ -97,7 +121,7 @@ def test_totals_are_110_plus_11d(d):
 
 def test_total_is_sum_of_individual_latencies():
     cache = prepared_cache(3)
-    rset = build_replacement_set(10, seed=1, tag_base=1000)
+    rset = build_replacement_set(10, seed=1, ways=8)
     shadow = prepared_cache(3)
     individual = [shadow.access(make_line("receiver", 0, tag), False).latency for tag in rset]
     assert measure_replacement_latency(cache, "receiver", 0, rset).total_cycles == sum(individual)
@@ -108,7 +132,7 @@ def test_adjacent_d_step_equals_dirty_minus_clean_cost():
     totals = []
     for d in range(9):
         cache = prepared_cache(d, latency=model)
-        rset = build_replacement_set(10, seed=d, tag_base=1000)
+        rset = build_replacement_set(10, seed=d, ways=8)
         totals.append(measure_replacement_latency(cache, "receiver", 0, rset).total_cycles)
     steps = {b - a for a, b in zip(totals, totals[1:])}
     assert steps == {model.miss_dirty - model.miss_clean}
@@ -118,7 +142,7 @@ def test_resident_lines_flagged_not_fatal():
     # With L > W, rerunning the same chase order self-thrashes and still
     # misses everywhere; a W-sized set left fully resident shows the flag.
     cache = prepared_cache(0)
-    rset = build_replacement_set(8, seed=1, tag_base=1000)
+    rset = build_replacement_set(8, seed=1, ways=8)
     first = measure_replacement_latency(cache, "receiver", 0, rset)
     assert not first.precondition_violated
     again = measure_replacement_latency(cache, "receiver", 0, rset)
@@ -128,7 +152,7 @@ def test_resident_lines_flagged_not_fatal():
 
 def test_same_order_reuse_self_thrashes_instead_of_hitting():
     cache = prepared_cache(0)
-    rset = build_replacement_set(10, seed=1, tag_base=1000)
+    rset = build_replacement_set(10, seed=1, ways=8)
     measure_replacement_latency(cache, "receiver", 0, rset)
     again = measure_replacement_latency(cache, "receiver", 0, rset)
     assert again.resident_hits == 0  # LRU evicts each line just before its turn
@@ -136,10 +160,10 @@ def test_same_order_reuse_self_thrashes_instead_of_hitting():
 
 def test_measurement_doubles_as_initialization():
     cache = prepared_cache(8)
-    rset_a = build_replacement_set(10, seed=1, tag_base=1000)
+    rset_a = build_replacement_set(10, seed=1, ways=8)
     measure_replacement_latency(cache, "receiver", 0, rset_a)
     assert cache.dirty_count(0) == 0
-    rset_b = build_replacement_set(10, seed=2, tag_base=2000)
+    rset_b = build_replacement_set(10, seed=2, ways=8, index=1)
     sample = measure_replacement_latency(cache, "receiver", 0, rset_b)
     assert sample.total_cycles == 110
     assert sample.resident_hits == 0
@@ -186,7 +210,7 @@ def test_probe_totals_equals_one_fresh_cache_per_trial(data, policy, jitter, par
     levels = data.draw(st.lists(st.integers(0, ways), min_size=1, max_size=3),
                        label="levels")
     lat = LatencyModel(jitter=jitter)
-    rset = build_replacement_set(rset_size, tag_base=RSET_TAG_BASE)
+    rset = build_replacement_set(rset_size, ways=ways)
     expected = [(d, [prime_dirty_probe(Cache(GEO, policy, lat,
                                              seed=derive_seed(*parts, d, t)),
                                        rset, d).total_cycles
@@ -340,7 +364,7 @@ def test_fill_set_reads_prime_clean_and_writes_dirty():
 @pytest.mark.parametrize("d", [0, 3, 8])
 def test_prime_dirty_probe_on_a_fresh_cache(d):
     cache = Cache(GEO, "lru")
-    rset = build_replacement_set(10, seed=d, tag_base=1000)
+    rset = build_replacement_set(10, seed=d, ways=8)
     sample = prime_dirty_probe(cache, rset, d)
     assert (sample.dirty_before, sample.total_cycles, sample.resident_hits) == (d, 110 + 11 * d, 0)
     assert sum(c["stores"] for c in cache.counters.values()) == d

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from dirtysim.cache import LatencyModel
 from dirtysim.channel import (BinaryEncoding, CalibrationError, ChannelConfig,
-                              MultiBitEncoding, NoiseConfig, run_channel, schedule)
+                              MultiBitEncoding, run_channel, schedule)
 from dirtysim.cli import DEFENSES
 from dirtysim.seeding import random_bits
 
@@ -56,17 +56,17 @@ def configs(draw, policies=("lru", "tree-plru", "random"), drawn=True):
     hit = draw(st.integers(0, 10))
     miss_clean = hit + draw(st.integers(1, 20))
     miss_dirty = miss_clean + draw(st.integers(4, 20))
-    noise = NoiseConfig()
+    noise = {}
     if drawn and defense != "partition":  # the noise actor has no partition
-        noise = NoiseConfig(draw(st.sampled_from([0.0, 0.5, 1.0])),
-                            draw(st.sampled_from([0.0, 0.5, 1.0])))
+        noise = dict(noise_rate=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                     noise_write_prob=draw(st.sampled_from([0.0, 0.5, 1.0])))
     return ChannelConfig(
         message=format(draw(st.integers(0, 2**bits - 1)), f"0{bits}b"),
         encoding=encoding,
         t_s=draw(st.sampled_from([1000, 5500])),
         # Random victims need a longer replacement set to calibrate.
         rset_size=24 if policy == "random" else draw(st.sampled_from([8, 10])),
-        noise=noise,
+        **noise,
         seed=draw(SEEDS),
         slip=draw(st.sampled_from([0, 300])) if drawn else 0,
         geometry=DEFENSES[defense],
@@ -78,8 +78,8 @@ def configs(draw, policies=("lru", "tree-plru", "random"), drawn=True):
 # Noise reads and writes on a write-back, unpartitioned cache, with slips
 # that move some decodes ahead of their symbol's noise event at this period.
 # Tier-1's derandomized draws hold few such runs.
-NOISY = ChannelConfig(message=random_bits(64, 3), t_s=1000, noise=NoiseConfig(1.0, 0.5),
-                      seed=4, slip=300)
+NOISY = ChannelConfig(message=random_bits(64, 3), t_s=1000, noise_rate=1.0,
+                      noise_write_prob=0.5, seed=4, slip=300)
 
 
 def report_of(cfg):
@@ -132,7 +132,7 @@ def test_a_run_that_draws_nothing_ignores_its_seed(cfg, seed):
 # Tier-1's few draws hold little noise that a write-back set sees, and few
 # slips that move a decode past a noise event; this run has both.
 @example(cfg=ChannelConfig(message=random_bits(64, 3), t_s=1000,
-                           noise=NoiseConfig(0.5, 0.5), seed=4, slip=300))
+                           noise_rate=0.5, noise_write_prob=0.5, seed=4, slip=300))
 def test_a_message_prefix_decodes_to_a_prefix_of_the_stream(cfg):
     k = cfg.encoding.bits_per_symbol
     half = dataclasses.replace(cfg, message=cfg.message[:len(cfg.message) // k // 2 * k])

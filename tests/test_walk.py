@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 
 import dirtysim.channel as channel
 from dirtysim.cache import LatencyModel
-from dirtysim.channel import (BinaryEncoding, ChannelConfig, MultiBitEncoding, NoiseConfig,
-                              Thresholds, period_bers, run_channel, schedule)
+from dirtysim.channel import (BinaryEncoding, ChannelConfig, MultiBitEncoding, Thresholds,
+                              period_bers, run_channel, schedule)
 from dirtysim.cli import DEFENSES
 from dirtysim.seeding import random_bits
 
@@ -54,17 +54,17 @@ def runs(draw):
                                      MultiBitEncoding((0, 1, 2, 8))]))
     defense = draw(st.sampled_from(sorted(DEFENSES)))
     policy = draw(st.sampled_from(["lru", "tree-plru", "random"]))
-    noise = NoiseConfig()
+    noise = {}
     if defense != "partition":  # the noise actor has no partition
-        noise = NoiseConfig(draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
-                            draw(st.sampled_from([0.0, 0.5, 1.0])))
+        noise = dict(noise_rate=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
+                     noise_write_prob=draw(st.sampled_from([0.0, 0.5, 1.0])))
     bits = encoding.bits_per_symbol * draw(st.integers(4, 64))
     cfg = ChannelConfig(
         message=format(draw(st.integers(0, 2**bits - 1)), f"0{bits}b"),
         encoding=encoding,
         t_s=draw(st.one_of(st.sampled_from([800, 1001, 1600, 5500]), st.integers(2, 12000))),
         rset_size=24 if policy == "random" else draw(st.integers(8, 12)),
-        noise=noise,
+        **noise,
         seed=draw(st.integers(0, 2**32)),
         slip=draw(st.one_of(st.sampled_from([0, 300, 600]), st.integers(0, 3000))),
         geometry=DEFENSES[defense],
@@ -79,8 +79,8 @@ def case(cfg):
 
 # The sweep-noisy benchmark workload's config at its fastest period.
 SWEEP_NOISY = ChannelConfig(message=random_bits(128, 2024), encoding=MultiBitEncoding(),
-                            t_s=800, policy="tree-plru", noise=NoiseConfig(1.0, 0.5),
-                            slip=300, seed=2024)
+                            t_s=800, policy="tree-plru", noise_rate=1.0,
+                            noise_write_prob=0.5, slip=300, seed=2024)
 
 
 @DRAWS
@@ -88,7 +88,7 @@ SWEEP_NOISY = ChannelConfig(message=random_bits(128, 2024), encoding=MultiBitEnc
 @example(run=case(SWEEP_NOISY))
 @example(run=case(ChannelConfig(message=random_bits(2048, 1), seed=1)))
 @example(run=case(ChannelConfig(message=random_bits(256, 3), t_s=1001, seed=3,
-                                noise=NoiseConfig(1.0, 1.0))))
+                                noise_rate=1.0, noise_write_prob=1.0)))
 def test_the_walk_equals_one_real_action_per_event(run):
     cfg, thresholds = run
     walked = run_channel(cfg, thresholds)
