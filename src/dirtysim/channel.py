@@ -13,10 +13,11 @@ the receiver aligns its decoded stream; noise events come only from a
 
 `run_channel` is two steps.  `schedule` draws noise and slip and returns the
 sorted events; `_simulate` runs the cache over them and scores the result.
-An access's latency never moves the clock, so a run reads its period only
-through the order of its events: two periods that schedule the same actions
-in the same order give the same decoded stream, BER, counters and cycle
-total.  `period_bers` relies on this to simulate each distinct order once.
+No draw reads the period, and an access's latency never moves the clock, so
+a run reads its period only through the order of its events: two periods
+that schedule the same actions in the same order give the same decoded
+stream, BER, counters and cycle total.  `period_bers` draws once for all its
+periods (`_draws`) and simulates each distinct order once.
 
 When the cache draws nothing (no random policy, no jitter), `_simulate`
 walks a table of steps instead of running every event.  Every access lands
@@ -42,7 +43,8 @@ import math
 import random
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
-from operator import sub
+from itertools import repeat
+from operator import add, sub
 
 from .analysis import (PreambleLockError, align_by_preamble, bit_error_rate,
                        rate_kbps)
@@ -164,8 +166,11 @@ class ChannelConfig:
         check_rset_size(self.rset_size, self.geometry)
         for name in ("noise_rate", "noise_write_prob"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not 0 <= value <= 1:  # NaN fails this too
-                raise ValueError(f"{name} must be a number in [0, 1], not {value!r}")
+            try:  # NaN fails the range too, and a value that cannot be compared raises
+                if isinstance(value, bool) or not 0 <= value <= 1:
+                    raise TypeError
+            except TypeError:
+                raise ValueError(f"{name} must be a number in [0, 1], not {value!r}") from None
         if self.policy not in POLICIES:
             raise ValueError(f"unknown replacement policy {self.policy!r}")
         k = self.encoding.bits_per_symbol
@@ -298,26 +303,34 @@ def schedule(cfg: ChannelConfig) -> list:
 
     `prio` orders sender (0) < noise (1) < receiver (2) at one cycle, and
     `index` is the symbol's position in the preamble-led stream, so each
-    event's key is unique.  This is the one place noise and slip draw.  Both
-    generators draw per symbol in index order, and how many draws a symbol
-    takes does not depend on `t_s`, so a run's period shows only in the
-    events' cycles.
+    event's key is unique.
     """
-    n_symbols = (len(PREAMBLE) + len(cfg.message)) // cfg.encoding.bits_per_symbol
+    return _events(cfg.t_s, *_draws(cfg))
+
+
+def _draws(cfg: ChannelConfig) -> tuple:
+    """The one place noise and slip draw: each noise event's (symbol index,
+    action), and each symbol's decode slip.  No draw reads `t_s`."""
+    n = (len(PREAMBLE) + len(cfg.message)) // cfg.encoding.bits_per_symbol
     noise_rng = random.Random(derive_seed(cfg.seed, "noise"))
     slip_rng = random.Random(derive_seed(cfg.seed, "slip"))
-    noise_offset = max(1, cfg.t_s // 4)
-    events = []
-    for i in range(n_symbols):
-        events.append((i * cfg.t_s, 0, i, "encode"))
-        # noise_rng feeds nothing else, so its draws at rate 0 change no output.
-        if noise_rng.random() < cfg.noise_rate:
-            action = "noise-write" if noise_rng.random() < cfg.noise_write_prob else "noise-read"
-            events.append((i * cfg.t_s + noise_offset, 1, i, action))
-        decode_at = i * cfg.t_s + cfg.t_s // 2
-        if cfg.slip:
-            decode_at = max(0, decode_at + slip_rng.randint(-cfg.slip, cfg.slip))
-        events.append((decode_at, 2, i, "decode"))
+    # noise_rng feeds nothing else, so skipping its draws at rate 0 changes no output.
+    noise = [(i, "noise-write" if noise_rng.random() < cfg.noise_write_prob else "noise-read")
+             for i in range(n if cfg.noise_rate else 0) if noise_rng.random() < cfg.noise_rate]
+    slips = [slip_rng.randint(-cfg.slip, cfg.slip) for _ in range(n)] if cfg.slip else [0] * n
+    return noise, slips
+
+
+def _events(t_s: int, noise: list, slips: list) -> list:
+    """`schedule`'s sorted events at period `t_s` from `_draws`' draws."""
+    n = len(slips)
+    decodes = list(map(add, range(t_s // 2, n * t_s, t_s), slips))
+    # A decode slipped to before the run's start happens at cycle 0.
+    decodes = [max(0, cycle) for cycle in decodes] if min(decodes) < 0 else decodes
+    offset = max(1, t_s // 4)
+    events = [*zip(range(0, n * t_s, t_s), repeat(0), range(n), repeat("encode")),
+              *[(i * t_s + offset, 1, i, action) for i, action in noise],
+              *zip(decodes, repeat(2), range(n), repeat("decode"))]
     events.sort()
     return events
 
@@ -476,11 +489,12 @@ def period_bers(cfg: ChannelConfig, periods, thresholds: Thresholds) -> list:
     from array import array  # deferred: only a sweep packs event orders
 
     cfgs = [dataclasses.replace(cfg, t_s=period) for period in periods]
+    draws = _draws(cfg)  # no draw reads t_s, so every period shares them
     steps = Steps()
     ber_of_order = {}  # this call's orders only -> BER
     bers = []
     for run in cfgs:
-        events = schedule(run)
+        events = _events(run.t_s, *draws)
         # One C int per event; exact, since prio < 3 (an index too big
         # for a C int raises rather than collide).
         order = array("i", (3 * index + prio for _, prio, index, _ in events)).tobytes()

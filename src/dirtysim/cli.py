@@ -4,7 +4,8 @@ Each command takes an explicit seed (flag, config file, or DIRTYSIM_SEED) and
 returns its CSV or JSON texts, whose bytes depend only on the configuration;
 `gadget` is deterministic and ignores the seed.  `main` writes the texts,
 checking every path after the first before any write (the first write checks
-its own), so no command leaves part of its output behind.  A config file
+its own), so no command leaves part of its output behind.  JSON and the
+trace CSV are rendered a `%` template per row (`_json`).  A config file
 stands for flags placed before the command line's, which win: a key `k` with
 value `v` is read as `--k=v`, a JSON list as its comma-joined text, and a
 JSON null is skipped.  It may set only options of its command other than
@@ -95,7 +96,33 @@ def _csv(header, rows):
 
 
 def _json(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(obj, indent=2, sort_keys=True) + "\\n"` for dicts with `str` keys, lists,
+    tuples, `str`, `int`, `float`, `bool` and `None`.  json's indent encoder is pure Python, so
+    rows of one length whose columns hold only exact `int`s or `str`s take a `%` template."""
+    return _render(obj, "\n") + "\n"
+
+
+def _render(obj, newline):
+    """`obj` as `_json`'s text, each of its inner lines led by `newline`."""
+    inner, quote = newline + "  ", json.encoder.encode_basestring_ascii
+    if isinstance(obj, dict):
+        brackets = "{}"
+        items = [f"{quote(key)}: {_render(value, inner)}" for key, value in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)):
+        brackets, items = "[]", None
+        if set(map(type, obj)) <= {list, tuple} and len(set(map(len, obj))) == 1 and obj[0]:
+            columns = list(zip(*obj))
+            kinds = [set(map(type, column)) for column in columns]  # exact: a bool is no int
+            if all(kind in ({int}, {str}) for kind in kinds):
+                template = "[" + ",".join([inner + "  %s"] * len(kinds)) + inner + "]"
+                columns = [map(quote, c) if k == {str} else c for c, k in zip(columns, kinds)]
+                items = list(map(template.__mod__, zip(*columns)))
+        if items is None:
+            items = [_render(item, inner) for item in obj]
+    else:
+        return json.dumps(obj)  # json's own text for NaN, -0.0, true and strings
+    opening, closing = brackets
+    return opening + inner + ("," + inner).join(items) + newline + closing if items else brackets
 
 
 def _encoding(args):
@@ -187,11 +214,10 @@ def cmd_run_channel(args):
               f"in {len(latency_trace)} decodes", file=sys.stderr)
     outputs = {}
     if args.trace:
+        # A `TraceEvent`'s fields are the columns in order, but for `set`.
         outputs[args.trace] = _csv(
             "cycle,actor,action,set,d,latency,decoded_bit,truth_bit",
-            (f"{ev.cycle},{ev.actor},{ev.action},{measurement.TARGET_SET},"
-             f"{ev.d},{ev.latency},{ev.decoded_bits},{ev.truth_bits}"
-             for ev in report.events))
+            map(f"%s,%s,%s,{measurement.TARGET_SET},%s,%s,%s,%s".__mod__, report.events))
     fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
               if f.name != "events"}
     outputs[args.out] = _json({**fields, "latency_trace": latency_trace})

@@ -255,10 +255,10 @@ def test_sweep_rejects_empty_periods():
 
 
 def test_sweep_checks_every_period_before_simulating(monkeypatch):
-    # A bad later period fails before the earlier periods are scheduled.
+    # A bad later period fails before the trial's noise and slip are drawn.
     from dirtysim import channel
     calls = []
-    for name in ("calibrate_thresholds", "schedule", "_simulate"):
+    for name in ("calibrate_thresholds", "_draws", "_simulate"):
         real = getattr(channel, name)
         monkeypatch.setattr(channel, name,
                             lambda *a, _real=real, _name=name, **kw:
@@ -268,7 +268,7 @@ def test_sweep_checks_every_period_before_simulating(monkeypatch):
         sweep_ber_vs_rate(template, periods=(5500, 1), trials=2)
     assert calls == []
     sweep_ber_vs_rate(template, periods=(5500,), trials=2)
-    assert calls == ["calibrate_thresholds", "schedule", "_simulate", "schedule", "_simulate"]
+    assert calls == ["calibrate_thresholds", "_draws", "_simulate", "_draws", "_simulate"]
 
 
 def sweep_by_definition(cfg, periods, trials):

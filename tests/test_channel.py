@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -189,10 +190,12 @@ def test_config_rejects_a_non_int_field(name, value):
 
 
 @pytest.mark.parametrize("name", ["noise_rate", "noise_write_prob"])
-@pytest.mark.parametrize("value", [True, False, -1, -0.5, 1.5, 5, float("nan")])
+@pytest.mark.parametrize("value", [True, False, -1, -0.5, 1.5, 5, float("nan"),
+                                   "0.5", None, [0.5], 0.5j])
 def test_config_rejects_a_noise_field_outside_0_1(name, value):
     # Unchecked, noise_rate=True built and ran as rate 1; a NaN fails every
-    # comparison, so it must be rejected rather than slip past `> 1`.
+    # comparison, so it must be rejected rather than slip past `> 1`.  The
+    # last four cannot be compared with 0 and 1 at all.
     message = rf"^{name} must be a number in \[0, 1\], not {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=message):
         make_cfg(**{name: value})
@@ -202,7 +205,7 @@ def test_config_rejects_a_noise_field_outside_0_1(name, value):
 
 
 @pytest.mark.parametrize("name", ["noise_rate", "noise_write_prob"])
-@pytest.mark.parametrize("value", [0, 1, 0.0, 0.5, 1.0])
+@pytest.mark.parametrize("value", [0, 1, 0.0, 0.5, 1.0, Fraction(1, 2)])
 def test_config_accepts_a_noise_field_in_0_1(name, value):
     noisy = make_cfg(noise_rate=0.5, noise_write_prob=0.5)
     assert getattr(dataclasses.replace(noisy, **{name: value}), name) == value

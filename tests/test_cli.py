@@ -3,8 +3,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dirtysim.cli import build_parser, main
+from dirtysim.cli import _json, build_parser, main
 
 from oracles import dirty_eviction_fraction, eviction_distance_fraction
 
@@ -660,3 +662,44 @@ def test_console_entry_point_subprocess(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert out.read_text().splitlines()[1] == "lru,8,30,1.0000"
+
+
+# -- JSON rendering ----------------------------------------------------------------
+
+JSON_DRAWS = (settings.default if settings.get_current_profile_name() == "differential"
+              else settings(max_examples=200, deadline=None, derandomize=True))
+SCALARS = (st.integers(), st.text(), st.booleans(), st.none(),
+           st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def row_lists(draw):
+    """Rows of one length, list or tuple, each column drawn from one scalar
+    kind or a mix of int and str, sometimes with one row of another length."""
+    kinds = draw(st.lists(st.sampled_from((*SCALARS, st.one_of(st.integers(), st.text()))),
+                          max_size=4))
+    row = st.tuples(*kinds).flatmap(lambda values: st.sampled_from([values, list(values)]))
+    rows = draw(st.lists(row, max_size=6))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.lists(st.integers(), max_size=5)))
+    return rows
+
+
+JSON_VALUES = st.recursive(
+    st.one_of(*SCALARS, row_lists()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=20)
+
+
+@JSON_DRAWS
+@given(value=JSON_VALUES)
+@example(value=[(0, 113, "0"), (5500, 130, "1")])  # latency_trace's rows
+@example(value=[[True, 1], [False, 2]])  # a bool column is not an int column
+@example(value=[[1, float("nan")], [2, float("inf")], [3, -0.0]])
+@example(value=[[], []])  # rows of no columns
+@example(value=[(7, "\u00e9\"\n")])  # one row, its str not ASCII
+@example(value={"b": {}, "a": [], "c": ()})
+def test_json_is_json_dumps_indent_2(value):
+    assert _json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"

@@ -147,3 +147,34 @@ def test_a_period_bers_table_lives_for_one_call():
     cfg = ChannelConfig(message=random_bits(256, 1), seed=1)
     assert period_bers(cfg, (5500, 1600), Thresholds((115.5,))) == [0.0, 0.0]
     assert period_bers(cfg, (5500, 1600), Thresholds((130.0,))) == [0.53515625, 0.53515625]
+
+
+@st.composite
+def noisy_configs(draw):
+    """A config whose schedule draws both noise and slip."""
+    encoding = draw(st.sampled_from([BinaryEncoding(1), MultiBitEncoding()]))
+    bits = encoding.bits_per_symbol * draw(st.integers(1, 64))
+    return ChannelConfig(
+        message=format(draw(st.integers(0, 2**bits - 1)), f"0{bits}b"),
+        encoding=encoding,
+        noise_rate=draw(st.floats(0.05, 1.0)),
+        noise_write_prob=draw(st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**32)),
+        slip=draw(st.integers(1, 3000)))
+
+
+@DRAWS
+@given(cfg=noisy_configs(), periods=st.lists(st.integers(2, 12000), min_size=1, max_size=4))
+@example(cfg=SWEEP_NOISY, periods=[800, 1000, 1600, 800])
+def test_period_bers_draws_noise_and_slip_once(cfg, periods):
+    labels = Counter()
+    real = channel.derive_seed
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(channel, "derive_seed",
+                      lambda *parts: labels.update(parts[1:2]) or real(*parts))
+        period_bers(cfg, periods, exact_cuts(cfg))
+    assert (labels["noise"], labels["slip"]) == (1, 1)
+    # Each period's events, built from the one set of draws, are its own schedule.
+    draws = channel._draws(cfg)
+    for period in periods:
+        assert channel._events(period, *draws) == schedule(dataclasses.replace(cfg, t_s=period))
