@@ -12,24 +12,24 @@ from dirtysim import (BinaryEncoding, ChannelConfig, MultiBitEncoding,
 SEED = 2718
 message = random_bits(128, SEED)
 
-cfg = ChannelConfig(encoding=BinaryEncoding(1), t_s=5500, message=message, seed=SEED)
+cfg = ChannelConfig(encoding=BinaryEncoding(1), period=5500, message=message, seed=SEED)
 thresholds = calibrate_thresholds(cfg)
 print("calibrated binary threshold:", thresholds.cuts)
 
 report = run_channel(cfg, thresholds=thresholds)
 print("binary d=1 @ %d cycles/symbol -> %.1f Kbps, BER %.4f" %
-      (cfg.t_s, report.rate_kbps, report.ber))
+      (cfg.period, report.rate_kbps, report.ber))
 print("first receiver samples (cycle, total, bit):")
 for entry in report.latency_trace[:8]:
     print("   ", entry)
 
 print()
 print("multi-bit encoding doubles the rate by using levels 0/3/5/8:")
-mcfg = ChannelConfig(encoding=MultiBitEncoding((0, 3, 5, 8)), t_s=1000,
+mcfg = ChannelConfig(encoding=MultiBitEncoding((0, 3, 5, 8)), period=1000,
                      message=random_bits(256, SEED), seed=SEED)
 mreport = run_channel(mcfg)
 print("multibit @ %d cycles/symbol -> %.1f Kbps, BER %.4f" %
-      (mcfg.t_s, mreport.rate_kbps, mreport.ber))
+      (mcfg.period, mreport.rate_kbps, mreport.ber))
 
 print()
 print("noise robustness:")

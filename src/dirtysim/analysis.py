@@ -119,10 +119,10 @@ def bit_error_rate(sent, received) -> ErrorReport:
     return ErrorReport(distance, ber, clamped)
 
 
-def rate_kbps(t_period: int, bits_per_symbol: int) -> float:
-    """Transmission rate in Kbps for one symbol every t_period cycles."""
-    check_int("t_period", t_period, 1)
-    return bits_per_symbol * FREQUENCY_HZ / t_period / 1000.0
+def rate_kbps(period: int, bits_per_symbol: int) -> float:
+    """Transmission rate in Kbps for one symbol every `period` cycles."""
+    check_int("period", period, 1)
+    return bits_per_symbol * FREQUENCY_HZ / period / 1000.0
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ def sweep_ber_vs_rate(cfg_template, periods=DEFAULT_PERIODS, trials: int = 3):
         raise ValueError("periods must be non-empty")
     check_int("trials", trials, 1)
     for period in periods:
-        replace(cfg_template, t_s=period)  # checks the period
+        replace(cfg_template, period=period)  # checks the period
     calibration = channel.calibrate_thresholds(cfg_template)
     trial_bers = [channel.period_bers(replace(cfg_template,
                                               seed=derive_seed(cfg_template.seed, "sweep", trial)),

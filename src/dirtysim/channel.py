@@ -31,7 +31,7 @@ added at the end, so every output is that of running each event.  Noise
 lines' tags are stored as one canonical tag that no fresh noise line can
 equal: each noise line is accessed once, so which one is resident never
 matters.  A table lives for one `run_channel` call or one `period_bers`
-call, whose runs share one config but for `t_s`, and one set of cuts.  A
+call, whose runs share one config but for `period`, and one set of cuts.  A
 cache that draws runs every event and stores nothing.
 """
 
@@ -145,7 +145,7 @@ class ChannelConfig:
 
     message: str
     encoding: Encoding = Encoding()
-    t_s: int = 5500                    # period: encode at its start, decode mid-way
+    period: int = 5500                 # encode at its start, decode mid-way
     rset_size: int = DEFAULT_RSET_SIZE
     noise_rate: float = 0.0            # probability of a noise event per period
     noise_write_prob: float = 0.0      # probability a noise event is a write
@@ -156,13 +156,9 @@ class ChannelConfig:
     latency: LatencyModel = field(default_factory=LatencyModel)
 
     def __post_init__(self):
-        # `seed` too: seeds are hashed as text, so 1, 1.0 and True would be
-        # equal configs that replay differently.
-        for name in ("t_s", "seed"):
-            check_int(name, getattr(self, name))
-        if self.t_s < 2:
-            raise ValueError("t_s must be at least 2 cycles, so the decode at "
-                             "t_s // 2 comes after the encode in each period")
+        # The decode at period // 2 must come after the encode at its start.
+        check_int("period", self.period, 2)
+        check_int("seed", self.seed)  # hashed as text, where 1, 1.0 and True differ
         check_rset_size(self.rset_size, self.geometry)
         for name in ("noise_rate", "noise_write_prob"):
             value = getattr(self, name)
@@ -305,12 +301,12 @@ def schedule(cfg: ChannelConfig) -> list:
     `index` is the symbol's position in the preamble-led stream, so each
     event's key is unique.
     """
-    return _events(cfg.t_s, *_draws(cfg))
+    return _events(cfg.period, *_draws(cfg))
 
 
 def _draws(cfg: ChannelConfig) -> tuple:
     """The one place noise and slip draw: each noise event's (symbol index,
-    action), and each symbol's decode slip.  No draw reads `t_s`."""
+    action), and each symbol's decode slip.  No draw reads `period`."""
     n = (len(PREAMBLE) + len(cfg.message)) // cfg.encoding.bits_per_symbol
     noise_rng = random.Random(derive_seed(cfg.seed, "noise"))
     slip_rng = random.Random(derive_seed(cfg.seed, "slip"))
@@ -321,15 +317,15 @@ def _draws(cfg: ChannelConfig) -> tuple:
     return noise, slips
 
 
-def _events(t_s: int, noise: list, slips: list) -> list:
-    """`schedule`'s sorted events at period `t_s` from `_draws`' draws."""
+def _events(period: int, noise: list, slips: list) -> list:
+    """`schedule`'s sorted events at `period` from `_draws`' draws."""
     n = len(slips)
-    decodes = list(map(add, range(t_s // 2, n * t_s, t_s), slips))
+    decodes = list(map(add, range(period // 2, n * period, period), slips))
     # A decode slipped to before the run's start happens at cycle 0.
     decodes = [max(0, cycle) for cycle in decodes] if min(decodes) < 0 else decodes
-    offset = max(1, t_s // 4)
-    events = [*zip(range(0, n * t_s, t_s), repeat(0), range(n), repeat("encode")),
-              *[(i * t_s + offset, 1, i, action) for i, action in noise],
+    offset = max(1, period // 4)
+    events = [*zip(range(0, n * period, period), repeat(0), range(n), repeat("encode")),
+              *[(i * period + offset, 1, i, action) for i, action in noise],
               *zip(decodes, repeat(2), range(n), repeat("decode"))]
     events.sort()
     return events
@@ -370,12 +366,12 @@ def _simulate(cfg: ChannelConfig, events: list, thresholds: Thresholds,
               steps: Steps) -> ChannelReport:
     """Run the cache over `cfg`'s scheduled `events` and score the decoded stream.
 
-    Only the cycles in the trace and `rate_kbps` read `cfg.t_s`: the cache,
+    Only the cycles in the trace and `rate_kbps` read `cfg.period`: the cache,
     the stream and the decoded bits see the events' order alone, since an
     access's latency never moves the clock.  `thresholds` must hold one cut
     between each pair of adjacent levels.  A cache that draws nothing is
     walked through `steps` (module docstring), whose every step was stored
-    by a run of `cfg` but for `t_s`, decoded with `thresholds`.
+    by a run of `cfg` but for `period`, decoded with `thresholds`.
     """
     enc = cfg.encoding
     if len(thresholds.cuts) != len(enc.levels) - 1:
@@ -457,7 +453,7 @@ def _simulate(cfg: ChannelConfig, events: list, thresholds: Thresholds,
         raw_received_bits=received,
         edit_distance=error.edit_distance,
         ber=error.ber,
-        rate_kbps=rate_kbps(cfg.t_s, k),
+        rate_kbps=rate_kbps(cfg.period, k),
         alignment_offset=offset,
         preamble_locked=locked,
         counters=dict(sorted(cache.counters.items())),
@@ -488,13 +484,13 @@ def period_bers(cfg: ChannelConfig, periods, thresholds: Thresholds) -> list:
     """
     from array import array  # deferred: only a sweep packs event orders
 
-    cfgs = [dataclasses.replace(cfg, t_s=period) for period in periods]
-    draws = _draws(cfg)  # no draw reads t_s, so every period shares them
+    cfgs = [dataclasses.replace(cfg, period=period) for period in periods]
+    draws = _draws(cfg)  # no draw reads the period, so every period shares them
     steps = Steps()
     ber_of_order = {}  # this call's orders only -> BER
     bers = []
     for run in cfgs:
-        events = _events(run.t_s, *draws)
+        events = _events(run.period, *draws)
         # One C int per event; exact, since prio < 3 (an index too big
         # for a C int raises rather than collide).
         order = array("i", (3 * index + prio for _, prio, index, _ in events)).tobytes()

@@ -139,14 +139,15 @@ def _encoding(args):
     return channel.Encoding((0, args.d_one), args.encoding)
 
 
-def _channel_config(args, seed, **fields):
-    """The channel the options describe; `fields` sets any other config field."""
+def _channel_config(args, seed, period):
+    """The channel the options describe, at `period`."""
     message = args.message
     if message is None:
         check_int("message_bits", args.message_bits, 1)
         message = random_bits(args.message_bits, seed)
     return channel.ChannelConfig(
         encoding=_encoding(args),
+        period=period,
         rset_size=args.rset_size,
         message=message,
         noise_rate=args.noise_rate,
@@ -156,13 +157,15 @@ def _channel_config(args, seed, **fields):
         geometry=DEFENSES[args.defense],
         policy=args.policy,
         latency=LatencyModel(jitter=args.jitter),
-        **fields,
     )
 
 
 def _int_list(text, name, low=0):
     """Integers from text split at commas, spaces or '|'."""
-    values = [int(v) for v in text.replace(",", " ").replace("|", " ").split()]
+    try:
+        values = [int(v) for v in text.replace(",", " ").replace("|", " ").split()]
+    except ValueError:  # an item that is no integer fails like an empty list
+        values = []
     if not values or min(values) < low:
         raise ValueError(f"{name} must be a non-empty list of integers >= {low}")
     return values
@@ -203,8 +206,7 @@ def cmd_latency_cdf(args):
 
 def cmd_run_channel(args):
     seed = _require_seed(args)
-    cfg = _channel_config(args, seed, t_s=args.period)
-    report = channel.run_channel(cfg)
+    report = channel.run_channel(_channel_config(args, seed, args.period))
     latency_trace = report.latency_trace
     # The receiver's accesses are the prime, all fills, and the probes, so
     # any hit is a probe that found its line resident.
@@ -227,7 +229,8 @@ def cmd_run_channel(args):
 def cmd_sweep(args):
     seed = _require_seed(args)
     periods = _int_list(args.periods, "periods")
-    rows = analysis.sweep_ber_vs_rate(_channel_config(args, seed), periods, args.trials)
+    cfg = _channel_config(args, seed, periods[0])  # each run sets its own period
+    rows = analysis.sweep_ber_vs_rate(cfg, periods, args.trials)
     return {args.out: _csv("period_cycles,rate_kbps,encoding,d,trials,mean_ber", (
         f"{row.period_cycles},{row.rate_kbps:.3f},{row.encoding},"
         f"{row.d_label},{row.trials},{row.mean_ber:.4f}" for row in rows))}

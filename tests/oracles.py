@@ -320,6 +320,6 @@ def direct_simulate(cfg, events, thresholds):
     error = bit_error_rate(cfg.message, payload)
     return ChannelReport(
         sent_bits=cfg.message, received_bits=payload, raw_received_bits=received,
-        edit_distance=error.edit_distance, ber=error.ber, rate_kbps=rate_kbps(cfg.t_s, k),
+        edit_distance=error.edit_distance, ber=error.ber, rate_kbps=rate_kbps(cfg.period, k),
         alignment_offset=offset, preamble_locked=locked,
         counters=dict(sorted(cache.counters.items())), cycles=cache.cycles, events=trace)

@@ -125,7 +125,7 @@ def test_criterion_07_noiseless_end_to_end():
         template = ChannelConfig(encoding=encoding, message=message, seed=SEED)
         thresholds = calibrate_thresholds(template)
         for period in periods:
-            cfg = dataclasses.replace(template, t_s=period)
+            cfg = dataclasses.replace(template, period=period)
             report = run_channel(cfg, thresholds=thresholds)
             assert report.ber == 0.0, (encoding.d_label, period)
 

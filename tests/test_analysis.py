@@ -264,7 +264,7 @@ def test_sweep_checks_every_period_before_simulating(monkeypatch):
                             lambda *a, _real=real, _name=name, **kw:
                             calls.append(_name) or _real(*a, **kw))
     template = ChannelConfig(message=random_bits(32, 4), seed=4)
-    with pytest.raises(ValueError, match="t_s must be at least 2 cycles"):
+    with pytest.raises(ValueError, match="^period must be >= 2$"):
         sweep_ber_vs_rate(template, periods=(5500, 1), trials=2)
     assert calls == []
     sweep_ber_vs_rate(template, periods=(5500,), trials=2)
@@ -276,7 +276,7 @@ def sweep_by_definition(cfg, periods, trials):
     calibration = calibrate_thresholds(cfg)
     rows = []
     for period in periods:
-        bers = [run_channel(dataclasses.replace(cfg, t_s=period,
+        bers = [run_channel(dataclasses.replace(cfg, period=period,
                                                 seed=derive_seed(cfg.seed, "sweep", trial)),
                             thresholds=calibration).ber
                 for trial in range(trials)]

@@ -122,10 +122,13 @@ def test_encoding_rejects_a_non_int_level(name, levels, index):
 
 
 def test_config_validation():
-    for t_s in (-5, 0, 1):
-        with pytest.raises(ValueError, match="t_s must be at least 2"):
-            make_cfg(t_s=t_s)
-    assert make_cfg(t_s=2).t_s == 2
+    # The constructor and `replace` name the period as its flag and config key do.
+    for period in (-5, 0, 1):
+        with pytest.raises(ValueError, match="^period must be >= 2$"):
+            make_cfg(period=period)
+        with pytest.raises(ValueError, match="^period must be >= 2$"):
+            dataclasses.replace(make_cfg(), period=period)
+    assert make_cfg(period=2).period == 2
     with pytest.raises(ValueError):
         make_cfg(message="0101x")
     with pytest.raises(ValueError):
@@ -169,8 +172,8 @@ def test_config_checks_itself_when_built_or_replaced():
     # messages the checks give, and there is no separate method to forget.
     assert not hasattr(ChannelConfig, "validate")
     valid = make_cfg()
-    with pytest.raises(ValueError, match="t_s must be at least 2 cycles"):
-        dataclasses.replace(valid, t_s=1)
+    with pytest.raises(ValueError, match="^period must be >= 2$"):
+        dataclasses.replace(valid, period=1)
     with pytest.raises(ValueError, match="^message must be non-empty$"):
         ChannelConfig(message="")
     with pytest.raises(TypeError):
@@ -178,7 +181,7 @@ def test_config_checks_itself_when_built_or_replaced():
 
 
 @pytest.mark.parametrize("value", [2.5, 10.0, True])
-@pytest.mark.parametrize("name", ["t_s", "rset_size", "slip", "seed"])
+@pytest.mark.parametrize("name", ["period", "rset_size", "slip", "seed"])
 def test_config_rejects_a_non_int_field(name, value):
     # Seeds are hashed as text, so an unchecked seed=1.0 or True made a config
     # equal to seed=1's whose random-policy run differed from it.
@@ -224,7 +227,7 @@ def test_config_fields():
     # its middle, and rates use the package's one clock frequency.
     # `message` comes first, with no default: an empty one is never valid.
     assert [f.name for f in dataclasses.fields(ChannelConfig)] == [
-        "message", "encoding", "t_s", "rset_size", "noise_rate", "noise_write_prob",
+        "message", "encoding", "period", "rset_size", "noise_rate", "noise_write_prob",
         "seed", "slip", "geometry", "policy", "latency"]
 
 
@@ -405,16 +408,16 @@ def test_run_channel_rejects_thresholds_of_the_wrong_cut_count(monkeypatch, enco
 
 # -- schedule ---------------------------------------------------------------------
 
-@pytest.mark.parametrize("t_s,noise_at,decode_at", [
+@pytest.mark.parametrize("period,noise_at,decode_at", [
     (3, 1, 1), (5, 1, 2), (7, 1, 3), (1001, 250, 500), (1601, 400, 800)])
 @pytest.mark.parametrize("encoding", [BinaryEncoding(), MultiBitEncoding()])
-def test_schedule_cycles_at_odd_periods(encoding, t_s, noise_at, decode_at):
-    # Symbol i encodes at i * t_s, meets noise `noise_at` cycles later and
+def test_schedule_cycles_at_odd_periods(encoding, period, noise_at, decode_at):
+    # Symbol i encodes at i * period, meets noise `noise_at` cycles later and
     # decodes `decode_at` cycles later; an odd period shifts none of them.
-    cfg = make_cfg(encoding=encoding, t_s=t_s, noise_rate=1.0, noise_write_prob=0.5)
+    cfg = make_cfg(encoding=encoding, period=period, noise_rate=1.0, noise_write_prob=0.5)
     n_symbols = (len(PREAMBLE) + len(cfg.message)) // encoding.bits_per_symbol
     expected = sorted(event for i in range(n_symbols) for event in (
-        (i * t_s, 0, i), (i * t_s + noise_at, 1, i), (i * t_s + decode_at, 2, i)))
+        (i * period, 0, i), (i * period + noise_at, 1, i), (i * period + decode_at, 2, i)))
     events = schedule(cfg)
     assert [event[:3] for event in events] == expected
     actions = {prio: {event[3] for event in events if event[1] == prio} for prio in (0, 1, 2)}
@@ -426,7 +429,7 @@ def test_schedule_cycles_at_odd_periods(encoding, t_s, noise_at, decode_at):
 @pytest.mark.parametrize("encoding", [BinaryEncoding(1), BinaryEncoding(8),
                                       MultiBitEncoding()])
 def test_noiseless_channel_is_error_free(encoding):
-    cfg = make_cfg(encoding=encoding, message=random_bits(64, 21), t_s=1600)
+    cfg = make_cfg(encoding=encoding, message=random_bits(64, 21), period=1600)
     report = run_channel(cfg)
     assert report.ber == 0.0
     assert report.preamble_locked and report.alignment_offset == 0
@@ -450,9 +453,9 @@ def test_report_is_deterministic(capsys):
 
 
 def test_report_rate_matches_formula():
-    report = run_channel(make_cfg(t_s=1600))
+    report = run_channel(make_cfg(period=1600))
     assert report.rate_kbps == 1375.0
-    report = run_channel(make_cfg(encoding=MultiBitEncoding(), t_s=1000,
+    report = run_channel(make_cfg(encoding=MultiBitEncoding(), period=1000,
                                   message=random_bits(64, 2)))
     assert report.rate_kbps == 4400.0
 

@@ -190,10 +190,7 @@ def test_period_below_two_cycles_is_config_error(capsys):
     # The decode at period // 2 must come after the encode at cycle 0.
     assert run_cli("run-channel", "--seed", "1", "--message-bits", "16",
                    "--period", "1") == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("config error:")
-    assert "t_s must be at least 2" in captured.err
+    assert config_error(capsys) == "config error: period must be >= 2\n"
 
 
 def test_sweep_rejects_a_bad_later_period_before_calibrating(capsys):
@@ -201,7 +198,24 @@ def test_sweep_rejects_a_bad_later_period_before_calibrating(capsys):
     # reported first, whatever the seed.
     assert run_cli("sweep", "--seed", "4", "--message-bits", "32", "--jitter", "2",
                    "--trials", "1", "--periods", "5500,1") == 2
-    assert "t_s must be at least 2" in config_error(capsys)
+    assert config_error(capsys) == "config error: period must be >= 2\n"
+
+
+@pytest.mark.parametrize("argv,config", [
+    (("run-channel",), "period = 1\n"),
+    (("run-channel",), '{"period": 0}'),
+    (("sweep", "--trials", "1", "--periods", "1,5500"), None),
+], ids=["flat-config", "json-config", "first-period"])
+def test_bad_period_is_one_line_however_it_is_spelled(argv, config, tmp_path, capsys):
+    # The config key and each item of --periods reach one field, `period`,
+    # as --period does, and its one check names it.
+    out = tmp_path / "out"
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv += ("--config", str(tmp_path / "run.cfg"))
+    assert run_cli(*argv, "--seed", "1", "--message-bits", "16", "--out", str(out)) == 2
+    assert config_error(capsys) == "config error: period must be >= 2\n"
+    assert not out.exists()
 
 
 def test_sweep_takes_no_period(tmp_path, capsys):
@@ -582,6 +596,23 @@ def test_bad_or_empty_list_is_config_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error:")
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (("evict-prob", "--n", "8.5"), "n must be a non-empty list of integers >= 1"),
+    (("latency-cdf", "--d-values", "0,x", "--trials", "1"),
+     "d-values must be a non-empty list of integers >= 0"),
+    (("sweep", "--periods", "1600,abc", "--message-bits", "16", "--trials", "1"),
+     "periods must be a non-empty list of integers >= 0"),
+    (("run-channel", "--encoding", "multibit", "--levels", "0,3,5,eight",
+      "--message-bits", "16"), "levels must be a non-empty list of integers >= 0"),
+], ids=["n", "d-values", "periods", "levels"])
+def test_non_integer_list_item_is_config_error_that_names_it(argv, reason, tmp_path, capsys):
+    # int()'s own error named neither the option nor what it takes.
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--seed", "1", "--out", str(out)) == 2
+    assert config_error(capsys) == f"config error: {reason}\n"
+    assert not out.exists()
 
 
 def test_experiments_run_once_per_curve(monkeypatch, tmp_path):

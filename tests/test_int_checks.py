@@ -62,7 +62,7 @@ ENTRIES = [
     ("sweep", sweep, "trials", 1.5, 1),
     ("latency-cdf", lambda v: latency_cdf([0], 2, v), "seed", 1.0, None),
     ("random-bits", lambda v: random_bits(v, 1), "n", 2.5, 0),
-    ("rate-kbps", lambda v: rate_kbps(v, 1), "t_period", 2.5, 1),
+    ("rate-kbps", lambda v: rate_kbps(v, 1), "period", 2.5, 1),
     ("config", lambda v: ChannelConfig(message="01", slip=v), "slip", 2.5, 0),
 ]
 

@@ -63,7 +63,7 @@ def configs(draw, policies=("lru", "tree-plru", "random"), drawn=True):
     return ChannelConfig(
         message=format(draw(st.integers(0, 2**bits - 1)), f"0{bits}b"),
         encoding=encoding,
-        t_s=draw(st.sampled_from([1000, 5500])),
+        period=draw(st.sampled_from([1000, 5500])),
         # Random victims need a longer replacement set to calibrate.
         rset_size=24 if policy == "random" else draw(st.sampled_from([8, 10])),
         **noise,
@@ -78,7 +78,7 @@ def configs(draw, policies=("lru", "tree-plru", "random"), drawn=True):
 # Noise reads and writes on a write-back, unpartitioned cache, with slips
 # that move some decodes ahead of their symbol's noise event at this period.
 # Tier-1's derandomized draws hold few such runs.
-NOISY = ChannelConfig(message=random_bits(64, 3), t_s=1000, noise_rate=1.0,
+NOISY = ChannelConfig(message=random_bits(64, 3), period=1000, noise_rate=1.0,
                       noise_write_prob=0.5, seed=4, slip=300)
 
 
@@ -116,7 +116,7 @@ def order_of(cfg):
 @given(cfg=configs(), shift=st.one_of(st.integers(-2, 1), st.integers(-900, 6500)))
 @example(cfg=NOISY, shift=1)
 def test_a_run_reads_its_period_only_through_its_event_order(cfg, shift):
-    other = dataclasses.replace(cfg, t_s=cfg.t_s + shift)
+    other = dataclasses.replace(cfg, period=cfg.period + shift)
     assume(order_of(other) == order_of(cfg))
     assert report_of(other) == report_of(cfg)
 
@@ -131,7 +131,7 @@ def test_a_run_that_draws_nothing_ignores_its_seed(cfg, seed):
 @given(cfg=configs())
 # Tier-1's few draws hold little noise that a write-back set sees, and few
 # slips that move a decode past a noise event; this run has both.
-@example(cfg=ChannelConfig(message=random_bits(64, 3), t_s=1000,
+@example(cfg=ChannelConfig(message=random_bits(64, 3), period=1000,
                            noise_rate=0.5, noise_write_prob=0.5, seed=4, slip=300))
 def test_a_message_prefix_decodes_to_a_prefix_of_the_stream(cfg):
     k = cfg.encoding.bits_per_symbol

@@ -62,7 +62,7 @@ def runs(draw):
     cfg = ChannelConfig(
         message=format(draw(st.integers(0, 2**bits - 1)), f"0{bits}b"),
         encoding=encoding,
-        t_s=draw(st.one_of(st.sampled_from([800, 1001, 1600, 5500]), st.integers(2, 12000))),
+        period=draw(st.one_of(st.sampled_from([800, 1001, 1600, 5500]), st.integers(2, 12000))),
         rset_size=24 if policy == "random" else draw(st.integers(8, 12)),
         **noise,
         seed=draw(st.integers(0, 2**32)),
@@ -79,7 +79,7 @@ def case(cfg):
 
 # The sweep-noisy benchmark workload's config at its fastest period.
 SWEEP_NOISY = ChannelConfig(message=random_bits(128, 2024), encoding=MultiBitEncoding(),
-                            t_s=800, policy="tree-plru", noise_rate=1.0,
+                            period=800, policy="tree-plru", noise_rate=1.0,
                             noise_write_prob=0.5, slip=300, seed=2024)
 
 
@@ -87,7 +87,7 @@ SWEEP_NOISY = ChannelConfig(message=random_bits(128, 2024), encoding=MultiBitEnc
 @given(run=runs())
 @example(run=case(SWEEP_NOISY))
 @example(run=case(ChannelConfig(message=random_bits(2048, 1), seed=1)))
-@example(run=case(ChannelConfig(message=random_bits(256, 3), t_s=1001, seed=3,
+@example(run=case(ChannelConfig(message=random_bits(256, 3), period=1001, seed=3,
                                 noise_rate=1.0, noise_write_prob=1.0)))
 def test_the_walk_equals_one_real_action_per_event(run):
     cfg, thresholds = run
@@ -138,7 +138,7 @@ def test_a_run_that_draws_runs_every_event(monkeypatch, fields):
 def test_period_bers_is_one_run_per_period(run, periods):
     cfg, thresholds = run
     assert period_bers(cfg, periods, thresholds) == [
-        run_channel(dataclasses.replace(cfg, t_s=p), thresholds).ber for p in periods]
+        run_channel(dataclasses.replace(cfg, period=p), thresholds).ber for p in periods]
 
 
 def test_a_period_bers_table_lives_for_one_call():
@@ -177,4 +177,4 @@ def test_period_bers_draws_noise_and_slip_once(cfg, periods):
     # Each period's events, built from the one set of draws, are its own schedule.
     draws = channel._draws(cfg)
     for period in periods:
-        assert channel._events(period, *draws) == schedule(dataclasses.replace(cfg, t_s=period))
+        assert channel._events(period, *draws) == schedule(dataclasses.replace(cfg, period=period))
