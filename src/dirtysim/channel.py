@@ -23,16 +23,22 @@ When the cache draws nothing (no random policy, no jitter), `_simulate`
 walks a table of steps instead of running every event.  Every access lands
 in `TARGET_SET`, so what an event does is fixed by that set's state (tags,
 dirty bits, policy metadata) and its action: the symbol of an encode, the
-replacement set's parity of a decode, read or write for noise.  The first
-time a (state, action) comes up, the real actor runs on the live cache and
-the step is stored: next state, trace fields and the actor's count delta.
-After that the step is only tallied, and the tallies' counts and cycles are
-added at the end, so every output is that of running each event.  Noise
-lines' tags are stored as one canonical tag that no fresh noise line can
-equal: each noise line is accessed once, so which one is resident never
-matters.  A table lives for one `run_channel` call or one `period_bers`
-call, whose runs share one config but for `period`, and one set of cuts.  A
-cache that draws runs every event and stores nothing.
+replacement set's parity of a decode, read or write for noise.
+`Steps(cfg, thresholds).next(state, action)` is that step, a function: the
+first time a (state, action) comes up, it loads the state into a private
+cache of its own, runs the real actor there and stores the trace fields,
+the actor's count delta and the next state.  The walk tallies every step it
+takes, and the run's own cache does only the receiver's prime: the
+tallies' counts and cycles are added at the end, so every output is that of
+running each event.  Noise lines' tags are stored as one canonical tag that
+no noise line can equal: each noise line is accessed once, so which one is
+resident never matters, and a step's noise access uses one fixed tag.  A
+table lives for one `run_channel` call or one `period_bers` call.
+`_simulate(steps, period, events)` runs the table's own config at
+`period`, so the runs that share a table share one config but for
+`period`, and one set of cuts, by construction.  A cache that draws runs
+every event on the run's cache, through the same actor code, and stores
+nothing.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import random
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import add, sub
+from operator import add, mul, sub
 
 from .analysis import (PreambleLockError, align_by_preamble, bit_error_rate,
                        rate_kbps)
@@ -331,70 +337,111 @@ def _events(period: int, noise: list, slips: list) -> list:
     return events
 
 
-_ACTOR_OF = {"encode": SENDER, "decode": RECEIVER, "noise-read": NOISE, "noise-write": NOISE}
-
 # A noise line's resident tag in a walk's states; `make_line` takes no
-# negative tag, so no fresh noise line equals it.
+# negative tag, so no noise line equals it.
 _NOISE_TAG = (NOISE, -1)
 
 
-class Steps:
-    """The steps a walk has simulated, for one `run_channel` or `period_bers` call.
+def _primed_cache(cfg: ChannelConfig) -> Cache:
+    """A cache seeded as `cfg`'s run, its target set full of clean receiver lines."""
+    cache = Cache(cfg.geometry, cfg.policy, cfg.latency, seed=derive_seed(cfg.seed, "cache"))
+    fill_set(cache, RECEIVER, TARGET_SET, cfg.geometry.associativity)
+    return cache
 
-    A step is keyed by (state id, action) and holds (next state id, the
-    trace fields from actor to decoded bits, the actor's count delta).
+
+class Steps:
+    """The table of steps of `cfg`'s runs at any period, decoded with `thresholds`.
+
+    The cut count is checked before anything is built.  A state is the id of
+    an interned target-set state, and an action is an encode's symbol bits,
+    a decode's replacement-set parity (0 or 1), "noise-read" or
+    "noise-write".  `next(state, action)` is the step: (the trace fields from
+    actor to decoded bits, the actor's count delta, the next state).  The
+    first time a (state, action) comes up, it loads the state into the
+    table's own primed cache, runs the real actor there (`act`), a noise
+    access on one fixed tag, and interns the next state.  `start` is the
+    state after the prime, or None when the cache draws: a drawing cache's
+    steps hang on its generators, so a run then `act`s every event on its
+    own cache and nothing is stored.
     """
 
-    def __init__(self):
+    def __init__(self, cfg: ChannelConfig, thresholds: Thresholds):
+        levels = len(cfg.encoding.levels)
+        if len(thresholds.cuts) != levels - 1:
+            raise ValueError(f"thresholds have {len(thresholds.cuts)} cuts, but "
+                             f"{levels} levels need {levels - 1}")
+        self.cfg, self.thresholds = cfg, thresholds
+        # Decodes alternate between two replacement sets, so the one measured
+        # with is never resident.
+        self.rsets = tuple(build_replacement_set(cfg.rset_size, derive_seed(cfg.seed, "chase", p),
+                                                 ways=cfg.geometry.associativity, index=p)
+                           for p in (0, 1))
         self.table = {}
         self.ids = {}     # canonical target-set state -> its id
         self.states = []  # id -> canonical target-set state
+        self._cache = _primed_cache(cfg)
+        self.start = None if self._cache.draws else self._intern()
 
-    def state_of(self, cache: Cache) -> int:
-        """The id of the cache's target-set state, noise tags made canonical."""
-        tags, dirty, meta = cache.set_state(TARGET_SET)
+    def _intern(self) -> int:
+        """The id of the private cache's target-set state, noise tags made canonical."""
+        tags, dirty, meta = self._cache.set_state(TARGET_SET)
         state = (tuple([_NOISE_TAG if tag is not None and tag[0] == NOISE else tag
                         for tag in tags]), dirty, meta)
-        sid = self.ids.get(state)
-        if sid is None:
-            sid = self.ids[state] = len(self.states)
+        sid = self.ids.setdefault(state, len(self.ids))
+        if sid == len(self.states):
             self.states.append(state)
         return sid
 
+    def next(self, state: int, action) -> tuple:
+        """The step from `state` on `action`, run on the private cache the first time."""
+        step = self.table.get((state, action))
+        if step is None:
+            # Load even a state the cache holds: its noise line may carry the fixed tag.
+            self._cache.load_set(TARGET_SET, self.states[state])
+            step = self.table[state, action] = (*self.act(self._cache, action, 0), self._intern())
+        return step
 
-def _simulate(cfg: ChannelConfig, events: list, thresholds: Thresholds,
-              steps: Steps) -> ChannelReport:
-    """Run the cache over `cfg`'s scheduled `events` and score the decoded stream.
+    def act(self, cache: Cache, action, noise_tag: int) -> tuple:
+        """Run `action`'s real actor on `cache`, a noise access on tag `noise_tag`.
 
-    Only the cycles in the trace and `rate_kbps` read `cfg.period`: the cache,
+        Returns the trace fields from actor to decoded bits, then the actor's
+        count delta.
+        """
+        cfg = self.cfg
+        actor = RECEIVER if action in (0, 1) else NOISE if action.startswith("noise") else SENDER
+        before = cache.outcome_counts(actor)
+        if actor is RECEIVER:
+            sample, bits = receiver_decode(cache, cfg, self.rsets[action], self.thresholds)
+            fields = (actor, "decode", cfg.encoding.level_for_bits(bits), sample.total_cycles, bits)
+        elif actor is NOISE:
+            outcome = cache.access(make_line(actor, TARGET_SET, noise_tag), action == "noise-write")
+            fields = (actor, action, "", outcome.latency, "")
+        else:
+            level, cost = sender_encode(cache, cfg, action)
+            fields = (actor, "encode", level, cost, "")
+        return (*fields, tuple(map(sub, cache.outcome_counts(actor), before)))
+
+
+def _simulate(steps: Steps, period: int, events: list) -> ChannelReport:
+    """Run `steps.cfg` at `period` over its scheduled `events` and score the decoded stream.
+
+    Only the cycles in the trace and `rate_kbps` read `period`: the cache,
     the stream and the decoded bits see the events' order alone, since an
-    access's latency never moves the clock.  `thresholds` must hold one cut
-    between each pair of adjacent levels.  A cache that draws nothing is
-    walked through `steps` (module docstring), whose every step was stored
-    by a run of `cfg` but for `period`, decoded with `thresholds`.
+    access's latency never moves the clock.  A run is its table's config at
+    one period, decoded with the table's cuts, by construction.  A cache
+    that draws nothing is walked through `steps` (module docstring): the
+    run's own cache does only the prime, and each actor's counts and cycles
+    are added from the tally of its steps.
     """
-    enc = cfg.encoding
-    if len(thresholds.cuts) != len(enc.levels) - 1:
-        raise ValueError(f"thresholds have {len(thresholds.cuts)} cuts, but "
-                         f"{len(enc.levels)} levels need {len(enc.levels) - 1}")
-    k = enc.bits_per_symbol
+    cfg = steps.cfg
+    k = cfg.encoding.bits_per_symbol
     stream = PREAMBLE + cfg.message
-    cache = Cache(cfg.geometry, cfg.policy, cfg.latency,
-                  seed=derive_seed(cfg.seed, "cache"))
-    fill_set(cache, RECEIVER, TARGET_SET, cfg.geometry.associativity)
-    # Decodes alternate between two replacement sets, so the one measured
-    # with is never resident.
-    rsets = tuple(build_replacement_set(cfg.rset_size, derive_seed(cfg.seed, "chase", p),
-                                        ways=cfg.geometry.associativity, index=p)
-                  for p in (0, 1))
+    cache = _primed_cache(cfg)
     table = steps.table
-    walk = not cache.draws  # a drawing cache's steps hang on its generators: store none
-    state = steps.state_of(cache) if walk else None
-    live = True  # whether the cache's target set holds `state`
+    state = steps.start
     trace = []
     received_parts = []
-    tally = Counter()  # hit step -> times
-    noise_tag = 0
+    visits = []  # the walk's keys, one per event
     for cycle, _prio, index, action in events:
         truth = stream[index * k:(index + 1) * k]
         if action == "encode":
@@ -403,40 +450,24 @@ def _simulate(cfg: ChannelConfig, events: list, thresholds: Thresholds,
             key = (state, len(received_parts) % 2)
         else:
             key, truth = (state, action), ""
-        step = table.get(key)
-        if step is None:
-            if not live:
-                cache.load_set(TARGET_SET, steps.states[state])
-            actor = _ACTOR_OF[action]
-            before = cache.outcome_counts(actor)
-            if action == "encode":
-                level, cost = sender_encode(cache, cfg, truth)
-                fields = (actor, action, level, cost, "")
-            elif action == "decode":
-                sample, bits = receiver_decode(cache, cfg, rsets[len(received_parts) % 2],
-                                               thresholds)
-                fields = (actor, action, enc.level_for_bits(bits), sample.total_cycles, bits)
-            else:
-                outcome = cache.access(make_line(actor, TARGET_SET, noise_tag),
-                                       action == "noise-write")
-                noise_tag += 1
-                fields = (actor, action, "", outcome.latency, "")
-            step = (steps.state_of(cache) if walk else None, *fields,
-                    tuple(map(sub, cache.outcome_counts(actor), before)))
-            if walk:
-                table[key] = step
-                live = True
+        if state is None:  # the cache draws: run the event on this run's cache
+            step = (*steps.act(cache, key[1], index), None)
         else:
-            tally[key] += 1
-            live = False
-        state, actor, name, d, latency, bits, _ = step
+            step = table.get(key) or steps.next(*key)
+            visits.append(key)
+        actor, name, d, latency, bits, _, state = step
         # tuple.__new__ skips the namedtuple's Python-level __new__ on this hot path.
         trace.append(tuple.__new__(TraceEvent, (cycle, actor, name, d, latency, bits, truth)))
         if bits:
             received_parts.append(bits)
-    for key, times in tally.items():
-        _, actor, _, _, latency, _, delta = table[key]
-        cache.add_outcomes(actor, [times * n for n in delta], times * latency)
+    rows = {}  # actor -> (times, latency, *count delta) per step it took
+    for key, times in Counter(visits).items():
+        actor, _, _, latency, _, delta, _ = table[key]
+        rows.setdefault(actor, []).append((times, latency, *delta))
+    for actor, columns in rows.items():
+        times, *columns = zip(*columns)
+        cycles, *counts = [sum(map(mul, column, times)) for column in columns]
+        cache.add_outcomes(actor, counts, cycles)
 
     received = "".join(received_parts)
     try:
@@ -453,7 +484,7 @@ def _simulate(cfg: ChannelConfig, events: list, thresholds: Thresholds,
         raw_received_bits=received,
         edit_distance=error.edit_distance,
         ber=error.ber,
-        rate_kbps=rate_kbps(cfg.period, k),
+        rate_kbps=rate_kbps(period, k),
         alignment_offset=offset,
         preamble_locked=locked,
         counters=dict(sorted(cache.counters.items())),
@@ -470,32 +501,34 @@ def run_channel(cfg: ChannelConfig, thresholds: Thresholds | None = None) -> Cha
     """
     if thresholds is None:
         thresholds = calibrate_thresholds(cfg)
-    return _simulate(cfg, schedule(cfg), thresholds, Steps())
+    return _simulate(Steps(cfg, thresholds), cfg.period, schedule(cfg))
 
 
 def period_bers(cfg: ChannelConfig, periods, thresholds: Thresholds) -> list:
     """The BER of `cfg` run at each of `periods` with `thresholds`, in order.
 
-    Every period's config is built, and so checked, before anything runs.
+    Every period is checked, by building its config, before anything runs.
     Each distinct event order is simulated once (module docstring): the
     seed fixes the cache's draws and what each noise event does, so the
     events' (prio, symbol index) sequence names everything a run reads.
-    The runs share one table of steps.
+    The runs share one `Steps(cfg, thresholds)`, so they are `cfg` at each
+    period, decoded with `thresholds`.
     """
     from array import array  # deferred: only a sweep packs event orders
 
-    cfgs = [dataclasses.replace(cfg, period=period) for period in periods]
+    for period in periods:
+        dataclasses.replace(cfg, period=period)  # checks the period
+    steps = Steps(cfg, thresholds)
     draws = _draws(cfg)  # no draw reads the period, so every period shares them
-    steps = Steps()
     ber_of_order = {}  # this call's orders only -> BER
     bers = []
-    for run in cfgs:
-        events = _events(run.period, *draws)
+    for period in periods:
+        events = _events(period, *draws)
         # One C int per event; exact, since prio < 3 (an index too big
         # for a C int raises rather than collide).
         order = array("i", (3 * index + prio for _, prio, index, _ in events)).tobytes()
         if order not in ber_of_order:
-            ber_of_order[order] = _simulate(run, events, thresholds, steps).ber
+            ber_of_order[order] = _simulate(steps, period, events).ber
         del events  # so two periods' events are never alive at once
         bers.append(ber_of_order[order])
     return bers

@@ -15,6 +15,7 @@ from dirtysim.cli import DEFENSES
 from dirtysim.seeding import derive_seed, random_bits
 
 from oracles import brute_levenshtein, wagner_fischer
+from strategies import noise_fields, whole_symbols
 
 bits = st.text(alphabet="01", max_size=20)
 
@@ -305,13 +306,10 @@ def sweep_cases(draw):
     encoding = draw(st.sampled_from([BinaryEncoding(1), BinaryEncoding(4), MultiBitEncoding()]))
     defense = draw(st.sampled_from(sorted(DEFENSES)))
     policy = draw(st.sampled_from(["lru", "tree-plru", "random"]))
-    noise = {}
-    if defense != "partition":  # the noise actor has no partition
-        noise = dict(noise_rate=draw(st.sampled_from([0.0, 0.5, 1.0])),
-                     noise_write_prob=draw(st.sampled_from([0.0, 0.5, 1.0])))
-    bits = encoding.bits_per_symbol * draw(st.integers(4, 24))
+    noise = noise_fields(draw, defense, st.sampled_from([0.0, 0.5, 1.0]),
+                         st.sampled_from([0.0, 0.5, 1.0]))
     cfg = ChannelConfig(
-        message=format(draw(st.integers(0, 2**bits - 1)), f"0{bits}b"),
+        message=whole_symbols(draw, encoding, draw(st.integers(4, 24))),
         encoding=encoding,
         rset_size=24 if policy == "random" else 10,
         **noise,

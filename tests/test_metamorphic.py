@@ -36,6 +36,8 @@ from dirtysim.channel import (BinaryEncoding, CalibrationError, ChannelConfig,
 from dirtysim.cli import DEFENSES
 from dirtysim.seeding import random_bits
 
+from strategies import noise_fields, whole_symbols
+
 DRAWS = (settings.default if settings.get_current_profile_name() == "differential"
          else settings(max_examples=40, deadline=None, derandomize=True))
 
@@ -48,7 +50,7 @@ SEEDS = st.integers(0, 2**32)
 def configs(draw, policies=("lru", "tree-plru", "random"), drawn=True):
     """A small channel config; `drawn=False` turns off jitter, noise and slip."""
     encoding = draw(st.sampled_from(ENCODINGS))
-    bits = encoding.bits_per_symbol * draw(st.integers(8, 48))
+    symbols = draw(st.integers(8, 48))
     defense = draw(st.sampled_from(sorted(DEFENSES)))
     policy = draw(st.sampled_from(policies))
     # hit < miss_clean < miss_dirty, so a cost charged for the wrong outcome
@@ -56,12 +58,10 @@ def configs(draw, policies=("lru", "tree-plru", "random"), drawn=True):
     hit = draw(st.integers(0, 10))
     miss_clean = hit + draw(st.integers(1, 20))
     miss_dirty = miss_clean + draw(st.integers(4, 20))
-    noise = {}
-    if drawn and defense != "partition":  # the noise actor has no partition
-        noise = dict(noise_rate=draw(st.sampled_from([0.0, 0.5, 1.0])),
-                     noise_write_prob=draw(st.sampled_from([0.0, 0.5, 1.0])))
+    noise = noise_fields(draw, defense, st.sampled_from([0.0, 0.5, 1.0]),
+                         st.sampled_from([0.0, 0.5, 1.0])) if drawn else {}
     return ChannelConfig(
-        message=format(draw(st.integers(0, 2**bits - 1)), f"0{bits}b"),
+        message=whole_symbols(draw, encoding, symbols),
         encoding=encoding,
         period=draw(st.sampled_from([1000, 5500])),
         # Random victims need a longer replacement set to calibrate.

@@ -29,6 +29,7 @@ from dirtysim.cli import DEFENSES
 from dirtysim.seeding import random_bits
 
 from oracles import direct_simulate
+from strategies import noise_fields, whole_symbols
 
 DRAWS = (settings.default if settings.get_current_profile_name() == "differential"
          else settings(max_examples=60, deadline=None, derandomize=True))
@@ -54,13 +55,10 @@ def runs(draw):
                                      MultiBitEncoding((0, 1, 2, 8))]))
     defense = draw(st.sampled_from(sorted(DEFENSES)))
     policy = draw(st.sampled_from(["lru", "tree-plru", "random"]))
-    noise = {}
-    if defense != "partition":  # the noise actor has no partition
-        noise = dict(noise_rate=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
-                     noise_write_prob=draw(st.sampled_from([0.0, 0.5, 1.0])))
-    bits = encoding.bits_per_symbol * draw(st.integers(4, 64))
+    noise = noise_fields(draw, defense, st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+                         st.sampled_from([0.0, 0.5, 1.0]))
     cfg = ChannelConfig(
-        message=format(draw(st.integers(0, 2**bits - 1)), f"0{bits}b"),
+        message=whole_symbols(draw, encoding, draw(st.integers(4, 64))),
         encoding=encoding,
         period=draw(st.one_of(st.sampled_from([800, 1001, 1600, 5500]), st.integers(2, 12000))),
         rset_size=24 if policy == "random" else draw(st.integers(8, 12)),
@@ -153,12 +151,10 @@ def test_a_period_bers_table_lives_for_one_call():
 def noisy_configs(draw):
     """A config whose schedule draws both noise and slip."""
     encoding = draw(st.sampled_from([BinaryEncoding(1), MultiBitEncoding()]))
-    bits = encoding.bits_per_symbol * draw(st.integers(1, 64))
     return ChannelConfig(
-        message=format(draw(st.integers(0, 2**bits - 1)), f"0{bits}b"),
+        message=whole_symbols(draw, encoding, draw(st.integers(1, 64))),
         encoding=encoding,
-        noise_rate=draw(st.floats(0.05, 1.0)),
-        noise_write_prob=draw(st.floats(0.0, 1.0)),
+        **noise_fields(draw, "none", st.floats(0.05, 1.0), st.floats(0.0, 1.0)),
         seed=draw(st.integers(0, 2**32)),
         slip=draw(st.integers(1, 3000)))
 
