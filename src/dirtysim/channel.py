@@ -59,7 +59,7 @@ from .cache import (DEFAULT_GEOMETRY, DEFAULT_LATENCY, Cache, CacheGeometry,
 from .measurement import (DEFAULT_RSET_SIZE, RECEIVER, SENDER, TARGET_SET,
                           build_replacement_set, check_rset_size, fill_set,
                           measure_replacement_latency, probe_totals)
-from .policy import POLICIES
+from .policy import make_policy
 from .seeding import check_int, derive_seed
 
 NOISE = "noise"
@@ -87,8 +87,8 @@ class Encoding:
     `levels` and `name`.
     """
 
-    levels: tuple = (0, 1)
-    name: str = "binary"
+    levels: tuple
+    name: str
 
     def __post_init__(self):
         levels = tuple(self.levels)
@@ -150,7 +150,7 @@ class ChannelConfig:
     """
 
     message: str
-    encoding: Encoding = Encoding()
+    encoding: Encoding = BinaryEncoding()
     period: int = 5500                 # encode at its start, decode mid-way
     rset_size: int = DEFAULT_RSET_SIZE
     noise_rate: float = 0.0            # probability of a noise event per period
@@ -173,8 +173,8 @@ class ChannelConfig:
                     raise TypeError
             except TypeError:
                 raise ValueError(f"{name} must be a number in [0, 1], not {value!r}") from None
-        if self.policy not in POLICIES:
-            raise ValueError(f"unknown replacement policy {self.policy!r}")
+        # An unknown name, or a way count the policy cannot hold, raises here.
+        make_policy(self.policy, self.geometry.associativity)
         k = self.encoding.bits_per_symbol
         for label, bits in (("preamble", PREAMBLE), ("message", self.message)):
             if not set(bits) <= {"0", "1"}:
@@ -573,7 +573,8 @@ def run_gadget_attack(variant: str, scenario: str, secret: int) -> GadgetResult:
     scenario = _SCENARIO_ALIASES.get(str(scenario), str(scenario))
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}")
-    if secret not in (0, 1):
+    check_int("secret", secret, 0)
+    if secret > 1:
         raise ValueError("secret must be 0 or 1")
 
     if scenario == "set-state-dirty" and variant != "a":
@@ -594,20 +595,21 @@ def run_gadget_attack(variant: str, scenario: str, secret: int) -> GadgetResult:
 
     if scenario != "victim-timing":
         # Prime clean (set-state-dirty) or dirty (prime-with-dirty), let the
-        # victim run, then probe the primed set.  The cut is calibrated as
-        # the channel's: a store adds one dirty line (levels 0 and 1), a load
-        # displaces one of W (levels W-1 and W).
+        # victim run, then probe the primed set.  The cut is calibrated, and
+        # the total classified, as the channel's: a store adds one dirty line
+        # (levels 0 and 1), a load displaces one of W (levels W-1 and W, so
+        # the lower level is secret 1).
         dirty = scenario == "prime-with-dirty"
         fill_set(cache, "attacker", TARGET_SET, ways, write=dirty)
         cache.access(*victim)
         rset = build_replacement_set(DEFAULT_RSET_SIZE, ways=ways)
         total = measure_replacement_latency(cache, "attacker", TARGET_SET, rset).total_cycles
         levels = (ways - 1, ways) if dirty else (0, 1)
-        cut, = _midpoint_thresholds(probe_totals(
+        thresholds = _midpoint_thresholds(probe_totals(
             levels, 1, ("gadget",), geometry=geo, policy="lru", latency=lat,
-            rset_size=DEFAULT_RSET_SIZE)).cuts
-        inferred = int(total < cut if dirty else total > cut)
-        latencies = {"probe_total_cycles": total, "threshold": cut}
+            rset_size=DEFAULT_RSET_SIZE))
+        inferred = thresholds.classify(total) ^ dirty
+        latencies = {"probe_total_cycles": total, "threshold": thresholds.cuts[0]}
     else:
         fill_set(cache, "attacker", TARGET_SET, ways, write=True)
         fill_set(cache, "attacker", line1_set, ways)

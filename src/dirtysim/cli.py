@@ -135,8 +135,8 @@ def _encoding(args):
     if args.levels is not None:
         raise ValueError("--levels applies only to --encoding multibit")
     if args.d_one is None:
-        return channel.Encoding(name=args.encoding)
-    return channel.Encoding((0, args.d_one), args.encoding)
+        return channel.BinaryEncoding()
+    return channel.BinaryEncoding(args.d_one)
 
 
 def _channel_config(args, seed, period):

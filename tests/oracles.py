@@ -10,17 +10,22 @@ Monte-Carlo experiments are replayed one grid point at a time, with every
 draw made and the evictions read off per-way lists at the end, where the
 package records each trial's first eviction and stops.  The channel's
 simulation runs every event's real action on one live cache, where the
-package walks a table of the steps it has already run.
+package walks a table of the steps it has already run.  The two channel
+laws run no cache at all: each decode's dirty-line count follows from the
+sent level and its period's noise draw, and its jitter from an exact
+convolution.
 """
 
 import random
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
+from operator import ne
 
 from dirtysim.analysis import (PreambleLockError, align_by_preamble, bit_error_rate,
                                rate_kbps)
 from dirtysim.cache import Cache, make_line
-from dirtysim.channel import (NOISE, PREAMBLE, ChannelReport, TraceEvent,
+from dirtysim.channel import (NOISE, PREAMBLE, ChannelReport, TraceEvent, _draws,
                               receiver_decode, sender_encode)
 from dirtysim.measurement import (RECEIVER, SENDER, TARGET_SET, build_replacement_set,
                                   fill_set)
@@ -323,3 +328,80 @@ def direct_simulate(cfg, events, thresholds):
         edit_distance=error.edit_distance, ber=error.ber, rate_kbps=rate_kbps(cfg.period, k),
         alignment_offset=offset, preamble_locked=locked,
         counters=dict(sorted(cache.counters.items())), cycles=cache.cycles, events=trace)
+
+
+def noise_law_counts(cfg):
+    """Each decode's dirty-line count by the noise law, in stream order.
+
+    For LRU or Tree-PLRU on the undefended cache, with no slip: a decode
+    counts the sent level's d dirty lines, moved by its period's noise
+    access.  A noise write makes it d+1, unless d = W (it then evicts a
+    dirty line and leaves one); a noise read makes it W-1, but only when
+    d = W (below W it evicts a clean receiver line).  The noise draws are
+    `channel._draws`'.
+    """
+    ways = cfg.geometry.associativity
+    k = cfg.encoding.bits_per_symbol
+    stream = PREAMBLE + cfg.message
+    noise = dict(_draws(cfg)[0])
+    counts = []
+    for i in range(len(stream) // k):
+        d = cfg.encoding.level_for_bits(stream[i * k:(i + 1) * k])
+        action = noise.get(i)
+        if action == "noise-write" and d < ways:
+            d += 1
+        elif action == "noise-read" and d == ways:
+            d = ways - 1
+        counts.append(d)
+    return counts
+
+
+def noise_law_bits(cfg):
+    """The decoded stream by the noise law: each count reads as the level whose
+    midpoint interval holds it, and a count on a midpoint as the lower level."""
+    levels = cfg.encoding.levels
+    pairs = list(zip(levels, levels[1:]))
+    return "".join(cfg.encoding.bits_for_level_index(sum(2 * c > a + b for a, b in pairs))
+                   for c in noise_law_counts(cfg))
+
+
+def exact_wrong_bits(cfg, cuts):
+    """(mean, variance) of the payload's wrong bits at offset 0 under jitter, as Fractions.
+
+    A decode of count c (`noise_law_counts`) totals L clean misses, c of
+    them dirty, plus the sum S of its L probe accesses' independent uniform
+    integers on [-j, j]; jitter moves no line, so c does not read it.  S's
+    law is the L-fold convolution of one draw's, and the decode reads the
+    level whose index is the number of `cuts` below its total.  Decodes
+    draw independently, so means and variances add.
+    """
+    lat, n = cfg.latency, cfg.rset_size
+    j = lat.jitter
+    ways_of_sum = {0: 1}  # S -> the number of the (2j+1)**n draws that sum to it
+    for _ in range(n):
+        spread = Counter()
+        for s, w in ways_of_sum.items():
+            for x in range(-j, j + 1):
+                spread[s + x] += w
+        ways_of_sum = spread
+    draws = (2 * j + 1) ** n
+    k = cfg.encoding.bits_per_symbol
+    first = len(PREAMBLE) // k
+    stream = PREAMBLE + cfg.message
+    law = {}  # (count, sent bits) -> (mean, variance) of one decode's wrong bits
+    mean = variance = Fraction(0)
+    for i, c in enumerate(noise_law_counts(cfg)[first:], first):
+        sent = stream[i * k:(i + 1) * k]
+        if (c, sent) not in law:
+            base = n * lat.miss_clean + c * (lat.miss_dirty - lat.miss_clean)
+            first_moment = second_moment = 0  # over all the draws, each of weight 1
+            for s, w in ways_of_sum.items():
+                bits = cfg.encoding.bits_for_level_index(sum(base + s > cut for cut in cuts))
+                wrong = sum(map(ne, bits, sent))
+                first_moment += w * wrong
+                second_moment += w * wrong * wrong
+            m = Fraction(first_moment, draws)
+            law[c, sent] = (m, Fraction(second_moment, draws) - m * m)
+        mean += law[c, sent][0]
+        variance += law[c, sent][1]
+    return mean, variance

@@ -145,6 +145,10 @@ def test_config_validation():
         make_cfg(slip=-1)
     with pytest.raises(ValueError, match="unknown replacement policy 'mru'"):
         ChannelConfig(policy="mru", message="1")
+    # A policy the geometry cannot hold fails when built, not in calibration.
+    with pytest.raises(ValueError, match="^Tree-PLRU needs a power-of-two way count >= 2$"):
+        ChannelConfig(message="01", policy="tree-plru",
+                      geometry=CacheGeometry(associativity=1), rset_size=1)
 
 
 @pytest.mark.parametrize("partition,rate,missing", [

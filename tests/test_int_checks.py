@@ -30,6 +30,7 @@ SPIES = {
     "sweep": [(channel, "_simulate"), (channel, "calibrate_thresholds")],
     "latency-cdf": [(measurement, "Cache")],
     "random-bits": [(seeding, "derive_seed")],
+    "gadget": [(channel, "Cache"), (channel, "probe_totals")],
 }
 
 
@@ -39,6 +40,10 @@ def evict(n=8, trials=10, seed=0, ways=8, name="tree-plru"):
 
 def dirty(ds=(2,), l=4, trials=10, seed=0, ways=8):
     return dirty_eviction_experiment(ds, l, trials, seed, ways)
+
+
+def gadget(secret):
+    return channel.run_gadget_attack("a", "set-state-dirty", secret)
 
 
 def sweep(trials):
@@ -64,6 +69,7 @@ ENTRIES = [
     ("random-bits", lambda v: random_bits(v, 1), "n", 2.5, 0),
     ("rate-kbps", lambda v: rate_kbps(v, 1), "period", 2.5, 1),
     ("config", lambda v: ChannelConfig(message="01", slip=v), "slip", 2.5, 0),
+    ("gadget", gadget, "secret", 1.0, 0),
 ]
 
 
@@ -80,6 +86,8 @@ def bad_cases():
                        r"^d=9 outside 0\.\.8$", id="dirty-evict-d=9")
     yield pytest.param("closed-form", lambda v: analytic_dirty_eviction_probability(8, v, 4),
                        -1, r"^d=-1 outside 0\.\.8$", id="closed-form-d=-1")
+    # A secret is one bit: an int above 1 keeps the gadget's own wording.
+    yield pytest.param("gadget", gadget, 2, r"^secret must be 0 or 1$", id="gadget-secret=2")
 
 
 def spy(monkeypatch, entry):
@@ -107,6 +115,7 @@ def test_a_bad_count_or_seed_fails_naming_its_field_before_simulating(
     ("sweep", lambda: sweep(1)),
     ("latency-cdf", lambda: latency_cdf([0], 2, 1)),
     ("random-bits", lambda: random_bits(3, 1)),
+    ("gadget", lambda: gadget(1)),
 ])
 def test_the_spies_see_a_valid_call_simulate(monkeypatch, entry, call):
     # Without this, a spy on a name the code no longer calls would pass the test above.
