@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .seeding import check_int, derive_seed
+from .seeding import check_int
 
 FREQUENCY_HZ = 2.2e9  # core clock that turns cycles into seconds
 DEFAULT_PERIODS = (800, 1000, 1600, 2200, 5500, 11000)
@@ -141,9 +141,10 @@ def sweep_ber_vs_rate(cfg_template, periods=DEFAULT_PERIODS, trials: int = 3):
     Trial seeds are derived without the period so noise/slip draws are shared
     across periods (common random numbers), which keeps the BER-vs-rate trend
     monotone instead of drowning it in sampling noise.  Every period's config
-    is built, and so checked, before anything is calibrated or simulated.
-    Each trial is one `channel.period_bers` call, which simulates each
-    distinct event order once.
+    is built, and so checked, once, before anything is calibrated or
+    simulated.  The trials are one `channel.period_bers` call, which builds
+    one table of steps for all of them and simulates each trial's distinct
+    event orders once.
     """
     from . import channel  # deferred: channel builds reports out of this module
 
@@ -153,10 +154,7 @@ def sweep_ber_vs_rate(cfg_template, periods=DEFAULT_PERIODS, trials: int = 3):
     for period in periods:
         replace(cfg_template, period=period)  # checks the period
     calibration = channel.calibrate_thresholds(cfg_template)
-    trial_bers = [channel.period_bers(replace(cfg_template,
-                                              seed=derive_seed(cfg_template.seed, "sweep", trial)),
-                                      periods, calibration)
-                  for trial in range(trials)]
+    trial_bers = channel.period_bers(cfg_template, periods, calibration, trials)
     return [SweepRow(period,
                      rate_kbps(period, cfg_template.encoding.bits_per_symbol),
                      cfg_template.encoding.name,

@@ -13,7 +13,8 @@ simulation runs every event's real action on one live cache, where the
 package walks a table of the steps it has already run.  The two channel
 laws run no cache at all: each decode's dirty-line count follows from the
 sent level and its period's noise draw, and its jitter from an exact
-convolution.
+convolution.  `random_bits`, which draws its words in bulk, is replayed
+one `rng.choice("01")` call per bit.
 """
 
 import random
@@ -33,6 +34,12 @@ from dirtysim.policy import make_policy
 from dirtysim.seeding import derive_seed
 
 WAYS = 8
+
+
+def choice_bits(n, seed):
+    """`random_bits` one `rng.choice("01")` call per bit."""
+    rng = random.Random(derive_seed("bits", seed))
+    return "".join(rng.choice("01") for _ in range(n))
 
 
 def brute_levenshtein(a, b):

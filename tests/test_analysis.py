@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -347,7 +348,7 @@ def test_the_sweep_equals_one_run_per_period_and_trial(case):
 def count_simulations(monkeypatch, cfg, trials):
     from dirtysim import channel
     calls = []
-    real = channel._simulate  # each trial's `period_bers` hands its table of steps to it
+    real = channel._simulate  # `period_bers` hands each trial's view of its table to it
     monkeypatch.setattr(channel, "_simulate", lambda *a: calls.append(1) or real(*a))
     sweep_ber_vs_rate(cfg, DEFAULT_PERIODS, trials)
     return len(calls)
@@ -360,6 +361,37 @@ def test_the_sweep_simulates_each_order_once_per_trial(monkeypatch):
     # The sweep-noisy workload at seed 2024: 2 trials of 6 periods hold 6 orders.
     noisy = dataclasses.replace(SWEEP_NOISY, message=random_bits(128, 2024), seed=2024)
     assert count_simulations(monkeypatch, noisy, trials=2) == 6
+
+
+@pytest.mark.parametrize("trials", [1, 2, 10])
+def test_a_sweep_builds_one_table_and_one_config_per_period_and_trial(monkeypatch, trials):
+    # Each period's config is built once, to check it, and each trial's once,
+    # for its view of the sweep's one table of steps.
+    from dirtysim import channel
+    built = Counter()
+    for cls in (channel.Steps, ChannelConfig):
+        real = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, _real=real, **kw:
+                            built.update([type(self)]) or _real(self, *a, **kw))
+    sweep_ber_vs_rate(SWEEP_NOISY, DEFAULT_PERIODS, trials)
+    assert built == {channel.Steps: 1, ChannelConfig: len(DEFAULT_PERIODS) + trials}
+
+
+@pytest.mark.parametrize("trials, real_steps", [(2, 299), (10, 443)])
+def test_the_sweep_noisy_workload_runs_each_step_once_per_sweep(monkeypatch, tmp_path,
+                                                                 trials, real_steps):
+    # `benchmarks/run.py`'s sweep-noisy argv at seed 2024.  With one table
+    # per trial it ran 431 real steps at 2 trials, and 2,007 at 10.
+    from dirtysim import channel
+    from dirtysim.cli import main
+    acts = []
+    real = channel.Steps.act
+    monkeypatch.setattr(channel.Steps, "act", lambda *a: acts.append(1) or real(*a))
+    assert main(["sweep", "--encoding", "multibit", "--policy", "tree-plru",
+                 "--noise-rate", "1.0", "--noise-write-prob", "0.5", "--slip", "300",
+                 "--message-bits", "128", "--trials", str(trials), "--seed", "2024",
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert len(acts) == real_steps
 
 
 def test_sweep_noiseless_is_all_zero():

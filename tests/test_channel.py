@@ -12,7 +12,7 @@ from dirtysim.channel import (PREAMBLE, BinaryEncoding, CalibrationError,
                               run_gadget_attack, schedule, sender_encode)
 from dirtysim.cli import main as cli_main
 from dirtysim.measurement import RECEIVER, TARGET_SET, build_replacement_set, fill_set
-from dirtysim.seeding import derive_seed, random_bits
+from dirtysim.seeding import random_bits
 
 PARTITION = CacheGeometry(partition={"sender": frozenset(range(4)),
                                      "receiver": frozenset(range(4, 8))})
@@ -31,8 +31,7 @@ def receiver_init(cache, cfg):
 
 def receiver_rsets(cfg):
     """The two replacement sets `run_channel` decodes with, alternately."""
-    return [build_replacement_set(cfg.rset_size, derive_seed(cfg.seed, "chase", p),
-                                  ways=cfg.geometry.associativity, index=p)
+    return [build_replacement_set(cfg.rset_size, ways=cfg.geometry.associativity, index=p)
             for p in (0, 1)]
 
 

@@ -8,7 +8,9 @@ experiments returned whole curves), of demo 03 (written while it still used
 numpy) and of demos 04 and 05 (noise, multibit, both defenses and every
 gadget pair; written before replacement sets became plain tuples).  The
 sweep-multibit, sweep-d-one-8 and sweep-multibit-0-8 files were written
-before the encodings became one `Encoding` class.  To rewrite them after an
+before the encodings became one `Encoding` class, and the sweep-random-3,
+sweep-jitter-3 and sweep-tree-plru-noise-3 files before a sweep's trials
+shared one table of steps.  To rewrite them after an
 intended change of output, run from the repo root:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -77,6 +79,17 @@ CASES = {
     "sweep-multibit-0-8": ("sweep", "--message-bits", "32", "--trials", "1",
                            "--periods", "1600,5500", "--encoding", "multibit",
                            "--levels", "0,8"),
+    # sweeps of 3 trials whose cache draws (random policy, jitter), and one
+    # whose noise writes dirty lines under tree-plru
+    "sweep-random-3": ("sweep", "--policy", "random", "--rset-size", "24", "--slip", "600",
+                       "--noise-rate", "0.5", "--message-bits", "32", "--trials", "3",
+                       "--periods", "800,1600,1600,5500"),
+    "sweep-jitter-3": ("sweep", "--jitter", "1", "--message-bits", "32", "--trials", "3",
+                       "--periods", "1600,5500"),
+    "sweep-tree-plru-noise-3": ("sweep", "--encoding", "multibit", "--policy", "tree-plru",
+                                "--noise-rate", "1.0", "--noise-write-prob", "0.5",
+                                "--slip", "300", "--message-bits", "32", "--trials", "3",
+                                "--periods", "800,1600"),
     "gadget-a-set-state-dirty-0": ("gadget", "--variant", "a", "--scenario",
                                    "set-state-dirty", "--secret", "0"),
     "gadget-b-prime-with-dirty-1": ("gadget", "--variant", "b", "--scenario",

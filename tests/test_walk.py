@@ -6,8 +6,14 @@ once and walks a table of them after that, when the cache draws nothing.
 access on one live cache.  Both must give the same report, field by field:
 the raw decoded stream, every trace event, the counters, the cycle total
 and the BER.  A cache that draws (random policy or jitter) must run every
-event for real.  `period_bers` shares one table across the periods of a
-call, and must give each period the BER of its own `run_channel`.
+event for real.  `period_bers` shares one table across the periods and
+trials of a call, and must give each period of each trial the BER of its
+own `run_channel` at that trial's seed.
+
+`direct_simulate` keeps, on purpose, the replacement sets' old chase order,
+shuffled by the run's seed, where the package chases one fixed order.  So
+the walk-against-oracle test also checks, on every drawn case, random
+policy and jitter included, that the chase order cannot change a report.
 
 Tier-1 checks the same few cases on every run; `pytest
 --hypothesis-profile=differential` draws that profile's count of fresh ones
@@ -26,7 +32,7 @@ from dirtysim.cache import LatencyModel
 from dirtysim.channel import (BinaryEncoding, ChannelConfig, MultiBitEncoding, Thresholds,
                               period_bers, run_channel, schedule)
 from dirtysim.cli import DEFENSES
-from dirtysim.seeding import random_bits
+from dirtysim.seeding import derive_seed, random_bits
 
 from oracles import direct_simulate
 from strategies import noise_fields, whole_symbols
@@ -129,22 +135,42 @@ def test_a_run_that_draws_runs_every_event(monkeypatch, fields):
     assert encodes == decodes == symbols == 16 + 512
 
 
+def trial_runs(cfg, periods, thresholds, trials):
+    """`period_bers` by definition: one `run_channel` per trial and period."""
+    return [[run_channel(dataclasses.replace(cfg, period=p,
+                                             seed=derive_seed(cfg.seed, "sweep", t)),
+                         thresholds).ber for p in periods]
+            for t in range(trials)]
+
+
 @DRAWS
 @given(run=runs(), periods=st.lists(st.one_of(st.sampled_from([800, 1001, 1600, 5500]),
-                                              st.integers(2, 12000)), min_size=1, max_size=4))
-@example(run=case(SWEEP_NOISY), periods=[800, 1000, 1600, 800])
-def test_period_bers_is_one_run_per_period(run, periods):
+                                              st.integers(2, 12000)), min_size=1, max_size=4),
+       trials=st.integers(1, 3))
+@example(run=case(SWEEP_NOISY), periods=[800, 1000, 1600, 800], trials=2)
+def test_period_bers_is_one_run_per_period(run, periods, trials):
     cfg, thresholds = run
-    assert period_bers(cfg, periods, thresholds) == [
-        run_channel(dataclasses.replace(cfg, period=p), thresholds).ber for p in periods]
+    assert period_bers(cfg, periods, thresholds, trials) == trial_runs(cfg, periods, thresholds,
+                                                                       trials)
 
 
 def test_a_period_bers_table_lives_for_one_call():
     # Both periods schedule one order.  A table kept from the first call
     # would decode the second call with the first call's cut.
     cfg = ChannelConfig(message=random_bits(256, 1), seed=1)
-    assert period_bers(cfg, (5500, 1600), Thresholds((115.5,))) == [0.0, 0.0]
-    assert period_bers(cfg, (5500, 1600), Thresholds((130.0,))) == [0.53515625, 0.53515625]
+    assert period_bers(cfg, (5500, 1600), Thresholds((115.5,)), 2) == [[0.0, 0.0]] * 2
+    assert (period_bers(cfg, (5500, 1600), Thresholds((130.0,)), 2)
+            == [[0.53515625, 0.53515625]] * 2)
+
+
+def test_the_chase_order_reads_no_seed():
+    cfg = SWEEP_NOISY
+    steps = channel.Steps(cfg, exact_cuts(cfg))
+    assert channel.Steps(dataclasses.replace(cfg, seed=1), exact_cuts(cfg)).rsets == steps.rsets
+    # A view at another seed walks the same table.
+    view = steps.at(1)
+    assert view.cfg == dataclasses.replace(cfg, seed=1)
+    assert view.rsets is steps.rsets and view.table is steps.table
 
 
 @st.composite
@@ -168,8 +194,8 @@ def test_period_bers_draws_noise_and_slip_once(cfg, periods):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(channel, "derive_seed",
                       lambda *parts: labels.update(parts[1:2]) or real(*parts))
-        period_bers(cfg, periods, exact_cuts(cfg))
-    assert (labels["noise"], labels["slip"]) == (1, 1)
+        period_bers(cfg, periods, exact_cuts(cfg), 2)
+    assert (labels["noise"], labels["slip"]) == (2, 2)
     # Each period's events, built from the one set of draws, are its own schedule.
     draws = channel._draws(cfg)
     for period in periods:
