@@ -142,7 +142,7 @@ def sweep_ber_vs_rate(cfg_template, periods=DEFAULT_PERIODS, trials: int = 3):
     across periods (common random numbers), which keeps the BER-vs-rate trend
     monotone instead of drowning it in sampling noise.  Every period's config
     is built, and so checked, once, before anything is calibrated or
-    simulated.  The trials are one `channel.period_bers` call, which builds
+    simulated.  The trials are one `channel._period_bers` call, which builds
     one table of steps for all of them and simulates each trial's distinct
     event orders once.
     """
@@ -154,7 +154,7 @@ def sweep_ber_vs_rate(cfg_template, periods=DEFAULT_PERIODS, trials: int = 3):
     for period in periods:
         replace(cfg_template, period=period)  # checks the period
     calibration = channel.calibrate_thresholds(cfg_template)
-    trial_bers = channel.period_bers(cfg_template, periods, calibration, trials)
+    trial_bers = channel._period_bers(cfg_template, periods, calibration, trials)
     return [SweepRow(period,
                      rate_kbps(period, cfg_template.encoding.bits_per_symbol),
                      cfg_template.encoding.name,

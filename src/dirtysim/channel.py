@@ -16,9 +16,9 @@ sorted events; `_simulate` runs the cache over them and scores the result.
 No draw reads the period, and an access's latency never moves the clock, so
 a run reads its period only through the order of its events: two periods
 that schedule the same actions in the same order give the same decoded
-stream, BER, counters and cycle total.  A `period_bers` trial draws once
-for all its periods (`_draws`) and simulates each of its distinct orders
-once.
+stream, BER, counters and cycle total.  A sweep trial draws once for all
+its periods (`_draws`) and simulates each of its distinct orders once
+(`_period_bers`).
 
 When the cache draws nothing (no random policy, no jitter), `_simulate`
 walks a table of steps instead of running every event.  Every access lands
@@ -34,23 +34,21 @@ tallies' counts and cycles are added at the end, so every output is that of
 running each event.  Noise lines' tags are stored as one canonical tag that
 no noise line can equal: each noise line is accessed once, so which one is
 resident never matters, and a step's noise access uses one fixed tag.  The
-receiver chases its two replacement sets in one fixed order that reads no
-seed: an access compares tags only for equality and no policy reads a tag,
-so relabelling a replacement set's tags maps one order's run onto another's,
+receiver chases its two replacement sets in tag order, which reads no seed:
+an access compares tags only for equality and no policy reads a tag, so
+relabelling a replacement set's tags maps one order's run onto another's,
 access for access.  A table's steps therefore read no seed, and a table is
-built once per `run_channel` call or once per sweep (`period_bers`), whose
-trials walk it through views at their own seeds (`Steps.at`).
-`_simulate(steps, period, events)` runs the table's (or view's) own config
-at `period`, so the runs that share a table share one config but for
-`period` and `seed`, and one set of cuts, by construction.  A cache that
-draws runs every event on the run's cache, seeded by the run's own config,
+built once per `run_channel` call or once per sweep (`_period_bers`), whose
+trials all walk it.  `_simulate(steps, seed, period, events)` runs the
+table's own config at `seed` and `period`, so the runs that share a table
+share one config but for those two, and one set of cuts, by construction.
+A cache that draws runs every event on the run's cache, seeded by `seed`,
 through the same actor code, and stores nothing.
 """
 
 from __future__ import annotations
 
 import bisect
-import copy
 import dataclasses
 import math
 import random
@@ -349,9 +347,9 @@ def _events(period: int, noise: list, slips: list) -> list:
 _NOISE_TAG = (NOISE, -1)
 
 
-def _primed_cache(cfg: ChannelConfig) -> Cache:
-    """A cache seeded as `cfg`'s run, its target set full of clean receiver lines."""
-    cache = Cache(cfg.geometry, cfg.policy, cfg.latency, seed=derive_seed(cfg.seed, "cache"))
+def _primed_cache(cfg: ChannelConfig, seed: int) -> Cache:
+    """A cache seeded as `cfg`'s run at `seed`, its target set full of clean receiver lines."""
+    cache = Cache(cfg.geometry, cfg.policy, cfg.latency, seed=derive_seed(seed, "cache"))
     fill_set(cache, RECEIVER, TARGET_SET, cfg.geometry.associativity)
     return cache
 
@@ -370,8 +368,8 @@ class Steps:
     state after the prime, or None when the cache draws: a drawing cache's
     steps hang on its generators, so a run then `act`s every event on its
     own cache and nothing is stored.  The replacement sets are chased in
-    an order that reads no seed (module docstring), so no step reads
-    `cfg.seed`, and `at(seed)` walks the same table at another seed.
+    tag order, which reads no seed (module docstring), so no step reads
+    `cfg.seed` and runs at any seed may walk one table.
     """
 
     def __init__(self, cfg: ChannelConfig, thresholds: Thresholds):
@@ -388,19 +386,8 @@ class Steps:
         self.table = {}
         self.ids = {}     # canonical target-set state -> its id
         self.states = []  # id -> canonical target-set state
-        self._cache = _primed_cache(cfg)
+        self._cache = _primed_cache(cfg, cfg.seed)
         self.start = None if self._cache.draws else self._intern()
-
-    def at(self, seed: int) -> "Steps":
-        """A view of this table whose `cfg` is at `seed`, all else shared.
-
-        The view walks the same steps, states, private cache and replacement
-        sets.  A run of the view draws its schedule from `seed`, and so does
-        its run cache when the cache draws.
-        """
-        view = copy.copy(self)
-        view.cfg = dataclasses.replace(self.cfg, seed=seed)
-        return view
 
     def _intern(self) -> int:
         """The id of the private cache's target-set state, noise tags made canonical."""
@@ -442,21 +429,21 @@ class Steps:
         return (*fields, tuple(map(sub, cache.outcome_counts(actor), before)))
 
 
-def _simulate(steps: Steps, period: int, events: list) -> ChannelReport:
-    """Run `steps.cfg` at `period` over its scheduled `events` and score the decoded stream.
+def _simulate(steps: Steps, seed: int, period: int, events: list) -> ChannelReport:
+    """Run `steps.cfg` at `seed` and `period` over its scheduled `events`; score the stream.
 
     Only the cycles in the trace and `rate_kbps` read `period`: the cache,
     the stream and the decoded bits see the events' order alone, since an
-    access's latency never moves the clock.  A run is its table's (or
-    view's) config at one period, decoded with the table's cuts, by
-    construction.  A cache that draws nothing is walked through `steps`
+    access's latency never moves the clock.  Of the run, only its cache's
+    draws read `seed`.  A run is its table's config at one seed and period,
+    decoded with the table's cuts, by construction.  A cache that draws nothing is walked through `steps`
     (module docstring): the run's own cache does only the prime, and each
     actor's counts and cycles are added from the tally of its steps.
     """
     cfg = steps.cfg
     k = cfg.encoding.bits_per_symbol
     stream = PREAMBLE + cfg.message
-    cache = _primed_cache(cfg)
+    cache = _primed_cache(cfg, seed)
     table = steps.table
     state = steps.start
     trace = []
@@ -521,30 +508,30 @@ def run_channel(cfg: ChannelConfig, thresholds: Thresholds | None = None) -> Cha
     """
     if thresholds is None:
         thresholds = calibrate_thresholds(cfg)
-    return _simulate(Steps(cfg, thresholds), cfg.period, schedule(cfg))
+    return _simulate(Steps(cfg, thresholds), cfg.seed, cfg.period, schedule(cfg))
 
 
-def period_bers(cfg: ChannelConfig, periods, thresholds: Thresholds, trials: int) -> list:
+def _period_bers(cfg: ChannelConfig, periods, thresholds: Thresholds, trials: int) -> list:
     """Per trial, the BER of `cfg` at each of `periods` with `thresholds`, in order.
 
-    Trial t runs at seed `derive_seed(cfg.seed, "sweep", t)`.  The periods
-    are taken as checked: `analysis.sweep_ber_vs_rate` builds each one's
-    config, once, before it calibrates.  One `Steps(cfg, thresholds)` serves
-    every trial, each through a view at its own seed (`Steps.at`), so every
-    run is `cfg` at one period and one trial's seed, decoded with
-    `thresholds`.  A trial draws its noise and slip once for all periods,
-    and simulates each of its distinct event orders once (module
-    docstring): the seed fixes the cache's draws and what each noise event
-    does, so the events' (prio, symbol index) sequence names everything a
-    run of that trial reads.
+    `analysis.sweep_ber_vs_rate`'s trial loop.  The periods are taken as
+    checked: the sweep builds each one's config, once, before it calibrates.
+    Trial t runs at seed `derive_seed(cfg.seed, "sweep", t)`.  One
+    `Steps(cfg, thresholds)` serves every trial, so every run is `cfg` at
+    one period and one trial's seed, decoded with `thresholds`.  A trial
+    draws its noise and slip once for all periods, and simulates each of
+    its distinct event orders once (module docstring): the seed fixes the
+    cache's draws and what each noise event does, so the events' (prio,
+    symbol index) sequence names everything a run of that trial reads.
     """
     from array import array  # deferred: only a sweep packs event orders
 
     steps = Steps(cfg, thresholds)
     trial_bers = []
     for trial in range(trials):
-        view = steps.at(derive_seed(cfg.seed, "sweep", trial))
-        draws = _draws(view.cfg)  # no draw reads the period, so every period shares them
+        seed = derive_seed(cfg.seed, "sweep", trial)
+        # No draw reads the period, so every period shares them.
+        draws = _draws(dataclasses.replace(cfg, seed=seed))
         ber_of_order = {}  # this trial's orders only -> BER
         bers = []
         for period in periods:
@@ -553,7 +540,7 @@ def period_bers(cfg: ChannelConfig, periods, thresholds: Thresholds, trials: int
             # for a C int raises rather than collide).
             order = array("i", (3 * index + prio for _, prio, index, _ in events)).tobytes()
             if order not in ber_of_order:
-                ber_of_order[order] = _simulate(view, period, events).ber
+                ber_of_order[order] = _simulate(steps, seed, period, events).ber
             del events  # so two periods' events are never alive at once
             bers.append(ber_of_order[order])
         trial_bers.append(bers)

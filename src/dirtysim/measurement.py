@@ -1,10 +1,10 @@
 """Replacement-set construction and serialized replacement-latency measurement.
 
 Mirrors the pointer-chasing technique: a replacement set is the tuple of its
-tags in a random permutation, visited strictly one after another by the
-actor in the set its caller names, and the total latency is the plain sum
-of the per-access costs.  Measuring also refills the target set with clean
-lines, so a measurement doubles as initialization for the next round.
+tags, visited strictly one after another by the actor in the set its caller
+names, and the total latency is the plain sum of the per-access costs.
+Measuring also refills the target set with clean lines, so a measurement
+doubles as initialization for the next round.
 `fill_set` is the one step that primes a set or dirties it, and
 `prime_dirty_probe` is the whole prime -> dirty -> probe sequence on one
 cache; a probe and a fill are one `Cache.access_run` each.  `probe_totals`
@@ -15,14 +15,14 @@ seed reaches no outcome, so every trial would replay the same accesses on
 the same fresh state.  Like a fill, a probe names its actor and set: the
 replacement set holds only tags.
 
-A fresh cache's probe total cannot depend on the chase order (every line
-misses, policies see ways not tags, jitter is drawn per access in order), so
-`probe_totals` chases one seeded order in every trial.
+No run can depend on the chase order: an access compares tags only for
+equality and no policy reads a tag, so relabelling a replacement set's tags
+maps one order's run onto another's, access for access.  A replacement set
+is therefore chased in tag order, and no seed orders it.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .cache import DEFAULT_GEOMETRY, Cache, CacheGeometry
@@ -54,9 +54,9 @@ class LatencySample:
         return self.resident_hits > 0
 
 
-def build_replacement_set(size: int = DEFAULT_RSET_SIZE, seed: int = 0, *,
-                          ways: int = 0, index: int = 0) -> tuple:
-    """Replacement set `index` of a set of `ways` ways, in the chase order of `seed`.
+def build_replacement_set(size: int = DEFAULT_RSET_SIZE, *, ways: int = 0,
+                          index: int = 0) -> tuple:
+    """Replacement set `index` of a set of `ways` ways: its tags in order, as chased.
 
     This is the one tag layout.  A fill holds tags 0..ways-1, so set `index`
     takes the `size` tags from ways + index*size: no replacement set holds a
@@ -66,9 +66,7 @@ def build_replacement_set(size: int = DEFAULT_RSET_SIZE, seed: int = 0, *,
     check_int("ways", ways, 0)
     check_int("index", index, 0)
     start = ways + index * size
-    tags = list(range(start, start + size))
-    random.Random(derive_seed("chase", seed)).shuffle(tags)
-    return tuple(tags)
+    return tuple(range(start, start + size))
 
 
 def check_rset_size(rset_size: int, geometry: CacheGeometry) -> None:

@@ -27,26 +27,8 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-# A 32-bit word's top byte -> the bit `rng.choice("01")` takes from that word:
-# its top two bits, 0 or 1, or a redraw (deleted) when they are 2 or 3.
-_TOP_TWO_BITS = bytes(b"01"[b >> 6] if b < 128 else 0 for b in range(256))
-_REDRAWN = bytes(range(128, 256))
-
-
 def random_bits(n: int, seed) -> str:
-    """Return an n-character '0'/'1' string; `seed` is any value with a stable text form.
-
-    The string is that of `n` calls of `rng.choice("01")`, drawn in bulk: a
-    call takes the top two bits of one 32-bit Mersenne Twister word and
-    draws again when they are 2 or 3, and `getrandbits` packs the words it
-    draws little-endian.  The generator is local, so the words drawn past
-    the n-th bit change nothing.
-    """
+    """Return an n-character '0'/'1' string; `seed` is any value with a stable text form."""
     check_int("n", n, 0)
     rng = random.Random(derive_seed("bits", seed))
-    bits = b""
-    while len(bits) < n:
-        words = 2 * (n - len(bits)) + 32  # each word gives a bit with probability 1/2
-        top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
-        bits += top.translate(_TOP_TWO_BITS, _REDRAWN)
-    return bits[:n].decode()
+    return "".join(rng.choice("01") for _ in range(n))

@@ -13,8 +13,7 @@ simulation runs every event's real action on one live cache, where the
 package walks a table of the steps it has already run.  The two channel
 laws run no cache at all: each decode's dirty-line count follows from the
 sent level and its period's noise draw, and its jitter from an exact
-convolution.  `random_bits`, which draws its words in bulk, is replayed
-one `rng.choice("01")` call per bit.
+convolution.
 """
 
 import random
@@ -36,10 +35,11 @@ from dirtysim.seeding import derive_seed
 WAYS = 8
 
 
-def choice_bits(n, seed):
-    """`random_bits` one `rng.choice("01")` call per bit."""
-    rng = random.Random(derive_seed("bits", seed))
-    return "".join(rng.choice("01") for _ in range(n))
+def shuffled(rset, seed):
+    """`rset`'s tags in the chase order a `seed`ed shuffle gives them."""
+    order = list(rset)
+    random.Random(derive_seed("chase", seed)).shuffle(order)
+    return tuple(order)
 
 
 def brute_levenshtein(a, b):
@@ -292,15 +292,18 @@ def direct_simulate(cfg, events, thresholds):
     """`run_channel`'s simulation of `events` as one real action each, with no table of steps.
 
     Every encode, decode and noise access runs on the one live cache, and
-    the report's counters and cycles are that cache's.
+    the report's counters and cycles are that cache's.  Each replacement
+    set is chased in an order shuffled by the run's seed, where the package
+    chases tag order: no report may tell the two apart.
     """
     enc = cfg.encoding
     k = enc.bits_per_symbol
     stream = PREAMBLE + cfg.message
     cache = Cache(cfg.geometry, cfg.policy, cfg.latency, seed=derive_seed(cfg.seed, "cache"))
     fill_set(cache, RECEIVER, TARGET_SET, cfg.geometry.associativity)
-    rsets = tuple(build_replacement_set(cfg.rset_size, derive_seed(cfg.seed, "chase", p),
-                                        ways=cfg.geometry.associativity, index=p)
+    rsets = tuple(shuffled(build_replacement_set(cfg.rset_size, ways=cfg.geometry.associativity,
+                                                 index=p),
+                           derive_seed(cfg.seed, "chase", p))
                   for p in (0, 1))
     trace = []
     received_parts = []

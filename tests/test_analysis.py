@@ -348,7 +348,7 @@ def test_the_sweep_equals_one_run_per_period_and_trial(case):
 def count_simulations(monkeypatch, cfg, trials):
     from dirtysim import channel
     calls = []
-    real = channel._simulate  # `period_bers` hands each trial's view of its table to it
+    real = channel._simulate  # `_period_bers` hands its one table to it, run by run
     monkeypatch.setattr(channel, "_simulate", lambda *a: calls.append(1) or real(*a))
     sweep_ber_vs_rate(cfg, DEFAULT_PERIODS, trials)
     return len(calls)
@@ -366,7 +366,7 @@ def test_the_sweep_simulates_each_order_once_per_trial(monkeypatch):
 @pytest.mark.parametrize("trials", [1, 2, 10])
 def test_a_sweep_builds_one_table_and_one_config_per_period_and_trial(monkeypatch, trials):
     # Each period's config is built once, to check it, and each trial's once,
-    # for its view of the sweep's one table of steps.
+    # for its noise and slip draws; every trial walks the sweep's one table.
     from dirtysim import channel
     built = Counter()
     for cls in (channel.Steps, ChannelConfig):

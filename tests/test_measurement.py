@@ -1,4 +1,3 @@
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +11,8 @@ from dirtysim.measurement import (build_replacement_set, fill_set, latency_cdf,
                                   probe_totals)
 from dirtysim.policy import POLICIES
 from dirtysim.seeding import derive_seed
+
+from oracles import shuffled
 
 GEO = CacheGeometry()
 
@@ -27,17 +28,18 @@ def prepared_cache(d, latency=None, seed=0):
 
 
 def test_build_replacement_set_shape():
-    # Set `index` of a set of `ways` ways starts at ways + index*size.
-    assert sorted(build_replacement_set(10, seed=3)) == list(range(10))
-    assert sorted(build_replacement_set(10, seed=3, ways=7)) == list(range(7, 17))
-    assert sorted(build_replacement_set(10, seed=3, ways=7, index=2)) == list(range(27, 37))
+    # Set `index` of a set of `ways` ways starts at ways + index*size, and
+    # is chased in tag order.
+    assert build_replacement_set(10) == tuple(range(10))
+    assert build_replacement_set(10, ways=7) == tuple(range(7, 17))
+    assert build_replacement_set(10, ways=7, index=2) == tuple(range(27, 37))
 
 
 def test_a_probe_reads_the_actor_and_set_its_caller_names():
     # The replacement set holds tags only: the probe's actor and set are
     # the ones passed to it, not a default.
     cache = Cache(GEO, "lru")
-    rset = build_replacement_set(10, seed=3)
+    rset = build_replacement_set(10)
     sample = measure_replacement_latency(cache, "r", 5, rset)
     assert sample.total_cycles == 10 * 11
     # Eight fills, then LRU evicts ways 0 and 1 for the last two tags.
@@ -46,32 +48,14 @@ def test_a_probe_reads_the_actor_and_set_its_caller_names():
     assert set(cache.counters) == {"r"}
 
 
-def test_build_replacement_set_deterministic():
-    a = build_replacement_set(10, seed=3)
-    b = build_replacement_set(10, seed=3)
-    assert a == b
-    c = build_replacement_set(10, seed=4)
-    assert sorted(c) == sorted(a)  # only the chase order is seeded
-    assert c != a
-
-
-def test_chase_order_is_the_seeded_shuffle_of_tag_order():
-    # The tags are stored in the order a seeded shuffle of the indices
-    # 0..size-1 gives, so that order, not the tag order, is what is visited.
-    order = list(range(10))
-    random.Random(derive_seed("chase", 3)).shuffle(order)
-    rset = build_replacement_set(10, seed=3, ways=8)
-    assert rset == tuple(8 + i for i in order)
-
-
 def test_build_replacement_set_singleton():
-    rset = build_replacement_set(1, seed=0)
+    rset = build_replacement_set(1)
     assert rset == (0,)
 
 
 def test_build_replacement_set_rejects_empty():
     with pytest.raises(ValueError, match="^size must be >= 1$"):
-        build_replacement_set(0, seed=0)
+        build_replacement_set(0)
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -93,7 +77,7 @@ def test_replacement_sets_share_no_tag_with_a_fill_or_each_other(ways, extra):
     # and past the set before it.
     size = ways + extra
     sets = [set(range(ways))] + [
-        set(build_replacement_set(size, seed=p, ways=ways, index=p))
+        set(build_replacement_set(size, ways=ways, index=p))
         for p in (0, 1)]
     assert sum(map(len, sets)) == len(set().union(*sets)) == 3 * ways + 2 * extra
 
@@ -112,7 +96,7 @@ def test_totals_are_110_plus_11d(d):
     expected = (8 - d) * 11 + d * 22 + 2 * 11
     assert expected == 110 + 11 * d
     cache = prepared_cache(d)
-    rset = build_replacement_set(10, seed=d, ways=8)
+    rset = shuffled(build_replacement_set(10, ways=8), d)
     sample = measure_replacement_latency(cache, "receiver", 0, rset)
     assert sample.total_cycles == expected
     assert sample.dirty_before == d
@@ -121,7 +105,7 @@ def test_totals_are_110_plus_11d(d):
 
 def test_total_is_sum_of_individual_latencies():
     cache = prepared_cache(3)
-    rset = build_replacement_set(10, seed=1, ways=8)
+    rset = build_replacement_set(10, ways=8)
     shadow = prepared_cache(3)
     individual = [shadow.access(make_line("receiver", 0, tag), False).latency for tag in rset]
     assert measure_replacement_latency(cache, "receiver", 0, rset).total_cycles == sum(individual)
@@ -132,7 +116,7 @@ def test_adjacent_d_step_equals_dirty_minus_clean_cost():
     totals = []
     for d in range(9):
         cache = prepared_cache(d, latency=model)
-        rset = build_replacement_set(10, seed=d, ways=8)
+        rset = shuffled(build_replacement_set(10, ways=8), d)
         totals.append(measure_replacement_latency(cache, "receiver", 0, rset).total_cycles)
     steps = {b - a for a, b in zip(totals, totals[1:])}
     assert steps == {model.miss_dirty - model.miss_clean}
@@ -142,7 +126,7 @@ def test_resident_lines_flagged_not_fatal():
     # With L > W, rerunning the same chase order self-thrashes and still
     # misses everywhere; a W-sized set left fully resident shows the flag.
     cache = prepared_cache(0)
-    rset = build_replacement_set(8, seed=1, ways=8)
+    rset = build_replacement_set(8, ways=8)
     first = measure_replacement_latency(cache, "receiver", 0, rset)
     assert not first.precondition_violated
     again = measure_replacement_latency(cache, "receiver", 0, rset)
@@ -152,7 +136,7 @@ def test_resident_lines_flagged_not_fatal():
 
 def test_same_order_reuse_self_thrashes_instead_of_hitting():
     cache = prepared_cache(0)
-    rset = build_replacement_set(10, seed=1, ways=8)
+    rset = build_replacement_set(10, ways=8)
     measure_replacement_latency(cache, "receiver", 0, rset)
     again = measure_replacement_latency(cache, "receiver", 0, rset)
     assert again.resident_hits == 0  # LRU evicts each line just before its turn
@@ -160,10 +144,10 @@ def test_same_order_reuse_self_thrashes_instead_of_hitting():
 
 def test_measurement_doubles_as_initialization():
     cache = prepared_cache(8)
-    rset_a = build_replacement_set(10, seed=1, ways=8)
+    rset_a = build_replacement_set(10, ways=8)
     measure_replacement_latency(cache, "receiver", 0, rset_a)
     assert cache.dirty_count(0) == 0
-    rset_b = build_replacement_set(10, seed=2, ways=8, index=1)
+    rset_b = build_replacement_set(10, ways=8, index=1)
     sample = measure_replacement_latency(cache, "receiver", 0, rset_b)
     assert sample.total_cycles == 110
     assert sample.resident_hits == 0
@@ -243,9 +227,7 @@ def test_probe_totals_simulates_a_level_once_only_when_nothing_draws(
                          latency=LatencyModel(jitter=jitter), rset_size=10)
     assert [len(totals) for _, totals in table] == [5] * len(levels)
     assert len(built) == per_level * len(levels)
-    # One more seed orders the chase of the one replacement set.
-    assert derived[0] == ("chase", 0)
-    assert derived[1:] == [(1, "x", d, t) for d in levels for t in range(per_level)]
+    assert derived == [(1, "x", d, t) for d in levels for t in range(per_level)]
 
 
 def test_latency_cdf_point_masses_without_jitter():
@@ -364,7 +346,7 @@ def test_fill_set_reads_prime_clean_and_writes_dirty():
 @pytest.mark.parametrize("d", [0, 3, 8])
 def test_prime_dirty_probe_on_a_fresh_cache(d):
     cache = Cache(GEO, "lru")
-    rset = build_replacement_set(10, seed=d, ways=8)
+    rset = shuffled(build_replacement_set(10, ways=8), d)
     sample = prime_dirty_probe(cache, rset, d)
     assert (sample.dirty_before, sample.total_cycles, sample.resident_hits) == (d, 110 + 11 * d, 0)
     assert sum(c["stores"] for c in cache.counters.values()) == d

@@ -6,12 +6,12 @@ once and walks a table of them after that, when the cache draws nothing.
 access on one live cache.  Both must give the same report, field by field:
 the raw decoded stream, every trace event, the counters, the cycle total
 and the BER.  A cache that draws (random policy or jitter) must run every
-event for real.  `period_bers` shares one table across the periods and
-trials of a call, and must give each period of each trial the BER of its
+event for real.  `_period_bers`, a sweep's trial loop, shares one table
+across the periods and trials of a call, and must give each period of each trial the BER of its
 own `run_channel` at that trial's seed.
 
 `direct_simulate` keeps, on purpose, the replacement sets' old chase order,
-shuffled by the run's seed, where the package chases one fixed order.  So
+shuffled by the run's seed, where the package chases tag order.  So
 the walk-against-oracle test also checks, on every drawn case, random
 policy and jitter included, that the chase order cannot change a report.
 
@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 import dirtysim.channel as channel
 from dirtysim.cache import LatencyModel
 from dirtysim.channel import (BinaryEncoding, ChannelConfig, MultiBitEncoding, Thresholds,
-                              period_bers, run_channel, schedule)
+                              run_channel, schedule)
 from dirtysim.cli import DEFENSES
 from dirtysim.seeding import derive_seed, random_bits
 
@@ -136,7 +136,7 @@ def test_a_run_that_draws_runs_every_event(monkeypatch, fields):
 
 
 def trial_runs(cfg, periods, thresholds, trials):
-    """`period_bers` by definition: one `run_channel` per trial and period."""
+    """`_period_bers` by definition: one `run_channel` per trial and period."""
     return [[run_channel(dataclasses.replace(cfg, period=p,
                                              seed=derive_seed(cfg.seed, "sweep", t)),
                          thresholds).ber for p in periods]
@@ -150,27 +150,24 @@ def trial_runs(cfg, periods, thresholds, trials):
 @example(run=case(SWEEP_NOISY), periods=[800, 1000, 1600, 800], trials=2)
 def test_period_bers_is_one_run_per_period(run, periods, trials):
     cfg, thresholds = run
-    assert period_bers(cfg, periods, thresholds, trials) == trial_runs(cfg, periods, thresholds,
-                                                                       trials)
+    assert channel._period_bers(cfg, periods, thresholds, trials) == trial_runs(
+        cfg, periods, thresholds, trials)
 
 
 def test_a_period_bers_table_lives_for_one_call():
     # Both periods schedule one order.  A table kept from the first call
     # would decode the second call with the first call's cut.
     cfg = ChannelConfig(message=random_bits(256, 1), seed=1)
-    assert period_bers(cfg, (5500, 1600), Thresholds((115.5,)), 2) == [[0.0, 0.0]] * 2
-    assert (period_bers(cfg, (5500, 1600), Thresholds((130.0,)), 2)
+    assert channel._period_bers(cfg, (5500, 1600), Thresholds((115.5,)), 2) == [[0.0, 0.0]] * 2
+    assert (channel._period_bers(cfg, (5500, 1600), Thresholds((130.0,)), 2)
             == [[0.53515625, 0.53515625]] * 2)
 
 
 def test_the_chase_order_reads_no_seed():
     cfg = SWEEP_NOISY
-    steps = channel.Steps(cfg, exact_cuts(cfg))
-    assert channel.Steps(dataclasses.replace(cfg, seed=1), exact_cuts(cfg)).rsets == steps.rsets
-    # A view at another seed walks the same table.
-    view = steps.at(1)
-    assert view.cfg == dataclasses.replace(cfg, seed=1)
-    assert view.rsets is steps.rsets and view.table is steps.table
+    rsets = channel.Steps(cfg, exact_cuts(cfg)).rsets
+    assert channel.Steps(dataclasses.replace(cfg, seed=1), exact_cuts(cfg)).rsets == rsets
+    assert rsets == (tuple(range(8, 18)), tuple(range(18, 28)))  # tag order
 
 
 @st.composite
@@ -194,7 +191,7 @@ def test_period_bers_draws_noise_and_slip_once(cfg, periods):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(channel, "derive_seed",
                       lambda *parts: labels.update(parts[1:2]) or real(*parts))
-        period_bers(cfg, periods, exact_cuts(cfg), 2)
+        channel._period_bers(cfg, periods, exact_cuts(cfg), 2)
     assert (labels["noise"], labels["slip"]) == (2, 2)
     # Each period's events, built from the one set of draws, are its own schedule.
     draws = channel._draws(cfg)
