@@ -23,8 +23,8 @@ its periods (`_draws`) and simulates each of its distinct orders once
 When the cache draws nothing (no random policy, no jitter), `_simulate`
 walks a table of steps instead of running every event.  Every access lands
 in `TARGET_SET`, so what an event does is fixed by that set's state (tags,
-dirty bits, policy metadata) and its action: the symbol of an encode, the
-replacement set's parity of a decode, read or write for noise.
+dirty bits, policy metadata) and its action: the symbol of an encode, a
+decode, read or write for noise.
 `Steps(cfg, thresholds).next(state, action)` is that step, a function: the
 first time a (state, action) comes up, it loads the state into a private
 cache of its own, runs the real actor there and stores the trace fields,
@@ -37,7 +37,11 @@ resident never matters, and a step's noise access uses one fixed tag.  The
 receiver chases its two replacement sets in tag order, which reads no seed:
 an access compares tags only for equality and no policy reads a tag, so
 relabelling a replacement set's tags maps one order's run onto another's,
-access for access.  A table's steps therefore read no seed, and a table is
+access for access.  A table's steps therefore read no seed.  The same
+argument applied to the two replacement sets, which decodes alternate,
+makes a decode one step whichever set it chases: every state is stored
+relabelled so that its next decode chases `rsets[0]`, and a decode's next
+state has the two sets' tags swapped before it is stored.  A table is
 built once per `run_channel` call or once per sweep (`_period_bers`), whose
 trials all walk it.  `_simulate(steps, seed, period, events)` runs the
 table's own config at `seed` and `period`, so the runs that share a table
@@ -359,17 +363,21 @@ class Steps:
 
     The cut count is checked before anything is built.  A state is the id of
     an interned target-set state, and an action is an encode's symbol bits,
-    a decode's replacement-set parity (0 or 1), "noise-read" or
-    "noise-write".  `next(state, action)` is the step: (the trace fields from
-    actor to decoded bits, the actor's count delta, the next state).  The
-    first time a (state, action) comes up, it loads the state into the
+    the index (0 or 1) of the replacement set a decode chases, "noise-read"
+    or "noise-write".  `next(state, action)` is the step: (the trace fields
+    from actor to decoded bits, the actor's count delta, the next state).
+    The first time a (state, action) comes up, it loads the state into the
     table's own primed cache, runs the real actor there (`act`), a noise
-    access on one fixed tag, and interns the next state.  `start` is the
-    state after the prime, or None when the cache draws: a drawing cache's
-    steps hang on its generators, so a run then `act`s every event on its
-    own cache and nothing is stored.  The replacement sets are chased in
-    tag order, which reads no seed (module docstring), so no step reads
-    `cfg.seed` and runs at any seed may walk one table.
+    access on one fixed tag, and interns the next state.  A state is stored
+    in the frame of its next decode, which chases `rsets[0]`, so every
+    walked decode is action 0: a decode's next state is interned with the
+    two sets' tags swapped, and an encode's or a noise access's, which
+    touches no receiver tag, as it is.  `start` is the state after the
+    prime, or None when the cache draws: a drawing cache's steps hang on
+    its generators, so a run then `act`s every event on its own cache, each
+    decode on its real parity's set, and nothing is stored.  The replacement
+    sets are chased in tag order, which reads no seed (module docstring), so
+    no step reads `cfg.seed` and runs at any seed may walk one table.
     """
 
     def __init__(self, cfg: ChannelConfig, thresholds: Thresholds):
@@ -383,17 +391,24 @@ class Steps:
         self.rsets = tuple(build_replacement_set(cfg.rset_size, ways=cfg.geometry.associativity,
                                                  index=p)
                            for p in (0, 1))
+        # Swapping the two sets' tags maps a decode on set 1 onto one on set 0.
+        set0, set1 = ([(RECEIVER, tag) for tag in rset] for rset in self.rsets)
+        self._swap = dict([*zip(set0, set1), *zip(set1, set0)])
         self.table = {}
         self.ids = {}     # canonical target-set state -> its id
         self.states = []  # id -> canonical target-set state
         self._cache = _primed_cache(cfg, cfg.seed)
         self.start = None if self._cache.draws else self._intern()
 
-    def _intern(self) -> int:
-        """The id of the private cache's target-set state, noise tags made canonical."""
+    def _intern(self, swap: bool = False) -> int:
+        """The id of the private cache's target-set state, noise tags made canonical.
+
+        With `swap`, the two replacement sets' tags are swapped first.
+        """
         tags, dirty, meta = self._cache.set_state(TARGET_SET)
-        state = (tuple([_NOISE_TAG if tag is not None and tag[0] == NOISE else tag
-                        for tag in tags]), dirty, meta)
+        relabel = self._swap if swap else {}
+        state = (tuple([_NOISE_TAG if tag is not None and tag[0] == NOISE
+                        else relabel.get(tag, tag) for tag in tags]), dirty, meta)
         sid = self.ids.setdefault(state, len(self.ids))
         if sid == len(self.states):
             self.states.append(state)
@@ -403,9 +418,11 @@ class Steps:
         """The step from `state` on `action`, run on the private cache the first time."""
         step = self.table.get((state, action))
         if step is None:
-            # Load even a state the cache holds: its noise line may carry the fixed tag.
+            # Load even a state the cache holds: the stored state may carry the
+            # fixed noise tag, or a decode's swapped tags.
             self._cache.load_set(TARGET_SET, self.states[state])
-            step = self.table[state, action] = (*self.act(self._cache, action, 0), self._intern())
+            step = self.table[state, action] = (*self.act(self._cache, action, 0),
+                                                self._intern(swap=action == 0))
         return step
 
     def act(self, cache: Cache, action, noise_tag: int) -> tuple:
@@ -446,6 +463,7 @@ def _simulate(steps: Steps, seed: int, period: int, events: list) -> ChannelRepo
     cache = _primed_cache(cfg, seed)
     table = steps.table
     state = steps.start
+    walks = state is not None
     trace = []
     received_parts = []
     visits = []  # the walk's keys, one per event
@@ -454,10 +472,10 @@ def _simulate(steps: Steps, seed: int, period: int, events: list) -> ChannelRepo
         if action == "encode":
             key = (state, truth)
         elif action == "decode":
-            key = (state, len(received_parts) % 2)
+            key = (state, 0 if walks else len(received_parts) % 2)
         else:
             key, truth = (state, action), ""
-        if state is None:  # the cache draws: run the event on this run's cache
+        if not walks:  # the cache draws: run the event on this run's cache
             step = (*steps.act(cache, key[1], index), None)
         else:
             step = table.get(key) or steps.next(*key)

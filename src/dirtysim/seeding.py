@@ -27,8 +27,25 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+# `random.choice("01")` keeps the top two bits of one 32-bit word and redraws
+# on 2 or 3, so a word's top byte 0-63 is "0", 64-127 is "1", 128-255 no bit.
+_BIT_OF_TOP_BYTE = b"0" * 64 + b"1" * 64 + bytes(128)
+_NO_BIT = bytes(range(128, 256))
+
+
 def random_bits(n: int, seed) -> str:
-    """Return an n-character '0'/'1' string; `seed` is any value with a stable text form."""
+    """Return an n-character '0'/'1' string; `seed` is any value with a stable text form.
+
+    The string is that of n `rng.choice("01")` calls, drawn in bulk: each
+    round draws one 32-bit word per bit still missing in one `getrandbits`
+    call, which places the words least significant first, so their top
+    bytes come in the order `choice` would draw them one by one.
+    """
     check_int("n", n, 0)
     rng = random.Random(derive_seed("bits", seed))
-    return "".join(rng.choice("01") for _ in range(n))
+    bits = b""
+    while len(bits) < n:
+        words = n - len(bits)
+        top_bytes = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+        bits += top_bytes.translate(_BIT_OF_TOP_BYTE, _NO_BIT)
+    return bits.decode()

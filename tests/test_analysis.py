@@ -377,11 +377,12 @@ def test_a_sweep_builds_one_table_and_one_config_per_period_and_trial(monkeypatc
     assert built == {channel.Steps: 1, ChannelConfig: len(DEFAULT_PERIODS) + trials}
 
 
-@pytest.mark.parametrize("trials, real_steps", [(2, 299), (10, 443)])
+@pytest.mark.parametrize("trials, real_steps", [(2, 227), (10, 325)])
 def test_the_sweep_noisy_workload_runs_each_step_once_per_sweep(monkeypatch, tmp_path,
                                                                  trials, real_steps):
     # `benchmarks/run.py`'s sweep-noisy argv at seed 2024.  With one table
-    # per trial it ran 431 real steps at 2 trials, and 2,007 at 10.
+    # per trial it ran 431 real steps at 2 trials, and 2,007 at 10; with
+    # decodes keyed by their replacement set's parity, 299 and 443.
     from dirtysim import channel
     from dirtysim.cli import main
     acts = []

@@ -28,7 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dirtysim.channel as channel
-from dirtysim.cache import LatencyModel
+from dirtysim.cache import Cache, LatencyModel
 from dirtysim.channel import (BinaryEncoding, ChannelConfig, MultiBitEncoding, Thresholds,
                               run_channel, schedule)
 from dirtysim.cli import DEFENSES
@@ -119,11 +119,12 @@ def count_actions(monkeypatch, cfg):
 @pytest.mark.parametrize("bits", [512, 2048, 16384])
 @pytest.mark.parametrize("policy", ["lru", "tree-plru"])
 def test_a_run_that_draws_nothing_runs_each_step_once(monkeypatch, policy, bits):
-    # A default binary run visits the same 33 (state, symbol) and 33
-    # (state, parity) steps at every length.
+    # A default binary run visits the same 17 (state, symbol) and 17
+    # (state, decode) steps at every length: a state is stored in the frame
+    # of its next decode, so both replacement sets' decodes share one step.
     cfg = ChannelConfig(message=random_bits(bits, 1), seed=1, policy=policy)
     encodes, decodes, symbols = count_actions(monkeypatch, cfg)
-    assert (encodes, decodes, symbols) == (33, 33, (16 + bits))
+    assert (encodes, decodes, symbols) == (17, 17, (16 + bits))
 
 
 @pytest.mark.parametrize("fields", [dict(policy="random", rset_size=24),
@@ -161,6 +162,41 @@ def test_a_period_bers_table_lives_for_one_call():
     assert channel._period_bers(cfg, (5500, 1600), Thresholds((115.5,)), 2) == [[0.0, 0.0]] * 2
     assert (channel._period_bers(cfg, (5500, 1600), Thresholds((130.0,)), 2)
             == [[0.53515625, 0.53515625]] * 2)
+
+
+def swapped(state, rsets):
+    """`state` with the receiver's tags of the two replacement sets swapped."""
+    lines0, lines1 = ([(channel.RECEIVER, tag) for tag in rset] for rset in rsets)
+    swap = dict([*zip(lines0, lines1), *zip(lines1, lines0)])
+    tags, dirty, meta = state
+    return tuple(swap.get(tag, tag) for tag in tags), dirty, meta
+
+
+@pytest.mark.parametrize("policy", ["lru", "tree-plru"])
+@pytest.mark.parametrize("defense, noise", [("none", False), ("none", True),
+                                            ("write-through", False), ("write-through", True),
+                                            ("partition", False)])
+@pytest.mark.parametrize("encoding", [BinaryEncoding(1), MultiBitEncoding()],
+                         ids=["binary", "multibit"])
+def test_a_decode_on_either_replacement_set_is_one_step(policy, defense, noise, encoding):
+    # What lets the walk store every state in the frame of its next decode:
+    # from any state of a table, a decode on set 0 and one on set 1 from the
+    # state's swapped image are the same step, up to that swap.
+    cfg = ChannelConfig(message=random_bits(256, 4), encoding=encoding, period=1001, seed=4,
+                        slip=300, geometry=DEFENSES[defense], policy=policy,
+                        **(dict(noise_rate=0.5, noise_write_prob=0.5) if noise else {}))
+    steps = channel.Steps(cfg, exact_cuts(cfg))
+    channel._simulate(steps, cfg.seed, cfg.period, schedule(cfg))
+    rsets = steps.rsets
+    for state in steps.states:
+        ends = []
+        for parity, start in ((0, state), (1, swapped(state, rsets))):
+            cache = Cache(cfg.geometry, cfg.policy, cfg.latency)
+            cache.load_set(channel.TARGET_SET, start)
+            ends.append((steps.act(cache, parity, 0), cache.set_state(channel.TARGET_SET)))
+        (step0, end0), (step1, end1) = ends
+        assert step0 == step1
+        assert end1 == swapped(end0, rsets)
 
 
 def test_the_chase_order_reads_no_seed():
