@@ -1,4 +1,4 @@
-"""Set-associative L1 model with write-back/write-allocate semantics.
+"""One set of an L1 cache with write-back/write-allocate semantics.
 
 The backing level always hits, so every outcome cost comes from the L1 state
 transition alone: hit, fill of an invalid way, clean eviction, or dirty
@@ -6,26 +6,26 @@ eviction with its write-back.  Two defense knobs live in the geometry: a
 write-through/no-allocate mode (dirty bits never set) and static way
 partitioning per actor.
 
-A set is allocated on its first access, as one [tags, dirty, meta] record; a
-way is valid when its tag is not None.  Most experiments build a fresh cache
-and touch one set, so a set that is never accessed costs nothing and reads as
-all-invalid.  The policy's metadata is a value that `on_access` returns
-(Tree-PLRU's is one int of W-1 bits; see `dirtysim.policy`), so the access
-loop keeps it as a local and writes it back to the record when it stops.
-A line is (actor, set, tag): the model tracks the states of sets and lines,
-not memory locations, and a line outside the cache's sets is an error, never
-a wrap into another set.
+A `Cache` is one set.  The channel runs in one set, whose bandwidth the
+paper reports per set: every protocol step, calibration and probe touches
+that set, and nothing else runs there.  Code that needs a second set builds
+a second cache.  The set is one [tags, dirty, meta] record; a way is
+valid when its tag is not None.  The policy's metadata is a value that
+`on_access` returns (Tree-PLRU's is one int of W-1 bits; see
+`dirtysim.policy`), so the access loop keeps it as a local and writes it
+back to the record when it stops.  A line is (actor, tag): the model tracks
+the states of the set and its lines, not memory locations.
 
 `Cache.access_run` is the one access loop, and `Cache.access` is its
-one-line case.  A run is one actor's tags in one set, as every protocol step
-is: it checks the set and looks up the actor's ways once, before its first
-access, so a run that raises changes nothing.  No line is ever invalidated
+one-line case.  A run is one actor's tags, as every protocol step is: it
+looks up the actor's ways once, before its first access, so a run that
+raises changes nothing.  No line is ever invalidated
 and a fill takes the actor's first free candidate way, so its valid
 candidates are a prefix of its sorted ways, and a free one exists exactly
 when the last is free: O(1).
 Each access adds one to one of its actor's outcome counts, a load and a
 store count per `OutcomeKind`; `Cache.counters` is derived from them.
-A set's state reads out as a hashable value and loads back, and counts and
+The set's state reads out as a hashable value and loads back, and counts and
 cycles can be added without an access: `channel` walks a table of steps
 with them.
 """
@@ -61,19 +61,16 @@ def _is_pow2(n: int) -> bool:
 
 @dataclass(frozen=True)
 class CacheGeometry:
-    """Shape and defense configuration of the simulated L1."""
+    """Shape and defense configuration of the simulated L1 set."""
 
-    num_sets: int = 64
     associativity: int = 8
     write_policy: WritePolicy = WritePolicy.WRITE_BACK_ALLOCATE
     partition: dict | None = None  # actor id -> iterable of permitted ways
 
     def __post_init__(self):
-        for name in ("num_sets", "associativity"):
-            value = getattr(self, name)
-            check_int(name, value)
-            if not _is_pow2(value):
-                raise ValueError(f"{name}={value} must be a power of two >= 1")
+        check_int("associativity", self.associativity)
+        if not _is_pow2(self.associativity):
+            raise ValueError(f"associativity={self.associativity} must be a power of two >= 1")
         if self.partition is not None:
             norm = {}
             seen = set()
@@ -92,11 +89,11 @@ class CacheGeometry:
             object.__setattr__(self, "partition", norm)
 
 
-def make_line(actor_id: str, set_index: int, tag: int) -> tuple:
-    """The line (actor_id, set_index, tag); actors never alias, and a cache checks the set."""
+def make_line(actor_id: str, tag: int) -> tuple:
+    """The line (actor_id, tag); actors never alias."""
     if tag < 0:
         raise ValueError("tag must be non-negative")
-    return actor_id, set_index, tag
+    return actor_id, tag
 
 
 @dataclass(frozen=True)
@@ -133,20 +130,21 @@ _NO_COUNTS = (0,) * 10
 
 
 class Cache:
-    """Mutable cache state; single-threaded, deterministic under a fixed seed."""
+    """One mutable cache set; single-threaded, deterministic under a fixed seed."""
 
     def __init__(self, geometry: CacheGeometry | None = None, policy: str = "lru",
                  latency: LatencyModel | None = None, seed: int = 0):
         self.geometry = geo = geometry or DEFAULT_GEOMETRY
         self.latency = latency or DEFAULT_LATENCY
         self._write_back = geo.write_policy is WritePolicy.WRITE_BACK_ALLOCATE
+        w = geo.associativity
         # Victim candidates per actor: the sorted partition, or every way.
         if geo.partition is None:
-            self._ways = list(range(geo.associativity))
+            self._ways = list(range(w))
         else:
             self._ways = {actor: sorted(ways) for actor, ways in geo.partition.items()}
-        self._sets = [None] * geo.num_sets  # [tags, dirty, meta] once touched
-        self.policy = make_policy(policy, ways=geo.associativity, seed=seed)
+        self.policy = make_policy(policy, ways=w, seed=seed)
+        self._set = [[None] * w, [False] * w, self.policy.new_set_meta()]  # tags, dirty, meta
         # Only a jittered model draws; seeding a generator is most of a fresh
         # cache's set-up cost, so an exact model skips it.
         self._jitter_rng = (random.Random(seed ^ 0x6A177E52)
@@ -172,10 +170,6 @@ class Cache:
 
     # -- state management ---------------------------------------------------
 
-    def _new_set(self):
-        ways = self.geometry.associativity
-        return [[None] * ways, [False] * ways, self.policy.new_set_meta()]
-
     def outcome_counts(self, actor) -> tuple:
         """The actor's 10 outcome counts: a load and a store count per `OutcomeKind`."""
         return tuple(self._counts.get(actor, _NO_COUNTS))
@@ -189,43 +183,34 @@ class Cache:
             self._counts[actor] = list(map(add, self._counts.get(actor, _NO_COUNTS), counts))
         self.cycles += cycles
 
-    def set_state(self, set_index: int) -> tuple:
-        """One set's (tags, dirty bits, metadata) as a hashable value for `load_set`."""
-        self._check_set(set_index)
-        tags, dirty, meta = self._sets[set_index] or self._new_set()
+    def set_state(self) -> tuple:
+        """The set's (tags, dirty bits, metadata) as a hashable value for `load_set`."""
+        tags, dirty, meta = self._set
         return tuple(tags), tuple(dirty), tuple(meta) if isinstance(meta, list) else meta
 
-    def load_set(self, set_index: int, state: tuple) -> None:
-        """Make one set hold a `set_state` value; counters and cycles stay as they are."""
-        self._check_set(set_index)
+    def load_set(self, state: tuple) -> None:
+        """Make the set hold a `set_state` value; counters and cycles stay as they are."""
         tags, dirty, meta = state
-        self._sets[set_index] = [list(tags), list(dirty),
-                                 list(meta) if isinstance(meta, tuple) else meta]
+        self._set = [list(tags), list(dirty), list(meta) if isinstance(meta, tuple) else meta]
 
-    def dirty_count(self, set_index: int) -> int:
-        self._check_set(set_index)
-        record = self._sets[set_index]
-        return sum(record[1]) if record is not None else 0
+    def dirty_count(self) -> int:
+        return sum(self._set[1])
 
     # -- accesses -----------------------------------------------------------
 
     def access(self, line: tuple, is_write: bool) -> AccessOutcome:
-        actor, set_index, tag = line
-        return self.access_run(actor, set_index, (tag,), is_write)[2]
+        actor, tag = line
+        return self.access_run(actor, (tag,), is_write)[2]
 
-    def access_run(self, actor, set_index: int, tags, is_write: bool):
-        """Access one actor's `tags` in one set, in order, all loads or all stores.
+    def access_run(self, actor, tags, is_write: bool):
+        """Access one actor's `tags`, in order, all loads or all stores.
 
         `tags` is a sequence, such as a tuple or a range.  Returns (summed
         latency, hit count, last `AccessOutcome` or None).  State, counters
-        and cycles are those of `access` on each line in turn.  The set and
-        the actor's ways are checked before the first access, so a run that
-        raises changes nothing, and an empty run neither allocates the set
-        nor counts the actor.
+        and cycles are those of `access` on each line in turn.  The actor's
+        ways are checked before the first access, so a run that raises
+        changes nothing, and an empty run does not count the actor.
         """
-        sets = self._sets
-        if not 0 <= set_index < len(sets):
-            self._check_set(set_index)  # raises, naming the set
         ways = self._ways
         if self.geometry.partition is not None:
             try:
@@ -234,9 +219,7 @@ class Cache:
                 raise ValueError(f"actor {actor!r} has no way partition") from None
         if not tags:
             return 0, 0, None
-        record = sets[set_index]
-        if record is None:
-            record = sets[set_index] = self._new_set()
+        record = self._set
         resident, dirty, meta = record
         counts = self._counts.get(actor)
         if counts is None:
@@ -286,7 +269,3 @@ class Cache:
         self.cycles += total
         # tuple.__new__ skips the namedtuple's Python-level __new__ on this hot path.
         return total, hits, tuple.__new__(AccessOutcome, (_KINDS[outcome >> 1], victim, latency))
-
-    def _check_set(self, set_index):
-        if not 0 <= set_index < self.geometry.num_sets:
-            raise ValueError(f"set_index {set_index} outside 0..{self.geometry.num_sets - 1}")

@@ -1,10 +1,9 @@
 """Covert-channel protocol: sender, receiver, scheduler, noise, and gadgets.
 
-One sender and one receiver share a simulated L1, each with lines of its
-own.  The sender encodes a symbol as the number of dirty lines it leaves in
-`TARGET_SET`; the receiver recovers it from the summed latency of replacing
-that set.  Noise lands in that set too, and calibration probes it.  Every
-set is alike and holds only the channel, so any set would do.  A
+One sender and one receiver share a simulated L1 set (a `Cache`), each with
+lines of its own.  The sender encodes a symbol as the number of dirty lines
+it leaves in the set; the receiver recovers it from the summed latency of
+replacing the set.  Noise lands in the set too, and calibration probes it.  A
 deterministic event loop with a total order (cycle, then sender < noise <
 receiver) stands in for the wall-clock hyper-thread interleaving of real
 hardware.  Every transmission starts with the fixed `PREAMBLE`, by which
@@ -22,7 +21,7 @@ its periods (`_draws`) and simulates each of its distinct orders once
 
 When the cache draws nothing (no random policy, no jitter), `_simulate`
 walks a table of steps instead of running every event.  Every access lands
-in `TARGET_SET`, so what an event does is fixed by that set's state (tags,
+in the one set, so what an event does is fixed by the set's state (tags,
 dirty bits, policy metadata) and its action: the symbol of an encode, a
 decode, read or write for noise.
 `Steps(cfg, thresholds).next(state, action)` is that step, a function: the
@@ -65,9 +64,9 @@ from .analysis import (PreambleLockError, align_by_preamble, bit_error_rate,
                        rate_kbps)
 from .cache import (DEFAULT_GEOMETRY, DEFAULT_LATENCY, Cache, CacheGeometry,
                     LatencyModel, WritePolicy, make_line)
-from .measurement import (DEFAULT_RSET_SIZE, RECEIVER, SENDER, TARGET_SET,
-                          build_replacement_set, check_rset_size, fill_set,
-                          measure_replacement_latency, probe_totals)
+from .measurement import (DEFAULT_RSET_SIZE, RECEIVER, SENDER, build_replacement_set,
+                          check_rset_size, fill_set, measure_replacement_latency,
+                          probe_totals)
 from .policy import make_policy
 from .seeding import check_int, derive_seed
 
@@ -261,22 +260,22 @@ def calibrate_thresholds(cfg: ChannelConfig) -> Thresholds:
 # -- protocol actors ---------------------------------------------------------
 
 def sender_encode(cache: Cache, cfg: ChannelConfig, symbol_bits: str):
-    """Dirty `level` sender lines in `TARGET_SET`; level 0 touches nothing.
+    """Dirty `level` sender lines in the set; level 0 touches nothing.
 
     Returns (level, summed access cost in cycles).
     """
     level = cfg.encoding.level_for_bits(symbol_bits)
-    return level, fill_set(cache, SENDER, TARGET_SET, level, write=True)
+    return level, fill_set(cache, SENDER, level, write=True)
 
 
 def receiver_decode(cache: Cache, cfg: ChannelConfig, rset: tuple,
                     thresholds: Thresholds):
-    """Probe `TARGET_SET` with the receiver's tags `rset` and threshold the total to bits.
+    """Probe the set with the receiver's tags `rset` and threshold the total to bits.
 
-    The measurement leaves the target set full of clean receiver lines, so it
+    The measurement leaves the set full of clean receiver lines, so it
     doubles as the next period's initialization.
     """
-    sample = measure_replacement_latency(cache, RECEIVER, TARGET_SET, rset)
+    sample = measure_replacement_latency(cache, RECEIVER, rset)
     index = thresholds.classify(sample.total_cycles)
     return sample, cfg.encoding.bits_for_level_index(index)
 
@@ -352,9 +351,9 @@ _NOISE_TAG = (NOISE, -1)
 
 
 def _primed_cache(cfg: ChannelConfig, seed: int) -> Cache:
-    """A cache seeded as `cfg`'s run at `seed`, its target set full of clean receiver lines."""
+    """A cache seeded as `cfg`'s run at `seed`, its set full of clean receiver lines."""
     cache = Cache(cfg.geometry, cfg.policy, cfg.latency, seed=derive_seed(seed, "cache"))
-    fill_set(cache, RECEIVER, TARGET_SET, cfg.geometry.associativity)
+    fill_set(cache, RECEIVER, cfg.geometry.associativity)
     return cache
 
 
@@ -362,7 +361,7 @@ class Steps:
     """The table of steps of `cfg`'s runs at any period, decoded with `thresholds`.
 
     The cut count is checked before anything is built.  A state is the id of
-    an interned target-set state, and an action is an encode's symbol bits,
+    an interned set state, and an action is an encode's symbol bits,
     the index (0 or 1) of the replacement set a decode chases, "noise-read"
     or "noise-write".  `next(state, action)` is the step: (the trace fields
     from actor to decoded bits, the actor's count delta, the next state).
@@ -395,17 +394,17 @@ class Steps:
         set0, set1 = ([(RECEIVER, tag) for tag in rset] for rset in self.rsets)
         self._swap = dict([*zip(set0, set1), *zip(set1, set0)])
         self.table = {}
-        self.ids = {}     # canonical target-set state -> its id
-        self.states = []  # id -> canonical target-set state
+        self.ids = {}     # canonical set state -> its id
+        self.states = []  # id -> canonical set state
         self._cache = _primed_cache(cfg, cfg.seed)
         self.start = None if self._cache.draws else self._intern()
 
     def _intern(self, swap: bool = False) -> int:
-        """The id of the private cache's target-set state, noise tags made canonical.
+        """The id of the private cache's set state, noise tags made canonical.
 
         With `swap`, the two replacement sets' tags are swapped first.
         """
-        tags, dirty, meta = self._cache.set_state(TARGET_SET)
+        tags, dirty, meta = self._cache.set_state()
         relabel = self._swap if swap else {}
         state = (tuple([_NOISE_TAG if tag is not None and tag[0] == NOISE
                         else relabel.get(tag, tag) for tag in tags]), dirty, meta)
@@ -420,7 +419,7 @@ class Steps:
         if step is None:
             # Load even a state the cache holds: the stored state may carry the
             # fixed noise tag, or a decode's swapped tags.
-            self._cache.load_set(TARGET_SET, self.states[state])
+            self._cache.load_set(self.states[state])
             step = self.table[state, action] = (*self.act(self._cache, action, 0),
                                                 self._intern(swap=action == 0))
         return step
@@ -438,7 +437,7 @@ class Steps:
             sample, bits = receiver_decode(cache, cfg, self.rsets[action], self.thresholds)
             fields = (actor, "decode", cfg.encoding.level_for_bits(bits), sample.total_cycles, bits)
         elif actor is NOISE:
-            outcome = cache.access(make_line(actor, TARGET_SET, noise_tag), action == "noise-write")
+            outcome = cache.access(make_line(actor, noise_tag), action == "noise-write")
             fields = (actor, action, "", outcome.latency, "")
         else:
             level, cost = sender_encode(cache, cfg, action)
@@ -588,9 +587,11 @@ def run_gadget_attack(variant: str, scenario: str, secret: int) -> GadgetResult:
     whose deterministic victim order lets one calibration trial per level set
     a probe cut.  Nothing is drawn, so the result needs no seed.
 
-    The gadget places its own lines: line 0 in `TARGET_SET`, and line 1 in
-    the same set for set-state-dirty and in the next set otherwise.  Sets
-    are alike, so no placement that keeps this sharing changes the result.
+    A `Cache` is one set.  Line 1 shares line 0's cache for set-state-dirty,
+    and has a second cache, a set of its own, otherwise.  Two sets of one L1
+    would share only generators and counter and cycle totals; LRU without
+    jitter draws nothing and the result holds no counters, so two caches
+    are exactly two sets.
 
     Scenario set-state-dirty: the attacker primes line 0's set clean and
     detects the dirty line the victim's store leaves behind (variant a
@@ -614,15 +615,14 @@ def run_gadget_attack(variant: str, scenario: str, secret: int) -> GadgetResult:
         raise ValueError("prime-with-dirty needs the load-only gadget (variant b)")
 
     geo, lat = DEFAULT_GEOMETRY, DEFAULT_LATENCY
-    line1_set = TARGET_SET if scenario == "set-state-dirty" else TARGET_SET + 1
     cache = Cache(geo, "lru", lat)
+    line1_cache = cache if scenario == "set-state-dirty" else Cache(geo, "lru", lat)
     ways = geo.associativity
-    line0 = make_line("victim", TARGET_SET, 0)
-    line1 = make_line("victim", line1_set, 1)
 
     # The victim's one access: with secret 1, variant a stores to line 0 and
     # variant b loads it; with secret 0, either loads line 1.
-    victim = (line0, variant == "a") if secret else (line1, False)
+    victim_cache, line, is_write = ((cache, make_line("victim", 0), variant == "a") if secret
+                                    else (line1_cache, make_line("victim", 1), False))
 
     if scenario != "victim-timing":
         # Prime clean (set-state-dirty) or dirty (prime-with-dirty), let the
@@ -631,10 +631,10 @@ def run_gadget_attack(variant: str, scenario: str, secret: int) -> GadgetResult:
         # (levels 0 and 1), a load displaces one of W (levels W-1 and W, so
         # the lower level is secret 1).
         dirty = scenario == "prime-with-dirty"
-        fill_set(cache, "attacker", TARGET_SET, ways, write=dirty)
-        cache.access(*victim)
+        fill_set(cache, "attacker", ways, write=dirty)
+        victim_cache.access(line, is_write)
         rset = build_replacement_set(DEFAULT_RSET_SIZE, ways=ways)
-        total = measure_replacement_latency(cache, "attacker", TARGET_SET, rset).total_cycles
+        total = measure_replacement_latency(cache, "attacker", rset).total_cycles
         levels = (ways - 1, ways) if dirty else (0, 1)
         thresholds = _midpoint_thresholds(probe_totals(
             levels, 1, ("gadget",), geometry=geo, policy="lru", latency=lat,
@@ -642,9 +642,9 @@ def run_gadget_attack(variant: str, scenario: str, secret: int) -> GadgetResult:
         inferred = thresholds.classify(total) ^ dirty
         latencies = {"probe_total_cycles": total, "threshold": thresholds.cuts[0]}
     else:
-        fill_set(cache, "attacker", TARGET_SET, ways, write=True)
-        fill_set(cache, "attacker", line1_set, ways)
-        victim_time = cache.access(*victim).latency
+        fill_set(cache, "attacker", ways, write=True)
+        fill_set(line1_cache, "attacker", ways)
+        victim_time = victim_cache.access(line, is_write).latency
         cut = (lat.miss_dirty + lat.miss_clean) / 2
         inferred = int(victim_time > cut)
         latencies = {"victim_call_cycles": victim_time, "threshold": cut,

@@ -12,9 +12,9 @@ JSON null is skipped.  It may set only options of its command other than
 --config, and each value meets its flag's type and choices exactly as on the
 command line.  A config file that cannot be read, or an output path that
 cannot be written, is a configuration error.  A run-channel whose probes hit
-resident lines says so on stderr.  No option names a cache set: every set is
-alike, so the channel, its calibration and latency-cdf use
-`measurement.TARGET_SET`, and the gadget places its lines.
+resident lines says so on stderr.  No option names a cache set: a `Cache` is
+one set, so the channel, its calibration and latency-cdf each run in one, and
+the trace CSV's `set` column is always 0.
 Exit codes: 0 success, 2 configuration error, 3 threshold calibration failure.
 """
 
@@ -219,7 +219,7 @@ def cmd_run_channel(args):
         # A `TraceEvent`'s fields are the columns in order, but for `set`.
         outputs[args.trace] = _csv(
             "cycle,actor,action,set,d,latency,decoded_bit,truth_bit",
-            map(f"%s,%s,%s,{measurement.TARGET_SET},%s,%s,%s,%s".__mod__, report.events))
+            map("%s,%s,%s,0,%s,%s,%s,%s".__mod__, report.events))
     fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
               if f.name != "events"}
     outputs[args.out] = _json({**fields, "latency_trace": latency_trace})

@@ -1,19 +1,20 @@
 """Replacement-set construction and serialized replacement-latency measurement.
 
 Mirrors the pointer-chasing technique: a replacement set is the tuple of its
-tags, visited strictly one after another by the actor in the set its caller
-names, and the total latency is the plain sum of the per-access costs.
-Measuring also refills the target set with clean lines, so a measurement
-doubles as initialization for the next round.
-`fill_set` is the one step that primes a set or dirties it, and
+tags, visited strictly one after another by the actor its caller names, and
+the total latency is the plain sum of the per-access costs.  A `Cache` is
+one set, so every measurement runs in the one set a cache is.  Measuring
+also refills the set with clean lines, so a measurement doubles as
+initialization for the next round.
+`fill_set` is the one step that primes the set or dirties it, and
 `prime_dirty_probe` is the whole prime -> dirty -> probe sequence on one
 cache; a probe and a fill are one `Cache.access_run` each.  `probe_totals`
 runs the sequence on fresh caches for every level and trial; latency CDFs,
 channel calibration and the gadget's probe cuts all read it.  A cache that
 draws nothing (no random policy, no jitter) is simulated once per level: its
 seed reaches no outcome, so every trial would replay the same accesses on
-the same fresh state.  Like a fill, a probe names its actor and set: the
-replacement set holds only tags.
+the same fresh state.  Like a fill, a probe names its actor: the replacement
+set holds only tags.
 
 No run can depend on the chase order: an access compares tags only for
 equality and no policy reads a tag, so relabelling a replacement set's tags
@@ -30,11 +31,6 @@ from .policy import check_dirty_count
 from .seeding import check_int, derive_seed
 
 DEFAULT_RSET_SIZE = 10
-
-# The one set the channel, its calibration and the CDFs use.  Every set has
-# the same ways, policy and latencies, and nothing else runs in it, so any
-# set would give the same results: the index is a label on the lines.
-TARGET_SET = 0
 
 SENDER = "sender"
 RECEIVER = "receiver"
@@ -54,8 +50,7 @@ class LatencySample:
         return self.resident_hits > 0
 
 
-def build_replacement_set(size: int = DEFAULT_RSET_SIZE, *, ways: int = 0,
-                          index: int = 0) -> tuple:
+def build_replacement_set(size: int, *, ways: int, index: int = 0) -> tuple:
     """Replacement set `index` of a set of `ways` ways: its tags in order, as chased.
 
     This is the one tag layout.  A fill holds tags 0..ways-1, so set `index`
@@ -79,41 +74,39 @@ def check_rset_size(rset_size: int, geometry: CacheGeometry) -> None:
             "replace every line of the target set")
 
 
-def measure_replacement_latency(cache: Cache, actor_id: str, set_index: int,
-                                rset: tuple) -> LatencySample:
-    """Read `actor_id`'s tags `rset` in set `set_index` serially; sum the latencies.
+def measure_replacement_latency(cache: Cache, actor_id: str, rset: tuple) -> LatencySample:
+    """Read `actor_id`'s tags `rset` serially; sum the latencies.
 
     The caller must ensure those lines are not resident (alternating two
     replacement sets does this); residual hits are flagged, not fatal.
     """
-    dirty_before = cache.dirty_count(set_index)
-    total, hits, _ = cache.access_run(actor_id, set_index, rset, False)
+    dirty_before = cache.dirty_count()
+    total, hits, _ = cache.access_run(actor_id, rset, False)
     return LatencySample(dirty_before, total, hits)
 
 
-def fill_set(cache: Cache, actor_id: str, set_index: int, n: int, *,
-             write: bool = False) -> int:
-    """Access tags 0..n-1 of one actor in one set; return the summed latency.
+def fill_set(cache: Cache, actor_id: str, n: int, *, write: bool = False) -> int:
+    """Access tags 0..n-1 of one actor; return the summed latency.
 
     Reads prime the set with clean lines; writes leave dirty ones.
     """
-    return cache.access_run(actor_id, set_index, range(n), write)[0]
+    return cache.access_run(actor_id, range(n), write)[0]
 
 
 def prime_dirty_probe(cache: Cache, rset: tuple, d: int) -> LatencySample:
-    """Prime `TARGET_SET` with W clean receiver lines, dirty d, then probe with `rset`.
+    """Prime the set with W clean receiver lines, dirty d, then probe with `rset`.
 
     The sender's d stores evict d receiver lines, so the receiver's probe
     must replace W-d clean lines and d dirty ones.
     """
-    fill_set(cache, RECEIVER, TARGET_SET, cache.geometry.associativity)
-    fill_set(cache, SENDER, TARGET_SET, d, write=True)
-    return measure_replacement_latency(cache, RECEIVER, TARGET_SET, rset)
+    fill_set(cache, RECEIVER, cache.geometry.associativity)
+    fill_set(cache, SENDER, d, write=True)
+    return measure_replacement_latency(cache, RECEIVER, rset)
 
 
 def probe_totals(levels, trials: int, seed_parts, *, geometry: CacheGeometry,
                  policy: str, latency, rset_size: int):
-    """Probe totals per dirty-line count in `TARGET_SET`: [(d, totals by trial)].
+    """Probe totals per dirty-line count: [(d, totals by trial)].
 
     Every input is checked before anything is simulated.  Trial t of level d
     runs `prime_dirty_probe` on a fresh cache seeded

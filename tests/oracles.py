@@ -27,8 +27,7 @@ from dirtysim.analysis import (PreambleLockError, align_by_preamble, bit_error_r
 from dirtysim.cache import Cache, make_line
 from dirtysim.channel import (NOISE, PREAMBLE, ChannelReport, TraceEvent, _draws,
                               receiver_decode, sender_encode)
-from dirtysim.measurement import (RECEIVER, SENDER, TARGET_SET, build_replacement_set,
-                                  fill_set)
+from dirtysim.measurement import RECEIVER, SENDER, build_replacement_set, fill_set
 from dirtysim.policy import make_policy
 from dirtysim.seeding import derive_seed
 
@@ -300,7 +299,7 @@ def direct_simulate(cfg, events, thresholds):
     k = enc.bits_per_symbol
     stream = PREAMBLE + cfg.message
     cache = Cache(cfg.geometry, cfg.policy, cfg.latency, seed=derive_seed(cfg.seed, "cache"))
-    fill_set(cache, RECEIVER, TARGET_SET, cfg.geometry.associativity)
+    fill_set(cache, RECEIVER, cfg.geometry.associativity)
     rsets = tuple(shuffled(build_replacement_set(cfg.rset_size, ways=cfg.geometry.associativity,
                                                  index=p),
                            derive_seed(cfg.seed, "chase", p))
@@ -320,7 +319,7 @@ def direct_simulate(cfg, events, thresholds):
             trace.append(TraceEvent(cycle, RECEIVER, "decode", enc.level_for_bits(bits),
                                     sample.total_cycles, bits, symbol))
         else:
-            line = make_line(NOISE, TARGET_SET, noise_tag)
+            line = make_line(NOISE, noise_tag)
             noise_tag += 1
             outcome = cache.access(line, action == "noise-write")
             trace.append(TraceEvent(cycle, NOISE, action, "", outcome.latency, "", ""))

@@ -98,11 +98,11 @@ def test_criterion_05_latency_arithmetic():
     for d in range(9):
         cache = Cache()
         for i in range(8):
-            cache.access(make_line("receiver", 0, i), False)
+            cache.access(make_line("receiver", i), False)
         for j in range(d):
-            cache.access(make_line("sender", 0, j), True)
+            cache.access(make_line("sender", j), True)
         rset = build_replacement_set(10, ways=8)
-        totals.append(measure_replacement_latency(cache, "receiver", 0, rset).total_cycles)
+        totals.append(measure_replacement_latency(cache, "receiver", rset).total_cycles)
     assert totals == [110 + 11 * d for d in range(9)]
     assert {b - a for a, b in zip(totals, totals[1:])} == {11}
 

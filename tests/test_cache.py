@@ -11,7 +11,7 @@ WT = WritePolicy.WRITE_THROUGH_NO_ALLOCATE
 
 
 def test_geometry_rejects_non_powers_of_two():
-    for kwargs in ({"num_sets": 48}, {"associativity": 6}, {"num_sets": 0}):
+    for kwargs in ({"associativity": 6}, {"associativity": 0}):
         with pytest.raises(ValueError):
             CacheGeometry(**kwargs)
 
@@ -28,13 +28,12 @@ def test_geometry_partition_validation():
 
 
 @pytest.mark.parametrize("cls, name, value", [
-    (CacheGeometry, "num_sets", True), (CacheGeometry, "num_sets", 64.0),
     (CacheGeometry, "associativity", 8.0), (CacheGeometry, "associativity", True),
     (LatencyModel, "jitter", True), (LatencyModel, "hit", False),
 ])
 def test_a_count_field_rejects_a_bool_or_a_float_by_name(cls, name, value):
-    # Unchecked, associativity=8.0 raised TypeError, num_sets=True built a
-    # 1-set cache and jitter=True built a jittered model.
+    # Unchecked, associativity=8.0 raised TypeError and jitter=True built a
+    # jittered model.
     with pytest.raises(ValueError, match=f"^{name} must be an int, not {re.escape(repr(value))}$"):
         cls(**{name: value})
 
@@ -47,53 +46,43 @@ def test_partition_rejects_a_non_int_way(way):
 
 
 def test_make_line_rejects_negative_tag():
-    assert make_line("r", 37, tag=99) == ("r", 37, 99)
+    assert make_line("r", tag=99) == ("r", 99)
     with pytest.raises(ValueError, match="tag must be non-negative"):
-        make_line("r", 0, -1)
-
-
-def test_untouched_sets_read_as_invalid_after_other_sets_fill():
-    cache = Cache()
-    for t in range(8):
-        cache.access(make_line("r", 6, t), True)
-    assert cache.dirty_count(6) == 8 and cache.dirty_count(7) == 0
-    assert cache.set_state(7) == Cache().set_state(7)
-    with pytest.raises(ValueError):
-        cache.dirty_count(64)
+        make_line("r", -1)
 
 
 def test_distinct_actors_never_alias():
     cache = Cache()
-    cache.access(make_line("a", 0, 7), True)
-    out = cache.access(make_line("b", 0, 7), False)
+    cache.access(make_line("a", 7), True)
+    out = cache.access(make_line("b", 7), False)
     assert out.kind is not OutcomeKind.HIT
 
 
 def test_write_hit_sets_dirty():
     cache = Cache()
-    line = make_line("a", 3, 1)
+    line = make_line("a", 1)
     cache.access(line, False)
     out = cache.access(line, True)
     assert out.kind is OutcomeKind.HIT
-    assert cache.dirty_count(3) == 1
+    assert cache.dirty_count() == 1
 
 
 def test_invalid_ways_fill_first_lowest_index():
     cache = Cache()
-    first = cache.access(make_line("a", 0, 1), False)
+    first = cache.access(make_line("a", 1), False)
     assert first.kind is OutcomeKind.MISS_FILL_INVALID
     assert first.victim_way == 0
     assert first.latency == 11  # no write-back, so same as a clean eviction
-    second = cache.access(make_line("a", 0, 2), False)
+    second = cache.access(make_line("a", 2), False)
     assert second.victim_way == 1
 
 
 def test_dirty_victim_costs_writeback():
     cache = Cache()
-    cache.access(make_line("a", 0, 0), True)
+    cache.access(make_line("a", 0), True)
     for t in range(1, 8):
-        cache.access(make_line("a", 0, t), False)
-    out = cache.access(make_line("a", 0, 100), False)  # LRU victim is the dirty line
+        cache.access(make_line("a", t), False)
+    out = cache.access(make_line("a", 100), False)  # LRU victim is the dirty line
     assert out.kind is OutcomeKind.MISS_EVICT_DIRTY
     assert out.victim_way == 0
     assert out.latency == 22
@@ -102,119 +91,104 @@ def test_dirty_victim_costs_writeback():
 def test_clean_victim_is_plain_refill():
     cache = Cache()
     for t in range(8):
-        cache.access(make_line("a", 0, t), False)
-    out = cache.access(make_line("a", 0, 100), False)
+        cache.access(make_line("a", t), False)
+    out = cache.access(make_line("a", 100), False)
     assert out.kind is OutcomeKind.MISS_EVICT_CLEAN
     assert out.latency == 11
 
 
 def test_write_through_store_miss_is_uncached():
     cache = Cache(CacheGeometry(write_policy=WT))
-    out = cache.access(make_line("a", 0, 1), True)
+    out = cache.access(make_line("a", 1), True)
     assert out.kind is OutcomeKind.UNCACHED
     assert out.victim_way is None
-    assert cache.set_state(0)[0] == (None,) * 8
+    assert cache.set_state()[0] == (None,) * 8
 
 
 def test_write_through_never_dirties():
     cache = Cache(CacheGeometry(write_policy=WT))
-    line = make_line("a", 0, 1)
+    line = make_line("a", 1)
     cache.access(line, False)
     cache.access(line, True)  # write hit: data goes through, line stays clean
-    assert cache.dirty_count(0) == 0
+    assert cache.dirty_count() == 0
     for t in range(2, 40):
-        cache.access(make_line("a", 0, t), True)
-        cache.access(make_line("a", 0, t), False)
-    assert all(cache.dirty_count(s) == 0 for s in range(cache.geometry.num_sets))
+        cache.access(make_line("a", t), True)
+        cache.access(make_line("a", t), False)
+    assert cache.dirty_count() == 0
 
 
 def test_write_through_read_fills_clean():
     cache = Cache(CacheGeometry(write_policy=WT))
-    out = cache.access(make_line("a", 2, 5), False)
+    out = cache.access(make_line("a", 5), False)
     assert out.kind is OutcomeKind.MISS_FILL_INVALID
-    tags, dirty, _ = cache.set_state(2)
+    tags, dirty, _ = cache.set_state()
     assert tags[0] == ("a", 5) and not dirty[0]
 
 
 def test_snapshot_fresh_cache_all_invalid():
     cache = Cache()
-    tags, dirty, _ = cache.set_state(11)
+    tags, dirty, _ = cache.set_state()
     assert tags == (None,) * 8 and dirty == (False,) * 8
 
 
 def test_snapshot_after_one_write():
     cache = Cache()
-    cache.access(make_line("a", 4, 9), True)
-    tags, dirty, _ = cache.set_state(4)
+    cache.access(make_line("a", 9), True)
+    tags, dirty, _ = cache.set_state()
     assert dirty.count(True) == 1 and tags[dirty.index(True)] == ("a", 9)
 
 
 def test_snapshot_after_receiver_style_init():
     cache = Cache()
     for t in range(8):
-        cache.access(make_line("r", 6, t), False)
-    tags, dirty, _ = cache.set_state(6)
+        cache.access(make_line("r", t), False)
+    tags, dirty, _ = cache.set_state()
     assert None not in tags and not any(dirty)
 
 
-def test_access_rejects_a_set_outside_the_cache():
-    # A line names its set; the cache never wraps it into another one.
-    cache = Cache(CacheGeometry(num_sets=16))
-    for set_index in (-1, 16, 37):
-        for is_write in (False, True):
-            with pytest.raises(ValueError, match=f"set_index {set_index} outside 0..15"):
-                cache.access(make_line("a", set_index, 0), is_write)
-    assert cache.counters == {} and cache.cycles == 0
-    assert all(cache.dirty_count(s) == 0 for s in range(16))
-
-
-@pytest.mark.parametrize("actor, set_index, match", [
-    ("a", 16, "set_index 16 outside 0..15"), ("a", -1, "set_index -1 outside 0..15"),
-    ("intruder", 0, "actor 'intruder' has no way partition")], ids=["set16", "set-1", "intruder"])
 @pytest.mark.parametrize("tags", [(0, 9, 1), ()], ids=["tags", "empty"])
 @pytest.mark.parametrize("policy", ["lru", "tree-plru", "random"])
-def test_a_run_that_raises_changes_nothing(policy, tags, actor, set_index, match):
-    # The set and the actor's ways are checked before the first access, so
-    # every set record (metadata included), count and cycle stays, and so
-    # does the generator state that later accesses draw from.
-    geo = CacheGeometry(num_sets=16, partition={"a": {0, 2, 3}, "b": {1, 4}})
+def test_a_run_that_raises_changes_nothing(policy, tags):
+    # The actor's ways are checked before the first access, so the set
+    # (metadata included), every count and the cycles stay, and so does the
+    # generator state that later accesses draw from.
+    geo = CacheGeometry(partition={"a": {0, 2, 3}, "b": {1, 4}})
     cache, twin = (Cache(geo, policy, LatencyModel(jitter=2), seed=5) for _ in range(2))
     for c in (cache, twin):
-        for run in (("a", 0, range(5)), ("b", 0, (0, 1, 2)), ("a", 15, (0,)), ("a", 0, (1, 7))):
+        for run in (("a", range(5)), ("b", (0, 1, 2)), ("a", (1, 7))):
             c.access_run(*run, True)
-    with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
-        cache.access_run(actor, set_index, tags, False)
-    assert cache._sets == twin._sets
+    with pytest.raises(ValueError, match="^actor 'intruder' has no way partition$"):
+        cache.access_run("intruder", tags, False)
+    assert cache.set_state() == twin.set_state()
     assert cache.counters == twin.counters and cache.cycles == twin.cycles
-    after = [make_line(*line) for line in (("a", 0, 8), ("b", 0, 8), ("a", 0, 0), ("b", 0, 9))]
+    after = [make_line(*line) for line in (("a", 8), ("b", 8), ("a", 0), ("b", 9))]
     assert [cache.access(line, True) for line in after] == [twin.access(line, True)
                                                              for line in after]
 
 
-def test_an_empty_run_counts_no_actor_and_allocates_no_set():
-    cache = Cache(CacheGeometry(num_sets=16))
-    assert cache.access_run("a", 3, (), True) == (0, 0, None)
-    assert cache.access_run("a", 3, range(0), False) == (0, 0, None)
+def test_an_empty_run_counts_no_actor():
+    cache = Cache()
+    assert cache.access_run("a", (), True) == (0, 0, None)
+    assert cache.access_run("a", range(0), False) == (0, 0, None)
     assert cache.counters == {} and cache.cycles == 0
-    assert cache._sets == [None] * 16
 
 
 def test_partition_rejects_unlisted_actor():
     cache = Cache(CacheGeometry(partition={"a": {0, 1}}))
     with pytest.raises(ValueError):
-        cache.access(make_line("intruder", 0, 1), False)
+        cache.access(make_line("intruder", 1), False)
 
 
 def test_partition_confines_each_actor():
     geo = CacheGeometry(partition={"a": {0, 1, 2, 3}, "b": {4, 5, 6, 7}})
     cache = Cache(geo)
     for t in range(16):
-        cache.access(make_line("b", 0, t), True)
-    tags, dirty, _ = cache.set_state(0)
+        cache.access(make_line("b", t), True)
+    tags, dirty, _ = cache.set_state()
     b_ways = tags[4:], dirty[4:]
     for t in range(100, 130):
-        cache.access(make_line("a", 0, t), True)
-    tags, dirty, _ = cache.set_state(0)
+        cache.access(make_line("a", t), True)
+    tags, dirty, _ = cache.set_state()
     assert (tags[4:], dirty[4:]) == b_ways
     assert all(tag is None or tag[0] == "a" for tag in tags[:4])
 
@@ -222,7 +196,7 @@ def test_partition_confines_each_actor():
 def test_latency_model_jitter_bounds():
     cache = Cache(latency=LatencyModel(jitter=2), seed=3)
     for t in range(50):
-        out = cache.access(make_line("a", 0, t), False)
+        out = cache.access(make_line("a", t), False)
         assert abs(out.latency - 11) <= 2
 
 
@@ -253,15 +227,14 @@ def test_determinism_random_policy_with_jitter():
         cache = Cache(policy="random", latency=LatencyModel(jitter=3), seed=42)
         outcomes = []
         for t in range(200):
-            outcomes.append(cache.access(make_line("a", t % 2, t % 12), t % 3 != 0))
+            outcomes.append(cache.access(make_line("a", t % 12), t % 3 != 0))
         return outcomes, cache.counters, cache.cycles
 
     assert run() == run()
 
 
 ops = st.lists(
-    st.tuples(st.sampled_from(["a", "b"]), st.integers(0, 3),
-              st.integers(0, 11), st.booleans()),
+    st.tuples(st.sampled_from(["a", "b"]), st.integers(0, 11), st.booleans()),
     min_size=1, max_size=120)
 
 
@@ -270,8 +243,8 @@ ops = st.lists(
 def test_counter_conservation(ops):
     cache = Cache()
     dirty_evictions = 0
-    for actor, set_index, tag, is_write in ops:
-        out = cache.access(make_line(actor, set_index, tag), is_write)
+    for actor, tag, is_write in ops:
+        out = cache.access(make_line(actor, tag), is_write)
         dirty_evictions += out.kind is OutcomeKind.MISS_EVICT_DIRTY
     total = {"loads": 0, "stores": 0, "l1_hits": 0, "l1_misses": 0, "writebacks": 0}
     for counters in cache.counters.values():
@@ -286,22 +259,19 @@ def test_counter_conservation(ops):
 def test_dirty_lines_only_clean_by_eviction(ops):
     cache = Cache()
     dirty_tags = set()
-    for actor, set_index, tag, is_write in ops:
-        cache.access(make_line(actor, set_index, tag), is_write)
-        tags, dirty, _ = cache.set_state(set_index)
-        resident = {(set_index, tag) for tag in tags if tag is not None}
-        now_dirty = {(set_index, tag) for tag, is_dirty in zip(tags, dirty) if is_dirty}
+    for actor, tag, is_write in ops:
+        cache.access(make_line(actor, tag), is_write)
+        tags, dirty, _ = cache.set_state()
+        now_dirty = {tag for tag, is_dirty in zip(tags, dirty) if is_dirty}
         # a previously dirty line that is still resident must still be dirty
-        for entry in dirty_tags:
-            if entry[0] == set_index and entry in resident:
-                assert entry in now_dirty
-        dirty_tags = {e for e in dirty_tags if e[0] != set_index} | now_dirty
+        assert dirty_tags & set(tags) <= now_dirty
+        dirty_tags = now_dirty
 
 
 @settings(max_examples=30, deadline=None)
 @given(ops=ops)
 def test_write_through_never_writes_back(ops):
     cache = Cache(CacheGeometry(write_policy=WT))
-    for actor, set_index, tag, is_write in ops:
-        out = cache.access(make_line(actor, set_index, tag), is_write)
+    for actor, tag, is_write in ops:
+        out = cache.access(make_line(actor, tag), is_write)
         assert out.kind is not OutcomeKind.MISS_EVICT_DIRTY

@@ -1,15 +1,15 @@
 """Differential test: the package cache against `oracles.ReferenceCache`.
 
-Random streams of (actor, set, tag, byte offset, read/write) run through
-both models, the reference as the byte address of that line and offset,
-each stream with its own drawn costs, hit < clean miss < dirty miss;
-after every access the outcome kind, victim way, latency, per-actor counters,
-per-actor outcome counts, cycle total and the set's dirty count must agree,
-and the reference's own writeback flag must be set exactly on a dirty
-eviction.  The same streams, cut into `Cache.access_run` runs wherever the
-access kind, the actor or the set changes, must sum to the reference's
-latencies, and drawn runs of one actor's tags in one set must leave the
-state that per-line `access` calls leave.  After any stream, each actor's
+Random streams of (actor, tag, byte offset, read/write) run through both
+models, the reference as the byte address of that line and offset in a
+reference cache of one set (a `Cache` is one set), each stream with its own
+drawn costs, hit < clean miss < dirty miss; after every access the outcome
+kind, victim way, latency, per-actor counters, per-actor outcome counts,
+cycle total and the set's dirty count must agree, and the reference's own
+writeback flag must be set exactly on a dirty eviction.  The same streams,
+cut into `Cache.access_run` runs wherever the access kind or the actor
+changes, must sum to the reference's latencies, and drawn runs of one
+actor's tags must leave the state that per-line `access` calls leave.  After any stream, each actor's
 valid ways are a prefix of its sorted candidate ways: the invariant behind
 the cache's O(1) free-way test.
 """
@@ -24,7 +24,6 @@ from dirtysim.cache import (Cache, CacheGeometry, LatencyModel, OutcomeKind,
                             WritePolicy, make_line)
 from oracles import ReferenceCache
 
-NUM_SETS = 2
 # Irregular, non-contiguous partitions, so the Tree-PLRU walk must skip
 # subtrees at every level.
 PARTITION = {"a": (0, 3, 5), "b": (1, 2, 4, 6, 7)}
@@ -41,8 +40,7 @@ JITTERS = st.sampled_from([0, 3])
 COSTS = st.lists(st.integers(0, 50), min_size=3, max_size=3, unique=True).map(sorted)
 
 streams = st.lists(
-    st.tuples(st.sampled_from("abc"), st.integers(0, NUM_SETS - 1),
-              st.integers(0, 13), st.integers(0, 63), st.booleans()),
+    st.tuples(st.sampled_from("abc"), st.integers(0, 13), st.integers(0, 63), st.booleans()),
     min_size=1, max_size=80)
 
 
@@ -55,10 +53,10 @@ def examples(tier1):
 
 def twins(policy, mode, seed, jitter, costs):
     """A package cache in `mode` and the reference cache it must match."""
-    geo = CacheGeometry(num_sets=NUM_SETS, **MODES[mode])
+    geo = CacheGeometry(**MODES[mode])
     hit, miss_clean, miss_dirty = costs
     cache = Cache(geo, policy, LatencyModel(hit, miss_clean, miss_dirty, jitter), seed=seed)
-    ref = ReferenceCache(policy, num_sets=NUM_SETS, seed=seed, jitter=jitter,
+    ref = ReferenceCache(policy, num_sets=1, seed=seed, jitter=jitter,
                          costs=(hit, miss_clean, miss_dirty, miss_clean),
                          write_back=geo.write_policy is WritePolicy.WRITE_BACK_ALLOCATE,
                          partition=geo.partition and PARTITION)
@@ -71,9 +69,8 @@ def actor_in(mode, actor):
 
 
 def state(cache):
-    """Every set's state, the counters and the cycle total."""
-    return ([cache.set_state(s) for s in range(cache.geometry.num_sets)],
-            cache.counters, cache.cycles)
+    """The set's state, the counters and the cycle total."""
+    return cache.set_state(), cache.counters, cache.cycles
 
 
 def outcome_counts(cache):
@@ -91,11 +88,10 @@ def assert_valid_ways_are_prefixes(cache):
     """Each actor's valid candidate ways come before its invalid ones."""
     geo = cache.geometry
     candidates = geo.partition.values() if geo.partition else [range(geo.associativity)]
-    for set_index in range(geo.num_sets):
-        tags = cache.set_state(set_index)[0]
-        for ways in candidates:
-            valid = [tags[w] is not None for w in sorted(ways)]
-            assert valid == sorted(valid, reverse=True), (set_index, sorted(ways), valid)
+    tags = cache.set_state()[0]
+    for ways in candidates:
+        valid = [tags[w] is not None for w in sorted(ways)]
+        assert valid == sorted(valid, reverse=True), (sorted(ways), valid)
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
@@ -104,16 +100,16 @@ def assert_valid_ways_are_prefixes(cache):
 @given(stream=streams, seed=SEEDS, jitter=JITTERS, costs=COSTS)
 def test_cache_matches_reference(policy, mode, stream, seed, jitter, costs):
     cache, ref = twins(policy, mode, seed, jitter, costs)
-    for actor, set_index, tag, offset, write in stream:
+    for actor, tag, offset, write in stream:
         actor = actor_in(mode, actor)
-        got = cache.access(make_line(actor, set_index, tag), write)
-        want = ref.access(actor, (tag * NUM_SETS + set_index) * 64 + offset, write)
+        got = cache.access(make_line(actor, tag), write)
+        want = ref.access(actor, tag * 64 + offset, write)
         writeback = got.kind is OutcomeKind.MISS_EVICT_DIRTY
         assert (got.kind.value, got.victim_way, writeback, got.latency) == want
         assert cache.counters == ref.counters
         assert outcome_counts(cache) == ref.outcomes
         assert cache.cycles == ref.cycles
-        assert cache.dirty_count(set_index) == ref.dirty_count(set_index)
+        assert cache.dirty_count() == ref.dirty_count(0)
     assert_valid_ways_are_prefixes(cache)
 
 
@@ -122,21 +118,20 @@ def test_cache_matches_reference(policy, mode, stream, seed, jitter, costs):
 @examples(40)
 @given(stream=streams, seed=SEEDS, jitter=JITTERS, costs=COSTS)
 def test_runs_sum_to_the_reference_latencies(policy, mode, stream, seed, jitter, costs):
-    # Each maximal run of one actor's loads or stores in one set is one
-    # `access_run`.
+    # Each maximal run of one actor's loads or stores is one `access_run`.
     def run_key(access):
-        actor, set_index, _, _, write = access
-        return write, actor_in(mode, actor), set_index
+        actor, _, _, write = access
+        return write, actor_in(mode, actor)
 
     cache, ref = twins(policy, mode, seed, jitter, costs)
-    for (write, actor, set_index), run in itertools.groupby(stream, key=run_key):
+    for (write, actor), run in itertools.groupby(stream, key=run_key):
         tags, want_total, want_hits = [], 0, 0
-        for _, _, tag, offset, _ in run:
+        for _, tag, offset, _ in run:
             tags.append(tag)
-            kind, _, _, latency = ref.access(actor, (tag * NUM_SETS + set_index) * 64 + offset, write)
+            kind, _, _, latency = ref.access(actor, tag * 64 + offset, write)
             want_total += latency
             want_hits += kind == ReferenceCache.HIT
-        total, hits, _ = cache.access_run(actor, set_index, tags, write)
+        total, hits, _ = cache.access_run(actor, tags, write)
         assert (total, hits) == (want_total, want_hits)
     assert cache.counters == ref.counters
     assert outcome_counts(cache) == ref.outcomes
@@ -144,7 +139,7 @@ def test_runs_sum_to_the_reference_latencies(policy, mode, stream, seed, jitter,
     assert_valid_ways_are_prefixes(cache)
 
 
-runs = st.lists(st.tuples(st.booleans(), st.sampled_from("abc"), st.integers(0, NUM_SETS - 1),
+runs = st.lists(st.tuples(st.booleans(), st.sampled_from("abc"),
                           st.lists(st.integers(0, 13), max_size=12)),
                 min_size=1, max_size=12)
 
@@ -154,16 +149,16 @@ runs = st.lists(st.tuples(st.booleans(), st.sampled_from("abc"), st.integers(0, 
 @examples(40)
 @given(runs=runs, seed=SEEDS, jitter=JITTERS)
 def test_runs_match_per_line_access(policy, mode, runs, seed, jitter):
-    # Drawn runs, each one actor's loads or stores in one set, empty ones
-    # too: one twin takes each run in one `access_run`, the other line by
-    # line through `access`.
-    geo = CacheGeometry(num_sets=NUM_SETS, **MODES[mode])
+    # Drawn runs, each one actor's loads or stores, empty ones too: one twin
+    # takes each run in one `access_run`, the other line by line through
+    # `access`.
+    geo = CacheGeometry(**MODES[mode])
     batched, single = (Cache(geo, policy, LatencyModel(jitter=jitter), seed=seed)
                        for _ in range(2))
-    for write, actor, set_index, tags in runs:
+    for write, actor, tags in runs:
         actor = actor_in(mode, actor)
-        outcomes = [single.access(make_line(actor, set_index, tag), write) for tag in tags]
-        total, hits, last = batched.access_run(actor, set_index, tags, write)
+        outcomes = [single.access(make_line(actor, tag), write) for tag in tags]
+        total, hits, last = batched.access_run(actor, tags, write)
         assert total == sum(o.latency for o in outcomes)
         assert hits == sum(o.kind is OutcomeKind.HIT for o in outcomes)
         assert last == (outcomes[-1] if outcomes else None)
@@ -174,14 +169,14 @@ def test_an_actor_fills_its_first_free_way_around_another_actors_lines():
     # b takes ways 1, 2 and 4 first, so each of a's candidates 0, 3 and 5
     # lies beyond one of b's lines; each actor still fills its own ways in
     # order, and evicts only once its last candidate is valid.
-    cache = Cache(CacheGeometry(num_sets=1, partition=PARTITION))
-    outcomes = [cache.access(make_line(actor, 0, tag), False)
+    cache = Cache(CacheGeometry(partition=PARTITION))
+    outcomes = [cache.access(make_line(actor, tag), False)
                for actor, tag in (("b", 0), ("b", 1), ("b", 2), ("a", 0), ("a", 1), ("a", 2))]
     assert [(o.kind, o.victim_way) for o in outcomes] == (
         [(OutcomeKind.MISS_FILL_INVALID, w) for w in (1, 2, 4, 0, 3, 5)])
     assert_valid_ways_are_prefixes(cache)
-    assert cache.access(make_line("a", 0, 3), False).kind is OutcomeKind.MISS_EVICT_CLEAN
-    total, _, last = cache.access_run("b", 0, (3, 4, 5), True)
+    assert cache.access(make_line("a", 3), False).kind is OutcomeKind.MISS_EVICT_CLEAN
+    total, _, last = cache.access_run("b", (3, 4, 5), True)
     assert total == 11 * 3 and last.kind is OutcomeKind.MISS_EVICT_CLEAN
-    assert cache.set_state(0)[0][6:] == (("b", 3), ("b", 4))
+    assert cache.set_state()[0][6:] == (("b", 3), ("b", 4))
     assert_valid_ways_are_prefixes(cache)

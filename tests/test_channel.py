@@ -11,7 +11,7 @@ from dirtysim.channel import (PREAMBLE, BinaryEncoding, CalibrationError,
                               calibrate_thresholds, receiver_decode, run_channel,
                               run_gadget_attack, schedule, sender_encode)
 from dirtysim.cli import main as cli_main
-from dirtysim.measurement import RECEIVER, TARGET_SET, build_replacement_set, fill_set
+from dirtysim.measurement import RECEIVER, build_replacement_set, fill_set
 from dirtysim.seeding import random_bits
 
 PARTITION = CacheGeometry(partition={"sender": frozenset(range(4)),
@@ -26,7 +26,7 @@ def make_cfg(**kw):
 
 def receiver_init(cache, cfg):
     """The receiver's prime at the start of `run_channel`."""
-    fill_set(cache, RECEIVER, TARGET_SET, cfg.geometry.associativity)
+    fill_set(cache, RECEIVER, cfg.geometry.associativity)
 
 
 def receiver_rsets(cfg):
@@ -242,7 +242,7 @@ def test_sender_encode_binary_one_dirty_line():
     receiver_init(cache, cfg)
     level, cost = sender_encode(cache, cfg, "1")
     assert (level, cost) == (1, 11)  # one clean receiver line evicted
-    assert cache.dirty_count(TARGET_SET) == 1
+    assert cache.dirty_count() == 1
     assert cache.counters["sender"]["stores"] == 1
 
 
@@ -261,17 +261,17 @@ def test_sender_encode_multibit_installs_level():
     receiver_init(cache, cfg)
     level, _ = sender_encode(cache, cfg, "10")
     assert level == 5
-    assert cache.dirty_count(TARGET_SET) == 5
+    assert cache.dirty_count() == 5
 
 
 def test_receiver_init_fills_clean():
     cfg = make_cfg()
     cache = Cache(cfg.geometry)
     receiver_init(cache, cfg)
-    occupancy, dirty, _ = cache.set_state(TARGET_SET)
+    occupancy, dirty, _ = cache.set_state()
     assert None not in occupancy and not any(dirty)
     receiver_init(cache, cfg)
-    assert cache.set_state(TARGET_SET)[0] == occupancy
+    assert cache.set_state()[0] == occupancy
 
 
 def test_receiver_init_clears_sender_dirty_line():
@@ -279,9 +279,9 @@ def test_receiver_init_clears_sender_dirty_line():
     cache = Cache(cfg.geometry)
     receiver_init(cache, cfg)
     sender_encode(cache, cfg, "1")
-    assert cache.dirty_count(TARGET_SET) == 1
+    assert cache.dirty_count() == 1
     receiver_init(cache, cfg)  # 8 fresh lines push out all prior residents
-    assert cache.dirty_count(TARGET_SET) == 0
+    assert cache.dirty_count() == 0
 
 
 def test_receiver_decode_maps_latency_to_bits():

@@ -2,7 +2,7 @@
 
 Under LRU or Tree-PLRU with no jitter and no slip, a period is an encode,
 at most one noise access and a decode, in that order, and what it does is
-fixed by the target set's state when it starts.  `Steps` stores every
+fixed by the set's state when it starts.  `Steps` stores every
 state relabelled so that its next decode chases replacement set 0, so a
 period start is a state and every decode is action 0.  A breadth-first
 search over those starts, from the state after the prime and through
@@ -17,6 +17,11 @@ sampled seeds:
   one (sent symbol, noise action) pair that flips a binary d=1 decode is a
   sent 0 followed by a noise write, and no pair flips a multibit 0/3/5/8
   decode.
+- The channel is stealthy, the paper's claim: on every step of every
+  closure, defended or not and with noise, a decode is 10 loads that all
+  miss and no store, whatever was sent, and an encode is no load and one
+  store per dirty line of its level.  The sender's stores never hit but
+  under way partitioning, where its lines stay resident in its own ways.
 
 The cuts are `test_walk.exact_cuts`, midway between the levels' exact totals.
 """
@@ -25,6 +30,7 @@ import pytest
 
 from dirtysim.channel import BinaryEncoding, ChannelConfig, MultiBitEncoding, Steps
 from dirtysim.cli import DEFENSES
+from dirtysim.measurement import RECEIVER, SENDER
 
 from test_walk import exact_cuts
 
@@ -93,3 +99,28 @@ def test_the_one_noise_that_flips_an_undefended_decode(policy, encoding, noise_r
     assert len(reached) == 9
     assert (len(table.states), len(table.table)) == (states, steps)
     assert flips(decodes) == flipped
+
+
+@pytest.mark.parametrize("policy", ["lru", "tree-plru"])
+@pytest.mark.parametrize("defense, encoding, noise_rate", [
+    ("none", BinaryEncoding(1), 0.0), ("none", BinaryEncoding(1), 0.5),
+    ("none", MultiBitEncoding(), 0.0), ("none", MultiBitEncoding(), 0.5),
+    ("write-through", BinaryEncoding(1), 0.0), ("write-through", BinaryEncoding(1), 0.5),
+    ("write-through", MultiBitEncoding(), 0.0), ("write-through", MultiBitEncoding(), 0.5),
+    # A partition gives the noise actor no ways.
+    ("partition", BinaryEncoding(1), 0.0), ("partition", MultiBitEncoding(), 0.0),
+], ids=["binary", "binary-noise", "multibit", "multibit-noise",
+        "write-through-binary", "write-through-binary-noise", "write-through-multibit",
+        "write-through-multibit-noise", "partition-binary", "partition-multibit"])
+def test_every_step_is_stealthy(defense, policy, encoding, noise_rate):
+    steps, _, _ = closure(defense, policy, encoding, noise_rate)
+    sender_hits = 0
+    for actor, _, level, _, _, delta, _ in steps.table.values():
+        # (loads, stores, hits) from a count delta: loads 2k, stores 2k+1, hits k=0.
+        counts = sum(delta[0::2]), sum(delta[1::2]), delta[0] + delta[1]
+        if actor == RECEIVER:
+            assert counts == (steps.cfg.rset_size, 0, 0)
+        elif actor == SENDER:
+            assert counts[:2] == (0, level)
+            sender_hits += counts[2]
+    assert (sender_hits > 0) == (defense == "partition")

@@ -10,7 +10,8 @@ gadget pair; written before replacement sets became plain tuples).  The
 sweep-multibit, sweep-d-one-8 and sweep-multibit-0-8 files were written
 before the encodings became one `Encoding` class, and the sweep-random-3,
 sweep-jitter-3 and sweep-tree-plru-noise-3 files before a sweep's trials
-shared one table of steps.  To rewrite them after an
+shared one table of steps, and the run-channel-rset-8 file before a cache
+became one set.  To rewrite them after an
 intended change of output, run from the repo root:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -63,6 +64,9 @@ CASES = {
     "run-channel-tree-plru": ("run-channel", "--message-bits", "64", "--policy", "tree-plru"),
     "run-channel-random": ("run-channel", "--message-bits", "64", "--policy", "random",
                            "--rset-size", "24"),
+    # replacement sets as small as a way count: a decode's next state must
+    # swap the two sets, or the probe hits lines left resident
+    "run-channel-rset-8": ("run-channel", "--rset-size", "8"),
     "run-channel-slip-trace": ("run-channel", "--message-bits", "64", "--period", "1600",
                                "--noise-rate", "0.3", "--noise-write-prob", "0.6",
                                "--slip", "600"),

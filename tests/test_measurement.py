@@ -18,44 +18,46 @@ GEO = CacheGeometry()
 
 
 def prepared_cache(d, latency=None, seed=0):
-    """Target set 0 filled with 8 clean receiver lines, then d dirty sender lines."""
+    """The set filled with 8 clean receiver lines, then d dirty sender lines."""
     cache = Cache(GEO, "lru", latency, seed=seed)
     for i in range(GEO.associativity):
-        cache.access(make_line("receiver", 0, i), False)
+        cache.access(make_line("receiver", i), False)
     for j in range(d):
-        cache.access(make_line("sender", 0, j), True)
+        cache.access(make_line("sender", j), True)
     return cache
 
 
 def test_build_replacement_set_shape():
     # Set `index` of a set of `ways` ways starts at ways + index*size, and
-    # is chased in tag order.
-    assert build_replacement_set(10) == tuple(range(10))
+    # is chased in tag order.  Neither the size nor the way count has a
+    # default: with ways=0, set 0 would overlap a fill's tags 0..W-1.
+    assert build_replacement_set(10, ways=0) == tuple(range(10))
     assert build_replacement_set(10, ways=7) == tuple(range(7, 17))
     assert build_replacement_set(10, ways=7, index=2) == tuple(range(27, 37))
+    with pytest.raises(TypeError):
+        build_replacement_set(10)
 
 
-def test_a_probe_reads_the_actor_and_set_its_caller_names():
-    # The replacement set holds tags only: the probe's actor and set are
-    # the ones passed to it, not a default.
+def test_a_probe_reads_the_actor_its_caller_names():
+    # The replacement set holds tags only: the probe's actor is the one
+    # passed to it, not a default.
     cache = Cache(GEO, "lru")
-    rset = build_replacement_set(10)
-    sample = measure_replacement_latency(cache, "r", 5, rset)
+    rset = build_replacement_set(10, ways=0)
+    sample = measure_replacement_latency(cache, "r", rset)
     assert sample.total_cycles == 10 * 11
     # Eight fills, then LRU evicts ways 0 and 1 for the last two tags.
-    assert cache.set_state(5)[0] == tuple(("r", tag) for tag in rset[8:] + rset[2:8])
-    assert cache.set_state(0) == Cache(GEO, "lru").set_state(0)
+    assert cache.set_state()[0] == tuple(("r", tag) for tag in rset[8:] + rset[2:8])
     assert set(cache.counters) == {"r"}
 
 
 def test_build_replacement_set_singleton():
-    rset = build_replacement_set(1)
+    rset = build_replacement_set(1, ways=0)
     assert rset == (0,)
 
 
 def test_build_replacement_set_rejects_empty():
     with pytest.raises(ValueError, match="^size must be >= 1$"):
-        build_replacement_set(0)
+        build_replacement_set(0, ways=0)
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -67,7 +69,7 @@ def test_build_replacement_set_rejects_empty():
 ])
 def test_build_replacement_set_rejects_a_bad_size_or_layout(kwargs, message):
     with pytest.raises(ValueError, match=message):
-        build_replacement_set(**kwargs)
+        build_replacement_set(**{"size": 10, "ways": 0, **kwargs})
 
 
 @pytest.mark.parametrize("ways", [1, 2, 8, 999, 1000, 1024, 3000])
@@ -97,7 +99,7 @@ def test_totals_are_110_plus_11d(d):
     assert expected == 110 + 11 * d
     cache = prepared_cache(d)
     rset = shuffled(build_replacement_set(10, ways=8), d)
-    sample = measure_replacement_latency(cache, "receiver", 0, rset)
+    sample = measure_replacement_latency(cache, "receiver", rset)
     assert sample.total_cycles == expected
     assert sample.dirty_before == d
     assert sample.resident_hits == 0
@@ -107,8 +109,8 @@ def test_total_is_sum_of_individual_latencies():
     cache = prepared_cache(3)
     rset = build_replacement_set(10, ways=8)
     shadow = prepared_cache(3)
-    individual = [shadow.access(make_line("receiver", 0, tag), False).latency for tag in rset]
-    assert measure_replacement_latency(cache, "receiver", 0, rset).total_cycles == sum(individual)
+    individual = [shadow.access(make_line("receiver", tag), False).latency for tag in rset]
+    assert measure_replacement_latency(cache, "receiver", rset).total_cycles == sum(individual)
 
 
 def test_adjacent_d_step_equals_dirty_minus_clean_cost():
@@ -117,7 +119,7 @@ def test_adjacent_d_step_equals_dirty_minus_clean_cost():
     for d in range(9):
         cache = prepared_cache(d, latency=model)
         rset = shuffled(build_replacement_set(10, ways=8), d)
-        totals.append(measure_replacement_latency(cache, "receiver", 0, rset).total_cycles)
+        totals.append(measure_replacement_latency(cache, "receiver", rset).total_cycles)
     steps = {b - a for a, b in zip(totals, totals[1:])}
     assert steps == {model.miss_dirty - model.miss_clean}
 
@@ -127,9 +129,9 @@ def test_resident_lines_flagged_not_fatal():
     # misses everywhere; a W-sized set left fully resident shows the flag.
     cache = prepared_cache(0)
     rset = build_replacement_set(8, ways=8)
-    first = measure_replacement_latency(cache, "receiver", 0, rset)
+    first = measure_replacement_latency(cache, "receiver", rset)
     assert not first.precondition_violated
-    again = measure_replacement_latency(cache, "receiver", 0, rset)
+    again = measure_replacement_latency(cache, "receiver", rset)
     assert again.precondition_violated
     assert again.resident_hits == 8
 
@@ -137,26 +139,26 @@ def test_resident_lines_flagged_not_fatal():
 def test_same_order_reuse_self_thrashes_instead_of_hitting():
     cache = prepared_cache(0)
     rset = build_replacement_set(10, ways=8)
-    measure_replacement_latency(cache, "receiver", 0, rset)
-    again = measure_replacement_latency(cache, "receiver", 0, rset)
+    measure_replacement_latency(cache, "receiver", rset)
+    again = measure_replacement_latency(cache, "receiver", rset)
     assert again.resident_hits == 0  # LRU evicts each line just before its turn
 
 
 def test_measurement_doubles_as_initialization():
     cache = prepared_cache(8)
     rset_a = build_replacement_set(10, ways=8)
-    measure_replacement_latency(cache, "receiver", 0, rset_a)
-    assert cache.dirty_count(0) == 0
+    measure_replacement_latency(cache, "receiver", rset_a)
+    assert cache.dirty_count() == 0
     rset_b = build_replacement_set(10, ways=8, index=1)
-    sample = measure_replacement_latency(cache, "receiver", 0, rset_b)
+    sample = measure_replacement_latency(cache, "receiver", rset_b)
     assert sample.total_cycles == 110
     assert sample.resident_hits == 0
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(),
-       geo=st.sampled_from([GEO, CacheGeometry(num_sets=4, associativity=4),
-                            CacheGeometry(num_sets=16, associativity=16)]),
+       geo=st.sampled_from([GEO, CacheGeometry(associativity=4),
+                            CacheGeometry(associativity=16)]),
        policy=st.sampled_from(sorted(POLICIES)),
        jitter=st.sampled_from([0, 3]),
        cache_seed=st.integers(0, 2**64 - 1))
@@ -333,14 +335,14 @@ def test_latency_cdf_accepts_rset_of_exactly_associativity():
 
 def test_fill_set_reads_prime_clean_and_writes_dirty():
     cache = Cache(GEO)
-    assert fill_set(cache, "receiver", 3, 8) == 8 * 11  # eight invalid fills
-    assert cache.set_state(3)[0] == tuple(("receiver", t) for t in range(8))
-    assert cache.dirty_count(3) == 0
-    assert fill_set(cache, "receiver", 3, 8) == 8 * 4  # the same tags now hit
-    assert fill_set(cache, "sender", 3, 3, write=True) == 3 * 11
-    assert cache.dirty_count(3) == 3
+    assert fill_set(cache, "receiver", 8) == 8 * 11  # eight invalid fills
+    assert cache.set_state()[0] == tuple(("receiver", t) for t in range(8))
+    assert cache.dirty_count() == 0
+    assert fill_set(cache, "receiver", 8) == 8 * 4  # the same tags now hit
+    assert fill_set(cache, "sender", 3, write=True) == 3 * 11
+    assert cache.dirty_count() == 3
     assert cache.counters["sender"]["stores"] == 3
-    assert fill_set(cache, "sender", 3, 0, write=True) == 0
+    assert fill_set(cache, "sender", 0, write=True) == 0
 
 
 @pytest.mark.parametrize("d", [0, 3, 8])
@@ -351,7 +353,7 @@ def test_prime_dirty_probe_on_a_fresh_cache(d):
     assert (sample.dirty_before, sample.total_cycles, sample.resident_hits) == (d, 110 + 11 * d, 0)
     assert sum(c["stores"] for c in cache.counters.values()) == d
     assert cache.counters["receiver"]["loads"] == GEO.associativity + 10
-    assert cache.dirty_count(0) == 0
+    assert cache.dirty_count() == 0
 
 
 def test_tree_plru_totals_match_lru_when_l_covers_the_set():

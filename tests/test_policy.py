@@ -474,12 +474,12 @@ def test_dirty_eviction_experiment_agrees_with_cache_pipeline():
     for t in range(trials):
         cache = Cache(policy="random", seed=derive_seed(99, "pipeline", t))
         for i in range(8 - d):
-            cache.access(make_line("filler", 0, i), False)
+            cache.access(make_line("filler", i), False)
         for j in range(d):
-            cache.access(make_line("sender", 0, j), True)
+            cache.access(make_line("sender", j), True)
         evicted = False
         for r in range(l):
-            out = cache.access(make_line("receiver", 0, 1000 + r), False)
+            out = cache.access(make_line("receiver", 1000 + r), False)
             evicted = evicted or out.kind is OutcomeKind.MISS_EVICT_DIRTY
         successes += evicted
     pipeline = successes / trials

@@ -1,6 +1,6 @@
 """The walked simulation against one real action per event.
 
-`run_channel` runs each distinct (target-set state, action) step of a run
+`run_channel` runs each distinct (set state, action) step of a run
 once and walks a table of them after that, when the cache draws nothing.
 `oracles.direct_simulate` runs every event's real encode, decode or noise
 access on one live cache.  Both must give the same report, field by field:
@@ -192,8 +192,8 @@ def test_a_decode_on_either_replacement_set_is_one_step(policy, defense, noise, 
         ends = []
         for parity, start in ((0, state), (1, swapped(state, rsets))):
             cache = Cache(cfg.geometry, cfg.policy, cfg.latency)
-            cache.load_set(channel.TARGET_SET, start)
-            ends.append((steps.act(cache, parity, 0), cache.set_state(channel.TARGET_SET)))
+            cache.load_set(start)
+            ends.append((steps.act(cache, parity, 0), cache.set_state()))
         (step0, end0), (step1, end1) = ends
         assert step0 == step1
         assert end1 == swapped(end0, rsets)
