@@ -25,9 +25,9 @@ candidates are a prefix of its sorted ways, and a free one exists exactly
 when the last is free: O(1).
 Each access adds one to one of its actor's outcome counts, a load and a
 store count per `OutcomeKind`; `Cache.counters` is derived from them.
-The set's state reads out as a hashable value and loads back, and counts and
-cycles can be added without an access: `channel` walks a table of steps
-with them.
+The set's state reads out as a hashable value and loads back into a fresh
+cache, its lines can be renamed in place, and counts and cycles can be
+added without an access: `channel` walks a table of steps with them.
 """
 
 from __future__ import annotations
@@ -189,9 +189,22 @@ class Cache:
         return tuple(tags), tuple(dirty), tuple(meta) if isinstance(meta, list) else meta
 
     def load_set(self, state: tuple) -> None:
-        """Make the set hold a `set_state` value; counters and cycles stay as they are."""
+        """Make the set hold a `set_state` value, with counts and cycles at 0 as in a fresh cache.
+
+        The generators stay as they are.
+        """
         tags, dirty, meta = state
         self._set = [list(tags), list(dirty), list(meta) if isinstance(meta, tuple) else meta]
+        self._counts = {}
+        self.cycles = 0
+
+    def relabel(self, names: dict) -> None:
+        """Rename each resident line that is a key of `names` to its value.
+
+        Ways, dirty bits, policy metadata, counts and cycles stay as they are.
+        """
+        tags = self._set[0]
+        self._set[0] = list(map(names.get, tags, tags))
 
     def dirty_count(self) -> int:
         return sum(self._set[1])

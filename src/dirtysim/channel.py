@@ -19,34 +19,36 @@ stream, BER, counters and cycle total.  A sweep trial draws once for all
 its periods (`_draws`) and simulates each of its distinct orders once
 (`_period_bers`).
 
+Every event runs through one function, `Steps.act`, and every action
+leaves the set in the walk's frame: a decode chases `rsets[0]` and then
+swaps the two replacement sets' tags, and a noise access renames its line
+to a tag that no access names.  This is exact.  An access compares tags
+only for equality, and no policy or jitter draw reads a tag, so renaming
+lines by a bijection, or renaming lines that no later access names, changes
+no hit, victim, draw or latency.  The swap is a bijection of the receiver's
+tags, and after it the set chased last reads as `rsets[1]`, so the next
+decode's chase of `rsets[0]` is the real protocol's alternation; each noise
+line is accessed once.  The same argument lets the receiver chase its sets
+in tag order, which reads no seed.
+
 When the cache draws nothing (no random policy, no jitter), `_simulate`
 walks a table of steps instead of running every event.  Every access lands
 in the one set, so what an event does is fixed by the set's state (tags,
-dirty bits, policy metadata) and its action: the symbol of an encode, a
-decode, read or write for noise.
+dirty bits, policy metadata) and its action: an encode's symbol bits,
+"decode", "noise-read" or "noise-write".
 `Steps(cfg, thresholds).next(state, action)` is that step, a function: the
 first time a (state, action) comes up, it loads the state into a private
-cache of its own, runs the real actor there and stores the trace fields,
-the actor's count delta and the next state.  The walk tallies every step it
-takes, and the run's own cache does only the receiver's prime: the
+cache of its own, acts there and stores the trace fields, the actor's
+counts and the set state the action leaves.  The walk tallies every step
+it takes, and the run's own cache does only the receiver's prime: the
 tallies' counts and cycles are added at the end, so every output is that of
-running each event.  Noise lines' tags are stored as one canonical tag that
-no noise line can equal: each noise line is accessed once, so which one is
-resident never matters, and a step's noise access uses one fixed tag.  The
-receiver chases its two replacement sets in tag order, which reads no seed:
-an access compares tags only for equality and no policy reads a tag, so
-relabelling a replacement set's tags maps one order's run onto another's,
-access for access.  A table's steps therefore read no seed.  The same
-argument applied to the two replacement sets, which decodes alternate,
-makes a decode one step whichever set it chases: every state is stored
-relabelled so that its next decode chases `rsets[0]`, and a decode's next
-state has the two sets' tags swapped before it is stored.  A table is
-built once per `run_channel` call or once per sweep (`_period_bers`), whose
-trials all walk it.  `_simulate(steps, seed, period, events)` runs the
-table's own config at `seed` and `period`, so the runs that share a table
-share one config but for those two, and one set of cuts, by construction.
-A cache that draws runs every event on the run's cache, seeded by `seed`,
-through the same actor code, and stores nothing.
+running each event.  No step reads the seed, and a decode is one step
+whichever set it chases.  A table is built once per `run_channel` call or
+once per sweep (`_period_bers`), whose trials all walk it.
+`_simulate(steps, seed, period, events)` runs the table's own config at
+`seed` and `period`, so the runs that share a table share one config but
+for those two, and one set of cuts, by construction.  A cache that draws
+acts every event on the run's cache, seeded by `seed`, and stores nothing.
 """
 
 from __future__ import annotations
@@ -58,12 +60,12 @@ import random
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import add, mul, sub
+from operator import add, mul
 
 from .analysis import (PreambleLockError, align_by_preamble, bit_error_rate,
                        rate_kbps)
 from .cache import (DEFAULT_GEOMETRY, DEFAULT_LATENCY, Cache, CacheGeometry,
-                    LatencyModel, WritePolicy, make_line)
+                    LatencyModel, make_line)
 from .measurement import (DEFAULT_RSET_SIZE, RECEIVER, SENDER, build_replacement_set,
                           check_rset_size, fill_set, measure_replacement_latency,
                           probe_totals)
@@ -220,8 +222,15 @@ class Thresholds:
             raise ValueError("cuts must be strictly increasing")
 
     @classmethod
-    def from_level_stats(cls, means, stds) -> "Thresholds":
-        """Midpoint cuts; fails if adjacent levels are not cleanly separable."""
+    def from_totals(cls, table) -> "Thresholds":
+        """Cuts at the midpoints of a `probe_totals` table's level means.
+
+        Fails unless adjacent means lie at least twice the larger of their
+        levels' population σ apart.
+        """
+        stats = [(len(t), sum(t), sum(x * x for x in t)) for _, t in table]
+        means = [s / n for n, s, _ in stats]
+        stds = [math.sqrt(n * q - s * s) / n for n, s, q in stats]
         for i in range(len(means) - 1):
             separation = means[i + 1] - means[i]
             spread = 2.0 * max(stds[i], stds[i + 1])
@@ -236,25 +245,16 @@ class Thresholds:
         return bisect.bisect_left(self.cuts, total_cycles)
 
 
-def _midpoint_thresholds(table) -> Thresholds:
-    """Cuts between a `probe_totals` table's levels, from each level's mean and population σ."""
-    stats = [(len(t), sum(t), sum(x * x for x in t)) for _, t in table]
-    return Thresholds.from_level_stats([s / n for n, s, _ in stats],
-                                       [math.sqrt(n * q - s * s) / n for n, s, q in stats])
-
-
 def calibrate_thresholds(cfg: ChannelConfig) -> Thresholds:
     """Cut at the midpoints of each level's `probe_totals` on the undefended cache.
 
     Thresholds model the attacker's expectation of the write-back channel:
     defenses act at run time, not during calibration, and noise is never read.
     """
-    geometry = dataclasses.replace(cfg.geometry, partition=None,
-                                   write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
-    return _midpoint_thresholds(probe_totals(
+    return Thresholds.from_totals(probe_totals(
         cfg.encoding.levels, CALIBRATION_TRIALS, (derive_seed(cfg.seed, "calibration"), "cache"),
-        geometry=geometry, policy=cfg.policy, latency=cfg.latency,
-        rset_size=cfg.rset_size))
+        geometry=CacheGeometry(cfg.geometry.associativity), policy=cfg.policy,
+        latency=cfg.latency, rset_size=cfg.rset_size))
 
 
 # -- protocol actors ---------------------------------------------------------
@@ -345,9 +345,9 @@ def _events(period: int, noise: list, slips: list) -> list:
     return events
 
 
-# A noise line's resident tag in a walk's states; `make_line` takes no
-# negative tag, so no noise line equals it.
-_NOISE_TAG = (NOISE, -1)
+# A noise access's line, once it is done, is renamed to a tag that
+# `make_line` refuses, so no access names it.
+_RENAME_NOISE = {(NOISE, 0): (NOISE, -1)}
 
 
 def _primed_cache(cfg: ChannelConfig, seed: int) -> Cache:
@@ -362,21 +362,15 @@ class Steps:
 
     The cut count is checked before anything is built.  A state is the id of
     an interned set state, and an action is an encode's symbol bits,
-    the index (0 or 1) of the replacement set a decode chases, "noise-read"
-    or "noise-write".  `next(state, action)` is the step: (the trace fields
-    from actor to decoded bits, the actor's count delta, the next state).
-    The first time a (state, action) comes up, it loads the state into the
-    table's own primed cache, runs the real actor there (`act`), a noise
-    access on one fixed tag, and interns the next state.  A state is stored
-    in the frame of its next decode, which chases `rsets[0]`, so every
-    walked decode is action 0: a decode's next state is interned with the
-    two sets' tags swapped, and an encode's or a noise access's, which
-    touches no receiver tag, as it is.  `start` is the state after the
-    prime, or None when the cache draws: a drawing cache's steps hang on
-    its generators, so a run then `act`s every event on its own cache, each
-    decode on its real parity's set, and nothing is stored.  The replacement
-    sets are chased in tag order, which reads no seed (module docstring), so
-    no step reads `cfg.seed` and runs at any seed may walk one table.
+    "decode", "noise-read" or "noise-write".  `next(state, action)` is the
+    step: (the trace fields from actor to decoded bits, the actor's counts,
+    the next state).  The first time a (state, action) comes up, it loads
+    the state into the table's own cache, `act`s there and interns the set
+    state the action leaves, which is in the walk's frame (module
+    docstring).  `start` is the state after the prime, or None when the
+    cache draws: a drawing cache's steps hang on its generators, so a run
+    then `act`s every event on its own cache and nothing is stored.  No step
+    reads `cfg.seed`, so runs at any seed may walk one table.
     """
 
     def __init__(self, cfg: ChannelConfig, thresholds: Thresholds):
@@ -390,59 +384,50 @@ class Steps:
         self.rsets = tuple(build_replacement_set(cfg.rset_size, ways=cfg.geometry.associativity,
                                                  index=p)
                            for p in (0, 1))
-        # Swapping the two sets' tags maps a decode on set 1 onto one on set 0.
+        # A decode on set 0 then a swap of the two sets' tags is one on set 1.
         set0, set1 = ([(RECEIVER, tag) for tag in rset] for rset in self.rsets)
         self._swap = dict([*zip(set0, set1), *zip(set1, set0)])
         self.table = {}
-        self.ids = {}     # canonical set state -> its id
-        self.states = []  # id -> canonical set state
+        self.ids = {}     # set state -> its id
+        self.states = []  # id -> set state
         self._cache = _primed_cache(cfg, cfg.seed)
         self.start = None if self._cache.draws else self._intern()
 
-    def _intern(self, swap: bool = False) -> int:
-        """The id of the private cache's set state, noise tags made canonical.
-
-        With `swap`, the two replacement sets' tags are swapped first.
-        """
-        tags, dirty, meta = self._cache.set_state()
-        relabel = self._swap if swap else {}
-        state = (tuple([_NOISE_TAG if tag is not None and tag[0] == NOISE
-                        else relabel.get(tag, tag) for tag in tags]), dirty, meta)
+    def _intern(self) -> int:
+        """The id of the private cache's set state."""
+        state = self._cache.set_state()
         sid = self.ids.setdefault(state, len(self.ids))
         if sid == len(self.states):
             self.states.append(state)
         return sid
 
-    def next(self, state: int, action) -> tuple:
+    def next(self, state: int, action: str) -> tuple:
         """The step from `state` on `action`, run on the private cache the first time."""
         step = self.table.get((state, action))
         if step is None:
-            # Load even a state the cache holds: the stored state may carry the
-            # fixed noise tag, or a decode's swapped tags.
-            self._cache.load_set(self.states[state])
-            step = self.table[state, action] = (*self.act(self._cache, action, 0),
-                                                self._intern(swap=action == 0))
+            cache = self._cache
+            cache.load_set(self.states[state])  # a fresh cache: its counts are the step's
+            fields = self.act(cache, action)
+            step = self.table[state, action] = (*fields, cache.outcome_counts(fields[0]),
+                                                self._intern())
         return step
 
-    def act(self, cache: Cache, action, noise_tag: int) -> tuple:
-        """Run `action`'s real actor on `cache`, a noise access on tag `noise_tag`.
+    def act(self, cache: Cache, action: str) -> tuple:
+        """Run `action`'s real actor on `cache`, leaving the set in the walk's frame.
 
-        Returns the trace fields from actor to decoded bits, then the actor's
-        count delta.
+        Returns the trace fields from actor to decoded bits.
         """
         cfg = self.cfg
-        actor = RECEIVER if action in (0, 1) else NOISE if action.startswith("noise") else SENDER
-        before = cache.outcome_counts(actor)
-        if actor is RECEIVER:
-            sample, bits = receiver_decode(cache, cfg, self.rsets[action], self.thresholds)
-            fields = (actor, "decode", cfg.encoding.level_for_bits(bits), sample.total_cycles, bits)
-        elif actor is NOISE:
-            outcome = cache.access(make_line(actor, noise_tag), action == "noise-write")
-            fields = (actor, action, "", outcome.latency, "")
-        else:
-            level, cost = sender_encode(cache, cfg, action)
-            fields = (actor, "encode", level, cost, "")
-        return (*fields, tuple(map(sub, cache.outcome_counts(actor), before)))
+        if action == "decode":
+            sample, bits = receiver_decode(cache, cfg, self.rsets[0], self.thresholds)
+            cache.relabel(self._swap)
+            return RECEIVER, action, cfg.encoding.level_for_bits(bits), sample.total_cycles, bits
+        if action.startswith("noise"):
+            outcome = cache.access(make_line(NOISE, 0), action == "noise-write")
+            cache.relabel(_RENAME_NOISE)
+            return NOISE, action, "", outcome.latency, ""
+        level, cost = sender_encode(cache, cfg, action)
+        return SENDER, "encode", level, cost, ""
 
 
 def _simulate(steps: Steps, seed: int, period: int, events: list) -> ChannelReport:
@@ -452,34 +437,29 @@ def _simulate(steps: Steps, seed: int, period: int, events: list) -> ChannelRepo
     the stream and the decoded bits see the events' order alone, since an
     access's latency never moves the clock.  Of the run, only its cache's
     draws read `seed`.  A run is its table's config at one seed and period,
-    decoded with the table's cuts, by construction.  A cache that draws nothing is walked through `steps`
-    (module docstring): the run's own cache does only the prime, and each
-    actor's counts and cycles are added from the tally of its steps.
+    decoded with the table's cuts, by construction.  A cache that draws
+    nothing is walked through `steps` (module docstring): the run's own
+    cache does only the prime, and each actor's counts and cycles are added
+    from the tally of its steps.
     """
     cfg = steps.cfg
     k = cfg.encoding.bits_per_symbol
     stream = PREAMBLE + cfg.message
     cache = _primed_cache(cfg, seed)
     table = steps.table
-    state = steps.start
-    walks = state is not None
+    state = steps.start  # None when the cache draws
     trace = []
     received_parts = []
     visits = []  # the walk's keys, one per event
     for cycle, _prio, index, action in events:
-        truth = stream[index * k:(index + 1) * k]
-        if action == "encode":
-            key = (state, truth)
-        elif action == "decode":
-            key = (state, 0 if walks else len(received_parts) % 2)
+        # A noise access ("noise-read" or "noise-write") sends no symbol.
+        truth = "" if action[0] == "n" else stream[index * k:(index + 1) * k]
+        key = (state, truth if action == "encode" else action)
+        if state is None:  # the cache draws: act on this run's cache
+            actor, name, d, latency, bits = steps.act(cache, key[1])
         else:
-            key, truth = (state, action), ""
-        if not walks:  # the cache draws: run the event on this run's cache
-            step = (*steps.act(cache, key[1], index), None)
-        else:
-            step = table.get(key) or steps.next(*key)
+            actor, name, d, latency, bits, _, state = table.get(key) or steps.next(*key)
             visits.append(key)
-        actor, name, d, latency, bits, _, state = step
         # tuple.__new__ skips the namedtuple's Python-level __new__ on this hot path.
         trace.append(tuple.__new__(TraceEvent, (cycle, actor, name, d, latency, bits, truth)))
         if bits:
@@ -636,7 +616,7 @@ def run_gadget_attack(variant: str, scenario: str, secret: int) -> GadgetResult:
         rset = build_replacement_set(DEFAULT_RSET_SIZE, ways=ways)
         total = measure_replacement_latency(cache, "attacker", rset).total_cycles
         levels = (ways - 1, ways) if dirty else (0, 1)
-        thresholds = _midpoint_thresholds(probe_totals(
+        thresholds = Thresholds.from_totals(probe_totals(
             levels, 1, ("gadget",), geometry=geo, policy="lru", latency=lat,
             rset_size=DEFAULT_RSET_SIZE))
         inferred = thresholds.classify(total) ^ dirty
@@ -645,7 +625,7 @@ def run_gadget_attack(variant: str, scenario: str, secret: int) -> GadgetResult:
         fill_set(cache, "attacker", ways, write=True)
         fill_set(line1_cache, "attacker", ways)
         victim_time = victim_cache.access(line, is_write).latency
-        cut = (lat.miss_dirty + lat.miss_clean) / 2
+        cut = Thresholds.from_totals([(0, [lat.miss_clean]), (1, [lat.miss_dirty])]).cuts[0]
         inferred = int(victim_time > cut)
         latencies = {"victim_call_cycles": victim_time, "threshold": cut,
                      "dirty_clean_delta": lat.miss_dirty - lat.miss_clean}

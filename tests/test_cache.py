@@ -173,6 +173,30 @@ def test_an_empty_run_counts_no_actor():
     assert cache.counters == {} and cache.cycles == 0
 
 
+@pytest.mark.parametrize("policy", ["lru", "tree-plru"])
+def test_relabel_renames_lines_and_nothing_else(policy):
+    cache = Cache(CacheGeometry(4), policy)
+    cache.access_run("a", range(3), True)
+    cache.access(make_line("b", 0), False)
+    tags, dirty, meta = cache.set_state()
+    counters, cycles = cache.counters, cache.cycles
+    cache.relabel({("a", 1): ("a", 7), ("b", 0): ("a", 1), ("c", 0): ("c", 1)})
+    assert cache.set_state() == ((("a", 0), ("a", 7), ("a", 2), ("a", 1)), dirty, meta)
+    assert (cache.counters, cache.cycles) == (counters, cycles)
+    # A renamed line is the line it is renamed to: ("a", 1) now hits, clean.
+    assert cache.access(make_line("a", 1), False).kind is OutcomeKind.HIT
+
+
+def test_load_set_starts_counts_and_cycles_at_0():
+    cache, fresh = Cache(), Cache()
+    cache.access_run("a", range(10), True)
+    state = cache.set_state()
+    cache.load_set(state)
+    fresh.load_set(state)
+    assert cache.set_state() == fresh.set_state() == state
+    assert (cache.counters, cache.cycles) == ({}, 0) == (fresh.counters, fresh.cycles)
+
+
 def test_partition_rejects_unlisted_actor():
     cache = Cache(CacheGeometry(partition={"a": {0, 1}}))
     with pytest.raises(ValueError):

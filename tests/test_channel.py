@@ -350,7 +350,7 @@ def test_calibration_multibit_cuts():
 
 def test_calibration_fails_on_degenerate_levels():
     with pytest.raises(CalibrationError):
-        Thresholds.from_level_stats([110.0, 110.0], [0.0, 0.0])
+        Thresholds.from_totals([(0, [110]), (1, [110])])
 
 
 def test_calibration_fails_when_jitter_swamps_separation():

@@ -10,9 +10,10 @@ gadget pair; written before replacement sets became plain tuples).  The
 sweep-multibit, sweep-d-one-8 and sweep-multibit-0-8 files were written
 before the encodings became one `Encoding` class, and the sweep-random-3,
 sweep-jitter-3 and sweep-tree-plru-noise-3 files before a sweep's trials
-shared one table of steps, and the run-channel-rset-8 file before a cache
-became one set.  To rewrite them after an
-intended change of output, run from the repo root:
+shared one table of steps, the run-channel-rset-8 file before a cache
+became one set, and the run-channel-random-noise-trace files before a
+drawing run's decodes and noise accesses ran in the walk's frame.  To
+rewrite them after an intended change of output, run from the repo root:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -64,6 +65,11 @@ CASES = {
     "run-channel-tree-plru": ("run-channel", "--message-bits", "64", "--policy", "tree-plru"),
     "run-channel-random": ("run-channel", "--message-bits", "64", "--policy", "random",
                            "--rset-size", "24"),
+    # a drawing run with noise writes: each event runs on the run's own
+    # cache, so this pins its decodes and noise accesses, trace and all
+    "run-channel-random-noise-trace": ("run-channel", "--policy", "random", "--rset-size", "24",
+                                       "--jitter", "1", "--noise-rate", "1.0",
+                                       "--noise-write-prob", "0.5", "--message-bits", "256"),
     # replacement sets as small as a way count: a decode's next state must
     # swap the two sets, or the probe hits lines left resident
     "run-channel-rset-8": ("run-channel", "--rset-size", "8"),

@@ -16,7 +16,7 @@ import pytest
 
 from dirtysim import channel, measurement, policy, seeding
 from dirtysim.analysis import rate_kbps, sweep_ber_vs_rate
-from dirtysim.channel import ChannelConfig, _midpoint_thresholds
+from dirtysim.channel import ChannelConfig, Thresholds
 from dirtysim.measurement import latency_cdf
 from dirtysim.policy import (analytic_dirty_eviction_probability,
                              dirty_eviction_experiment,
@@ -127,10 +127,10 @@ def test_the_spies_see_a_valid_call_simulate(monkeypatch, entry, call):
 def test_calibration_spread_is_the_population_deviation():
     # [100, 104] has population deviation 2 (sample deviation 2.83), so a
     # separation of 5 clears the required 2 * 2 = 4 and 3 does not.
-    assert _midpoint_thresholds([(0, [100, 104]), (1, [107, 107])]).cuts == (104.5,)
+    assert Thresholds.from_totals([(0, [100, 104]), (1, [107, 107])]).cuts == (104.5,)
     with pytest.raises(channel.CalibrationError,
                        match=r"^levels 0 and 1 overlap: mean separation 3\.00 < required 4\.00$"):
-        _midpoint_thresholds([(0, [100, 104]), (1, [105, 105])])
+        Thresholds.from_totals([(0, [100, 104]), (1, [105, 105])])
 
 
 def test_importing_the_cli_loads_no_statistics_module():

@@ -179,24 +179,25 @@ def swapped(state, rsets):
 @pytest.mark.parametrize("encoding", [BinaryEncoding(1), MultiBitEncoding()],
                          ids=["binary", "multibit"])
 def test_a_decode_on_either_replacement_set_is_one_step(policy, defense, noise, encoding):
-    # What lets the walk store every state in the frame of its next decode:
-    # from any state of a table, a decode on set 0 and one on set 1 from the
-    # state's swapped image are the same step, up to that swap.
+    # What lets every decode be one action: from any stored state S, `act`'s
+    # decode (a chase of set 0, then the swap) is a real decode on set 1
+    # from S swapped, field for field, count for count and in the set it
+    # leaves.
     cfg = ChannelConfig(message=random_bits(256, 4), encoding=encoding, period=1001, seed=4,
                         slip=300, geometry=DEFENSES[defense], policy=policy,
                         **(dict(noise_rate=0.5, noise_write_prob=0.5) if noise else {}))
     steps = channel.Steps(cfg, exact_cuts(cfg))
     channel._simulate(steps, cfg.seed, cfg.period, schedule(cfg))
-    rsets = steps.rsets
     for state in steps.states:
-        ends = []
-        for parity, start in ((0, state), (1, swapped(state, rsets))):
-            cache = Cache(cfg.geometry, cfg.policy, cfg.latency)
-            cache.load_set(start)
-            ends.append((steps.act(cache, parity, 0), cache.set_state()))
-        (step0, end0), (step1, end1) = ends
-        assert step0 == step1
-        assert end1 == swapped(end0, rsets)
+        acted, real = (Cache(cfg.geometry, cfg.policy, cfg.latency) for _ in range(2))
+        acted.load_set(state)
+        fields = steps.act(acted, "decode")
+        real.load_set(swapped(state, steps.rsets))
+        sample, bits = channel.receiver_decode(real, cfg, steps.rsets[1], steps.thresholds)
+        assert fields == (channel.RECEIVER, "decode", encoding.level_for_bits(bits),
+                          sample.total_cycles, bits)
+        assert acted.outcome_counts(channel.RECEIVER) == real.outcome_counts(channel.RECEIVER)
+        assert acted.set_state() == real.set_state()
 
 
 def test_the_chase_order_reads_no_seed():
