@@ -54,7 +54,6 @@ acts every event on the run's cache, seeded by `seed`, and stores nothing.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import math
 import random
 from collections import Counter, namedtuple
@@ -315,15 +314,16 @@ def schedule(cfg: ChannelConfig) -> list:
     `index` is the symbol's position in the preamble-led stream, so each
     event's key is unique.
     """
-    return _events(cfg.period, *_draws(cfg))
+    return _events(cfg.period, *_draws(cfg, cfg.seed))
 
 
-def _draws(cfg: ChannelConfig) -> tuple:
+def _draws(cfg: ChannelConfig, seed: int) -> tuple:
     """The one place noise and slip draw: each noise event's (symbol index,
-    action), and each symbol's decode slip.  No draw reads `period`."""
+    action), and each symbol's decode slip, for `cfg` run at `seed`.  No
+    draw reads `period`."""
     n = (len(PREAMBLE) + len(cfg.message)) // cfg.encoding.bits_per_symbol
-    noise_rng = random.Random(derive_seed(cfg.seed, "noise"))
-    slip_rng = random.Random(derive_seed(cfg.seed, "slip"))
+    noise_rng = random.Random(derive_seed(seed, "noise"))
+    slip_rng = random.Random(derive_seed(seed, "slip"))
     # noise_rng feeds nothing else, so skipping its draws at rate 0 changes no output.
     noise = [(i, "noise-write" if noise_rng.random() < cfg.noise_write_prob else "noise-read")
              for i in range(n if cfg.noise_rate else 0) if noise_rng.random() < cfg.noise_rate]
@@ -528,7 +528,7 @@ def _period_bers(cfg: ChannelConfig, periods, thresholds: Thresholds, trials: in
     for trial in range(trials):
         seed = derive_seed(cfg.seed, "sweep", trial)
         # No draw reads the period, so every period shares them.
-        draws = _draws(dataclasses.replace(cfg, seed=seed))
+        draws = _draws(cfg, seed)
         ber_of_order = {}  # this trial's orders only -> BER
         bers = []
         for period in periods:

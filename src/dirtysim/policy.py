@@ -9,8 +9,12 @@ that generator, and three rules: `new_set_meta`, `on_access` and
 `select_victim`.  Metadata is a value: `new_set_meta` returns a fresh set's
 and `on_access` the set's new one, and the caller keeps it.  LRU's is a
 recency list, which it updates in place and returns; Tree-PLRU's is one int
-of W-1 bits; the random policy's is None.  This keeps the experiments below
-independent of the full cache model in `dirtysim.cache`.
+of W-1 bits; the random policy's is None.  LRU and Tree-PLRU share one
+victim rule: a state lists the set's ways in victim order, and the victim
+among any candidates (a full set, or a partition's ways) is the first of
+them in that order.  LRU's recency list is its order; Tree-PLRU expands its
+bits into one.  This keeps the experiments below independent of the full
+cache model in `dirtysim.cache`.
 """
 
 from __future__ import annotations
@@ -20,6 +24,16 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .seeding import check_int, derive_seed
+
+
+def _first_candidate(order, candidates):
+    """The victim among `candidates`: the first of them in the victim order `order`."""
+    if len(candidates) == len(order):
+        return order[0]
+    for way in order:
+        if way in candidates:
+            return way
+    raise ValueError("no candidate ways")
 
 
 class TrueLRU:
@@ -39,12 +53,7 @@ class TrueLRU:
         return meta
 
     def select_victim(self, meta, candidates):
-        if len(candidates) == self.ways:
-            return meta[0]
-        for way in meta:
-            if way in candidates:
-                return way
-        raise ValueError("no candidate ways")
+        return _first_candidate(meta, candidates)
 
 
 def _touch_masks(ways):
@@ -68,22 +77,35 @@ def _touch_masks(ways):
     return tuple(masks)
 
 
+def _victim_order(meta, node, ways):
+    """The ways under `node` in victim order: its pointed-to subtree's, then the other's."""
+    if node >= ways:
+        return (node - ways,)
+    first = node << 1 | meta >> (node - 1) & 1
+    return _victim_order(meta, first, ways) + _victim_order(meta, first ^ 1, ways)
+
+
 class TreePLRU:
     """Tree pseudo-LRU over a power-of-two number of ways.
 
     Metadata is one int of ways-1 bits in heap order: node i is bit i-1.
     Convention: bit 0 points to the left child and the victim walk follows
     the pointed-to child; touching a way sets every bit on its root path to
-    point away from it, one mask pair per way.  A full-set victim is looked
-    up by state, and the walk fills the entry the first time a state is
-    seen.  The masks and victims are the class's, one table each per way
-    count, so an instance holds nothing but `ways`.
+    point away from it, one mask pair per way.  A state's victim order
+    lists the leaves with each node's pointed-to subtree first, so its
+    first way is the walk's victim.  The order is exact for a partitioned
+    set too: the walk there skips a subtree only when it holds no
+    candidate, and every leaf of a node's pointed-to subtree precedes the
+    other subtree's, so the first candidate in the order is where the walk
+    ends.  A state's order is expanded once, the first time it is seen.
+    The masks and orders are the class's, one table each per way count, so
+    an instance holds nothing but `ways`.
     """
 
     draws = False
     _masks = {}  # ways -> per way, (keep, put) of a touch
-    _victims = {}  # ways -> {state: full-set victim}, filled as states are seen
-    _VICTIMS_CAP = 1 << 16  # a wide tree's memo starts over once this full
+    _orders = {}  # ways -> {state: victim order}, filled as states are seen
+    _ORDERS_CAP = 1 << 16  # a wide tree's memo starts over once this full
 
     def __init__(self, ways: int = 8):
         if ways < 2 or ways & (ways - 1):
@@ -91,7 +113,7 @@ class TreePLRU:
         self.ways = ways
         if ways not in self._masks:
             self._masks[ways] = _touch_masks(ways)
-            self._victims[ways] = {}
+            self._orders[ways] = {}
 
     def new_set_meta(self):
         return 0
@@ -101,34 +123,13 @@ class TreePLRU:
         return meta & keep | put
 
     def select_victim(self, meta, candidates):
-        ways = self.ways
-        if len(candidates) == ways:
-            victims = self._victims[ways]
-            victim = victims.get(meta)
-            if victim is None:
-                if len(victims) >= self._VICTIMS_CAP:
-                    victims.clear()
-                idx = 1
-                while idx < ways:
-                    idx = (idx << 1) | (meta >> (idx - 1) & 1)
-                victim = victims[meta] = idx - ways
-            return victim
-        # Partitioned walk: never descend into a subtree with no candidate.
-        cand = set(candidates)
-        if not cand:
-            raise ValueError("no candidate ways")
-        idx = 1
-        while idx < ways:
-            preferred = (idx << 1) | (meta >> (idx - 1) & 1)
-            idx = preferred if self._subtree_has(preferred, cand) else preferred ^ 1
-        return idx - ways
-
-    def _subtree_has(self, node, cand):
-        lo = hi = node
-        while lo < self.ways:
-            lo <<= 1
-            hi = (hi << 1) | 1
-        return any(w in cand for w in range(lo - self.ways, hi - self.ways + 1))
+        orders = self._orders[self.ways]
+        order = orders.get(meta)
+        if order is None:
+            if len(orders) >= self._ORDERS_CAP:
+                orders.clear()
+            order = orders[meta] = _victim_order(meta, 1, self.ways)
+        return _first_candidate(order, candidates)
 
 
 class RandomPolicy:
@@ -136,8 +137,7 @@ class RandomPolicy:
 
     draws = True
 
-    def __init__(self, seed: int = 0, ways: int = 8):
-        self.ways = ways
+    def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
 
     def new_set_meta(self):
@@ -163,9 +163,7 @@ def make_policy(name: str, ways: int = 8, seed: int = 0):
         cls = POLICIES[name]
     except KeyError:
         raise ValueError(f"unknown replacement policy {name!r}") from None
-    if cls is RandomPolicy:
-        return RandomPolicy(seed=seed, ways=ways)
-    return cls(ways)
+    return RandomPolicy(seed) if cls is RandomPolicy else cls(ways)
 
 
 def check_dirty_count(d, ways: int) -> None:
@@ -268,7 +266,7 @@ def dirty_eviction_experiment(ds, l: int, trials: int, seed: int,
     # first[d][j]: trials whose first victim below d was draw j + 1
     first = {d: [0] * l for d in todo}
     for t in range(trials):
-        pol = RandomPolicy(derive_seed(seed, "dirty-evict", t), ways)
+        pol = RandomPolicy(derive_seed(seed, "dirty-evict", t))
         pending = todo.copy()  # ascending, so a victim credits the largest d first
         for j in range(l):
             victim = pol.select_victim(None, candidates)

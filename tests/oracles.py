@@ -352,7 +352,7 @@ def noise_law_counts(cfg):
     ways = cfg.geometry.associativity
     k = cfg.encoding.bits_per_symbol
     stream = PREAMBLE + cfg.message
-    noise = dict(_draws(cfg)[0])
+    noise = dict(_draws(cfg, cfg.seed)[0])
     counts = []
     for i in range(len(stream) // k):
         d = cfg.encoding.level_for_bits(stream[i * k:(i + 1) * k])

@@ -11,8 +11,10 @@ sweep-multibit, sweep-d-one-8 and sweep-multibit-0-8 files were written
 before the encodings became one `Encoding` class, and the sweep-random-3,
 sweep-jitter-3 and sweep-tree-plru-noise-3 files before a sweep's trials
 shared one table of steps, the run-channel-rset-8 file before a cache
-became one set, and the run-channel-random-noise-trace files before a
-drawing run's decodes and noise accesses ran in the walk's frame.  To
+became one set, the run-channel-random-noise-trace files before a
+drawing run's decodes and noise accesses ran in the walk's frame, and the
+run-channel-tree-plru-partition file before a Tree-PLRU victim became the
+first candidate in its state's victim order.  To
 rewrite them after an intended change of output, run from the repo root:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -61,6 +63,11 @@ CASES = {
     "run-channel-write-through": ("run-channel", "--message-bits", "64",
                                   "--defense", "write-through"),
     "run-channel-partition": ("run-channel", "--message-bits", "64", "--defense", "partition"),
+    # the one path where Tree-PLRU sees hits and picks victims among part of
+    # the set; its bytes equal the same run under --policy lru
+    "run-channel-tree-plru-partition": ("run-channel", "--policy", "tree-plru",
+                                        "--defense", "partition", "--encoding", "multibit",
+                                        "--slip", "300", "--message-bits", "256"),
     "run-channel-jitter": ("run-channel", "--message-bits", "64", "--jitter", "2"),
     "run-channel-tree-plru": ("run-channel", "--message-bits", "64", "--policy", "tree-plru"),
     "run-channel-random": ("run-channel", "--message-bits", "64", "--policy", "random",

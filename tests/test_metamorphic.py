@@ -10,6 +10,10 @@ raw decoded stream, the BER, the per-actor counters and the cycle total
   calibration's cuts double with the totals they split.
 - Seed freedom: under LRU or Tree-PLRU with no jitter, noise or slip,
   nothing draws, so any two seeds give the same report.
+- Policy swap: a run under Tree-PLRU is the run under LRU, events and
+  all.  Every stream the channel sends its set is misses, apart from a
+  partitioned sender's hits on its own lines, and on misses both policies
+  evict in fill order; no hit tried has yet parted them.
 - Message prefix: a run decodes its symbols in order, and nothing it draws
   depends on what comes later, so the raw decoded stream of a message's
   first half is a prefix of the whole message's.
@@ -82,13 +86,15 @@ NOISY = ChannelConfig(message=random_bits(64, 3), period=1000, noise_rate=1.0,
                       noise_write_prob=0.5, seed=4, slip=300)
 
 
-def report_of(cfg):
-    """(raw decoded stream, BER, counters, cycles), or `CalibrationError`."""
+def report_of(cfg, events=False):
+    """(raw decoded stream, BER, counters, cycles), then the events if
+    `events`, or `CalibrationError`."""
     try:
         report = run_channel(cfg)
     except CalibrationError:
         return CalibrationError
-    return report.raw_received_bits, report.ber, report.counters, report.cycles
+    return (report.raw_received_bits, report.ber, report.counters, report.cycles,
+            *([report.events] if events else []))
 
 
 @DRAWS
@@ -125,6 +131,16 @@ def test_a_run_reads_its_period_only_through_its_event_order(cfg, shift):
 @given(cfg=configs(policies=("lru", "tree-plru"), drawn=False), seed=SEEDS)
 def test_a_run_that_draws_nothing_ignores_its_seed(cfg, seed):
     assert report_of(dataclasses.replace(cfg, seed=seed)) == report_of(cfg)
+
+
+@DRAWS
+@given(cfg=configs(policies=("lru",)))
+# The partitioned Tree-PLRU golden's run: the sender hits its own lines.
+@example(cfg=ChannelConfig(message=random_bits(64, 3), encoding=MultiBitEncoding(), seed=4,
+                           slip=300, geometry=DEFENSES["partition"]))
+def test_tree_plru_runs_the_channel_as_lru_does(cfg):
+    tree = dataclasses.replace(cfg, policy="tree-plru")
+    assert report_of(tree, events=True) == report_of(cfg, events=True)
 
 
 @DRAWS

@@ -231,6 +231,6 @@ def test_period_bers_draws_noise_and_slip_once(cfg, periods):
         channel._period_bers(cfg, periods, exact_cuts(cfg), 2)
     assert (labels["noise"], labels["slip"]) == (2, 2)
     # Each period's events, built from the one set of draws, are its own schedule.
-    draws = channel._draws(cfg)
+    draws = channel._draws(cfg, cfg.seed)
     for period in periods:
         assert channel._events(period, *draws) == schedule(dataclasses.replace(cfg, period=period))
