@@ -17,7 +17,8 @@ figures stay comparable across message sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import replace
 
 from .seeding import check_int
 
@@ -100,11 +101,7 @@ def align_by_preamble(stream, preamble) -> int:
     return best_offset
 
 
-@dataclass(frozen=True)
-class ErrorReport:
-    edit_distance: int
-    ber: float
-    clamped: bool = False
+ErrorReport = namedtuple("ErrorReport", "edit_distance ber clamped")
 
 
 def bit_error_rate(sent, received) -> ErrorReport:
@@ -125,14 +122,7 @@ def rate_kbps(period: int, bits_per_symbol: int) -> float:
     return bits_per_symbol * FREQUENCY_HZ / period / 1000.0
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    period_cycles: int
-    rate_kbps: float
-    encoding: str
-    d_label: str
-    trials: int
-    mean_ber: float
+SweepRow = namedtuple("SweepRow", "period_cycles rate_kbps encoding d_label trials mean_ber")
 
 
 def sweep_ber_vs_rate(cfg_template, periods=DEFAULT_PERIODS, trials: int = 3):

@@ -284,21 +284,12 @@ def receiver_decode(cache: Cache, cfg: ChannelConfig, rset: tuple,
 TraceEvent = namedtuple("TraceEvent", "cycle actor action d latency decoded_bits truth_bits")
 
 
-@dataclass(frozen=True)
-class ChannelReport:
-    """Decoded stream plus error metrics and per-actor counters."""
+class ChannelReport(namedtuple("ChannelReport", (
+        "sent_bits received_bits raw_received_bits edit_distance ber rate_kbps "
+        "alignment_offset preamble_locked counters cycles events"))):
+    """Decoded stream plus error metrics, per-actor counters and the trace."""
 
-    sent_bits: str
-    received_bits: str
-    raw_received_bits: str
-    edit_distance: int
-    ber: float
-    rate_kbps: float
-    alignment_offset: int
-    preamble_locked: bool
-    counters: dict
-    cycles: int
-    events: list = field(repr=False, default_factory=list)
+    __slots__ = ()
 
     @property
     def latency_trace(self) -> list:
@@ -449,7 +440,6 @@ def _simulate(steps: Steps, seed: int, period: int, events: list) -> ChannelRepo
     table = steps.table
     state = steps.start  # None when the cache draws
     trace = []
-    received_parts = []
     visits = []  # the walk's keys, one per event
     for cycle, _prio, index, action in events:
         # A noise access ("noise-read" or "noise-write") sends no symbol.
@@ -462,8 +452,6 @@ def _simulate(steps: Steps, seed: int, period: int, events: list) -> ChannelRepo
             visits.append(key)
         # tuple.__new__ skips the namedtuple's Python-level __new__ on this hot path.
         trace.append(tuple.__new__(TraceEvent, (cycle, actor, name, d, latency, bits, truth)))
-        if bits:
-            received_parts.append(bits)
     rows = {}  # actor -> (times, latency, *count delta) per step it took
     for key, times in Counter(visits).items():
         actor, _, _, latency, _, delta, _ = table[key]
@@ -473,7 +461,7 @@ def _simulate(steps: Steps, seed: int, period: int, events: list) -> ChannelRepo
         cycles, *counts = [sum(map(mul, column, times)) for column in columns]
         cache.add_outcomes(actor, counts, cycles)
 
-    received = "".join(received_parts)
+    received = "".join([event.decoded_bits for event in trace])
     try:
         offset = align_by_preamble(received, PREAMBLE)
         locked = True
@@ -551,13 +539,7 @@ SCENARIOS = ("set-state-dirty", "prime-with-dirty", "victim-timing")
 _SCENARIO_ALIASES = {"1": SCENARIOS[0], "2": SCENARIOS[1], "3": SCENARIOS[2]}
 
 
-@dataclass(frozen=True)
-class GadgetResult:
-    variant: str
-    scenario: str
-    secret: int
-    inferred: int
-    latencies: dict
+GadgetResult = namedtuple("GadgetResult", "variant scenario secret inferred latencies")
 
 
 def run_gadget_attack(variant: str, scenario: str, secret: int) -> GadgetResult:

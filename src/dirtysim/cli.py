@@ -21,7 +21,6 @@ Exit codes: 0 success, 2 configuration error, 3 threshold calibration failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -220,8 +219,8 @@ def cmd_run_channel(args):
         outputs[args.trace] = _csv(
             "cycle,actor,action,set,d,latency,decoded_bit,truth_bit",
             map("%s,%s,%s,0,%s,%s,%s,%s".__mod__, report.events))
-    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
-              if f.name != "events"}
+    fields = report._asdict()
+    del fields["events"]
     outputs[args.out] = _json({**fields, "latency_trace": latency_trace})
     return outputs
 
@@ -238,7 +237,7 @@ def cmd_sweep(args):
 
 def cmd_gadget(args):
     result = channel.run_gadget_attack(args.variant, args.scenario, args.secret)
-    return {args.out: _json(dataclasses.asdict(result))}
+    return {args.out: _json(result._asdict())}
 
 
 # -- parser ------------------------------------------------------------------

@@ -24,7 +24,7 @@ is therefore chased in tag order, and no seed orders it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cache import DEFAULT_GEOMETRY, Cache, CacheGeometry
 from .policy import check_dirty_count
@@ -36,13 +36,10 @@ SENDER = "sender"
 RECEIVER = "receiver"
 
 
-@dataclass(frozen=True)
-class LatencySample:
-    """One measurement: dirty lines present beforehand and the summed cycles."""
+class LatencySample(namedtuple("LatencySample", "dirty_before total_cycles resident_hits")):
+    """One measurement: dirty lines present beforehand, summed cycles, resident hits."""
 
-    dirty_before: int
-    total_cycles: int
-    resident_hits: int = 0
+    __slots__ = ()
 
     @property
     def precondition_violated(self) -> bool:

@@ -20,7 +20,7 @@ cache model in `dirtysim.cache`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 
 from .seeding import check_int, derive_seed
@@ -173,8 +173,7 @@ def check_dirty_count(d, ways: int) -> None:
         raise ValueError(f"d={d} outside 0..{ways}")
 
 
-@dataclass(frozen=True)
-class EvictionExperimentResult:
+class EvictionExperimentResult(namedtuple("EvictionExperimentResult", "trials evicted_within")):
     """Outcome of one Monte-Carlo eviction experiment, as a curve over draws.
 
     `evicted_within[k]` is the fraction of trials evicted within k + 1
@@ -182,8 +181,7 @@ class EvictionExperimentResult:
     with the largest n (or l) gives the whole table.
     """
 
-    trials: int
-    evicted_within: tuple[float, ...]
+    __slots__ = ()
 
     @property
     def evicted_fraction(self) -> float:
@@ -227,8 +225,7 @@ def eviction_distance_experiment(policy, n: int, trials: int, seed: int,
         trials, tuple(c * (trials // runs) / trials for c in accumulate(first)))
 
 
-@dataclass(frozen=True)
-class DirtyEvictionResult:
+class DirtyEvictionResult(namedtuple("DirtyEvictionResult", "trials curves")):
     """Outcome of one dirty-eviction experiment: one curve per dirty count.
 
     `curves[d][k]` is the fraction of trials with a dirty victim within
@@ -236,8 +233,7 @@ class DirtyEvictionResult:
     trials, so one run with every d and the largest l gives the whole table.
     """
 
-    trials: int
-    curves: dict[int, tuple[float, ...]]
+    __slots__ = ()
 
 
 def dirty_eviction_experiment(ds, l: int, trials: int, seed: int,

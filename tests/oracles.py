@@ -192,71 +192,65 @@ def dirty_eviction_fraction(d, l, trials, seed, ways=WAYS):
 
 
 class ReferenceCache:
-    """Reference L1: per set, a dict way -> [key, dirty] plus a recency list.
+    """Reference L1 set, as a `Cache` is one set: a dict way -> [(actor, tag), dirty].
 
     `policy` is "lru" (victim: least recent allowed way in the set's recency
-    list), "tree-plru" (an integer bitmask per set, walked by `plru_victim`)
-    or "random" (one `random.Random(seed)` for the whole cache, drawing with
-    `choice` over the sorted allowed ways, as the package does).  `partition`
-    maps actor -> allowed ways.  Jitter replays one draw per access from
-    `random.Random(seed ^ 0x6A177E52)`, the package's jitter stream.
-    `outcomes` counts each actor's accesses by (outcome kind, is store).
+    list), "tree-plru" (an integer bitmask, walked by `plru_victim`) or
+    "random" (one `random.Random(seed)` for the whole cache, drawing with
+    `choice` over the sorted allowed ways, as the package does).
+    `partition` maps actor -> allowed ways.  Jitter replays one draw per
+    access from `random.Random(seed ^ 0x6A177E52)`, the package's jitter
+    stream.  `outcomes` counts each actor's accesses by (outcome kind, is
+    store).
     """
 
     HIT, FILL, CLEAN, DIRTY, UNCACHED = (
         "hit", "miss-fill-invalid", "miss-evict-clean", "miss-evict-dirty", "uncached")
 
-    def __init__(self, policy, *, ways=WAYS, num_sets=64, line_size=64,
-                 write_back=True, partition=None, costs=(4, 11, 22, 11),
-                 jitter=0, seed=0):
+    def __init__(self, policy, *, ways=WAYS, write_back=True, partition=None,
+                 costs=(4, 11, 22, 11), jitter=0, seed=0):
         self.policy = policy
         self.ways = ways
-        self.num_sets = num_sets
-        self.line_size = line_size
         self.write_back = write_back
         self.partition = partition
         self.hit_cost, self.clean_cost, self.dirty_cost, self.uncached_cost = costs
         self.jitter = jitter
         self.victim_rng = random.Random(seed)
         self.jitter_rng = random.Random(seed ^ 0x6A177E52)
-        self.sets = {}  # set index -> {"lines": {way: [key, dirty]}, "recency": [...], "plru": int}
+        self.lines = {}  # way -> [(actor, tag), dirty]
+        self.recency = []  # ways, least recently used first
+        self.plru = 0
         self.counters = {}
         self.outcomes = {}  # actor -> Counter of (outcome kind, is store)
         self.cycles = 0
 
-    def _set(self, index):
-        return self.sets.setdefault(index, {"lines": {}, "recency": [], "plru": 0})
+    def _touch(self, way):
+        if way in self.recency:
+            self.recency.remove(way)
+        self.recency.append(way)
+        self.plru = plru_touch(self.plru, way, self.ways)
 
-    def _touch(self, s, way):
-        if way in s["recency"]:
-            s["recency"].remove(way)
-        s["recency"].append(way)
-        s["plru"] = plru_touch(s["plru"], way, self.ways)
-
-    def _victim(self, s, allowed):
+    def _victim(self, allowed):
         if self.policy == "lru":
-            return next(w for w in s["recency"] if w in allowed)
+            return next(w for w in self.recency if w in allowed)
         if self.policy == "tree-plru":
-            return plru_victim(s["plru"], self.ways,
+            return plru_victim(self.plru, self.ways,
                                None if len(allowed) == self.ways else allowed)
         return self.victim_rng.choice(sorted(allowed))
 
-    def access(self, actor, address, write):
+    def access(self, actor, tag, write):
         """Return (outcome kind, victim way, writeback, latency)."""
-        block = address // self.line_size
-        index = block % self.num_sets
-        key = (actor, block // self.num_sets)
+        key = (actor, tag)
         c = self.counters.setdefault(actor, dict(
             loads=0, stores=0, l1_hits=0, l1_misses=0, writebacks=0))
         c["stores" if write else "loads"] += 1
-        s = self._set(index)
-        lines = s["lines"]
+        lines = self.lines
         hit_way = next((w for w, (k, _) in lines.items() if k == key), None)
         if hit_way is not None:
             c["l1_hits"] += 1
             if write and self.write_back:
                 lines[hit_way][1] = True
-            self._touch(s, hit_way)
+            self._touch(hit_way)
             result = [self.HIT, None, False, self.hit_cost]
         elif write and not self.write_back:
             c["l1_misses"] += 1
@@ -269,22 +263,22 @@ class ReferenceCache:
             if empty:
                 way, result = empty[0], [self.FILL, empty[0], False, self.clean_cost]
             else:
-                way = self._victim(s, allowed)
+                way = self._victim(allowed)
                 if lines[way][1]:
                     c["writebacks"] += 1
                     result = [self.DIRTY, way, True, self.dirty_cost]
                 else:
                     result = [self.CLEAN, way, False, self.clean_cost]
             lines[way] = [key, write and self.write_back]
-            self._touch(s, way)
+            self._touch(way)
         self.outcomes.setdefault(actor, Counter())[result[0], bool(write)] += 1
         if self.jitter:
             result[3] += self.jitter_rng.randint(-self.jitter, self.jitter)
         self.cycles += result[3]
         return tuple(result)
 
-    def dirty_count(self, index):
-        return sum(dirty for _, dirty in self._set(index)["lines"].values())
+    def dirty_count(self):
+        return sum(dirty for _, dirty in self.lines.values())
 
 
 def direct_simulate(cfg, events, thresholds):

@@ -1,17 +1,16 @@
 """Differential test: the package cache against `oracles.ReferenceCache`.
 
-Random streams of (actor, tag, byte offset, read/write) run through both
-models, the reference as the byte address of that line and offset in a
-reference cache of one set (a `Cache` is one set), each stream with its own
-drawn costs, hit < clean miss < dirty miss; after every access the outcome
-kind, victim way, latency, per-actor counters, per-actor outcome counts,
-cycle total and the set's dirty count must agree, and the reference's own
-writeback flag must be set exactly on a dirty eviction.  The same streams,
-cut into `Cache.access_run` runs wherever the access kind or the actor
-changes, must sum to the reference's latencies, and drawn runs of one
-actor's tags must leave the state that per-line `access` calls leave.  After any stream, each actor's
-valid ways are a prefix of its sorted candidate ways: the invariant behind
-the cache's O(1) free-way test.
+Random streams of (actor, tag, read/write) run through both models, each
+one set (a `Cache` is one set), each stream with its own drawn costs, hit <
+clean miss < dirty miss; after every access the outcome kind, victim way,
+latency, per-actor counters, per-actor outcome counts, cycle total and the
+set's dirty count must agree, and the reference's own writeback flag must
+be set exactly on a dirty eviction.  The same streams, cut into
+`Cache.access_run` runs wherever the access kind or the actor changes, must
+sum to the reference's latencies, and drawn runs of one actor's tags must
+leave the state that per-line `access` calls leave.  After any stream, each
+actor's valid ways are a prefix of its sorted candidate ways: the invariant
+behind the cache's O(1) free-way test.
 """
 
 import itertools
@@ -40,7 +39,7 @@ JITTERS = st.sampled_from([0, 3])
 COSTS = st.lists(st.integers(0, 50), min_size=3, max_size=3, unique=True).map(sorted)
 
 streams = st.lists(
-    st.tuples(st.sampled_from("abc"), st.integers(0, 13), st.integers(0, 63), st.booleans()),
+    st.tuples(st.sampled_from("abc"), st.integers(0, 13), st.booleans()),
     min_size=1, max_size=80)
 
 
@@ -56,7 +55,7 @@ def twins(policy, mode, seed, jitter, costs):
     geo = CacheGeometry(**MODES[mode])
     hit, miss_clean, miss_dirty = costs
     cache = Cache(geo, policy, LatencyModel(hit, miss_clean, miss_dirty, jitter), seed=seed)
-    ref = ReferenceCache(policy, num_sets=1, seed=seed, jitter=jitter,
+    ref = ReferenceCache(policy, seed=seed, jitter=jitter,
                          costs=(hit, miss_clean, miss_dirty, miss_clean),
                          write_back=geo.write_policy is WritePolicy.WRITE_BACK_ALLOCATE,
                          partition=geo.partition and PARTITION)
@@ -100,16 +99,16 @@ def assert_valid_ways_are_prefixes(cache):
 @given(stream=streams, seed=SEEDS, jitter=JITTERS, costs=COSTS)
 def test_cache_matches_reference(policy, mode, stream, seed, jitter, costs):
     cache, ref = twins(policy, mode, seed, jitter, costs)
-    for actor, tag, offset, write in stream:
+    for actor, tag, write in stream:
         actor = actor_in(mode, actor)
         got = cache.access(make_line(actor, tag), write)
-        want = ref.access(actor, tag * 64 + offset, write)
+        want = ref.access(actor, tag, write)
         writeback = got.kind is OutcomeKind.MISS_EVICT_DIRTY
         assert (got.kind.value, got.victim_way, writeback, got.latency) == want
         assert cache.counters == ref.counters
         assert outcome_counts(cache) == ref.outcomes
         assert cache.cycles == ref.cycles
-        assert cache.dirty_count() == ref.dirty_count(0)
+        assert cache.dirty_count() == ref.dirty_count()
     assert_valid_ways_are_prefixes(cache)
 
 
@@ -120,15 +119,15 @@ def test_cache_matches_reference(policy, mode, stream, seed, jitter, costs):
 def test_runs_sum_to_the_reference_latencies(policy, mode, stream, seed, jitter, costs):
     # Each maximal run of one actor's loads or stores is one `access_run`.
     def run_key(access):
-        actor, _, _, write = access
+        actor, _, write = access
         return write, actor_in(mode, actor)
 
     cache, ref = twins(policy, mode, seed, jitter, costs)
     for (write, actor), run in itertools.groupby(stream, key=run_key):
         tags, want_total, want_hits = [], 0, 0
-        for _, tag, offset, _ in run:
+        for _, tag, _ in run:
             tags.append(tag)
-            kind, _, _, latency = ref.access(actor, tag * 64 + offset, write)
+            kind, _, _, latency = ref.access(actor, tag, write)
             want_total += latency
             want_hits += kind == ReferenceCache.HIT
         total, hits, _ = cache.access_run(actor, tags, write)

@@ -28,12 +28,19 @@ every run, not only at sampled seeds:
   both policies evict in fill order.  From the prime itself this fails
   under a partition: there the sender's stores hit its own lines, and the
   two policies keep different ones.
+- The probe law holds on a grid of geometries and encodings: for W = 2, 4,
+  8 and 16, replacement sets of W to W+4 lines, binary d = 1..W and
+  multibit 0/3/5/8 where it fits, both policies take equal steps after the
+  preamble, and every decode of level d totals
+  rset_size*miss_clean + d*(miss_dirty - miss_clean) and reads the symbol
+  that was sent.
 
 The cuts are `test_walk.exact_cuts`, midway between the levels' exact totals.
 """
 
 import pytest
 
+from dirtysim.cache import CacheGeometry
 from dirtysim.channel import PREAMBLE, BinaryEncoding, ChannelConfig, MultiBitEncoding, Steps
 from dirtysim.cli import DEFENSES
 from dirtysim.measurement import RECEIVER, SENDER
@@ -41,11 +48,15 @@ from dirtysim.measurement import RECEIVER, SENDER
 from test_walk import exact_cuts
 
 
-def table(defense, policy, encoding, noise_rate=0.0):
-    """The `Steps` of a channel under `defense`, with no steps taken yet."""
-    cfg = ChannelConfig(message="0" * encoding.bits_per_symbol, encoding=encoding,
-                        policy=policy, geometry=DEFENSES[defense], noise_rate=noise_rate,
-                        noise_write_prob=0.5)
+def table(defense, policy, encoding, noise_rate=0.0, **fields):
+    """The `Steps` of a channel under `defense`, with no steps taken yet.
+
+    `fields` are further config fields; a `geometry` among them replaces
+    the defense's.
+    """
+    cfg = ChannelConfig(**{"message": "0" * encoding.bits_per_symbol, "encoding": encoding,
+                           "policy": policy, "geometry": DEFENSES[defense],
+                           "noise_rate": noise_rate, "noise_write_prob": 0.5, **fields})
     return Steps(cfg, exact_cuts(cfg))
 
 
@@ -88,6 +99,34 @@ def lockstep(tables, starts, symbol, noise=None):
     """Each table's period from its start: ([steps taken, per table], (end states))."""
     runs = [period(steps, state, symbol, noise) for steps, state in zip(tables, starts)]
     return [taken for taken, _ in runs], tuple(end for _, end in runs)
+
+
+def paired_closure(tables, encoding, noise_rate=0.0):
+    """Walk lru's and tree-plru's `tables` in lockstep from the state after `PREAMBLE`.
+
+    Returns (every pair of period starts reached, [(start pair, symbol, noise
+    or None, [steps taken, per table])] of the preamble and of every period
+    from each pair).
+    """
+    k = encoding.bits_per_symbol
+    pair = tuple(steps.start for steps in tables)
+    walked = []
+    for i in range(0, len(PREAMBLE), k):
+        symbol = PREAMBLE[i:i + k]
+        taken, end = lockstep(tables, pair, symbol)
+        walked.append((pair, symbol, None, taken))
+        pair = end
+    paired = {pair}
+    todo = [pair]
+    while todo:
+        pair = todo.pop()
+        for symbol, noise in periods(encoding, noise_rate):
+            taken, end = lockstep(tables, pair, symbol, noise)
+            walked.append((pair, symbol, noise, taken))
+            if end not in paired:
+                paired.add(end)
+                todo.append(end)
+    return paired, walked
 
 
 def flips(decodes):
@@ -172,22 +211,39 @@ PAIRED_STARTS = {"binary": 8, "binary-noise": 8, "multibit": 8, "multibit-noise"
 def test_lru_and_tree_plru_take_equal_steps_once_the_preamble_has_run(defense, encoding,
                                                                     noise_rate, request):
     tables = [table(defense, policy, encoding, noise_rate) for policy in ("lru", "tree-plru")]
-    k = encoding.bits_per_symbol
-    pair = tuple(steps.start for steps in tables)
-    for i in range(0, len(PREAMBLE), k):
-        (lru, plru), pair = lockstep(tables, pair, PREAMBLE[i:i + k])
-        assert lru == plru
-    paired = {pair}
-    todo = [pair]
-    while todo:
-        pair = todo.pop()
-        for symbol, noise in periods(encoding, noise_rate):
-            (lru, plru), end = lockstep(tables, pair, symbol, noise)
-            assert lru == plru, (pair, symbol, noise)
-            if end not in paired:
-                paired.add(end)
-                todo.append(end)
+    paired, walked = paired_closure(tables, encoding, noise_rate)
+    for pair, symbol, noise, (lru, plru) in walked:
+        assert lru == plru, (pair, symbol, noise)
     assert len(paired) == PAIRED_STARTS[request.node.callspec.id]
+
+
+# The probe law's grid: W = 2-16, replacement sets of W to W+4 lines (a
+# smaller set cannot replace the whole set), binary d = 1..W and multibit
+# 0/3/5/8 where W >= 8; undefended, without noise.
+GRID = [(ways, rset_size, encoding)
+        for ways in (2, 4, 8, 16) for rset_size in range(ways, ways + 5)
+        for encoding in [*map(BinaryEncoding, range(1, ways + 1)),
+                         *([MultiBitEncoding()] if ways >= 8 else [])]]
+
+
+def test_on_the_grid_both_policies_decode_every_symbol_by_the_probe_law():
+    assert len(GRID) == 160
+    paired_starts = 0
+    for ways, rset_size, encoding in GRID:
+        tables = [table("none", policy, encoding, geometry=CacheGeometry(ways),
+                        rset_size=rset_size) for policy in ("lru", "tree-plru")]
+        lat = tables[0].cfg.latency
+        paired, walked = paired_closure(tables, encoding)
+        paired_starts += len(paired)
+        for pair, symbol, _, (lru, plru) in walked:
+            case = (ways, rset_size, encoding.levels, pair, symbol)
+            assert lru == plru, case
+            *_, (actor, _, _, total, bits, _) = lru
+            level = encoding.level_for_bits(symbol)
+            assert actor == RECEIVER, case
+            assert (total, bits) == (rset_size * lat.miss_clean
+                                     + level * (lat.miss_dirty - lat.miss_clean), symbol), case
+    assert paired_starts == 1517
 
 
 def test_from_the_prime_a_partitioned_sender_parts_lru_from_tree_plru():
