@@ -26,8 +26,10 @@ when the last is free: O(1).
 Each access adds one to one of its actor's outcome counts, a load and a
 store count per `OutcomeKind`; `Cache.counters` is derived from them.
 The set's state reads out as a hashable value and loads back into a fresh
-cache, its lines can be renamed in place, and counts and cycles can be
-added without an access: `channel` walks a table of steps with them.
+cache (`set_state`, `load_set`), its lines can be renamed in place
+(`relabel`), a full set's ways can be relisted in its policy's victim order
+(`normalize`), and counts and cycles can be added without an access:
+`channel` walks a table of steps with them.
 """
 
 from __future__ import annotations
@@ -205,6 +207,22 @@ class Cache:
         """
         tags = self._set[0]
         self._set[0] = list(map(names.get, tags, tags))
+
+    def normalize(self) -> None:
+        """Relist the ways, each line with its dirty bit, in victim order under fresh metadata.
+
+        The policy sees way positions only through its victim order
+        (`dirtysim.policy`), so the set behaves as it did, up to which way
+        holds which line.  Only a full set is normalized: a fill takes the
+        first free way, which relies on the valid ways forming a prefix.
+        Counts and cycles stay as they are.
+        """
+        tags, dirty, meta = self._set
+        if None in tags:
+            raise ValueError("only a full set has a normal form")
+        order = self.policy.victim_order(meta)
+        self._set = [[tags[way] for way in order], [dirty[way] for way in order],
+                     self.policy.new_set_meta()]
 
     def dirty_count(self) -> int:
         return sum(self._set[1])

@@ -31,6 +31,18 @@ decode's chase of `rsets[0]` is the real protocol's alternation; each noise
 line is accessed once.  The same argument lets the receiver chase its sets
 in tag order, which reads no seed.
 
+The walk also stores each state in its policy's normal form: the set's
+ways, each line with its dirty bit, relisted in the state's victim order
+under fresh metadata (`Cache.normalize`).  This is exact too.  LRU sees way
+positions only through its recency list, and Tree-PLRU is unchanged if a
+node's two subtrees swap and that node's bit flips.  Nothing else a step
+yields reads a way index: a full set fills no free way, and no trace field
+names a victim way.  So a state and its normal form take equal steps, with
+equal trace fields and counts, to states of one normal form, and the walk
+stores one state for all the relabellings of its ways.
+A partitioned set is stored as the action leaves it: its way indices say
+whose ways they are, so relisting them would move lines between actors.
+
 When the cache draws nothing (no random policy, no jitter), `_simulate`
 walks a table of steps instead of running every event.  Every access lands
 in the one set, so what an event does is fixed by the set's state (tags,
@@ -39,12 +51,12 @@ dirty bits, policy metadata) and its action: an encode's symbol bits,
 `Steps(cfg, thresholds).next(state, action)` is that step, a function: the
 first time a (state, action) comes up, it loads the state into a private
 cache of its own, acts there and stores the trace fields, the actor's
-counts and the set state the action leaves.  The walk tallies every step
-it takes, and the run's own cache does only the receiver's prime: the
-tallies' counts and cycles are added at the end, so every output is that of
-running each event.  No step reads the seed, and a decode is one step
-whichever set it chases.  A table is built once per `run_channel` call or
-once per sweep (`_period_bers`), whose trials all walk it.
+counts and the set state the action leaves, normalized.  The walk tallies
+every step it takes, and the run's own cache does only the receiver's
+prime: the tallies' counts and cycles are added at the end, so every output
+is that of running each event.  No step reads the seed, and a decode is
+one step whichever set it chases.  A table is built once per `run_channel`
+call or once per sweep (`_period_bers`), whose trials all walk it.
 `_simulate(steps, seed, period, events)` runs the table's own config at
 `seed` and `period`, so the runs that share a table share one config but
 for those two, and one set of cuts, by construction.  A cache that draws
@@ -357,11 +369,12 @@ class Steps:
     step: (the trace fields from actor to decoded bits, the actor's counts,
     the next state).  The first time a (state, action) comes up, it loads
     the state into the table's own cache, `act`s there and interns the set
-    state the action leaves, which is in the walk's frame (module
-    docstring).  `start` is the state after the prime, or None when the
-    cache draws: a drawing cache's steps hang on its generators, so a run
-    then `act`s every event on its own cache and nothing is stored.  No step
-    reads `cfg.seed`, so runs at any seed may walk one table.
+    state the action leaves, which is in the walk's frame and, unless the
+    set is partitioned, in its normal form (module docstring).  `start` is
+    the state after the prime, or None when the cache draws: a drawing
+    cache's steps hang on its generators, so a run then `act`s every event
+    on its own cache and nothing is stored.  No step reads `cfg.seed`, so
+    runs at any seed may walk one table.
     """
 
     def __init__(self, cfg: ChannelConfig, thresholds: Thresholds):
@@ -382,10 +395,14 @@ class Steps:
         self.ids = {}     # set state -> its id
         self.states = []  # id -> set state
         self._cache = _primed_cache(cfg, cfg.seed)
+        # Way indices carry a partition, so only an unpartitioned set is normalized.
+        self._normalize = cfg.geometry.partition is None
         self.start = None if self._cache.draws else self._intern()
 
     def _intern(self) -> int:
-        """The id of the private cache's set state."""
+        """The id of the private cache's set state, in its normal form when it has one."""
+        if self._normalize:
+            self._cache.normalize()
         state = self._cache.set_state()
         sid = self.ids.setdefault(state, len(self.ids))
         if sid == len(self.states):

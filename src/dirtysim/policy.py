@@ -6,15 +6,18 @@ LRU and Tree-PLRU are rules over one set's metadata and hold no other
 state; the random policy keeps no metadata, and its generator is the only
 state a policy holds.  A policy is `draws`, which says whether it reads
 that generator, and three rules: `new_set_meta`, `on_access` and
-`select_victim`.  Metadata is a value: `new_set_meta` returns a fresh set's
-and `on_access` the set's new one, and the caller keeps it.  LRU's is a
-recency list, which it updates in place and returns; Tree-PLRU's is one int
-of W-1 bits; the random policy's is None.  LRU and Tree-PLRU share one
-victim rule: a state lists the set's ways in victim order, and the victim
-among any candidates (a full set, or a partition's ways) is the first of
-them in that order.  LRU's recency list is its order; Tree-PLRU expands its
-bits into one.  This keeps the experiments below independent of the full
-cache model in `dirtysim.cache`.
+`select_victim`; LRU and Tree-PLRU have a fourth, `victim_order`.
+Metadata is a value: `new_set_meta` returns a fresh set's and `on_access`
+the set's new one, and the caller keeps it.  LRU's is a recency list, which
+it updates in place and returns; Tree-PLRU's is one int of W-1 bits; the
+random policy's is None.  LRU and Tree-PLRU share one victim rule: a state
+lists the set's ways in victim order (`victim_order`), and the victim among
+any candidates (a full set, or a partition's ways) is the first of them in
+that order.  LRU's recency list is its order; Tree-PLRU expands its bits
+into one.  Either policy sees way positions only through that order, so a
+set whose ways are relisted in it, under fresh metadata, behaves as the set
+did: `Cache.normalize` is that relisting.  This keeps the experiments below
+independent of the full cache model in `dirtysim.cache`.
 """
 
 from __future__ import annotations
@@ -54,6 +57,10 @@ class TrueLRU:
 
     def select_victim(self, meta, candidates):
         return _first_candidate(meta, candidates)
+
+    def victim_order(self, meta):
+        """The set's ways in victim order: its recency list itself."""
+        return meta
 
 
 def _touch_masks(ways):
@@ -97,7 +104,10 @@ class TreePLRU:
     set too: the walk there skips a subtree only when it holds no
     candidate, and every leaf of a node's pointed-to subtree precedes the
     other subtree's, so the first candidate in the order is where the walk
-    ends.  A state's order is expanded once, the first time it is seen.
+    ends.  Swapping a node's two subtrees and flipping its bit changes
+    nothing the policy does but which ways it names; doing so at every set
+    bit lists the ways in victim order under metadata 0, whose order is
+    0..W-1.  A state's order is expanded once, the first time it is seen.
     The masks and orders are the class's, one table each per way count, so
     an instance holds nothing but `ways`.
     """
@@ -124,12 +134,20 @@ class TreePLRU:
 
     def select_victim(self, meta, candidates):
         orders = self._orders[self.ways]
+        order = orders.get(meta)  # a seen state's victim: one lookup
+        if order is None:
+            order = self.victim_order(meta)
+        return _first_candidate(order, candidates)
+
+    def victim_order(self, meta):
+        """The set's ways in victim order, from the memo or expanded into it."""
+        orders = self._orders[self.ways]
         order = orders.get(meta)
         if order is None:
             if len(orders) >= self._ORDERS_CAP:
                 orders.clear()
             order = orders[meta] = _victim_order(meta, 1, self.ways)
-        return _first_candidate(order, candidates)
+        return order
 
 
 class RandomPolicy:

@@ -187,6 +187,34 @@ def test_relabel_renames_lines_and_nothing_else(policy):
     assert cache.access(make_line("a", 1), False).kind is OutcomeKind.HIT
 
 
+@pytest.mark.parametrize("policy, tags, dirty, meta", [
+    ("lru", (1, 3, 2, 0), (False, False, True, True), (0, 1, 2, 3)),
+    # Bits 0-2 all point right after the touches, so the order is 3, 2, 1, 0.
+    ("tree-plru", (3, 2, 1, 0), (False, True, False, True), 0),
+])
+def test_normalize_lists_the_ways_in_victim_order_under_fresh_metadata(policy, tags, dirty,
+                                                                       meta):
+    cache = Cache(CacheGeometry(4), policy)
+    cache.access_run("a", range(4), False)
+    cache.access_run("a", (2, 0), True)
+    counters, cycles = cache.counters, cache.cycles
+    cache.normalize()
+    assert cache.set_state() == (tuple(("a", tag) for tag in tags), dirty, meta)
+    assert (cache.counters, cache.cycles) == (counters, cycles)
+
+
+@pytest.mark.parametrize("policy", ["lru", "tree-plru"])
+def test_normalize_refuses_a_set_with_an_invalid_way(policy):
+    # A fill takes the first free way, so a relisted free way would break
+    # the rule that the valid ways are a prefix.
+    cache = Cache(CacheGeometry(4), policy)
+    cache.access_run("a", range(3), True)
+    state = cache.set_state()
+    with pytest.raises(ValueError, match="^only a full set has a normal form$"):
+        cache.normalize()
+    assert cache.set_state() == state
+
+
 def test_load_set_starts_counts_and_cycles_at_0():
     cache, fresh = Cache(), Cache()
     cache.access_run("a", range(10), True)

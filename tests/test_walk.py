@@ -15,6 +15,11 @@ shuffled by the run's seed, where the package chases tag order.  So
 the walk-against-oracle test also checks, on every drawn case, random
 policy and jitter included, that the chase order cannot change a report.
 
+The walk stores each unpartitioned state in its policy's normal form
+(`Cache.normalize`).  A drawn full set and its normal form must take equal
+steps on every action, to states of one normal form; a partitioned walk
+must store each state as its action left it.
+
 Tier-1 checks the same few cases on every run; `pytest
 --hypothesis-profile=differential` draws that profile's count of fresh ones
 (see `conftest.py`).
@@ -28,7 +33,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dirtysim.channel as channel
-from dirtysim.cache import Cache, LatencyModel
+from dirtysim.cache import Cache, CacheGeometry, LatencyModel, WritePolicy
 from dirtysim.channel import (BinaryEncoding, ChannelConfig, MultiBitEncoding, Thresholds,
                               run_channel, schedule)
 from dirtysim.cli import DEFENSES
@@ -119,12 +124,13 @@ def count_actions(monkeypatch, cfg):
 @pytest.mark.parametrize("bits", [512, 2048, 16384])
 @pytest.mark.parametrize("policy", ["lru", "tree-plru"])
 def test_a_run_that_draws_nothing_runs_each_step_once(monkeypatch, policy, bits):
-    # A default binary run visits the same 17 (state, symbol) and 17
+    # A default binary run visits the same 3 (state, symbol) and 3
     # (state, decode) steps at every length: a state is stored in the frame
-    # of its next decode, so both replacement sets' decodes share one step.
+    # of its next decode, so both replacement sets' decodes share one step,
+    # and in its policy's normal form, so a relabelling of its ways does too.
     cfg = ChannelConfig(message=random_bits(bits, 1), seed=1, policy=policy)
     encodes, decodes, symbols = count_actions(monkeypatch, cfg)
-    assert (encodes, decodes, symbols) == (17, 17, (16 + bits))
+    assert (encodes, decodes, symbols) == (3, 3, (16 + bits))
 
 
 @pytest.mark.parametrize("fields", [dict(policy="random", rset_size=24),
@@ -198,6 +204,87 @@ def test_a_decode_on_either_replacement_set_is_one_step(policy, defense, noise, 
                           sample.total_cycles, bits)
         assert acted.outcome_counts(channel.RECEIVER) == real.outcome_counts(channel.RECEIVER)
         assert acted.set_state() == real.set_state()
+
+
+def normal_form(cfg, state):
+    """`state` in its policy's normal form, read back through a cache of `cfg`'s."""
+    cache = Cache(cfg.geometry, cfg.policy, cfg.latency)
+    cache.load_set(state)
+    cache.normalize()
+    return cache.set_state()
+
+
+def step(steps, state, action):
+    """(trace fields, the actor's counts, the set state left) of `action` from `state`."""
+    cache = Cache(steps.cfg.geometry, steps.cfg.policy, steps.cfg.latency)
+    cache.load_set(state)
+    fields = steps.act(cache, action)
+    return fields, cache.outcome_counts(fields[0]), cache.set_state()
+
+
+@st.composite
+def full_sets(draw):
+    """(steps, a full set's state) of a noisy config, at W = 4, 8 or 16.
+
+    Each way holds a sender line, a receiver line (primed or of either
+    replacement set) or the renamed noise line, with any dirty bit, under
+    any LRU recency order or Tree-PLRU state.
+    """
+    ways = draw(st.sampled_from([4, 8, 16]))
+    policy = draw(st.sampled_from(["lru", "tree-plru"]))
+    encoding = draw(st.sampled_from([BinaryEncoding(1), BinaryEncoding(3),
+                                     *([MultiBitEncoding()] if ways >= 8 else [])]))
+    write_policy = draw(st.sampled_from(list(WritePolicy)))
+    cfg = ChannelConfig(message=encoding.bits_for_level_index(0), encoding=encoding,
+                        rset_size=draw(st.integers(ways, ways + 4)), noise_rate=0.5,
+                        noise_write_prob=0.5, geometry=CacheGeometry(ways, write_policy),
+                        policy=policy)
+    steps = channel.Steps(cfg, exact_cuts(cfg))
+    lines = ([(channel.SENDER, tag) for tag in range(ways)]
+             + [(channel.RECEIVER, tag) for tag in range(ways)]
+             + [(channel.RECEIVER, tag) for rset in steps.rsets for tag in rset]
+             + [*channel._RENAME_NOISE.values()])
+    tags = draw(st.lists(st.sampled_from(lines), min_size=ways, max_size=ways, unique=True))
+    dirty = draw(st.lists(st.booleans(), min_size=ways, max_size=ways))
+    meta = draw(st.permutations(range(ways)) if policy == "lru"
+                else st.integers(0, 2 ** (ways - 1) - 1))
+    return steps, (tuple(tags), tuple(dirty), tuple(meta) if policy == "lru" else meta)
+
+
+@DRAWS
+@given(case=full_sets())
+def test_a_state_and_its_normal_form_take_equal_steps(case):
+    # Why the walk may store a state in its normal form: from a full set and
+    # from its normal form, every action gives the same trace fields and
+    # count deltas, and leaves states with one normal form.
+    steps, state = case
+    cfg = steps.cfg
+    normal = normal_form(cfg, state)
+    symbols = [cfg.encoding.bits_for_level_index(i) for i in range(len(cfg.encoding.levels))]
+    for action in [*symbols, "noise-read", "noise-write", "decode"]:
+        fields, counts, left = step(steps, state, action)
+        normal_fields, normal_counts, normal_left = step(steps, normal, action)
+        assert (fields, counts) == (normal_fields, normal_counts), action
+        assert normal_form(cfg, left) == normal_form(cfg, normal_left), action
+
+
+@pytest.mark.parametrize("policy", ["lru", "tree-plru"])
+@pytest.mark.parametrize("defense", ["none", "write-through", "partition"])
+def test_a_walk_stores_normal_forms_unless_the_set_is_partitioned(policy, defense):
+    # Way indices carry a partition, so a partitioned walk stores the set as
+    # each action leaves it; every other walk stores that set's normal form.
+    cfg = ChannelConfig(message=random_bits(256, 4), encoding=MultiBitEncoding(), seed=4,
+                        geometry=DEFENSES[defense], policy=policy)
+    steps = channel.Steps(cfg, exact_cuts(cfg))
+    channel._simulate(steps, cfg.seed, cfg.period, schedule(cfg))
+    partitioned = defense == "partition"
+    for (state, action), (*_, then) in steps.table.items():
+        left = step(steps, steps.states[state], action)[2]
+        assert steps.states[then] == (left if partitioned else normal_form(cfg, left))
+    # Not vacuous: a normal form's metadata is fresh, and some stored
+    # partitioned state's is not.
+    fresh = Cache(cfg.geometry, cfg.policy).set_state()[2]
+    assert any(meta != fresh for *_, meta in steps.states) == partitioned
 
 
 def test_the_chase_order_reads_no_seed():
