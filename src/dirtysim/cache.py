@@ -215,8 +215,15 @@ class Cache:
         (`dirtysim.policy`), so the set behaves as it did, up to which way
         holds which line.  Only a full set is normalized: a fill takes the
         first free way, which relies on the valid ways forming a prefix.
-        Counts and cycles stay as they are.
+        A partitioned set is its own normal form and stays as it is: its
+        way indices say whose ways they are, so relisting them would move
+        lines between actors.  The random policy has no victim order, so a
+        set under it has no normal form.  Counts and cycles stay as they are.
         """
+        if self.geometry.partition is not None:
+            return
+        if self.policy.draws:
+            raise ValueError("a policy that draws its victims has no normal form")
         tags, dirty, meta = self._set
         if None in tags:
             raise ValueError("only a full set has a normal form")

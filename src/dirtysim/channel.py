@@ -40,8 +40,9 @@ yields reads a way index: a full set fills no free way, and no trace field
 names a victim way.  So a state and its normal form take equal steps, with
 equal trace fields and counts, to states of one normal form, and the walk
 stores one state for all the relabellings of its ways.
-A partitioned set is stored as the action leaves it: its way indices say
-whose ways they are, so relisting them would move lines between actors.
+A partitioned set is its own normal form, stored as the action leaves it:
+its way indices say whose ways they are, so relisting them would move lines
+between actors.
 
 When the cache draws nothing (no random policy, no jitter), `_simulate`
 walks a table of steps instead of running every event.  Every access lands
@@ -395,14 +396,11 @@ class Steps:
         self.ids = {}     # set state -> its id
         self.states = []  # id -> set state
         self._cache = _primed_cache(cfg, cfg.seed)
-        # Way indices carry a partition, so only an unpartitioned set is normalized.
-        self._normalize = cfg.geometry.partition is None
         self.start = None if self._cache.draws else self._intern()
 
     def _intern(self) -> int:
-        """The id of the private cache's set state, in its normal form when it has one."""
-        if self._normalize:
-            self._cache.normalize()
+        """The id of the private cache's set state, in its normal form."""
+        self._cache.normalize()
         state = self._cache.set_state()
         sid = self.ids.setdefault(state, len(self.ids))
         if sid == len(self.states):

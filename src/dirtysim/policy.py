@@ -133,11 +133,7 @@ class TreePLRU:
         return meta & keep | put
 
     def select_victim(self, meta, candidates):
-        orders = self._orders[self.ways]
-        order = orders.get(meta)  # a seen state's victim: one lookup
-        if order is None:
-            order = self.victim_order(meta)
-        return _first_candidate(order, candidates)
+        return _first_candidate(self.victim_order(meta), candidates)
 
     def victim_order(self, meta):
         """The set's ways in victim order, from the memo or expanded into it."""

@@ -4,18 +4,18 @@ A count does not drift with the host, as a wall time does, so two commits'
 counts compare exactly.  The workloads and the pass are those of
 `benchmarks/run.py`, imported read-only (`WORKLOADS` and `run_pass`): each
 workload runs one warm pass first, so class-level memos fill, and then two
-passes counted with `sys.settrace` and `f_trace_opcodes`.  It exits 1 if
-the two counts differ, or if a call exits non-zero.
+passes counted with `sys.settrace` and `f_trace_opcodes`, all at the
+benchmark's seed, 2024.  It exits 1 if the two counts differ, or if a call
+exits non-zero.
 
 Only Python frames count: work in C (big-int arithmetic, the json encoder,
 `getrandbits`) is invisible, so a count is not a time.  Counts depend on the
 bytecode, so compare them within one Python version.  Standard library
 only; run it from the repository root:
 
-    python tests/opcodes.py [--seed N] [workload ...]
+    python tests/opcodes.py
 """
 
-import argparse
 import sys
 import tempfile
 from pathlib import Path
@@ -51,23 +51,17 @@ def counted_pass(workload, seed, outdir) -> int:
     return count
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=2024)
-    parser.add_argument("workloads", nargs="*", metavar="workload",
-                        help=f"any of {', '.join(WORKLOADS)}; default all")
-    args = parser.parse_args(argv)
-    unknown = [name for name in args.workloads if name not in WORKLOADS]
-    if unknown:
-        parser.error(f"unknown workload {unknown[0]!r}")
-    print(f"python {sys.version.split()[0]}, seed {args.seed}")
+SEED = 2024  # the seed of every count in BENCH_af4fc89.json
+
+
+def main() -> int:
+    print(f"python {sys.version.split()[0]}, seed {SEED}")
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
         outdir = Path(tmp)
-        for name in args.workloads or WORKLOADS:
-            workload = WORKLOADS[name]
-            run_pass(cli, workload, args.seed, outdir)  # warm: memos fill
-            counts = [counted_pass(workload, args.seed, outdir) for _ in range(2)]
+        for name, workload in WORKLOADS.items():
+            run_pass(cli, workload, SEED, outdir)  # warm: memos fill
+            counts = [counted_pass(workload, SEED, outdir) for _ in range(2)]
             print(f"{counts[0]:9,}  {name}" + ("" if counts[0] == counts[1]
                                                 else f"  (second pass {counts[1]:,})"))
             status |= counts[0] != counts[1]

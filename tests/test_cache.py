@@ -215,6 +215,27 @@ def test_normalize_refuses_a_set_with_an_invalid_way(policy):
     assert cache.set_state() == state
 
 
+@pytest.mark.parametrize("policy", ["lru", "tree-plru", "random"])
+def test_a_partitioned_set_is_its_own_normal_form(policy):
+    # Way indices say whose ways they are: relisting would move lines between actors.
+    cache = Cache(CacheGeometry(4, partition={"a": {0, 1}, "b": {2, 3}}), policy)
+    cache.access_run("a", range(2), True)
+    cache.access_run("b", range(2), False)
+    cache.access_run("a", (0,), False)
+    state = cache.set_state()
+    cache.normalize()
+    assert cache.set_state() == state
+
+
+def test_a_set_under_the_random_policy_has_no_normal_form():
+    cache = Cache(CacheGeometry(4), "random")
+    cache.access_run("a", range(4), True)
+    state = cache.set_state()
+    with pytest.raises(ValueError, match="^a policy that draws its victims has no normal form$"):
+        cache.normalize()
+    assert cache.set_state() == state
+
+
 def test_load_set_starts_counts_and_cycles_at_0():
     cache, fresh = Cache(), Cache()
     cache.access_run("a", range(10), True)
