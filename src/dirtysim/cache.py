@@ -305,5 +305,4 @@ class Cache:
             total += latency
         record[2] = meta
         self.cycles += total
-        # tuple.__new__ skips the namedtuple's Python-level __new__ on this hot path.
-        return total, hits, tuple.__new__(AccessOutcome, (_KINDS[outcome >> 1], victim, latency))
+        return total, hits, AccessOutcome(_KINDS[outcome >> 1], victim, latency)

@@ -103,10 +103,8 @@ class Encoding:
     """Symbol bits <-> dirty-line count: 2**k strictly increasing levels carry k bits.
 
     Binary is the two-level case (0, d_one).  `name` sets `d_label`: d_one for
-    binary, every level for multibit.  Both directions of the mapping are
-    looked up in tables built with the encoding.  The tables are not
-    fields, so equality, hashing, `repr` and `dataclasses.replace` see only
-    `levels` and `name`.
+    binary, every level for multibit.  A level's symbol is its index in
+    `levels`, written as k binary digits.
     """
 
     levels: tuple
@@ -127,9 +125,6 @@ class Encoding:
             raise ValueError("levels must be strictly increasing")
         if levels[0] < 0:
             raise ValueError("levels must be non-negative")
-        symbols = tuple(format(i, f"0{self.bits_per_symbol}b") for i in range(len(levels)))
-        object.__setattr__(self, "_symbols", symbols)
-        object.__setattr__(self, "_level_of", dict(zip(symbols, levels)))
 
     @property
     def bits_per_symbol(self) -> int:
@@ -142,13 +137,14 @@ class Encoding:
         return "-".join(str(d) for d in self.levels)
 
     def level_for_bits(self, bits: str) -> int:
-        try:
-            return self._level_of[bits]
-        except KeyError:
-            raise ValueError(f"symbol {bits!r} is not {self.bits_per_symbol} bits") from None
+        # strip, since int(x, 2) also reads " 1", "+1", "0_1" and other digits.
+        if len(bits) != self.bits_per_symbol or bits.strip("01"):
+            raise ValueError(f"symbol {bits!r} is not {self.bits_per_symbol} bits")
+        return self.levels[int(bits, 2)]
 
     def bits_for_level_index(self, index: int) -> str:
-        return self._symbols[index]
+        # Indexing the range raises IndexError for an index with no level.
+        return format(range(len(self.levels))[index], "b").zfill(self.bits_per_symbol)
 
 
 def BinaryEncoding(d_one: int = 1) -> Encoding:
@@ -538,7 +534,7 @@ def _period_bers(cfg: ChannelConfig, periods, thresholds: Thresholds, trials: in
             events = _events(period, *draws)
             # One C int per event; exact, since prio < 3 (an index too big
             # for a C int raises rather than collide).
-            order = array("i", (3 * index + prio for _, prio, index, _ in events)).tobytes()
+            order = array("i", [3 * index + prio for _, prio, index, _ in events]).tobytes()
             if order not in ber_of_order:
                 ber_of_order[order] = _simulate(steps, seed, period, events).ber
             del events  # so two periods' events are never alive at once

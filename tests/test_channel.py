@@ -73,7 +73,8 @@ def test_multibit_encoding_mapping():
 
 @pytest.mark.parametrize("enc", [BinaryEncoding(d_one) for d_one in range(1, 9)]
                          + [MultiBitEncoding(), MultiBitEncoding((0, 8)),
-                            MultiBitEncoding((0, 1, 2, 8)), MultiBitEncoding(tuple(range(16)))],
+                            MultiBitEncoding((0, 1, 2, 8)), MultiBitEncoding(tuple(range(8))),
+                            MultiBitEncoding(tuple(range(16)))],
                          ids=repr)
 def test_encoding_tables_round_trip(enc):
     k = enc.bits_per_symbol
@@ -81,9 +82,15 @@ def test_encoding_tables_round_trip(enc):
         bits = enc.bits_for_level_index(index)
         assert bits == format(index, f"0{k}b")
         assert enc.level_for_bits(bits) == level
-    for bad in ("", "2", "011", "1 "):
+    # After "1 ", symbols that int(x, 2) reads as a number.
+    bad_symbols = ["", "2", "011", "1 ", " 1", "+1", "-0", "\u0661\u0660", "0_1"]
+    if k == 3:
+        bad_symbols.remove("011")  # a 3-bit encoding's symbol for level 3
+    for bad in bad_symbols:
         with pytest.raises(ValueError, match=f"^symbol {re.escape(repr(bad))} is not {k} bits$"):
             enc.level_for_bits(bad)
+    with pytest.raises(IndexError):
+        enc.bits_for_level_index(len(enc.levels))
 
 
 def test_encoding_tables_are_not_fields():

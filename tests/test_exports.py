@@ -8,6 +8,8 @@ import pkgutil
 import types
 
 import dirtysim
+from dirtysim.cache import CacheGeometry, LatencyModel
+from dirtysim.channel import ChannelConfig, MultiBitEncoding, Thresholds
 
 # Records that only carry a result, by module.
 RESULTS = {"analysis": ("ErrorReport", "SweepRow"),
@@ -44,3 +46,18 @@ def test_a_dataclass_checks_itself_and_a_result_is_a_named_tuple():
             # A named tuple, and no subclass of it gives an instance a __dict__.
             assert issubclass(cls, tuple) and cls._fields, name
             assert cls.__dictoffset__ == 0, name
+
+
+def test_a_dataclass_instance_holds_exactly_its_fields():
+    # One sample per dataclass; a cache kept on an instance, as Encoding
+    # once kept its lookup tables, shows in vars() beside the fields.
+    samples = [CacheGeometry(partition={"sender": range(4)}), LatencyModel(jitter=1),
+               MultiBitEncoding(), ChannelConfig(message="0110"), Thresholds((1.0, 2.0))]
+    for sample in samples:
+        assert list(vars(sample)) == [f.name for f in dataclasses.fields(sample)], sample
+    modules = [importlib.import_module(f"dirtysim.{info.name}")
+               for info in pkgutil.iter_modules(dirtysim.__path__)]
+    defined = {value for module in modules for value in vars(module).values()
+               if isinstance(value, type) and dataclasses.is_dataclass(value)
+               and value.__module__ == module.__name__}
+    assert defined == {type(sample) for sample in samples}
