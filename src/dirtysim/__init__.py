@@ -9,8 +9,8 @@ and defense modes (write-through, way partitioning).
 from .analysis import (DEFAULT_PERIODS, ErrorReport, PreambleLockError,
                        align_by_preamble, bit_error_rate, edit_distance,
                        rate_kbps, sweep_ber_vs_rate)
-from .cache import (AccessOutcome, Cache, CacheGeometry, LatencyModel,
-                    OutcomeKind, WritePolicy, make_line)
+from .cache import (Cache, CacheGeometry, LatencyModel, OutcomeKind,
+                    WritePolicy, make_line)
 from .channel import (BinaryEncoding, CalibrationError, ChannelConfig,
                       ChannelReport, Encoding, GadgetResult, MultiBitEncoding,
                       Thresholds, calibrate_thresholds, receiver_decode,
@@ -28,7 +28,7 @@ from .seeding import derive_seed, random_bits
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccessOutcome", "BinaryEncoding", "Cache", "CacheGeometry",
+    "BinaryEncoding", "Cache", "CacheGeometry",
     "CalibrationError", "ChannelConfig", "ChannelReport", "DEFAULT_PERIODS",
     "DirtyEvictionResult", "Encoding", "ErrorReport",
     "EvictionExperimentResult", "GadgetResult", "LatencyModel", "LatencySample",

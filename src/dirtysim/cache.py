@@ -23,8 +23,9 @@ raises changes nothing.  No line is ever invalidated
 and a fill takes the actor's first free candidate way, so its valid
 candidates are a prefix of its sorted ways, and a free one exists exactly
 when the last is free: O(1).
-Each access adds one to one of its actor's outcome counts, a load and a
-store count per `OutcomeKind`; `Cache.counters` is derived from them.
+An access returns its latency alone, and adds one to one of its actor's
+outcome counts, a load and a store count per `OutcomeKind`;
+`Cache.counters` is derived from them.
 The set's state reads out as a hashable value and loads back into a fresh
 cache (`set_state`, `load_set`), its lines can be renamed in place
 (`relabel`), a full set's ways can be relisted in its policy's victim order
@@ -35,7 +36,6 @@ cache (`set_state`, `load_set`), its lines can be renamed in place
 from __future__ import annotations
 
 import random
-from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from operator import add
@@ -119,15 +119,11 @@ class LatencyModel:
             check_int(name, getattr(self, name), 0)
 
 
-AccessOutcome = namedtuple("AccessOutcome", "kind victim_way latency")
-
-
 DEFAULT_GEOMETRY = CacheGeometry()
 DEFAULT_LATENCY = LatencyModel()
 
 # The k-th `OutcomeKind` as an offset into an actor's counts: loads 2k, stores 2k+1.
 _HIT, _FILL, _EVICT_CLEAN, _EVICT_DIRTY, _UNCACHED = range(0, 10, 2)
-_KINDS = tuple(OutcomeKind)
 _NO_COUNTS = (0,) * 10
 
 
@@ -236,18 +232,20 @@ class Cache:
 
     # -- accesses -----------------------------------------------------------
 
-    def access(self, line: tuple, is_write: bool) -> AccessOutcome:
+    def access(self, line: tuple, is_write: bool) -> int:
+        """Access one line; returns its latency in cycles."""
         actor, tag = line
-        return self.access_run(actor, (tag,), is_write)[2]
+        return self.access_run(actor, (tag,), is_write)[0]
 
-    def access_run(self, actor, tags, is_write: bool):
+    def access_run(self, actor, tags, is_write: bool) -> tuple:
         """Access one actor's `tags`, in order, all loads or all stores.
 
         `tags` is a sequence, such as a tuple or a range.  Returns (summed
-        latency, hit count, last `AccessOutcome` or None).  State, counters
-        and cycles are those of `access` on each line in turn.  The actor's
-        ways are checked before the first access, so a run that raises
-        changes nothing, and an empty run does not count the actor.
+        latency, hit count); each access's outcome kind is in
+        `outcome_counts`.  State, counters and cycles are those of `access`
+        on each line in turn.  The actor's ways are checked before the first
+        access, so a run that raises changes nothing, and an empty run does
+        not count the actor.
         """
         ways = self._ways
         if self.geometry.partition is not None:
@@ -256,7 +254,7 @@ class Cache:
             except KeyError:
                 raise ValueError(f"actor {actor!r} has no way partition") from None
         if not tags:
-            return 0, 0, None
+            return 0, 0
         record = self._set
         resident, dirty, meta = record
         counts = self._counts.get(actor)
@@ -276,11 +274,11 @@ class Cache:
                 if is_write and write_back:
                     dirty[way] = True
                 meta = policy.on_access(meta, way)
-                outcome, victim, latency = _HIT, None, cost.hit
+                outcome, latency = _HIT, cost.hit
                 hits += 1
             elif is_write and not write_back:
                 # No-allocate store: memory is updated directly, cache untouched.
-                outcome, victim, latency = _UNCACHED, None, cost.miss_clean
+                outcome, latency = _UNCACHED, cost.miss_clean
             else:
                 # Valid candidates are a prefix (module docstring): O(1).
                 if resident[last_way] is None:
@@ -305,4 +303,4 @@ class Cache:
             total += latency
         record[2] = meta
         self.cycles += total
-        return total, hits, AccessOutcome(_KINDS[outcome >> 1], victim, latency)
+        return total, hits

@@ -76,8 +76,7 @@ from operator import add, mul
 
 from .analysis import (PreambleLockError, align_by_preamble, bit_error_rate,
                        rate_kbps)
-from .cache import (DEFAULT_GEOMETRY, DEFAULT_LATENCY, Cache, CacheGeometry,
-                    LatencyModel, make_line)
+from .cache import DEFAULT_GEOMETRY, DEFAULT_LATENCY, Cache, CacheGeometry, LatencyModel
 from .measurement import (DEFAULT_RSET_SIZE, RECEIVER, SENDER, build_replacement_set,
                           check_rset_size, fill_set, measure_replacement_latency,
                           probe_totals)
@@ -276,16 +275,15 @@ def sender_encode(cache: Cache, cfg: ChannelConfig, symbol_bits: str):
     return level, fill_set(cache, SENDER, level, write=True)
 
 
-def receiver_decode(cache: Cache, cfg: ChannelConfig, rset: tuple,
-                    thresholds: Thresholds):
-    """Probe the set with the receiver's tags `rset` and threshold the total to bits.
+def receiver_decode(cache: Cache, rset: tuple, thresholds: Thresholds):
+    """Probe the set with the receiver's tags `rset` and threshold the total.
 
-    The measurement leaves the set full of clean receiver lines, so it
-    doubles as the next period's initialization.
+    Returns (the `LatencySample`, the index of its level among the
+    encoding's levels).  The measurement leaves the set full of clean
+    receiver lines, so it doubles as the next period's initialization.
     """
     sample = measure_replacement_latency(cache, RECEIVER, rset)
-    index = thresholds.classify(sample.total_cycles)
-    return sample, cfg.encoding.bits_for_level_index(index)
+    return sample, thresholds.classify(sample.total_cycles)
 
 
 # -- the timed protocol ------------------------------------------------------
@@ -345,8 +343,8 @@ def _events(period: int, noise: list, slips: list) -> list:
     return events
 
 
-# A noise access's line, once it is done, is renamed to a tag that
-# `make_line` refuses, so no access names it.
+# A noise access's line, once it is done, is renamed to tag -1, which no
+# access names: fills and replacement sets name tags from 0 up, and noise 0.
 _RENAME_NOISE = {(NOISE, 0): (NOISE, -1)}
 
 
@@ -421,13 +419,14 @@ class Steps:
         """
         cfg = self.cfg
         if action == "decode":
-            sample, bits = receiver_decode(cache, cfg, self.rsets[0], self.thresholds)
+            sample, index = receiver_decode(cache, self.rsets[0], self.thresholds)
             cache.relabel(self._swap)
-            return RECEIVER, action, cfg.encoding.level_for_bits(bits), sample.total_cycles, bits
+            return (RECEIVER, action, cfg.encoding.levels[index], sample.total_cycles,
+                    cfg.encoding.bits_for_level_index(index))
         if action.startswith("noise"):
-            outcome = cache.access(make_line(NOISE, 0), action == "noise-write")
+            latency = cache.access_run(NOISE, (0,), action == "noise-write")[0]
             cache.relabel(_RENAME_NOISE)
-            return NOISE, action, "", outcome.latency, ""
+            return NOISE, action, "", latency, ""
         level, cost = sender_encode(cache, cfg, action)
         return SENDER, "encode", level, cost, ""
 
@@ -594,8 +593,8 @@ def run_gadget_attack(variant: str, scenario: str, secret: int) -> GadgetResult:
 
     # The victim's one access: with secret 1, variant a stores to line 0 and
     # variant b loads it; with secret 0, either loads line 1.
-    victim_cache, line, is_write = ((cache, make_line("victim", 0), variant == "a") if secret
-                                    else (line1_cache, make_line("victim", 1), False))
+    victim_cache, tag, is_write = ((cache, 0, variant == "a") if secret
+                                   else (line1_cache, 1, False))
 
     if scenario != "victim-timing":
         # Prime clean (set-state-dirty) or dirty (prime-with-dirty), let the
@@ -605,7 +604,7 @@ def run_gadget_attack(variant: str, scenario: str, secret: int) -> GadgetResult:
         # the lower level is secret 1).
         dirty = scenario == "prime-with-dirty"
         fill_set(cache, "attacker", ways, write=dirty)
-        victim_cache.access(line, is_write)
+        victim_cache.access_run("victim", (tag,), is_write)
         rset = build_replacement_set(DEFAULT_RSET_SIZE, ways=ways)
         total = measure_replacement_latency(cache, "attacker", rset).total_cycles
         levels = (ways - 1, ways) if dirty else (0, 1)
@@ -617,7 +616,7 @@ def run_gadget_attack(variant: str, scenario: str, secret: int) -> GadgetResult:
     else:
         fill_set(cache, "attacker", ways, write=True)
         fill_set(line1_cache, "attacker", ways)
-        victim_time = victim_cache.access(line, is_write).latency
+        victim_time = victim_cache.access_run("victim", (tag,), is_write)[0]
         cut = Thresholds.from_totals([(0, [lat.miss_clean]), (1, [lat.miss_dirty])]).cuts[0]
         inferred = int(victim_time > cut)
         latencies = {"victim_call_cycles": victim_time, "threshold": cut,

@@ -78,7 +78,7 @@ def measure_replacement_latency(cache: Cache, actor_id: str, rset: tuple) -> Lat
     replacement sets does this); residual hits are flagged, not fatal.
     """
     dirty_before = cache.dirty_count()
-    total, hits, _ = cache.access_run(actor_id, rset, False)
+    total, hits = cache.access_run(actor_id, rset, False)
     return LatencySample(dirty_before, total, hits)
 
 

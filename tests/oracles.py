@@ -24,7 +24,7 @@ from operator import ne
 
 from dirtysim.analysis import (PreambleLockError, align_by_preamble, bit_error_rate,
                                rate_kbps)
-from dirtysim.cache import Cache, make_line
+from dirtysim.cache import Cache, OutcomeKind, make_line
 from dirtysim.channel import (NOISE, PREAMBLE, ChannelReport, TraceEvent, _draws,
                               receiver_decode, sender_encode)
 from dirtysim.measurement import RECEIVER, SENDER, build_replacement_set, fill_set
@@ -281,6 +281,21 @@ class ReferenceCache:
         return sum(dirty for _, dirty in self.lines.values())
 
 
+def access_kind(cache, line, is_write):
+    """Access `line` on a package `cache`: (its `OutcomeKind`, its latency).
+
+    An access returns its latency alone, so the kind is read off the one
+    outcome count of the line's actor that the access moved, which must
+    be a store count exactly when `is_write`.
+    """
+    actor = line[0]
+    before = cache.outcome_counts(actor)
+    latency = cache.access(line, is_write)
+    moved = [i for i, (a, b) in enumerate(zip(before, cache.outcome_counts(actor))) if a != b]
+    assert len(moved) == 1 and moved[0] & 1 == bool(is_write), moved
+    return list(OutcomeKind)[moved[0] >> 1], latency
+
+
 def direct_simulate(cfg, events, thresholds):
     """`run_channel`'s simulation of `events` as one real action each, with no table of steps.
 
@@ -307,16 +322,16 @@ def direct_simulate(cfg, events, thresholds):
             level, cost = sender_encode(cache, cfg, symbol)
             trace.append(TraceEvent(cycle, SENDER, "encode", level, cost, "", symbol))
         elif action == "decode":
-            sample, bits = receiver_decode(cache, cfg, rsets[len(received_parts) % 2],
-                                           thresholds)
+            sample, level = receiver_decode(cache, rsets[len(received_parts) % 2], thresholds)
+            bits = format(level, f"0{k}b")
             received_parts.append(bits)
-            trace.append(TraceEvent(cycle, RECEIVER, "decode", enc.level_for_bits(bits),
+            trace.append(TraceEvent(cycle, RECEIVER, "decode", enc.levels[level],
                                     sample.total_cycles, bits, symbol))
         else:
             line = make_line(NOISE, noise_tag)
             noise_tag += 1
-            outcome = cache.access(line, action == "noise-write")
-            trace.append(TraceEvent(cycle, NOISE, action, "", outcome.latency, "", ""))
+            latency = cache.access(line, action == "noise-write")
+            trace.append(TraceEvent(cycle, NOISE, action, "", latency, "", ""))
 
     received = "".join(received_parts)
     try:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from dirtysim.cache import (Cache, CacheGeometry, LatencyModel, OutcomeKind,
                             WritePolicy, make_line)
+from oracles import access_kind
 
 WT = WritePolicy.WRITE_THROUGH_NO_ALLOCATE
 
@@ -54,27 +55,25 @@ def test_make_line_rejects_negative_tag():
 def test_distinct_actors_never_alias():
     cache = Cache()
     cache.access(make_line("a", 7), True)
-    out = cache.access(make_line("b", 7), False)
-    assert out.kind is not OutcomeKind.HIT
+    kind, _ = access_kind(cache, make_line("b", 7), False)
+    assert kind is not OutcomeKind.HIT
 
 
 def test_write_hit_sets_dirty():
     cache = Cache()
     line = make_line("a", 1)
     cache.access(line, False)
-    out = cache.access(line, True)
-    assert out.kind is OutcomeKind.HIT
+    assert access_kind(cache, line, True) == (OutcomeKind.HIT, 4)
     assert cache.dirty_count() == 1
 
 
 def test_invalid_ways_fill_first_lowest_index():
     cache = Cache()
-    first = cache.access(make_line("a", 1), False)
-    assert first.kind is OutcomeKind.MISS_FILL_INVALID
-    assert first.victim_way == 0
-    assert first.latency == 11  # no write-back, so same as a clean eviction
-    second = cache.access(make_line("a", 2), False)
-    assert second.victim_way == 1
+    # No write-back, so the same cost as a clean eviction.
+    assert access_kind(cache, make_line("a", 1), False) == (OutcomeKind.MISS_FILL_INVALID, 11)
+    assert cache.set_state()[0][:2] == (("a", 1), None)
+    cache.access(make_line("a", 2), False)
+    assert cache.set_state()[0][:3] == (("a", 1), ("a", 2), None)
 
 
 def test_dirty_victim_costs_writeback():
@@ -82,26 +81,21 @@ def test_dirty_victim_costs_writeback():
     cache.access(make_line("a", 0), True)
     for t in range(1, 8):
         cache.access(make_line("a", t), False)
-    out = cache.access(make_line("a", 100), False)  # LRU victim is the dirty line
-    assert out.kind is OutcomeKind.MISS_EVICT_DIRTY
-    assert out.victim_way == 0
-    assert out.latency == 22
+    # The LRU victim is the dirty line, in way 0.
+    assert access_kind(cache, make_line("a", 100), False) == (OutcomeKind.MISS_EVICT_DIRTY, 22)
+    assert cache.set_state()[0][0] == ("a", 100)
 
 
 def test_clean_victim_is_plain_refill():
     cache = Cache()
     for t in range(8):
         cache.access(make_line("a", t), False)
-    out = cache.access(make_line("a", 100), False)
-    assert out.kind is OutcomeKind.MISS_EVICT_CLEAN
-    assert out.latency == 11
+    assert access_kind(cache, make_line("a", 100), False) == (OutcomeKind.MISS_EVICT_CLEAN, 11)
 
 
 def test_write_through_store_miss_is_uncached():
     cache = Cache(CacheGeometry(write_policy=WT))
-    out = cache.access(make_line("a", 1), True)
-    assert out.kind is OutcomeKind.UNCACHED
-    assert out.victim_way is None
+    assert access_kind(cache, make_line("a", 1), True) == (OutcomeKind.UNCACHED, 11)
     assert cache.set_state()[0] == (None,) * 8
 
 
@@ -119,8 +113,8 @@ def test_write_through_never_dirties():
 
 def test_write_through_read_fills_clean():
     cache = Cache(CacheGeometry(write_policy=WT))
-    out = cache.access(make_line("a", 5), False)
-    assert out.kind is OutcomeKind.MISS_FILL_INVALID
+    kind, _ = access_kind(cache, make_line("a", 5), False)
+    assert kind is OutcomeKind.MISS_FILL_INVALID
     tags, dirty, _ = cache.set_state()
     assert tags[0] == ("a", 5) and not dirty[0]
 
@@ -168,8 +162,8 @@ def test_a_run_that_raises_changes_nothing(policy, tags):
 
 def test_an_empty_run_counts_no_actor():
     cache = Cache()
-    assert cache.access_run("a", (), True) == (0, 0, None)
-    assert cache.access_run("a", range(0), False) == (0, 0, None)
+    assert cache.access_run("a", (), True) == (0, 0)
+    assert cache.access_run("a", range(0), False) == (0, 0)
     assert cache.counters == {} and cache.cycles == 0
 
 
@@ -184,7 +178,7 @@ def test_relabel_renames_lines_and_nothing_else(policy):
     assert cache.set_state() == ((("a", 0), ("a", 7), ("a", 2), ("a", 1)), dirty, meta)
     assert (cache.counters, cache.cycles) == (counters, cycles)
     # A renamed line is the line it is renamed to: ("a", 1) now hits, clean.
-    assert cache.access(make_line("a", 1), False).kind is OutcomeKind.HIT
+    assert access_kind(cache, make_line("a", 1), False) == (OutcomeKind.HIT, 4)
 
 
 @pytest.mark.parametrize("policy, tags, dirty, meta", [
@@ -269,8 +263,7 @@ def test_partition_confines_each_actor():
 def test_latency_model_jitter_bounds():
     cache = Cache(latency=LatencyModel(jitter=2), seed=3)
     for t in range(50):
-        out = cache.access(make_line("a", t), False)
-        assert abs(out.latency - 11) <= 2
+        assert abs(cache.access(make_line("a", t), False) - 11) <= 2
 
 
 @pytest.mark.parametrize("name", ["hit", "miss_clean", "miss_dirty", "jitter"])
@@ -317,8 +310,8 @@ def test_counter_conservation(ops):
     cache = Cache()
     dirty_evictions = 0
     for actor, tag, is_write in ops:
-        out = cache.access(make_line(actor, tag), is_write)
-        dirty_evictions += out.kind is OutcomeKind.MISS_EVICT_DIRTY
+        kind, _ = access_kind(cache, make_line(actor, tag), is_write)
+        dirty_evictions += kind is OutcomeKind.MISS_EVICT_DIRTY
     total = {"loads": 0, "stores": 0, "l1_hits": 0, "l1_misses": 0, "writebacks": 0}
     for counters in cache.counters.values():
         for key, value in counters.items():
@@ -346,5 +339,5 @@ def test_dirty_lines_only_clean_by_eviction(ops):
 def test_write_through_never_writes_back(ops):
     cache = Cache(CacheGeometry(write_policy=WT))
     for actor, tag, is_write in ops:
-        out = cache.access(make_line(actor, tag), is_write)
-        assert out.kind is not OutcomeKind.MISS_EVICT_DIRTY
+        kind, _ = access_kind(cache, make_line(actor, tag), is_write)
+        assert kind is not OutcomeKind.MISS_EVICT_DIRTY

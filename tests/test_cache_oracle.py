@@ -2,15 +2,16 @@
 
 Random streams of (actor, tag, read/write) run through both models, each
 one set (a `Cache` is one set), each stream with its own drawn costs, hit <
-clean miss < dirty miss; after every access the outcome kind, victim way,
-latency, per-actor counters, per-actor outcome counts, cycle total and the
-set's dirty count must agree, and the reference's own writeback flag must
-be set exactly on a dirty eviction.  The same streams, cut into
-`Cache.access_run` runs wherever the access kind or the actor changes, must
-sum to the reference's latencies, and drawn runs of one actor's tags must
-leave the state that per-line `access` calls leave.  After any stream, each
-actor's valid ways are a prefix of its sorted candidate ways: the invariant
-behind the cache's O(1) free-way test.
+clean miss < dirty miss; after every access the outcome kind (read off the
+package's outcome counts), latency, the line and dirty bit of every way,
+per-actor counters, per-actor outcome counts, cycle total and the set's
+dirty count must agree, and the reference's own writeback flag must be set
+exactly on a dirty eviction.  The same streams, cut into `Cache.access_run`
+runs wherever the access kind or the actor changes, must sum to the
+reference's latencies and leave its lines, and drawn runs of one actor's
+tags must leave the state that per-line `access` calls leave.  After any
+stream, each actor's valid ways are a prefix of its sorted candidate ways:
+the invariant behind the cache's O(1) free-way test.
 """
 
 import itertools
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from dirtysim.cache import (Cache, CacheGeometry, LatencyModel, OutcomeKind,
                             WritePolicy, make_line)
-from oracles import ReferenceCache
+from oracles import ReferenceCache, access_kind
 
 # Irregular, non-contiguous partitions, so the Tree-PLRU walk must skip
 # subtrees at every level.
@@ -83,6 +84,16 @@ def outcome_counts(cache):
             for actor, counts in cache._counts.items()}
 
 
+def assert_same_lines(cache, ref):
+    """Way by way, the package's tag and dirty bit are the reference's line.
+
+    A way the reference lists no line in holds the tag None and is clean.
+    """
+    tags, dirty, _ = cache.set_state()
+    assert list(zip(tags, dirty)) == [tuple(ref.lines.get(way, (None, False)))
+                                      for way in range(len(tags))]
+
+
 def assert_valid_ways_are_prefixes(cache):
     """Each actor's valid candidate ways come before its invalid ones."""
     geo = cache.geometry
@@ -101,10 +112,11 @@ def test_cache_matches_reference(policy, mode, stream, seed, jitter, costs):
     cache, ref = twins(policy, mode, seed, jitter, costs)
     for actor, tag, write in stream:
         actor = actor_in(mode, actor)
-        got = cache.access(make_line(actor, tag), write)
-        want = ref.access(actor, tag, write)
-        writeback = got.kind is OutcomeKind.MISS_EVICT_DIRTY
-        assert (got.kind.value, got.victim_way, writeback, got.latency) == want
+        kind, latency = access_kind(cache, make_line(actor, tag), write)
+        want_kind, _, want_writeback, want_latency = ref.access(actor, tag, write)
+        writeback = kind is OutcomeKind.MISS_EVICT_DIRTY
+        assert (kind.value, writeback, latency) == (want_kind, want_writeback, want_latency)
+        assert_same_lines(cache, ref)
         assert cache.counters == ref.counters
         assert outcome_counts(cache) == ref.outcomes
         assert cache.cycles == ref.cycles
@@ -130,8 +142,8 @@ def test_runs_sum_to_the_reference_latencies(policy, mode, stream, seed, jitter,
             kind, _, _, latency = ref.access(actor, tag, write)
             want_total += latency
             want_hits += kind == ReferenceCache.HIT
-        total, hits, _ = cache.access_run(actor, tags, write)
-        assert (total, hits) == (want_total, want_hits)
+        assert cache.access_run(actor, tags, write) == (want_total, want_hits)
+        assert_same_lines(cache, ref)
     assert cache.counters == ref.counters
     assert outcome_counts(cache) == ref.outcomes
     assert cache.cycles == ref.cycles
@@ -150,17 +162,16 @@ runs = st.lists(st.tuples(st.booleans(), st.sampled_from("abc"),
 def test_runs_match_per_line_access(policy, mode, runs, seed, jitter):
     # Drawn runs, each one actor's loads or stores, empty ones too: one twin
     # takes each run in one `access_run`, the other line by line through
-    # `access`.
+    # `access`, whose hits are read off the delta of its hit counts.
     geo = CacheGeometry(**MODES[mode])
     batched, single = (Cache(geo, policy, LatencyModel(jitter=jitter), seed=seed)
                        for _ in range(2))
     for write, actor, tags in runs:
         actor = actor_in(mode, actor)
-        outcomes = [single.access(make_line(actor, tag), write) for tag in tags]
-        total, hits, last = batched.access_run(actor, tags, write)
-        assert total == sum(o.latency for o in outcomes)
-        assert hits == sum(o.kind is OutcomeKind.HIT for o in outcomes)
-        assert last == (outcomes[-1] if outcomes else None)
+        hits_before = sum(single.outcome_counts(actor)[:2])
+        total = sum(single.access(make_line(actor, tag), write) for tag in tags)
+        hits = sum(single.outcome_counts(actor)[:2]) - hits_before
+        assert batched.access_run(actor, tags, write) == (total, hits)
         assert state(batched) == state(single)
 
 
@@ -169,13 +180,18 @@ def test_an_actor_fills_its_first_free_way_around_another_actors_lines():
     # lies beyond one of b's lines; each actor still fills its own ways in
     # order, and evicts only once its last candidate is valid.
     cache = Cache(CacheGeometry(partition=PARTITION))
-    outcomes = [cache.access(make_line(actor, tag), False)
-               for actor, tag in (("b", 0), ("b", 1), ("b", 2), ("a", 0), ("a", 1), ("a", 2))]
-    assert [(o.kind, o.victim_way) for o in outcomes] == (
-        [(OutcomeKind.MISS_FILL_INVALID, w) for w in (1, 2, 4, 0, 3, 5)])
+    filled = []
+    for line in (("b", 0), ("b", 1), ("b", 2), ("a", 0), ("a", 1), ("a", 2)):
+        assert access_kind(cache, line, False)[0] is OutcomeKind.MISS_FILL_INVALID
+        filled.append(cache.set_state()[0].index(line))
+    assert filled == [1, 2, 4, 0, 3, 5]
     assert_valid_ways_are_prefixes(cache)
-    assert cache.access(make_line("a", 3), False).kind is OutcomeKind.MISS_EVICT_CLEAN
-    total, _, last = cache.access_run("b", (3, 4, 5), True)
-    assert total == 11 * 3 and last.kind is OutcomeKind.MISS_EVICT_CLEAN
+    assert access_kind(cache, ("a", 3), False)[0] is OutcomeKind.MISS_EVICT_CLEAN
+    before = cache.outcome_counts("b")
+    assert cache.access_run("b", (3, 4, 5), True) == (11 * 3, 0)
+    # Two stores fill b's free ways 6 and 7, and the last evicts a clean
+    # line: store counts 2k + 1 of fill (k = 1) and clean eviction (k = 2).
+    delta = [n - m for n, m in zip(cache.outcome_counts("b"), before)]
+    assert delta == [0, 0, 0, 2, 0, 1, 0, 0, 0, 0]
     assert cache.set_state()[0][6:] == (("b", 3), ("b", 4))
     assert_valid_ways_are_prefixes(cache)

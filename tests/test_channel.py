@@ -291,17 +291,17 @@ def test_receiver_init_clears_sender_dirty_line():
     assert cache.dirty_count() == 0
 
 
-def test_receiver_decode_maps_latency_to_bits():
+def test_receiver_decode_maps_latency_to_a_level_index():
     cfg = make_cfg()
     thresholds = calibrate_thresholds(cfg)
     cache = Cache(cfg.geometry)
     receiver_init(cache, cfg)
     sender_encode(cache, cfg, "1")
     rsets = receiver_rsets(cfg)
-    sample, bits = receiver_decode(cache, cfg, rsets[0], thresholds)
-    assert (sample.total_cycles, bits) == (121, "1")
-    sample, bits = receiver_decode(cache, cfg, rsets[1], thresholds)
-    assert (sample.total_cycles, bits) == (110, "0")
+    sample, index = receiver_decode(cache, rsets[0], thresholds)
+    assert (sample.total_cycles, index) == (121, 1)
+    sample, index = receiver_decode(cache, rsets[1], thresholds)
+    assert (sample.total_cycles, index) == (110, 0)
 
 
 @pytest.mark.parametrize("rset_size", [10, 999, 1000, 1001, 1500, 4000])
@@ -340,8 +340,9 @@ def test_receiver_decode_multibit():
     cache = Cache(cfg.geometry)
     receiver_init(cache, cfg)
     sender_encode(cache, cfg, "10")
-    sample, bits = receiver_decode(cache, cfg, receiver_rsets(cfg)[0], thresholds)
-    assert (sample.total_cycles, bits) == (165, "10")
+    sample, index = receiver_decode(cache, receiver_rsets(cfg)[0], thresholds)
+    assert (sample.total_cycles, index) == (165, 2)
+    assert cfg.encoding.bits_for_level_index(index) == "10"
 
 
 # -- thresholds -------------------------------------------------------------------

@@ -109,7 +109,7 @@ def test_total_is_sum_of_individual_latencies():
     cache = prepared_cache(3)
     rset = build_replacement_set(10, ways=8)
     shadow = prepared_cache(3)
-    individual = [shadow.access(make_line("receiver", tag), False).latency for tag in rset]
+    individual = [shadow.access(make_line("receiver", tag), False) for tag in rset]
     assert measure_replacement_latency(cache, "receiver", rset).total_cycles == sum(individual)
 
 

@@ -12,7 +12,7 @@ from dirtysim.policy import (POLICIES, RandomPolicy, TreePLRU, TrueLRU,
                              eviction_distance_experiment, make_policy)
 from dirtysim.seeding import derive_seed
 
-from oracles import (dirty_eviction_fraction, eviction_distance_fraction,
+from oracles import (access_kind, dirty_eviction_fraction, eviction_distance_fraction,
                      plru_eviction_fraction, plru_touch, plru_victim)
 
 ALL = tuple(range(8))
@@ -478,8 +478,8 @@ def test_dirty_eviction_experiment_agrees_with_cache_pipeline():
             cache.access(make_line("sender", j), True)
         evicted = False
         for r in range(l):
-            out = cache.access(make_line("receiver", 1000 + r), False)
-            evicted = evicted or out.kind is OutcomeKind.MISS_EVICT_DIRTY
+            kind, _ = access_kind(cache, make_line("receiver", 1000 + r), False)
+            evicted = evicted or kind is OutcomeKind.MISS_EVICT_DIRTY
         successes += evicted
     pipeline = successes / trials
     direct = dirty_eviction_experiment([d], l, trials, seed=555).curves[d][-1]

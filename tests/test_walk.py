@@ -199,9 +199,9 @@ def test_a_decode_on_either_replacement_set_is_one_step(policy, defense, noise, 
         acted.load_set(state)
         fields = steps.act(acted, "decode")
         real.load_set(swapped(state, steps.rsets))
-        sample, bits = channel.receiver_decode(real, cfg, steps.rsets[1], steps.thresholds)
-        assert fields == (channel.RECEIVER, "decode", encoding.level_for_bits(bits),
-                          sample.total_cycles, bits)
+        sample, index = channel.receiver_decode(real, steps.rsets[1], steps.thresholds)
+        assert fields == (channel.RECEIVER, "decode", encoding.levels[index],
+                          sample.total_cycles, encoding.bits_for_level_index(index))
         assert acted.outcome_counts(channel.RECEIVER) == real.outcome_counts(channel.RECEIVER)
         assert acted.set_state() == real.set_state()
 
