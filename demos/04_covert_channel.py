@@ -4,8 +4,6 @@
 # times a 10-line replacement of the same set and thresholds the total.
 # Everything below is deterministic given the seed.
 
-from dataclasses import replace
-
 from dirtysim import (BinaryEncoding, ChannelConfig, MultiBitEncoding,
                       calibrate_thresholds, random_bits, run_channel)
 
@@ -33,9 +31,9 @@ print("multibit @ %d cycles/symbol -> %.1f Kbps, BER %.4f" %
 
 print()
 print("noise robustness:")
-clean = replace(cfg, noise_rate=1.0, noise_write_prob=0.0)
+clean = cfg._replace(noise_rate=1.0, noise_write_prob=0.0)
 print("  one clean read into the set every period -> BER %.4f" % run_channel(clean).ber)
-dirty = replace(cfg, noise_rate=0.2, noise_write_prob=1.0)
+dirty = cfg._replace(noise_rate=0.2, noise_write_prob=1.0)
 print("  dirty writes at rate 0.2 per period     -> BER %.4f" % run_channel(dirty).ber)
 print()
 print("Clean noise is harmless: under LRU the sender's dirty line is the")

@@ -1,7 +1,5 @@
 # Two endings: defenses that kill the channel, and the side-channel gadgets.
 
-from dataclasses import replace
-
 from dirtysim import (CacheGeometry, ChannelConfig, WritePolicy, random_bits,
                       run_channel, run_gadget_attack)
 
@@ -12,13 +10,13 @@ print("== defenses ==")
 baseline = ChannelConfig(message=message, seed=SEED)
 print("baseline BER:             %.4f" % run_channel(baseline).ber)
 
-wt = replace(baseline, geometry=CacheGeometry(
+wt = baseline._replace(geometry=CacheGeometry(
     write_policy=WritePolicy.WRITE_THROUGH_NO_ALLOCATE))
 report = run_channel(wt)
 print("write-through decode set: %s (channel dead: stores never dirty a line)"
       % sorted(set(report.raw_received_bits)))
 
-part = replace(baseline, geometry=CacheGeometry(partition={
+part = baseline._replace(geometry=CacheGeometry(partition={
     "sender": frozenset(range(4)), "receiver": frozenset(range(4, 8))}))
 report = run_channel(part)
 print("way-partition decode set: %s (receiver can only evict its own ways)"

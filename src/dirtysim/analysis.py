@@ -18,7 +18,6 @@ figures stay comparable across message sizes.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import replace
 
 from .seeding import check_int
 
@@ -142,7 +141,7 @@ def sweep_ber_vs_rate(cfg_template, periods=DEFAULT_PERIODS, trials: int = 3):
         raise ValueError("periods must be non-empty")
     check_int("trials", trials, 1)
     for period in periods:
-        replace(cfg_template, period=period)  # checks the period
+        cfg_template._replace(period=period)  # checks the period
     calibration = channel.calibrate_thresholds(cfg_template)
     trial_bers = channel._period_bers(cfg_template, periods, calibration, trials)
     return [SweepRow(period,

@@ -36,12 +36,12 @@ cache (`set_state`, `load_set`), its lines can be renamed in place
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from operator import add
 
 from .policy import make_policy
-from .seeding import check_int
+from .seeding import CheckedRecord, check_int
 
 
 class WritePolicy(Enum):
@@ -61,34 +61,39 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and n & (n - 1) == 0
 
 
-@dataclass(frozen=True)
-class CacheGeometry:
-    """Shape and defense configuration of the simulated L1 set."""
+class CacheGeometry(CheckedRecord, namedtuple("CacheGeometry",
+                                              "associativity write_policy partition")):
+    """Shape and defense configuration of the simulated L1 set.
 
-    associativity: int = 8
-    write_policy: WritePolicy = WritePolicy.WRITE_BACK_ALLOCATE
-    partition: dict | None = None  # actor id -> iterable of permitted ways
+    `partition` maps an actor id to an iterable of its permitted ways; the
+    record holds each as a frozenset.  None shares every way.
+    """
 
-    def __post_init__(self):
-        check_int("associativity", self.associativity)
-        if not _is_pow2(self.associativity):
-            raise ValueError(f"associativity={self.associativity} must be a power of two >= 1")
-        if self.partition is not None:
+    __slots__ = ()
+
+    def __new__(cls, associativity: int = 8,
+                write_policy: WritePolicy = WritePolicy.WRITE_BACK_ALLOCATE,
+                partition: dict | None = None):
+        check_int("associativity", associativity)
+        if not _is_pow2(associativity):
+            raise ValueError(f"associativity={associativity} must be a power of two >= 1")
+        if partition is not None:
             norm = {}
             seen = set()
-            for actor, ways in self.partition.items():
+            for actor, ways in partition.items():
                 ways = frozenset(ways)
                 if not ways:
                     raise ValueError(f"partition for {actor!r} is empty")
                 for way in ways:
                     check_int(f"partition way of {actor!r}", way)
-                if any(w < 0 or w >= self.associativity for w in ways):
-                    raise ValueError(f"partition for {actor!r} has ways outside 0..{self.associativity - 1}")
+                if any(w < 0 or w >= associativity for w in ways):
+                    raise ValueError(f"partition for {actor!r} has ways outside 0..{associativity - 1}")
                 if ways & seen:
                     raise ValueError("partitions of distinct actors must be disjoint")
                 seen |= ways
                 norm[actor] = ways
-            object.__setattr__(self, "partition", norm)
+            partition = norm
+        return super().__new__(cls, associativity, write_policy, partition)
 
 
 def make_line(actor_id: str, tag: int) -> tuple:
@@ -98,8 +103,7 @@ def make_line(actor_id: str, tag: int) -> tuple:
     return actor_id, tag
 
 
-@dataclass(frozen=True)
-class LatencyModel:
+class LatencyModel(CheckedRecord, namedtuple("LatencyModel", "hit miss_clean miss_dirty jitter")):
     """Per-outcome access costs in cycles, with optional uniform jitter.
 
     Defaults follow measured L1 costs on an 8-way part: ~4 cycles for a hit,
@@ -109,14 +113,13 @@ class LatencyModel:
     where the channel is dead regardless.
     """
 
-    hit: int = 4
-    miss_clean: int = 11
-    miss_dirty: int = 22
-    jitter: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("hit", "miss_clean", "miss_dirty", "jitter"):
-            check_int(name, getattr(self, name), 0)
+    def __new__(cls, hit: int = 4, miss_clean: int = 11, miss_dirty: int = 22, jitter: int = 0):
+        self = super().__new__(cls, hit, miss_clean, miss_dirty, jitter)
+        for name, value in zip(cls._fields, self):
+            check_int(name, value, 0)
+        return self
 
 
 DEFAULT_GEOMETRY = CacheGeometry()

@@ -70,7 +70,6 @@ import bisect
 import math
 import random
 from collections import Counter, namedtuple
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, mul
 
@@ -81,7 +80,7 @@ from .measurement import (DEFAULT_RSET_SIZE, RECEIVER, SENDER, build_replacement
                           check_rset_size, fill_set, measure_replacement_latency,
                           probe_totals)
 from .policy import make_policy
-from .seeding import check_int, derive_seed
+from .seeding import CheckedRecord, check_int, derive_seed
 
 NOISE = "noise"
 CALIBRATION_TRIALS = 8  # probe totals per level that calibration reads
@@ -97,8 +96,7 @@ class CalibrationError(RuntimeError):
 
 # -- encodings ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Encoding:
+class Encoding(CheckedRecord, namedtuple("Encoding", "levels name")):
     """Symbol bits <-> dirty-line count: 2**k strictly increasing levels carry k bits.
 
     Binary is the two-level case (0, d_one).  `name` sets `d_label`: d_one for
@@ -106,17 +104,15 @@ class Encoding:
     `levels`, written as k binary digits.
     """
 
-    levels: tuple
-    name: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        levels = tuple(self.levels)
-        object.__setattr__(self, "levels", levels)
+    def __new__(cls, levels: tuple, name: str):
+        levels = tuple(levels)
         for i, level in enumerate(levels):
             check_int(f"levels[{i}]", level)
-        if self.name not in ("binary", "multibit"):
-            raise ValueError(f"unknown encoding {self.name!r}")
-        if self.name == "binary" and not (len(levels) == 2 and levels[0] == 0 < levels[1]):
+        if name not in ("binary", "multibit"):
+            raise ValueError(f"unknown encoding {name!r}")
+        if name == "binary" and not (len(levels) == 2 and levels[0] == 0 < levels[1]):
             raise ValueError("binary levels must be (0, d_one) with d_one >= 1")
         if len(levels) < 2 or len(levels) & (len(levels) - 1):
             raise ValueError("need a power-of-two number of levels >= 2")
@@ -124,6 +120,7 @@ class Encoding:
             raise ValueError("levels must be strictly increasing")
         if levels[0] < 0:
             raise ValueError("levels must be non-negative")
+        return super().__new__(cls, levels, name)
 
     @property
     def bits_per_symbol(self) -> int:
@@ -158,27 +155,27 @@ def MultiBitEncoding(levels=(0, 3, 5, 8)) -> Encoding:
 
 # -- configuration -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChannelConfig:
+class ChannelConfig(CheckedRecord, namedtuple("ChannelConfig", (
+        "message encoding period rset_size noise_rate noise_write_prob seed slip geometry "
+        "policy latency"))):
     """Everything defining one channel run; identical configs replay identically.
 
-    A config checks itself when built, and `dataclasses.replace` builds anew,
-    so every config that exists is valid.
+    A config checks itself when built, and `_replace` builds anew, so every
+    config that exists is valid.  The sender encodes at the start of each
+    `period` and the receiver decodes mid-way; `noise_rate` is the chance of
+    a noise event per period, `noise_write_prob` the chance that it is a
+    write, and `slip` the half-width of the receiver's timing slip in cycles.
     """
 
-    message: str
-    encoding: Encoding = BinaryEncoding()
-    period: int = 5500                 # encode at its start, decode mid-way
-    rset_size: int = DEFAULT_RSET_SIZE
-    noise_rate: float = 0.0            # probability of a noise event per period
-    noise_write_prob: float = 0.0      # probability a noise event is a write
-    seed: int = 0
-    slip: int = 0                      # half-width of receiver timing slip, cycles
-    geometry: CacheGeometry = field(default_factory=CacheGeometry)
-    policy: str = "lru"
-    latency: LatencyModel = field(default_factory=LatencyModel)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, message: str, encoding: Encoding = BinaryEncoding(), period: int = 5500,
+                rset_size: int = DEFAULT_RSET_SIZE, noise_rate: float = 0.0,
+                noise_write_prob: float = 0.0, seed: int = 0, slip: int = 0,
+                geometry: CacheGeometry = DEFAULT_GEOMETRY, policy: str = "lru",
+                latency: LatencyModel = DEFAULT_LATENCY):
+        self = super().__new__(cls, message, encoding, period, rset_size, noise_rate,
+                               noise_write_prob, seed, slip, geometry, policy, latency)
         # The decode at period // 2 must come after the encode at its start.
         check_int("period", self.period, 2)
         check_int("seed", self.seed)  # hashed as text, where 1, 1.0 and True differ
@@ -210,23 +207,23 @@ class ChannelConfig:
                 if actor not in partition:
                     raise ValueError(f"{actor} actor has no way partition; "
                                      "give it ways or disable partitioning")
+        return self
 
 
 # -- thresholds --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(CheckedRecord, namedtuple("Thresholds", "cuts")):
     """Cut points between adjacent encoding levels, lowest first."""
 
-    cuts: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        cuts = tuple(float(c) for c in self.cuts)
-        object.__setattr__(self, "cuts", cuts)
+    def __new__(cls, cuts: tuple):
+        cuts = tuple(float(c) for c in cuts)
         if not all(map(math.isfinite, cuts)):
             raise ValueError(f"cuts must be finite, not {cuts!r}")
         if any(b <= a for a, b in zip(cuts, cuts[1:])):
             raise ValueError("cuts must be strictly increasing")
+        return super().__new__(cls, cuts)
 
     @classmethod
     def from_totals(cls, table) -> "Thresholds":

@@ -1,4 +1,5 @@
-"""Stable seed derivation, and `check_int`, the one rule for every count and seed.
+"""Stable seed derivation, `check_int`, the one rule for every count and seed, and
+`CheckedRecord`, the one rule for a record that checks its fields.
 
 Seeds are hashed as text, so 1, 1.0 and True would replay differently.  Every
 module imports `check_int` from here, since this one imports none of them.
@@ -14,6 +15,22 @@ def check_int(name: str, value, least: int | None = None) -> None:
         raise ValueError(f"{name} must be an int, not {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}")
+
+
+class CheckedRecord:
+    """The first base of a `collections.namedtuple` subclass whose `__new__` checks its fields.
+
+    The stock `_make` is `tuple.__new__`, and `_replace` (and, from Python
+    3.13, `copy.replace`) builds through `_make`, so each would skip every
+    check.  Here `_make` calls the class, so every rebuild runs `__new__`;
+    `copy` and `pickle` rebuild through `__new__` already.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def derive_seed(*parts) -> int:

@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion.  Tolerances are pinned here, not configurable.
 """
 
-import dataclasses
 import functools
 import json
 import random
@@ -125,7 +124,7 @@ def test_criterion_07_noiseless_end_to_end():
         template = ChannelConfig(encoding=encoding, message=message, seed=SEED)
         thresholds = calibrate_thresholds(template)
         for period in periods:
-            cfg = dataclasses.replace(template, period=period)
+            cfg = template._replace(period=period)
             report = run_channel(cfg, thresholds=thresholds)
             assert report.ber == 0.0, (encoding.d_label, period)
 

@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 
 import pytest
@@ -278,8 +277,8 @@ def sweep_by_definition(cfg, periods, trials):
     calibration = calibrate_thresholds(cfg)
     rows = []
     for period in periods:
-        bers = [run_channel(dataclasses.replace(cfg, period=period,
-                                                seed=derive_seed(cfg.seed, "sweep", trial)),
+        bers = [run_channel(cfg._replace(period=period,
+                                         seed=derive_seed(cfg.seed, "sweep", trial)),
                             thresholds=calibration).ber
                 for trial in range(trials)]
         rows.append(SweepRow(period, rate_kbps(period, cfg.encoding.bits_per_symbol),
@@ -359,7 +358,7 @@ def test_the_sweep_simulates_each_order_once_per_trial(monkeypatch):
     assert count_simulations(monkeypatch, ChannelConfig(message=random_bits(32, 5), seed=5),
                              trials=3) == 3
     # The sweep-noisy workload at seed 2024: 2 trials of 6 periods hold 6 orders.
-    noisy = dataclasses.replace(SWEEP_NOISY, message=random_bits(128, 2024), seed=2024)
+    noisy = SWEEP_NOISY._replace(message=random_bits(128, 2024), seed=2024)
     assert count_simulations(monkeypatch, noisy, trials=2) == 6
 
 
@@ -369,10 +368,13 @@ def test_a_sweep_builds_one_table_and_one_config_per_period(monkeypatch, trials)
     # noise and slip from its seed alone, and walks the sweep's one table.
     from dirtysim import channel
     built = Counter()
-    for cls in (channel.Steps, ChannelConfig):
-        real = cls.__init__
-        monkeypatch.setattr(cls, "__init__", lambda self, *a, _real=real, **kw:
-                            built.update([type(self)]) or _real(self, *a, **kw))
+    real_init = channel.Steps.__init__
+    monkeypatch.setattr(channel.Steps, "__init__", lambda self, *a, **kw:
+                        built.update([type(self)]) or real_init(self, *a, **kw))
+    # A config is a named tuple, so it is built in `__new__`; `_replace` builds through it.
+    real_new = ChannelConfig.__new__
+    monkeypatch.setattr(ChannelConfig, "__new__", lambda cls, *a, **kw:
+                        built.update([cls]) or real_new(cls, *a, **kw))
     sweep_ber_vs_rate(SWEEP_NOISY, DEFAULT_PERIODS, trials)
     assert built == {channel.Steps: 1, ChannelConfig: len(DEFAULT_PERIODS)}
 
@@ -417,7 +419,7 @@ def test_wider_margin_resists_identical_dirty_noise():
     # noise line costs one dirty eviction, under d=1's cut but far under d=8's.
     slim = ChannelConfig(message=random_bits(64, 8), seed=8, noise_rate=0.2,
                          noise_write_prob=1.0, encoding=BinaryEncoding(1))
-    wide = dataclasses.replace(slim, encoding=BinaryEncoding(8))
+    wide = slim._replace(encoding=BinaryEncoding(8))
     slim_rows = sweep_ber_vs_rate(slim, periods=(1600, 5500), trials=3)
     wide_rows = sweep_ber_vs_rate(wide, periods=(1600, 5500), trials=3)
     for s, w in zip(slim_rows, wide_rows):

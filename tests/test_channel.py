@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -95,11 +94,11 @@ def test_encoding_tables_round_trip(enc):
 
 def test_encoding_tables_are_not_fields():
     enc = MultiBitEncoding()
-    assert [f.name for f in dataclasses.fields(enc)] == ["levels", "name"]
+    assert enc._fields == ("levels", "name")
     assert enc == MultiBitEncoding([0, 3, 5, 8])
     assert hash(enc) == hash(MultiBitEncoding([0, 3, 5, 8]))
     assert repr(enc) == "Encoding(levels=(0, 3, 5, 8), name='multibit')"
-    other = dataclasses.replace(enc, levels=(0, 1, 2, 8))
+    other = enc._replace(levels=(0, 1, 2, 8))
     assert other.level_for_bits("11") == 8 and other.bits_for_level_index(1) == "01"
     assert enc.level_for_bits("11") == 8
 
@@ -133,7 +132,7 @@ def test_config_validation():
         with pytest.raises(ValueError, match="^period must be >= 2$"):
             make_cfg(period=period)
         with pytest.raises(ValueError, match="^period must be >= 2$"):
-            dataclasses.replace(make_cfg(), period=period)
+            make_cfg()._replace(period=period)
     assert make_cfg(period=2).period == 2
     with pytest.raises(ValueError):
         make_cfg(message="0101x")
@@ -183,7 +182,7 @@ def test_config_checks_itself_when_built_or_replaced():
     assert not hasattr(ChannelConfig, "validate")
     valid = make_cfg()
     with pytest.raises(ValueError, match="^period must be >= 2$"):
-        dataclasses.replace(valid, period=1)
+        valid._replace(period=1)
     with pytest.raises(ValueError, match="^message must be non-empty$"):
         ChannelConfig(message="")
     with pytest.raises(TypeError):
@@ -199,7 +198,7 @@ def test_config_rejects_a_non_int_field(name, value):
     with pytest.raises(ValueError, match=message):
         make_cfg(**{name: value})
     with pytest.raises(ValueError, match=message):
-        dataclasses.replace(make_cfg(), **{name: value})
+        make_cfg()._replace(**{name: value})
 
 
 @pytest.mark.parametrize("name", ["noise_rate", "noise_write_prob"])
@@ -214,14 +213,14 @@ def test_config_rejects_a_noise_field_outside_0_1(name, value):
         make_cfg(**{name: value})
     noisy = make_cfg(noise_rate=0.5, noise_write_prob=0.5)
     with pytest.raises(ValueError, match=message):
-        dataclasses.replace(noisy, **{name: value})
+        noisy._replace(**{name: value})
 
 
 @pytest.mark.parametrize("name", ["noise_rate", "noise_write_prob"])
 @pytest.mark.parametrize("value", [0, 1, 0.0, 0.5, 1.0, Fraction(1, 2)])
 def test_config_accepts_a_noise_field_in_0_1(name, value):
     noisy = make_cfg(noise_rate=0.5, noise_write_prob=0.5)
-    assert getattr(dataclasses.replace(noisy, **{name: value}), name) == value
+    assert getattr(noisy._replace(**{name: value}), name) == value
     assert getattr(make_cfg(**{name: value}), name) == value
 
 
@@ -236,9 +235,9 @@ def test_config_fields():
     # One field per fact: the receiver shares the sender's period, decodes at
     # its middle, and rates use the package's one clock frequency.
     # `message` comes first, with no default: an empty one is never valid.
-    assert [f.name for f in dataclasses.fields(ChannelConfig)] == [
+    assert ChannelConfig._fields == (
         "message", "encoding", "period", "rset_size", "noise_rate", "noise_write_prob",
-        "seed", "slip", "geometry", "policy", "latency"]
+        "seed", "slip", "geometry", "policy", "latency")
 
 
 # -- actors ----------------------------------------------------------------------

@@ -140,11 +140,13 @@ def test_importing_the_cli_loads_no_statistics_module():
             "print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
-    # Nor `typing`: the records are `collections.namedtuple`s and dataclasses.
-    # A `.pth` file that `site` runs may import `typing` itself, so this
-    # child skips `site` and finds the package through PYTHONPATH alone.
+    # Nor `typing`, `dataclasses` or the `inspect` it pulls in: every record is
+    # a `collections.namedtuple`.  A `.pth` file that `site` runs may import
+    # any of them itself, so this child skips `site` and finds the package
+    # through PYTHONPATH alone.
     src = os.path.dirname(os.path.dirname(os.path.abspath(seeding.__file__)))
-    code = "import sys, dirtysim.cli; print('typing' in sys.modules)"
+    code = ("import sys, dirtysim.cli; "
+            "print(sorted({'typing', 'dataclasses', 'inspect'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout == "False\n"
+    assert out.stdout == "[]\n"

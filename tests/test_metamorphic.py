@@ -29,8 +29,6 @@ checks the same few cases on every run; `pytest
 (see `conftest.py`).
 """
 
-import dataclasses
-
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -101,9 +99,9 @@ def report_of(cfg, events=False):
 @given(cfg=configs())
 @example(cfg=NOISY)
 def test_doubled_costs_double_only_the_cycles(cfg):
-    cfg = dataclasses.replace(cfg, latency=dataclasses.replace(cfg.latency, jitter=0))
+    cfg = cfg._replace(latency=cfg.latency._replace(jitter=0))
     lat = cfg.latency
-    doubled = dataclasses.replace(cfg, latency=LatencyModel(
+    doubled = cfg._replace(latency=LatencyModel(
         2 * lat.hit, 2 * lat.miss_clean, 2 * lat.miss_dirty))
     base, scaled = report_of(cfg), report_of(doubled)
     if base is CalibrationError:
@@ -122,7 +120,7 @@ def order_of(cfg):
 @given(cfg=configs(), shift=st.one_of(st.integers(-2, 1), st.integers(-900, 6500)))
 @example(cfg=NOISY, shift=1)
 def test_a_run_reads_its_period_only_through_its_event_order(cfg, shift):
-    other = dataclasses.replace(cfg, period=cfg.period + shift)
+    other = cfg._replace(period=cfg.period + shift)
     assume(order_of(other) == order_of(cfg))
     assert report_of(other) == report_of(cfg)
 
@@ -130,7 +128,7 @@ def test_a_run_reads_its_period_only_through_its_event_order(cfg, shift):
 @DRAWS
 @given(cfg=configs(policies=("lru", "tree-plru"), drawn=False), seed=SEEDS)
 def test_a_run_that_draws_nothing_ignores_its_seed(cfg, seed):
-    assert report_of(dataclasses.replace(cfg, seed=seed)) == report_of(cfg)
+    assert report_of(cfg._replace(seed=seed)) == report_of(cfg)
 
 
 @DRAWS
@@ -139,7 +137,7 @@ def test_a_run_that_draws_nothing_ignores_its_seed(cfg, seed):
 @example(cfg=ChannelConfig(message=random_bits(64, 3), encoding=MultiBitEncoding(), seed=4,
                            slip=300, geometry=DEFENSES["partition"]))
 def test_tree_plru_runs_the_channel_as_lru_does(cfg):
-    tree = dataclasses.replace(cfg, policy="tree-plru")
+    tree = cfg._replace(policy="tree-plru")
     assert report_of(tree, events=True) == report_of(cfg, events=True)
 
 
@@ -151,7 +149,7 @@ def test_tree_plru_runs_the_channel_as_lru_does(cfg):
                            noise_rate=0.5, noise_write_prob=0.5, seed=4, slip=300))
 def test_a_message_prefix_decodes_to_a_prefix_of_the_stream(cfg):
     k = cfg.encoding.bits_per_symbol
-    half = dataclasses.replace(cfg, message=cfg.message[:len(cfg.message) // k // 2 * k])
+    half = cfg._replace(message=cfg.message[:len(cfg.message) // k // 2 * k])
     whole, first = report_of(cfg), report_of(half)
     if whole is CalibrationError:
         assert first is CalibrationError

@@ -25,7 +25,6 @@ Tier-1 checks the same few cases on every run; `pytest
 (see `conftest.py`).
 """
 
-import dataclasses
 from collections import Counter
 
 import pytest
@@ -144,8 +143,7 @@ def test_a_run_that_draws_runs_every_event(monkeypatch, fields):
 
 def trial_runs(cfg, periods, thresholds, trials):
     """`_period_bers` by definition: one `run_channel` per trial and period."""
-    return [[run_channel(dataclasses.replace(cfg, period=p,
-                                             seed=derive_seed(cfg.seed, "sweep", t)),
+    return [[run_channel(cfg._replace(period=p, seed=derive_seed(cfg.seed, "sweep", t)),
                          thresholds).ber for p in periods]
             for t in range(trials)]
 
@@ -290,7 +288,7 @@ def test_a_walk_stores_normal_forms_unless_the_set_is_partitioned(policy, defens
 def test_the_chase_order_reads_no_seed():
     cfg = SWEEP_NOISY
     rsets = channel.Steps(cfg, exact_cuts(cfg)).rsets
-    assert channel.Steps(dataclasses.replace(cfg, seed=1), exact_cuts(cfg)).rsets == rsets
+    assert channel.Steps(cfg._replace(seed=1), exact_cuts(cfg)).rsets == rsets
     assert rsets == (tuple(range(8, 18)), tuple(range(18, 28)))  # tag order
 
 
@@ -320,4 +318,4 @@ def test_period_bers_draws_noise_and_slip_once(cfg, periods):
     # Each period's events, built from the one set of draws, are its own schedule.
     draws = channel._draws(cfg, cfg.seed)
     for period in periods:
-        assert channel._events(period, *draws) == schedule(dataclasses.replace(cfg, period=period))
+        assert channel._events(period, *draws) == schedule(cfg._replace(period=period))
